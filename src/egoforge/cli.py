@@ -39,6 +39,7 @@ from .metrics import (
 )
 from .model import LtaForecast
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
+from .runtime import worker_count
 from .snippets import build_snippet_schedule, prefuse_features
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
 
@@ -434,6 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        worker_count()
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -709,8 +709,8 @@ def load_config(path: str | Path) -> SynthConfig:
         if key != "schema" and key not in names:
             warnings.warn(f"{path}: unknown key top level: '{key}'", stacklevel=2)
     kwargs = {name: raw[name] for name in names}
-    kwargs["resolution"] = tuple(kwargs["resolution"])
     try:
+        kwargs["resolution"] = tuple(kwargs["resolution"])
         return SynthConfig(**kwargs)
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: {e}") from e

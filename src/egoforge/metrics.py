@@ -6,6 +6,16 @@ reporting layer, never here. Matching everywhere is greedy in score order:
 ties keep input order, each ground-truth item is matched at most once, and
 a prediction takes the highest-overlap unmatched item. Average precision
 uses all-point interpolation (the running precision envelope).
+
+The AP metrics share one pair-array kernel. Per class, predictions are
+ranked once, every same-group (prediction rank, ground-truth index) pair is
+listed in flat arrays, and the pairs' IoU is computed in one vectorized call
+that repeats the scalar IoU's operations, so it agrees bit for bit. Each
+cut of the grid (an IoU threshold, or an anticipation criterion) keeps its
+eligible pairs, sorts them by rank, then IoU descending, then ground-truth
+index, and one pass takes each rank's first pair whose ground truth is still
+unused: the greedy rule above. Edit distance runs one integer DP row at a
+time over all candidates of all instances with the same length.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from .model import (
     TemporalSegment,
     _require,
 )
-from .runtime import ordered_map
 
 # Track-conventional threshold grids.
 DEFAULT_MAP_TIOUS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -173,69 +182,93 @@ def _ap_from_tp(tp: np.ndarray, npos: int) -> float:
     return float(np.sum((recall - prev) * envelope))
 
 
-def _greedy_class_ap(
-    entries: Sequence[tuple[float, int, Hashable, Any]],
-    gts_by_group: Mapping[Hashable, Sequence[Any]],
-    iou_fn: Callable[[Any, Any], float],
-    iou_thresh: float,
-    pair_ok: Callable[[Any, Any], bool] | None = None,
-) -> float:
-    # entries: (score, input_order, group, prediction) for one class.
-    npos = sum(len(v) for v in gts_by_group.values())
-    ranked = sorted(entries, key=lambda e: (-e[0], e[1]))
-    used: dict[Hashable, list[bool]] = {g: [False] * len(v) for g, v in gts_by_group.items()}
-    tp = np.zeros(len(ranked))
-    for r, (_, _, group, pred) in enumerate(ranked):
-        pool = gts_by_group.get(group, ())
-        flags = used.get(group, [])
-        best_iou = -1.0
-        best_j = -1
-        for j, gt in enumerate(pool):
-            if flags[j]:
-                continue
-            if pair_ok is not None and not pair_ok(pred, gt):
-                continue
-            overlap = iou_fn(pred, gt)
-            if overlap >= iou_thresh and overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0:
-            flags[best_j] = True
-            tp[r] = 1.0
-    return _ap_from_tp(tp, npos)
+def _temporal_iou_pairs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # temporal_iou over paired (start, end) rows, in the same operation order.
+    inter = np.maximum(0.0, np.minimum(p[:, 1], g[:, 1]) - np.maximum(p[:, 0], g[:, 0]))
+    union = (p[:, 1] - p[:, 0]) + (g[:, 1] - g[:, 0]) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = inter / union
+    degenerate = union <= 0.0
+    iou[degenerate] = p[degenerate, 0] == g[degenerate, 0]
+    return iou
 
 
-def _detection_map(
+def _box_iou_pairs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # box_iou over paired (x1, y1, x2, y2, ...) rows, in the same operation order.
+    iw = np.maximum(0.0, np.minimum(p[:, 2], g[:, 2]) - np.maximum(p[:, 0], g[:, 0]))
+    ih = np.maximum(0.0, np.minimum(p[:, 3], g[:, 3]) - np.maximum(p[:, 1], g[:, 1]))
+    inter = iw * ih
+    area_p = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
+    area_g = (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1])
+    union = area_p + area_g - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = inter / union
+    iou[union <= 0.0] = 0.0
+    return iou
+
+
+def _box_row(x: Any) -> tuple[float, ...]:
+    b = x.box
+    return (b.x1, b.y1, b.x2, b.y2)
+
+
+def _grid_map(
     preds: Mapping[Hashable, Sequence[Any]],
     gts: Mapping[Hashable, Sequence[Any]],
     class_of: Callable[[Any], int],
-    score_of: Callable[[Any], float],
-    iou_fn: Callable[[Any, Any], float],
-    iou_thresh: float,
-    pair_ok: Callable[[Any, Any], bool] | None = None,
-) -> float:
-    # Mean AP over the classes present in ground truth; predictions for
-    # absent classes are dropped.
-    gt_classes: dict[int, dict[Hashable, list[Any]]] = {}
+    row_of: Callable[[Any], tuple[float, ...]],
+    iou_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    cuts: Callable[[np.ndarray, np.ndarray, np.ndarray], list[np.ndarray]],
+) -> list[float]:
+    # Mean AP over the classes present in ground truth, once per cut: cuts
+    # maps (pair IoU, pair prediction rows, pair GT rows) to one eligibility
+    # mask per cut. Predictions for absent classes are dropped.
+    gt_rows: dict[int, dict[Hashable, list[tuple[float, ...]]]] = {}
     for group, items in gts.items():
         for gt in items:
-            gt_classes.setdefault(class_of(gt), {}).setdefault(group, []).append(gt)
-    if not gt_classes:
+            gt_rows.setdefault(class_of(gt), {}).setdefault(group, []).append(row_of(gt))
+    if not gt_rows:
         raise ValueError("AP is undefined with no ground-truth instances")
-    pred_classes: dict[int, list[tuple[float, int, Hashable, Any]]] = {}
-    order = 0
+    pred_rows: dict[int, list[tuple[float, Hashable, tuple[float, ...]]]] = {}
     for group, items in preds.items():
         for pred in items:
             cls = class_of(pred)
-            if cls in gt_classes:
-                pred_classes.setdefault(cls, []).append((score_of(pred), order, group, pred))
-            order += 1
-    total = 0.0
-    for cls in sorted(gt_classes):
-        total += _greedy_class_ap(
-            pred_classes.get(cls, ()), gt_classes[cls], iou_fn, iou_thresh, pair_ok
-        )
-    return total / len(gt_classes)
+            if cls in gt_rows:
+                pred_rows.setdefault(cls, []).append((pred.score, group, row_of(pred)))
+    totals: list[float] | None = None
+    for cls in sorted(gt_rows):
+        span: dict[Hashable, tuple[int, int]] = {}
+        flat: list[tuple[float, ...]] = []
+        for group, rows in gt_rows[cls].items():
+            span[group] = (len(flat), len(rows))
+            flat.extend(rows)
+        g = np.array(flat)
+        entries = pred_rows.get(cls, [])
+        # Ranks: descending score, input order on ties.
+        rank = np.argsort(-np.array([e[0] for e in entries], dtype=float), kind="stable")
+        first, count = np.array([span.get(e[1], (0, 0)) for e in entries], dtype=np.intp).reshape(-1, 2)[rank].T
+        # Every same-group (rank, GT index) pair, ranks ascending.
+        pair_rank = np.repeat(np.arange(len(entries)), count)
+        pair_gt = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pair_rank))
+        p = np.array([e[2] for e in entries], dtype=float).reshape(-1, g.shape[1])[rank[pair_rank]]
+        g = g[pair_gt]
+        iou = iou_of(p, g)
+        aps = []
+        for eligible in cuts(iou, p, g):
+            # Per rank, the highest-IoU unused GT wins; IoU ties go to the lower index.
+            sel = np.flatnonzero(eligible)
+            sel = sel[np.lexsort((pair_gt[sel], -iou[sel], pair_rank[sel]))]
+            used = bytearray(len(flat))
+            hits: list[int] = []
+            for r, j in zip(pair_rank[sel].tolist(), pair_gt[sel].tolist()):
+                if not used[j] and (not hits or hits[-1] != r):
+                    used[j] = 1
+                    hits.append(r)
+            tp = np.zeros(len(entries))
+            tp[hits] = 1.0
+            aps.append(_ap_from_tp(tp, len(flat)))
+        totals = aps if totals is None else [t + ap for t, ap in zip(totals, aps)]
+    return [t / len(gt_rows) for t in totals]
 
 
 def average_map(
@@ -255,16 +288,15 @@ def average_map(
     for group, items in preds.items():
         for p in items:
             _require(isinstance(p.label, int), f"prediction in group {group!r} has a non-integer class label")
-    breakdown: dict[str, float] = {}
-    for t in thresholds:
-        breakdown[f"mAP@{t:.2f}"] = _detection_map(
-            preds,
-            gts,
-            class_of=lambda x: x.label if isinstance(x, RankedSegment) else x.class_id,
-            score_of=lambda x: x.score,
-            iou_fn=lambda p, g: temporal_iou(p.segment, g.segment),
-            iou_thresh=t,
-        )
+    maps = _grid_map(
+        preds,
+        gts,
+        class_of=lambda x: x.label if isinstance(x, RankedSegment) else x.class_id,
+        row_of=lambda x: (x.segment.start_s, x.segment.end_s),
+        iou_of=_temporal_iou_pairs,
+        cuts=lambda iou, p, g: [iou >= t for t in thresholds],
+    )
+    breakdown = {f"mAP@{t:.2f}": m for t, m in zip(thresholds, maps)}
     value = sum(breakdown.values()) / len(thresholds)
     count = sum(len(v) for v in gts.values())
     return MetricReport(name="mAP", value=value, breakdown=breakdown, count=count, family="percent")
@@ -319,7 +351,7 @@ def displacement_report(
     missing = [key for key in gts if key not in preds]
     if missing:
         raise DataError(f"predictions missing for instances: {missing[:5]}")
-    per_instance = ordered_map(lambda key: hand_displacement(preds[key], gts[key]), list(gts))
+    per_instance = [hand_displacement(preds[key], gts[key]) for key in gts]
     reports: list[MetricReport] = []
     for hand, tag in (("left", "L"), ("right", "R")):
         for attr, kind in (("mean_px", "M"), ("contact_px", "C")):
@@ -337,17 +369,27 @@ def displacement_report(
     return reports
 
 
+def _edit_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Unit-cost edit distance of each row pair of the integer arrays a (M, m)
+    # and b (M, n), one DP row per position of a for all M pairs at once.
+    # With t[j] = min(prev[j] + 1, prev[j - 1] + cost), the row is
+    # cur[j] = min(t[j], cur[j - 1] + 1), so cur[j] - j is a running minimum
+    # of t[k] - k.
+    j = np.arange(b.shape[1] + 1)
+    prev = np.broadcast_to(j, (len(a), len(j)))
+    t = np.empty(prev.shape, dtype=np.int64)
+    for i in range(a.shape[1]):
+        t[:, 0] = i + 1
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (a[:, i : i + 1] != b), out=t[:, 1:])
+        prev = np.minimum.accumulate(t - j, axis=1) + j
+    return prev[:, -1]
+
+
 def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Unit-cost edit distance between two sequences."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
-        prev = cur
-    return prev[len(b)]
+    codes: dict[Hashable, int] = {}
+    a_row, b_row = ([codes.setdefault(x, len(codes)) for x in seq] for seq in (a, b))
+    return int(_edit_distances(np.array([a_row], dtype=np.int64), np.array([b_row], dtype=np.int64))[0])
 
 
 def _project(seq: Sequence[ActionLabel], mode: str) -> tuple[Hashable, ...]:
@@ -379,18 +421,27 @@ def edit_distance_at_z(
     if extra:
         raise DataError(f"forecasts for unknown instances: {extra[:5]}")
 
-    def score_one(key: Hashable) -> float:
-        truth = list(gts[key])
-        z = len(truth)
+    # Instances of one Z share one batched DP over integer label codes.
+    by_z: dict[int, list[Hashable]] = {}
+    for key in gts:
+        z = len(gts[key])
         _require(z >= 1, f"instance {key!r} has an empty ground-truth sequence")
-        forecast = forecasts[key]
-        if forecast.z != z:
-            raise DataError(f"instance {key!r}: candidate length {forecast.z} != {z}")
-        target = _project(truth, mode)
-        best = min(levenshtein(_project(c, mode), target) for c in forecast.candidates)
-        return best / z
-
-    values = ordered_map(score_one, list(gts))
+        if forecasts[key].z != z:
+            raise DataError(f"instance {key!r}: candidate length {forecasts[key].z} != {z}")
+        by_z.setdefault(z, []).append(key)
+    codes: dict[Hashable, int] = {}
+    best: dict[Hashable, int] = {}
+    for z, keys in by_z.items():
+        cands = [forecasts[key].candidates for key in keys]
+        a = [codes.setdefault(x, len(codes)) for cs in cands for c in cs for x in _project(c, mode)]
+        b = [[codes.setdefault(x, len(codes)) for x in _project(gts[key], mode)] for key in keys]
+        counts = [len(cs) for cs in cands]
+        dist = _edit_distances(
+            np.array(a, dtype=np.int64).reshape(-1, z), np.repeat(np.array(b, dtype=np.int64), counts, axis=0)
+        )
+        starts = np.cumsum(counts) - counts
+        best.update(zip(keys, np.minimum.reduceat(dist, starts).tolist()))
+    values = [best[key] / len(gts[key]) for key in gts]
     return sum(values) / len(values)
 
 
@@ -410,18 +461,41 @@ def edit_distance_report(
     ]
 
 
-def _sta_pair_ok(criteria: str, ttc_tol_s: float) -> Callable[[StaInstance, StaInstance], bool]:
-    need_verb = criteria in ("noun_verb", "overall")
-    need_ttc = criteria in ("noun_ttc", "overall")
+def _sta_maps(
+    preds: Mapping[str, Sequence[StaInstance]],
+    gts: Mapping[str, Sequence[StaInstance]],
+    criteria: Sequence[str],
+    box_iou_thresh: float,
+    ttc_tol_s: float,
+    top_k: int,
+) -> list[float]:
+    # Mean AP for each of the criteria over one top-k selection and one
+    # box IoU pass.
+    _require(0 < box_iou_thresh <= 1, "box_iou_thresh must be in (0, 1]")
+    _require(ttc_tol_s > 0, "ttc_tol_s must be positive")
+    _require(isinstance(top_k, int) and top_k >= 1, "top_k must be an int >= 1")
+    kept: dict[str, list[StaInstance]] = {}
+    for frame, items in preds.items():
+        order = _ranked(list(items), lambda p: p.score)[:top_k]
+        kept[frame] = [items[i] for i in order]
+    # Verb ids become small dense codes so they compare exactly as floats.
+    verb_code: dict[int, int] = {}
 
-    def ok(pred: StaInstance, gt: StaInstance) -> bool:
-        if need_verb and pred.verb_id != gt.verb_id:
-            return False
-        if need_ttc and abs(pred.ttc_s - gt.ttc_s) > ttc_tol_s:
-            return False
-        return True
+    def cuts(iou: np.ndarray, p: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+        noun = iou >= box_iou_thresh
+        verb = p[:, 4] == g[:, 4]
+        ttc = np.abs(p[:, 5] - g[:, 5]) <= ttc_tol_s
+        masks = {"noun": noun, "noun_verb": noun & verb, "noun_ttc": noun & ttc, "overall": noun & verb & ttc}
+        return [masks[c] for c in criteria]
 
-    return ok
+    return _grid_map(
+        kept,
+        gts,
+        class_of=lambda x: x.noun_id,
+        row_of=lambda x: (*_box_row(x), verb_code.setdefault(x.verb_id, len(verb_code)), x.ttc_s),
+        iou_of=_box_iou_pairs,
+        cuts=cuts,
+    )
 
 
 def sta_ap(
@@ -440,22 +514,7 @@ def sta_ap(
     contact within the tolerance.
     """
     _require(criteria in STA_CRITERIA, f"criteria must be one of {STA_CRITERIA}")
-    _require(0 < box_iou_thresh <= 1, "box_iou_thresh must be in (0, 1]")
-    _require(ttc_tol_s > 0, "ttc_tol_s must be positive")
-    _require(isinstance(top_k, int) and top_k >= 1, "top_k must be an int >= 1")
-    kept: dict[str, list[StaInstance]] = {}
-    for frame, items in preds.items():
-        order = _ranked(list(items), lambda p: p.score)[:top_k]
-        kept[frame] = [items[i] for i in order]
-    return _detection_map(
-        kept,
-        gts,
-        class_of=lambda x: x.noun_id,
-        score_of=lambda x: x.score,
-        iou_fn=lambda p, g: box_iou(p.box, g.box),
-        iou_thresh=box_iou_thresh,
-        pair_ok=_sta_pair_ok(criteria, ttc_tol_s),
-    )
+    return _sta_maps(preds, gts, (criteria,), box_iou_thresh, ttc_tol_s, top_k)[0]
 
 
 STA_REPORT_NAMES = (
@@ -475,14 +534,11 @@ def sta_report(
 ) -> list[MetricReport]:
     """The four anticipation AP variants on one prediction set."""
     count = sum(len(v) for v in gts.values())
+    criteria = [c for c, _ in STA_REPORT_NAMES]
+    maps = _sta_maps(preds, gts, criteria, box_iou_thresh, ttc_tol_s, top_k)
     return [
-        MetricReport(
-            name=name,
-            value=sta_ap(preds, gts, criteria, box_iou_thresh, ttc_tol_s, top_k),
-            count=count,
-            family="percent",
-        )
-        for criteria, name in STA_REPORT_NAMES
+        MetricReport(name=name, value=value, count=count, family="percent")
+        for (_, name), value in zip(STA_REPORT_NAMES, maps)
     ]
 
 
@@ -500,16 +556,15 @@ def box_ap(
     thresholds = [float(t) for t in iou_thresholds]
     _require(len(thresholds) >= 1, "need at least one IoU threshold")
     _require(all(0 < t <= 1 for t in thresholds), "IoU thresholds must be in (0, 1]")
-    breakdown: dict[str, float] = {}
-    for t in thresholds:
-        breakdown[f"AP@{t:.2f}"] = _detection_map(
-            preds,
-            gts,
-            class_of=lambda x: x.class_id,
-            score_of=lambda x: x.score,
-            iou_fn=lambda p, g: box_iou(p.box, g.box),
-            iou_thresh=t,
-        )
+    aps = _grid_map(
+        preds,
+        gts,
+        class_of=lambda x: x.class_id,
+        row_of=_box_row,
+        iou_of=_box_iou_pairs,
+        cuts=lambda iou, p, g: [iou >= t for t in thresholds],
+    )
+    breakdown = {f"AP@{t:.2f}": ap for t, ap in zip(thresholds, aps)}
     value = sum(breakdown.values()) / len(thresholds)
     for cut, label in ((0.50, "AP50"), (0.75, "AP75")):
         key = f"AP@{cut:.2f}"

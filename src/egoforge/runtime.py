@@ -1,21 +1,20 @@
-"""Worker-pool plumbing shared by the dataset-level evaluators."""
+"""Environment settings, checked once at CLI entry."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
 
 from .errors import DataError
 
 THREADS_ENV = "EGOFORGE_THREADS"
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 def worker_count() -> int:
-    """Worker threads to use, from the environment (default 1)."""
+    """Worker count from the environment (default 1).
+
+    Evaluation is single-threaded; the setting is still parsed so a bad value
+    is reported instead of silently ignored.
+    """
     raw = os.environ.get(THREADS_ENV, "").strip()
     if raw == "":
         return 1
@@ -26,17 +25,3 @@ def worker_count() -> int:
     if n < 1:
         raise DataError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return n
-
-
-def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    """Apply fn to items, preserving input order regardless of worker count.
-
-    Results are reduced by callers in this fixed order, so outputs are
-    identical for any EGOFORGE_THREADS setting.
-    """
-    seq = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))

@@ -38,6 +38,10 @@ STUB_VARIANTS = ("verb", "noun")
 _SEC_VIDEOS, _SEC_MQ, _SEC_NLQ, _SEC_FHP, _SEC_LTA, _SEC_STA, _SEC_SCOD = range(1, 8)
 
 
+# SynthConfig fields that size loops and arrays, so they must be ints.
+_COUNT_FIELDS = ("num_videos", "mq_num_classes", "nlq_queries_per_video", "z", "c_v", "c_n", "k", "feature_dim", "sta_keyframes_per_video")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic world."""
@@ -62,6 +66,9 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.seed, int) and self.seed >= 0, "seed must be an int >= 0")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an int, got {value!r}")
         _require(self.num_videos >= 1, "num_videos must be >= 1")
         _require(self.min_video_len_s > 0, "min_video_len_s must be positive")
         _require(self.max_video_len_s >= self.min_video_len_s, "video length range reversed")

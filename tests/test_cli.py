@@ -364,6 +364,20 @@ class TestTrain:
         assert head.kind == "classifier_C"
 
 
+class TestTrainConfigErrors:
+    @pytest.mark.parametrize("key, value", [("resolution", 5), ("num_videos", 2.5), ("resolution", [1920])])
+    def test_bad_config_value_is_data_error(self, dataset_dir, tmp_path, capsys, key, value):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        rc = cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(config) in err
+        assert len(err.splitlines()) == 1
+
+
 class TestReport:
     def test_listing(self, capsys):
         assert cli.main(["report"]) == 0
@@ -447,3 +461,21 @@ class TestThreadEnv:
         assert cli.main(args) == 0
         threaded = capsys.readouterr().out
         assert single == threaded
+
+
+class TestThreadEnvValidation:
+    @pytest.mark.parametrize("track", ["mq", "nlq", "fhp", "lta", "sta", "scod"])
+    def test_bad_thread_count_is_data_error(self, dataset_dir, capsys, monkeypatch, track):
+        monkeypatch.setenv("EGOFORGE_THREADS", "zero")
+        rc = cli.main(
+            ["eval", track, "--gt", str(dataset_dir / f"gt_{track}.json"), "--pred", str(dataset_dir / f"pred_{track}.json")]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: EGOFORGE_THREADS must be a positive integer, got 'zero'"]
+
+    def test_checked_for_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("EGOFORGE_THREADS", "0")
+        assert cli.main(["report"]) == 2
+        assert "EGOFORGE_THREADS" in capsys.readouterr().err

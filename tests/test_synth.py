@@ -29,6 +29,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(seed=-1)
 
+    @pytest.mark.parametrize("overrides", [{"num_videos": 2.5}, {"z": 20.0}, {"k": True}, {"feature_dim": "192"}])
+    def test_non_int_counts_rejected(self, overrides):
+        with pytest.raises(ValueError, match="must be an int"):
+            SynthConfig(**overrides)
+
 
 class TestDeterminism:
     def test_two_runs_identical(self):
