@@ -5,6 +5,14 @@ strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
 canonical, so save -> load is the identity and identical inputs produce
 byte-identical files.
+
+Loaders check each file once, with ``model.validate_dataset``, and then
+build the per-record objects through ``model._validated`` without re-running
+the constructor checks, applying the constructors' normalisations (``float``
+on real-valued fields, coordinate tuples, keyframe order) themselves. So
+``validate_dataset`` must cover every constructor invariant of the types
+built here. ``LtaForecast`` and ``ScoreMatrix``, a few hundred per file, keep
+their checked constructors.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from .model import (
     StaInstance,
     TemporalSegment,
     VideoMeta,
+    _check_resolution,
+    _validated,
     unknown_keys,
     validate_dataset,
 )
@@ -105,11 +115,16 @@ def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
 
 
 def _videos_from_raw(raw: Sequence[Mapping]) -> dict[str, VideoMeta]:
-    out = {}
-    for rec in raw:
-        meta = VideoMeta(video_id=rec["video_id"], num_frames=rec["num_frames"], fps=rec["fps"])
-        out[meta.video_id] = meta
-    return out
+    return {
+        rec["video_id"]: _validated(
+            VideoMeta, video_id=rec["video_id"], num_frames=rec["num_frames"], fps=float(rec["fps"])
+        )
+        for rec in raw
+    }
+
+
+def _segment_from_raw(rec: Mapping[str, Any]) -> TemporalSegment:
+    return _validated(TemporalSegment, start_s=float(rec["start_s"]), end_s=float(rec["end_s"]))
 
 
 def load_mq_gt(path: str | Path) -> MqGt:
@@ -117,8 +132,9 @@ def load_mq_gt(path: str | Path) -> MqGt:
     videos = _videos_from_raw(raw["videos"])
     instances: dict[str, list[MomentInstance]] = {vid: [] for vid in videos}
     for rec in raw["instances"]:
-        seg = TemporalSegment(start_s=rec["start_s"], end_s=rec["end_s"])
-        instances[rec["video_id"]].append(MomentInstance(segment=seg, class_id=rec["class_id"]))
+        instances[rec["video_id"]].append(
+            _validated(MomentInstance, segment=_segment_from_raw(rec), class_id=rec["class_id"])
+        )
     return MqGt(
         videos=videos,
         num_classes=raw["num_classes"],
@@ -151,9 +167,8 @@ def load_mq_pred(path: str | Path, known_videos: Iterable[str] | None = None) ->
     raw = _load_annotations(path, "mq-pred/1")
     out: dict[str, list[RankedSegment]] = {}
     for rec in raw["instances"]:
-        seg = TemporalSegment(start_s=rec["start_s"], end_s=rec["end_s"])
         out.setdefault(rec["video_id"], []).append(
-            RankedSegment(segment=seg, score=rec["score"], label=rec["class_id"])
+            _validated(RankedSegment, segment=_segment_from_raw(rec), score=float(rec["score"]), label=rec["class_id"])
         )
     if known_videos is not None:
         require_known(out, known_videos, "video ids in predictions")
@@ -200,10 +215,9 @@ def load_nlq_gt(path: str | Path) -> NlqGt:
     queries: dict[str, NlqInstance] = {}
     video_of: dict[str, str] = {}
     for rec in raw["instances"]:
-        seg = TemporalSegment(start_s=rec["start_s"], end_s=rec["end_s"])
-        inst = NlqInstance(segment=seg, query_id=rec["query_id"])
-        queries[inst.query_id] = inst
-        video_of[inst.query_id] = rec["video_id"]
+        qid = rec["query_id"]
+        queries[qid] = _validated(NlqInstance, segment=_segment_from_raw(rec), query_id=qid)
+        video_of[qid] = rec["video_id"]
     return NlqGt(videos=videos, queries=queries, video_of=video_of)
 
 
@@ -230,9 +244,8 @@ def load_nlq_pred(path: str | Path, known_queries: Iterable[str] | None = None) 
     raw = _load_annotations(path, "nlq-pred/1")
     out: dict[str, list[RankedSegment]] = {}
     for rec in raw["instances"]:
-        seg = TemporalSegment(start_s=rec["start_s"], end_s=rec["end_s"])
         out.setdefault(rec["query_id"], []).append(
-            RankedSegment(segment=seg, score=rec["score"], label=rec["query_id"])
+            _validated(RankedSegment, segment=_segment_from_raw(rec), score=float(rec["score"]), label=rec["query_id"])
         )
     if known_queries is not None:
         require_known(out, known_queries, "query ids in predictions")
@@ -275,14 +288,16 @@ def _keyframes_from_raw(raw: Mapping[str, Any]) -> HandKeyframes:
     points = {}
     for tag in KEYFRAME_TAGS:
         rec = raw[tag]
+        (lx, ly), (rx, ry) = rec["left"], rec["right"]
         visible = rec.get("visible", {})
-        points[tag] = HandPoint(
-            left=tuple(rec["left"]),
-            right=tuple(rec["right"]),
+        points[tag] = _validated(
+            HandPoint,
+            left=(float(lx), float(ly)),
+            right=(float(rx), float(ry)),
             left_visible=visible.get("left", True),
             right_visible=visible.get("right", True),
         )
-    return HandKeyframes(points=points)
+    return _validated(HandKeyframes, points=points)
 
 
 def _keyframes_to_raw(kf: HandKeyframes) -> dict[str, Any]:
@@ -359,7 +374,7 @@ def load_lta_gt(path: str | Path) -> LtaGt:
     cfg = raw["config"]
     sequences = {}
     for rec in raw["instances"]:
-        seq = tuple(ActionLabel(verb_id=v, noun_id=n) for v, n in rec["sequence"])
+        seq = tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in rec["sequence"])
         sequences[(rec["video_id"], rec["clip_index"])] = seq
     return LtaGt(z=cfg["z"], c_v=cfg["c_v"], c_n=cfg["c_n"], k=cfg["k"], sequences=sequences)
 
@@ -401,7 +416,7 @@ def load_lta_pred(path: str | Path) -> dict[tuple[str, int], LtaForecast]:
         if "candidates" not in rec:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
         candidates = tuple(
-            tuple(ActionLabel(verb_id=v, noun_id=n) for v, n in seq) for seq in rec["candidates"]
+            tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in seq) for seq in rec["candidates"]
         )
         matrix = _matrix_from_raw(rec["score_matrix"]) if "score_matrix" in rec else None
         out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=matrix)
@@ -485,7 +500,8 @@ def _images_to_raw(images: Mapping[str, tuple[int, int]]) -> list[dict]:
 
 
 def _box_from_raw(vals: Sequence[float]) -> BoundingBox:
-    return BoundingBox(x1=vals[0], y1=vals[1], x2=vals[2], y2=vals[3])
+    x1, y1, x2, y2 = vals
+    return _validated(BoundingBox, x1=float(x1), y1=float(y1), x2=float(x2), y2=float(y2))
 
 
 def _box_to_raw(box: BoundingBox) -> list[float]:
@@ -498,12 +514,13 @@ def _load_sta(path: str | Path, schema: str, default_score: float | None) -> Sta
     instances: dict[str, list[StaInstance]] = {kid: [] for kid in images}
     for rec in raw["instances"]:
         instances[rec["keyframe_id"]].append(
-            StaInstance(
+            _validated(
+                StaInstance,
                 box=_box_from_raw(rec["box"]),
                 noun_id=rec["noun"],
                 verb_id=rec["verb"],
-                ttc_s=rec["ttc_s"],
-                score=rec["score"] if default_score is None else default_score,
+                ttc_s=float(rec["ttc_s"]),
+                score=float(rec["score"]) if default_score is None else default_score,
             )
         )
     return StaGt(images=images, instances={kid: tuple(v) for kid, v in instances.items()})
@@ -551,10 +568,11 @@ def _load_scod(path: str | Path, schema: str, default_score: float | None) -> Sc
     instances: dict[str, list[Detection]] = {kid: [] for kid in images}
     for rec in raw["instances"]:
         instances[rec["keyframe_id"]].append(
-            Detection(
+            _validated(
+                Detection,
                 box=_box_from_raw(rec["box"]),
                 class_id=rec["noun"],
-                score=rec["score"] if default_score is None else default_score,
+                score=float(rec["score"]) if default_score is None else default_score,
             )
         )
     return ScodGt(images=images, instances={kid: tuple(v) for kid, v in instances.items()})
@@ -708,9 +726,13 @@ def load_config(path: str | Path) -> SynthConfig:
     for key in raw:
         if key != "schema" and key not in names:
             warnings.warn(f"{path}: unknown key top level: '{key}'", stacklevel=2)
+    violations: list[str] = []
+    _check_resolution(raw["resolution"], violations)
+    if violations:
+        raise SchemaError(str(path), violations)
     kwargs = {name: raw[name] for name in names}
+    kwargs["resolution"] = tuple(kwargs["resolution"])
     try:
-        kwargs["resolution"] = tuple(kwargs["resolution"])
         return SynthConfig(**kwargs)
     except (TypeError, ValueError) as e:
         raise DataError(f"{path}: {e}") from e

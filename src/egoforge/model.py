@@ -5,13 +5,18 @@ afterwards, so downstream code never re-checks shapes or ranges.
 ``validate_dataset`` is the complementary entry point for *parsed but
 untyped* annotation trees: it reports violations as strings instead of
 raising, which lets loaders surface every problem in a file at once.
+
+The loaders in ``fileio`` check each file once, with ``validate_dataset``,
+and then build the per-record objects with ``_validated``, which does not
+re-run the constructor checks. ``validate_dataset`` must therefore cover
+every constructor invariant of the types the loaders build that way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
 
 import numpy as np
 
@@ -23,6 +28,8 @@ HANDS = ("left", "right")
 
 FEATURE_PROVENANCES = ("verb", "noun", "fused", "stub")
 
+_T = TypeVar("_T")
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -31,6 +38,21 @@ def _require(cond: bool, message: str) -> None:
 
 def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _validated(cls: type[_T], **fields: Any) -> _T:
+    """Build ``cls`` from values ``validate_dataset`` has already accepted.
+
+    Skips ``__post_init__``, so the caller passes every field in the form
+    the constructor would store: ``float`` for real-valued fields, tuples
+    of floats for points, keyframes in ``KEYFRAME_TAGS`` order.
+    """
+    obj = object.__new__(cls)
+    # Set attributes one by one, as the dataclass __init__ does: touching
+    # obj.__dict__ would give every record its own dict, 2.5x the memory.
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -347,9 +369,9 @@ class FeatureMatrix:
 #
 # Loaders parse JSON first and call validate_dataset on the untyped tree, so
 # a malformed file reports every violation instead of failing at the first
-# constructor. The checks below mirror the constructor invariants plus the
-# cross-field rules (vocabulary ranges, duplicate keys) that single values
-# cannot see.
+# constructor. The checks below cover the constructor invariants, which the
+# loaders do not check again, plus the cross-field rules (vocabulary ranges,
+# duplicate keys) that single values cannot see.
 # ---------------------------------------------------------------------------
 
 GT_SCHEMAS = ("mq/1", "nlq/1", "fhp/1", "lta/1", "sta/1", "scod/1")
@@ -523,8 +545,8 @@ def _check_keyframes(kf: Any, where: str, out: list[str]) -> None:
             xy = point.get(hand)
             if not (isinstance(xy, list) and len(xy) == 2 and all(_is_real(v) for v in xy)):
                 out.append(f"{pwhere}: {hand} must be a finite [x, y] pair")
-        visible = point.get("visible")
-        if visible is not None:
+        if "visible" in point:
+            visible = point["visible"]
             ok = isinstance(visible, Mapping) and set(visible) <= set(HANDS) and all(
                 isinstance(v, bool) for v in visible.values()
             )
@@ -532,13 +554,15 @@ def _check_keyframes(kf: Any, where: str, out: list[str]) -> None:
                 out.append(f"{pwhere}: visible must map hands to bools")
 
 
+def _check_resolution(res: Any, out: list[str]) -> None:
+    if not (isinstance(res, list) and len(res) == 2 and all(_is_int(v) and v > 0 for v in res)):
+        out.append("resolution: must be a [width, height] pair of ints >= 1")
+
+
 def _validate_fhp(raw: Mapping[str, Any], pred: bool) -> list[str]:
     out: list[str] = []
     if not pred:
-        res = raw.get("resolution")
-        ok = isinstance(res, list) and len(res) == 2 and all(_is_int(v) and v > 0 for v in res)
-        if not ok:
-            out.append("resolution: must be a [width, height] pair of ints >= 1")
+        _check_resolution(raw.get("resolution"), out)
     seen: set[str] = set()
     for i, rec in enumerate(_instances(raw, out)):
         where = f"instances[{i}]"
@@ -583,22 +607,24 @@ def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int
     return tuple(vals)  # type: ignore[return-value]
 
 
-def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> None:
-    if not isinstance(rows, list) or (z is not None and len(rows) != z):
+def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
+    """Report bad probability rows; True when ``rows`` is a Z x C matrix."""
+    if not isinstance(rows, list) or not rows or (z is not None and len(rows) != z):
         out.append(f"{where}: must be a list of {z if z is not None else 'Z'} probability rows")
-        return
+        return False
     width = None
     for r, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) >= 1 and all(_is_real(v) and v >= 0 for v in row)):
             out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
-            return
+            return False
         if width is None:
             width = len(row)
         elif len(row) != width:
             out.append(f"{where}[{r}]: ragged row width")
-            return
+            return False
         if abs(sum(row) - 1.0) > 1e-6:
             out.append(f"{where}[{r}]: row does not sum to 1 within 1e-6")
+    return True
 
 
 def _validate_lta(raw: Mapping[str, Any], pred: bool) -> list[str]:
@@ -646,6 +672,9 @@ def _validate_lta(raw: Mapping[str, Any], pred: bool) -> list[str]:
             matrix = rec.get("score_matrix")
             if cands is None and matrix is None:
                 out.append(f"{where}: needs candidates or score_matrix")
+            # Without a config block, the first candidate sets the length
+            # every other candidate and the score matrix must share.
+            length = z
             if cands is not None:
                 if not isinstance(cands, list) or len(cands) < 1:
                     out.append(f"{where}: candidates must be a non-empty list")
@@ -657,16 +686,27 @@ def _validate_lta(raw: Mapping[str, Any], pred: bool) -> list[str]:
                         if not isinstance(seq, list):
                             out.append(f"{cwhere}: not a list")
                             continue
-                        if z is not None and len(seq) != z:
-                            out.append(f"{cwhere}: candidate length {len(seq)} != {z}")
+                        if not seq:
+                            out.append(f"{cwhere}: candidate sequence is empty")
+                        elif length is None:
+                            length = len(seq)
+                        elif len(seq) != length:
+                            out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
                         for j, pair in enumerate(seq):
                             _check_label_pair(pair, c_v, c_n, f"{cwhere}[{j}]", out)
             if matrix is not None:
+                mwhere = f"{where}.score_matrix"
                 if not isinstance(matrix, Mapping) or set(matrix) != {"verb", "noun"}:
                     out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
                 else:
-                    _check_prob_rows(matrix["verb"], z, f"{where}.score_matrix.verb", out)
-                    _check_prob_rows(matrix["noun"], z, f"{where}.score_matrix.noun", out)
+                    verb_ok = _check_prob_rows(matrix["verb"], z, f"{mwhere}.verb", out)
+                    noun_ok = _check_prob_rows(matrix["noun"], z, f"{mwhere}.noun", out)
+                    if verb_ok and noun_ok:
+                        rows = len(matrix["verb"])
+                        if len(matrix["noun"]) != rows:
+                            out.append(f"{mwhere}: verb has {rows} rows, noun has {len(matrix['noun'])}")
+                        elif length is not None and rows != length:
+                            out.append(f"{mwhere}: {rows} rows, candidates have length {length}")
     return out
 
 
@@ -780,6 +820,6 @@ def unknown_keys(raw: Mapping[str, Any]) -> list[str]:
     inst = raw.get("instances")
     if isinstance(inst, list):
         for i, rec in enumerate(inst):
-            if isinstance(rec, Mapping):
+            if isinstance(rec, Mapping) and not rec.keys() <= allowed:
                 extras.extend(f"instances[{i}]: '{k}'" for k in rec if k not in allowed)
     return extras

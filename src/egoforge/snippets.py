@@ -81,19 +81,6 @@ class ObservableWindow:
         return self.end_s - self.start_s
 
 
-@dataclass(frozen=True)
-class ViewConfig:
-    """Spatial/temporal/view fan-out of one inference pass."""
-
-    frame_size: int
-    num_frames: int
-    num_views: int
-
-    def __post_init__(self) -> None:
-        for name in ("frame_size", "num_frames", "num_views"):
-            _require(getattr(self, name) >= 1, f"{name} must be >= 1")
-
-
 def build_snippet_schedule(
     num_frames: int,
     fps: float = 15.0,

@@ -284,6 +284,60 @@ class TestFuse:
         assert rc == 0
         assert "Overall: 100.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["post", "sta"])
+    def test_integer_valued_reals_fuse_to_the_same_bytes(self, tmp_path, capsys, mode):
+        # Loaders turn integer reals into floats, as the constructors do, so
+        # "start_s": 3 and "start_s": 3.0 give byte-identical outputs.
+        def files(real):
+            if mode == "post":
+                rows = [(0, 4, 1), (1, 5, 0), (10, 12, 2)]
+                trees = [
+                    {
+                        "schema": "nlq-pred/1",
+                        "instances": [
+                            {"query_id": f"q{m}", "start_s": real(a + m), "end_s": real(b + m), "score": real(s)}
+                            for m in range(2)
+                            for a, b, s in rows
+                        ],
+                    }
+                    for _ in range(2)
+                ]
+            else:
+                boxes = [(0, 0, 10, 10, 1), (1, 1, 11, 11, 0), (20, 20, 30, 40, 2)]
+                trees = [
+                    {
+                        "schema": "sta-pred/1",
+                        "images": [{"keyframe_id": "k", "width": 64, "height": 48}],
+                        "instances": [
+                            {
+                                "keyframe_id": "k",
+                                "box": [real(x1), real(y1), real(x2 + m), real(y2)],
+                                "noun": 1,
+                                "verb": 2,
+                                "ttc_s": real(1 + m),
+                                "score": real(s),
+                            }
+                            for x1, y1, x2, y2, s in boxes
+                        ],
+                    }
+                    for m in range(2)
+                ]
+            paths = []
+            for m, tree in enumerate(trees):
+                path = tmp_path / f"{real.__name__}_{m}.json"
+                path.write_text(json.dumps(tree), encoding="utf-8")
+                paths.append(str(path))
+            return paths
+
+        outputs = []
+        for real in (int, float):
+            out = tmp_path / f"fused_{real.__name__}.json"
+            assert cli.main(["fuse", mode, "--pred", *files(real), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert b'"score": 2.0' in outputs[0]
+
 
 class TestVote:
     def test_vote_round_trip(self, tmp_path, capsys):
@@ -376,6 +430,52 @@ class TestTrainConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(config) in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", [5, [1, 2, 3], "ab", [1920, 0], [1920.0, 1080]])
+    def test_bad_resolution_names_the_field(self, dataset_dir, tmp_path, capsys, value):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw["resolution"] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        rc = cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: resolution: must be a [width, height] pair of ints >= 1"
+        ]
+
+
+class TestLtaPredValidation:
+    """Forecast files without a config block: every constructor invariant is
+    reported with the file and the row, not as a bare constructor message."""
+
+    @staticmethod
+    def _rows(z):
+        return [[1.0] + [0.0] * 2 for _ in range(z)]
+
+    @pytest.mark.parametrize(
+        "candidates, verb_rows, noun_rows, location, message",
+        [
+            ([[[0, 0], [1, 1]], [[0, 0]]], 2, 2, "instances[0].candidates[1]", "candidate length 1 != 2"),
+            ([[]], 1, 1, "instances[0].candidates[0]", "candidate sequence is empty"),
+            ([[[0, 0], [1, 1]]], 2, 1, "instances[0].score_matrix", "verb has 2 rows, noun has 1"),
+            ([[[0, 0]]], 2, 2, "instances[0].score_matrix", "2 rows, candidates have length 1"),
+        ],
+        ids=["ragged", "empty", "verb-noun-rows", "matrix-vs-candidates"],
+    )
+    def test_reported_with_file_and_row(
+        self, dataset_dir, tmp_path, capsys, candidates, verb_rows, noun_rows, location, message
+    ):
+        pred = tmp_path / "pred_lta.json"
+        row = {
+            "video_id": "synth-000",
+            "clip_index": 0,
+            "candidates": candidates,
+            "score_matrix": {"verb": self._rows(verb_rows), "noun": self._rows(noun_rows)},
+        }
+        pred.write_text(json.dumps({"schema": "lta-pred/1", "instances": [row]}), encoding="utf-8")
+        rc = cli.main(["eval", "lta", "--gt", str(dataset_dir / "gt_lta.json"), "--pred", str(pred)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {pred}: {location}: {message}"]
 
 
 class TestReport:

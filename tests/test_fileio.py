@@ -97,6 +97,15 @@ class TestStrictness:
             fileio.load_mq_gt(path)
         assert len(err.value.violations) == 2
 
+    def test_null_visibility_map_is_a_violation(self, dataset_dir, tmp_path):
+        raw = json.loads((dataset_dir / "pred_fhp.json").read_text(encoding="utf-8"))
+        raw["instances"][0]["keyframes"]["c"]["visible"] = None
+        path = tmp_path / "pred.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError) as err:
+            fileio.load_fhp_pred(path)
+        assert err.value.violations == ["instances[0].keyframes[c]: visible must map hands to bools"]
+
     def test_unknown_key_warns(self, tmp_path):
         raw = {
             "schema": "mq/1",
