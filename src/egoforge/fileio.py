@@ -4,7 +4,8 @@ Every JSON file is tagged with a top-level ``schema`` string. Loading is
 strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
 canonical, so save -> load is the identity and identical inputs produce
-byte-identical files.
+byte-identical files: every JSON file goes through one writer,
+``render.json_text``, which gives the bytes of ``json.dumps(obj, indent=2)``.
 
 Loaders check each file once, with ``model.validate_dataset``, and then
 build the per-record objects through ``model._validated`` without re-running
@@ -50,6 +51,7 @@ from .model import (
     unknown_keys,
     validate_dataset,
 )
+from .render import json_text
 from .synth import SynthConfig
 
 FEATURE_MAGIC = b"EGFT"
@@ -64,12 +66,14 @@ def _read_json(path: str | Path) -> Any:
         raise DataError(f"{path}: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
+        # JSONDecodeError, or a plain ValueError for an integer literal
+        # longer than Python's int_max_str_digits.
         raise DataError(f"{path}: not valid JSON ({e})") from e
 
 
 def _write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
 def _load_annotations(path: str | Path, expect_schema: str) -> Any:

@@ -5,13 +5,18 @@ probabilities over clips, averaging coordinates over augmented views, and
 deduplicating boxes or segments that several models agree on. Averages are
 taken in a canonical operand order, so every operation is exactly invariant
 to permutations of its inputs.
+
+Suppression takes its IoU from the ``metrics`` pair kernels
+(``_box_iou_pairs``, ``_temporal_iou_pairs``), so box and temporal IoU are
+defined in one place: each greedy pass computes the IoU of a block of rows
+against the whole pool in one vectorized call, under a fixed pair cap.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,8 +27,9 @@ from .model import (
     ScoreMatrix,
     StaInstance,
     _require,
+    _validated,
 )
-from .metrics import box_iou, temporal_iou
+from .metrics import _box_iou_pairs, _temporal_iou_pairs
 
 VOTE_RULES = ("mean_prob", "majority")
 
@@ -126,6 +132,39 @@ def multi_view_average(view_preds: Sequence[np.ndarray]) -> np.ndarray:
     return _canonical_mean(views)
 
 
+# Most IoU pairs one suppression block computes at once, so a large pool
+# never holds its whole n x n IoU matrix.
+_PAIR_CAP = 1 << 16
+
+
+def _greedy_suppress(
+    rows: np.ndarray,
+    scores: Sequence[float],
+    thresh: float,
+    iou_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> list[int]:
+    # Greedy suppression over coordinate rows: the highest score left is
+    # kept (ties keep the earlier index) and suppresses every item strictly
+    # above the threshold. Rows are taken in score order, in blocks of at
+    # most _PAIR_CAP pairs, skipping rows already suppressed when the block
+    # starts; each block's IoU against all rows is one vectorized call.
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: (-scores[i], i))
+    suppressed = np.zeros(n, dtype=bool)
+    kept: list[int] = []
+    step = max(1, _PAIR_CAP // max(n, 1))
+    for start in range(0, n, step):
+        heads = [i for i in order[start : start + step] if not suppressed[i]]
+        if not heads:
+            continue
+        hits = iou_pairs(np.repeat(rows[heads], n, axis=0), np.tile(rows, (len(heads), 1))) > thresh
+        for i, hit in zip(heads, hits.reshape(len(heads), n)):
+            if not suppressed[i]:
+                kept.append(i)
+                suppressed |= hit
+    return kept
+
+
 def nms(
     boxes: Sequence[BoundingBox],
     scores: Sequence[float],
@@ -140,28 +179,8 @@ def nms(
     _require(0 < iou_thresh <= 1, f"iou_thresh must be in (0, 1], got {iou_thresh}")
     svals = [float(s) for s in scores]
     _require(all(np.isfinite(svals)), "scores must be finite")
-    n = len(boxes)
-    if n == 0:
-        return []
-    x1 = np.array([b.x1 for b in boxes])
-    y1 = np.array([b.y1 for b in boxes])
-    x2 = np.array([b.x2 for b in boxes])
-    y2 = np.array([b.y2 for b in boxes])
-    areas = (x2 - x1) * (y2 - y1)
-    order = sorted(range(n), key=lambda i: (-svals[i], i))
-    suppressed = np.zeros(n, dtype=bool)
-    kept: list[int] = []
-    for i in order:
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        iw = np.maximum(0.0, np.minimum(x2[i], x2) - np.maximum(x1[i], x1))
-        ih = np.maximum(0.0, np.minimum(y2[i], y2) - np.maximum(y1[i], y1))
-        inter = iw * ih
-        union = areas[i] + areas - inter
-        iou = np.divide(inter, union, out=np.zeros(n), where=union > 0)
-        suppressed |= iou > iou_thresh
-    return kept
+    rows = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    return _greedy_suppress(rows, svals, iou_thresh, _box_iou_pairs)
 
 
 def temporal_nms(
@@ -170,20 +189,8 @@ def temporal_nms(
 ) -> list[int]:
     """Greedy suppression over scored segments by temporal IoU."""
     _require(0 < tiou_thresh <= 1, f"tiou_thresh must be in (0, 1], got {tiou_thresh}")
-    n = len(segments)
-    order = sorted(range(n), key=lambda i: (-segments[i].score, i))
-    suppressed = [False] * n
-    kept: list[int] = []
-    for i in order:
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        for j in order:
-            if not suppressed[j] and j != i:
-                if temporal_iou(segments[i].segment, segments[j].segment) > tiou_thresh:
-                    suppressed[j] = True
-        suppressed[i] = True
-    return kept
+    rows = np.array([(s.segment.start_s, s.segment.end_s) for s in segments], dtype=np.float64).reshape(-1, 2)
+    return _greedy_suppress(rows, [s.score for s in segments], tiou_thresh, _temporal_iou_pairs)
 
 
 def topk_by_noun_score(instances: Sequence[StaInstance], k: int) -> list[StaInstance]:
@@ -269,35 +276,42 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     with np.errstate(divide="ignore"):
         log_v = np.log(matrix.verb)
         log_n = np.log(matrix.noun)
-    ranked_logp: list[np.ndarray] = []
-    ranked_pair: list[list[tuple[int, int]]] = []
-    for pos in range(z):
-        joint = (log_v[pos][:, None] + log_n[pos][None, :]).reshape(-1)
-        order = sorted(range(joint.size), key=lambda i: (-joint[i], i))
-        ranked_logp.append(joint[order])
-        ranked_pair.append([(i // c_n, i % c_n) for i in order])
-    width = ranked_logp[0].size
+    # Rank table: each position's (verb, noun) pairs by falling joint
+    # log-probability, equal values in flat-index order. A sequence with
+    # rank r anywhere has r strictly earlier sequences (the same with a
+    # lower rank there), so the first k sequences only use ranks below k.
+    joint = (log_v[:, :, None] + log_n[:, None, :]).reshape(z, -1)
+    order = np.argsort(-joint, axis=1, kind="stable")[:, :k]
+    logp = np.take_along_axis(joint, order, axis=1).tolist()
+    labels = [
+        [_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in zip(verbs, nouns)]
+        for verbs, nouns in zip((order // c_n).tolist(), (order % c_n).tolist())
+    ]
+    width = order.shape[1]
 
-    def total(ranks: tuple[int, ...]) -> float:
-        return float(sum(ranked_logp[pos][r] for pos, r in enumerate(ranks)))
-
-    def to_sequence(ranks: tuple[int, ...]) -> tuple[ActionLabel, ...]:
-        return tuple(
-            ActionLabel(verb_id=ranked_pair[pos][r][0], noun_id=ranked_pair[pos][r][1])
-            for pos, r in enumerate(ranks)
-        )
+    def running(ranks: tuple[int, ...], sums: list[float], pos: int) -> list[float]:
+        # A candidate's running totals, summed left to right over positions;
+        # those before pos are its parent's.
+        acc = sums[pos - 1] if pos else 0.0
+        out = sums[:pos]
+        for row, r in zip(logp[pos:], ranks[pos:]):
+            acc += row[r]
+            out.append(acc)
+        return out
 
     start = (0,) * z
-    heap: list[tuple[float, tuple[int, ...]]] = [(-total(start), start)]
+    sums = running(start, [], 0)
+    heap = [(-sums[-1], start, sums)]
     seen = {start}
     out: list[tuple[ActionLabel, ...]] = []
     while heap and len(out) < k:
-        _, ranks = heapq.heappop(heap)
-        out.append(to_sequence(ranks))
+        _, ranks, sums = heapq.heappop(heap)
+        out.append(tuple(labels[pos][r] for pos, r in enumerate(ranks)))
         for pos in range(z):
             if ranks[pos] + 1 < width:
                 nxt = ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1 :]
                 if nxt not in seen:
                     seen.add(nxt)
-                    heapq.heappush(heap, (-total(nxt), nxt))
+                    child = running(nxt, sums, pos)
+                    heapq.heappush(heap, (-child[-1], nxt, child))
     return tuple(out)

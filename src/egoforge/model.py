@@ -36,8 +36,13 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _finite(x: float) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _finite(x: Any) -> bool:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _validated(cls: type[_T], **fields: Any) -> _T:
@@ -414,18 +419,14 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_real(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _check_segment(rec: Mapping[str, Any], where: str, out: list[str]) -> None:
     start, end = rec.get("start_s"), rec.get("end_s")
     for name, v in (("start_s", start), ("end_s", end)):
         if v is None:
             out.append(f"{where}: missing key '{name}'")
-        elif not _is_real(v):
+        elif not _finite(v):
             out.append(f"{where}: {name} must be a finite real")
-    if _is_real(start) and _is_real(end):
+    if _finite(start) and _finite(end):
         if start < 0:
             out.append(f"{where}: segment start is negative")
         if start > end:
@@ -454,7 +455,7 @@ def _check_videos(raw: Mapping[str, Any], out: list[str]) -> set[str]:
         if not _is_int(nf) or nf < 0:
             out.append(f"{where}: num_frames must be an int >= 0")
         fps = v.get("fps")
-        if not _is_real(fps) or fps <= 0:
+        if not _finite(fps) or fps <= 0:
             out.append(f"{where}: fps must be a positive finite real")
     return ids
 
@@ -497,7 +498,7 @@ def _validate_mq(raw: Mapping[str, Any], pred: bool) -> list[str]:
             out.append(f"{where}: class_id must be an int >= 0")
         elif num_classes is not None and cid >= num_classes:
             out.append(f"{where}: class_id {cid} out of range [0, {num_classes})")
-        if pred and not _is_real(rec.get("score")):
+        if pred and not _finite(rec.get("score")):
             out.append(f"{where}: score must be a finite real")
     return out
 
@@ -523,7 +524,7 @@ def _validate_nlq(raw: Mapping[str, Any], pred: bool) -> list[str]:
             if qid in seen_queries:
                 out.append(f"{where}: duplicate query_id '{qid}'")
             seen_queries.add(qid)
-        if pred and not _is_real(rec.get("score")):
+        if pred and not _finite(rec.get("score")):
             out.append(f"{where}: score must be a finite real")
     return out
 
@@ -543,7 +544,7 @@ def _check_keyframes(kf: Any, where: str, out: list[str]) -> None:
             continue
         for hand in HANDS:
             xy = point.get(hand)
-            if not (isinstance(xy, list) and len(xy) == 2 and all(_is_real(v) for v in xy)):
+            if not (isinstance(xy, list) and len(xy) == 2 and all(_finite(v) for v in xy)):
                 out.append(f"{pwhere}: {hand} must be a finite [x, y] pair")
         if "visible" in point:
             visible = point["visible"]
@@ -614,7 +615,7 @@ def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bo
         return False
     width = None
     for r, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) >= 1 and all(_is_real(v) and v >= 0 for v in row)):
+        if not (isinstance(row, list) and len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)):
             out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
             return False
         if width is None:
@@ -736,7 +737,7 @@ def _check_images(raw: Mapping[str, Any], out: list[str]) -> set[str]:
 
 
 def _check_box(box: Any, where: str, out: list[str]) -> None:
-    ok = isinstance(box, list) and len(box) == 4 and all(_is_real(v) for v in box)
+    ok = isinstance(box, list) and len(box) == 4 and all(_finite(v) for v in box)
     if not ok:
         out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
         return
@@ -764,9 +765,9 @@ def _validate_boxes(raw: Mapping[str, Any], pred: bool, with_sta_fields: bool) -
             if not _is_int(rec.get("verb")) or rec.get("verb") < 0:
                 out.append(f"{where}: verb must be an int >= 0")
             ttc = rec.get("ttc_s")
-            if not _is_real(ttc) or ttc <= 0:
+            if not _finite(ttc) or ttc <= 0:
                 out.append(f"{where}: ttc_s must be a positive finite real")
-        if pred and not _is_real(rec.get("score")):
+        if pred and not _finite(rec.get("score")):
             out.append(f"{where}: score must be a finite real")
     return out
 

@@ -8,10 +8,13 @@ evaluators, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from .model import ActionLabel, BoundingBox, LtaForecast, TemporalSegment
+import numpy as np
+
+from .model import ActionLabel, BoundingBox, LtaForecast, RankedSegment, ScoreMatrix, TemporalSegment
 
 
 def _seg_iou(a: TemporalSegment, b: TemporalSegment) -> float:
@@ -257,6 +260,55 @@ def oracle_nms(
             if alive[j] and _bx_iou(boxes[best], boxes[j]) > iou_thresh:
                 alive[j] = False
     return kept
+
+
+def oracle_temporal_nms(segments: Sequence[RankedSegment], tiou_thresh: float) -> list[int]:
+    """Reference greedy suppression over scored segments by linear rescanning."""
+    n = len(segments)
+    alive = [True] * n
+    kept: list[int] = []
+    while True:
+        best = -1
+        for i in range(n):
+            if alive[i] and (best < 0 or segments[i].score > segments[best].score):
+                best = i
+        if best < 0:
+            break
+        kept.append(best)
+        alive[best] = False
+        for j in range(n):
+            if alive[j] and _seg_iou(segments[best].segment, segments[j].segment) > tiou_thresh:
+                alive[j] = False
+    return kept
+
+
+def oracle_top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...], ...]:
+    """Reference k most probable label sequences by full enumeration.
+
+    Ranks every (verb, noun) pair of each position by falling joint
+    log-probability (equal values by flat index), scores every tuple of
+    ranks by its left-to-right sum, and sorts all tuples by (-total, ranks).
+    Exponential in Z: for small matrices only.
+    """
+    with np.errstate(divide="ignore"):
+        log_v = np.log(matrix.verb).tolist()
+        log_n = np.log(matrix.noun).tolist()
+    tables = []
+    for lv, ln in zip(log_v, log_n):
+        pairs = [(v, n, a + b) for v, a in enumerate(lv) for n, b in enumerate(ln)]
+        ranked = sorted(range(len(pairs)), key=lambda i: (-pairs[i][2], i))
+        tables.append([pairs[i] for i in ranked])
+    scored = []
+    for ranks in itertools.product(range(len(tables[0])), repeat=len(tables)):
+        total = 0.0
+        for table, r in zip(tables, ranks):
+            total += table[r][2]
+        scored.append((-total, ranks))
+    scored.sort()
+    return tuple(
+        tuple(ActionLabel(verb_id=tables[p][r][0], noun_id=tables[p][r][1]) for p, r in enumerate(ranks))
+        for _, ranks in scored[:k]
+    )
 
 
 def oracle_levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

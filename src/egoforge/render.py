@@ -5,14 +5,17 @@ places, edit distances with three. Reports hold percent metrics as fractions
 and are scaled by 100 here; fixture tables already store percent points and
 are printed as-is. Missing cells render as "-". Plain output is deterministic
 down to the byte so it can serve as a comparison target.
+
+``json_text`` is the one JSON writer, for these reports and for every file
+``fileio`` saves.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Sequence
 
 from .fixtures import SPLITS, FixtureTable
 from .metrics import MetricReport
@@ -20,6 +23,100 @@ from .metrics import MetricReport
 OUTPUT_FORMATS = ("plain", "csv", "json")
 
 _DECIMALS = {"percent": 2, "pixels": 2, "edit": 3}
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# Text of the exact scalar types; subclasses (numpy floats, IntEnum, str
+# subclasses) take the isinstance branches of _emit, as they do in json.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(key: Any) -> str:
+    # json's key coercion, in its order of checks.
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _emit(value: Any, out: list[str], indent: str) -> None:
+    # Appends the text of one value; indent is the newline and spaces that
+    # start a line at the value's own nesting level.
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(sep)
+                _emit(item, out, inner)
+            else:
+                out.append(sep + scalar(item))
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            head = sep + encode_basestring_ascii(key if type(key) is str else _key_text(key)) + ": "
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is None:
+                out.append(head)
+                _emit(item, out, inner)
+            else:
+                out.append(head + scalar(item))
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def json_text(obj: Any) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
+
+    The standard encoder runs its pure-Python generator chain whenever an
+    indent is set; this writes the same bytes with one list of parts. A
+    value or key of a type json cannot encode raises TypeError, as there.
+    """
+    out: list[str] = []
+    _emit(obj, out, "\n")
+    return "".join(out)
 
 
 def format_value(value: float | None, family: str) -> str:
@@ -59,7 +156,7 @@ def render_fixture(table: FixtureTable, fmt: str = "plain") -> str:
             "rows": list(table.rows),
             "cells": {split: [list(r) for r in table.cells[split]] for split in SPLITS},
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         # Method names contain commas, so quoting (not a custom delimiter) is
@@ -102,7 +199,7 @@ def render_reports(reports: Sequence[MetricReport], fmt: str = "plain") -> str:
                 for r in reports
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -14,6 +14,7 @@ from egoforge.model import (
     LtaForecast,
     MomentInstance,
     RankedSegment,
+    ScoreMatrix,
     StaInstance,
     TemporalSegment,
 )
@@ -147,6 +148,40 @@ def nms_case(rng):
     scores = [_score(rng) for _ in range(n)]
     thresh = float(rng.choice([0.3, 0.5, 0.75, 1.0]))
     return boxes, scores, thresh
+
+
+def box_pool(rng, n):
+    return [_box(rng) for _ in range(n)], [_score(rng) for _ in range(n)]
+
+
+def temporal_nms_case(rng):
+    n = int(rng.integers(0, 21))
+    segments = [RankedSegment(segment=_segment(rng), score=_score(rng), label=0) for _ in range(n)]
+    thresh = float(rng.choice([1 / 3, 0.5, 0.75, 1.0]))
+    return segments, thresh
+
+
+def _prob_rows(rng, z, c):
+    # Half the matrices come from small integer weights, so rows hold equal
+    # and zero probabilities and totals tie across positions.
+    if rng.random() < 0.5:
+        w = rng.integers(0, 4, size=(z, c)).astype(float)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+    else:
+        w = rng.random((z, c)) + 1e-3
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def top_k_case(rng):
+    c_v = int(rng.integers(1, 4))
+    c_n = int(rng.integers(1, 4))
+    z = int(rng.integers(1, 5))
+    # Keep the enumeration of every rank tuple small.
+    while z > 1 and (c_v * c_n) ** z > 800:
+        z -= 1
+    matrix = ScoreMatrix(verb=_prob_rows(rng, z, c_v), noun=_prob_rows(rng, z, c_n))
+    k = int(rng.integers(1, 13))
+    return matrix, k
 
 
 def edit_distance_case(rng):

@@ -478,6 +478,49 @@ class TestLtaPredValidation:
         assert capsys.readouterr().err.splitlines() == [f"error: {pred}: {location}: {message}"]
 
 
+class TestHugeIntegers:
+    """An int too large for a float in a real-valued field is a schema
+    violation reported on one line, not an OverflowError traceback."""
+
+    HUGE = 10**401
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "track, kind, path, message",
+        [
+            ("mq", "pred", ("instances", 0, "score"), "instances[0]: score must be a finite real"),
+            ("mq", "gt", ("instances", 0, "end_s"), "instances[0]: end_s must be a finite real"),
+            ("sta", "pred", ("instances", 0, "box", 2), "instances[0]: box must be a finite [x1, y1, x2, y2] list"),
+            ("sta", "gt", ("instances", 0, "ttc_s"), "instances[0]: ttc_s must be a positive finite real"),
+        ],
+        ids=["score", "segment-bound", "box-coordinate", "ttc_s"],
+    )
+    def test_eval_reports_a_violation(self, dataset_dir, tmp_path, capsys, track, kind, path, message, sign):
+        name = f"{kind}_{track}.json"
+        raw = json.loads((dataset_dir / name).read_text(encoding="utf-8"))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = sign * self.HUGE
+        bad = tmp_path / name
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        files = {"gt": dataset_dir / f"gt_{track}.json", "pred": dataset_dir / f"pred_{track}.json", kind: bad}
+        rc = cli.main(["eval", track, "--gt", str(files["gt"]), "--pred", str(files["pred"])])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: ") and message in err[0]
+
+    def test_probability_row_reports_a_violation(self, tmp_path, capsys):
+        row = {"video_id": "v", "clip_index": 0, "score_matrix": {"verb": [[self.HUGE, 0]], "noun": [[1.0]]}}
+        clips = tmp_path / "clips.json"
+        clips.write_text(json.dumps({"schema": "lta-pred/1", "instances": [row]}), encoding="utf-8")
+        rc = cli.main(["vote", "--pred", str(clips), "--out", str(tmp_path / "voted.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {clips}: instances[0].score_matrix")
+
+
 class TestReport:
     def test_listing(self, capsys):
         assert cli.main(["report"]) == 0
@@ -549,6 +592,15 @@ class TestExitCodes:
         rc = cli.main(["eval", "mq", "--gt", str(bad), "--pred", str(dataset_dir / "pred_mq.json")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_integer_literal_past_the_digit_limit_names_the_file(self, tmp_path, dataset_dir, capsys):
+        # json.loads raises a plain ValueError, not JSONDecodeError, here.
+        bad = tmp_path / "long.json"
+        bad.write_text('{"schema": "mq/1", "num_classes": ' + "7" * 5000 + "}", encoding="utf-8")
+        rc = cli.main(["eval", "mq", "--gt", str(bad), "--pred", str(dataset_dir / "pred_mq.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: not valid JSON (")
 
 
 class TestThreadEnv:

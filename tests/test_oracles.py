@@ -8,7 +8,8 @@ shows up here on small, tie-heavy random cases.
 import numpy as np
 
 import cases
-from egoforge.fusion import nms
+from egoforge import fusion
+from egoforge.fusion import nms, temporal_nms, top_k_sequences
 from egoforge.metrics import (
     average_map,
     box_ap,
@@ -25,6 +26,8 @@ from egoforge.oracles import (
     oracle_nms,
     oracle_recall_at_k,
     oracle_sta_ap,
+    oracle_temporal_nms,
+    oracle_top_k_sequences,
 )
 
 TRIALS = 300
@@ -71,6 +74,30 @@ def test_nms_matches_oracle():
     rng = np.random.default_rng(505)
     for _ in range(TRIALS):
         boxes, scores, thresh = cases.nms_case(rng)
+        assert nms(boxes, scores, thresh) == oracle_nms(boxes, scores, thresh)
+
+
+def test_temporal_nms_matches_oracle():
+    rng = np.random.default_rng(515)
+    for _ in range(500):
+        segments, thresh = cases.temporal_nms_case(rng)
+        assert temporal_nms(segments, thresh) == oracle_temporal_nms(segments, thresh)
+
+
+def test_top_k_sequences_match_oracle():
+    rng = np.random.default_rng(525)
+    for _ in range(500):
+        matrix, k = cases.top_k_case(rng)
+        assert top_k_sequences(matrix, k) == oracle_top_k_sequences(matrix, k)
+
+
+def test_nms_matches_oracle_on_a_blocked_pool():
+    # Thousands of boxes: the IoU rows are computed in many blocks.
+    n = 2000
+    assert n * n > 50 * fusion._PAIR_CAP
+    rng = np.random.default_rng(535)
+    boxes, scores = cases.box_pool(rng, n)
+    for thresh in (0.3, 0.5):
         assert nms(boxes, scores, thresh) == oracle_nms(boxes, scores, thresh)
 
 
