@@ -9,6 +9,7 @@ synthetic data generation, toy training, and fixture table rendering.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +45,9 @@ from .snippets import build_snippet_schedule, prefuse_features
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
 
 
+MAX_THRESHOLDS = 10_000  # a longer start:stop:step range is a typo
+
+
 class UsageError(Exception):
     """Raised for malformed command lines; maps to exit code 1."""
 
@@ -54,23 +58,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
-    """Parse '0.1,0.2,0.3' or an inclusive range '0.1:0.5:0.1'."""
+    """Parse '0.1,0.2,0.3' or an inclusive range '0.1:0.5:0.1'.
+
+    A range holds start + i * step, rounded to 10 decimals, for every
+    integer i >= 0 that keeps the value within stop + 1e-9.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
-        values = []
-        t = start
-        while t <= stop + 1e-9:
-            values.append(round(t, 10))
-            t += step
-        if not values:
+        last = (stop + 1e-9 - start) / step
+        if last < 0:
             raise ValueError(f"empty threshold range {text!r}")
-        return tuple(values)
+        if last >= MAX_THRESHOLDS:
+            raise ValueError(f"threshold range {text!r} holds more than {MAX_THRESHOLDS} values")
+        return tuple(round(start + i * step, 10) for i in range(math.floor(last) + 1))
     values = tuple(round(float(p), 10) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError(f"no thresholds in {text!r}")

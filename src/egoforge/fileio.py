@@ -7,17 +7,17 @@ canonical, so save -> load is the identity and identical inputs produce
 byte-identical files: every JSON file goes through one writer,
 ``render.json_text``, which gives the bytes of ``json.dumps(obj, indent=2)``.
 
-Loaders check each file once, with ``model.validate_dataset``, and then
-build the per-record objects through ``model._validated`` without re-running
-the constructor checks, applying the constructors' normalisations (``float``
-on real-valued fields, coordinate tuples, keyframe order) themselves. So
-``validate_dataset`` must cover every constructor invariant of the types
-built here. ``LtaForecast`` and ``ScoreMatrix``, a few hundred per file, keep
-their checked constructors.
+Loaders make one walk over each parsed file, ``model._walk``, which checks
+every record, notes its unknown keys and builds its typed object in the same
+pass. A loader then only groups the records it gets back, and raises the
+file's violations as one ``SchemaError`` or warns about its unknown keys.
+``LtaForecast`` and ``ScoreMatrix``, a few hundred per file, keep their
+checked constructors.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
 import warnings
@@ -36,7 +36,6 @@ from .model import (
     Detection,
     FeatureMatrix,
     HandKeyframes,
-    HandPoint,
     KEYFRAME_TAGS,
     LtaForecast,
     MomentInstance,
@@ -44,12 +43,9 @@ from .model import (
     RankedSegment,
     ScoreMatrix,
     StaInstance,
-    TemporalSegment,
     VideoMeta,
-    _check_resolution,
-    _validated,
-    unknown_keys,
-    validate_dataset,
+    _resolution,
+    _walk,
 )
 from .render import json_text
 from .synth import SynthConfig
@@ -76,17 +72,37 @@ def _write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
-def _load_annotations(path: str | Path, expect_schema: str) -> Any:
-    raw = _read_json(path)
-    if not isinstance(raw, Mapping) or raw.get("schema") != expect_schema:
-        got = raw.get("schema") if isinstance(raw, Mapping) else None
-        raise DataError(f"{path}: expected schema '{expect_schema}', got {got!r}")
-    violations = validate_dataset(raw)
+def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, list[tuple[Any, Any]]]:
+    """The file-level part and the (group key, record) pairs of one file."""
+    # Parsing and walking allocate hundreds of thousands of containers that
+    # stay alive and form no cycles, so cyclic collections before the tree
+    # is dropped would only re-scan it. Pause the collector meanwhile and
+    # leave it as the caller had it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        raw = _read_json(path)
+        if not isinstance(raw, Mapping) or raw.get("schema") != expect_schema:
+            got = raw.get("schema") if isinstance(raw, Mapping) else None
+            raise DataError(f"{path}: expected schema '{expect_schema}', got {got!r}")
+        violations, extras, header, records = _walk(raw)
+        del raw
+    finally:
+        if collecting:
+            gc.enable()
     if violations:
         raise SchemaError(str(path), violations)
-    for key in unknown_keys(raw):
+    for key in extras:
         warnings.warn(f"{path}: unknown key {key}", stacklevel=2)
-    return raw
+    return header, records
+
+
+def _grouped(records: Iterable[tuple[Any, Any]], keys: Iterable[Any] = ()) -> dict[Any, tuple]:
+    """Records grouped by key: ``keys`` first, then new keys in file order."""
+    groups: dict[Any, list] = {key: [] for key in keys}
+    for key, record in records:
+        groups.setdefault(key, []).append(record)
+    return {key: tuple(items) for key, items in groups.items()}
 
 
 def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
@@ -118,32 +134,9 @@ def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
     ]
 
 
-def _videos_from_raw(raw: Sequence[Mapping]) -> dict[str, VideoMeta]:
-    return {
-        rec["video_id"]: _validated(
-            VideoMeta, video_id=rec["video_id"], num_frames=rec["num_frames"], fps=float(rec["fps"])
-        )
-        for rec in raw
-    }
-
-
-def _segment_from_raw(rec: Mapping[str, Any]) -> TemporalSegment:
-    return _validated(TemporalSegment, start_s=float(rec["start_s"]), end_s=float(rec["end_s"]))
-
-
 def load_mq_gt(path: str | Path) -> MqGt:
-    raw = _load_annotations(path, "mq/1")
-    videos = _videos_from_raw(raw["videos"])
-    instances: dict[str, list[MomentInstance]] = {vid: [] for vid in videos}
-    for rec in raw["instances"]:
-        instances[rec["video_id"]].append(
-            _validated(MomentInstance, segment=_segment_from_raw(rec), class_id=rec["class_id"])
-        )
-    return MqGt(
-        videos=videos,
-        num_classes=raw["num_classes"],
-        instances={vid: tuple(items) for vid, items in instances.items()},
-    )
+    (videos, num_classes), records = _load_annotations(path, "mq/1")
+    return MqGt(videos=videos, num_classes=num_classes, instances=_grouped(records, videos))
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
@@ -168,15 +161,10 @@ def save_mq_gt(path: str | Path, gt: MqGt) -> None:
 
 
 def load_mq_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> dict[str, tuple[RankedSegment, ...]]:
-    raw = _load_annotations(path, "mq-pred/1")
-    out: dict[str, list[RankedSegment]] = {}
-    for rec in raw["instances"]:
-        out.setdefault(rec["video_id"], []).append(
-            _validated(RankedSegment, segment=_segment_from_raw(rec), score=float(rec["score"]), label=rec["class_id"])
-        )
+    out = _grouped(_load_annotations(path, "mq-pred/1")[1])
     if known_videos is not None:
         require_known(out, known_videos, "video ids in predictions")
-    return {vid: tuple(items) for vid, items in out.items()}
+    return out
 
 
 def save_mq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -214,15 +202,12 @@ class NlqGt:
 
 
 def load_nlq_gt(path: str | Path) -> NlqGt:
-    raw = _load_annotations(path, "nlq/1")
-    videos = _videos_from_raw(raw["videos"])
-    queries: dict[str, NlqInstance] = {}
-    video_of: dict[str, str] = {}
-    for rec in raw["instances"]:
-        qid = rec["query_id"]
-        queries[qid] = _validated(NlqInstance, segment=_segment_from_raw(rec), query_id=qid)
-        video_of[qid] = rec["video_id"]
-    return NlqGt(videos=videos, queries=queries, video_of=video_of)
+    videos, records = _load_annotations(path, "nlq/1")
+    return NlqGt(
+        videos=videos,
+        queries={q.query_id: q for _, q in records},
+        video_of={q.query_id: vid for vid, q in records},
+    )
 
 
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
@@ -245,15 +230,10 @@ def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
 
 
 def load_nlq_pred(path: str | Path, known_queries: Iterable[str] | None = None) -> dict[str, tuple[RankedSegment, ...]]:
-    raw = _load_annotations(path, "nlq-pred/1")
-    out: dict[str, list[RankedSegment]] = {}
-    for rec in raw["instances"]:
-        out.setdefault(rec["query_id"], []).append(
-            _validated(RankedSegment, segment=_segment_from_raw(rec), score=float(rec["score"]), label=rec["query_id"])
-        )
+    out = _grouped(_load_annotations(path, "nlq-pred/1")[1])
     if known_queries is not None:
         require_known(out, known_queries, "query ids in predictions")
-    return {qid: tuple(items) for qid, items in out.items()}
+    return out
 
 
 def save_nlq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -288,22 +268,6 @@ class FhpGt:
     instances: dict[str, HandKeyframes]
 
 
-def _keyframes_from_raw(raw: Mapping[str, Any]) -> HandKeyframes:
-    points = {}
-    for tag in KEYFRAME_TAGS:
-        rec = raw[tag]
-        (lx, ly), (rx, ry) = rec["left"], rec["right"]
-        visible = rec.get("visible", {})
-        points[tag] = _validated(
-            HandPoint,
-            left=(float(lx), float(ly)),
-            right=(float(rx), float(ry)),
-            left_visible=visible.get("left", True),
-            right_visible=visible.get("right", True),
-        )
-    return _validated(HandKeyframes, points=points)
-
-
 def _keyframes_to_raw(kf: HandKeyframes) -> dict[str, Any]:
     return {
         tag: {
@@ -316,11 +280,8 @@ def _keyframes_to_raw(kf: HandKeyframes) -> dict[str, Any]:
 
 
 def load_fhp_gt(path: str | Path) -> FhpGt:
-    raw = _load_annotations(path, "fhp/1")
-    return FhpGt(
-        resolution=tuple(raw["resolution"]),
-        instances={rec["video_id"]: _keyframes_from_raw(rec["keyframes"]) for rec in raw["instances"]},
-    )
+    resolution, records = _load_annotations(path, "fhp/1")
+    return FhpGt(resolution=resolution, instances=dict(records))
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
@@ -338,8 +299,7 @@ def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
 
 
 def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> dict[str, HandKeyframes]:
-    raw = _load_annotations(path, "fhp-pred/1")
-    out = {rec["video_id"]: _keyframes_from_raw(rec["keyframes"]) for rec in raw["instances"]}
+    out = dict(_load_annotations(path, "fhp-pred/1")[1])
     if known_videos is not None:
         require_known(out, known_videos, "video ids in predictions")
     return out
@@ -374,13 +334,8 @@ class LtaGt:
 
 
 def load_lta_gt(path: str | Path) -> LtaGt:
-    raw = _load_annotations(path, "lta/1")
-    cfg = raw["config"]
-    sequences = {}
-    for rec in raw["instances"]:
-        seq = tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in rec["sequence"])
-        sequences[(rec["video_id"], rec["clip_index"])] = seq
-    return LtaGt(z=cfg["z"], c_v=cfg["c_v"], c_n=cfg["c_n"], k=cfg["k"], sequences=sequences)
+    (z, c_v, c_n, k), records = _load_annotations(path, "lta/1")
+    return LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=dict(records))
 
 
 def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
@@ -411,31 +366,24 @@ def _matrix_to_raw(m: ScoreMatrix) -> dict[str, Any]:
 
 def load_lta_pred(path: str | Path) -> dict[tuple[str, int], LtaForecast]:
     """One finished forecast per episode; rows must carry candidates."""
-    raw = _load_annotations(path, "lta-pred/1")
     out: dict[tuple[str, int], LtaForecast] = {}
-    for i, rec in enumerate(raw["instances"]):
-        key = (rec["video_id"], rec["clip_index"])
+    for i, (key, (candidates, matrix)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
         if key in out:
             raise DataError(f"{path}: instances[{i}]: several rows for {key}; vote first")
-        if "candidates" not in rec:
+        if candidates is None:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
-        candidates = tuple(
-            tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in seq) for seq in rec["candidates"]
-        )
-        matrix = _matrix_from_raw(rec["score_matrix"]) if "score_matrix" in rec else None
-        out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=matrix)
+        scores = None if matrix is None else _matrix_from_raw(matrix)
+        out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=scores)
     return out
 
 
 def load_lta_clip_probs(path: str | Path) -> dict[tuple[str, int], list[ScoreMatrix]]:
     """Per-clip probability rows grouped by episode, for voting."""
-    raw = _load_annotations(path, "lta-pred/1")
     out: dict[tuple[str, int], list[ScoreMatrix]] = {}
-    for i, rec in enumerate(raw["instances"]):
-        if "score_matrix" not in rec:
+    for i, (key, (_, matrix)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
+        if matrix is None:
             raise DataError(f"{path}: instances[{i}]: voting needs a score_matrix per clip")
-        key = (rec["video_id"], rec["clip_index"])
-        out.setdefault(key, []).append(_matrix_from_raw(rec["score_matrix"]))
+        out.setdefault(key, []).append(_matrix_from_raw(matrix))
     return out
 
 
@@ -493,127 +441,74 @@ class ScodGt:
     instances: dict[str, tuple[Detection, ...]]
 
 
-def _images_from_raw(raw: Sequence[Mapping]) -> dict[str, tuple[int, int]]:
-    return {rec["keyframe_id"]: (rec["width"], rec["height"]) for rec in raw}
-
-
 def _images_to_raw(images: Mapping[str, tuple[int, int]]) -> list[dict]:
     return [
         {"keyframe_id": kid, "width": wh[0], "height": wh[1]} for kid, wh in images.items()
     ]
 
 
-def _box_from_raw(vals: Sequence[float]) -> BoundingBox:
-    x1, y1, x2, y2 = vals
-    return _validated(BoundingBox, x1=float(x1), y1=float(y1), x2=float(x2), y2=float(y2))
-
-
 def _box_to_raw(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _load_sta(path: str | Path, schema: str, default_score: float | None) -> StaGt:
-    raw = _load_annotations(path, schema)
-    images = _images_from_raw(raw["images"])
-    instances: dict[str, list[StaInstance]] = {kid: [] for kid in images}
-    for rec in raw["instances"]:
-        instances[rec["keyframe_id"]].append(
-            _validated(
-                StaInstance,
-                box=_box_from_raw(rec["box"]),
-                noun_id=rec["noun"],
-                verb_id=rec["verb"],
-                ttc_s=float(rec["ttc_s"]),
-                score=float(rec["score"]) if default_score is None else default_score,
-            )
-        )
-    return StaGt(images=images, instances={kid: tuple(v) for kid, v in instances.items()})
+def _load_boxes(path: str | Path, schema: str, container: type) -> Any:
+    images, records = _load_annotations(path, schema)
+    return container(images=images, instances=_grouped(records, images))
 
 
 def load_sta_gt(path: str | Path) -> StaGt:
-    return _load_sta(path, "sta/1", default_score=1.0)
+    return _load_boxes(path, "sta/1", StaGt)
 
 
 def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> StaGt:
-    out = _load_sta(path, "sta-pred/1", default_score=None)
+    out = _load_boxes(path, "sta-pred/1", StaGt)
     if known_frames is not None:
         require_known(out.images, known_frames, "keyframe ids in predictions")
     return out
 
 
-def _save_sta(path: str | Path, schema: str, data: StaGt, with_score: bool) -> None:
+def _save_boxes(path: str | Path, schema: str, data: StaGt | ScodGt) -> None:
+    """Anticipation fields for sta schemas, a score for prediction schemas."""
+    sta, scored = schema.startswith("sta"), schema.endswith("-pred/1")
     instances = []
     for kid, items in data.instances.items():
         for inst in items:
-            rec: dict[str, Any] = {
-                "keyframe_id": kid,
-                "box": _box_to_raw(inst.box),
-                "noun": inst.noun_id,
-                "verb": inst.verb_id,
-                "ttc_s": inst.ttc_s,
-            }
-            if with_score:
+            rec: dict[str, Any] = {"keyframe_id": kid, "box": _box_to_raw(inst.box)}
+            if sta:
+                rec.update(noun=inst.noun_id, verb=inst.verb_id, ttc_s=inst.ttc_s)
+            else:
+                rec["noun"] = inst.class_id
+            if scored:
                 rec["score"] = inst.score
             instances.append(rec)
     _write_json(path, {"schema": schema, "images": _images_to_raw(data.images), "instances": instances})
 
 
 def save_sta_gt(path: str | Path, gt: StaGt) -> None:
-    _save_sta(path, "sta/1", gt, with_score=False)
+    _save_boxes(path, "sta/1", gt)
 
 
 def save_sta_pred(path: str | Path, pred: StaGt) -> None:
-    _save_sta(path, "sta-pred/1", pred, with_score=True)
-
-
-def _load_scod(path: str | Path, schema: str, default_score: float | None) -> ScodGt:
-    raw = _load_annotations(path, schema)
-    images = _images_from_raw(raw["images"])
-    instances: dict[str, list[Detection]] = {kid: [] for kid in images}
-    for rec in raw["instances"]:
-        instances[rec["keyframe_id"]].append(
-            _validated(
-                Detection,
-                box=_box_from_raw(rec["box"]),
-                class_id=rec["noun"],
-                score=float(rec["score"]) if default_score is None else default_score,
-            )
-        )
-    return ScodGt(images=images, instances={kid: tuple(v) for kid, v in instances.items()})
+    _save_boxes(path, "sta-pred/1", pred)
 
 
 def load_scod_gt(path: str | Path) -> ScodGt:
-    return _load_scod(path, "scod/1", default_score=1.0)
+    return _load_boxes(path, "scod/1", ScodGt)
 
 
 def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> ScodGt:
-    out = _load_scod(path, "scod-pred/1", default_score=None)
+    out = _load_boxes(path, "scod-pred/1", ScodGt)
     if known_frames is not None:
         require_known(out.images, known_frames, "keyframe ids in predictions")
     return out
 
 
-def _save_scod(path: str | Path, schema: str, data: ScodGt, with_score: bool) -> None:
-    instances = []
-    for kid, items in data.instances.items():
-        for det in items:
-            rec: dict[str, Any] = {
-                "keyframe_id": kid,
-                "box": _box_to_raw(det.box),
-                "noun": det.class_id,
-            }
-            if with_score:
-                rec["score"] = det.score
-            instances.append(rec)
-    _write_json(path, {"schema": schema, "images": _images_to_raw(data.images), "instances": instances})
-
-
 def save_scod_gt(path: str | Path, gt: ScodGt) -> None:
-    _save_scod(path, "scod/1", gt, with_score=False)
+    _save_boxes(path, "scod/1", gt)
 
 
 def save_scod_pred(path: str | Path, pred: ScodGt) -> None:
-    _save_scod(path, "scod-pred/1", pred, with_score=True)
+    _save_boxes(path, "scod-pred/1", pred)
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +626,10 @@ def load_config(path: str | Path) -> SynthConfig:
         if key != "schema" and key not in names:
             warnings.warn(f"{path}: unknown key top level: '{key}'", stacklevel=2)
     violations: list[str] = []
-    _check_resolution(raw["resolution"], violations)
+    kwargs = {name: raw[name] for name in names}
+    kwargs["resolution"] = _resolution(raw["resolution"], violations)
     if violations:
         raise SchemaError(str(path), violations)
-    kwargs = {name: raw[name] for name in names}
-    kwargs["resolution"] = tuple(kwargs["resolution"])
     try:
         return SynthConfig(**kwargs)
     except (TypeError, ValueError) as e:

@@ -37,6 +37,8 @@ from .model import (
     RankedSegment,
     StaInstance,
     TemporalSegment,
+    _finite,
+    _is_int,
     _require,
 )
 
@@ -63,11 +65,11 @@ class MetricReport:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.name, str) and self.name != "", "name must be a non-empty string")
-        _require(math.isfinite(self.value), f"value must be finite, got {self.value!r}")
-        _require(isinstance(self.count, int) and self.count >= 0, "count must be an int >= 0")
+        _require(_finite(self.value), f"value must be finite, got {self.value!r}")
+        _require(_is_int(self.count) and self.count >= 0, "count must be an int >= 0")
         _require(self.family in REPORT_FAMILIES, f"family must be one of {REPORT_FAMILIES}")
         items = dict(self.breakdown)
-        _require(all(isinstance(k, str) and math.isfinite(v) for k, v in items.items()), "breakdown must map strings to finite reals")
+        _require(all(isinstance(k, str) and _finite(v) for k, v in items.items()), "breakdown must map strings to finite reals")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "breakdown", items)
 

@@ -1,22 +1,23 @@
-"""Domain types for egocentric video tasks, plus raw annotation validation.
+"""Domain types for egocentric video tasks, plus the raw annotation walk.
 
 Every type validates its invariants at construction time and is immutable
 afterwards, so downstream code never re-checks shapes or ranges.
-``validate_dataset`` is the complementary entry point for *parsed but
-untyped* annotation trees: it reports violations as strings instead of
-raising, which lets loaders surface every problem in a file at once.
 
-The loaders in ``fileio`` check each file once, with ``validate_dataset``,
-and then build the per-record objects with ``_validated``, which does not
-re-run the constructor checks. ``validate_dataset`` must therefore cover
-every constructor invariant of the types the loaders build that way.
+``_walk`` is the entry point for *parsed but untyped* annotation trees, and
+the loaders in ``fileio`` call it once per file. It reads each field of each
+record once: it checks the field, reporting violations as strings instead of
+raising so that a loader can surface every problem in a file at once; it
+notes keys the schema does not know; and it builds the typed records with
+``_validated``, which does not re-run the constructor checks. The walk must
+therefore cover every constructor invariant of the types it builds.
+``validate_dataset`` and ``unknown_keys`` are its public views.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, TypeVar
+from typing import Any, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -37,6 +38,8 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _finite(x: Any) -> bool:
+    if type(x) is float:  # what JSON gives for almost every real
+        return math.isfinite(x)
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         return False
     try:
@@ -45,18 +48,22 @@ def _finite(x: Any) -> bool:
         return False
 
 
-def _validated(cls: type[_T], **fields: Any) -> _T:
-    """Build ``cls`` from values ``validate_dataset`` has already accepted.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _validated(cls: type[_T], /, **fields: Any) -> _T:
+    """Build ``cls`` from values that have already been checked.
 
     Skips ``__post_init__``, so the caller passes every field in the form
     the constructor would store: ``float`` for real-valued fields, tuples
     of floats for points, keyframes in ``KEYFRAME_TAGS`` order.
     """
-    obj = object.__new__(cls)
+    obj = _new(cls)
     # Set attributes one by one, as the dataclass __init__ does: touching
     # obj.__dict__ would give every record its own dict, 2.5x the memory.
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    for name in fields:
+        _set(obj, name, fields[name])
     return obj
 
 
@@ -370,20 +377,25 @@ class FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Raw annotation validation.
+# The raw annotation walk.
 #
-# Loaders parse JSON first and call validate_dataset on the untyped tree, so
-# a malformed file reports every violation instead of failing at the first
-# constructor. The checks below cover the constructor invariants, which the
-# loaders do not check again, plus the cross-field rules (vocabulary ranges,
-# duplicate keys) that single values cannot see.
+# Loaders parse JSON and hand the untyped tree to _walk, which reads every
+# field of every record once. It checks the field, reporting every violation
+# in the file instead of failing at the first; it notes keys the schema does
+# not know; and while the file is still clean it builds the typed record
+# through _validated, applying the constructors' normalisations (float
+# reals, coordinate tuples, keyframes in KEYFRAME_TAGS order). Once a
+# violation is reported the loader rejects the file, so nothing more is
+# built. The checks cover the constructor invariants, which nothing checks
+# again, plus the cross-field rules (vocabulary ranges, duplicate keys) that
+# single values cannot see.
 # ---------------------------------------------------------------------------
 
 GT_SCHEMAS = ("mq/1", "nlq/1", "fhp/1", "lta/1", "sta/1", "scod/1")
 PRED_SCHEMAS = ("mq-pred/1", "nlq-pred/1", "fhp-pred/1", "lta-pred/1", "sta-pred/1", "scod-pred/1")
 
-# Allowed top-level and per-record keys, used both for strict validation and
-# for unknown-key warnings at load time.
+# Allowed top-level and per-record keys; any other key is reported as
+# unknown, which loaders turn into warnings.
 _TOP_KEYS: dict[str, set[str]] = {
     "mq/1": {"schema", "num_classes", "videos", "instances"},
     "mq-pred/1": {"schema", "instances"},
@@ -416,32 +428,58 @@ _INSTANCE_KEYS: dict[str, set[str]] = {
 
 
 def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
-def _check_segment(rec: Mapping[str, Any], where: str, out: list[str]) -> None:
+def _is_object(x: Any) -> bool:
+    return type(x) is dict or isinstance(x, Mapping)
+
+
+def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
+    """Each object in ``instances`` with its location; notes unknown keys."""
+    inst = raw.get("instances")
+    if not isinstance(inst, list):
+        out.append("instances: missing or not a list")
+        return
+    allowed = _INSTANCE_KEYS[schema]
+    for i, rec in enumerate(inst):
+        if not _is_object(rec):
+            out.append(f"instances[{i}]: not an object")
+            continue
+        if not rec.keys() <= allowed:
+            extras.extend(f"instances[{i}]: '{k}'" for k in rec if k not in allowed)
+        yield f"instances[{i}]", rec
+
+
+def _segment(rec: Mapping[str, Any], where: str, out: list[str]) -> TemporalSegment | None:
     start, end = rec.get("start_s"), rec.get("end_s")
-    for name, v in (("start_s", start), ("end_s", end)):
-        if v is None:
-            out.append(f"{where}: missing key '{name}'")
-        elif not _finite(v):
-            out.append(f"{where}: {name} must be a finite real")
-    if _finite(start) and _finite(end):
-        if start < 0:
-            out.append(f"{where}: segment start is negative")
-        if start > end:
-            out.append(f"{where}: segment reversed")
+    if not (_finite(start) and _finite(end)):
+        for name, v in (("start_s", start), ("end_s", end)):
+            if v is None:
+                out.append(f"{where}: missing key '{name}'")
+            elif not _finite(v):
+                out.append(f"{where}: {name} must be a finite real")
+        return None
+    if start < 0:
+        out.append(f"{where}: segment start is negative")
+    if start > end:
+        out.append(f"{where}: segment reversed")
+    if start < 0 or start > end:
+        return None
+    return _validated(TemporalSegment, start_s=float(start), end_s=float(end))
 
 
-def _check_videos(raw: Mapping[str, Any], out: list[str]) -> set[str]:
+def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[set[str], dict[str, VideoMeta]]:
+    """The ids of the well-formed entries, and the videos of a clean list."""
     ids: set[str] = set()
-    videos = raw.get("videos")
-    if not isinstance(videos, list):
+    videos: dict[str, VideoMeta] = {}
+    listed = raw.get("videos")
+    if not isinstance(listed, list):
         out.append("videos: missing or not a list")
-        return ids
-    for i, v in enumerate(videos):
+        return ids, videos
+    for i, v in enumerate(listed):
         where = f"videos[{i}]"
-        if not isinstance(v, Mapping):
+        if not _is_object(v):
             out.append(f"{where}: not an object")
             continue
         vid = v.get("video_id")
@@ -457,66 +495,64 @@ def _check_videos(raw: Mapping[str, Any], out: list[str]) -> set[str]:
         fps = v.get("fps")
         if not _finite(fps) or fps <= 0:
             out.append(f"{where}: fps must be a positive finite real")
-    return ids
+        if not out:
+            videos[vid] = _validated(VideoMeta, video_id=vid, num_frames=nf, fps=float(fps))
+    return ids, videos
 
 
-def _instances(raw: Mapping[str, Any], out: list[str]) -> list[Any]:
-    inst = raw.get("instances")
-    if not isinstance(inst, list):
-        out.append("instances: missing or not a list")
-        return []
-    return inst
-
-
-def _check_video_ref(rec: Mapping[str, Any], where: str, known: set[str] | None, out: list[str]) -> None:
+def _video_ref(rec: Mapping[str, Any], where: str, known: set[str] | None, out: list[str]) -> Any:
     vid = rec.get("video_id")
     if not isinstance(vid, str) or vid == "":
         out.append(f"{where}: video_id must be a non-empty string")
     elif known is not None and vid not in known:
         out.append(f"{where}: unknown video_id '{vid}'")
+    return vid
 
 
-def _validate_mq(raw: Mapping[str, Any], pred: bool) -> list[str]:
-    out: list[str] = []
-    known: set[str] | None = None
-    num_classes = None
+def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
+    """Header (videos, num_classes) for ground truth; records keyed by video."""
+    pred = schema == "mq-pred/1"
+    known = num_classes = header = None
     if not pred:
-        known = _check_videos(raw, out)
+        known, videos = _walk_videos(raw, out)
         num_classes = raw.get("num_classes")
         if not _is_int(num_classes) or num_classes < 1:
             out.append("num_classes: must be an int >= 1")
             num_classes = None
-    for i, rec in enumerate(_instances(raw, out)):
-        where = f"instances[{i}]"
-        if not isinstance(rec, Mapping):
-            out.append(f"{where}: not an object")
-            continue
-        _check_video_ref(rec, where, known, out)
-        _check_segment(rec, where, out)
+        header = (videos, num_classes)
+    records: list[tuple[Any, Any]] = []
+    for where, rec in _records(raw, schema, out, extras):
+        vid = _video_ref(rec, where, known, out)
+        segment = _segment(rec, where, out)
         cid = rec.get("class_id")
         if not _is_int(cid) or cid < 0:
             out.append(f"{where}: class_id must be an int >= 0")
         elif num_classes is not None and cid >= num_classes:
             out.append(f"{where}: class_id {cid} out of range [0, {num_classes})")
-        if pred and not _finite(rec.get("score")):
+        score = rec.get("score")
+        if pred and not _finite(score):
             out.append(f"{where}: score must be a finite real")
-    return out
-
-
-def _validate_nlq(raw: Mapping[str, Any], pred: bool) -> list[str]:
-    out: list[str] = []
-    known: set[str] | None = None
-    if not pred:
-        known = _check_videos(raw, out)
-    seen_queries: set[str] = set()
-    for i, rec in enumerate(_instances(raw, out)):
-        where = f"instances[{i}]"
-        if not isinstance(rec, Mapping):
-            out.append(f"{where}: not an object")
+        if out:
             continue
-        if not pred:
-            _check_video_ref(rec, where, known, out)
-        _check_segment(rec, where, out)
+        if pred:
+            records.append((vid, _validated(RankedSegment, segment=segment, score=float(score), label=cid)))
+        else:
+            records.append((vid, _validated(MomentInstance, segment=segment, class_id=cid)))
+    return header, records
+
+
+def _walk_nlq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
+    """Header videos for ground truth; records keyed by video (ground truth)
+    or by query (predictions)."""
+    pred = schema == "nlq-pred/1"
+    known = videos = None
+    if not pred:
+        known, videos = _walk_videos(raw, out)
+    seen_queries: set[str] = set()
+    records: list[tuple[Any, Any]] = []
+    for where, rec in _records(raw, schema, out, extras):
+        vid = None if pred else _video_ref(rec, where, known, out)
+        segment = _segment(rec, where, out)
         qid = rec.get("query_id")
         if not isinstance(qid, str) or qid == "":
             out.append(f"{where}: query_id must be a non-empty string")
@@ -524,52 +560,70 @@ def _validate_nlq(raw: Mapping[str, Any], pred: bool) -> list[str]:
             if qid in seen_queries:
                 out.append(f"{where}: duplicate query_id '{qid}'")
             seen_queries.add(qid)
-        if pred and not _finite(rec.get("score")):
+        score = rec.get("score")
+        if pred and not _finite(score):
             out.append(f"{where}: score must be a finite real")
-    return out
+        if out:
+            continue
+        if pred:
+            records.append((qid, _validated(RankedSegment, segment=segment, score=float(score), label=qid)))
+        else:
+            records.append((vid, _validated(NlqInstance, segment=segment, query_id=qid)))
+    return videos, records
 
 
-def _check_keyframes(kf: Any, where: str, out: list[str]) -> None:
-    if not isinstance(kf, Mapping):
+def _xy(value: Any) -> tuple[float, float] | None:
+    if isinstance(value, list) and len(value) == 2:
+        x, y = value
+        if _finite(x) and _finite(y):
+            return (float(x), float(y))
+    return None
+
+
+def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
+    if not _is_object(kf):
         out.append(f"{where}: keyframes must be an object")
-        return
+        return None
     if set(kf) != set(KEYFRAME_TAGS):
         out.append(f"{where}: keyframe tags must be exactly {sorted(KEYFRAME_TAGS)}")
-        return
+        return None
+    n = len(out)
+    points = {}
     for tag in KEYFRAME_TAGS:
         point = kf[tag]
         pwhere = f"{where}.keyframes[{tag}]"
-        if not isinstance(point, Mapping):
+        if not _is_object(point):
             out.append(f"{pwhere}: not an object")
             continue
-        for hand in HANDS:
-            xy = point.get(hand)
-            if not (isinstance(xy, list) and len(xy) == 2 and all(_finite(v) for v in xy)):
+        left, right = _xy(point.get("left")), _xy(point.get("right"))
+        for hand, xy in (("left", left), ("right", right)):
+            if xy is None:
                 out.append(f"{pwhere}: {hand} must be a finite [x, y] pair")
+        visible = point.get("visible", {})
         if "visible" in point:
-            visible = point["visible"]
-            ok = isinstance(visible, Mapping) and set(visible) <= set(HANDS) and all(
-                isinstance(v, bool) for v in visible.values()
-            )
+            ok = _is_object(visible) and set(visible) <= set(HANDS) and all(isinstance(v, bool) for v in visible.values())
             if not ok:
                 out.append(f"{pwhere}: visible must map hands to bools")
+        if len(out) == n:
+            left_visible, right_visible = visible.get("left", True), visible.get("right", True)
+            points[tag] = _validated(HandPoint, left=left, right=right, left_visible=left_visible, right_visible=right_visible)
+    return _validated(HandKeyframes, points=points) if len(out) == n else None
 
 
-def _check_resolution(res: Any, out: list[str]) -> None:
+def _resolution(res: Any, out: list[str]) -> tuple[int, int] | None:
     if not (isinstance(res, list) and len(res) == 2 and all(_is_int(v) and v > 0 for v in res)):
         out.append("resolution: must be a [width, height] pair of ints >= 1")
+        return None
+    return (res[0], res[1])
 
 
-def _validate_fhp(raw: Mapping[str, Any], pred: bool) -> list[str]:
-    out: list[str] = []
-    if not pred:
-        _check_resolution(raw.get("resolution"), out)
+def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
+    """Header resolution for ground truth; keyframes keyed by video."""
+    pred = schema == "fhp-pred/1"
+    resolution = None if pred else _resolution(raw.get("resolution"), out)
     seen: set[str] = set()
-    for i, rec in enumerate(_instances(raw, out)):
-        where = f"instances[{i}]"
-        if not isinstance(rec, Mapping):
-            out.append(f"{where}: not an object")
-            continue
+    records: list[tuple[Any, Any]] = []
+    for where, rec in _records(raw, schema, out, extras):
         vid = rec.get("video_id")
         if not isinstance(vid, str) or vid == "":
             out.append(f"{where}: video_id must be a non-empty string")
@@ -577,35 +631,60 @@ def _validate_fhp(raw: Mapping[str, Any], pred: bool) -> list[str]:
             if vid in seen:
                 out.append(f"{where}: duplicate video_id '{vid}'")
             seen.add(vid)
-        _check_keyframes(rec.get("keyframes"), where, out)
-    return out
+        keyframes = _keyframes(rec.get("keyframes"), where, out)
+        if not out:
+            records.append((vid, keyframes))
+    return resolution, records
 
 
-def _check_label_pair(pair: Any, c_v: int | None, c_n: int | None, where: str, out: list[str]) -> None:
-    ok = isinstance(pair, list) and len(pair) == 2 and all(_is_int(v) and v >= 0 for v in pair)
-    if not ok:
-        out.append(f"{where}: action must be a [verb, noun] pair of ints >= 0")
-        return
-    if c_v is not None and pair[0] >= c_v:
-        out.append(f"{where}: verb id {pair[0]} out of range [0, {c_v})")
-    if c_n is not None and pair[1] >= c_n:
-        out.append(f"{where}: noun id {pair[1]} out of range [0, {c_n})")
+def _labels(
+    seq: list, c_v: int | None, c_n: int | None, where: str, out: list[str], shared: dict
+) -> tuple[ActionLabel, ...] | None:
+    """The actions of ``where``, a list of [verb, noun] pairs.
+
+    A file repeats a few hundred pairs many times, so equal pairs share one
+    (immutable) ActionLabel, kept in ``shared``.
+    """
+    n = len(out)
+    labels = []
+    for j, pair in enumerate(seq):
+        if isinstance(pair, list) and len(pair) == 2:
+            verb, noun = pair
+            if _is_int(verb) and verb >= 0 and _is_int(noun) and noun >= 0:
+                if c_v is not None and verb >= c_v:
+                    out.append(f"{where}[{j}]: verb id {verb} out of range [0, {c_v})")
+                if c_n is not None and noun >= c_n:
+                    out.append(f"{where}[{j}]: noun id {noun} out of range [0, {c_n})")
+                label = shared.get((verb, noun))
+                if label is None:
+                    label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
+                labels.append(label)
+                continue
+        out.append(f"{where}[{j}]: action must be a [verb, noun] pair of ints >= 0")
+    return tuple(labels) if len(out) == n else None
 
 
 def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
     cfg = raw.get("config")
-    if not isinstance(cfg, Mapping):
+    if not _is_object(cfg):
         out.append("config: missing or not an object")
         return (None, None, None, None)
-    vals = []
-    for name in ("z", "c_v", "c_n", "k"):
-        v = cfg.get(name)
+    vals = {name: cfg.get(name) for name in ("z", "c_v", "c_n", "k")}
+    for name, v in vals.items():
         if not _is_int(v) or v < 1:
             out.append(f"config.{name}: must be an int >= 1")
-            vals.append(None)
-        else:
-            vals.append(v)
-    return tuple(vals)  # type: ignore[return-value]
+            vals[name] = None
+    return tuple(vals.values())  # type: ignore[return-value]
+
+
+def _plain_row_sum(row: Any) -> float | None:
+    """``sum(row)`` for a non-empty list of plain floats that are all finite
+    and >= 0; None for any other row, which the per-value checks judge."""
+    if type(row) is list and row and set(map(type, row)) == {float}:
+        total = sum(row)
+        if math.isfinite(total) and min(row) >= 0:
+            return total
+    return None
 
 
 def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
@@ -615,33 +694,85 @@ def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bo
         return False
     width = None
     for r, row in enumerate(rows):
-        if not (isinstance(row, list) and len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)):
-            out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
-            return False
+        total = _plain_row_sum(row)
+        if total is None:
+            if not (isinstance(row, list) and len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)):
+                out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
+                return False
+            total = sum(row)
         if width is None:
             width = len(row)
         elif len(row) != width:
             out.append(f"{where}[{r}]: ragged row width")
             return False
-        if abs(sum(row) - 1.0) > 1e-6:
+        if abs(total - 1.0) > 1e-6:
             out.append(f"{where}[{r}]: row does not sum to 1 within 1e-6")
     return True
 
 
-def _validate_lta(raw: Mapping[str, Any], pred: bool) -> list[str]:
-    out: list[str] = []
+def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str], shared: dict) -> tuple[Any, Any]:
+    """A prediction row's candidate actions and raw score matrix, each None
+    when the row has none."""
+    z, c_v, c_n, k = config
+    cands, matrix = rec.get("candidates"), rec.get("score_matrix")
+    if cands is None and matrix is None:
+        out.append(f"{where}: needs candidates or score_matrix")
+    # Without a config block, the first candidate sets the length every
+    # other candidate and the score matrix must share.
+    length = z
+    candidates = None
+    if cands is not None:
+        if not isinstance(cands, list) or len(cands) < 1:
+            out.append(f"{where}: candidates must be a non-empty list")
+        else:
+            if k is not None and len(cands) > k:
+                out.append(f"{where}: {len(cands)} candidates exceed k={k}")
+            built = []
+            for c, seq in enumerate(cands):
+                cwhere = f"{where}.candidates[{c}]"
+                if not isinstance(seq, list):
+                    out.append(f"{cwhere}: not a list")
+                    continue
+                if not seq:
+                    out.append(f"{cwhere}: candidate sequence is empty")
+                elif length is None:
+                    length = len(seq)
+                elif len(seq) != length:
+                    out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
+                built.append(_labels(seq, c_v, c_n, cwhere, out, shared))
+            candidates = tuple(built)
+    if matrix is not None:
+        mwhere = f"{where}.score_matrix"
+        if not _is_object(matrix) or set(matrix) != {"verb", "noun"}:
+            out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
+        else:
+            verb_ok = _check_prob_rows(matrix["verb"], z, f"{mwhere}.verb", out)
+            noun_ok = _check_prob_rows(matrix["noun"], z, f"{mwhere}.noun", out)
+            if verb_ok and noun_ok:
+                rows = len(matrix["verb"])
+                if len(matrix["noun"]) != rows:
+                    out.append(f"{mwhere}: verb has {rows} rows, noun has {len(matrix['noun'])}")
+                elif length is not None and rows != length:
+                    out.append(f"{mwhere}: {rows} rows, candidates have length {length}")
+    return candidates, matrix
+
+
+def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
+    """Header config (z, c_v, c_n, k); records keyed by (video, clip index):
+    action sequences for ground truth, (candidates, score matrix) pairs for
+    predictions."""
+    pred = schema == "lta-pred/1"
     if pred and raw.get("config") is None:
         # Prediction files may omit the config block; lengths are checked
         # against ground truth at evaluation time instead.
-        z = c_v = c_n = k = None
+        config: tuple = (None, None, None, None)
     else:
-        z, c_v, c_n, k = _lta_config(raw, out)
+        config = _lta_config(raw, out)
+    z, c_v, c_n, _ = config
     seen: set[tuple[str, int, int]] = set()
-    for i, rec in enumerate(_instances(raw, out)):
-        where = f"instances[{i}]"
-        if not isinstance(rec, Mapping):
-            out.append(f"{where}: not an object")
-            continue
+    shared: dict[tuple[int, int], ActionLabel] = {}
+    records: list[tuple[Any, Any]] = []
+    for where, rec in _records(raw, schema, out, extras):
         vid = rec.get("video_id")
         if not isinstance(vid, str) or vid == "":
             out.append(f"{where}: video_id must be a non-empty string")
@@ -659,117 +790,121 @@ def _validate_lta(raw: Mapping[str, Any], pred: bool) -> list[str]:
             if key in seen:
                 out.append(f"{where}: duplicate (video_id, clip_index, clip) {key}")
             seen.add(key)
-        if not pred:
+        if pred:
+            item = _forecast(rec, where, config, out, shared)
+        else:
+            item = None
             seq = rec.get("sequence")
             if not isinstance(seq, list):
                 out.append(f"{where}: sequence must be a list")
             else:
                 if z is not None and len(seq) != z:
                     out.append(f"{where}: sequence length {len(seq)} != {z}")
-                for j, pair in enumerate(seq):
-                    _check_label_pair(pair, c_v, c_n, f"{where}.sequence[{j}]", out)
-        else:
-            cands = rec.get("candidates")
-            matrix = rec.get("score_matrix")
-            if cands is None and matrix is None:
-                out.append(f"{where}: needs candidates or score_matrix")
-            # Without a config block, the first candidate sets the length
-            # every other candidate and the score matrix must share.
-            length = z
-            if cands is not None:
-                if not isinstance(cands, list) or len(cands) < 1:
-                    out.append(f"{where}: candidates must be a non-empty list")
-                else:
-                    if k is not None and len(cands) > k:
-                        out.append(f"{where}: {len(cands)} candidates exceed k={k}")
-                    for c, seq in enumerate(cands):
-                        cwhere = f"{where}.candidates[{c}]"
-                        if not isinstance(seq, list):
-                            out.append(f"{cwhere}: not a list")
-                            continue
-                        if not seq:
-                            out.append(f"{cwhere}: candidate sequence is empty")
-                        elif length is None:
-                            length = len(seq)
-                        elif len(seq) != length:
-                            out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
-                        for j, pair in enumerate(seq):
-                            _check_label_pair(pair, c_v, c_n, f"{cwhere}[{j}]", out)
-            if matrix is not None:
-                mwhere = f"{where}.score_matrix"
-                if not isinstance(matrix, Mapping) or set(matrix) != {"verb", "noun"}:
-                    out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
-                else:
-                    verb_ok = _check_prob_rows(matrix["verb"], z, f"{mwhere}.verb", out)
-                    noun_ok = _check_prob_rows(matrix["noun"], z, f"{mwhere}.noun", out)
-                    if verb_ok and noun_ok:
-                        rows = len(matrix["verb"])
-                        if len(matrix["noun"]) != rows:
-                            out.append(f"{mwhere}: verb has {rows} rows, noun has {len(matrix['noun'])}")
-                        elif length is not None and rows != length:
-                            out.append(f"{mwhere}: {rows} rows, candidates have length {length}")
-    return out
+                item = _labels(seq, c_v, c_n, f"{where}.sequence", out, shared)
+        if not out:
+            records.append(((vid, ci), item))
+    return config, records
 
 
-def _check_images(raw: Mapping[str, Any], out: list[str]) -> set[str]:
-    ids: set[str] = set()
-    images = raw.get("images")
-    if not isinstance(images, list):
+def _walk_images(raw: Mapping[str, Any], out: list[str]) -> dict[str, tuple[int, int]]:
+    """(width, height) by keyframe id, for every entry with a well-formed
+    unique id; the sizes are checked, but only a clean file's are used."""
+    images: dict[str, tuple[int, int]] = {}
+    listed = raw.get("images")
+    if not isinstance(listed, list):
         out.append("images: missing or not a list")
-        return ids
-    for i, im in enumerate(images):
+        return images
+    for i, im in enumerate(listed):
         where = f"images[{i}]"
-        if not isinstance(im, Mapping):
+        if not _is_object(im):
             out.append(f"{where}: not an object")
             continue
         kid = im.get("keyframe_id")
+        size = (im.get("width"), im.get("height"))
         if not isinstance(kid, str) or kid == "":
             out.append(f"{where}: keyframe_id must be a non-empty string")
-        elif kid in ids:
+        elif kid in images:
             out.append(f"{where}: duplicate keyframe_id '{kid}'")
         else:
-            ids.add(kid)
-        for name in ("width", "height"):
-            v = im.get(name)
+            images[kid] = size
+        for name, v in zip(("width", "height"), size):
             if not _is_int(v) or v < 1:
                 out.append(f"{where}: {name} must be an int >= 1")
-    return ids
+    return images
 
 
-def _check_box(box: Any, where: str, out: list[str]) -> None:
-    ok = isinstance(box, list) and len(box) == 4 and all(_finite(v) for v in box)
-    if not ok:
-        out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
-        return
-    if box[0] > box[2] or box[1] > box[3]:
-        out.append(f"{where}: box reversed")
+def _box(box: Any, where: str, out: list[str]) -> BoundingBox | None:
+    if isinstance(box, list) and len(box) == 4:
+        x1, y1, x2, y2 = box
+        if _finite(x1) and _finite(y1) and _finite(x2) and _finite(y2):
+            if x1 > x2 or y1 > y2:
+                out.append(f"{where}: box reversed")
+                return None
+            return _validated(BoundingBox, x1=float(x1), y1=float(y1), x2=float(x2), y2=float(y2))
+    out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
+    return None
 
 
-def _validate_boxes(raw: Mapping[str, Any], pred: bool, with_sta_fields: bool) -> list[str]:
-    out: list[str] = []
-    known = _check_images(raw, out)
-    for i, rec in enumerate(_instances(raw, out)):
-        where = f"instances[{i}]"
-        if not isinstance(rec, Mapping):
-            out.append(f"{where}: not an object")
-            continue
+def _walk_boxes(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
+    """Header images; StaInstance (sta) or Detection (scod) records keyed
+    by keyframe, with score 1.0 in ground truth."""
+    pred = schema.endswith("-pred/1")
+    sta = schema.startswith("sta")
+    images = _walk_images(raw, out)
+    records: list[tuple[Any, Any]] = []
+    for where, rec in _records(raw, schema, out, extras):
         kid = rec.get("keyframe_id")
         if not isinstance(kid, str) or kid == "":
             out.append(f"{where}: keyframe_id must be a non-empty string")
-        elif kid not in known:
+        elif kid not in images:
             out.append(f"{where}: unknown keyframe_id '{kid}'")
-        _check_box(rec.get("box"), where, out)
-        if not _is_int(rec.get("noun")) or rec.get("noun") < 0:
+        box = _box(rec.get("box"), where, out)
+        noun = rec.get("noun")
+        if not _is_int(noun) or noun < 0:
             out.append(f"{where}: noun must be an int >= 0")
-        if with_sta_fields:
-            if not _is_int(rec.get("verb")) or rec.get("verb") < 0:
+        if sta:
+            verb, ttc = rec.get("verb"), rec.get("ttc_s")
+            if not _is_int(verb) or verb < 0:
                 out.append(f"{where}: verb must be an int >= 0")
-            ttc = rec.get("ttc_s")
             if not _finite(ttc) or ttc <= 0:
                 out.append(f"{where}: ttc_s must be a positive finite real")
-        if pred and not _finite(rec.get("score")):
+        score = rec.get("score") if pred else 1.0
+        if not _finite(score):
             out.append(f"{where}: score must be a finite real")
-    return out
+        if out:
+            continue
+        if sta:
+            inst = _validated(StaInstance, box=box, noun_id=noun, verb_id=verb, ttc_s=float(ttc), score=float(score))
+        else:
+            inst = _validated(Detection, box=box, class_id=noun, score=float(score))
+        records.append((kid, inst))
+    return images, records
+
+
+# One walker per track serves its ground-truth and prediction schemas.
+_WALKERS = {"mq": _walk_mq, "nlq": _walk_nlq, "fhp": _walk_fhp, "lta": _walk_lta, "sta": _walk_boxes, "scod": _walk_boxes}
+
+
+def _walk(raw: Any) -> tuple[list[str], list[str], Any, list[tuple[Any, Any]]]:
+    """Check, scan and build a parsed annotation tree in one pass.
+
+    Returns the violations, the unknown keys, the file-level part and the
+    records as (group key, typed record) pairs, in file order. The last two
+    are complete only when there are no violations. The input is never
+    mutated.
+    """
+    if not _is_object(raw):
+        return ["top level: not an object"], [], None, []
+    schema = raw.get("schema")
+    if not isinstance(schema, str):
+        return ["schema: missing or not a string"], [], None, []
+    if schema not in _TOP_KEYS:
+        return [f"schema: unknown schema '{schema}'"], [], None, []
+    out: list[str] = []
+    extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
+    walker = _WALKERS[schema.split("/")[0].removesuffix("-pred")]
+    header, records = walker(raw, schema, out, extras)
+    return out, extras, header, records
 
 
 def validate_dataset(raw: Any) -> list[str]:
@@ -779,48 +914,9 @@ def validate_dataset(raw: Any) -> list[str]:
     is never mutated. Unknown keys are tolerated here (loaders warn about
     them separately); missing or ill-typed required fields are violations.
     """
-    if not isinstance(raw, Mapping):
-        return ["top level: not an object"]
-    schema = raw.get("schema")
-    if not isinstance(schema, str):
-        return ["schema: missing or not a string"]
-    if schema == "mq/1":
-        return _validate_mq(raw, pred=False)
-    if schema == "mq-pred/1":
-        return _validate_mq(raw, pred=True)
-    if schema == "nlq/1":
-        return _validate_nlq(raw, pred=False)
-    if schema == "nlq-pred/1":
-        return _validate_nlq(raw, pred=True)
-    if schema == "fhp/1":
-        return _validate_fhp(raw, pred=False)
-    if schema == "fhp-pred/1":
-        return _validate_fhp(raw, pred=True)
-    if schema == "lta/1":
-        return _validate_lta(raw, pred=False)
-    if schema == "lta-pred/1":
-        return _validate_lta(raw, pred=True)
-    if schema == "sta/1":
-        return _validate_boxes(raw, pred=False, with_sta_fields=True)
-    if schema == "sta-pred/1":
-        return _validate_boxes(raw, pred=True, with_sta_fields=True)
-    if schema == "scod/1":
-        return _validate_boxes(raw, pred=False, with_sta_fields=False)
-    if schema == "scod-pred/1":
-        return _validate_boxes(raw, pred=True, with_sta_fields=False)
-    return [f"schema: unknown schema '{schema}'"]
+    return _walk(raw)[0]
 
 
 def unknown_keys(raw: Mapping[str, Any]) -> list[str]:
     """List unrecognized keys in a parsed annotation tree (for warnings)."""
-    schema = raw.get("schema")
-    if schema not in _TOP_KEYS:
-        return []
-    extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
-    allowed = _INSTANCE_KEYS[schema]
-    inst = raw.get("instances")
-    if isinstance(inst, list):
-        for i, rec in enumerate(inst):
-            if isinstance(rec, Mapping) and not rec.keys() <= allowed:
-                extras.extend(f"instances[{i}]: '{k}'" for k in rec if k not in allowed)
-    return extras
+    return _walk(raw)[1]

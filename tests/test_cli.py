@@ -47,6 +47,44 @@ class TestParseThresholds:
         with pytest.raises(ValueError):
             parse_thresholds("0.1:0.5")
 
+    @staticmethod
+    def _accumulated(text):
+        """The former range parser, which added the step to a running float."""
+        start, stop, step = (float(p) for p in text.split(":"))
+        values, t = [], start
+        while t <= stop + 1e-9:
+            values.append(round(t, 10))
+            t += step
+        return tuple(values)
+
+    def test_ranges_match_the_accumulated_grid(self):
+        texts = ["0.1:0.5:0.1", "0.5:0.95:0.05", "0.1:0.7:0.2", "0.05:0.95:0.05", "0:1:0.01"]
+        steps = ("0.01", "0.025", "0.05", "0.1", "0.15", "0.2", "0.25", "0.5")
+        texts += [f"{a / 20:g}:{b / 20:g}:{step}" for a in range(21) for b in range(a, 21) for step in steps]
+        for text in texts:
+            assert parse_thresholds(text) == self._accumulated(text), text
+
+    @pytest.mark.parametrize("text", ["0:inf:0.1", "-inf:1:0.1", "0:1:inf", "nan:1:0.1", "0:nan:0.1", "0:1:nan"])
+    def test_non_finite_range_is_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_thresholds(text)
+
+    def test_reversed_range_is_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            parse_thresholds("0.5:0.1:0.1")
+
+    def test_range_with_too_many_values_is_rejected(self):
+        with pytest.raises(ValueError, match="more than"):
+            parse_thresholds("0:1:1e-12")
+
+    def test_infinite_range_exits_2_with_one_line(self, dataset_dir, capsys):
+        gt, pred = dataset_dir / "gt_mq.json", dataset_dir / "pred_mq.json"
+        rc = cli.main(["eval", "mq", "--gt", str(gt), "--pred", str(pred), "--tiou", "0:inf:0.1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: range start, stop and step must be finite, got '0:inf:0.1'"
+        ]
+
 
 class TestSchedule:
     def test_exact_fit(self, capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 
@@ -271,6 +272,29 @@ class TestReportFiles:
         with pytest.raises(DataError):
             fileio.load_reports(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("value", 10**401, "value must be finite"),
+            ("value", -(10**401), "value must be finite"),
+            ("breakdown", {"mAP@0.50": 10**401}, "breakdown must map strings to finite reals"),
+            ("value", True, "value must be finite"),
+            ("count", True, "count must be an int >= 0"),
+            ("count", False, "count must be an int >= 0"),
+        ],
+        ids=["huge-value", "huge-negative-value", "huge-breakdown", "bool-value", "bool-count", "bool-count-false"],
+    )
+    def test_bad_numbers_are_one_line_data_errors(self, tmp_path, field, value, message):
+        report = {"name": "mAP", "family": "percent", "value": 0.5, "count": 3, "breakdown": {"mAP@0.50": 0.5}}
+        report[field] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"schema": "report/1", "reports": [report]}))
+        with pytest.raises(DataError) as info:
+            fileio.load_reports(path)
+        text = str(info.value)
+        assert text.startswith(f"{path}: malformed report file (") and message in text
+        assert "\n" not in text
+
 
 def test_loads_do_not_warn_on_clean_files(dataset_dir):
     with warnings.catch_warnings():
@@ -283,3 +307,45 @@ def test_loads_do_not_warn_on_clean_files(dataset_dir):
         fileio.load_scod_gt(dataset_dir / "gt_scod.json")
         pp = perfect_predictions(generate_synthetic(fileio.load_config(dataset_dir / "config.json")))
         assert set(pp["mq"]) == set(fileio.load_mq_pred(dataset_dir / "pred_mq.json"))
+
+
+class TestNullForecastFields:
+    """In an lta-pred/1 row a null candidates or score_matrix counts as
+    absent, as it does for validation."""
+
+    @staticmethod
+    def _write(tmp_path, row):
+        path = tmp_path / "lta.json"
+        path.write_text(json.dumps({"schema": "lta-pred/1", "instances": [row]}))
+        return path
+
+    def test_null_candidates_must_be_voted_first(self, tmp_path):
+        row = {"video_id": "v", "clip_index": 0, "candidates": None, "score_matrix": {"verb": [[1.0]], "noun": [[1.0]]}}
+        with pytest.raises(DataError, match=r"instances\[0\]: no candidates; vote first"):
+            fileio.load_lta_pred(self._write(tmp_path, row))
+
+    def test_null_score_matrix_loads_without_scores(self, tmp_path):
+        row = {"video_id": "v", "clip_index": 0, "candidates": [[[0, 1]]], "score_matrix": None}
+        forecast = fileio.load_lta_pred(self._write(tmp_path, row))[("v", 0)]
+        assert forecast.score_matrix is None and forecast.candidates[0][0].noun_id == 1
+
+    def test_null_score_matrix_cannot_be_voted(self, tmp_path):
+        row = {"video_id": "v", "clip_index": 0, "candidates": [[[0, 1]]], "score_matrix": None}
+        with pytest.raises(DataError, match="voting needs a score_matrix per clip"):
+            fileio.load_lta_clip_probs(self._write(tmp_path, row))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_loads_leave_the_garbage_collector_as_they_found_it(dataset_dir, tmp_path, enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "mq/1", "instances": []}))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        fileio.load_mq_gt(dataset_dir / "gt_mq.json")
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError):
+            fileio.load_mq_gt(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

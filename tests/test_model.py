@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egoforge.model import (
     ActionLabel,
@@ -17,6 +18,7 @@ from egoforge.model import (
     StaInstance,
     TemporalSegment,
     VideoMeta,
+    _finite,
     unknown_keys,
     validate_dataset,
 )
@@ -256,3 +258,59 @@ class TestRawValidation:
     def test_unknown_schema_tag(self):
         violations = validate_dataset({"schema": "bogus/9"})
         assert violations
+
+
+class TestProbabilityRows:
+    """Rows of plain floats take a fast path in the lta-pred walk; every
+    verdict and message must stay that of the per-value checks."""
+
+    BAD = "instances[0].score_matrix.verb[0]: must be a list of non-negative finite reals"
+    SUM = "instances[0].score_matrix.verb[0]: row does not sum to 1 within 1e-6"
+
+    @staticmethod
+    def _violations(row):
+        rec = {"video_id": "v", "clip_index": 0, "score_matrix": {"verb": [row], "noun": [[1.0]]}}
+        return validate_dataset({"schema": "lta-pred/1", "instances": [rec]})
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ([0.25, 0.75], []),
+            ([-0.0, 1.0], []),
+            ([0, 1], []),
+            ([0.5, 0.5000001], []),
+            ([float("nan"), 1.0], [BAD]),
+            ([1.0, float("nan")], [BAD]),
+            ([float("inf"), 0.0], [BAD]),
+            ([float("-inf"), 1.0], [BAD]),
+            ([True, 0.0], [BAD]),
+            ([1.0, False], [BAD]),
+            ([10**401, 0.0], [BAD]),
+            ([-(10**401), 1.0], [BAD]),
+            ([-0.5, 1.5], [BAD]),
+            ([1.5, -0.5], [BAD]),
+            ([1e308, 1e308], [SUM]),
+            ([0.5, 0.5001], [SUM]),
+            ([], [BAD]),
+            ("1.0", [BAD]),
+        ],
+    )
+    def test_row_verdicts(self, row, expected):
+        assert self._violations(row) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e308]),
+                st.integers(-2, 2),
+                st.booleans(),
+            ),
+            max_size=5,
+        )
+    )
+    def test_fast_path_agrees_with_per_value_checks(self, row):
+        ok = len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)
+        expected = [] if ok and abs(sum(row) - 1.0) <= 1e-6 else [self.SUM] if ok else [self.BAD]
+        assert self._violations(row) == expected
