@@ -244,18 +244,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _eval_mq(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_mq_gt(args.gt)
-    preds = fileio.load_mq_pred(args.pred, known_videos=gt.videos)
-    gt_count = sum(len(v) for v in gt.instances.values())
-
-    by_label_gt: dict[tuple[str, int], list] = {}
-    for vid, items in gt.instances.items():
-        for m in items:
-            by_label_gt.setdefault((vid, m.class_id), []).append(m)
-    by_label_pred: dict[tuple[str, int], list] = {}
-    for vid, items in preds.items():
-        for p in items:
-            by_label_pred.setdefault((vid, p.label), []).append(p)
+    # Ground truth and predictions are scored as columns; a ground-truth
+    # file has one group per listed video.
+    gt = fileio.load_mq_gt(args.gt, columns=True)
+    preds = fileio.load_mq_pred(args.pred, known_videos=gt, columns=True)
+    gt_count = len(gt.score)
+    by_label_gt, by_label_pred = gt.by_label(), preds.by_label()
 
     reports = []
     for kx in _parse_int_list(args.recall_k):
@@ -269,22 +263,21 @@ def _eval_mq(args: argparse.Namespace) -> list[MetricReport]:
                 )
             )
     grid = parse_thresholds(args.tiou) if args.tiou else DEFAULT_MAP_TIOUS
-    reports.append(average_map(preds, gt.instances, grid))
+    reports.append(average_map(preds, gt, grid))
     return reports
 
 
 def _eval_nlq(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_nlq_gt(args.gt)
-    preds = fileio.load_nlq_pred(args.pred, known_queries=gt.queries)
-    grouped_gt = {qid: [inst] for qid, inst in gt.queries.items()}
+    gt = fileio.load_nlq_gt(args.gt, columns=True)
+    preds = fileio.load_nlq_pred(args.pred, known_queries=gt, columns=True)
     reports = []
     for k in _parse_int_list(args.recall_k):
         for t in parse_thresholds(args.recall_tiou):
             reports.append(
                 MetricReport(
                     name=f"R{k}@{t:g}",
-                    value=recall_at_k(preds, grouped_gt, k, t),
-                    count=len(grouped_gt),
+                    value=recall_at_k(preds, gt, k, t),
+                    count=len(gt),
                     family="percent",
                 )
             )
@@ -307,11 +300,11 @@ def _eval_lta(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_sta_gt(args.gt)
-    preds = fileio.load_sta_pred(args.pred, known_frames=gt.images)
+    gt = fileio.load_sta_gt(args.gt, columns=True)
+    preds = fileio.load_sta_pred(args.pred, known_frames=gt, columns=True)
     return sta_report(
-        preds.instances,
-        gt.instances,
+        preds,
+        gt,
         box_iou_thresh=args.box_iou,
         ttc_tol_s=args.ttc_tol,
         top_k=args.top_k,
@@ -319,10 +312,10 @@ def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_scod(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_scod_gt(args.gt)
-    preds = fileio.load_scod_pred(args.pred, known_frames=gt.images)
+    gt = fileio.load_scod_gt(args.gt, columns=True)
+    preds = fileio.load_scod_pred(args.pred, known_frames=gt, columns=True)
     grid = parse_thresholds(args.iou) if args.iou else BOX_AP_IOUS
-    return [box_ap(preds.instances, gt.instances, grid)]
+    return [box_ap(preds, gt, grid)]
 
 
 _EVALS = {

@@ -8,11 +8,17 @@ byte-identical files: every JSON file goes through one writer,
 ``render.json_text``, which gives the bytes of ``json.dumps(obj, indent=2)``.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
-every record, notes its unknown keys and builds its typed object in the same
-pass. A loader then only groups the records it gets back, and raises the
-file's violations as one ``SchemaError`` or warns about its unknown keys.
-``LtaForecast`` and ``ScoreMatrix``, a few hundred per file, keep their
-checked constructors.
+every record and notes its unknown keys; a loader raises the file's
+violations as one ``SchemaError`` or warns about its unknown keys. For the
+mq, nlq, sta and scod schemas the walk gives ``model.Columns``: ids,
+scores, TTCs and coordinates as arrays, rows in the loader's group order.
+Their loaders, ground truth and predictions alike, return those columns
+as they are with ``columns=True``, which is how ``egoforge eval`` scores
+them without one object per row; otherwise every loader is a typed view
+that builds the records from the columns through ``model._validated``.
+For fhp and lta the walk builds the typed records itself. ``LtaForecast``
+and ``ScoreMatrix``, a few hundred per file, keep their checked
+constructors.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .metrics import MetricReport
 from .model import (
     ActionLabel,
     BoundingBox,
+    Columns,
     Detection,
     FeatureMatrix,
     HandKeyframes,
@@ -43,8 +50,10 @@ from .model import (
     RankedSegment,
     ScoreMatrix,
     StaInstance,
+    TemporalSegment,
     VideoMeta,
     _resolution,
+    _validated,
     _walk,
 )
 from .render import json_text
@@ -72,8 +81,9 @@ def _write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
-def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, list[tuple[Any, Any]]]:
-    """The file-level part and the (group key, record) pairs of one file."""
+def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:
+    """The file-level part and the records of one file, as ``model._walk``
+    gives them."""
     # Parsing and walking allocate hundreds of thousands of containers that
     # stay alive and form no cycles, so cyclic collections before the tree
     # is dropped would only re-scan it. Pause the collector meanwhile and
@@ -97,12 +107,19 @@ def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, list[t
     return header, records
 
 
-def _grouped(records: Iterable[tuple[Any, Any]], keys: Iterable[Any] = ()) -> dict[Any, tuple]:
-    """Records grouped by key: ``keys`` first, then new keys in file order."""
-    groups: dict[Any, list] = {key: [] for key in keys}
-    for key, record in records:
-        groups.setdefault(key, []).append(record)
-    return {key: tuple(items) for key, items in groups.items()}
+def _grouped(cols: Columns, records: list) -> dict[Any, tuple]:
+    """``records``, one per row of ``cols``, as tuples by group key."""
+    s = cols.starts.tolist()
+    return {key: tuple(records[s[g] : s[g + 1]]) for g, key in enumerate(cols.groups)}
+
+
+def _segments(cols: Columns) -> list[TemporalSegment]:
+    return [_validated(TemporalSegment, start_s=a, end_s=b) for a, b in cols.coords.tolist()]
+
+
+def _ranked(cols: Columns, labels: list) -> dict[Any, tuple[RankedSegment, ...]]:
+    rows = zip(_segments(cols), cols.score.tolist(), labels)
+    return _grouped(cols, [_validated(RankedSegment, segment=seg, score=score, label=label) for seg, score, label in rows])
 
 
 def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
@@ -134,9 +151,16 @@ def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
     ]
 
 
-def load_mq_gt(path: str | Path) -> MqGt:
-    (videos, num_classes), records = _load_annotations(path, "mq/1")
-    return MqGt(videos=videos, num_classes=num_classes, instances=_grouped(records, videos))
+def load_mq_gt(path: str | Path, *, columns: bool = False) -> MqGt | Columns:
+    """Moments by video in ``videos`` order; with ``columns`` the
+    ``Columns`` themselves, labelled with the class id, one group per
+    listed video."""
+    (videos, num_classes), cols = _load_annotations(path, "mq/1")
+    if columns:
+        return cols
+    rows = zip(_segments(cols), cols.label.tolist())
+    instances = _grouped(cols, [_validated(MomentInstance, segment=seg, class_id=cid) for seg, cid in rows])
+    return MqGt(videos=videos, num_classes=num_classes, instances=instances)
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
@@ -160,11 +184,15 @@ def save_mq_gt(path: str | Path, gt: MqGt) -> None:
     )
 
 
-def load_mq_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> dict[str, tuple[RankedSegment, ...]]:
-    out = _grouped(_load_annotations(path, "mq-pred/1")[1])
+def load_mq_pred(
+    path: str | Path, known_videos: Iterable[str] | None = None, *, columns: bool = False
+) -> dict[str, tuple[RankedSegment, ...]] | Columns:
+    """Predictions by video, in order of first appearance; with ``columns``
+    the ``Columns`` themselves, labelled with the class id."""
+    cols = _load_annotations(path, "mq-pred/1")[1]
     if known_videos is not None:
-        require_known(out, known_videos, "video ids in predictions")
-    return out
+        require_known(cols, known_videos, "video ids in predictions")
+    return cols if columns else _ranked(cols, cols.label.tolist())
 
 
 def save_mq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -201,12 +229,17 @@ class NlqGt:
     video_of: dict[str, str]
 
 
-def load_nlq_gt(path: str | Path) -> NlqGt:
-    videos, records = _load_annotations(path, "nlq/1")
+def load_nlq_gt(path: str | Path, *, columns: bool = False) -> NlqGt | Columns:
+    """Answers by query in file order; with ``columns`` the ``Columns``
+    themselves, one group per query, holding each query's video."""
+    videos, cols = _load_annotations(path, "nlq/1")
+    if columns:
+        return cols
+    rows = zip(_segments(cols), cols.groups)
     return NlqGt(
         videos=videos,
-        queries={q.query_id: q for _, q in records},
-        video_of={q.query_id: vid for vid, q in records},
+        queries={qid: _validated(NlqInstance, segment=seg, query_id=qid) for seg, qid in rows},
+        video_of=dict(zip(cols.groups, cols.video)),
     )
 
 
@@ -229,11 +262,15 @@ def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
     )
 
 
-def load_nlq_pred(path: str | Path, known_queries: Iterable[str] | None = None) -> dict[str, tuple[RankedSegment, ...]]:
-    out = _grouped(_load_annotations(path, "nlq-pred/1")[1])
+def load_nlq_pred(
+    path: str | Path, known_queries: Iterable[str] | None = None, *, columns: bool = False
+) -> dict[str, tuple[RankedSegment, ...]] | Columns:
+    """Predictions by query, in order of first appearance; with ``columns``
+    the ``Columns`` themselves."""
+    cols = _load_annotations(path, "nlq-pred/1")[1]
     if known_queries is not None:
-        require_known(out, known_queries, "query ids in predictions")
-    return out
+        require_known(cols, known_queries, "query ids in predictions")
+    return cols if columns else _ranked(cols, [cols.groups[g] for g in cols.code.tolist()])
 
 
 def save_nlq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -451,20 +488,32 @@ def _box_to_raw(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.x2, box.y2]
 
 
-def _load_boxes(path: str | Path, schema: str, container: type) -> Any:
-    images, records = _load_annotations(path, schema)
-    return container(images=images, instances=_grouped(records, images))
-
-
-def load_sta_gt(path: str | Path) -> StaGt:
-    return _load_boxes(path, "sta/1", StaGt)
-
-
-def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> StaGt:
-    out = _load_boxes(path, "sta-pred/1", StaGt)
+def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | None, columns: bool) -> Any:
+    images, cols = _load_annotations(path, schema)
     if known_frames is not None:
-        require_known(out.images, known_frames, "keyframe ids in predictions")
-    return out
+        require_known(images, known_frames, "keyframe ids in predictions")
+    if columns:
+        return cols
+    boxes = [_validated(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2) for x1, y1, x2, y2 in cols.coords.tolist()]
+    nouns, scores = cols.label.tolist(), cols.score.tolist()
+    if schema.startswith("sta"):
+        rows = zip(boxes, nouns, cols.verb.tolist(), cols.ttc.tolist(), scores)
+        records = [_validated(StaInstance, box=b, noun_id=n, verb_id=v, ttc_s=t, score=s) for b, n, v, t, s in rows]
+        return StaGt(images=images, instances=_grouped(cols, records))
+    records = [_validated(Detection, box=b, class_id=n, score=s) for b, n, s in zip(boxes, nouns, scores)]
+    return ScodGt(images=images, instances=_grouped(cols, records))
+
+
+def load_sta_gt(path: str | Path, *, columns: bool = False) -> StaGt | Columns:
+    """Boxes by keyframe in ``images`` order; with ``columns`` the
+    ``Columns`` themselves, labelled with the noun, one group per image."""
+    return _load_boxes(path, "sta/1", None, columns)
+
+
+def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None, *, columns: bool = False) -> StaGt | Columns:
+    """Predictions by keyframe in ``images`` order; with ``columns`` the
+    ``Columns`` themselves, labelled with the noun."""
+    return _load_boxes(path, "sta-pred/1", known_frames, columns)
 
 
 def _save_boxes(path: str | Path, schema: str, data: StaGt | ScodGt) -> None:
@@ -492,15 +541,17 @@ def save_sta_pred(path: str | Path, pred: StaGt) -> None:
     _save_boxes(path, "sta-pred/1", pred)
 
 
-def load_scod_gt(path: str | Path) -> ScodGt:
-    return _load_boxes(path, "scod/1", ScodGt)
+def load_scod_gt(path: str | Path, *, columns: bool = False) -> ScodGt | Columns:
+    """Boxes by keyframe in ``images`` order; with ``columns`` the
+    ``Columns`` themselves, labelled with the class id, one group per
+    image."""
+    return _load_boxes(path, "scod/1", None, columns)
 
 
-def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> ScodGt:
-    out = _load_boxes(path, "scod-pred/1", ScodGt)
-    if known_frames is not None:
-        require_known(out.images, known_frames, "keyframe ids in predictions")
-    return out
+def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None, *, columns: bool = False) -> ScodGt | Columns:
+    """Predictions by keyframe in ``images`` order; with ``columns`` the
+    ``Columns`` themselves, labelled with the class id."""
+    return _load_boxes(path, "scod-pred/1", known_frames, columns)
 
 
 def save_scod_gt(path: str | Path, gt: ScodGt) -> None:

@@ -3,19 +3,35 @@
 All metrics return plain fractions (recall, AP, and edit distance live in
 [0, 1]; displacements are in pixels). Rendering to percent happens at the
 reporting layer, never here. Matching everywhere is greedy in score order:
-ties keep input order, each ground-truth item is matched at most once, and
+ties keep the grouped input order (below), each ground-truth item is
+matched at most once, and
 a prediction takes the highest-overlap unmatched item. Average precision
 uses all-point interpolation (the running precision envelope).
 
-The AP metrics share one pair-array kernel. Per class, predictions are
-ranked once, every same-group (prediction rank, ground-truth index) pair is
-listed in flat arrays, and the pairs' IoU is computed in one vectorized call
-that repeats the scalar IoU's operations, so it agrees bit for bit. Each
-cut of the grid (an IoU threshold, or an anticipation criterion) keeps its
-eligible pairs, sorts them by rank, then IoU descending, then ground-truth
-index, and one pass takes each rank's first pair whose ground truth is still
-unused: the greedy rule above. Edit distance runs one integer DP row at a
-time over all candidates of all instances with the same length.
+The AP and recall metrics work on ``model.Columns``: the ranked records as
+arrays, rows in the loader's group order. Every public AP and recall
+function takes a loader's columns or a mapping of group key -> typed
+records, which ``_columns`` turns into columns at entry (rows in the
+mapping's order), so there is one kernel.
+
+Ties follow that grouped order. Equal scores rank in group order (first
+appearance for mq and nlq predictions, the ``images`` list for sta and
+scod), then in file order within a group; sta's per-keyframe top-k breaks
+ties the same way. A prediction with equal IoU to several ground-truth rows
+takes the earliest, in ``videos`` / ``images`` order and then file order.
+``recall_at_kx`` adds each label's recall times its support in ground-truth
+order.
+
+The AP metrics share one pair-array kernel. Predictions are ranked once by
+(class, descending score, row) with one stable lexsort, every same-class,
+same-group (prediction rank, ground-truth position) pair is listed in flat
+arrays, and the pairs' IoU is computed in one vectorized call that repeats
+the scalar IoU's operations, so it agrees bit for bit. Each cut of the grid
+(an IoU threshold, or an anticipation criterion) keeps its eligible pairs,
+sorts them by rank, then IoU descending, then ground-truth position, and one
+pass takes each rank's first pair whose ground truth is still unused: the
+greedy rule above. Edit distance runs one integer DP row at a time over all
+candidates of all instances with the same length.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .errors import DataError
 from .model import (
     ActionLabel,
     BoundingBox,
+    Columns,
     Detection,
     HandKeyframes,
     LtaForecast,
@@ -38,6 +55,7 @@ from .model import (
     StaInstance,
     TemporalSegment,
     _finite,
+    _grouped_columns,
     _is_int,
     _require,
 )
@@ -109,9 +127,72 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def _ranked(items: Sequence[Any], score_of: Callable[[Any], float]) -> list[int]:
-    # Descending score; equal scores keep input order.
-    return sorted(range(len(items)), key=lambda i: (-score_of(items[i]), i))
+def _columns(groups: Mapping[Hashable, Sequence[Any]], width: int) -> Columns:
+    """Groups of typed records as columns; a loader's Columns as they are.
+
+    Records hold a ``segment`` (width 2: ``RankedSegment``,
+    ``MomentInstance``, ``NlqInstance``) or a ``box`` (width 4:
+    ``StaInstance``, ``Detection``). The label is the class id, the noun or
+    ``RankedSegment.label``; the label column is None unless every label is
+    an int.
+    """
+    if isinstance(groups, Columns):
+        return groups
+    keys: list[Hashable] = []
+    records: list[Any] = []
+    for key, group in groups.items():
+        keys.extend([key] * len(group))
+        records.extend(group)
+    if width == 4:
+        coords = [(b.x1, b.y1, b.x2, b.y2) for b in (x.box for x in records)]
+    else:
+        coords = [(x.segment.start_s, x.segment.end_s) for x in records]
+    labels = [
+        x.label if isinstance(x, RankedSegment) else x.noun_id if isinstance(x, StaInstance) else getattr(x, "class_id", None)
+        for x in records
+    ]
+    sta = all(isinstance(x, StaInstance) for x in records)
+    return _grouped_columns(
+        {key: g for g, key in enumerate(groups)},
+        keys,
+        np.array(coords, dtype=np.float64).reshape(-1, width),
+        [getattr(x, "score", 1.0) for x in records],
+        labels if all(_is_int(label) for label in labels) else None,
+        [x.verb_id for x in records] if sta else None,
+        [x.ttc_s for x in records] if sta else None,
+    )
+
+
+def _top(cols: Columns, budget: np.ndarray) -> np.ndarray:
+    # The rows among the budget[g] highest-scored of each group g, in row
+    # order; equal scores keep row order.
+    order = np.lexsort((-cols.score, cols.code))
+    rank = np.arange(len(order)) - cols.starts[cols.code[order]]
+    return np.sort(order[rank < budget[cols.code[order]]])
+
+
+def _pairs(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Every (i, j) with first[i] <= j < first[i] + count[i], i ascending.
+    i = np.repeat(np.arange(len(first)), count)
+    return i, np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(i))
+
+
+def _gt_groups(preds: Columns, gts: Columns) -> np.ndarray:
+    # The ground-truth group number of each prediction group's key, or -1.
+    return np.array([gts.index.get(key, -1) for key in preds.groups], dtype=np.intp)
+
+
+def _recall_hits(preds: Columns, gts: Columns, budget: np.ndarray, tiou_thresh: float) -> np.ndarray:
+    # Ground-truth rows hit by one of the budget[g] highest-scored
+    # predictions under their group key g.
+    to_gt = _gt_groups(preds, gts)
+    rows = _top(preds, np.where(to_gt >= 0, budget[to_gt], 0))
+    group = to_gt[preds.code[rows]]
+    i, pair_g = _pairs(gts.starts[group], np.diff(gts.starts)[group])
+    iou = _temporal_iou_pairs(preds.coords[rows[i]], gts.coords[pair_g])
+    hit = np.zeros(len(gts.score), dtype=bool)
+    hit[pair_g[iou >= tiou_thresh]] = True
+    return hit
 
 
 def recall_at_k(
@@ -129,18 +210,12 @@ def recall_at_k(
     """
     _require(isinstance(k, int) and k >= 1, "k must be an int >= 1")
     _require(0 < tiou_thresh <= 1, f"tiou_thresh must be in (0, 1], got {tiou_thresh}")
-    total = sum(len(v) for v in gts.values())
+    preds, gts = _columns(preds, 2), _columns(gts, 2)
+    total = len(gts.score)
     if total == 0:
         raise ValueError("recall is undefined with no ground-truth instances")
-    hits = 0
-    for label, instances in gts.items():
-        candidates = list(preds.get(label, ()))
-        order = _ranked(candidates, lambda p: p.score)[:k]
-        top = [candidates[i] for i in order]
-        for inst in instances:
-            if any(temporal_iou(p.segment, inst.segment) >= tiou_thresh for p in top):
-                hits += 1
-    return hits / total
+    budget = np.full(len(gts.groups), min(k, len(preds.score)))
+    return int(_recall_hits(preds, gts, budget, tiou_thresh).sum()) / total
 
 
 def recall_at_kx(
@@ -156,16 +231,18 @@ def recall_at_kx(
     times per video and a flat k would cap recall below one.
     """
     _require(isinstance(kx, int) and kx >= 1, "kx must be an int >= 1")
-    total = sum(len(v) for v in gts.values())
+    preds, gts = _columns(preds, 2), _columns(gts, 2)
+    total = len(gts.score)
     if total == 0:
         raise ValueError("recall is undefined with no ground-truth instances")
+    _require(0 < tiou_thresh <= 1, f"tiou_thresh must be in (0, 1], got {tiou_thresh}")
+    support = np.diff(gts.starts)
+    hit = _recall_hits(preds, gts, min(kx, len(preds.score)) * support, tiou_thresh)
+    # Each label's recall times its support, summed in ground-truth order.
     hits = 0.0
-    for label, instances in gts.items():
-        if not instances:
-            continue
-        group = {label: instances}
-        budget = kx * len(instances)
-        hits += recall_at_k({label: preds.get(label, ())}, group, budget, tiou_thresh) * len(instances)
+    for h, n in zip(np.bincount(gts.code[hit], minlength=len(support)).tolist(), support.tolist()):
+        if n:
+            hits += h / n * n
     return hits / total
 
 
@@ -197,8 +274,9 @@ def _temporal_iou_pairs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _box_iou_pairs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     # box_iou over paired (x1, y1, x2, y2, ...) rows, in the same operation order.
-    iw = np.maximum(0.0, np.minimum(p[:, 2], g[:, 2]) - np.maximum(p[:, 0], g[:, 0]))
-    ih = np.maximum(0.0, np.minimum(p[:, 3], g[:, 3]) - np.maximum(p[:, 1], g[:, 1]))
+    with np.errstate(over="ignore"):  # only far-apart boxes overflow here, to -inf, clipped to 0
+        iw = np.maximum(0.0, np.minimum(p[:, 2], g[:, 2]) - np.maximum(p[:, 0], g[:, 0]))
+        ih = np.maximum(0.0, np.minimum(p[:, 3], g[:, 3]) - np.maximum(p[:, 1], g[:, 1]))
     inter = iw * ih
     area_p = (p[:, 2] - p[:, 0]) * (p[:, 3] - p[:, 1])
     area_g = (g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1])
@@ -209,68 +287,62 @@ def _box_iou_pairs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return iou
 
 
-def _box_row(x: Any) -> tuple[float, ...]:
-    b = x.box
-    return (b.x1, b.y1, b.x2, b.y2)
-
-
 def _grid_map(
-    preds: Mapping[Hashable, Sequence[Any]],
-    gts: Mapping[Hashable, Sequence[Any]],
-    class_of: Callable[[Any], int],
-    row_of: Callable[[Any], tuple[float, ...]],
+    preds: Columns,
+    gts: Columns,
     iou_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cuts: Callable[[np.ndarray, np.ndarray, np.ndarray], list[np.ndarray]],
+    rows: np.ndarray | None = None,
 ) -> list[float]:
     # Mean AP over the classes present in ground truth, once per cut: cuts
     # maps (pair IoU, pair prediction rows, pair GT rows) to one eligibility
-    # mask per cut. Predictions for absent classes are dropped.
-    gt_rows: dict[int, dict[Hashable, list[tuple[float, ...]]]] = {}
-    for group, items in gts.items():
-        for gt in items:
-            gt_rows.setdefault(class_of(gt), {}).setdefault(group, []).append(row_of(gt))
-    if not gt_rows:
+    # mask per cut. Only the prediction rows in ``rows`` (default: all)
+    # compete, and those of classes absent from ground truth are dropped.
+    if len(gts.score) == 0:
         raise ValueError("AP is undefined with no ground-truth instances")
-    pred_rows: dict[int, list[tuple[float, Hashable, tuple[float, ...]]]] = {}
-    for group, items in preds.items():
-        for pred in items:
-            cls = class_of(pred)
-            if cls in gt_rows:
-                pred_rows.setdefault(cls, []).append((pred.score, group, row_of(pred)))
+    classes = np.unique(gts.label)
+    g_cls = np.searchsorted(classes, gts.label)
+    npos = np.bincount(g_cls, minlength=len(classes)).tolist()
+    # Ground-truth rows by (class, group, row), and each (class, group)
+    # block's key in that order.
+    g_order = np.argsort(g_cls, kind="stable")
+    g_key = (g_cls * len(gts.groups) + gts.code)[g_order]
+    if rows is None:
+        rows = np.arange(len(preds.score))
+    p_cls = np.minimum(np.searchsorted(classes, preds.label[rows]), len(classes) - 1)
+    known = classes[p_cls] == preds.label[rows]
+    rows, p_cls = rows[known], p_cls[known]
+    # Ranks: class, then descending score, then row order on ties.
+    rank = np.lexsort((-preds.score[rows], p_cls))
+    rows, p_cls = rows[rank], p_cls[rank]
+    bounds = np.searchsorted(p_cls, np.arange(len(classes) + 1)).tolist()
+    group = _gt_groups(preds, gts)[preds.code[rows]]
+    p_key = np.where(group >= 0, p_cls * len(gts.groups) + group, -1)
+    first = np.searchsorted(g_key, p_key)
+    # Every same-class, same-group (rank, GT position) pair, ranks ascending.
+    pair_rank, pair_gt = _pairs(first, np.searchsorted(g_key, p_key, side="right") - first)
+    p, g = rows[pair_rank], g_order[pair_gt]
+    iou = iou_of(preds.coords[p], gts.coords[g])
+    hits_per_cut = []
+    for eligible in cuts(iou, p, g):
+        # Per rank, the highest-IoU unused GT wins; IoU ties go to the lower
+        # position, which is the earlier group and then the earlier row.
+        sel = np.flatnonzero(eligible)
+        sel = sel[np.lexsort((pair_gt[sel], -iou[sel], pair_rank[sel]))]
+        used = bytearray(len(g_order))
+        hits: list[int] = []
+        for r, j in zip(pair_rank[sel].tolist(), pair_gt[sel].tolist()):
+            if not used[j] and (not hits or hits[-1] != r):
+                used[j] = 1
+                hits.append(r)
+        tp = np.zeros(len(rows))
+        tp[hits] = 1.0
+        hits_per_cut.append(tp)
     totals: list[float] | None = None
-    for cls in sorted(gt_rows):
-        span: dict[Hashable, tuple[int, int]] = {}
-        flat: list[tuple[float, ...]] = []
-        for group, rows in gt_rows[cls].items():
-            span[group] = (len(flat), len(rows))
-            flat.extend(rows)
-        g = np.array(flat)
-        entries = pred_rows.get(cls, [])
-        # Ranks: descending score, input order on ties.
-        rank = np.argsort(-np.array([e[0] for e in entries], dtype=float), kind="stable")
-        first, count = np.array([span.get(e[1], (0, 0)) for e in entries], dtype=np.intp).reshape(-1, 2)[rank].T
-        # Every same-group (rank, GT index) pair, ranks ascending.
-        pair_rank = np.repeat(np.arange(len(entries)), count)
-        pair_gt = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pair_rank))
-        p = np.array([e[2] for e in entries], dtype=float).reshape(-1, g.shape[1])[rank[pair_rank]]
-        g = g[pair_gt]
-        iou = iou_of(p, g)
-        aps = []
-        for eligible in cuts(iou, p, g):
-            # Per rank, the highest-IoU unused GT wins; IoU ties go to the lower index.
-            sel = np.flatnonzero(eligible)
-            sel = sel[np.lexsort((pair_gt[sel], -iou[sel], pair_rank[sel]))]
-            used = bytearray(len(flat))
-            hits: list[int] = []
-            for r, j in zip(pair_rank[sel].tolist(), pair_gt[sel].tolist()):
-                if not used[j] and (not hits or hits[-1] != r):
-                    used[j] = 1
-                    hits.append(r)
-            tp = np.zeros(len(entries))
-            tp[hits] = 1.0
-            aps.append(_ap_from_tp(tp, len(flat)))
+    for c in range(len(classes)):
+        aps = [_ap_from_tp(tp[bounds[c] : bounds[c + 1]], npos[c]) for tp in hits_per_cut]
         totals = aps if totals is None else [t + ap for t, ap in zip(totals, aps)]
-    return [t / len(gt_rows) for t in totals]
+    return [t / len(classes) for t in totals]
 
 
 def average_map(
@@ -287,20 +359,16 @@ def average_map(
     thresholds = [float(t) for t in tiou_thresholds]
     _require(len(thresholds) >= 1, "need at least one tIoU threshold")
     _require(all(0 < t <= 1 for t in thresholds), "tIoU thresholds must be in (0, 1]")
-    for group, items in preds.items():
-        for p in items:
-            _require(isinstance(p.label, int), f"prediction in group {group!r} has a non-integer class label")
-    maps = _grid_map(
-        preds,
-        gts,
-        class_of=lambda x: x.label if isinstance(x, RankedSegment) else x.class_id,
-        row_of=lambda x: (x.segment.start_s, x.segment.end_s),
-        iou_of=_temporal_iou_pairs,
-        cuts=lambda iou, p, g: [iou >= t for t in thresholds],
-    )
+    if not isinstance(preds, Columns):
+        for group, items in preds.items():
+            for p in items:
+                _require(isinstance(p.label, int), f"prediction in group {group!r} has a non-integer class label")
+    preds, gts = _columns(preds, 2), _columns(gts, 2)
+    _require(preds.label is not None, "predictions carry no class labels")
+    maps = _grid_map(preds, gts, _temporal_iou_pairs, lambda iou, p, g: [iou >= t for t in thresholds])
     breakdown = {f"mAP@{t:.2f}": m for t, m in zip(thresholds, maps)}
     value = sum(breakdown.values()) / len(thresholds)
-    count = sum(len(v) for v in gts.values())
+    count = len(gts.score)
     return MetricReport(name="mAP", value=value, breakdown=breakdown, count=count, family="percent")
 
 
@@ -476,28 +544,17 @@ def _sta_maps(
     _require(0 < box_iou_thresh <= 1, "box_iou_thresh must be in (0, 1]")
     _require(ttc_tol_s > 0, "ttc_tol_s must be positive")
     _require(isinstance(top_k, int) and top_k >= 1, "top_k must be an int >= 1")
-    kept: dict[str, list[StaInstance]] = {}
-    for frame, items in preds.items():
-        order = _ranked(list(items), lambda p: p.score)[:top_k]
-        kept[frame] = [items[i] for i in order]
-    # Verb ids become small dense codes so they compare exactly as floats.
-    verb_code: dict[int, int] = {}
+    preds, gts = _columns(preds, 4), _columns(gts, 4)
+    kept = _top(preds, np.full(len(preds.groups), min(top_k, len(preds.score))))
 
     def cuts(iou: np.ndarray, p: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
         noun = iou >= box_iou_thresh
-        verb = p[:, 4] == g[:, 4]
-        ttc = np.abs(p[:, 5] - g[:, 5]) <= ttc_tol_s
+        verb = preds.verb[p] == gts.verb[g]
+        ttc = np.abs(preds.ttc[p] - gts.ttc[g]) <= ttc_tol_s
         masks = {"noun": noun, "noun_verb": noun & verb, "noun_ttc": noun & ttc, "overall": noun & verb & ttc}
         return [masks[c] for c in criteria]
 
-    return _grid_map(
-        kept,
-        gts,
-        class_of=lambda x: x.noun_id,
-        row_of=lambda x: (*_box_row(x), verb_code.setdefault(x.verb_id, len(verb_code)), x.ttc_s),
-        iou_of=_box_iou_pairs,
-        cuts=cuts,
-    )
+    return _grid_map(preds, gts, _box_iou_pairs, cuts, kept)
 
 
 def sta_ap(
@@ -558,19 +615,13 @@ def box_ap(
     thresholds = [float(t) for t in iou_thresholds]
     _require(len(thresholds) >= 1, "need at least one IoU threshold")
     _require(all(0 < t <= 1 for t in thresholds), "IoU thresholds must be in (0, 1]")
-    aps = _grid_map(
-        preds,
-        gts,
-        class_of=lambda x: x.class_id,
-        row_of=_box_row,
-        iou_of=_box_iou_pairs,
-        cuts=lambda iou, p, g: [iou >= t for t in thresholds],
-    )
+    gts = _columns(gts, 4)
+    aps = _grid_map(_columns(preds, 4), gts, _box_iou_pairs, lambda iou, p, g: [iou >= t for t in thresholds])
     breakdown = {f"AP@{t:.2f}": ap for t, ap in zip(thresholds, aps)}
     value = sum(breakdown.values()) / len(thresholds)
     for cut, label in ((0.50, "AP50"), (0.75, "AP75")):
         key = f"AP@{cut:.2f}"
         if key in breakdown:
             breakdown[label] = breakdown[key]
-    count = sum(len(v) for v in gts.values())
+    count = len(gts.score)
     return MetricReport(name="AP", value=value, breakdown=breakdown, count=count, family="percent")

@@ -6,18 +6,32 @@ afterwards, so downstream code never re-checks shapes or ranges.
 ``_walk`` is the entry point for *parsed but untyped* annotation trees, and
 the loaders in ``fileio`` call it once per file. It reads each field of each
 record once: it checks the field, reporting violations as strings instead of
-raising so that a loader can surface every problem in a file at once; it
-notes keys the schema does not know; and it builds the typed records with
-``_validated``, which does not re-run the constructor checks. The walk must
-therefore cover every constructor invariant of the types it builds.
-``validate_dataset`` and ``unknown_keys`` are its public views.
+raising so that a loader can surface every problem in a file at once, and
+it notes keys the schema does not know. The records of the ranked schemas
+(mq, nlq, sta, scod) come back as ``Columns``: group codes in the loader's
+group order, int ids, float64 scores and TTCs, (n, 2) segments or (n, 4)
+boxes. Such a file is checked a column at a time; one the column scan does
+not accept goes through the per-record loop, which keeps every message and
+its order. Loaders build typed records from the columns, and fhp and lta
+records in the walk itself, with ``_validated``, which does not re-run the
+constructor checks, so the walk must cover every constructor invariant of
+the types loaded. ``validate_dataset`` and ``unknown_keys`` are its public
+views.
+
+Segments and boxes must stay small enough that twice a length, width,
+height or area is finite (``HALF_MAX``), so every IoU union is finite.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, TypeVar
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -46,6 +60,16 @@ def _finite(x: Any) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+# The largest length, width, height or area a segment or box may have: twice
+# it is still finite, so the union of two of them in an IoU is finite too.
+HALF_MAX = sys.float_info.max / 2
+
+
+def _box_fits(x1: float, y1: float, x2: float, y2: float) -> bool:
+    width, height = x2 - x1, y2 - y1
+    return width <= HALF_MAX and height <= HALF_MAX and width * height <= HALF_MAX
 
 
 _new = object.__new__
@@ -100,6 +124,7 @@ class TemporalSegment:
         _require(self.start_s <= self.end_s, f"segment reversed ({self.start_s} > {self.end_s})")
         object.__setattr__(self, "start_s", float(self.start_s))
         object.__setattr__(self, "end_s", float(self.end_s))
+        _require(self.end_s - self.start_s <= HALF_MAX, "segment too long: its doubled length overflows")
 
     @property
     def length_s(self) -> float:
@@ -301,6 +326,7 @@ class BoundingBox:
         _require(self.y1 <= self.y2, f"box reversed in y ({self.y1} > {self.y2})")
         for name, v in zip(("x1", "y1", "x2", "y2"), vals):
             object.__setattr__(self, name, float(v))
+        _require(_box_fits(self.x1, self.y1, self.x2, self.y2), "box too large: its doubled width, height or area overflows")
 
     @property
     def area(self) -> float:
@@ -377,22 +403,134 @@ class FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Ranked records as columns.
+# ---------------------------------------------------------------------------
+
+
+def _int_column(values: Any) -> np.ndarray:
+    """int64 ids; object dtype for ids beyond int64, since JSON ints are
+    unbounded and a valid file may hold them."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns(Mapping):
+    """The records of one mq, nlq, sta or scod file as struct-of-arrays.
+
+    Rows are in the loader's group order: the groups in ``groups`` order,
+    and each group's rows in file order. Group ``g`` holds rows
+    ``starts[g]`` to ``starts[g + 1]``. As a mapping, each group key gives
+    its range of rows, so ``len`` of a value is the group's size.
+
+    - ``coords``: float64 (n, 2) segments or (n, 4) boxes;
+    - ``score``: float64, 1.0 in ground truth;
+    - ``label``: the class id (mq, scod) or noun (sta), None for nlq;
+    - ``verb`` and ``ttc``: sta only;
+    - ``video``: the video of each query, nlq ground truth only.
+
+    Id columns are int64, or object arrays of Python ints when an id does
+    not fit in int64.
+    """
+
+    groups: tuple
+    starts: np.ndarray
+    coords: np.ndarray
+    score: np.ndarray
+    label: np.ndarray | None = None
+    verb: np.ndarray | None = None
+    ttc: np.ndarray | None = None
+    video: tuple[str, ...] | None = None
+
+    @cached_property
+    def code(self) -> np.ndarray:
+        """Each row's group number."""
+        return np.repeat(np.arange(len(self.groups)), np.diff(self.starts))
+
+    @cached_property
+    def index(self) -> dict[Any, int]:
+        """Group number by key."""
+        return {key: g for g, key in enumerate(self.groups)}
+
+    def __getitem__(self, key: Any) -> range:
+        g = self.index[key]
+        return range(self.starts[g], self.starts[g + 1])
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.groups)
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def by_label(self) -> Columns:
+        """The same rows regrouped by (group key, label), groups in order of
+        first appearance and rows in their present order."""
+        keys = list(zip([self.groups[g] for g in self.code.tolist()], self.label.tolist()))
+        return _grouped_columns({}, keys, self.coords, self.score, self.label, self.verb, self.ttc, self.video)
+
+
+def _grouped_columns(
+    groups: dict[Any, int],
+    keys: Sequence[Any],
+    coords: np.ndarray,
+    score: Any,
+    label: Any = None,
+    verb: Any = None,
+    ttc: Any = None,
+    video: Sequence[str] | None = None,
+) -> Columns:
+    """Columns from rows in file order, ``keys`` holding each row's group.
+
+    ``groups`` numbers the groups known in advance (the ``videos`` or
+    ``images`` list); other keys are numbered in order of first appearance.
+    """
+    for key in dict.fromkeys(keys):
+        groups.setdefault(key, len(groups))
+    code = np.fromiter(map(groups.__getitem__, keys), dtype=np.intp, count=len(keys))
+    order = np.argsort(code, kind="stable")
+    starts = np.zeros(len(groups) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(code, minlength=len(groups)), out=starts[1:])
+
+    def take(values: Any, convert: Any) -> Any:
+        return None if values is None else convert(values)[order]
+
+    return Columns(
+        groups=tuple(groups),
+        starts=starts,
+        coords=coords[order],
+        score=take(score, lambda v: np.asarray(v, dtype=np.float64)),
+        label=take(label, _int_column),
+        verb=take(verb, _int_column),
+        ttc=take(ttc, lambda v: np.asarray(v, dtype=np.float64)),
+        video=None if video is None else tuple(video[i] for i in order.tolist()),
+    )
+
+
+# ---------------------------------------------------------------------------
 # The raw annotation walk.
 #
 # Loaders parse JSON and hand the untyped tree to _walk, which reads every
 # field of every record once. It checks the field, reporting every violation
-# in the file instead of failing at the first; it notes keys the schema does
-# not know; and while the file is still clean it builds the typed record
-# through _validated, applying the constructors' normalisations (float
-# reals, coordinate tuples, keyframes in KEYFRAME_TAGS order). Once a
-# violation is reported the loader rejects the file, so nothing more is
-# built. The checks cover the constructor invariants, which nothing checks
-# again, plus the cross-field rules (vocabulary ranges, duplicate keys) that
-# single values cannot see.
+# in the file instead of failing at the first, and it notes keys the schema
+# does not know. For a clean file it returns the records: as Columns for the
+# mq, nlq, sta and scod schemas, and as typed objects built through
+# _validated for fhp and lta, applying the constructors' normalisations
+# (float reals, coordinate tuples, keyframes in KEYFRAME_TAGS order). The
+# checks cover the constructor invariants, which nothing checks again, plus
+# the cross-field rules (vocabulary ranges, duplicate keys) that single
+# values cannot see.
+#
+# A ranked file is first checked a column at a time (_scan and the _plain_*
+# checks): plain dicts that hold exactly the schema's keys, exact types
+# (plain floats for reals, plain ints for ids), set membership for ids and
+# vectorised range and order checks. The scan accepts only files in which
+# the per-record loop would find nothing, and gives the same columns. Any
+# other file (a violation, an unknown key, an int-valued real, a bool, an
+# id beyond int64) goes through the per-record loop, which writes every
+# message in its order and, on a valid file, fills the columns.
 # ---------------------------------------------------------------------------
-
-GT_SCHEMAS = ("mq/1", "nlq/1", "fhp/1", "lta/1", "sta/1", "scod/1")
-PRED_SCHEMAS = ("mq-pred/1", "nlq-pred/1", "fhp-pred/1", "lta-pred/1", "sta-pred/1", "scod-pred/1")
 
 # Allowed top-level and per-record keys; any other key is reported as
 # unknown, which loaders turn into warnings.
@@ -451,7 +589,7 @@ def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[s
         yield f"instances[{i}]", rec
 
 
-def _segment(rec: Mapping[str, Any], where: str, out: list[str]) -> TemporalSegment | None:
+def _segment(rec: Mapping[str, Any], where: str, out: list[str]) -> tuple[float, float] | None:
     start, end = rec.get("start_s"), rec.get("end_s")
     if not (_finite(start) and _finite(end)):
         for name, v in (("start_s", start), ("end_s", end)):
@@ -466,7 +604,84 @@ def _segment(rec: Mapping[str, Any], where: str, out: list[str]) -> TemporalSegm
         out.append(f"{where}: segment reversed")
     if start < 0 or start > end:
         return None
-    return _validated(TemporalSegment, start_s=float(start), end_s=float(end))
+    start, end = float(start), float(end)
+    if end - start > HALF_MAX:
+        out.append(f"{where}: segment too long (its doubled length overflows)")
+        return None
+    return start, end
+
+
+def _scan(raw: Mapping[str, Any], names: tuple[str, ...]) -> list[list] | None:
+    """The ``names`` columns of ``instances`` when it is a list of plain
+    dicts that each hold exactly those keys; None otherwise."""
+    inst = raw.get("instances")
+    if type(inst) is not list or not set(map(type, inst)) <= {dict} or not set(map(len, inst)) <= {len(names)}:
+        return None
+    try:
+        return [list(map(itemgetter(name), inst)) for name in names]
+    except KeyError:
+        return None
+
+
+def _only(col: list, kind: type) -> bool:
+    return set(map(type, col)) <= {kind}
+
+
+def _plain_ids(col: list, known: Any = None) -> bool:
+    """Non-empty strings, all in ``known`` when given."""
+    if not _only(col, str):
+        return False
+    ids = set(col)
+    return "" not in ids and (known is None or ids.issubset(known))
+
+
+def _plain_ints(col: list, bound: int | None = None) -> np.ndarray | None:
+    """Plain ints in [0, bound) that fit in int64, as an array."""
+    if not _only(col, int):
+        return None
+    try:
+        ids = np.array(col, dtype=np.int64)
+    except OverflowError:
+        return None
+    if ids.size and (ids.min() < 0 or (bound is not None and ids.max() >= bound)):
+        return None
+    return ids
+
+
+def _plain_reals(col: list) -> np.ndarray | None:
+    """Plain finite floats, as an array."""
+    if not _only(col, float):
+        return None
+    reals = np.array(col, dtype=np.float64)
+    return reals if np.isfinite(reals).all() else None
+
+
+def _plain_segments(starts: list, ends: list) -> np.ndarray | None:
+    """Valid [start, end] segments as an (n, 2) array."""
+    start, end = _plain_reals(starts), _plain_reals(ends)
+    if start is None or end is None:
+        return None
+    if not ((start >= 0) & (start <= end) & (end - start <= HALF_MAX)).all():
+        return None
+    return np.stack((start, end), axis=1)
+
+
+def _plain_boxes(col: list) -> np.ndarray | None:
+    """Valid [x1, y1, x2, y2] boxes as an (n, 4) array."""
+    if not (_only(col, list) and set(map(len, col)) <= {4}):
+        return None
+    boxes = _plain_reals(list(chain.from_iterable(col)))
+    if boxes is None:
+        return None
+    boxes = boxes.reshape(-1, 4)
+    with np.errstate(over="ignore"):  # an overflow is the violation checked for
+        width, height = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
+        ok = (width >= 0) & (height >= 0) & (width <= HALF_MAX) & (height <= HALF_MAX) & (width * height <= HALF_MAX)
+    return boxes if ok.all() else None
+
+
+def _segment_array(rows: list) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
 def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[set[str], dict[str, VideoMeta]]:
@@ -509,10 +724,12 @@ def _video_ref(rec: Mapping[str, Any], where: str, known: set[str] | None, out: 
     return vid
 
 
-def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
-    """Header (videos, num_classes) for ground truth; records keyed by video."""
+def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
+    """Header (videos, num_classes) for ground truth; columns grouped by
+    video, with the class id as label."""
     pred = schema == "mq-pred/1"
     known = num_classes = header = None
+    groups: dict[Any, int] = {}
     if not pred:
         known, videos = _walk_videos(raw, out)
         num_classes = raw.get("num_classes")
@@ -520,8 +737,32 @@ def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[s
             out.append("num_classes: must be an int >= 1")
             num_classes = None
         header = (videos, num_classes)
-    records: list[tuple[Any, Any]] = []
+        groups = {vid: g for g, vid in enumerate(videos)}
+    rows = _scan_mq(raw, pred, known, num_classes) or _loop_mq(raw, schema, pred, known, num_classes, out, extras)
+    if out:
+        return header, None
+    vids, segments, labels, scores = rows
+    return header, _grouped_columns(groups, vids, segments, scores, labels)
+
+
+def _scan_mq(raw: Mapping[str, Any], pred: bool, known: set[str] | None, num_classes: int | None) -> tuple | None:
+    names = ("video_id", "start_s", "end_s", "class_id") + (("score",) if pred else ())
+    cols = _scan(raw, names)
+    if cols is None or not _plain_ids(cols[0], known):
+        return None
+    segments, labels = _plain_segments(cols[1], cols[2]), _plain_ints(cols[3], num_classes)
+    scores = _plain_reals(cols[4]) if pred else np.ones(len(cols[0]))
+    if segments is None or labels is None or scores is None:
+        return None
+    return cols[0], segments, labels, scores
+
+
+def _loop_mq(
+    raw: Mapping[str, Any], schema: str, pred: bool, known: set[str] | None, num_classes: int | None, out: list[str], extras: list[str]
+) -> tuple:
+    vids, segments, labels, scores = [], [], [], []
     for where, rec in _records(raw, schema, out, extras):
+        n = len(out)
         vid = _video_ref(rec, where, known, out)
         segment = _segment(rec, where, out)
         cid = rec.get("class_id")
@@ -529,28 +770,52 @@ def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[s
             out.append(f"{where}: class_id must be an int >= 0")
         elif num_classes is not None and cid >= num_classes:
             out.append(f"{where}: class_id {cid} out of range [0, {num_classes})")
-        score = rec.get("score")
-        if pred and not _finite(score):
+        score = rec.get("score") if pred else 1.0
+        if not _finite(score):
             out.append(f"{where}: score must be a finite real")
-        if out:
-            continue
-        if pred:
-            records.append((vid, _validated(RankedSegment, segment=segment, score=float(score), label=cid)))
-        else:
-            records.append((vid, _validated(MomentInstance, segment=segment, class_id=cid)))
-    return header, records
+        if len(out) == n:
+            vids.append(vid)
+            segments.append(segment)
+            labels.append(cid)
+            scores.append(float(score))
+    return vids, _segment_array(segments), labels, scores
 
 
-def _walk_nlq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
-    """Header videos for ground truth; records keyed by video (ground truth)
-    or by query (predictions)."""
+def _walk_nlq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
+    """Header videos for ground truth; columns grouped by query, with each
+    query's video in ground truth."""
     pred = schema == "nlq-pred/1"
     known = videos = None
     if not pred:
         known, videos = _walk_videos(raw, out)
+    rows = _scan_nlq(raw, pred, known) or _loop_nlq(raw, schema, pred, known, out, extras)
+    if out:
+        return videos, None
+    qids, vids, segments, scores = rows
+    return videos, _grouped_columns({}, qids, segments, scores, video=None if pred else vids)
+
+
+def _scan_nlq(raw: Mapping[str, Any], pred: bool, known: set[str] | None) -> tuple | None:
+    names = ("query_id", "start_s", "end_s") + (("score",) if pred else ("video_id",))
+    cols = _scan(raw, names)
+    if cols is None or not _plain_ids(cols[0]) or not (pred or len(set(cols[0])) == len(cols[0])):
+        return None
+    if not (pred or _plain_ids(cols[3], known)):
+        return None
+    segments = _plain_segments(cols[1], cols[2])
+    scores = _plain_reals(cols[3]) if pred else np.ones(len(cols[0]))
+    if segments is None or scores is None:
+        return None
+    return cols[0], None if pred else cols[3], segments, scores
+
+
+def _loop_nlq(
+    raw: Mapping[str, Any], schema: str, pred: bool, known: set[str] | None, out: list[str], extras: list[str]
+) -> tuple:
     seen_queries: set[str] = set()
-    records: list[tuple[Any, Any]] = []
+    qids, vids, segments, scores = [], [], [], []
     for where, rec in _records(raw, schema, out, extras):
+        n = len(out)
         vid = None if pred else _video_ref(rec, where, known, out)
         segment = _segment(rec, where, out)
         qid = rec.get("query_id")
@@ -560,16 +825,15 @@ def _walk_nlq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
             if qid in seen_queries:
                 out.append(f"{where}: duplicate query_id '{qid}'")
             seen_queries.add(qid)
-        score = rec.get("score")
-        if pred and not _finite(score):
+        score = rec.get("score") if pred else 1.0
+        if not _finite(score):
             out.append(f"{where}: score must be a finite real")
-        if out:
-            continue
-        if pred:
-            records.append((qid, _validated(RankedSegment, segment=segment, score=float(score), label=qid)))
-        else:
-            records.append((vid, _validated(NlqInstance, segment=segment, query_id=qid)))
-    return videos, records
+        if len(out) == n:
+            qids.append(qid)
+            vids.append(vid)
+            segments.append(segment)
+            scores.append(float(score))
+    return qids, vids, _segment_array(segments), scores
 
 
 def _xy(value: Any) -> tuple[float, float] | None:
@@ -833,26 +1097,60 @@ def _walk_images(raw: Mapping[str, Any], out: list[str]) -> dict[str, tuple[int,
     return images
 
 
-def _box(box: Any, where: str, out: list[str]) -> BoundingBox | None:
+def _box(box: Any, where: str, out: list[str]) -> tuple[float, float, float, float] | None:
     if isinstance(box, list) and len(box) == 4:
         x1, y1, x2, y2 = box
         if _finite(x1) and _finite(y1) and _finite(x2) and _finite(y2):
             if x1 > x2 or y1 > y2:
                 out.append(f"{where}: box reversed")
                 return None
-            return _validated(BoundingBox, x1=float(x1), y1=float(y1), x2=float(x2), y2=float(y2))
+            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+            if not _box_fits(x1, y1, x2, y2):
+                out.append(f"{where}: box too large (its doubled width, height or area overflows)")
+                return None
+            return x1, y1, x2, y2
     out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
     return None
 
 
-def _walk_boxes(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
-    """Header images; StaInstance (sta) or Detection (scod) records keyed
-    by keyframe, with score 1.0 in ground truth."""
+def _walk_boxes(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
+    """Header images; columns grouped by keyframe in ``images`` order, with
+    the noun as label, plus verb and TTC for sta, and score 1.0 in ground
+    truth."""
     pred = schema.endswith("-pred/1")
     sta = schema.startswith("sta")
     images = _walk_images(raw, out)
-    records: list[tuple[Any, Any]] = []
+    rows = _scan_boxes(raw, pred, sta, images) or _loop_boxes(raw, schema, pred, sta, images, out, extras)
+    if out:
+        return images, None
+    kids, boxes, nouns, verbs, ttcs, scores = rows
+    groups = {kid: g for g, kid in enumerate(images)}
+    return images, _grouped_columns(groups, kids, boxes, scores, nouns, verbs, ttcs)
+
+
+def _scan_boxes(raw: Mapping[str, Any], pred: bool, sta: bool, images: dict[str, Any]) -> tuple | None:
+    names = ("keyframe_id", "box", "noun") + (("verb", "ttc_s") if sta else ()) + (("score",) if pred else ())
+    cols = _scan(raw, names)
+    if cols is None or not _plain_ids(cols[0], images):
+        return None
+    boxes, nouns = _plain_boxes(cols[1]), _plain_ints(cols[2])
+    verbs = ttcs = None
+    if sta:
+        verbs, ttcs = _plain_ints(cols[3]), _plain_reals(cols[4])
+        if verbs is None or ttcs is None or not (ttcs > 0).all():
+            return None
+    scores = _plain_reals(cols[-1]) if pred else np.ones(len(cols[0]))
+    if boxes is None or nouns is None or scores is None:
+        return None
+    return cols[0], boxes, nouns, verbs, ttcs, scores
+
+
+def _loop_boxes(
+    raw: Mapping[str, Any], schema: str, pred: bool, sta: bool, images: dict[str, Any], out: list[str], extras: list[str]
+) -> tuple:
+    kids, boxes, nouns, verbs, ttcs, scores = [], [], [], [], [], []
     for where, rec in _records(raw, schema, out, extras):
+        n = len(out)
         kid = rec.get("keyframe_id")
         if not isinstance(kid, str) or kid == "":
             out.append(f"{where}: keyframe_id must be a non-empty string")
@@ -871,35 +1169,37 @@ def _walk_boxes(raw: Mapping[str, Any], schema: str, out: list[str], extras: lis
         score = rec.get("score") if pred else 1.0
         if not _finite(score):
             out.append(f"{where}: score must be a finite real")
-        if out:
-            continue
-        if sta:
-            inst = _validated(StaInstance, box=box, noun_id=noun, verb_id=verb, ttc_s=float(ttc), score=float(score))
-        else:
-            inst = _validated(Detection, box=box, class_id=noun, score=float(score))
-        records.append((kid, inst))
-    return images, records
+        if len(out) == n:
+            kids.append(kid)
+            boxes.append(box)
+            nouns.append(noun)
+            if sta:
+                verbs.append(verb)
+                ttcs.append(float(ttc))
+            scores.append(float(score))
+    box_array = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    return kids, box_array, nouns, verbs if sta else None, ttcs if sta else None, scores
 
 
 # One walker per track serves its ground-truth and prediction schemas.
 _WALKERS = {"mq": _walk_mq, "nlq": _walk_nlq, "fhp": _walk_fhp, "lta": _walk_lta, "sta": _walk_boxes, "scod": _walk_boxes}
 
 
-def _walk(raw: Any) -> tuple[list[str], list[str], Any, list[tuple[Any, Any]]]:
+def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
     Returns the violations, the unknown keys, the file-level part and the
-    records as (group key, typed record) pairs, in file order. The last two
-    are complete only when there are no violations. The input is never
-    mutated.
+    records: Columns for the mq, nlq, sta and scod schemas, (group key,
+    typed record) pairs in file order for fhp and lta. The last two are
+    complete only when there are no violations. The input is never mutated.
     """
     if not _is_object(raw):
-        return ["top level: not an object"], [], None, []
+        return ["top level: not an object"], [], None, None
     schema = raw.get("schema")
     if not isinstance(schema, str):
-        return ["schema: missing or not a string"], [], None, []
+        return ["schema: missing or not a string"], [], None, None
     if schema not in _TOP_KEYS:
-        return [f"schema: unknown schema '{schema}'"], [], None, []
+        return [f"schema: unknown schema '{schema}'"], [], None, None
     out: list[str] = []
     extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
     walker = _WALKERS[schema.split("/")[0].removesuffix("-pred")]

@@ -29,6 +29,7 @@ from .model import (
     StaInstance,
     TemporalSegment,
     VideoMeta,
+    _finite,
     _require,
 )
 
@@ -40,6 +41,13 @@ _SEC_VIDEOS, _SEC_MQ, _SEC_NLQ, _SEC_FHP, _SEC_LTA, _SEC_STA, _SEC_SCOD = range(
 
 # SynthConfig fields that size loops and arrays, so they must be ints.
 _COUNT_FIELDS = ("num_videos", "mq_num_classes", "nlq_queries_per_video", "z", "c_v", "c_n", "k", "feature_dim", "sta_keyframes_per_video")
+
+# Real-valued SynthConfig fields, and the largest magnitude they (and the
+# resolution, and the clips per video) may take: the generator multiplies,
+# subtracts and counts with them, and larger values overflow that
+# arithmetic or make it loop for ages.
+_REAL_FIELDS = ("min_video_len_s", "max_video_len_s", "fps", "clip_len_s", "hand_noise_px", "label_strength")
+MAX_CONFIG_VALUE = 1e6
 
 
 @dataclass(frozen=True)
@@ -69,18 +77,29 @@ class SynthConfig:
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
             _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an int, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            _require(
+                _finite(value) and abs(value) <= MAX_CONFIG_VALUE,
+                f"{name} must be a finite real of magnitude at most {MAX_CONFIG_VALUE:g}",
+            )
         _require(self.num_videos >= 1, "num_videos must be >= 1")
         _require(self.min_video_len_s > 0, "min_video_len_s must be positive")
         _require(self.max_video_len_s >= self.min_video_len_s, "video length range reversed")
         _require(self.fps > 0, "fps must be positive")
         w, h = self.resolution
         _require(w >= 640 and h >= 480, "resolution too small for the box generator")
+        _require(w <= MAX_CONFIG_VALUE and h <= MAX_CONFIG_VALUE, f"resolution sides must be at most {MAX_CONFIG_VALUE:g}")
         _require(self.mq_num_classes >= 1, "mq_num_classes must be >= 1")
         _require(self.nlq_queries_per_video >= 1, "nlq_queries_per_video must be >= 1")
         for name in ("z", "c_v", "c_n", "k"):
             _require(getattr(self, name) >= 1, f"{name} must be >= 1")
         _require(self.c_v * self.c_n >= 2, "need at least two (verb, noun) combinations")
         _require(self.clip_len_s > 0, "clip_len_s must be positive")
+        _require(
+            self.max_video_len_s <= MAX_CONFIG_VALUE * self.clip_len_s,
+            f"videos may hold at most {MAX_CONFIG_VALUE:g} clips of clip_len_s",
+        )
         _require(self.hand_noise_px >= 0, "hand_noise_px must be >= 0")
         _require(self.label_strength >= 0, "label_strength must be >= 0")
         _require(self.feature_dim >= 8, "feature_dim must be >= 8")

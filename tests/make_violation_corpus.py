@@ -8,7 +8,8 @@ The corpus holds one small valid tree per loader (the trees of
 ``test_validated_loading``, cut to a few records) and a seeded list of
 edits to them: every mutation of ``test_validated_loading._mutations`` on
 the first record of every list, plus huge ints, negative zero, extra keys
-and random combinations of up to three edits anywhere in the tree. For each
+and random combinations of up to three edits anywhere in the tree, and
+last the first record's segment or box at the overflow bound. For each
 edited tree it freezes what ``validate_dataset`` and ``unknown_keys`` return
 and what the loader does: the error it raises, the warnings it gives, and a
 fingerprint of the records it builds. ``test_violation_corpus.py`` replays
@@ -199,13 +200,41 @@ def edit_lists(base: Any, rng: random.Random) -> list[list[list[Any]]]:
     return out
 
 
+# Geometry at the overflow bound: a segment length, box width, height or
+# area may be at most HALF_MAX, so that twice it is finite.
+HALF_MAX = sys.float_info.max / 2
+OVER_HALF_MAX = float(np.nextafter(HALF_MAX, np.inf))
+SEGMENTS = [(0.0, 1e308), (0.0, HALF_MAX), (0.0, OVER_HALF_MAX), (1.0, OVER_HALF_MAX)]
+BOXES = [
+    [0.0, 0.0, 1e200, 1e200],
+    [-1e308, 0.0, 1e308, 1.0],
+    [0.0, 0.0, 1.0, HALF_MAX],
+    [0.0, 0.0, 1.0, OVER_HALF_MAX],
+    [0.0, 0.0, 2.0, HALF_MAX],
+]
+
+
+def overflow_edits(base: Any) -> list[list[list[Any]]]:
+    """Segments and boxes of the first record at the overflow bound."""
+    rec = base["instances"][0]
+    if "box" in rec:
+        return [[[["instances", 0, "box"], box]] for box in BOXES]
+    if "start_s" in rec:
+        return [[[["instances", 0, "start_s"], a], [["instances", 0, "end_s"], b]] for a, b in SEGMENTS]
+    return []
+
+
 def main() -> int:
     rng = random.Random(SEED)
     bases = base_trees()
     cases, seen = [], set()
+    # The overflow cases were added after the first corpus, so they come
+    # last and leave the earlier cases as they were.
+    runs = [(name, edit_lists(bases[name], rng)) for name in sorted(bases)]
+    runs += [(name, overflow_edits(bases[name])) for name in sorted(bases)]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(bases):
-            for edits in edit_lists(bases[name], rng):
+        for name, edit_list in runs:
+            for edits in edit_list:
                 tree = replay(bases[name], edits)
                 key = json.dumps([name, tree])
                 if key not in seen:  # several edits can give the same tree

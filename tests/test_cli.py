@@ -669,3 +669,78 @@ class TestThreadEnvValidation:
         monkeypatch.setenv("EGOFORGE_THREADS", "0")
         assert cli.main(["report"]) == 2
         assert "EGOFORGE_THREADS" in capsys.readouterr().err
+
+
+class TestOverflowingGeometry:
+    """A box or segment whose union in an IoU would overflow is rejected with
+    one line, rather than scored as NaN or 0 with numpy warnings."""
+
+    @staticmethod
+    def _boxes(tmp_path, track, box):
+        for kind in ("gt", "pred"):
+            rec = {"keyframe_id": "k", "box": box, "noun": 0}
+            if track == "sta":
+                rec.update(verb=0, ttc_s=1.0)
+            if kind == "pred":
+                rec["score"] = 0.9
+            schema = f"{track}-pred/1" if kind == "pred" else f"{track}/1"
+            tree = {"schema": schema, "images": [{"keyframe_id": "k", "width": 10, "height": 10}], "instances": [rec]}
+            (tmp_path / f"{kind}.json").write_text(json.dumps(tree), encoding="utf-8")
+        return ["eval", track, "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+
+    @pytest.mark.parametrize("track", ["sta", "scod"])
+    @pytest.mark.parametrize("box", [[0.0, 0.0, 1e200, 1e200], [-1e308, 0.0, 1e308, 1.0]])
+    def test_box_too_large_is_one_line(self, tmp_path, capsys, track, box):
+        assert cli.main(self._boxes(tmp_path, track, box)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {tmp_path / 'gt.json'}: instances[0]: box too large (its doubled width, height or area overflows)"
+        ]
+
+    @pytest.mark.parametrize("track", ["sta", "scod"])
+    def test_large_finite_boxes_still_score(self, tmp_path, capsys, track):
+        # Area 1e300: large, but twice it is finite.
+        assert cli.main(self._boxes(tmp_path, track, [0.0, 0.0, 1e150, 1e150]) + ["--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert all(r["value"] == 1.0 for r in json.loads(captured.out)["reports"])
+
+    def test_far_apart_boxes_fuse_without_warnings(self, tmp_path, capsys):
+        # Their overlap, min(x2) - max(x1), overflows to -inf and clips to 0.
+        paths = []
+        for i, box in enumerate(([1e308] * 4, [-1e308] * 4, [-1e308, 0.0, -1e308, 5e307])):
+            rec = {"keyframe_id": "k", "box": box, "noun": 0, "verb": 0, "ttc_s": 1.0, "score": 0.9 - i / 10}
+            tree = {"schema": "sta-pred/1", "images": [{"keyframe_id": "k", "width": 10, "height": 10}], "instances": [rec]}
+            paths.append(tmp_path / f"sta_{i}.json")
+            paths[-1].write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "fused.json"
+        assert cli.main(["fuse", "sta", "--pred", *map(str, paths), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sum(len(v) for v in fileio.load_sta_pred(out).instances.values()) == 3
+
+    def test_segment_too_long_is_one_line(self, tmp_path, capsys):
+        rec = {"video_id": "v", "start_s": 0.0, "end_s": 1e308, "class_id": 0}
+        gt = {"schema": "mq/1", "num_classes": 1, "videos": [{"video_id": "v", "num_frames": 1, "fps": 1.0}], "instances": [rec]}
+        pred = {"schema": "mq-pred/1", "instances": [{**rec, "score": 1.0}]}
+        (tmp_path / "gt.json").write_text(json.dumps(gt), encoding="utf-8")
+        (tmp_path / "pred.json").write_text(json.dumps(pred), encoding="utf-8")
+        assert cli.main(["eval", "mq", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'gt.json'}: instances[0]: segment too long (its doubled length overflows)"
+        ]
+
+
+class TestTrainConfigOverflow:
+    @pytest.mark.parametrize("value", ["1e308", str(10**401)])
+    def test_huge_video_length_is_one_line(self, dataset_dir, tmp_path, capsys, value):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw["max_video_len_s"] = 0  # placeholder, replaced in the text below
+        text = json.dumps(raw).replace('"max_video_len_s": 0', f'"max_video_len_s": {value}')
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        rc = cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: max_video_len_s must be a finite real of magnitude at most 1e+06"
+        ]

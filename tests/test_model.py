@@ -314,3 +314,23 @@ class TestProbabilityRows:
         ok = len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)
         expected = [] if ok and abs(sum(row) - 1.0) <= 1e-6 else [self.SUM] if ok else [self.BAD]
         assert self._violations(row) == expected
+
+
+class TestOverflowingGeometry:
+    def test_segment_whose_doubled_length_overflows(self):
+        from egoforge.model import HALF_MAX
+
+        TemporalSegment(0.0, HALF_MAX)
+        with pytest.raises(ValueError, match="segment too long"):
+            TemporalSegment(0.0, 1e308)
+
+    @pytest.mark.parametrize("box", [(0.0, 0.0, 1e200, 1e200), (-1e308, 0.0, 1e308, 1.0), (0.0, -1e308, 1.0, 1e308)])
+    def test_box_whose_doubled_area_or_side_overflows(self, box):
+        with pytest.raises(ValueError, match="box too large"):
+            BoundingBox(*box)
+
+    def test_box_at_the_bound(self):
+        from egoforge.model import HALF_MAX
+
+        BoundingBox(0.0, 0.0, 1.0, HALF_MAX)
+        BoundingBox(0.0, 0.0, 1e150, 1e150)
