@@ -14,11 +14,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fusion import VoteConfig, multi_clips_vote, top_k_sequences
-from .heads import LinearHead, SgdConfig, classifier_probs, head_forward, joint_targets, new_head, train_head
+from .heads import LinearHead, SgdConfig, classifier_probs, joint_targets, new_head, train_head
 from .metrics import ED_MODES, edit_distance_at_z
-from .model import FeatureMatrix, HandKeyframes, LtaForecast, ScoreMatrix, TemporalSegment, _require
+from .model import FeatureMatrix, LtaForecast, ScoreMatrix, TemporalSegment, _require
 from .snippets import frame_span, observable_window, prefuse_features, sliding_clips
-from .synth import SynthDataset, fhp_target_vector, stub_features, vector_to_keyframes
+from .synth import SynthDataset, fhp_target_vector, stub_features
 
 DEFAULT_ALPHAS = (2.0, 4.0, 8.0, 16.0)
 DEFAULT_CLIP_LEN_S = 2.0
@@ -185,9 +185,3 @@ def train_hand_regressor(
     inputs, targets = hand_training_set(ds, video_ids)
     head = new_head("regression_20", in_dim=2 * ds.config.feature_dim, seed=seed)
     return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs, seed=seed)
-
-
-def predict_keyframes(ds: SynthDataset, head: LinearHead, video_id: str) -> HandKeyframes:
-    """Run the hand regressor and unpack its output to keyframes."""
-    vec = head_forward(head, hand_feature(ds, video_id))
-    return vector_to_keyframes(vec, ds.config.resolution)

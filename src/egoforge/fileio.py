@@ -19,6 +19,11 @@ that builds the records from the columns through ``model._validated``.
 For fhp and lta the walk builds the typed records itself. ``LtaForecast``
 and ``ScoreMatrix``, a few hundred per file, keep their checked
 constructors.
+
+The savers of those four tracks share one writer, ``_save_ranked``: it
+turns typed records into columns with ``metrics._columns`` and writes the
+header and each record's keys in the order of the schema's field spec,
+``model._RANKED``, the spec the walk checks files against.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import gc
 import json
 import struct
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -35,7 +40,7 @@ import numpy as np
 
 from .errors import DataError, SchemaError
 from .heads import LinearHead
-from .metrics import MetricReport
+from .metrics import MetricReport, _columns
 from .model import (
     ActionLabel,
     BoundingBox,
@@ -52,6 +57,7 @@ from .model import (
     StaInstance,
     TemporalSegment,
     VideoMeta,
+    _RANKED,
     _resolution,
     _validated,
     _walk,
@@ -130,6 +136,27 @@ def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
         raise DataError(f"unknown {what}: {missing[:5]}" + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"))
 
 
+def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) -> None:
+    """Write ``cols`` as a ``schema`` file: the header in the spec's order,
+    then one record per row, its keys in the spec's file order."""
+    spec = _RANKED[schema]
+    values: dict[str, Any] = {}
+    for key, kind, column in spec.fields:
+        if column == "group":
+            values[key] = [cols.groups[g] for g in cols.code.tolist()]
+        elif kind == "segment":
+            values["start_s"], values["end_s"] = cols.coords.T.tolist()
+        elif column == "video":
+            values[key] = cols.video
+        elif getattr(cols, column) is None:  # a label that is not an int, or a record without the field
+            raise ValueError(f"{schema}: a record has no valid '{key}'")
+        else:
+            values[key] = getattr(cols, column).tolist()
+    keys = spec.keys
+    instances = [dict(zip(keys, row)) for row in zip(*(values[key] for key in keys))]
+    _write_json(path, {"schema": schema, **{key: header[key] for key in spec.header}, "instances": instances})
+
+
 # ---------------------------------------------------------------------------
 # Moment queries.
 # ---------------------------------------------------------------------------
@@ -145,10 +172,7 @@ class MqGt:
 
 
 def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
-    return [
-        {"video_id": v.video_id, "num_frames": v.num_frames, "fps": v.fps}
-        for v in videos.values()
-    ]
+    return [{"video_id": v.video_id, "num_frames": v.num_frames, "fps": v.fps} for v in videos.values()]
 
 
 def load_mq_gt(path: str | Path, *, columns: bool = False) -> MqGt | Columns:
@@ -164,24 +188,7 @@ def load_mq_gt(path: str | Path, *, columns: bool = False) -> MqGt | Columns:
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "mq/1",
-            "num_classes": gt.num_classes,
-            "videos": _videos_to_raw(gt.videos),
-            "instances": [
-                {
-                    "video_id": vid,
-                    "start_s": m.segment.start_s,
-                    "end_s": m.segment.end_s,
-                    "class_id": m.class_id,
-                }
-                for vid, items in gt.instances.items()
-                for m in items
-            ],
-        },
-    )
+    _save_ranked(path, "mq/1", _columns(gt.instances, 2), num_classes=gt.num_classes, videos=_videos_to_raw(gt.videos))
 
 
 def load_mq_pred(
@@ -196,23 +203,7 @@ def load_mq_pred(
 
 
 def save_mq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "mq-pred/1",
-            "instances": [
-                {
-                    "video_id": vid,
-                    "start_s": p.segment.start_s,
-                    "end_s": p.segment.end_s,
-                    "class_id": p.label,
-                    "score": p.score,
-                }
-                for vid, items in preds.items()
-                for p in items
-            ],
-        },
-    )
+    _save_ranked(path, "mq-pred/1", _columns(preds, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +235,9 @@ def load_nlq_gt(path: str | Path, *, columns: bool = False) -> NlqGt | Columns:
 
 
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "nlq/1",
-            "videos": _videos_to_raw(gt.videos),
-            "instances": [
-                {
-                    "video_id": gt.video_of[qid],
-                    "start_s": q.segment.start_s,
-                    "end_s": q.segment.end_s,
-                    "query_id": qid,
-                }
-                for qid, q in gt.queries.items()
-            ],
-        },
-    )
+    cols = _columns({qid: [q] for qid, q in gt.queries.items()}, 2)
+    cols = replace(cols, video=tuple(gt.video_of[qid] for qid in cols))
+    _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw(gt.videos))
 
 
 def load_nlq_pred(
@@ -274,22 +252,7 @@ def load_nlq_pred(
 
 
 def save_nlq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "nlq-pred/1",
-            "instances": [
-                {
-                    "query_id": qid,
-                    "start_s": p.segment.start_s,
-                    "end_s": p.segment.end_s,
-                    "score": p.score,
-                }
-                for qid, items in preds.items()
-                for p in items
-            ],
-        },
-    )
+    _save_ranked(path, "nlq-pred/1", _columns(preds, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +442,7 @@ class ScodGt:
 
 
 def _images_to_raw(images: Mapping[str, tuple[int, int]]) -> list[dict]:
-    return [
-        {"keyframe_id": kid, "width": wh[0], "height": wh[1]} for kid, wh in images.items()
-    ]
-
-
-def _box_to_raw(box: BoundingBox) -> list[float]:
-    return [box.x1, box.y1, box.x2, box.y2]
+    return [{"keyframe_id": kid, "width": wh[0], "height": wh[1]} for kid, wh in images.items()]
 
 
 def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | None, columns: bool) -> Any:
@@ -516,29 +473,12 @@ def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None, *
     return _load_boxes(path, "sta-pred/1", known_frames, columns)
 
 
-def _save_boxes(path: str | Path, schema: str, data: StaGt | ScodGt) -> None:
-    """Anticipation fields for sta schemas, a score for prediction schemas."""
-    sta, scored = schema.startswith("sta"), schema.endswith("-pred/1")
-    instances = []
-    for kid, items in data.instances.items():
-        for inst in items:
-            rec: dict[str, Any] = {"keyframe_id": kid, "box": _box_to_raw(inst.box)}
-            if sta:
-                rec.update(noun=inst.noun_id, verb=inst.verb_id, ttc_s=inst.ttc_s)
-            else:
-                rec["noun"] = inst.class_id
-            if scored:
-                rec["score"] = inst.score
-            instances.append(rec)
-    _write_json(path, {"schema": schema, "images": _images_to_raw(data.images), "instances": instances})
-
-
 def save_sta_gt(path: str | Path, gt: StaGt) -> None:
-    _save_boxes(path, "sta/1", gt)
+    _save_ranked(path, "sta/1", _columns(gt.instances, 4), images=_images_to_raw(gt.images))
 
 
 def save_sta_pred(path: str | Path, pred: StaGt) -> None:
-    _save_boxes(path, "sta-pred/1", pred)
+    _save_ranked(path, "sta-pred/1", _columns(pred.instances, 4), images=_images_to_raw(pred.images))
 
 
 def load_scod_gt(path: str | Path, *, columns: bool = False) -> ScodGt | Columns:
@@ -555,11 +495,11 @@ def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None, 
 
 
 def save_scod_gt(path: str | Path, gt: ScodGt) -> None:
-    _save_boxes(path, "scod/1", gt)
+    _save_ranked(path, "scod/1", _columns(gt.instances, 4), images=_images_to_raw(gt.images))
 
 
 def save_scod_pred(path: str | Path, pred: ScodGt) -> None:
-    _save_boxes(path, "scod-pred/1", pred)
+    _save_ranked(path, "scod-pred/1", _columns(pred.instances, 4), images=_images_to_raw(pred.images))
 
 
 # ---------------------------------------------------------------------------

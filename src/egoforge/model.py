@@ -10,13 +10,14 @@ raising so that a loader can surface every problem in a file at once, and
 it notes keys the schema does not know. The records of the ranked schemas
 (mq, nlq, sta, scod) come back as ``Columns``: group codes in the loader's
 group order, int ids, float64 scores and TTCs, (n, 2) segments or (n, 4)
-boxes. Such a file is checked a column at a time; one the column scan does
-not accept goes through the per-record loop, which keeps every message and
-its order. Loaders build typed records from the columns, and fhp and lta
-records in the walk itself, with ``_validated``, which does not re-run the
-constructor checks, so the walk must cover every constructor invariant of
-the types loaded. ``validate_dataset`` and ``unknown_keys`` are its public
-views.
+boxes. One field spec per ranked schema, in ``_RANKED``, drives their walk,
+their allowed keys and the savers' key order. Such a file is checked a
+column at a time; one the column scan does not accept goes through the
+per-record loop, which keeps every message and its order. Loaders build
+typed records from the columns, and fhp and lta records in the walk itself,
+with ``_validated``, which does not re-run the constructor checks, so the
+walk must cover every constructor invariant of the types loaded.
+``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
 height or area is finite (``HALF_MAX``), so every IoU union is finite.
@@ -522,46 +523,87 @@ def _grouped_columns(
 # the cross-field rules (vocabulary ranges, duplicate keys) that single
 # values cannot see.
 #
-# A ranked file is first checked a column at a time (_scan and the _plain_*
+# Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
+# _RANKED, which drives the column scan, the per-record loop and the allowed
+# keys here, and the savers' key order in fileio. A ranked file is first
+# checked a column at a time (_scan_ranked, with _scan and the _plain_*
 # checks): plain dicts that hold exactly the schema's keys, exact types
 # (plain floats for reals, plain ints for ids), set membership for ids and
 # vectorised range and order checks. The scan accepts only files in which
 # the per-record loop would find nothing, and gives the same columns. Any
 # other file (a violation, an unknown key, an int-valued real, a bool, an
-# id beyond int64) goes through the per-record loop, which writes every
-# message in its order and, on a valid file, fills the columns.
+# id beyond int64) goes through the per-record loop (_loop_ranked), which
+# writes every message in its order and, on a valid file, fills the columns.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Ranked:
+    """The layout of one ranked schema: mq, nlq, sta or scod, ground truth
+    or predictions.
+
+    ``header`` holds the top-level keys besides ``schema`` and ``instances``
+    in file order: ``videos`` (with ``num_classes`` for mq ground truth),
+    ``images``, or none. ``fields`` holds each record field as (key, kind,
+    column), in the order the per-record loop checks it. The kinds:
+
+    - ``id``: a non-empty string; ``listed``: one the header lists;
+      ``unique``: one no other record has;
+    - ``segment``: the ``start_s``, ``end_s`` pair; ``box``: [x1, y1, x2, y2];
+    - ``int``: >= 0, and below the header's ``num_classes`` where it has one;
+    - ``real``: finite; ``positive``: finite and > 0.
+
+    The column is the ``Columns`` field the values fill, or ``group`` for
+    the field that groups the rows. ``order`` gives the record keys in file
+    order where that is not the check order.
+    """
+
+    header: tuple[str, ...]
+    fields: tuple[tuple[str, str, str], ...]
+    order: tuple[str, ...] = ()
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The record keys in file order."""
+        pairs = (("start_s", "end_s") if kind == "segment" else (key,) for key, kind, _ in self.fields)
+        return self.order or tuple(chain.from_iterable(pairs))
+
+
+_SEGMENT = ("segment", "segment", "coords")
+_CLASS = ("class_id", "int", "label")
+_SCORE = ("score", "real", "score")
+_SCOD = (("keyframe_id", "listed", "group"), ("box", "box", "coords"), ("noun", "int", "label"))
+_STA = _SCOD + (("verb", "int", "verb"), ("ttc_s", "positive", "ttc"))
+
+_RANKED: dict[str, _Ranked] = {
+    "mq/1": _Ranked(("num_classes", "videos"), (("video_id", "listed", "group"), _SEGMENT, _CLASS)),
+    "mq-pred/1": _Ranked((), (("video_id", "id", "group"), _SEGMENT, _CLASS, _SCORE)),
+    "nlq/1": _Ranked(("videos",), (("video_id", "listed", "video"), _SEGMENT, ("query_id", "unique", "group"))),
+    # Files write the query id first; the loop checks it after the segment.
+    "nlq-pred/1": _Ranked((), (_SEGMENT, ("query_id", "id", "group"), _SCORE),
+                          ("query_id", "start_s", "end_s", "score")),
+    "sta/1": _Ranked(("images",), _STA),
+    "sta-pred/1": _Ranked(("images",), _STA + (_SCORE,)),
+    "scod/1": _Ranked(("images",), _SCOD),
+    "scod-pred/1": _Ranked(("images",), _SCOD + (_SCORE,)),
+}
 
 # Allowed top-level and per-record keys; any other key is reported as
 # unknown, which loaders turn into warnings.
 _TOP_KEYS: dict[str, set[str]] = {
-    "mq/1": {"schema", "num_classes", "videos", "instances"},
-    "mq-pred/1": {"schema", "instances"},
-    "nlq/1": {"schema", "videos", "instances"},
-    "nlq-pred/1": {"schema", "instances"},
     "fhp/1": {"schema", "resolution", "instances"},
     "fhp-pred/1": {"schema", "instances"},
     "lta/1": {"schema", "config", "instances"},
     "lta-pred/1": {"schema", "config", "instances"},
-    "sta/1": {"schema", "images", "instances"},
-    "sta-pred/1": {"schema", "images", "instances"},
-    "scod/1": {"schema", "images", "instances"},
-    "scod-pred/1": {"schema", "images", "instances"},
+    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()},
 }
 
 _INSTANCE_KEYS: dict[str, set[str]] = {
-    "mq/1": {"video_id", "start_s", "end_s", "class_id"},
-    "mq-pred/1": {"video_id", "start_s", "end_s", "class_id", "score"},
-    "nlq/1": {"video_id", "start_s", "end_s", "query_id"},
-    "nlq-pred/1": {"query_id", "start_s", "end_s", "score"},
     "fhp/1": {"video_id", "keyframes"},
     "fhp-pred/1": {"video_id", "keyframes"},
     "lta/1": {"video_id", "clip_index", "sequence"},
     "lta-pred/1": {"video_id", "clip_index", "clip", "candidates", "score_matrix"},
-    "sta/1": {"keyframe_id", "box", "noun", "verb", "ttc_s"},
-    "sta-pred/1": {"keyframe_id", "box", "noun", "verb", "ttc_s", "score"},
-    "scod/1": {"keyframe_id", "box", "noun"},
-    "scod-pred/1": {"keyframe_id", "box", "noun", "score"},
+    **{schema: set(spec.keys) for schema, spec in _RANKED.items()},
 }
 
 
@@ -680,13 +722,9 @@ def _plain_boxes(col: list) -> np.ndarray | None:
     return boxes if ok.all() else None
 
 
-def _segment_array(rows: list) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-
-def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[set[str], dict[str, VideoMeta]]:
-    """The ids of the well-formed entries, and the videos of a clean list."""
-    ids: set[str] = set()
+def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[dict[str, None], dict[str, VideoMeta]]:
+    """The well-formed ids in list order, and the videos of a clean list."""
+    ids: dict[str, None] = {}
     videos: dict[str, VideoMeta] = {}
     listed = raw.get("videos")
     if not isinstance(listed, list):
@@ -703,7 +741,7 @@ def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[set[str], dict
         elif vid in ids:
             out.append(f"{where}: duplicate video_id '{vid}'")
         else:
-            ids.add(vid)
+            ids[vid] = None
         nf = v.get("num_frames")
         if not _is_int(nf) or nf < 0:
             out.append(f"{where}: num_frames must be an int >= 0")
@@ -713,127 +751,6 @@ def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[set[str], dict
         if not out:
             videos[vid] = _validated(VideoMeta, video_id=vid, num_frames=nf, fps=float(fps))
     return ids, videos
-
-
-def _video_ref(rec: Mapping[str, Any], where: str, known: set[str] | None, out: list[str]) -> Any:
-    vid = rec.get("video_id")
-    if not isinstance(vid, str) or vid == "":
-        out.append(f"{where}: video_id must be a non-empty string")
-    elif known is not None and vid not in known:
-        out.append(f"{where}: unknown video_id '{vid}'")
-    return vid
-
-
-def _walk_mq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """Header (videos, num_classes) for ground truth; columns grouped by
-    video, with the class id as label."""
-    pred = schema == "mq-pred/1"
-    known = num_classes = header = None
-    groups: dict[Any, int] = {}
-    if not pred:
-        known, videos = _walk_videos(raw, out)
-        num_classes = raw.get("num_classes")
-        if not _is_int(num_classes) or num_classes < 1:
-            out.append("num_classes: must be an int >= 1")
-            num_classes = None
-        header = (videos, num_classes)
-        groups = {vid: g for g, vid in enumerate(videos)}
-    rows = _scan_mq(raw, pred, known, num_classes) or _loop_mq(raw, schema, pred, known, num_classes, out, extras)
-    if out:
-        return header, None
-    vids, segments, labels, scores = rows
-    return header, _grouped_columns(groups, vids, segments, scores, labels)
-
-
-def _scan_mq(raw: Mapping[str, Any], pred: bool, known: set[str] | None, num_classes: int | None) -> tuple | None:
-    names = ("video_id", "start_s", "end_s", "class_id") + (("score",) if pred else ())
-    cols = _scan(raw, names)
-    if cols is None or not _plain_ids(cols[0], known):
-        return None
-    segments, labels = _plain_segments(cols[1], cols[2]), _plain_ints(cols[3], num_classes)
-    scores = _plain_reals(cols[4]) if pred else np.ones(len(cols[0]))
-    if segments is None or labels is None or scores is None:
-        return None
-    return cols[0], segments, labels, scores
-
-
-def _loop_mq(
-    raw: Mapping[str, Any], schema: str, pred: bool, known: set[str] | None, num_classes: int | None, out: list[str], extras: list[str]
-) -> tuple:
-    vids, segments, labels, scores = [], [], [], []
-    for where, rec in _records(raw, schema, out, extras):
-        n = len(out)
-        vid = _video_ref(rec, where, known, out)
-        segment = _segment(rec, where, out)
-        cid = rec.get("class_id")
-        if not _is_int(cid) or cid < 0:
-            out.append(f"{where}: class_id must be an int >= 0")
-        elif num_classes is not None and cid >= num_classes:
-            out.append(f"{where}: class_id {cid} out of range [0, {num_classes})")
-        score = rec.get("score") if pred else 1.0
-        if not _finite(score):
-            out.append(f"{where}: score must be a finite real")
-        if len(out) == n:
-            vids.append(vid)
-            segments.append(segment)
-            labels.append(cid)
-            scores.append(float(score))
-    return vids, _segment_array(segments), labels, scores
-
-
-def _walk_nlq(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """Header videos for ground truth; columns grouped by query, with each
-    query's video in ground truth."""
-    pred = schema == "nlq-pred/1"
-    known = videos = None
-    if not pred:
-        known, videos = _walk_videos(raw, out)
-    rows = _scan_nlq(raw, pred, known) or _loop_nlq(raw, schema, pred, known, out, extras)
-    if out:
-        return videos, None
-    qids, vids, segments, scores = rows
-    return videos, _grouped_columns({}, qids, segments, scores, video=None if pred else vids)
-
-
-def _scan_nlq(raw: Mapping[str, Any], pred: bool, known: set[str] | None) -> tuple | None:
-    names = ("query_id", "start_s", "end_s") + (("score",) if pred else ("video_id",))
-    cols = _scan(raw, names)
-    if cols is None or not _plain_ids(cols[0]) or not (pred or len(set(cols[0])) == len(cols[0])):
-        return None
-    if not (pred or _plain_ids(cols[3], known)):
-        return None
-    segments = _plain_segments(cols[1], cols[2])
-    scores = _plain_reals(cols[3]) if pred else np.ones(len(cols[0]))
-    if segments is None or scores is None:
-        return None
-    return cols[0], None if pred else cols[3], segments, scores
-
-
-def _loop_nlq(
-    raw: Mapping[str, Any], schema: str, pred: bool, known: set[str] | None, out: list[str], extras: list[str]
-) -> tuple:
-    seen_queries: set[str] = set()
-    qids, vids, segments, scores = [], [], [], []
-    for where, rec in _records(raw, schema, out, extras):
-        n = len(out)
-        vid = None if pred else _video_ref(rec, where, known, out)
-        segment = _segment(rec, where, out)
-        qid = rec.get("query_id")
-        if not isinstance(qid, str) or qid == "":
-            out.append(f"{where}: query_id must be a non-empty string")
-        elif not pred:
-            if qid in seen_queries:
-                out.append(f"{where}: duplicate query_id '{qid}'")
-            seen_queries.add(qid)
-        score = rec.get("score") if pred else 1.0
-        if not _finite(score):
-            out.append(f"{where}: score must be a finite real")
-        if len(out) == n:
-            qids.append(qid)
-            vids.append(vid)
-            segments.append(segment)
-            scores.append(float(score))
-    return qids, vids, _segment_array(segments), scores
 
 
 def _xy(value: Any) -> tuple[float, float] | None:
@@ -1113,76 +1030,116 @@ def _box(box: Any, where: str, out: list[str]) -> tuple[float, float, float, flo
     return None
 
 
-def _walk_boxes(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """Header images; columns grouped by keyframe in ``images`` order, with
-    the noun as label, plus verb and TTC for sta, and score 1.0 in ground
-    truth."""
-    pred = schema.endswith("-pred/1")
-    sta = schema.startswith("sta")
-    images = _walk_images(raw, out)
-    rows = _scan_boxes(raw, pred, sta, images) or _loop_boxes(raw, schema, pred, sta, images, out, extras)
-    if out:
-        return images, None
-    kids, boxes, nouns, verbs, ttcs, scores = rows
-    groups = {kid: g for g, kid in enumerate(images)}
-    return images, _grouped_columns(groups, kids, boxes, scores, nouns, verbs, ttcs)
+def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, Any, int | None]:
+    """The header as the loaders take it, the ids records may name (in list
+    order) and the class bound."""
+    if header == ("images",):
+        images = _walk_images(raw, out)
+        return images, images, None
+    if not header:
+        return None, None, None
+    ids, videos = _walk_videos(raw, out)
+    if "num_classes" not in header:
+        return videos, ids, None
+    num_classes = raw.get("num_classes")
+    if not _is_int(num_classes) or num_classes < 1:
+        out.append("num_classes: must be an int >= 1")
+        num_classes = None
+    return (videos, num_classes), ids, num_classes
 
 
-def _scan_boxes(raw: Mapping[str, Any], pred: bool, sta: bool, images: dict[str, Any]) -> tuple | None:
-    names = ("keyframe_id", "box", "noun") + (("verb", "ttc_s") if sta else ()) + (("score",) if pred else ())
-    cols = _scan(raw, names)
-    if cols is None or not _plain_ids(cols[0], images):
+def _scan_ranked(raw: Mapping[str, Any], schema: str, known: Any, bound: int | None) -> dict[str, Any] | None:
+    """The spec's columns of a file in which the loop would find nothing;
+    None for any other file."""
+    spec = _RANKED[schema]
+    found = _scan(raw, spec.keys)
+    if found is None:
         return None
-    boxes, nouns = _plain_boxes(cols[1]), _plain_ints(cols[2])
-    verbs = ttcs = None
-    if sta:
-        verbs, ttcs = _plain_ints(cols[3]), _plain_reals(cols[4])
-        if verbs is None or ttcs is None or not (ttcs > 0).all():
+    col = dict(zip(spec.keys, found))
+    columns = {}
+    for key, kind, column in spec.fields:
+        if kind == "segment":
+            value = _plain_segments(col["start_s"], col["end_s"])
+        elif kind == "box":
+            value = _plain_boxes(col[key])
+        elif kind == "int":
+            value = _plain_ints(col[key], bound)
+        elif kind in ("real", "positive"):
+            value = _plain_reals(col[key])
+            if kind == "positive" and value is not None and not (value > 0).all():
+                value = None
+        else:
+            ids = col[key]
+            unique = kind != "unique" or len(set(ids)) == len(ids)
+            value = ids if unique and _plain_ids(ids, known if kind == "listed" else None) else None
+        if value is None:
             return None
-    scores = _plain_reals(cols[-1]) if pred else np.ones(len(cols[0]))
-    if boxes is None or nouns is None or scores is None:
-        return None
-    return cols[0], boxes, nouns, verbs, ttcs, scores
+        columns[column] = value
+    return columns
 
 
-def _loop_boxes(
-    raw: Mapping[str, Any], schema: str, pred: bool, sta: bool, images: dict[str, Any], out: list[str], extras: list[str]
-) -> tuple:
-    kids, boxes, nouns, verbs, ttcs, scores = [], [], [], [], [], []
+def _loop_ranked(
+    raw: Mapping[str, Any], schema: str, known: Any, bound: int | None, out: list[str], extras: list[str]
+) -> dict[str, list]:
+    """The spec's columns, each record's fields checked in the spec's order;
+    a record with a violation adds no row."""
+    fields = _RANKED[schema].fields
+    columns: dict[str, list] = {column: [] for _, _, column in fields}
+    seen: set[str] = set()
     for where, rec in _records(raw, schema, out, extras):
         n = len(out)
-        kid = rec.get("keyframe_id")
-        if not isinstance(kid, str) or kid == "":
-            out.append(f"{where}: keyframe_id must be a non-empty string")
-        elif kid not in images:
-            out.append(f"{where}: unknown keyframe_id '{kid}'")
-        box = _box(rec.get("box"), where, out)
-        noun = rec.get("noun")
-        if not _is_int(noun) or noun < 0:
-            out.append(f"{where}: noun must be an int >= 0")
-        if sta:
-            verb, ttc = rec.get("verb"), rec.get("ttc_s")
-            if not _is_int(verb) or verb < 0:
-                out.append(f"{where}: verb must be an int >= 0")
-            if not _finite(ttc) or ttc <= 0:
-                out.append(f"{where}: ttc_s must be a positive finite real")
-        score = rec.get("score") if pred else 1.0
-        if not _finite(score):
-            out.append(f"{where}: score must be a finite real")
+        row = []
+        for key, kind, _ in fields:
+            value = rec.get(key)
+            if kind == "segment":
+                value = _segment(rec, where, out)
+            elif kind == "box":
+                value = _box(value, where, out)
+            elif kind == "int":
+                if not _is_int(value) or value < 0:
+                    out.append(f"{where}: {key} must be an int >= 0")
+                elif bound is not None and value >= bound:
+                    out.append(f"{where}: {key} {value} out of range [0, {bound})")
+            elif kind in ("real", "positive"):
+                if _finite(value) and (kind == "real" or value > 0):
+                    value = float(value)
+                else:
+                    out.append(f"{where}: {key} must be a {'positive ' if kind == 'positive' else ''}finite real")
+            elif not isinstance(value, str) or value == "":
+                out.append(f"{where}: {key} must be a non-empty string")
+            elif kind == "listed" and value not in known:
+                out.append(f"{where}: unknown {key} '{value}'")
+            elif kind == "unique":
+                if value in seen:
+                    out.append(f"{where}: duplicate {key} '{value}'")
+                seen.add(value)
+            row.append(value)
         if len(out) == n:
-            kids.append(kid)
-            boxes.append(box)
-            nouns.append(noun)
-            if sta:
-                verbs.append(verb)
-                ttcs.append(float(ttc))
-            scores.append(float(score))
-    box_array = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-    return kids, box_array, nouns, verbs if sta else None, ttcs if sta else None, scores
+            for (_, _, column), value in zip(fields, row):
+                columns[column].append(value)
+    return columns
 
 
-# One walker per track serves its ground-truth and prediction schemas.
-_WALKERS = {"mq": _walk_mq, "nlq": _walk_nlq, "fhp": _walk_fhp, "lta": _walk_lta, "sta": _walk_boxes, "scod": _walk_boxes}
+def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
+    """The header, and Columns grouped by the spec's group field: in header
+    order when the header must list that field's ids, else in order of first
+    appearance. Ground truth scores 1.0."""
+    spec = _RANKED[schema]
+    header, known, bound = _ranked_header(raw, spec.header, out)
+    cols = _scan_ranked(raw, schema, known, bound) or _loop_ranked(raw, schema, known, bound, out, extras)
+    if out:
+        return header, None
+    kinds = {column: kind for _, kind, column in spec.fields}
+    groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
+    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, 4 if kinds["coords"] == "box" else 2)
+    score = cols.get("score", np.ones(len(cols["group"])))
+    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video"))
+    return header, _grouped_columns(groups, cols["group"], coords, score, *optional)
+
+
+# The nested fhp and lta records have walkers of their own; every other
+# schema has a _RANKED spec.
+_WALKERS = {"fhp": _walk_fhp, "lta": _walk_lta}
 
 
 def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
@@ -1202,7 +1159,7 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
         return [f"schema: unknown schema '{schema}'"], [], None, None
     out: list[str] = []
     extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
-    walker = _WALKERS[schema.split("/")[0].removesuffix("-pred")]
+    walker = _WALKERS.get(schema.split("/")[0].removesuffix("-pred"), _walk_ranked)
     header, records = walker(raw, schema, out, extras)
     return out, extras, header, records
 

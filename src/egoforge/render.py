@@ -178,10 +178,6 @@ def render_fixture(table: FixtureTable, fmt: str = "plain") -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def render_report(report: MetricReport, fmt: str = "plain") -> str:
-    return render_reports([report], fmt)
-
-
 def render_reports(reports: Sequence[MetricReport], fmt: str = "plain") -> str:
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown format '{fmt}'")

@@ -1,0 +1,142 @@
+"""Golden bytes of the JSON savers.
+
+Round trips load and save with the same code, so they cannot see a change
+in key order or number format. These tests freeze the sha256 of the files
+``egoforge synth`` writes and of the eight ranked savers' output on a
+hand-built input with edge values: negative zero, the smallest subnormal,
+1e308, an id past int64, non-ASCII ids and empty groups.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from egoforge import cli, fileio
+from egoforge.model import (
+    BoundingBox,
+    Detection,
+    MomentInstance,
+    NlqInstance,
+    RankedSegment,
+    StaInstance,
+    TemporalSegment,
+    VideoMeta,
+)
+
+SYNTH_SEED_7 = {
+    "gt_fhp.json": "8473ea8511d56f7c443ccb885c1158f69a689cc3a07f093cc9fb2cfbaa35c8ed",
+    "gt_lta.json": "7beee87e6d2778771e72b55561df801606ee4e86db3433cf2348bb1d58bfcf26",
+    "gt_mq.json": "65509bec8abf440589bda727bf701e144fd005f66442eedecc18a5434a333dc4",
+    "gt_nlq.json": "c04fd93167a0963dfde10f719e25e0d738f5dc847d601909a7c7dc6655d0fb82",
+    "gt_scod.json": "926be94968cc966c6ed77f8959cc489f74ef0d4db5a10489bbe86fe62c59f175",
+    "gt_sta.json": "46a6e5204da61c4e958e2c0142a129006365e78adb4fee113b69379db3376936",
+    "pred_fhp.json": "f965a9feb5f80f76dc46697a60abc7f1a5829dd7b8323c7e36f7d8ac1c4035e5",
+    "pred_lta.json": "2938b07d8145987657462e048f1d74bacab2d49653ac2773447412f279626ad2",
+    "pred_mq.json": "01f8078b25a1b63cdc6462e1ea324bd2faa39bb3595d78baf4e1671946eee4d8",
+    "pred_nlq.json": "1825f0631aa31e248cf0dd2ed380dae37e7f06a822ff1db79a8a092212ed9e55",
+    "pred_scod.json": "103c92244fb6627d73195a038bb0b5a570b6cc823df2d68a15e10437503a857b",
+    "pred_sta.json": "0ad33e7d6a6a6742413fcb0c18300af6a85bbcc46eb48d38a35765f0bbcecf38",
+}
+
+EDGE = {
+    "mq_gt": "b94d033967da3f4bbd05296728be47a50a71b1c1f314507d5019f58f6601f3f0",
+    "mq_pred": "7a08c22b2e3d8d4e8f8ded55f7ba09c69609967ef2c6f5417084c7f5414e3618",
+    "nlq_gt": "b257ddc198d45b9832c1e6d6e5955b13dcd41ba472c186f3022e4a97a59d5e15",
+    "nlq_pred": "932143424f7a5656797fb822b6e5c4249fe18b539242f300ffeec10a7f6d8e29",
+    "sta_gt": "0cca9dc6d626e9ed92ededc6b5b877cf2a781aeb959d7866ed4c34a8cf53cf74",
+    "sta_pred": "a08f02c8b653f216a2da45efac1adb5677ab0aef7339f8c733b8ef151cdfc042",
+    "scod_gt": "3362e63cac8d4273603103e7c32687a5c833dd05d068959a0c32d9abddabacc3",
+    "scod_pred": "ff497444542089d73a8c01ccf552646c29d2fc8c512e18342b1e01adb64599f2",
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_synth_files_keep_their_bytes(tmp_path):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7", "--num-videos", "4"]) == 0
+    assert {name: _sha(tmp_path / name) for name in SYNTH_SEED_7} == SYNTH_SEED_7
+
+
+def _edge_inputs():
+    """One typed input per ranked saver."""
+    big = 2**63  # one past int64
+    videos = {vid: VideoMeta(vid, 300, 29.97) for vid in ("vidé", "видео", "v-empty")}
+    seg = (TemporalSegment(-0.0, 5e-324), TemporalSegment(5e307, 1e308), TemporalSegment(1.25, 1.25))
+    boxes = (BoundingBox(-0.0, 5e-324, 1.0, 1e307), BoundingBox(0.5, 0.5, 0.5, 0.5))
+    images = {"鍵-1": (640, 480), "kf-empty": (1, 1), "🎥": (2**31, 7)}
+    return {
+        "mq_gt": fileio.MqGt(
+            videos=videos,
+            num_classes=big + 1,
+            instances={
+                "vidé": (MomentInstance(seg[0], big), MomentInstance(seg[1], 0)),
+                "v-empty": (),
+                "видео": (MomentInstance(seg[2], 3),),
+            },
+        ),
+        "mq_pred": {
+            "видео": (RankedSegment(seg[1], -0.0, big), RankedSegment(seg[0], 1e308, 0)),
+            "v-empty": (),
+            "vidé": (RankedSegment(seg[2], 5e-324, 7),),
+        },
+        "nlq_gt": fileio.NlqGt(
+            videos=videos,
+            queries={"q-ü": NlqInstance(seg[1], "q-ü"), "запрос": NlqInstance(seg[0], "запрос")},
+            video_of={"запрос": "vidé", "q-ü": "видео"},
+        ),
+        "nlq_pred": {
+            "запрос": (
+                RankedSegment(seg[0], 0.25, "запрос"),
+                RankedSegment(seg[2], -1e308, "запрос"),
+            ),
+            "q-empty": (),
+            "q-ü": (RankedSegment(seg[1], -0.0, "q-ü"),),
+        },
+        "sta_gt": fileio.StaGt(
+            images=images,
+            instances={
+                "🎥": (StaInstance(boxes[0], big, 0, 1e308),),
+                "kf-empty": (),
+                "鍵-1": (StaInstance(boxes[1], 2, big, 5e-324),),
+            },
+        ),
+        "sta_pred": fileio.StaGt(
+            images=images,
+            instances={
+                "鍵-1": (StaInstance(boxes[1], 0, 1, 0.5, -0.0), StaInstance(boxes[0], big, 3, 1e308, 5e-324)),
+                "kf-empty": (),
+            },
+        ),
+        "scod_gt": fileio.ScodGt(
+            images=images, instances={"kf-empty": (), "🎥": (Detection(boxes[0], big), Detection(boxes[1], 0))}
+        ),
+        "scod_pred": fileio.ScodGt(
+            images=images,
+            instances={
+                "🎥": (Detection(boxes[1], 1, 1e308),),
+                "鍵-1": (Detection(boxes[0], big, -0.0),),
+                "kf-empty": (),
+            },
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EDGE))
+def test_ranked_savers_keep_their_bytes_on_edge_values(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    getattr(fileio, f"save_{name}")(path, _edge_inputs()[name])
+    assert _sha(path) == EDGE[name]
+
+
+def test_a_record_without_an_int_label_is_refused_not_written(tmp_path):
+    # mq predictions are labelled with class ids; a query id label would
+    # give a file that its loader rejects.
+    path = tmp_path / "pred_mq.json"
+    with pytest.raises(ValueError, match="class_id"):
+        fileio.save_mq_pred(path, {"v": (RankedSegment(TemporalSegment(0.0, 1.0), 0.5, "q1"),)})
+    assert not path.exists()
