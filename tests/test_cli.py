@@ -412,6 +412,79 @@ class TestVote:
         assert rc == 0
         capsys.readouterr()
 
+    def test_clips_of_different_shapes_name_the_file_episode_and_shapes(self, tmp_path, capsys):
+        small = ScoreMatrix(verb=[[0.5, 0.5]], noun=[[1.0]])
+        wide = ScoreMatrix(verb=[[0.25, 0.25, 0.5]], noun=[[1.0]])
+        clips = tmp_path / "clips.json"
+        fileio.save_lta_clip_probs(clips, {("v", 0): [small], ("w", 3): [small, small, wide]})
+        assert cli.main(["vote", "--pred", str(clips), "--out", str(tmp_path / "voted.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {clips}: instances[3]: the verb matrix of ('w', 3) is (1, 3), an earlier clip's is (1, 2)"
+        ]
+        assert not (tmp_path / "voted.json").exists()
+
+    def test_a_mean_row_rounded_past_the_tolerance_is_refused(self, tmp_path, capsys):
+        # Each clip's row sums to 1 within 1e-6 by sum(), as the walk checks;
+        # their mean's sum is 1 + 1.0000000001e-06, which the walk would refuse
+        # in the file vote writes.
+        rows = [
+            [0.7054304729814341, 0.29457052701856584],
+            [0.4383942988737047, 0.5616067011262953],
+            [0.6428647276824782, 0.3571362723175218],
+        ]
+        clips = tmp_path / "clips.json"
+        instances = [
+            {"video_id": "v", "clip_index": 0, "clip": c, "score_matrix": {"verb": [row], "noun": [[1.0]]}}
+            for c, row in enumerate(rows)
+        ]
+        clips.write_text(json.dumps({"schema": "lta-pred/1", "instances": instances}), encoding="utf-8")
+        assert all(abs(sum(row) - 1.0) <= 1e-6 for row in rows)
+        assert cli.main(["vote", "--pred", str(clips), "--out", str(tmp_path / "voted.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: verb rows must sum to 1 within 1e-6"]
+        assert not (tmp_path / "voted.json").exists()
+
+
+class TestFusionOptions:
+    """A bad threshold or candidate count is refused before any data is
+    read, so an input without records cannot hide it."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, tree, argv, message):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--pred", str(empty), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_nms_iou(self, tmp_path, capsys):
+        tree = {"schema": "sta-pred/1", "images": [], "instances": []}
+        self._refused(tmp_path, capsys, tree, ["fuse", "sta", "--nms-iou", "0"], "box_nms_iou must be in (0, 1], got 0.0")
+
+    def test_tiou(self, tmp_path, capsys):
+        tree = {"schema": "nlq-pred/1", "instances": []}
+        self._refused(tmp_path, capsys, tree, ["fuse", "post", "--tiou", "nan"], "temporal_nms_tiou must be in (0, 1], got nan")
+
+    def test_k(self, tmp_path, capsys):
+        tree = {"schema": "lta-pred/1", "instances": []}
+        self._refused(tmp_path, capsys, tree, ["vote", "--k", "0"], "top_k must be an int >= 1, got 0")
+
+    @pytest.mark.parametrize(
+        "argv, tree",
+        [
+            (["fuse", "sta"], {"schema": "sta-pred/1", "images": [], "instances": []}),
+            (["fuse", "post"], {"schema": "nlq-pred/1", "instances": []}),
+            (["vote"], {"schema": "lta-pred/1", "instances": []}),
+        ],
+    )
+    def test_an_input_without_records_still_fuses(self, tmp_path, capsys, argv, tree):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(tree), encoding="utf-8")
+        assert cli.main([*argv, "--pred", str(empty), "--out", str(tmp_path / "out.json")]) == 0
+        capsys.readouterr()
+        fused = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+        assert fused["instances"] == [] and fused["schema"] == tree["schema"]
+
 
 class TestTrain:
     def test_train_fhp_writes_head(self, dataset_dir, tmp_path, capsys):

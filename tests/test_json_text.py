@@ -2,7 +2,9 @@
 
 Every saved file and every JSON report goes through ``render.json_text``, so
 it must give the standard encoder's bytes for every tree that encoder
-accepts, and raise TypeError wherever the encoder does.
+accepts, and raise TypeError wherever the encoder does. The savers that
+write records from templates use ``json_template``, ``json_list`` and
+``json_texts``, which must give the same bytes at every nesting level.
 """
 
 import enum
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egoforge.render import json_text
+from egoforge.render import SLOT, json_list, json_template, json_text, json_texts
 
 
 class Color(enum.IntEnum):
@@ -105,3 +107,30 @@ def test_unencodable_values_raise_type_error(tree):
         json.dumps(tree, indent=2)
     with pytest.raises(TypeError):
         json_text(tree)
+
+
+def _nest(value, level):
+    for _ in range(level):
+        value = [value]
+    return value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(record=st.dictionaries(st.text(), SCALARS, max_size=5), level=st.integers(0, 4))
+def test_a_filled_template_gives_the_bytes_of_json_dumps(record, level):
+    # Keys may hold "%", which the template must keep as it is.
+    outer = json_template(_nest(SLOT, level))
+    inner = json_template({key: SLOT for key in record}, level) % tuple(json_texts(list(record.values())))
+    assert outer % inner == json.dumps(_nest(record, level), indent=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.lists(SCALARS, max_size=5), level=st.integers(0, 4))
+def test_a_list_from_its_item_texts_gives_the_bytes_of_json_dumps(values, level):
+    filled = json_template(_nest(SLOT, level)) % json_list(json_texts(values), level)
+    assert filled == json.dumps(_nest(values, level), indent=2)
+
+
+def test_a_template_doubles_every_other_percent_sign():
+    template = json_template({"100%": SLOT, "%s": ["%d", SLOT]})
+    assert template % ("1", "2") == json.dumps({"100%": 1, "%s": ["%d", 2]}, indent=2)
