@@ -149,7 +149,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("vote", help="fuse per-clip forecasts into one per episode")
     p.add_argument("--pred", required=True, help="per-clip probability file")
     p.add_argument("--out", required=True)
-    p.add_argument("--rule", choices=("mean_prob", "majority"), default="mean_prob")
+    p.add_argument("--rule", choices=("mean_prob", "majority"), default="mean_prob",
+                   help="either rule writes the k best sequences of the mean matrix")
     p.add_argument("--k", type=int, default=5, help="candidate sequences to keep")
 
     p = sub.add_parser("train", help="fit a toy head on a synthetic dataset")
@@ -358,7 +359,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_vote(args: argparse.Namespace) -> int:
     FusionConfig(top_k=args.k)
-    # Candidates come from the mean matrix under either --rule.
     clips = fileio.load_lta_clip_probs(args.pred, columns=True)
     fused = {key: mean_forecast(matrices, args.k) for key, matrices in clips.items()}
     fileio.save_lta_pred(args.out, fused)

@@ -71,7 +71,7 @@ from .model import (
     _validated,
     _walk,
 )
-from .render import SLOT, json_list, json_template, json_text, json_texts
+from .render import SLOT, json_list, json_template, json_text, json_texts, render_reports
 from .synth import SynthConfig
 
 FEATURE_MAGIC = b"EGFT"
@@ -679,22 +679,9 @@ def load_config(path: str | Path) -> SynthConfig:
 
 
 def save_reports(path: str | Path, reports: Sequence[MetricReport]) -> None:
-    _write_json(
-        path,
-        {
-            "schema": REPORT_SCHEMA,
-            "reports": [
-                {
-                    "name": r.name,
-                    "family": r.family,
-                    "value": r.value,
-                    "count": r.count,
-                    "breakdown": dict(r.breakdown),
-                }
-                for r in reports
-            ],
-        },
-    )
+    """Write ``reports`` as a ``report/1`` file, whose layout ``render``
+    owns: the text of ``render_reports(reports, "json")``."""
+    Path(path).write_text(render_reports(reports, "json"), encoding="utf-8")
 
 
 def load_reports(path: str | Path) -> list[MetricReport]:

@@ -28,6 +28,7 @@ from .model import (
     ScoreMatrix,
     StaInstance,
     _require,
+    _sums_to_one,
     _validated,
 )
 from .metrics import _box_iou_pairs, _temporal_iou_pairs
@@ -40,13 +41,9 @@ class VoteConfig:
     """How per-clip probabilities are combined into one decision."""
 
     combine_rule: str = "mean_prob"
-    tie_break: str = "lowest_index"
-    clip_weighting: str = "uniform"
 
     def __post_init__(self) -> None:
         _require(self.combine_rule in VOTE_RULES, f"combine_rule must be one of {VOTE_RULES}")
-        _require(self.tie_break == "lowest_index", "only lowest_index tie breaking is supported")
-        _require(self.clip_weighting == "uniform", "only uniform clip weighting is supported")
 
 
 @dataclass(frozen=True)
@@ -327,9 +324,9 @@ def mean_forecast(
     verbs, nouns = zip(*clips)
     verb, noun = _canonical_mean(verbs), _canonical_mean(nouns)
     for name, mean in (("verb", verb), ("noun", noun)):
-        # Rounding can take a mean row past the tolerance; it is checked as
-        # the lta-pred/1 walk checks rows, so the file written loads.
-        _require(all(abs(sum(row) - 1.0) <= 1e-6 for row in mean.tolist()), f"{name} rows must sum to 1 within 1e-6")
+        # Rounding can take a mean row past the tolerance; the lta-pred/1
+        # walk's row rule checks it here, so the file written loads.
+        _require(all(map(_sums_to_one, mean.tolist())), f"{name} rows must sum to 1 within 1e-6")
     return _top_k_pairs(verb, noun, k), verb, noun
 
 

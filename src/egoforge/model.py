@@ -16,8 +16,9 @@ column at a time; one the column scan does not accept goes through the
 per-record loop, which keeps every message and its order. Loaders build
 typed records from the columns, and fhp and lta records in the walk itself
 (score matrices come back as checked float64 arrays), with ``_validated``,
-which does not re-run the constructor checks, so the walk must cover every
-constructor invariant of the types loaded.
+which skips the constructor checks: the walk has made them, since it and
+the constructors check each field kind with one shared checker (a
+constructor raises its first message, located at the type).
 ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -64,14 +65,17 @@ def _finite(x: Any) -> bool:
         return False
 
 
+def _is_int(x: Any) -> bool:
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
+
+
+def _is_object(x: Any) -> bool:
+    return type(x) is dict or isinstance(x, Mapping)
+
+
 # The largest length, width, height or area a segment or box may have: twice
 # it is still finite, so the union of two of them in an IoU is finite too.
 HALF_MAX = sys.float_info.max / 2
-
-
-def _box_fits(x1: float, y1: float, x2: float, y2: float) -> bool:
-    width, height = x2 - x1, y2 - y1
-    return width <= HALF_MAX and height <= HALF_MAX and width * height <= HALF_MAX
 
 
 _new = object.__new__
@@ -93,6 +97,158 @@ def _validated(cls: type[_T], /, **fields: Any) -> _T:
     return obj
 
 
+# ---------------------------------------------------------------------------
+# Field checkers.
+#
+# One checker per field kind, shared by the walk and the constructors. Each
+# takes the value, then ``where`` (the location that starts its messages)
+# and ``out``; it appends one message per fault, formatted only then, and
+# returns the value in the form the types store it (None on a fault), or
+# whether the value passed.
+# ---------------------------------------------------------------------------
+
+
+def _checked(where: str, checker: Callable[..., _T], *args: Any) -> _T:
+    """``checker(*args, where, out)``, for a constructor: raises ValueError
+    with the first fault, located at ``where``, the type's name."""
+    out: list[str] = []
+    value = checker(*args, where, out)
+    if out:
+        raise ValueError(out[0])
+    return value
+
+
+def _id(value: Any, key: str, where: str, out: list[str]) -> bool:
+    """A non-empty string."""
+    if isinstance(value, str) and value != "":
+        return True
+    out.append(f"{where}: {key} must be a non-empty string")
+    return False
+
+
+def _int(value: Any, key: str, bound: int | None, where: str, out: list[str]) -> bool:
+    """An int >= 0, below ``bound`` when there is one."""
+    if not _is_int(value) or value < 0:
+        out.append(f"{where}: {key} must be an int >= 0")
+    elif bound is not None and value >= bound:
+        out.append(f"{where}: {key} {value} out of range [0, {bound})")
+    else:
+        return True
+    return False
+
+
+def _real(value: Any, key: str, positive: bool, where: str, out: list[str]) -> float | None:
+    """A finite real, > 0 when ``positive``, as a float."""
+    if _finite(value) and (not positive or value > 0):
+        return float(value)
+    out.append(f"{where}: {key} must be a {'positive ' if positive else ''}finite real")
+    return None
+
+
+def _segment(start: Any, end: Any, where: str, out: list[str]) -> tuple[float, float] | None:
+    """A [start, end] pair of finite reals, 0 <= start <= end, whose
+    doubled length is finite, as floats; a None bound is a missing key."""
+    if not (_finite(start) and _finite(end)):
+        for name, v in (("start_s", start), ("end_s", end)):
+            if v is None:
+                out.append(f"{where}: missing key '{name}'")
+            elif not _finite(v):
+                out.append(f"{where}: {name} must be a finite real")
+        return None
+    if start < 0:
+        out.append(f"{where}: segment start is negative")
+    if start > end:
+        out.append(f"{where}: segment reversed")
+    if start < 0 or start > end:
+        return None
+    start, end = float(start), float(end)
+    if end - start > HALF_MAX:
+        out.append(f"{where}: segment too long (its doubled length overflows)")
+        return None
+    return start, end
+
+
+def _box(box: Any, where: str, out: list[str]) -> tuple[float, float, float, float] | None:
+    """An [x1, y1, x2, y2] list of finite reals, x1 <= x2 and y1 <= y2,
+    whose doubled width, height and area are finite, as floats."""
+    if isinstance(box, list) and len(box) == 4:
+        x1, y1, x2, y2 = box
+        if _finite(x1) and _finite(y1) and _finite(x2) and _finite(y2):
+            if x1 > x2 or y1 > y2:
+                out.append(f"{where}: box reversed")
+                return None
+            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
+            width, height = x2 - x1, y2 - y1
+            if width > HALF_MAX or height > HALF_MAX or width * height > HALF_MAX:
+                out.append(f"{where}: box too large (its doubled width, height or area overflows)")
+                return None
+            return x1, y1, x2, y2
+    out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
+    return None
+
+
+def _point(value: Any, hand: str, where: str, out: list[str]) -> tuple[float, float] | None:
+    """A finite [x, y] pair, as a tuple of floats."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        x, y = value
+        if _finite(x) and _finite(y):
+            return (float(x), float(y))
+    out.append(f"{where}: {hand} must be a finite [x, y] pair")
+    return None
+
+
+def _sums_to_one(row: Sequence[Any]) -> bool:
+    """The score-row rule: a row of probabilities sums to 1 within 1e-6.
+
+    ``math.fsum`` rounds the exact sum once, so the verdict is the same on
+    every Python version (``sum`` is compensated only from 3.12 on). A sum
+    that overflows does not sum to 1.
+    """
+    try:
+        return abs(math.fsum(row) - 1.0) <= 1e-6
+    except OverflowError:
+        return False
+
+
+def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
+    """Report bad probability rows; True when ``rows`` is a Z x C matrix."""
+    if not isinstance(rows, list) or not rows or (z is not None and len(rows) != z):
+        out.append(f"{where}: must be a list of {z if z is not None else 'Z'} probability rows")
+        return False
+    width = None
+    for r, row in enumerate(rows):
+        # Plain floats, the least >= 0, that sum to 1: a nan or an infinity
+        # would have made the sum one too, so no value needs its own check.
+        good = type(row) is list and row and set(map(type, row)) == {float} and min(row) >= 0 and _sums_to_one(row)
+        if not good and not (isinstance(row, list) and len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)):
+            out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
+            return False
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            out.append(f"{where}[{r}]: ragged row width")
+            return False
+        if not good and not _sums_to_one(row):
+            out.append(f"{where}[{r}]: row does not sum to 1 within 1e-6")
+    return True
+
+
+def _score_matrix(verb: Any, noun: Any, z: int | None, where: str, out: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Verb and noun probability rows, Z of each (as many as each other
+    when ``z`` is None), as read-only float64 matrices."""
+    verb_ok = _check_prob_rows(verb, z, f"{where}.verb", out)
+    noun_ok = _check_prob_rows(noun, z, f"{where}.noun", out)
+    if not (verb_ok and noun_ok):
+        return None
+    if len(noun) != len(verb):
+        out.append(f"{where}: verb has {len(verb)} rows, noun has {len(noun)}")
+        return None
+    matrices = np.array(verb, dtype=np.float64), np.array(noun, dtype=np.float64)
+    for matrix in matrices:
+        matrix.setflags(write=False)
+    return matrices
+
+
 @dataclass(frozen=True)
 class VideoMeta:
     """Identity and timing of one source video."""
@@ -102,11 +258,9 @@ class VideoMeta:
     fps: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.video_id, str) and self.video_id != "", "video_id must be a non-empty string")
-        _require(isinstance(self.num_frames, int) and not isinstance(self.num_frames, bool), "num_frames must be an int")
-        _require(self.num_frames >= 0, f"num_frames must be >= 0, got {self.num_frames}")
-        _require(_finite(self.fps) and self.fps > 0, f"fps must be a positive finite real, got {self.fps!r}")
-        object.__setattr__(self, "fps", float(self.fps))
+        _checked("VideoMeta", _id, self.video_id, "video_id")
+        _checked("VideoMeta", _int, self.num_frames, "num_frames", None)
+        _set(self, "fps", _checked("VideoMeta", _real, self.fps, "fps", True))
 
     @property
     def duration_s(self) -> float:
@@ -121,12 +275,9 @@ class TemporalSegment:
     end_s: float
 
     def __post_init__(self) -> None:
-        _require(_finite(self.start_s) and _finite(self.end_s), "segment bounds must be finite reals")
-        _require(self.start_s >= 0, f"segment start must be >= 0, got {self.start_s}")
-        _require(self.start_s <= self.end_s, f"segment reversed ({self.start_s} > {self.end_s})")
-        object.__setattr__(self, "start_s", float(self.start_s))
-        object.__setattr__(self, "end_s", float(self.end_s))
-        _require(self.end_s - self.start_s <= HALF_MAX, "segment too long: its doubled length overflows")
+        start, end = _checked("TemporalSegment", _segment, self.start_s, self.end_s)
+        _set(self, "start_s", start)
+        _set(self, "end_s", end)
 
     @property
     def length_s(self) -> float:
@@ -142,8 +293,7 @@ class MomentInstance:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.segment, TemporalSegment), "segment must be a TemporalSegment")
-        _require(isinstance(self.class_id, int) and not isinstance(self.class_id, bool), "class_id must be an int")
-        _require(self.class_id >= 0, f"class_id must be >= 0, got {self.class_id}")
+        _checked("MomentInstance", _int, self.class_id, "class_id", None)
 
 
 @dataclass(frozen=True)
@@ -155,12 +305,13 @@ class NlqInstance:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.segment, TemporalSegment), "segment must be a TemporalSegment")
-        _require(isinstance(self.query_id, str) and self.query_id != "", "query_id must be a non-empty string")
+        _checked("NlqInstance", _id, self.query_id, "query_id")
 
 
 @dataclass(frozen=True)
 class RankedSegment:
-    """A scored candidate segment carrying its class or query label."""
+    """A scored candidate segment labelled with its class id (an int >= 0)
+    or its query id (a non-empty string)."""
 
     segment: TemporalSegment
     score: float
@@ -168,10 +319,11 @@ class RankedSegment:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.segment, TemporalSegment), "segment must be a TemporalSegment")
-        _require(_finite(self.score), f"score must be a finite real, got {self.score!r}")
-        ok_label = (isinstance(self.label, int) and not isinstance(self.label, bool)) or isinstance(self.label, str)
-        _require(ok_label, "label must be an int class id or a string query id")
-        object.__setattr__(self, "score", float(self.score))
+        _set(self, "score", _checked("RankedSegment", _real, self.score, "score", False))
+        if isinstance(self.label, str):
+            _checked("RankedSegment", _id, self.label, "label")
+        else:
+            _checked("RankedSegment", _int, self.label, "label", None)
 
 
 @dataclass(frozen=True)
@@ -182,35 +334,23 @@ class ActionLabel:
     noun_id: int
 
     def __post_init__(self) -> None:
-        for name, value in (("verb_id", self.verb_id), ("noun_id", self.noun_id)):
-            _require(isinstance(value, int) and not isinstance(value, bool), f"{name} must be an int")
-            _require(value >= 0, f"{name} must be >= 0, got {value}")
-
-
-def _as_prob_rows(name: str, arr: Any) -> np.ndarray:
-    rows = np.asarray(arr, dtype=np.float64)
-    _require(rows.ndim == 2 and rows.shape[0] >= 1 and rows.shape[1] >= 1, f"{name} must be a 2-D matrix")
-    _require(bool(np.isfinite(rows).all()), f"{name} must be finite")
-    _require(bool((rows >= 0).all()), f"{name} must be non-negative")
-    sums = rows.sum(axis=1)
-    _require(bool(np.abs(sums - 1.0).max() <= 1e-6), f"{name} rows must sum to 1 within 1e-6")
-    rows.setflags(write=False)
-    return rows
+        _checked("ActionLabel", _int, self.verb_id, "verb_id", None)
+        _checked("ActionLabel", _int, self.noun_id, "noun_id", None)
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
-    """Per-position class probabilities: verb is (Z, C_v), noun is (Z, C_n)."""
+    """Per-position class probabilities: verb is (Z, C_v), noun is (Z, C_n),
+    given as arrays or lists of rows and stored as read-only float64 arrays."""
 
     verb: np.ndarray
     noun: np.ndarray
 
     def __post_init__(self) -> None:
-        verb = _as_prob_rows("verb", self.verb)
-        noun = _as_prob_rows("noun", self.noun)
-        _require(verb.shape[0] == noun.shape[0], "verb and noun must cover the same number of positions")
-        object.__setattr__(self, "verb", verb)
-        object.__setattr__(self, "noun", noun)
+        rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (self.verb, self.noun))
+        verb, noun = _checked("ScoreMatrix", _score_matrix, *rows, None)
+        _set(self, "verb", verb)
+        _set(self, "noun", noun)
 
     @property
     def z(self) -> int:
@@ -259,14 +399,6 @@ class LtaForecast:
         )
 
 
-def _as_point(name: str, value: Any) -> tuple[float, float]:
-    _require(
-        isinstance(value, (tuple, list)) and len(value) == 2 and all(_finite(v) for v in value),
-        f"{name} must be a finite (x, y) pair",
-    )
-    return (float(value[0]), float(value[1]))
-
-
 @dataclass(frozen=True)
 class HandPoint:
     """Left and right hand coordinates at one keyframe, with visibility."""
@@ -277,8 +409,8 @@ class HandPoint:
     right_visible: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", _as_point("left", self.left))
-        object.__setattr__(self, "right", _as_point("right", self.right))
+        _set(self, "left", _checked("HandPoint", _point, self.left, "left"))
+        _set(self, "right", _checked("HandPoint", _point, self.right, "right"))
         _require(isinstance(self.left_visible, bool) and isinstance(self.right_visible, bool), "visibility flags must be bools")
 
     def coords(self, hand: str) -> tuple[float, float]:
@@ -322,13 +454,9 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        vals = (self.x1, self.y1, self.x2, self.y2)
-        _require(all(_finite(v) for v in vals), "box coordinates must be finite reals")
-        _require(self.x1 <= self.x2, f"box reversed in x ({self.x1} > {self.x2})")
-        _require(self.y1 <= self.y2, f"box reversed in y ({self.y1} > {self.y2})")
-        for name, v in zip(("x1", "y1", "x2", "y2"), vals):
-            object.__setattr__(self, name, float(v))
-        _require(_box_fits(self.x1, self.y1, self.x2, self.y2), "box too large: its doubled width, height or area overflows")
+        box = _checked("BoundingBox", _box, [self.x1, self.y1, self.x2, self.y2])
+        for name, v in zip(("x1", "y1", "x2", "y2"), box):
+            _set(self, name, v)
 
     @property
     def area(self) -> float:
@@ -347,12 +475,10 @@ class StaInstance:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.box, BoundingBox), "box must be a BoundingBox")
-        for name, value in (("noun_id", self.noun_id), ("verb_id", self.verb_id)):
-            _require(isinstance(value, int) and not isinstance(value, bool) and value >= 0, f"{name} must be an int >= 0")
-        _require(_finite(self.ttc_s) and self.ttc_s > 0, f"ttc_s must be a positive finite real, got {self.ttc_s!r}")
-        _require(_finite(self.score), f"score must be a finite real, got {self.score!r}")
-        object.__setattr__(self, "ttc_s", float(self.ttc_s))
-        object.__setattr__(self, "score", float(self.score))
+        _checked("StaInstance", _int, self.noun_id, "noun_id", None)
+        _checked("StaInstance", _int, self.verb_id, "verb_id", None)
+        _set(self, "ttc_s", _checked("StaInstance", _real, self.ttc_s, "ttc_s", True))
+        _set(self, "score", _checked("StaInstance", _real, self.score, "score", False))
 
 
 @dataclass(frozen=True)
@@ -365,9 +491,8 @@ class Detection:
 
     def __post_init__(self) -> None:
         _require(isinstance(self.box, BoundingBox), "box must be a BoundingBox")
-        _require(isinstance(self.class_id, int) and not isinstance(self.class_id, bool) and self.class_id >= 0, "class_id must be an int >= 0")
-        _require(_finite(self.score), f"score must be a finite real, got {self.score!r}")
-        object.__setattr__(self, "score", float(self.score))
+        _checked("Detection", _int, self.class_id, "class_id", None)
+        _set(self, "score", _checked("Detection", _real, self.score, "score", False))
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,11 +646,9 @@ def _grouped_columns(
 # in the file instead of failing at the first, and it notes keys the schema
 # does not know. For a clean file it returns the records: as Columns for the
 # mq, nlq, sta and scod schemas, and as typed objects built through
-# _validated for fhp and lta, applying the constructors' normalisations
-# (float reals, coordinate tuples, keyframes in KEYFRAME_TAGS order). The
-# checks cover the constructor invariants, which nothing checks again, plus
-# the cross-field rules (vocabulary ranges, duplicate keys) that single
-# values cannot see.
+# _validated for fhp and lta. Each field goes through the checker of its
+# kind that the constructors call too; the walk adds the cross-field rules
+# (vocabulary ranges, duplicate keys) that single values cannot see.
 #
 # Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
 # _RANKED, which drives the column scan, the per-record loop and the allowed
@@ -611,14 +734,6 @@ _INSTANCE_KEYS: dict[str, set[str]] = {
 }
 
 
-def _is_int(x: Any) -> bool:
-    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
-
-
-def _is_object(x: Any) -> bool:
-    return type(x) is dict or isinstance(x, Mapping)
-
-
 def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
     """Each object in ``instances`` with its location; notes unknown keys."""
     inst = raw.get("instances")
@@ -633,28 +748,6 @@ def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[s
         if not rec.keys() <= allowed:
             extras.extend(f"instances[{i}]: '{k}'" for k in rec if k not in allowed)
         yield f"instances[{i}]", rec
-
-
-def _segment(rec: Mapping[str, Any], where: str, out: list[str]) -> tuple[float, float] | None:
-    start, end = rec.get("start_s"), rec.get("end_s")
-    if not (_finite(start) and _finite(end)):
-        for name, v in (("start_s", start), ("end_s", end)):
-            if v is None:
-                out.append(f"{where}: missing key '{name}'")
-            elif not _finite(v):
-                out.append(f"{where}: {name} must be a finite real")
-        return None
-    if start < 0:
-        out.append(f"{where}: segment start is negative")
-    if start > end:
-        out.append(f"{where}: segment reversed")
-    if start < 0 or start > end:
-        return None
-    start, end = float(start), float(end)
-    if end - start > HALF_MAX:
-        out.append(f"{where}: segment too long (its doubled length overflows)")
-        return None
-    return start, end
 
 
 def _scan(raw: Mapping[str, Any], names: tuple[str, ...]) -> list[list] | None:
@@ -739,30 +832,16 @@ def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[dict[str, None
         if not _is_object(v):
             out.append(f"{where}: not an object")
             continue
-        vid = v.get("video_id")
-        if not isinstance(vid, str) or vid == "":
-            out.append(f"{where}: video_id must be a non-empty string")
-        elif vid in ids:
-            out.append(f"{where}: duplicate video_id '{vid}'")
-        else:
+        vid, nf = v.get("video_id"), v.get("num_frames")
+        if _id(vid, "video_id", where, out):
+            if vid in ids:
+                out.append(f"{where}: duplicate video_id '{vid}'")
             ids[vid] = None
-        nf = v.get("num_frames")
-        if not _is_int(nf) or nf < 0:
-            out.append(f"{where}: num_frames must be an int >= 0")
-        fps = v.get("fps")
-        if not _finite(fps) or fps <= 0:
-            out.append(f"{where}: fps must be a positive finite real")
+        _int(nf, "num_frames", None, where, out)
+        fps = _real(v.get("fps"), "fps", True, where, out)
         if not out:
-            videos[vid] = _validated(VideoMeta, video_id=vid, num_frames=nf, fps=float(fps))
+            videos[vid] = _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps)
     return ids, videos
-
-
-def _xy(value: Any) -> tuple[float, float] | None:
-    if isinstance(value, list) and len(value) == 2:
-        x, y = value
-        if _finite(x) and _finite(y):
-            return (float(x), float(y))
-    return None
 
 
 def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
@@ -780,10 +859,8 @@ def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
         if not _is_object(point):
             out.append(f"{pwhere}: not an object")
             continue
-        left, right = _xy(point.get("left")), _xy(point.get("right"))
-        for hand, xy in (("left", left), ("right", right)):
-            if xy is None:
-                out.append(f"{pwhere}: {hand} must be a finite [x, y] pair")
+        left = _point(point.get("left"), "left", pwhere, out)
+        right = _point(point.get("right"), "right", pwhere, out)
         visible = point.get("visible", {})
         if "visible" in point:
             ok = _is_object(visible) and set(visible) <= set(HANDS) and all(isinstance(v, bool) for v in visible.values())
@@ -810,9 +887,7 @@ def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     records: list[tuple[Any, Any]] = []
     for where, rec in _records(raw, schema, out, extras):
         vid = rec.get("video_id")
-        if not isinstance(vid, str) or vid == "":
-            out.append(f"{where}: video_id must be a non-empty string")
-        else:
+        if _id(vid, "video_id", where, out):
             if vid in seen:
                 out.append(f"{where}: duplicate video_id '{vid}'")
             seen.add(vid)
@@ -828,7 +903,7 @@ def _labels(
     """The actions of ``where``, a list of [verb, noun] pairs.
 
     A file repeats a few hundred pairs many times, so equal pairs share one
-    (immutable) ActionLabel, kept in ``shared``.
+    (immutable) ActionLabel, kept in ``shared`` once its ids are in range.
     """
     n = len(out)
     labels = []
@@ -836,13 +911,12 @@ def _labels(
         if isinstance(pair, list) and len(pair) == 2:
             verb, noun = pair
             if _is_int(verb) and verb >= 0 and _is_int(noun) and noun >= 0:
-                if c_v is not None and verb >= c_v:
-                    out.append(f"{where}[{j}]: verb id {verb} out of range [0, {c_v})")
-                if c_n is not None and noun >= c_n:
-                    out.append(f"{where}[{j}]: noun id {noun} out of range [0, {c_n})")
                 label = shared.get((verb, noun))
                 if label is None:
-                    label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
+                    at = f"{where}[{j}]"
+                    # & runs both checks, so both ids are reported.
+                    if _int(verb, "verb id", c_v, at, out) & _int(noun, "noun id", c_n, at, out):
+                        label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
                 labels.append(label)
                 continue
         out.append(f"{where}[{j}]: action must be a [verb, noun] pair of ints >= 0")
@@ -860,47 +934,6 @@ def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int
             out.append(f"config.{name}: must be an int >= 1")
             vals[name] = None
     return tuple(vals.values())  # type: ignore[return-value]
-
-
-def _plain_row_sum(row: Any) -> float | None:
-    """``sum(row)`` for a non-empty list of plain floats that are all finite
-    and >= 0; None for any other row, which the per-value checks judge."""
-    if type(row) is list and row and set(map(type, row)) == {float}:
-        total = sum(row)
-        if math.isfinite(total) and min(row) >= 0:
-            return total
-    return None
-
-
-def _prob_matrix(rows: list) -> np.ndarray:
-    """Rows ``_check_prob_rows`` accepted, as a read-only float64 matrix,
-    the form ``ScoreMatrix`` stores."""
-    matrix = np.array(rows, dtype=np.float64)
-    matrix.setflags(write=False)
-    return matrix
-
-
-def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
-    """Report bad probability rows; True when ``rows`` is a Z x C matrix."""
-    if not isinstance(rows, list) or not rows or (z is not None and len(rows) != z):
-        out.append(f"{where}: must be a list of {z if z is not None else 'Z'} probability rows")
-        return False
-    width = None
-    for r, row in enumerate(rows):
-        total = _plain_row_sum(row)
-        if total is None:
-            if not (isinstance(row, list) and len(row) >= 1 and all(_finite(v) and v >= 0 for v in row)):
-                out.append(f"{where}[{r}]: must be a list of non-negative finite reals")
-                return False
-            total = sum(row)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            out.append(f"{where}[{r}]: ragged row width")
-            return False
-        if abs(total - 1.0) > 1e-6:
-            out.append(f"{where}[{r}]: row does not sum to 1 within 1e-6")
-    return True
 
 
 def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str], shared: dict) -> tuple[Any, Any]:
@@ -937,20 +970,12 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str],
             candidates = tuple(built)
     scores = None
     if matrix is not None:
-        mwhere = f"{where}.score_matrix"
         if not _is_object(matrix) or set(matrix) != {"verb", "noun"}:
             out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
         else:
-            verb_ok = _check_prob_rows(matrix["verb"], z, f"{mwhere}.verb", out)
-            noun_ok = _check_prob_rows(matrix["noun"], z, f"{mwhere}.noun", out)
-            if verb_ok and noun_ok:
-                rows = len(matrix["verb"])
-                if len(matrix["noun"]) != rows:
-                    out.append(f"{mwhere}: verb has {rows} rows, noun has {len(matrix['noun'])}")
-                elif length is not None and rows != length:
-                    out.append(f"{mwhere}: {rows} rows, candidates have length {length}")
-                elif not out:
-                    scores = (_prob_matrix(matrix["verb"]), _prob_matrix(matrix["noun"]))
+            scores = _score_matrix(matrix["verb"], matrix["noun"], z, f"{where}.score_matrix", out)
+            if scores is not None and length is not None and len(scores[0]) != length:
+                out.append(f"{where}.score_matrix: {len(scores[0])} rows, candidates have length {length}")
     return candidates, scores
 
 
@@ -970,19 +995,11 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     shared: dict[tuple[int, int], ActionLabel] = {}
     records: list[tuple[Any, Any]] = []
     for where, rec in _records(raw, schema, out, extras):
-        vid = rec.get("video_id")
-        if not isinstance(vid, str) or vid == "":
-            out.append(f"{where}: video_id must be a non-empty string")
-            vid = None
-        ci = rec.get("clip_index")
-        if not _is_int(ci) or ci < 0:
-            out.append(f"{where}: clip_index must be an int >= 0")
-            ci = None
+        vid, ci = rec.get("video_id"), rec.get("clip_index")
         clip = rec.get("clip", 0) if pred else 0
-        if not _is_int(clip) or clip < 0:
-            out.append(f"{where}: clip must be an int >= 0")
-            clip = None
-        if vid is not None and ci is not None and clip is not None:
+        # & runs every check, so each field is reported.
+        ok = _id(vid, "video_id", where, out) & _int(ci, "clip_index", None, where, out)
+        if ok & _int(clip, "clip", None, where, out):
             key = (vid, ci, clip)
             if key in seen:
                 out.append(f"{where}: duplicate (video_id, clip_index, clip) {key}")
@@ -1018,32 +1035,15 @@ def _walk_images(raw: Mapping[str, Any], out: list[str]) -> dict[str, tuple[int,
             continue
         kid = im.get("keyframe_id")
         size = (im.get("width"), im.get("height"))
-        if not isinstance(kid, str) or kid == "":
-            out.append(f"{where}: keyframe_id must be a non-empty string")
-        elif kid in images:
-            out.append(f"{where}: duplicate keyframe_id '{kid}'")
-        else:
-            images[kid] = size
+        if _id(kid, "keyframe_id", where, out):
+            if kid in images:
+                out.append(f"{where}: duplicate keyframe_id '{kid}'")
+            else:
+                images[kid] = size
         for name, v in zip(("width", "height"), size):
             if not _is_int(v) or v < 1:
                 out.append(f"{where}: {name} must be an int >= 1")
     return images
-
-
-def _box(box: Any, where: str, out: list[str]) -> tuple[float, float, float, float] | None:
-    if isinstance(box, list) and len(box) == 4:
-        x1, y1, x2, y2 = box
-        if _finite(x1) and _finite(y1) and _finite(x2) and _finite(y2):
-            if x1 > x2 or y1 > y2:
-                out.append(f"{where}: box reversed")
-                return None
-            x1, y1, x2, y2 = float(x1), float(y1), float(x2), float(y2)
-            if not _box_fits(x1, y1, x2, y2):
-                out.append(f"{where}: box too large (its doubled width, height or area overflows)")
-                return None
-            return x1, y1, x2, y2
-    out.append(f"{where}: box must be a finite [x1, y1, x2, y2] list")
-    return None
 
 
 def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, Any, int | None]:
@@ -1108,27 +1108,20 @@ def _loop_ranked(
         for key, kind, _ in fields:
             value = rec.get(key)
             if kind == "segment":
-                value = _segment(rec, where, out)
+                value = _segment(rec.get("start_s"), rec.get("end_s"), where, out)
             elif kind == "box":
                 value = _box(value, where, out)
             elif kind == "int":
-                if not _is_int(value) or value < 0:
-                    out.append(f"{where}: {key} must be an int >= 0")
-                elif bound is not None and value >= bound:
-                    out.append(f"{where}: {key} {value} out of range [0, {bound})")
+                _int(value, key, bound, where, out)
             elif kind in ("real", "positive"):
-                if _finite(value) and (kind == "real" or value > 0):
-                    value = float(value)
-                else:
-                    out.append(f"{where}: {key} must be a {'positive ' if kind == 'positive' else ''}finite real")
-            elif not isinstance(value, str) or value == "":
-                out.append(f"{where}: {key} must be a non-empty string")
-            elif kind == "listed" and value not in known:
-                out.append(f"{where}: unknown {key} '{value}'")
-            elif kind == "unique":
-                if value in seen:
-                    out.append(f"{where}: duplicate {key} '{value}'")
-                seen.add(value)
+                value = _real(value, key, kind == "positive", where, out)
+            elif _id(value, key, where, out):
+                if kind == "listed" and value not in known:
+                    out.append(f"{where}: unknown {key} '{value}'")
+                elif kind == "unique":
+                    if value in seen:
+                        out.append(f"{where}: duplicate {key} '{value}'")
+                    seen.add(value)
             row.append(value)
         if len(out) == n:
             for (_, _, column), value in zip(fields, row):

@@ -10,6 +10,7 @@ from egoforge.errors import DataError, SchemaError
 from egoforge.heads import new_head
 from egoforge.metrics import MetricReport
 from egoforge.model import FeatureMatrix, ScoreMatrix
+from egoforge.render import render_reports
 from egoforge.synth import SynthConfig, generate_synthetic, perfect_predictions
 
 
@@ -265,6 +266,7 @@ class TestReportFiles:
         path = tmp_path / "r.json"
         fileio.save_reports(path, reports)
         assert fileio.load_reports(path) == reports
+        assert path.read_text(encoding="utf-8") == render_reports(reports, "json")
 
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "r.json"

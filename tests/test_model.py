@@ -293,6 +293,10 @@ class TestProbabilityRows:
             ([0.5, 0.5001], [SUM]),
             ([], [BAD]),
             ("1.0", [BAD]),
+            # Sums within a few ulps of the tolerance: the verdict follows the
+            # exactly rounded sum, so it is the same on every Python version.
+            ([0.1000001] * 10, []),
+            ([0.05882358823529413] * 17, [SUM]),
         ],
     )
     def test_row_verdicts(self, row, expected):
