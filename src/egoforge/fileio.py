@@ -5,8 +5,9 @@ strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
 canonical, so save -> load is the identity and identical inputs produce
 byte-identical files: every JSON file has the bytes of
-``json.dumps(obj, indent=2)``, a layout that ``render`` alone knows. Most
-files go whole through its ``json_text``.
+``json.dumps(obj, indent=2)``, a layout that ``render`` alone knows: the
+savers fill its templates of a record with the texts of the values, and
+config and report files go whole through its ``json_text``.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
@@ -20,18 +21,19 @@ that builds the records from the columns through ``model._validated``.
 For fhp and lta the walk builds the typed records itself, except score
 matrices: it checks their rows and hands them over as float64 arrays, which
 ``load_lta_clip_probs(columns=True)`` returns as they are, for ``egoforge
-vote``; the typed loaders wrap them in ``ScoreMatrix`` through
-``_validated``. ``LtaForecast``, a few hundred per file, keeps its checked
-constructor.
+vote``; the typed loaders wrap them in ``ScoreMatrix``, and
+``load_lta_pred`` builds its forecasts, through ``_validated``.
 
 The savers of those four tracks share one writer, ``_save_ranked``: it
 turns typed records into columns with ``metrics._columns`` (a loader's
 columns pass as they are) and writes each row through one record template
 per schema, a ``render.json_template`` of the keys of the schema's field
 spec, ``model._RANKED`` (the spec the walk checks files against), in file
-order, filled from the ``render.json_texts`` of each column.
-``save_lta_pred`` fills templates of a forecast and of a candidate pair the
-same way.
+order, filled from the ``render.json_texts`` of each column. The fhp and
+lta savers share ``_save_nested``, which writes each record's keys in the
+order of ``model._INSTANCE_KEYS`` (the keys the walk allows) through one
+template per key set, and fills templates of the keyframes, of a [verb,
+noun] pair and of a score matrix the same way.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import struct
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .model import (
     Detection,
     FeatureMatrix,
     HandKeyframes,
+    HandPoint,
     KEYFRAME_TAGS,
     LtaForecast,
     MomentInstance,
@@ -66,6 +70,7 @@ from .model import (
     StaInstance,
     TemporalSegment,
     VideoMeta,
+    _INSTANCE_KEYS,
     _RANKED,
     _resolution,
     _validated,
@@ -90,10 +95,6 @@ def _read_json(path: str | Path) -> Any:
         # JSONDecodeError, or a plain ValueError for an integer literal
         # longer than Python's int_max_str_digits.
         raise DataError(f"{path}: not valid JSON ({e})") from e
-
-
-def _write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json_text(obj) + "\n", encoding="utf-8")
 
 
 def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:
@@ -183,6 +184,51 @@ def _write_records(path: str | Path, head: Mapping[str, Any], records: list[str]
     whose records, one level below it, have the texts ``records``."""
     text = json_template({**head, "instances": SLOT}) % json_list(records, 1)
     Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+@cache
+def _nested_layout(schema: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
+    """The ``json_template`` of a ``schema`` record of ``keys``, and those
+    keys in the order of ``_INSTANCE_KEYS``, the keys the walk allows."""
+    ordered = tuple(key for key in _INSTANCE_KEYS[schema] if key in keys)
+    return json_template(dict.fromkeys(ordered, SLOT), 2), ordered
+
+
+# A [verb id, noun id] pair in a sequence and in a candidate, a score
+# matrix and the five keyframes, as json_templates.
+_PAIR, _CANDIDATE_PAIR = json_template([SLOT, SLOT], 4), json_template([SLOT, SLOT], 5)
+_MATRIX = json_template({"verb": SLOT, "noun": SLOT}, 3)
+_POINT = {"left": [SLOT, SLOT], "right": [SLOT, SLOT], "visible": {"left": SLOT, "right": SLOT}}
+_KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
+
+
+def _point_texts(p: HandPoint) -> tuple[str, ...]:
+    return (*json_texts([*p.left, *p.right]), json_text(p.left_visible), json_text(p.right_visible))
+
+
+# The text of each nested record value; a value of any other key is a plain
+# JSON value.
+_NESTED_TEXT: dict[str, Callable[[Any], str]] = {
+    "keyframes": lambda kf: _KEYFRAMES % tuple(chain.from_iterable(_point_texts(kf[tag]) for tag in KEYFRAME_TAGS)),
+    "sequence": lambda pairs: json_list([_PAIR % p for p in pairs], 3),
+    "candidates": lambda cands: json_list([json_list([_CANDIDATE_PAIR % p for p in seq], 4) for seq in cands], 3),
+    "score_matrix": lambda m: _MATRIX % tuple(json_list([json_list(json_texts(r), 5) for r in a.tolist()], 4) for a in m),
+}
+
+
+def _save_nested(path: str | Path, schema: str, rows: Iterable[Mapping[str, Any]], **head: Any) -> None:
+    """Write ``rows`` as a ``schema`` file (fhp or lta), the bytes
+    ``json_text`` gives.
+
+    Each row maps some of the schema's record keys to values: keyframes as
+    ``HandKeyframes``, a sequence as (verb id, noun id) pairs, candidates
+    as lists of them and a score matrix as its (verb, noun) arrays.
+    """
+    records = []
+    for row in rows:
+        template, keys = _nested_layout(schema, tuple(row))
+        records.append(template % tuple(_NESTED_TEXT.get(key, json_text)(row[key]) for key in keys))
+    _write_records(path, {"schema": schema, **head}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -296,34 +342,14 @@ class FhpGt:
     instances: dict[str, HandKeyframes]
 
 
-def _keyframes_to_raw(kf: HandKeyframes) -> dict[str, Any]:
-    return {
-        tag: {
-            "left": list(kf[tag].left),
-            "right": list(kf[tag].right),
-            "visible": {"left": kf[tag].left_visible, "right": kf[tag].right_visible},
-        }
-        for tag in KEYFRAME_TAGS
-    }
-
-
 def load_fhp_gt(path: str | Path) -> FhpGt:
     resolution, records = _load_annotations(path, "fhp/1")
     return FhpGt(resolution=resolution, instances=dict(records))
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "fhp/1",
-            "resolution": list(gt.resolution),
-            "instances": [
-                {"video_id": vid, "keyframes": _keyframes_to_raw(kf)}
-                for vid, kf in gt.instances.items()
-            ],
-        },
-    )
+    rows = ({"video_id": vid, "keyframes": kf} for vid, kf in gt.instances.items())
+    _save_nested(path, "fhp/1", rows, resolution=list(gt.resolution))
 
 
 def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> dict[str, HandKeyframes]:
@@ -334,15 +360,7 @@ def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -
 
 
 def save_fhp_pred(path: str | Path, preds: Mapping[str, HandKeyframes]) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "fhp-pred/1",
-            "instances": [
-                {"video_id": vid, "keyframes": _keyframes_to_raw(kf)} for vid, kf in preds.items()
-            ],
-        },
-    )
+    _save_nested(path, "fhp-pred/1", ({"video_id": vid, "keyframes": kf} for vid, kf in preds.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +385,11 @@ def load_lta_gt(path: str | Path) -> LtaGt:
 
 
 def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "lta/1",
-            "config": {"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k},
-            "instances": [
-                {
-                    "video_id": vid,
-                    "clip_index": ci,
-                    "sequence": [[a.verb_id, a.noun_id] for a in seq],
-                }
-                for (vid, ci), seq in gt.sequences.items()
-            ],
-        },
+    rows = (
+        {"video_id": vid, "clip_index": ci, "sequence": [(a.verb_id, a.noun_id) for a in seq]}
+        for (vid, ci), seq in gt.sequences.items()
     )
+    _save_nested(path, "lta/1", rows, config={"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k})
 
 
 def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
@@ -398,7 +406,8 @@ def load_lta_pred(path: str | Path) -> dict[tuple[str, int], LtaForecast]:
         if candidates is None:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
         matrix = None if scores is None else _matrix(scores)
-        out[key] = LtaForecast(clip_index=key[1], candidates=candidates, score_matrix=matrix)
+        # The walk checked the candidates and their match with the matrix.
+        out[key] = _validated(LtaForecast, clip_index=key[1], candidates=candidates, score_matrix=matrix)
     return out
 
 
@@ -421,54 +430,37 @@ def load_lta_clip_probs(
     return out if columns else {key: [_matrix(scores) for scores in clips] for key, clips in out.items()}
 
 
-# An lta-pred/1 record, without and with a score matrix, and one
-# candidate's [verb id, noun id] pair, as json_templates.
-_FORECAST = json_template({"video_id": SLOT, "clip_index": SLOT, "candidates": SLOT}, 2)
-_SCORED_FORECAST = json_template({"video_id": SLOT, "clip_index": SLOT, "candidates": SLOT, "score_matrix": {"verb": SLOT, "noun": SLOT}}, 2)
-_PAIR = json_template([SLOT, SLOT], 5)
-
-
 def save_lta_pred(
     path: str | Path,
     preds: Mapping[tuple[str, int], LtaForecast | tuple[Sequence[Sequence[tuple[int, int]]], np.ndarray, np.ndarray]],
 ) -> None:
     """Write finished forecasts. A forecast may also be given as
     ``(candidates, verb, noun)``: (verb id, noun id) pairs per candidate and
-    the score matrix as two arrays, the form ``egoforge vote`` makes."""
-    records = []
+    the score matrix as two arrays, the form ``egoforge vote`` makes. A
+    forecast's clip index must be its key's, the one the file keeps."""
+    rows = []
     for (vid, ci), forecast in preds.items():
+        row: dict[str, Any] = {"video_id": vid, "clip_index": ci}
         if isinstance(forecast, LtaForecast):
-            candidates = [[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates]
+            if forecast.clip_index != ci:
+                raise ValueError(f"lta-pred/1: the forecast for {(vid, ci)!r} has clip_index {forecast.clip_index}")
+            row["candidates"] = [[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates]
             m = forecast.score_matrix
-            matrix = None if m is None else (m.verb, m.noun)
+            if m is not None:
+                row["score_matrix"] = (m.verb, m.noun)
         else:
-            candidates, *matrix = forecast
-        texts = (json_text(vid), json_text(ci), json_list([json_list([_PAIR % pair for pair in seq], 4) for seq in candidates], 3))
-        if matrix is None:
-            records.append(_FORECAST % texts)
-        else:
-            rows = (json_list([json_list(json_texts(row), 5) for row in m.tolist()], 4) for m in matrix)
-            records.append(_SCORED_FORECAST % (*texts, *rows))
-    _write_records(path, {"schema": "lta-pred/1"}, records)
+            row["candidates"], row["score_matrix"] = forecast[0], forecast[1:]
+        rows.append(row)
+    _save_nested(path, "lta-pred/1", rows)
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
-    _write_json(
-        path,
-        {
-            "schema": "lta-pred/1",
-            "instances": [
-                {
-                    "video_id": vid,
-                    "clip_index": ci,
-                    "clip": slot,
-                    "score_matrix": {"verb": m.verb.tolist(), "noun": m.noun.tolist()},
-                }
-                for (vid, ci), clips in probs.items()
-                for slot, m in enumerate(clips)
-            ],
-        },
+    rows = (
+        {"video_id": vid, "clip_index": ci, "clip": slot, "score_matrix": (m.verb, m.noun)}
+        for (vid, ci), clips in probs.items()
+        for slot, m in enumerate(clips)
     )
+    _save_nested(path, "lta-pred/1", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +645,7 @@ def save_config(path: str | Path, config: SynthConfig) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         raw[f.name] = list(value) if isinstance(value, tuple) else value
-    _write_json(path, raw)
+    Path(path).write_text(json_text(raw) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> SynthConfig:

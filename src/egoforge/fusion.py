@@ -74,6 +74,17 @@ def _canonical_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return total / len(ordered)
 
 
+def _mean_matrix(verbs: Sequence[np.ndarray], nouns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical means of per-clip matrices of one shape, read-only."""
+    means = _canonical_mean(verbs), _canonical_mean(nouns)
+    for name, mean in zip(("verb", "noun"), means):
+        # Rounding can take a mean row past the tolerance; the lta-pred/1
+        # walk's row rule checks it here, so the file written loads.
+        _require(all(map(_sums_to_one, mean.tolist())), f"{name} rows must sum to 1 within 1e-6")
+        mean.setflags(write=False)
+    return means
+
+
 def _argmax_row(row: np.ndarray) -> int:
     # First maximum, so equal probabilities resolve to the lowest index.
     return int(np.argmax(row))
@@ -97,10 +108,9 @@ def multi_clips_vote(
     for m in clips:
         _require(m.verb.shape == clips[0].verb.shape, "verb matrices must share a shape")
         _require(m.noun.shape == clips[0].noun.shape, "noun matrices must share a shape")
-    fused = ScoreMatrix(
-        verb=_canonical_mean([m.verb for m in clips]),
-        noun=_canonical_mean([m.noun for m in clips]),
-    )
+    verb, noun = _mean_matrix([m.verb for m in clips], [m.noun for m in clips])
+    # Means of valid matrices of one shape, with rows that sum to 1.
+    fused = _validated(ScoreMatrix, verb=verb, noun=noun)
     labels: list[ActionLabel] = []
     for pos in range(z):
         if config.combine_rule == "mean_prob":
@@ -322,11 +332,7 @@ def mean_forecast(
     probability matrices, which must share their shapes; the sequences as
     (verb id, noun id) pairs."""
     verbs, nouns = zip(*clips)
-    verb, noun = _canonical_mean(verbs), _canonical_mean(nouns)
-    for name, mean in (("verb", verb), ("noun", noun)):
-        # Rounding can take a mean row past the tolerance; the lta-pred/1
-        # walk's row rule checks it here, so the file written loads.
-        _require(all(map(_sums_to_one, mean.tolist())), f"{name} rows must sum to 1 within 1e-6")
+    verb, noun = _mean_matrix(verbs, nouns)
     return _top_k_pairs(verb, noun, k), verb, noun
 
 

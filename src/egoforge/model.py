@@ -100,9 +100,10 @@ def _validated(cls: type[_T], /, **fields: Any) -> _T:
 # ---------------------------------------------------------------------------
 # Field checkers.
 #
-# One checker per field kind, shared by the walk and the constructors. Each
-# takes the value, then ``where`` (the location that starts its messages)
-# and ``out``; it appends one message per fault, formatted only then, and
+# One checker per field kind or nested part (keyframe tags, actions, forecast
+# candidates), shared by the walk and the constructors. Each takes the
+# value, then ``where`` (the location that starts its messages) and
+# ``out``; it appends one message per fault, formatted only then, and
 # returns the value in the form the types store it (None on a fault), or
 # whether the value passed.
 # ---------------------------------------------------------------------------
@@ -249,6 +250,77 @@ def _score_matrix(verb: Any, noun: Any, z: int | None, where: str, out: list[str
     return matrices
 
 
+def _tags(kf: Any, where: str, out: list[str]) -> bool:
+    """An object keyed by exactly the keyframe tags."""
+    if not _is_object(kf):
+        out.append(f"{where}: keyframes must be an object")
+    elif set(kf) != set(KEYFRAME_TAGS):
+        out.append(f"{where}: keyframe tags must be exactly {sorted(KEYFRAME_TAGS)}")
+    else:
+        return True
+    return False
+
+
+def _labels(seq: list, c_v: int | None, c_n: int | None, shared: dict, where: str, out: list[str]) -> tuple[ActionLabel, ...] | None:
+    """The actions of ``where``, a list of [verb, noun] pairs.
+
+    A file repeats a few hundred pairs many times, so equal pairs share one
+    (immutable) ActionLabel, kept in ``shared`` once its ids are in range.
+    """
+    n = len(out)
+    labels = []
+    for j, pair in enumerate(seq):
+        if isinstance(pair, list) and len(pair) == 2:
+            verb, noun = pair
+            if _is_int(verb) and verb >= 0 and _is_int(noun) and noun >= 0:
+                label = shared.get((verb, noun))
+                if label is None:
+                    at = f"{where}[{j}]"
+                    # & runs both checks, so both ids are reported.
+                    if _int(verb, "verb id", c_v, at, out) & _int(noun, "noun id", c_n, at, out):
+                        label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
+                labels.append(label)
+                continue
+        out.append(f"{where}[{j}]: action must be a [verb, noun] pair of ints >= 0")
+    return tuple(labels) if len(out) == n else None
+
+
+# An lta config, (z, c_v, c_n, k), that bounds nothing.
+_NO_CONFIG = (None, None, None, None)
+
+
+def _candidates(cands: Any, config: tuple, rows: int | None, shared: dict, where: str, out: list[str]) -> tuple | None:
+    """Candidate action sequences, as tuples of ActionLabel: a non-empty
+    list of at most k lists of [verb, noun] pairs (``_labels``), none empty
+    and all of one length. The length is the config's z, else the first
+    candidate's, and it must be the ``rows`` of the score matrix when there
+    is one."""
+    z, c_v, c_n, k = config
+    if not isinstance(cands, list) or not cands:
+        out.append(f"{where}: candidates must be a non-empty list")
+        return None
+    n = len(out)
+    if k is not None and len(cands) > k:
+        out.append(f"{where}: {len(cands)} candidates exceed k={k}")
+    length = z
+    built = []
+    for c, seq in enumerate(cands):
+        cwhere = f"{where}.candidates[{c}]"
+        if not isinstance(seq, list):
+            out.append(f"{cwhere}: not a list")
+            continue
+        if not seq:
+            out.append(f"{cwhere}: candidate sequence is empty")
+        elif length is None:
+            length = len(seq)
+        elif len(seq) != length:
+            out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
+        built.append(_labels(seq, c_v, c_n, shared, cwhere, out))
+    if rows is not None and length is not None and rows != length:
+        out.append(f"{where}.score_matrix: {rows} rows, candidates have length {length}")
+    return tuple(built) if len(out) == n else None
+
+
 @dataclass(frozen=True)
 class VideoMeta:
     """Identity and timing of one source video."""
@@ -362,7 +434,7 @@ class ScoreMatrix:
         return np.array_equal(self.verb, other.verb) and np.array_equal(self.noun, other.noun)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LtaForecast:
     """Candidate future action sequences predicted after one clip."""
 
@@ -371,32 +443,20 @@ class LtaForecast:
     score_matrix: ScoreMatrix | None = None
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.clip_index, int) and not isinstance(self.clip_index, bool), "clip_index must be an int")
-        _require(self.clip_index >= 0, f"clip_index must be >= 0, got {self.clip_index}")
-        cands = tuple(tuple(seq) for seq in self.candidates)
-        _require(len(cands) >= 1, "at least one candidate sequence is required")
-        z = len(cands[0])
-        _require(z >= 1, "candidate sequences must be non-empty")
-        for seq in cands:
-            _require(len(seq) == z, f"candidate length {len(seq)} != {z}")
-            _require(all(isinstance(a, ActionLabel) for a in seq), "candidates must contain ActionLabel entries")
-        if self.score_matrix is not None:
-            _require(isinstance(self.score_matrix, ScoreMatrix), "score_matrix must be a ScoreMatrix")
-            _require(self.score_matrix.z == z, f"score_matrix has {self.score_matrix.z} positions, candidates have {z}")
-        object.__setattr__(self, "candidates", cands)
+        _checked("LtaForecast", _int, self.clip_index, "clip_index", None)
+        cands = tuple(map(tuple, self.candidates))
+        _require(all(isinstance(a, ActionLabel) for seq in cands for a in seq), "candidates must contain ActionLabel entries")
+        matrix = self.score_matrix
+        _require(matrix is None or isinstance(matrix, ScoreMatrix), "score_matrix must be a ScoreMatrix")
+        pairs = [[[a.verb_id, a.noun_id] for a in seq] for seq in cands]
+        # Each ActionLabel has checked its ids, so _labels keeps the labels.
+        shared = {(a.verb_id, a.noun_id): a for seq in cands for a in seq}
+        _checked("LtaForecast", _candidates, pairs, _NO_CONFIG, None if matrix is None else matrix.z, shared)
+        _set(self, "candidates", cands)
 
     @property
     def z(self) -> int:
         return len(self.candidates[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LtaForecast):
-            return NotImplemented
-        return (
-            self.clip_index == other.clip_index
-            and self.candidates == other.candidates
-            and self.score_matrix == other.score_matrix
-        )
 
 
 @dataclass(frozen=True)
@@ -422,26 +482,19 @@ class HandPoint:
         return self.left_visible if hand == "left" else self.right_visible
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HandKeyframes:
     """Hand positions at the five keyframes c, p, p1, p2, p3."""
 
     points: Mapping[str, HandPoint]
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.points, Mapping), "points must be a mapping")
-        _require(set(self.points) == set(KEYFRAME_TAGS), f"keyframe tags must be exactly {set(KEYFRAME_TAGS)}")
+        _checked("HandKeyframes", _tags, self.points)
         _require(all(isinstance(p, HandPoint) for p in self.points.values()), "points must map tags to HandPoint")
-        ordered = {tag: self.points[tag] for tag in KEYFRAME_TAGS}
-        object.__setattr__(self, "points", ordered)
+        _set(self, "points", {tag: self.points[tag] for tag in KEYFRAME_TAGS})
 
     def __getitem__(self, tag: str) -> HandPoint:
         return self.points[tag]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HandKeyframes):
-            return NotImplemented
-        return self.points == other.points
 
 
 @dataclass(frozen=True)
@@ -716,7 +769,8 @@ _RANKED: dict[str, _Ranked] = {
 }
 
 # Allowed top-level and per-record keys; any other key is reported as
-# unknown, which loaders turn into warnings.
+# unknown, which loaders turn into warnings. The record keys are in the
+# order the savers write them.
 _TOP_KEYS: dict[str, set[str]] = {
     "fhp/1": {"schema", "resolution", "instances"},
     "fhp-pred/1": {"schema", "instances"},
@@ -725,12 +779,12 @@ _TOP_KEYS: dict[str, set[str]] = {
     **{schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()},
 }
 
-_INSTANCE_KEYS: dict[str, set[str]] = {
-    "fhp/1": {"video_id", "keyframes"},
-    "fhp-pred/1": {"video_id", "keyframes"},
-    "lta/1": {"video_id", "clip_index", "sequence"},
-    "lta-pred/1": {"video_id", "clip_index", "clip", "candidates", "score_matrix"},
-    **{schema: set(spec.keys) for schema, spec in _RANKED.items()},
+_INSTANCE_KEYS: dict[str, tuple[str, ...]] = {
+    "fhp/1": ("video_id", "keyframes"),
+    "fhp-pred/1": ("video_id", "keyframes"),
+    "lta/1": ("video_id", "clip_index", "sequence"),
+    "lta-pred/1": ("video_id", "clip_index", "clip", "candidates", "score_matrix"),
+    **{schema: spec.keys for schema, spec in _RANKED.items()},
 }
 
 
@@ -740,7 +794,7 @@ def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[s
     if not isinstance(inst, list):
         out.append("instances: missing or not a list")
         return
-    allowed = _INSTANCE_KEYS[schema]
+    allowed = set(_INSTANCE_KEYS[schema])
     for i, rec in enumerate(inst):
         if not _is_object(rec):
             out.append(f"instances[{i}]: not an object")
@@ -845,11 +899,7 @@ def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[dict[str, None
 
 
 def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
-    if not _is_object(kf):
-        out.append(f"{where}: keyframes must be an object")
-        return None
-    if set(kf) != set(KEYFRAME_TAGS):
-        out.append(f"{where}: keyframe tags must be exactly {sorted(KEYFRAME_TAGS)}")
+    if not _tags(kf, where, out):
         return None
     n = len(out)
     points = {}
@@ -897,32 +947,6 @@ def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     return resolution, records
 
 
-def _labels(
-    seq: list, c_v: int | None, c_n: int | None, where: str, out: list[str], shared: dict
-) -> tuple[ActionLabel, ...] | None:
-    """The actions of ``where``, a list of [verb, noun] pairs.
-
-    A file repeats a few hundred pairs many times, so equal pairs share one
-    (immutable) ActionLabel, kept in ``shared`` once its ids are in range.
-    """
-    n = len(out)
-    labels = []
-    for j, pair in enumerate(seq):
-        if isinstance(pair, list) and len(pair) == 2:
-            verb, noun = pair
-            if _is_int(verb) and verb >= 0 and _is_int(noun) and noun >= 0:
-                label = shared.get((verb, noun))
-                if label is None:
-                    at = f"{where}[{j}]"
-                    # & runs both checks, so both ids are reported.
-                    if _int(verb, "verb id", c_v, at, out) & _int(noun, "noun id", c_n, at, out):
-                        label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
-                labels.append(label)
-                continue
-        out.append(f"{where}[{j}]: action must be a [verb, noun] pair of ints >= 0")
-    return tuple(labels) if len(out) == n else None
-
-
 def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
     cfg = raw.get("config")
     if not _is_object(cfg):
@@ -940,42 +964,23 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str],
     """A prediction row's candidate actions and its score matrix as a
     (verb, noun) pair of read-only float64 arrays, each None when the row
     has none."""
-    z, c_v, c_n, k = config
     cands, matrix = rec.get("candidates"), rec.get("score_matrix")
     if cands is None and matrix is None:
         out.append(f"{where}: needs candidates or score_matrix")
-    # Without a config block, the first candidate sets the length every
-    # other candidate and the score matrix must share.
-    length = z
-    candidates = None
-    if cands is not None:
-        if not isinstance(cands, list) or len(cands) < 1:
-            out.append(f"{where}: candidates must be a non-empty list")
-        else:
-            if k is not None and len(cands) > k:
-                out.append(f"{where}: {len(cands)} candidates exceed k={k}")
-            built = []
-            for c, seq in enumerate(cands):
-                cwhere = f"{where}.candidates[{c}]"
-                if not isinstance(seq, list):
-                    out.append(f"{cwhere}: not a list")
-                    continue
-                if not seq:
-                    out.append(f"{cwhere}: candidate sequence is empty")
-                elif length is None:
-                    length = len(seq)
-                elif len(seq) != length:
-                    out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
-                built.append(_labels(seq, c_v, c_n, cwhere, out, shared))
-            candidates = tuple(built)
+    # The matrix is checked first, since the candidates must match its row
+    # count, but its messages follow theirs.
+    matrix_out: list[str] = []
     scores = None
     if matrix is not None:
         if not _is_object(matrix) or set(matrix) != {"verb", "noun"}:
-            out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
+            matrix_out.append(f"{where}: score_matrix must have exactly 'verb' and 'noun' rows")
         else:
-            scores = _score_matrix(matrix["verb"], matrix["noun"], z, f"{where}.score_matrix", out)
-            if scores is not None and length is not None and len(scores[0]) != length:
-                out.append(f"{where}.score_matrix: {len(scores[0])} rows, candidates have length {length}")
+            scores = _score_matrix(matrix["verb"], matrix["noun"], config[0], f"{where}.score_matrix", matrix_out)
+    candidates = None
+    if cands is not None:
+        rows = None if scores is None else len(scores[0])
+        candidates = _candidates(cands, config, rows, shared, where, out)
+    out += matrix_out
     return candidates, scores
 
 
@@ -987,7 +992,7 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     if pred and raw.get("config") is None:
         # Prediction files may omit the config block; lengths are checked
         # against ground truth at evaluation time instead.
-        config: tuple = (None, None, None, None)
+        config = _NO_CONFIG
     else:
         config = _lta_config(raw, out)
     z, c_v, c_n, _ = config
@@ -1014,7 +1019,7 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
             else:
                 if z is not None and len(seq) != z:
                     out.append(f"{where}: sequence length {len(seq)} != {z}")
-                item = _labels(seq, c_v, c_n, f"{where}.sequence", out, shared)
+                item = _labels(seq, c_v, c_n, shared, f"{where}.sequence", out)
         if not out:
             records.append(((vid, ci), item))
     return config, records

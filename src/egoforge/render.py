@@ -87,15 +87,6 @@ def _flat_texts(values: Sequence[Any]) -> list[str] | None:
     return None
 
 
-def _list_text(texts: Sequence[str], indent: str) -> str:
-    # The text of a list whose items have the given texts; indent as in
-    # _emit.
-    if not texts:
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts) + indent + "]"
-
-
 def _emit(value: Any, out: list[str], indent: str) -> None:
     # Appends the text of one value; indent is the newline and spaces that
     # start a line at the value's own nesting level.
@@ -105,12 +96,6 @@ def _emit(value: Any, out: list[str], indent: str) -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
-            return
-        # Rows of reals (probabilities, points): one join, not a text call
-        # per item. Ints and strings are no faster this way.
-        texts = _flat_texts(value) if type(value[0]) is float else None
-        if texts is not None:
-            out.append(_list_text(texts, indent))
             return
         inner = indent + "  "
         sep = "[" + inner
@@ -179,7 +164,11 @@ def json_template(value: Any, level: int = 0) -> str:
 def json_list(texts: Sequence[str], level: int = 0) -> str:
     """The text ``json_text`` gives a list ``level`` lists or objects deep
     whose items have the texts ``texts``, written for the level below."""
-    return _list_text(texts, _indent(level))
+    if not texts:
+        return "[]"
+    indent = _indent(level)
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + indent + "]"
 
 
 def json_texts(values: Sequence[Any]) -> list[str]:

@@ -6,6 +6,7 @@ import pytest
 from egoforge.fusion import (
     VoteConfig,
     box_positional_encoding,
+    mean_forecast,
     multi_clips_vote,
     multi_view_average,
     nms,
@@ -90,6 +91,17 @@ class TestVote:
             assert fused.noun.tobytes() == m.noun.tobytes()
             single_labels, _ = multi_clips_vote([m], VoteConfig(combine_rule=rule))
             assert labels == single_labels
+
+    def test_both_vote_paths_share_one_checked_mean(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        clips = [random_matrix(rng) for _ in range(5)]
+        _, verb, noun = mean_forecast([(m.verb, m.noun) for m in clips], 1)
+        # The mean's rows were checked once; the fused matrix is not built
+        # through the checked constructor again.
+        monkeypatch.setattr(ScoreMatrix, "__post_init__", lambda self: pytest.fail("ScoreMatrix checked twice"))
+        _, fused = multi_clips_vote(clips)
+        assert fused.verb.tobytes() == verb.tobytes() and fused.noun.tobytes() == noun.tobytes()
+        assert not any(a.flags.writeable for a in (verb, noun, fused.verb, fused.noun))
 
     def test_single_clip_identity(self):
         rng = np.random.default_rng(2)

@@ -4,22 +4,37 @@ Round trips load and save with the same code, so they cannot see a change
 in key order or number format. These tests freeze the sha256 of the files
 ``egoforge synth`` writes and of the eight ranked savers' output on a
 hand-built input with edge values: negative zero, the smallest subnormal,
-1e308, an id past int64, non-ASCII ids and empty groups.
+1e308, an id past int64, non-ASCII ids and empty groups. The fhp and lta
+savers are held to the text of ``json.dumps(..., indent=2)`` on such
+values, and ``synth`` followed by ``vote`` to the same bytes under two hash
+seeds.
 """
 
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import egoforge
 from egoforge import cli, fileio
 from egoforge.model import (
+    KEYFRAME_TAGS,
+    ActionLabel,
     BoundingBox,
     Detection,
+    HandKeyframes,
+    HandPoint,
+    LtaForecast,
     MomentInstance,
     NlqInstance,
     RankedSegment,
+    ScoreMatrix,
     StaInstance,
     TemporalSegment,
     VideoMeta,
@@ -140,3 +155,132 @@ def test_a_record_without_an_int_label_is_refused_not_written(tmp_path):
     with pytest.raises(ValueError, match="class_id"):
         fileio.save_mq_pred(path, {"v": (RankedSegment(TemporalSegment(0.0, 1.0), 0.5, "q1"),)})
     assert not path.exists()
+
+
+def test_a_forecast_for_another_clip_is_refused_not_written(tmp_path):
+    # The file keeps one clip index per forecast, the key's; a forecast that
+    # names another would load back unequal to what was saved.
+    path = tmp_path / "pred_lta.json"
+    forecast = LtaForecast(clip_index=3, candidates=((ActionLabel(0, 1),),))
+    with pytest.raises(ValueError, match=r"\('v', 7\)"):
+        fileio.save_lta_pred(path, {("v", 7): forecast})
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# The fhp and lta savers write the text of json.dumps.
+# ---------------------------------------------------------------------------
+
+
+def _dumps(tree):
+    return json.dumps(tree, indent=2) + "\n"
+
+
+def _keyframes_tree(kf):
+    return {
+        tag: {
+            "left": list(kf[tag].left),
+            "right": list(kf[tag].right),
+            "visible": {"left": kf[tag].left_visible, "right": kf[tag].right_visible},
+        }
+        for tag in KEYFRAME_TAGS
+    }
+
+
+def _hands():
+    points = [
+        HandPoint((-0.0, 5e-324), (1e308, -1e308)),
+        HandPoint((0, 1), (2.5, -0.0), left_visible=False),
+        HandPoint((1e-300, 3), (4, 5), right_visible=False),
+        HandPoint((6.0, 7.0), (8.0, 9.0), left_visible=False, right_visible=False),
+        HandPoint((-1.5, 0.1), (0.2, 0.30000000000000004)),
+    ]
+    first = HandKeyframes(dict(zip(KEYFRAME_TAGS, points)))
+    return {"vidé": first, "видео": HandKeyframes(dict(zip(KEYFRAME_TAGS, points[::-1]))), "v": first}
+
+
+def test_fhp_savers_give_the_text_of_json_dumps(tmp_path):
+    hands = _hands()
+    instances = [{"video_id": vid, "keyframes": _keyframes_tree(kf)} for vid, kf in hands.items()]
+    fileio.save_fhp_gt(tmp_path / "gt.json", fileio.FhpGt(resolution=(2**31, 1), instances=hands))
+    expected = {"schema": "fhp/1", "resolution": [2**31, 1], "instances": instances}
+    assert (tmp_path / "gt.json").read_text(encoding="utf-8") == _dumps(expected)
+    fileio.save_fhp_pred(tmp_path / "pred.json", hands)
+    assert (tmp_path / "pred.json").read_text(encoding="utf-8") == _dumps({"schema": "fhp-pred/1", "instances": instances})
+    fileio.save_fhp_pred(tmp_path / "empty.json", {})
+    assert (tmp_path / "empty.json").read_text(encoding="utf-8") == _dumps({"schema": "fhp-pred/1", "instances": []})
+
+
+def test_lta_ground_truth_saver_gives_the_text_of_json_dumps(tmp_path):
+    big = 2**63
+    seq = (ActionLabel(big, 0), ActionLabel(3, big + 7))
+    gt = fileio.LtaGt(z=2, c_v=big + 1, c_n=big + 8, k=big, sequences={("vidé", big): seq, ("v", 0): seq[::-1], ("鍵", 5): seq})
+    expected = {
+        "schema": "lta/1",
+        "config": {"z": 2, "c_v": big + 1, "c_n": big + 8, "k": big},
+        "instances": [
+            {"video_id": vid, "clip_index": ci, "sequence": [[a.verb_id, a.noun_id] for a in s]}
+            for (vid, ci), s in gt.sequences.items()
+        ],
+    }
+    fileio.save_lta_gt(tmp_path / "gt.json", gt)
+    assert (tmp_path / "gt.json").read_text(encoding="utf-8") == _dumps(expected)
+
+
+def test_lta_clip_probability_saver_gives_the_text_of_json_dumps(tmp_path):
+    a = ScoreMatrix(verb=[[5e-324, 1.0], [-0.0, 1.0]], noun=[[0.1, 0.2, 0.7], [1.0, 0.0, 0.0]])
+    b = ScoreMatrix(verb=[[0.5, 0.5]], noun=[[1.0]])
+    probs = {("vidé", 2**63): [a, a], ("v", 0): [b], ("鍵", 1): []}
+    expected = {
+        "schema": "lta-pred/1",
+        "instances": [
+            {"video_id": vid, "clip_index": ci, "clip": slot, "score_matrix": {"verb": m.verb.tolist(), "noun": m.noun.tolist()}}
+            for (vid, ci), clips in probs.items()
+            for slot, m in enumerate(clips)
+        ],
+    }
+    fileio.save_lta_clip_probs(tmp_path / "clips.json", probs)
+    assert (tmp_path / "clips.json").read_text(encoding="utf-8") == _dumps(expected)
+
+
+# ---------------------------------------------------------------------------
+# No byte depends on the hash seed.
+# ---------------------------------------------------------------------------
+
+# Synth, then a vote on per-clip probabilities made from its lta ground
+# truth: each episode's one-hot truth and a copy smoothed towards uniform.
+_SYNTH_AND_VOTE = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from egoforge import cli, fileio
+from egoforge.model import ScoreMatrix
+
+out = Path(sys.argv[1])
+assert cli.main(["synth", "--out", str(out), "--seed", "3", "--num-videos", "4"]) == 0
+gt = fileio.load_lta_gt(out / "gt_lta.json")
+probs = {}
+for key, seq in gt.sequences.items():
+    verb, noun = np.zeros((gt.z, gt.c_v)), np.zeros((gt.z, gt.c_n))
+    for pos, action in enumerate(seq):
+        verb[pos, action.verb_id] = noun[pos, action.noun_id] = 1.0
+    smooth = ScoreMatrix(verb=(verb + 1 / gt.c_v) / 2, noun=(noun + 1 / gt.c_n) / 2)
+    probs[key] = [ScoreMatrix(verb=verb, noun=noun), smooth]
+fileio.save_lta_clip_probs(out / "clips.json", probs)
+assert cli.main(["vote", "--pred", str(out / "clips.json"), "--out", str(out / "voted.json"), "--k", "3"]) == 0
+"""
+
+
+def test_synth_and_vote_write_the_same_bytes_under_any_hash_seed(tmp_path):
+    src = str(Path(egoforge.__file__).resolve().parents[1])
+    files = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed-{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", _SYNTH_AND_VOTE, str(out)], env=env, check=True, capture_output=True)
+        files.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(files[0]) == 15 and "voted.json" in files[0]
+    assert files[0].keys() == files[1].keys()
+    assert [name for name in files[0] if files[0][name] != files[1][name]] == []

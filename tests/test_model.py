@@ -123,6 +123,12 @@ class TestHands:
         with pytest.raises(ValueError):
             HandKeyframes(points=points)
 
+    def test_a_wrong_tag_set_names_the_tags_in_canonical_order(self):
+        # Not in set order, which changes with the hash seed.
+        with pytest.raises(ValueError) as e:
+            HandKeyframes({})
+        assert str(e.value) == "HandKeyframes: keyframe tags must be exactly ['c', 'p', 'p1', 'p2', 'p3']"
+
     def test_visibility_flags(self):
         p = HandPoint(left=(0, 0), right=(1, 1), left_visible=False)
         assert not p.visible("left")

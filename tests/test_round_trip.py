@@ -19,10 +19,12 @@ from egoforge import fileio
 from egoforge.model import (
     HALF_MAX,
     KEYFRAME_TAGS,
+    ActionLabel,
     BoundingBox,
     Detection,
     HandKeyframes,
     HandPoint,
+    LtaForecast,
     MomentInstance,
     NlqInstance,
     RankedSegment,
@@ -247,3 +249,57 @@ def test_lta_clip_probabilities(episodes):
         if matrices:
             probs[vid, ci] = matrices
     assert _round_trip(fileio.save_lta_clip_probs, fileio.load_lta_clip_probs, probs) == probs
+
+
+# Episode keys: non-ASCII video ids and clip indices past int64 included.
+EPISODE_KEYS = st.tuples(st.one_of(KEYS, st.just("鍵")), st.one_of(st.integers(0, 3), st.just(2**63)))
+ACTIONS = st.tuples(_mostly(st.integers(0, 2), -1, 2**63, True, 1.0), _mostly(st.integers(0, 2), -1, 2**63, True, 1.0))
+
+
+def _actions(pairs):
+    """The actions of ``pairs`` when ActionLabel accepts every one, else None."""
+    labels = tuple(_accepted(ActionLabel, *pair) for pair in pairs)
+    return None if None in labels else labels
+
+
+@SETTINGS
+@given(
+    z=st.integers(1, 3),
+    vocab=st.tuples(st.sampled_from([3, 2**63 + 1]), st.sampled_from([3, 2**63 + 1])),
+    k=st.integers(1, 5),
+    episodes=st.dictionaries(EPISODE_KEYS, st.lists(ACTIONS, min_size=3, max_size=3), max_size=3),
+)
+@example(z=1, vocab=(2**63 + 1, 3), k=1, episodes={("鍵", 2**63): [(2**63, 2)] * 3})
+def test_lta_ground_truth(z, vocab, k, episodes):
+    c_v, c_n = vocab
+    sequences = {}
+    for key, pairs in episodes.items():
+        seq = _actions(pairs[:z])
+        # Ids below the vocabulary sizes are a rule of the file, not of ActionLabel.
+        if seq is not None and all(a.verb_id < c_v and a.noun_id < c_n for a in seq):
+            sequences[key] = seq
+    gt = fileio.LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=sequences)
+    assert vars(_round_trip(fileio.save_lta_gt, fileio.load_lta_gt, gt)) == vars(gt)
+
+
+@st.composite
+def _forecast_parts(draw):
+    """Candidates of one length z, and a z-row score matrix or None."""
+    z = draw(st.integers(1, 3))
+    candidates = draw(st.lists(st.lists(ACTIONS, min_size=z, max_size=z), min_size=1, max_size=3))
+    widths = draw(st.tuples(st.sampled_from([1, 2, 10, 17]), st.sampled_from([1, 2, 10, 17])))
+    matrix = draw(st.one_of(st.none(), _clip(z, widths)))
+    return candidates, matrix
+
+
+@SETTINGS
+@given(episodes=st.dictionaries(EPISODE_KEYS, _forecast_parts(), max_size=3))
+@example(episodes={("鍵", 2**63): ([[(2**63, 0)], [(0, 2**63 + 5)]], ([[-0.0, 1.0]], [[5e-324, 1.0]]))})
+def test_lta_predictions(episodes):
+    forecasts = {}
+    for key, (candidates, matrix) in episodes.items():
+        seqs = [_actions(seq) for seq in candidates]
+        scores = matrix and _accepted(ScoreMatrix, *matrix)
+        if None not in seqs and (matrix is None or scores is not None):
+            forecasts[key] = LtaForecast(clip_index=key[1], candidates=tuple(seqs), score_matrix=scores)
+    assert _round_trip(fileio.save_lta_pred, fileio.load_lta_pred, forecasts) == forecasts

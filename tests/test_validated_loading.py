@@ -334,6 +334,16 @@ def test_loaded_records_equal_checked_construction(trees, scratch, name, noisy):
     assert repr(loaded) == repr(LOADERS[name][1](tree))
 
 
+@pytest.mark.parametrize("name", ["gt_fhp", "pred_fhp", "pred_lta", "pred_lta_scored", "pred_lta_config"])
+def test_forecast_and_keyframe_loaders_run_no_checked_constructor(trees, scratch, monkeypatch, name):
+    # The walk has made every check these constructors make.
+    built = []
+    for cls in (HandKeyframes, LtaForecast):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(type(self).__name__))
+    assert _load(name, trees[name], scratch)
+    assert built == []
+
+
 _BAD_VISIBLE = (None, {}, {"left": 1}, {"middle": True}, [True], "yes", {"right": False})
 
 
