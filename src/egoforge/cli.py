@@ -281,18 +281,20 @@ def _eval_nlq(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_fhp(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_fhp_gt(args.gt)
-    preds = fileio.load_fhp_pred(args.pred, known_videos=gt.instances)
-    return displacement_report(preds, gt.instances)
+    gt = fileio.load_fhp_gt(args.gt, columns=True)
+    preds = fileio.load_fhp_pred(args.pred, known_videos=gt, columns=True)
+    return displacement_report(preds, gt)
 
 
 def _eval_lta(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_lta_gt(args.gt)
-    forecasts = fileio.load_lta_pred(args.pred)
-    for key, forecast in forecasts.items():
-        if len(forecast.candidates) > gt.k:
-            raise DataError(f"{key}: {len(forecast.candidates)} candidates exceeds the budget of {gt.k}")
-    return edit_distance_report(forecasts, gt.sequences)
+    # Both files are scored as columns; the config is ground truth's.
+    gt = fileio.load_lta_gt(args.gt, columns=True)
+    forecasts = fileio.load_lta_pred(args.pred, columns=True)
+    k = gt.config[3]
+    for key, count in zip(forecasts.episodes, forecasts.counts.tolist()):
+        if count > k:
+            raise DataError(f"{key}: {count} candidates exceeds the budget of {k}")
+    return edit_distance_report(forecasts, gt)
 
 
 def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:

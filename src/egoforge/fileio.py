@@ -11,29 +11,32 @@ config and report files go whole through its ``json_text``.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
-violations as one ``SchemaError`` or warns about its unknown keys. For the
-mq, nlq, sta and scod schemas the walk gives ``model.Columns``: ids,
-scores, TTCs and coordinates as arrays, rows in the loader's group order.
-Their loaders, ground truth and predictions alike, return those columns
-as they are with ``columns=True``, which is how ``egoforge eval`` scores
-them without one object per row; otherwise every loader is a typed view
-that builds the records from the columns through ``model._validated``.
-For fhp and lta the walk builds the typed records itself, except score
-matrices: it checks their rows and hands them over as float64 arrays, which
-``load_lta_clip_probs(columns=True)`` returns as they are, for ``egoforge
-vote``; the typed loaders wrap them in ``ScoreMatrix``, and
-``load_lta_pred`` builds its forecasts, through ``_validated``.
+violations as one ``SchemaError`` or warns about its unknown keys. The walk
+gives the records as arrays: ``model.Columns`` for the mq, nlq, sta and
+scod schemas (ids, scores, TTCs and coordinates, rows in the loader's group
+order), ``model.LtaColumns`` for lta ([verb, noun] pairs with per-row
+sequence counts and lengths, and score matrices as read-only float64
+arrays) and ``model.FhpColumns`` for fhp (coordinates and visibility).
+Loaders return those arrays as they are with ``columns=True``, which is how
+``egoforge eval`` and ``egoforge vote`` work without one object per row
+(``load_lta_clip_probs(columns=True)`` gives each clip's (verb, noun)
+arrays by episode); otherwise every loader is a typed view that builds the
+records from the arrays through ``model._validated``.
 
-The savers of those four tracks share one writer, ``_save_ranked``: it
-turns typed records into columns with ``metrics._columns`` (a loader's
-columns pass as they are) and writes each row through one record template
-per schema, a ``render.json_template`` of the keys of the schema's field
-spec, ``model._RANKED`` (the spec the walk checks files against), in file
-order, filled from the ``render.json_texts`` of each column. The fhp and
+The savers of the mq, nlq, sta and scod tracks share one writer,
+``_save_ranked``: it turns typed records into columns with
+``metrics._columns`` (a loader's columns pass as they are) and writes each
+row through one record template per schema, a ``render.json_template`` of
+the keys of the schema's field spec, ``model._RANKED`` (the spec the walk
+checks files against), in file order, filled from the
+``render.json_texts`` of each column. The fhp and
 lta savers share ``_save_nested``, which writes each record's keys in the
 order of ``model._INSTANCE_KEYS`` (the keys the walk allows) through one
 template per key set, and fills templates of the keyframes, of a [verb,
-noun] pair and of a score matrix the same way.
+noun] pair and of a score matrix the same way. ``save_lta_gt`` and
+``save_lta_pred`` first check the keys and actions of their records with
+the walk's checkers, and refuse a record its loader would refuse with a
+ValueError naming its episode.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ from .model import (
     Columns,
     Detection,
     FeatureMatrix,
+    FhpColumns,
     HandKeyframes,
     HandPoint,
     KEYFRAME_TAGS,
+    LtaColumns,
     LtaForecast,
     MomentInstance,
     NlqInstance,
@@ -71,8 +76,14 @@ from .model import (
     TemporalSegment,
     VideoMeta,
     _INSTANCE_KEYS,
+    _NO_CONFIG,
     _RANKED,
+    _candidates,
+    _id,
+    _int,
+    _lta_config,
     _resolution,
+    _sequence,
     _validated,
     _walk,
 )
@@ -210,8 +221,8 @@ def _point_texts(p: HandPoint) -> tuple[str, ...]:
 # JSON value.
 _NESTED_TEXT: dict[str, Callable[[Any], str]] = {
     "keyframes": lambda kf: _KEYFRAMES % tuple(chain.from_iterable(_point_texts(kf[tag]) for tag in KEYFRAME_TAGS)),
-    "sequence": lambda pairs: json_list([_PAIR % p for p in pairs], 3),
-    "candidates": lambda cands: json_list([json_list([_CANDIDATE_PAIR % p for p in seq], 4) for seq in cands], 3),
+    "sequence": lambda pairs: json_list([_PAIR % tuple(p) for p in pairs], 3),
+    "candidates": lambda cands: json_list([json_list([_CANDIDATE_PAIR % tuple(p) for p in seq], 4) for seq in cands], 3),
     "score_matrix": lambda m: _MATRIX % tuple(json_list([json_list(json_texts(r), 5) for r in a.tolist()], 4) for a in m),
 }
 
@@ -342,9 +353,25 @@ class FhpGt:
     instances: dict[str, HandKeyframes]
 
 
-def load_fhp_gt(path: str | Path) -> FhpGt:
-    resolution, records = _load_annotations(path, "fhp/1")
-    return FhpGt(resolution=resolution, instances=dict(records))
+def _hand_keyframes(cols: FhpColumns) -> dict[str, HandKeyframes]:
+    """The typed view of ``cols``: keyframes by video."""
+    flags = cols.visible.reshape(-1, 2).tolist()
+    points = [
+        _validated(HandPoint, left=(lx, ly), right=(rx, ry), left_visible=lv, right_visible=rv)
+        for (lx, ly, rx, ry), (lv, rv) in zip(cols.coords.reshape(-1, 4).tolist(), flags)
+    ]
+    frames = len(KEYFRAME_TAGS)
+    return {
+        vid: _validated(HandKeyframes, points=dict(zip(KEYFRAME_TAGS, points[r * frames : (r + 1) * frames])))
+        for r, vid in enumerate(cols.videos)
+    }
+
+
+def load_fhp_gt(path: str | Path, *, columns: bool = False) -> FhpGt | FhpColumns:
+    """Keyframes by video in file order; with ``columns`` the
+    ``FhpColumns`` themselves."""
+    resolution, cols = _load_annotations(path, "fhp/1")
+    return cols if columns else FhpGt(resolution=resolution, instances=_hand_keyframes(cols))
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
@@ -352,11 +379,15 @@ def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
     _save_nested(path, "fhp/1", rows, resolution=list(gt.resolution))
 
 
-def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> dict[str, HandKeyframes]:
-    out = dict(_load_annotations(path, "fhp-pred/1")[1])
+def load_fhp_pred(
+    path: str | Path, known_videos: Iterable[str] | None = None, *, columns: bool = False
+) -> dict[str, HandKeyframes] | FhpColumns:
+    """Keyframes by video in file order; with ``columns`` the
+    ``FhpColumns`` themselves."""
+    cols = _load_annotations(path, "fhp-pred/1")[1]
     if known_videos is not None:
-        require_known(out, known_videos, "video ids in predictions")
-    return out
+        require_known(cols, known_videos, "video ids in predictions")
+    return cols if columns else _hand_keyframes(cols)
 
 
 def save_fhp_pred(path: str | Path, preds: Mapping[str, HandKeyframes]) -> None:
@@ -379,17 +410,42 @@ class LtaGt:
     sequences: dict[tuple[str, int], tuple[ActionLabel, ...]]
 
 
-def load_lta_gt(path: str | Path) -> LtaGt:
-    (z, c_v, c_n, k), records = _load_annotations(path, "lta/1")
-    return LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=dict(records))
+def _action_sequences(cols: LtaColumns) -> list[tuple[ActionLabel, ...]]:
+    """Each sequence of ``cols`` as ActionLabels. A file repeats a few
+    hundred pairs many times, so equal pairs share one (immutable) label."""
+    pairs = list(map(tuple, cols.pairs.tolist()))
+    shared = {p: _validated(ActionLabel, verb_id=p[0], noun_id=p[1]) for p in set(pairs)}
+    labels = list(map(shared.__getitem__, pairs))
+    sizes = np.repeat(cols.lengths, cols.counts)
+    return [tuple(labels[end - size : end]) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+
+
+def load_lta_gt(path: str | Path, *, columns: bool = False) -> LtaGt | LtaColumns:
+    """Sequences by episode in file order; with ``columns`` the
+    ``LtaColumns`` themselves, holding the config."""
+    (z, c_v, c_n, k), cols = _load_annotations(path, "lta/1")
+    if columns:
+        return cols
+    return LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=dict(zip(cols.episodes, _action_sequences(cols))))
 
 
 def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
-    rows = (
-        {"video_id": vid, "clip_index": ci, "sequence": [(a.verb_id, a.noun_id) for a in seq]}
-        for (vid, ci), seq in gt.sequences.items()
-    )
-    _save_nested(path, "lta/1", rows, config={"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k})
+    """Write ``gt``; raises ValueError, naming the episode, for a record
+    ``load_lta_gt`` would refuse."""
+    config = {"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k}
+    out: list[str] = []
+    checked = _lta_config({"config": config}, out)
+    rows = []
+    for (vid, ci), seq in gt.sequences.items():
+        pairs = [(a.verb_id, a.noun_id) for a in seq]
+        where = repr((vid, ci))
+        _id(vid, "video_id", where, out)
+        _int(ci, "clip_index", None, where, out)
+        _sequence(pairs, checked, where, out)
+        rows.append({"video_id": vid, "clip_index": ci, "sequence": pairs})
+    if out:
+        raise ValueError(f"lta/1: {out[0]}")
+    _save_nested(path, "lta/1", rows, config=config)
 
 
 def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
@@ -397,18 +453,30 @@ def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
     return _validated(ScoreMatrix, verb=scores[0], noun=scores[1])
 
 
-def load_lta_pred(path: str | Path) -> dict[tuple[str, int], LtaForecast]:
-    """One finished forecast per episode; rows must carry candidates."""
-    out: dict[tuple[str, int], LtaForecast] = {}
-    for i, (key, (candidates, scores)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
-        if key in out:
+def load_lta_pred(path: str | Path, *, columns: bool = False) -> dict[tuple[str, int], LtaForecast] | LtaColumns:
+    """One finished forecast per episode; rows must carry candidates. With
+    ``columns`` the ``LtaColumns`` themselves."""
+    cols = _load_annotations(path, "lta-pred/1")[1]
+    seen: set[tuple[str, int]] = set()
+    for i, (key, count) in enumerate(zip(cols.episodes, cols.counts.tolist())):
+        if key in seen:
             raise DataError(f"{path}: instances[{i}]: several rows for {key}; vote first")
-        if candidates is None:
+        if not count:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
-        matrix = None if scores is None else _matrix(scores)
-        # The walk checked the candidates and their match with the matrix.
-        out[key] = _validated(LtaForecast, clip_index=key[1], candidates=candidates, score_matrix=matrix)
-    return out
+        seen.add(key)
+    if columns:
+        return cols
+    seqs = _action_sequences(cols)
+    ends = np.cumsum(cols.counts).tolist()
+    return {
+        key: _validated(
+            LtaForecast,
+            clip_index=key[1],
+            candidates=tuple(seqs[end - count : end]),
+            score_matrix=None if scores is None else _matrix(scores),
+        )
+        for key, end, count, scores in zip(cols.episodes, ends, cols.counts.tolist(), cols.scores)
+    }
 
 
 def load_lta_clip_probs(
@@ -418,7 +486,8 @@ def load_lta_clip_probs(
     of an episode must share their matrix shapes. With ``columns`` each
     clip is its (verb, noun) pair of read-only float64 arrays."""
     out: dict[tuple[str, int], list] = {}
-    for i, (key, (_, scores)) in enumerate(_load_annotations(path, "lta-pred/1")[1]):
+    cols = _load_annotations(path, "lta-pred/1")[1]
+    for i, (key, scores) in enumerate(zip(cols.episodes, cols.scores)):
         if scores is None:
             raise DataError(f"{path}: instances[{i}]: voting needs a score_matrix per clip")
         clips = out.setdefault(key, [])
@@ -435,22 +504,31 @@ def save_lta_pred(
     preds: Mapping[tuple[str, int], LtaForecast | tuple[Sequence[Sequence[tuple[int, int]]], np.ndarray, np.ndarray]],
 ) -> None:
     """Write finished forecasts. A forecast may also be given as
-    ``(candidates, verb, noun)``: (verb id, noun id) pairs per candidate and
-    the score matrix as two arrays, the form ``egoforge vote`` makes. A
-    forecast's clip index must be its key's, the one the file keeps."""
+    ``(candidates, verb, noun)``: (verb id, noun id) pairs, as tuples or
+    lists, per candidate and the score matrix as two arrays, the form
+    ``egoforge vote`` makes. A forecast's clip index must be its key's, the
+    one the file keeps. Raises ValueError, naming the episode, for a record
+    ``load_lta_pred`` would refuse."""
     rows = []
+    out: list[str] = []
     for (vid, ci), forecast in preds.items():
         row: dict[str, Any] = {"video_id": vid, "clip_index": ci}
+        where = repr((vid, ci))
+        _id(vid, "video_id", where, out)
+        _int(ci, "clip_index", None, where, out)
         if isinstance(forecast, LtaForecast):
             if forecast.clip_index != ci:
-                raise ValueError(f"lta-pred/1: the forecast for {(vid, ci)!r} has clip_index {forecast.clip_index}")
+                out.append(f"the forecast for {(vid, ci)!r} has clip_index {forecast.clip_index}")
             row["candidates"] = [[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates]
             m = forecast.score_matrix
             if m is not None:
                 row["score_matrix"] = (m.verb, m.noun)
         else:
             row["candidates"], row["score_matrix"] = forecast[0], forecast[1:]
+            _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, where, out)
         rows.append(row)
+    if out:
+        raise ValueError(f"lta-pred/1: {out[0]}")
     _save_nested(path, "lta-pred/1", rows)
 
 

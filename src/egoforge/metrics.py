@@ -12,7 +12,9 @@ The AP and recall metrics work on ``model.Columns``: the ranked records as
 arrays, rows in the loader's group order. Every public AP and recall
 function takes a loader's columns or a mapping of group key -> typed
 records, which ``_columns`` turns into columns at entry (rows in the
-mapping's order), so there is one kernel.
+mapping's order), so there is one kernel. Edit distance and displacement
+work the same way on ``model.LtaColumns`` and ``model.FhpColumns``, which
+``_lta_columns`` and ``_fhp_columns`` make of typed records.
 
 Ties follow that grouped order. Equal scores rank in group order (first
 appearance for mq and nlq predictions, the ``images`` list for sta and
@@ -38,17 +40,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .model import (
+    HANDS,
+    KEYFRAME_TAGS,
     ActionLabel,
     BoundingBox,
     Columns,
     Detection,
+    FhpColumns,
     HandKeyframes,
+    LtaColumns,
     LtaForecast,
     MomentInstance,
     RankedSegment,
@@ -56,6 +63,7 @@ from .model import (
     TemporalSegment,
     _finite,
     _grouped_columns,
+    _int_column,
     _is_int,
     _require,
 )
@@ -380,8 +388,33 @@ class HandDisplacement:
     contact_px: float | None
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _fhp_columns(groups: Mapping[str, HandKeyframes]) -> FhpColumns:
+    """Hand keyframes by video as columns; a loader's FhpColumns as they are."""
+    if isinstance(groups, FhpColumns):
+        return groups
+    points = [kf[tag] for kf in groups.values() for tag in KEYFRAME_TAGS]
+    return FhpColumns(
+        videos=tuple(groups),
+        coords=np.array([(*p.left, *p.right) for p in points], dtype=np.float64).reshape(-1, len(KEYFRAME_TAGS), 2, 2),
+        visible=np.array([(p.left_visible, p.right_visible) for p in points], dtype=bool).reshape(-1, len(KEYFRAME_TAGS), 2),
+    )
+
+
+def _hand_displacements(pred: np.ndarray, gt: np.ndarray, visible: np.ndarray) -> list[list[tuple[float | None, float | None]]]:
+    # Per instance and hand, the (mean, contact) distances of the (n, 5, 2,
+    # 2) coordinates, over the keyframes where ground truth shows the hand:
+    # math.hypot per point, each mean a sum in keyframe order.
+    diff = (pred - gt).reshape(-1, 2)
+    dist = np.array(list(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist())))
+    by_hand = dist.reshape(visible.shape).transpose(0, 2, 1).tolist()
+    out = []
+    for dists, shown in zip(by_hand, visible.transpose(0, 2, 1).tolist()):
+        hands = []
+        for d, v in zip(dists, shown):
+            vals = list(compress(d, v))
+            hands.append((sum(vals) / len(vals) if vals else None, d[0] if v[0] else None))
+        out.append(hands)
+    return out
 
 
 def hand_displacement(pred: HandKeyframes, gt: HandKeyframes) -> dict[str, HandDisplacement]:
@@ -390,21 +423,9 @@ def hand_displacement(pred: HandKeyframes, gt: HandKeyframes) -> dict[str, HandD
     Only keyframes where ground truth marks the hand visible enter the
     average; a hand never visible yields None for both numbers.
     """
-    out: dict[str, HandDisplacement] = {}
-    for hand in ("left", "right"):
-        dists = [
-            _distance(pred[tag].coords(hand), gt[tag].coords(hand))
-            for tag in gt.points
-            if gt[tag].visible(hand)
-        ]
-        mean_px = sum(dists) / len(dists) if dists else None
-        contact_px = (
-            _distance(pred["c"].coords(hand), gt["c"].coords(hand))
-            if gt["c"].visible(hand)
-            else None
-        )
-        out[hand] = HandDisplacement(mean_px=mean_px, contact_px=contact_px)
-    return out
+    p, g = _fhp_columns({"": pred}), _fhp_columns({"": gt})
+    (hands,) = _hand_displacements(p.coords, g.coords, g.visible)
+    return {hand: HandDisplacement(mean_px=m, contact_px=c) for hand, (m, c) in zip(HANDS, hands)}
 
 
 def displacement_report(
@@ -415,17 +436,20 @@ def displacement_report(
 
     Returns up to four reports (left/right, mean/contact); a hand with no
     visible ground truth anywhere is omitted rather than reported as zero.
+    Takes typed keyframes or a loader's ``FhpColumns``.
     """
+    preds, gts = _fhp_columns(preds), _fhp_columns(gts)
     if not gts:
         raise ValueError("displacement is undefined with no ground-truth instances")
-    missing = [key for key in gts if key not in preds]
+    missing = [key for key in gts if key not in preds.index]
     if missing:
         raise DataError(f"predictions missing for instances: {missing[:5]}")
-    per_instance = [hand_displacement(preds[key], gts[key]) for key in gts]
+    rows = [preds.index[key] for key in gts]
+    per_instance = _hand_displacements(preds.coords[rows], gts.coords, gts.visible)
     reports: list[MetricReport] = []
-    for hand, tag in (("left", "L"), ("right", "R")):
-        for attr, kind in (("mean_px", "M"), ("contact_px", "C")):
-            vals = [getattr(d[hand], attr) for d in per_instance if getattr(d[hand], attr) is not None]
+    for h, tag in enumerate(("L", "R")):
+        for a, kind in enumerate(("M", "C")):
+            vals = [d[h][a] for d in per_instance if d[h][a] is not None]
             if not vals:
                 continue
             reports.append(
@@ -462,12 +486,76 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     return int(_edit_distances(np.array([a_row], dtype=np.int64), np.array([b_row], dtype=np.int64))[0])
 
 
-def _project(seq: Sequence[ActionLabel], mode: str) -> tuple[Hashable, ...]:
-    if mode == "verb":
-        return tuple(a.verb_id for a in seq)
-    if mode == "noun":
-        return tuple(a.noun_id for a in seq)
-    return tuple((a.verb_id, a.noun_id) for a in seq)
+def _lta_columns(groups: Mapping[Hashable, Any]) -> LtaColumns:
+    """Typed lta records as columns; a loader's LtaColumns as they are. A
+    value is an ``LtaForecast``, whose candidates are its row's sequences,
+    or one sequence of ``ActionLabel``."""
+    if isinstance(groups, LtaColumns):
+        return groups
+    rows = [v.candidates if isinstance(v, LtaForecast) else (v,) for v in groups.values()]
+    return LtaColumns(
+        episodes=tuple(groups),
+        counts=np.array(list(map(len, rows)), dtype=np.intp),
+        lengths=np.array([len(row[0]) for row in rows], dtype=np.intp),
+        pairs=_int_column([(a.verb_id, a.noun_id) for row in rows for seq in row for a in seq]).reshape(-1, 2),
+    )
+
+
+def _mode_codes(preds: np.ndarray, gts: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    # int64 codes of the mode's projection of each [verb, noun] pair of the
+    # two arrays, equal exactly where the projections are: the verb, the
+    # noun, or for an action verb * width + noun, width being the largest
+    # noun + 1. Where that or an id leaves int64, the codes are ranks among
+    # the distinct values, computed on Python ints.
+    both = (preds, gts)
+    width = max((int(p[:, 1].max()) for p in both if len(p)), default=0) + 1
+    top = max((int(p[:, 0].max()) for p in both if len(p)), default=0)
+    column = ED_MODES.index(mode)
+    if object not in (preds.dtype, gts.dtype) and (mode != "action" or top * width + width <= np.iinfo(np.int64).max):
+        return tuple(p[:, 0] * width + p[:, 1] if mode == "action" else p[:, column] for p in both)
+    pairs = np.concatenate(both).astype(object)
+    values = pairs[:, 0] * width + pairs[:, 1] if mode == "action" else pairs[:, column]
+    codes = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    return codes[: len(preds)], codes[len(preds) :]
+
+
+def _edit_distance_means(
+    forecasts: Mapping[Hashable, LtaForecast], gts: Mapping[Hashable, Sequence[ActionLabel]], modes: Sequence[str]
+) -> list[float]:
+    # The mean normalized best-candidate edit distance in each mode: one
+    # projection of both files' pairs per mode, one batched DP per mode and
+    # sequence length, and a Python sum in ground-truth order.
+    preds, gts = _lta_columns(forecasts), _lta_columns(gts)
+    if not gts:
+        raise ValueError("edit distance is undefined with no ground-truth instances")
+    missing = [key for key in gts if key not in preds.index]
+    if missing:
+        raise DataError(f"forecasts missing for instances: {missing[:5]}")
+    extra = [key for key in preds if key not in gts.index]
+    if extra:
+        raise DataError(f"forecasts for unknown instances: {extra[:5]}")
+    row = np.array([preds.index[key] for key in gts], dtype=np.intp)
+    z, length = gts.lengths, preds.lengths[row]
+    bad = np.flatnonzero((z < 1) | (length != z)).tolist()
+    if bad:
+        key = gts.episodes[bad[0]]
+        _require(z[bad[0]] >= 1, f"instance {key!r} has an empty ground-truth sequence")
+        raise DataError(f"instance {key!r}: candidate length {length[bad[0]]} != {z[bad[0]]}")
+    count = preds.counts[row]
+    means = []
+    for mode in modes:
+        p, g = _mode_codes(preds.pairs, gts.pairs, mode)
+        best = np.empty(len(z), dtype=np.int64)
+        for size in sorted(set(z.tolist())):
+            # Instances of one length share one DP over all their
+            # candidates, each against its instance's truth.
+            sel = np.flatnonzero(z == size)
+            a = p[_pairs(preds.starts[row[sel]], count[sel] * size)[1]].reshape(-1, size)
+            b = np.repeat(g[gts.starts[sel][:, None] + np.arange(size)], count[sel], axis=0)
+            best[sel] = np.minimum.reduceat(_edit_distances(a, b), np.cumsum(count[sel]) - count[sel])
+        values = (best / z).tolist()
+        means.append(sum(values) / len(values))
+    return means
 
 
 def edit_distance_at_z(
@@ -479,40 +567,11 @@ def edit_distance_at_z(
 
     Each forecast offers up to K candidate sequences; the minimum edit
     distance to the true sequence, divided by its length Z, scores the
-    instance. Modes project sequences to verbs, nouns, or full pairs.
+    instance. Modes project sequences to verbs, nouns, or full pairs. Takes
+    typed records or a loader's ``LtaColumns``.
     """
     _require(mode in ED_MODES, f"mode must be one of {ED_MODES}")
-    if not gts:
-        raise ValueError("edit distance is undefined with no ground-truth instances")
-    missing = [key for key in gts if key not in forecasts]
-    if missing:
-        raise DataError(f"forecasts missing for instances: {missing[:5]}")
-    extra = [key for key in forecasts if key not in gts]
-    if extra:
-        raise DataError(f"forecasts for unknown instances: {extra[:5]}")
-
-    # Instances of one Z share one batched DP over integer label codes.
-    by_z: dict[int, list[Hashable]] = {}
-    for key in gts:
-        z = len(gts[key])
-        _require(z >= 1, f"instance {key!r} has an empty ground-truth sequence")
-        if forecasts[key].z != z:
-            raise DataError(f"instance {key!r}: candidate length {forecasts[key].z} != {z}")
-        by_z.setdefault(z, []).append(key)
-    codes: dict[Hashable, int] = {}
-    best: dict[Hashable, int] = {}
-    for z, keys in by_z.items():
-        cands = [forecasts[key].candidates for key in keys]
-        a = [codes.setdefault(x, len(codes)) for cs in cands for c in cs for x in _project(c, mode)]
-        b = [[codes.setdefault(x, len(codes)) for x in _project(gts[key], mode)] for key in keys]
-        counts = [len(cs) for cs in cands]
-        dist = _edit_distances(
-            np.array(a, dtype=np.int64).reshape(-1, z), np.repeat(np.array(b, dtype=np.int64), counts, axis=0)
-        )
-        starts = np.cumsum(counts) - counts
-        best.update(zip(keys, np.minimum.reduceat(dist, starts).tolist()))
-    values = [best[key] / len(gts[key]) for key in gts]
-    return sum(values) / len(values)
+    return _edit_distance_means(forecasts, gts, (mode,))[0]
 
 
 def edit_distance_report(
@@ -520,14 +579,10 @@ def edit_distance_report(
     gts: Mapping[Hashable, Sequence[ActionLabel]],
 ) -> list[MetricReport]:
     """Verb, noun, and action edit distance over one forecast set."""
+    means = _edit_distance_means(forecasts, gts, ED_MODES)
     return [
-        MetricReport(
-            name=mode.capitalize(),
-            value=edit_distance_at_z(forecasts, gts, mode),
-            count=len(gts),
-            family="edit",
-        )
-        for mode in ED_MODES
+        MetricReport(name=mode.capitalize(), value=value, count=len(gts), family="edit")
+        for mode, value in zip(ED_MODES, means)
     ]
 
 

@@ -7,19 +7,21 @@ afterwards, so downstream code never re-checks shapes or ranges.
 the loaders in ``fileio`` call it once per file. It reads each field of each
 record once: it checks the field, reporting violations as strings instead of
 raising so that a loader can surface every problem in a file at once, and
-it notes keys the schema does not know. The records of the ranked schemas
-(mq, nlq, sta, scod) come back as ``Columns``: group codes in the loader's
-group order, int ids, float64 scores and TTCs, (n, 2) segments or (n, 4)
-boxes. One field spec per ranked schema, in ``_RANKED``, drives their walk,
-their allowed keys and the savers' key order. Such a file is checked a
-column at a time; one the column scan does not accept goes through the
-per-record loop, which keeps every message and its order. Loaders build
-typed records from the columns, and fhp and lta records in the walk itself
-(score matrices come back as checked float64 arrays), with ``_validated``,
-which skips the constructor checks: the walk has made them, since it and
-the constructors check each field kind with one shared checker (a
-constructor raises its first message, located at the type).
-``validate_dataset`` and ``unknown_keys`` are its public views.
+it notes keys the schema does not know. The records come back as arrays:
+``Columns`` for the ranked schemas (mq, nlq, sta, scod), with group codes
+in the loader's group order, int ids, float64 scores and TTCs, (n, 2)
+segments or (n, 4) boxes; ``LtaColumns`` for lta (int64 [verb, noun] pairs
+with per-row sequence counts and lengths, score matrices as read-only
+float64 arrays); ``FhpColumns`` for fhp
+((n, 5, 2, 2) float64 coordinates, (n, 5, 2) bool visibility). One field
+spec per ranked schema, in ``_RANKED``, drives their walk, their allowed
+keys and the savers' key order. A file is checked a column at a time; one
+the column scan does not accept goes through the per-record loop, which
+keeps every message and its order. Loaders build typed records from the
+arrays with ``_validated``, which skips the constructor checks: the walk
+has made them, since it and the constructors check each field kind with
+one shared checker (a constructor raises its first message, located at
+the type). ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
 height or area is finite (``HALF_MAX``), so every IoU union is finite.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Any, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -261,40 +263,46 @@ def _tags(kf: Any, where: str, out: list[str]) -> bool:
     return False
 
 
-def _labels(seq: list, c_v: int | None, c_n: int | None, shared: dict, where: str, out: list[str]) -> tuple[ActionLabel, ...] | None:
-    """The actions of ``where``, a list of [verb, noun] pairs.
-
-    A file repeats a few hundred pairs many times, so equal pairs share one
-    (immutable) ActionLabel, kept in ``shared`` once its ids are in range.
-    """
+def _labels(seq: list, c_v: int | None, c_n: int | None, where: str, out: list[str]) -> bool:
+    """The actions of ``where``, a list of [verb, noun] pairs of ints >= 0
+    below ``c_v`` and ``c_n``; a pair may also be a tuple, as savers get it."""
     n = len(out)
-    labels = []
     for j, pair in enumerate(seq):
-        if isinstance(pair, list) and len(pair) == 2:
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
             verb, noun = pair
-            if _is_int(verb) and verb >= 0 and _is_int(noun) and noun >= 0:
-                label = shared.get((verb, noun))
-                if label is None:
+            # type() first: what JSON and the savers give, without a call.
+            if (type(verb) is int or _is_int(verb)) and verb >= 0 and (type(noun) is int or _is_int(noun)) and noun >= 0:
+                if (c_v is not None and verb >= c_v) or (c_n is not None and noun >= c_n):
                     at = f"{where}[{j}]"
                     # & runs both checks, so both ids are reported.
-                    if _int(verb, "verb id", c_v, at, out) & _int(noun, "noun id", c_n, at, out):
-                        label = shared[verb, noun] = _validated(ActionLabel, verb_id=verb, noun_id=noun)
-                labels.append(label)
+                    _int(verb, "verb id", c_v, at, out) & _int(noun, "noun id", c_n, at, out)
                 continue
         out.append(f"{where}[{j}]: action must be a [verb, noun] pair of ints >= 0")
-    return tuple(labels) if len(out) == n else None
+    return len(out) == n
 
 
 # An lta config, (z, c_v, c_n, k), that bounds nothing.
 _NO_CONFIG = (None, None, None, None)
 
 
-def _candidates(cands: Any, config: tuple, rows: int | None, shared: dict, where: str, out: list[str]) -> tuple | None:
-    """Candidate action sequences, as tuples of ActionLabel: a non-empty
-    list of at most k lists of [verb, noun] pairs (``_labels``), none empty
-    and all of one length. The length is the config's z, else the first
-    candidate's, and it must be the ``rows`` of the score matrix when there
-    is one."""
+def _sequence(seq: Any, config: tuple, where: str, out: list[str]) -> bool:
+    """A ground-truth action sequence: a list of z actions (``_labels``)."""
+    z, c_v, c_n, _ = config
+    if not isinstance(seq, list):
+        out.append(f"{where}: sequence must be a list")
+        return False
+    n = len(out)
+    if z is not None and len(seq) != z:
+        out.append(f"{where}: sequence length {len(seq)} != {z}")
+    return _labels(seq, c_v, c_n, f"{where}.sequence", out) and len(out) == n
+
+
+def _candidates(cands: Any, config: tuple, rows: int | None, actions: bool, where: str, out: list[str]) -> list | None:
+    """Candidate action sequences: a non-empty list of at most k lists, none
+    empty and all of one length, each checked through ``_labels`` when
+    ``actions`` (a constructor's ActionLabel entries need no check). The
+    length is the config's z, else the first candidate's, and it must be
+    the ``rows`` of the score matrix when there is one."""
     z, c_v, c_n, k = config
     if not isinstance(cands, list) or not cands:
         out.append(f"{where}: candidates must be a non-empty list")
@@ -303,7 +311,6 @@ def _candidates(cands: Any, config: tuple, rows: int | None, shared: dict, where
     if k is not None and len(cands) > k:
         out.append(f"{where}: {len(cands)} candidates exceed k={k}")
     length = z
-    built = []
     for c, seq in enumerate(cands):
         cwhere = f"{where}.candidates[{c}]"
         if not isinstance(seq, list):
@@ -315,10 +322,11 @@ def _candidates(cands: Any, config: tuple, rows: int | None, shared: dict, where
             length = len(seq)
         elif len(seq) != length:
             out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
-        built.append(_labels(seq, c_v, c_n, shared, cwhere, out))
+        if actions:
+            _labels(seq, c_v, c_n, cwhere, out)
     if rows is not None and length is not None and rows != length:
         out.append(f"{where}.score_matrix: {rows} rows, candidates have length {length}")
-    return tuple(built) if len(out) == n else None
+    return cands if len(out) == n else None
 
 
 @dataclass(frozen=True)
@@ -448,10 +456,8 @@ class LtaForecast:
         _require(all(isinstance(a, ActionLabel) for seq in cands for a in seq), "candidates must contain ActionLabel entries")
         matrix = self.score_matrix
         _require(matrix is None or isinstance(matrix, ScoreMatrix), "score_matrix must be a ScoreMatrix")
-        pairs = [[[a.verb_id, a.noun_id] for a in seq] for seq in cands]
-        # Each ActionLabel has checked its ids, so _labels keeps the labels.
-        shared = {(a.verb_id, a.noun_id): a for seq in cands for a in seq}
-        _checked("LtaForecast", _candidates, pairs, _NO_CONFIG, None if matrix is None else matrix.z, shared)
+        # Each ActionLabel has checked its ids; the shape is left to check.
+        _checked("LtaForecast", _candidates, list(map(list, cands)), _NO_CONFIG, None if matrix is None else matrix.z, False)
         _set(self, "candidates", cands)
 
     @property
@@ -583,7 +589,7 @@ class FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Ranked records as columns.
+# Records as columns.
 # ---------------------------------------------------------------------------
 
 
@@ -691,29 +697,124 @@ def _grouped_columns(
     )
 
 
+class LtaRow(NamedTuple):
+    """One row of ``LtaColumns``: its action sequences as an int (count,
+    length, 2) array of [verb, noun] pairs (a prediction's candidates,
+    ground truth's one sequence), and its score matrix, a (verb, noun) pair
+    of arrays, or None."""
+
+    candidates: np.ndarray
+    score_matrix: tuple[np.ndarray, np.ndarray] | None
+
+
+@dataclass(frozen=True, eq=False)
+class LtaColumns(Mapping):
+    """The rows of one lta/1 or lta-pred/1 file as arrays, in file order.
+
+    Row ``r`` holds ``counts[r]`` action sequences of ``lengths[r]``
+    [verb, noun] pairs each: a ground-truth row its one sequence, a
+    prediction row its candidates (none in a row that has only scores).
+    The rows' pairs follow one another in ``pairs``, int64 (p, 2), or an
+    object array of Python ints when an id does not fit in int64.
+
+    - ``episodes``: each row's (video id, clip index);
+    - ``scores``: each prediction row's score matrix, a (verb, noun) pair
+      of read-only float64 arrays, or None; None in ground truth;
+    - ``config``: the file's (z, c_v, c_n, k), None where it sets none.
+
+    As a mapping, which needs one row per episode (ground truth, and the
+    predictions ``fileio.load_lta_pred`` accepts), each episode gives its
+    row as an ``LtaRow`` of views into the arrays.
+    """
+
+    episodes: tuple
+    counts: np.ndarray
+    lengths: np.ndarray
+    pairs: np.ndarray
+    scores: tuple | None = None
+    config: tuple = _NO_CONFIG
+
+    @cached_property
+    def index(self) -> dict[Any, int]:
+        """Row number by episode."""
+        return {key: r for r, key in enumerate(self.episodes)}
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The first row of ``pairs`` of each row."""
+        sizes = self.counts * self.lengths
+        return np.cumsum(sizes) - sizes
+
+    def __getitem__(self, key: Any) -> LtaRow:
+        r = self.index[key]
+        count, length, start = int(self.counts[r]), int(self.lengths[r]), int(self.starts[r])
+        candidates = self.pairs[start : start + count * length].reshape(count, length, 2)
+        return LtaRow(candidates, None if self.scores is None else self.scores[r])
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.episodes)
+
+    def __len__(self) -> int:
+        return len(self.episodes)
+
+
+@dataclass(frozen=True, eq=False)
+class FhpColumns(Mapping):
+    """The rows of one fhp/1 or fhp-pred/1 file as arrays, in file order.
+
+    - ``videos``: each row's video id;
+    - ``coords``: float64 (n, 5, 2, 2), the keyframes in ``KEYFRAME_TAGS``
+      order, the hands in ``HANDS`` order, then (x, y);
+    - ``visible``: bool (n, 5, 2), keyframes and hands in the same order.
+
+    As a mapping, each video id gives its row number.
+    """
+
+    videos: tuple[str, ...]
+    coords: np.ndarray
+    visible: np.ndarray
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {vid: r for r, vid in enumerate(self.videos)}
+
+    def __getitem__(self, key: str) -> int:
+        return self.index[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.videos)
+
+    def __len__(self) -> int:
+        return len(self.videos)
+
+
 # ---------------------------------------------------------------------------
 # The raw annotation walk.
 #
 # Loaders parse JSON and hand the untyped tree to _walk, which reads every
 # field of every record once. It checks the field, reporting every violation
 # in the file instead of failing at the first, and it notes keys the schema
-# does not know. For a clean file it returns the records: as Columns for the
-# mq, nlq, sta and scod schemas, and as typed objects built through
-# _validated for fhp and lta. Each field goes through the checker of its
-# kind that the constructors call too; the walk adds the cross-field rules
-# (vocabulary ranges, duplicate keys) that single values cannot see.
+# does not know. For a clean file it returns the records as arrays: Columns
+# for the mq, nlq, sta and scod schemas, LtaColumns for lta and FhpColumns
+# for fhp. Each field goes through the checker of its kind that the
+# constructors call too; the walk adds the cross-field rules (vocabulary
+# ranges, duplicate keys) that single values cannot see.
 #
 # Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
 # _RANKED, which drives the column scan, the per-record loop and the allowed
-# keys here, and the savers' key order in fileio. A ranked file is first
-# checked a column at a time (_scan_ranked, with _scan and the _plain_*
-# checks): plain dicts that hold exactly the schema's keys, exact types
-# (plain floats for reals, plain ints for ids), set membership for ids and
-# vectorised range and order checks. The scan accepts only files in which
-# the per-record loop would find nothing, and gives the same columns. Any
-# other file (a violation, an unknown key, an int-valued real, a bool, an
-# id beyond int64) goes through the per-record loop (_loop_ranked), which
-# writes every message in its order and, on a valid file, fills the columns.
+# keys here, and the savers' key order in fileio. Every file is first
+# checked a column at a time (_scan_ranked, _scan_lta and _scan_fhp, with
+# _scan and the _plain_* checks): plain dicts that hold exactly the record's
+# keys, exact types (plain floats for reals, plain ints for ids) over
+# flattened lists, set membership for ids and vectorised range and order
+# checks. The score matrices of a file are checked as one float64 block of
+# verb rows and one of noun rows (_plain_matrices), whose numpy row sums
+# settle every row but those near the 1e-6 edge, which go to _sums_to_one. A scan accepts only files in which the per-record loop
+# would find nothing, and gives the same arrays. Any other file (a
+# violation, an unknown key, an int-valued real, a bool, an id beyond
+# int64) goes through the per-record loop (_loop_ranked, _loop_lta,
+# _loop_fhp), which writes every message in its order and, on a valid file,
+# fills the same arrays.
 # ---------------------------------------------------------------------------
 
 
@@ -898,11 +999,14 @@ def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[dict[str, None
     return ids, videos
 
 
-def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
+def _keyframes(kf: Any, where: str, out: list[str]) -> tuple[list[float], list[bool]] | None:
+    """The five keyframes' coordinates and visibility flags, in
+    ``KEYFRAME_TAGS`` order, each keyframe's hands in ``HANDS`` order."""
     if not _tags(kf, where, out):
         return None
     n = len(out)
-    points = {}
+    coords: list[float] = []
+    flags: list[bool] = []
     for tag in KEYFRAME_TAGS:
         point = kf[tag]
         pwhere = f"{where}.keyframes[{tag}]"
@@ -917,9 +1021,9 @@ def _keyframes(kf: Any, where: str, out: list[str]) -> HandKeyframes | None:
             if not ok:
                 out.append(f"{pwhere}: visible must map hands to bools")
         if len(out) == n:
-            left_visible, right_visible = visible.get("left", True), visible.get("right", True)
-            points[tag] = _validated(HandPoint, left=left, right=right, left_visible=left_visible, right_visible=right_visible)
-    return _validated(HandKeyframes, points=points) if len(out) == n else None
+            coords += (*left, *right)
+            flags += (visible.get("left", True), visible.get("right", True))
+    return (coords, flags) if len(out) == n else None
 
 
 def _resolution(res: Any, out: list[str]) -> tuple[int, int] | None:
@@ -929,12 +1033,43 @@ def _resolution(res: Any, out: list[str]) -> tuple[int, int] | None:
     return (res[0], res[1])
 
 
-def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
-    """Header resolution for ground truth; keyframes keyed by video."""
-    pred = schema == "fhp-pred/1"
-    resolution = None if pred else _resolution(raw.get("resolution"), out)
+def _scan_fhp(raw: Mapping[str, Any], schema: str) -> tuple[list, np.ndarray, list] | None:
+    """The video ids, coordinates and visibility of a file in which the loop
+    would find nothing; None for any other file."""
+    found = _scan(raw, _INSTANCE_KEYS[schema])
+    if found is None:
+        return None
+    videos, kfs = found
+    if not (_plain_ids(videos) and len(set(videos)) == len(videos) and _only(kfs, dict)):
+        return None
+    try:
+        points = list(chain.from_iterable(map(itemgetter(*KEYFRAME_TAGS), kfs)))
+        # Each point holds the hands and at most a visibility map besides.
+        if not (set(map(len, kfs)) <= {len(KEYFRAME_TAGS)} and _only(points, dict)):
+            return None
+        hands = list(chain.from_iterable(map(itemgetter(*HANDS), points)))
+    except KeyError:
+        return None
+    marks = [p.get("visible", {}) for p in points]
+    if sum(map(len, points)) != 2 * len(points) + sum("visible" in p for p in points):
+        return None
+    if not (_only(marks, dict) and set(chain.from_iterable(marks)) <= set(HANDS)):
+        return None
+    if not (_only(list(chain.from_iterable(map(dict.values, marks))), bool) and _only(hands, list)):
+        return None
+    coords = _plain_reals(list(chain.from_iterable(hands))) if set(map(len, hands)) <= {2} else None
+    if coords is None:
+        return None
+    return videos, coords, [mark.get(hand, True) for mark in marks for hand in HANDS]
+
+
+def _loop_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[list, list, list]:
+    """The video ids, coordinates and visibility flags, each record checked
+    in turn."""
     seen: set[str] = set()
-    records: list[tuple[Any, Any]] = []
+    videos: list[str] = []
+    coords: list[float] = []
+    flags: list[bool] = []
     for where, rec in _records(raw, schema, out, extras):
         vid = rec.get("video_id")
         if _id(vid, "video_id", where, out):
@@ -943,8 +1078,24 @@ def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
             seen.add(vid)
         keyframes = _keyframes(rec.get("keyframes"), where, out)
         if not out:
-            records.append((vid, keyframes))
-    return resolution, records
+            videos.append(vid)
+            coords += keyframes[0]
+            flags += keyframes[1]
+    return videos, coords, flags
+
+
+def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, FhpColumns | None]:
+    """Header resolution for ground truth; the records as ``FhpColumns``."""
+    resolution = None if schema == "fhp-pred/1" else _resolution(raw.get("resolution"), out)
+    videos, coords, visible = _scan_fhp(raw, schema) or _loop_fhp(raw, schema, out, extras)
+    if out:
+        return resolution, None
+    frames = len(KEYFRAME_TAGS)
+    return resolution, FhpColumns(
+        videos=tuple(videos),
+        coords=np.asarray(coords, dtype=np.float64).reshape(-1, frames, 2, 2),
+        visible=np.asarray(visible, dtype=bool).reshape(-1, frames, 2),
+    )
 
 
 def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
@@ -960,10 +1111,9 @@ def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int
     return tuple(vals.values())  # type: ignore[return-value]
 
 
-def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str], shared: dict) -> tuple[Any, Any]:
-    """A prediction row's candidate actions and its score matrix as a
-    (verb, noun) pair of read-only float64 arrays, each None when the row
-    has none."""
+def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str]) -> tuple[Any, Any]:
+    """A prediction row's candidates and its score matrix as a (verb, noun)
+    pair of read-only float64 arrays, each None when the row has none."""
     cands, matrix = rec.get("candidates"), rec.get("score_matrix")
     if cands is None and matrix is None:
         out.append(f"{where}: needs candidates or score_matrix")
@@ -979,26 +1129,113 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str],
     candidates = None
     if cands is not None:
         rows = None if scores is None else len(scores[0])
-        candidates = _candidates(cands, config, rows, shared, where, out)
+        candidates = _candidates(cands, config, rows, True, where, out)
     out += matrix_out
     return candidates, scores
 
 
-def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, list]:
-    """Header config (z, c_v, c_n, k); records keyed by (video, clip index):
-    action sequences for ground truth, (candidates, score matrix) pairs for
-    predictions."""
+def _below(ids: np.ndarray, bound: int | None) -> bool:
+    """Whether every id is below ``bound``, when there is one."""
+    return bound is None or not ids.size or int(ids.max()) < bound
+
+
+def _plain_matrices(mats: list, z: int | None) -> list[np.ndarray] | None:
+    """Probability matrices of plain float rows of one width, z rows each
+    when ``z`` is set, as read-only float64 views of one block; None unless
+    ``_check_prob_rows`` accepts every matrix (matrices of several widths
+    are left to it). The block's numpy row sums settle every row but those
+    within a rounding margin of the 1e-6 edge, which go to ``_sums_to_one``."""
+    if not _only(mats, list):
+        return None
+    counts = list(map(len, mats))
+    rows = list(chain.from_iterable(mats))
+    if 0 in counts or (z is not None and not set(counts) <= {z}) or not _only(rows, list):
+        return None
+    if not rows:
+        return []
+    values = list(chain.from_iterable(rows))
+    if not rows[0] or len(set(map(len, rows))) > 1 or not _only(values, float):
+        return None
+    block = np.array(values, dtype=np.float64).reshape(len(rows), -1)
+    with np.errstate(over="ignore"):  # an overflow is a row that does not sum to 1
+        off = np.abs(block.sum(axis=1) - 1.0)
+    margin = max(1e-12, block.shape[1] * 1e-15)
+    # >= 0 also refuses a nan.
+    if not (block >= 0).all() or (off > 1e-6 + margin).any():
+        return None
+    if not all(_sums_to_one(rows[i]) for i in np.flatnonzero(off >= 1e-6 - margin).tolist()):
+        return None
+    block.setflags(write=False)
+    return np.split(block, np.cumsum(counts)[:-1].tolist())
+
+
+def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | None:
+    """The columns of an lta file in which the loop would find nothing, as
+    (episodes, counts, lengths, pairs, scores); None for any other file."""
+    z, c_v, c_n, k = config
+    inst = raw.get("instances")
+    first = inst[0] if type(inst) is list and inst and type(inst[0]) is dict else {}
+    # Every row must hold the first row's keys, the episode's among them.
+    names = tuple(key for key in _INSTANCE_KEYS[schema] if key in first)
+    if names[:2] != ("video_id", "clip_index") or not {"sequence", "candidates", "score_matrix"} & set(names):
+        return None
+    found = _scan(raw, names)
+    if found is None:
+        return None
+    col = dict(zip(names, found))
+    videos, clip_index = col["video_id"], col["clip_index"]
+    clips = col.get("clip", [0] * len(videos))
+    if not _plain_ids(videos) or _plain_ints(clip_index) is None or _plain_ints(clips) is None:
+        return None
+    episodes = list(zip(videos, clip_index))
+    if len(set(zip(videos, clip_index, clips))) != len(episodes):
+        return None
+    # A ground-truth sequence is its row's one candidate.
+    cands = [[seq] for seq in col["sequence"]] if "sequence" in col else col.get("candidates", [[]] * len(videos))
+    if not _only(cands, list):
+        return None
+    counts = list(map(len, cands))
+    seqs = list(chain.from_iterable(cands))
+    if ("candidates" in col and 0 in counts) or (k is not None and counts and max(counts) > k) or not _only(seqs, list):
+        return None
+    # One length per row, z or its first sequence's, never 0; every row has
+    # sequences unless the rows hold only scores.
+    sizes = np.array(list(map(len, seqs)), dtype=np.intp)
+    lengths = sizes[np.cumsum(counts, dtype=np.intp) - counts] if seqs else np.zeros(len(cands), dtype=np.intp)
+    if seqs and (0 in sizes or not np.array_equal(sizes, np.repeat(lengths, counts))):
+        return None
+    if z is not None and (sizes != z).any():
+        return None
+    flat = list(chain.from_iterable(seqs))
+    pairs = _plain_ints(list(chain.from_iterable(flat))) if _only(flat, list) and set(map(len, flat)) <= {2} else None
+    if pairs is None or not (_below(pairs[0::2], c_v) and _below(pairs[1::2], c_n)):
+        return None
+    scores: list = [None] * len(episodes)
+    if "score_matrix" in col:
+        mats = col["score_matrix"]
+        if not (_only(mats, dict) and set(map(len, mats)) <= {2}):
+            return None
+        try:
+            verbs, nouns = (list(map(itemgetter(name), mats)) for name in ("verb", "noun"))
+        except KeyError:
+            return None
+        verb, noun = _plain_matrices(verbs, z), _plain_matrices(nouns, z)
+        rows = list(map(len, verbs))
+        if verb is None or noun is None or rows != list(map(len, nouns)) or (seqs and rows != lengths.tolist()):
+            return None
+        scores = list(zip(verb, noun))
+    return episodes, counts, lengths, pairs.reshape(-1, 2), scores
+
+
+def _loop_lta(raw: Mapping[str, Any], schema: str, config: tuple, out: list[str], extras: list[str]) -> tuple:
+    """The columns of ``_scan_lta``, each record checked in turn."""
     pred = schema == "lta-pred/1"
-    if pred and raw.get("config") is None:
-        # Prediction files may omit the config block; lengths are checked
-        # against ground truth at evaluation time instead.
-        config = _NO_CONFIG
-    else:
-        config = _lta_config(raw, out)
-    z, c_v, c_n, _ = config
     seen: set[tuple[str, int, int]] = set()
-    shared: dict[tuple[int, int], ActionLabel] = {}
-    records: list[tuple[Any, Any]] = []
+    episodes: list[tuple[str, int]] = []
+    counts: list[int] = []
+    lengths: list[int] = []
+    seqs: list[list] = []
+    scores: list = []
     for where, rec in _records(raw, schema, out, extras):
         vid, ci = rec.get("video_id"), rec.get("clip_index")
         clip = rec.get("clip", 0) if pred else 0
@@ -1010,19 +1247,41 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
                 out.append(f"{where}: duplicate (video_id, clip_index, clip) {key}")
             seen.add(key)
         if pred:
-            item = _forecast(rec, where, config, out, shared)
+            cands, matrix = _forecast(rec, where, config, out)
         else:
-            item = None
             seq = rec.get("sequence")
-            if not isinstance(seq, list):
-                out.append(f"{where}: sequence must be a list")
-            else:
-                if z is not None and len(seq) != z:
-                    out.append(f"{where}: sequence length {len(seq)} != {z}")
-                item = _labels(seq, c_v, c_n, shared, f"{where}.sequence", out)
+            cands, matrix = [seq] if _sequence(seq, config, where, out) else None, None
         if not out:
-            records.append(((vid, ci), item))
-    return config, records
+            episodes.append((vid, ci))
+            counts.append(len(cands or ()))
+            lengths.append(len(cands[0]) if cands else 0)
+            seqs += cands or ()
+            scores.append(matrix)
+    pairs = _int_column(list(chain.from_iterable(seqs))).reshape(-1, 2)
+    return episodes, counts, np.array(lengths, dtype=np.intp), pairs, scores
+
+
+def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, LtaColumns | None]:
+    """Header config (z, c_v, c_n, k); the records as ``LtaColumns``."""
+    pred = schema == "lta-pred/1"
+    if pred and raw.get("config") is None:
+        # Prediction files may omit the config block; lengths are checked
+        # against ground truth at evaluation time instead.
+        config = _NO_CONFIG
+    else:
+        config = _lta_config(raw, out)
+    found = _scan_lta(raw, schema, config) or _loop_lta(raw, schema, config, out, extras)
+    if out:
+        return config, None
+    episodes, counts, lengths, pairs, scores = found
+    return config, LtaColumns(
+        episodes=tuple(episodes),
+        counts=np.array(counts, dtype=np.intp),
+        lengths=lengths,
+        pairs=pairs,
+        scores=tuple(scores) if pred else None,
+        config=config,
+    )
 
 
 def _walk_images(raw: Mapping[str, Any], out: list[str]) -> dict[str, tuple[int, int]]:
@@ -1160,9 +1419,10 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
     Returns the violations, the unknown keys, the file-level part and the
-    records: Columns for the mq, nlq, sta and scod schemas, (group key,
-    typed record) pairs in file order for fhp and lta. The last two are
-    complete only when there are no violations. The input is never mutated.
+    records: Columns for the mq, nlq, sta and scod schemas, LtaColumns for
+    lta and FhpColumns for fhp, None when there are violations. The
+    file-level part is complete only when there are none. The input is
+    never mutated.
     """
     if not _is_object(raw):
         return ["top level: not an object"], [], None, None

@@ -1,5 +1,5 @@
-"""A fuzzer for ``egoforge eval`` on the ranked tracks (mq, nlq, sta, scod),
-and for ``vote``, ``fuse post`` and ``fuse sta``.
+"""A fuzzer for ``egoforge eval`` on every track (mq, nlq, fhp, lta, sta,
+scod), and for ``vote``, ``fuse post`` and ``fuse sta``.
 
 It edits synth ground truth and predictions, and per-clip probability
 files, with the mutations of ``test_columns`` (edge values, wrong types,
@@ -24,7 +24,7 @@ from egoforge import cli, fileio
 from egoforge.model import ScoreMatrix
 from test_columns import _edits, _get, _paths, _set
 
-TRACKS = ("mq", "nlq", "sta", "scod")
+TRACKS = ("mq", "nlq", "fhp", "lta", "sta", "scod")
 
 
 @pytest.fixture(scope="module")

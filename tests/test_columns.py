@@ -9,7 +9,7 @@ Three guards:
   ``images`` list in another order than the records, and equal IoU with
   two ground-truth rows;
 - ``egoforge eval`` builds no record objects, for ground truth or
-  predictions.
+  predictions; nor do ``eval lta``, ``eval fhp`` and ``vote``.
 """
 
 import copy
@@ -380,6 +380,42 @@ def test_eval_builds_no_record_objects(trees, tmp_path, monkeypatch, track):
         assert cli.main(["eval", track, "--gt", str(gt_path), "--pred", str(pred_path)]) == 0
     # eval builds only the ground truth's video list, never a row.
     assert set(built) <= {"VideoMeta"}
+
+
+_FORECAST_RECORDS = ("ActionLabel", "LtaForecast", "HandPoint", "HandKeyframes")
+
+
+@pytest.mark.parametrize("command", ["eval lta", "eval fhp", "vote"])
+def test_forecast_commands_build_no_record_objects(tmp_path, monkeypatch, command):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(tmp_path), "--seed", "9", "--num-videos", "3"]) == 0
+    if command == "vote":
+        clips = {key: [model.ScoreMatrix(verb=[[0.5, 0.5]] * 20, noun=[[1.0]] * 20)] * 2 for key in (("a", 0), ("b", 1))}
+        fileio.save_lta_clip_probs(tmp_path / "clips.json", clips)
+        argv = ["vote", "--pred", str(tmp_path / "clips.json"), "--out", str(tmp_path / "voted.json")]
+    else:
+        track = command.split()[1]
+        argv = ["eval", track, "--gt", str(tmp_path / f"gt_{track}.json"), "--pred", str(tmp_path / f"pred_{track}.json")]
+    built = Counter()
+    validated = model._validated
+
+    def counting(cls, /, **fields):
+        built[cls.__name__] += 1
+        return validated(cls, **fields)
+
+    for module in (model, fileio):
+        monkeypatch.setattr(module, "_validated", counting)
+    for name in _FORECAST_RECORDS:
+        cls = getattr(model, name)
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: (built.update([type(self).__name__]), check(self)))
+    # The typed loaders do build them, which is what the count would catch.
+    fileio.load_lta_pred(tmp_path / "pred_lta.json")
+    fileio.load_fhp_pred(tmp_path / "pred_fhp.json")
+    assert all(built[name] for name in _FORECAST_RECORDS)
+    built.clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert not set(built) & set(_FORECAST_RECORDS), built
 
 
 def test_recall_at_kx_sums_each_labels_recall_times_its_support():

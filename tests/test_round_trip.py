@@ -10,9 +10,12 @@ refuses fails here. Group keys, image sizes and class ids below
 invariants, so the strategies draw them valid.
 """
 
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from egoforge import fileio
@@ -303,3 +306,70 @@ def test_lta_predictions(episodes):
         if None not in seqs and (matrix is None or scores is not None):
             forecasts[key] = LtaForecast(clip_index=key[1], candidates=tuple(seqs), score_matrix=scores)
     assert _round_trip(fileio.save_lta_pred, fileio.load_lta_pred, forecasts) == forecasts
+
+
+@SETTINGS
+@given(
+    z=st.integers(1, 3),
+    vocab=st.tuples(st.sampled_from([1, 3, 2**63 + 1]), st.sampled_from([1, 3, 2**63 + 1])),
+    episodes=st.dictionaries(EPISODE_KEYS, st.lists(ACTIONS, min_size=1, max_size=4), max_size=3),
+)
+@example(z=3, vocab=(2, 2), episodes={("v", 0): [(5, 0)]})
+def test_lta_ground_truth_saver_refuses_what_its_loader_refuses(z, vocab, episodes):
+    # Sequences of any length, ids in and out of the vocabulary: the saver
+    # writes exactly the files load_lta_gt accepts, and names the episode
+    # of the first record it refuses.
+    c_v, c_n = vocab
+    sequences = {key: seq for key, seq in ((key, _actions(pairs)) for key, pairs in episodes.items()) if seq is not None}
+    gt = fileio.LtaGt(z=z, c_v=c_v, c_n=c_n, k=1, sequences=sequences)
+    bad = [key for key, seq in sequences.items() if len(seq) != z or any(a.verb_id >= c_v or a.noun_id >= c_n for a in seq)]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(f"lta/1: {bad[0]!r}")):
+            _round_trip(fileio.save_lta_gt, fileio.load_lta_gt, gt)
+    else:
+        assert vars(_round_trip(fileio.save_lta_gt, fileio.load_lta_gt, gt)) == vars(gt)
+
+
+@SETTINGS
+@given(episodes=st.dictionaries(EPISODE_KEYS, _forecast_parts().filter(lambda parts: parts[1] is not None), max_size=3))
+def test_lta_predictions_in_both_saver_forms(episodes):
+    # save_lta_pred takes an LtaForecast or (candidates, verb, noun), the
+    # form vote writes, with pairs as tuples or lists: each form of one
+    # forecast writes the same bytes, or is refused with a ValueError
+    # naming its episode, never a TypeError.
+    forecasts, raw, listed = {}, {}, {}
+    for key, (candidates, matrix) in episodes.items():
+        seqs = [_actions(seq) for seq in candidates]
+        scores = _accepted(ScoreMatrix, *matrix)
+        if None not in seqs and scores is not None:
+            forecasts[key] = LtaForecast(clip_index=key[1], candidates=tuple(seqs), score_matrix=scores)
+            pairs = [[(a.verb_id, a.noun_id) for a in seq] for seq in seqs]
+            raw[key] = (pairs, scores.verb, scores.noun)
+            listed[key] = ([[list(p) for p in seq] for seq in pairs], scores.verb, scores.noun)
+    with tempfile.TemporaryDirectory() as tmp:
+        texts = []
+        for i, preds in enumerate((forecasts, raw, listed)):
+            path = Path(tmp) / f"{i}.json"
+            fileio.save_lta_pred(path, preds)
+            texts.append(path.read_text(encoding="utf-8"))
+            assert fileio.load_lta_pred(path) == forecasts
+    assert texts[0] == texts[1] == texts[2]
+
+
+@pytest.mark.parametrize(
+    "candidates, message",
+    [
+        ([[[1, 2, 3]]], "('v', 0).candidates[0][0]: action must be a [verb, noun] pair of ints >= 0"),
+        ([[(True, 0)]], "('v', 0).candidates[0][0]: action must be a [verb, noun] pair of ints >= 0"),
+        ([[7]], "('v', 0).candidates[0][0]: action must be a [verb, noun] pair of ints >= 0"),
+        ([[[0, 0]], [[0, 0], [1, 1]]], "('v', 0).candidates[1]: candidate length 2 != 1"),
+        ([[[0, 0], [1, 1]]], "('v', 0).score_matrix: 1 rows, candidates have length 2"),
+        ([], "('v', 0): candidates must be a non-empty list"),
+    ],
+)
+def test_lta_prediction_saver_names_the_episode_of_a_bad_candidate(tmp_path, candidates, message):
+    verb, noun = np.array([[1.0]]), np.array([[1.0]])
+    with pytest.raises(ValueError) as caught:
+        fileio.save_lta_pred(tmp_path / "pred.json", {("v", 0): (candidates, verb, noun)})
+    assert str(caught.value) == f"lta-pred/1: {message}"
+    assert not (tmp_path / "pred.json").exists()
