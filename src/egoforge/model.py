@@ -1134,11 +1134,6 @@ def _forecast(rec: Mapping[str, Any], where: str, config: tuple, out: list[str])
     return candidates, scores
 
 
-def _below(ids: np.ndarray, bound: int | None) -> bool:
-    """Whether every id is below ``bound``, when there is one."""
-    return bound is None or not ids.size or int(ids.max()) < bound
-
-
 def _plain_matrices(mats: list, z: int | None) -> list[np.ndarray] | None:
     """Probability matrices of plain float rows of one width, z rows each
     when ``z`` is set, as read-only float64 views of one block; None unless
@@ -1207,8 +1202,10 @@ def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | Non
     if z is not None and (sizes != z).any():
         return None
     flat = list(chain.from_iterable(seqs))
-    pairs = _plain_ints(list(chain.from_iterable(flat))) if _only(flat, list) and set(map(len, flat)) <= {2} else None
-    if pairs is None or not (_below(pairs[0::2], c_v) and _below(pairs[1::2], c_n)):
+    if not (_only(flat, list) and set(map(len, flat)) <= {2}):
+        return None
+    verb_ids, noun_ids = (_plain_ints(list(map(itemgetter(i), flat)), bound) for i, bound in ((0, c_v), (1, c_n)))
+    if verb_ids is None or noun_ids is None:
         return None
     scores: list = [None] * len(episodes)
     if "score_matrix" in col:
@@ -1224,7 +1221,7 @@ def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | Non
         if verb is None or noun is None or rows != list(map(len, nouns)) or (seqs and rows != lengths.tolist()):
             return None
         scores = list(zip(verb, noun))
-    return episodes, counts, lengths, pairs.reshape(-1, 2), scores
+    return episodes, counts, lengths, np.stack((verb_ids, noun_ids), axis=1), scores
 
 
 def _loop_lta(raw: Mapping[str, Any], schema: str, config: tuple, out: list[str], extras: list[str]) -> tuple:
