@@ -55,6 +55,23 @@ SYNTH_SEED_7 = {
     "pred_sta.json": "0ad33e7d6a6a6742413fcb0c18300af6a85bbcc46eb48d38a35765f0bbcecf38",
 }
 
+# 60 videos reach the branches of the box and segment draws that 4 do not.
+SYNTH_SEED_11 = {
+    "config.json": "d23ce17ea9946860615956776fefd4644427c01694c1b3b26074f75fb66d196c",
+    "gt_fhp.json": "72717dcfa5a934c2da60702a9650839763a8efd09baf8c1e5f89d66bc9292066",
+    "gt_lta.json": "c1d9ec94faab211e28d4983f62fbd0bcb3ba35f42ee90c5efb3cf30676e831b8",
+    "gt_mq.json": "c68cd3774c48ce0f3fa5709e974dcc8764feaeee3cbd257445c14dc93b43e048",
+    "gt_nlq.json": "73e29f103f99df7cb397e714887f8a73422d13cf6ec659e5448347ee0586a593",
+    "gt_scod.json": "e7a81e7ddfcacc7652ded73e8a959d57b5de28abf7a7186d559ad84a33a1ffb1",
+    "gt_sta.json": "aa67dda0e8c71fe1371bbbee5dd6cb78208d26d912246ddb2ea6a8645e2c0f20",
+    "pred_fhp.json": "e979f164b1cb3139b718cb68c10306334ad5d77d180b90082c2277365249cdd6",
+    "pred_lta.json": "6bf44e7b888aa000abb100ea7f26c8885829933356fc9d8ef940f1e2235d2cf5",
+    "pred_mq.json": "826c06134f51e525768a4b9fb73699d700b4ebf6ceb20a6d7b23f87ef644c1fb",
+    "pred_nlq.json": "6ef215aa2bd359bdf5cc42c616f89abd650e22318180634d51b61b9ac93d80dc",
+    "pred_scod.json": "65858fc9d5725c2076b8f3dc7e196f7032260f2891f0dc170ba44349487f974d",
+    "pred_sta.json": "ba1b855b61fbd31340c9317386a11d2c2925784ae946cdba7efb1d0fb2c52853",
+}
+
 EDGE = {
     "mq_gt": "b94d033967da3f4bbd05296728be47a50a71b1c1f314507d5019f58f6601f3f0",
     "mq_pred": "7a08c22b2e3d8d4e8f8ded55f7ba09c69609967ef2c6f5417084c7f5414e3618",
@@ -75,6 +92,13 @@ def test_synth_files_keep_their_bytes(tmp_path):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["synth", "--out", str(tmp_path), "--seed", "7", "--num-videos", "4"]) == 0
     assert {name: _sha(tmp_path / name) for name in SYNTH_SEED_7} == SYNTH_SEED_7
+
+
+def test_synth_files_keep_their_bytes_at_sixty_videos(tmp_path):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(tmp_path), "--seed", "11", "--num-videos", "60"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SYNTH_SEED_11)
+    assert {name: _sha(tmp_path / name) for name in SYNTH_SEED_11} == SYNTH_SEED_11
 
 
 def _edge_inputs():
