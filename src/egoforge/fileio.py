@@ -213,14 +213,25 @@ _POINT = {"left": [SLOT, SLOT], "right": [SLOT, SLOT], "visible": {"left": SLOT,
 _KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
 
 
-def _point_texts(p: HandPoint) -> tuple[str, ...]:
-    return (*json_texts([*p.left, *p.right]), json_text(p.left_visible), json_text(p.right_visible))
+_FLAG_TEXT = {False: "false", True: "true"}
+
+
+def _keyframes_text(kf: HandKeyframes) -> str:
+    """The keyframes' text, its 20 coordinates rendered by one json_texts
+    call: per tag, left x, y and right x, y, then the two visibility flags."""
+    points = [kf[tag] for tag in KEYFRAME_TAGS]
+    coords = json_texts([c for p in points for c in (*p.left, *p.right)])
+    return _KEYFRAMES % tuple(
+        chain.from_iterable(
+            (*coords[4 * i : 4 * i + 4], _FLAG_TEXT[p.left_visible], _FLAG_TEXT[p.right_visible]) for i, p in enumerate(points)
+        )
+    )
 
 
 # The text of each nested record value; a value of any other key is a plain
 # JSON value.
 _NESTED_TEXT: dict[str, Callable[[Any], str]] = {
-    "keyframes": lambda kf: _KEYFRAMES % tuple(chain.from_iterable(_point_texts(kf[tag]) for tag in KEYFRAME_TAGS)),
+    "keyframes": _keyframes_text,
     "sequence": lambda pairs: json_list([_PAIR % tuple(p) for p in pairs], 3),
     "candidates": lambda cands: json_list([json_list([_CANDIDATE_PAIR % tuple(p) for p in seq], 4) for seq in cands], 3),
     "score_matrix": lambda m: _MATRIX % tuple(json_list([json_list(json_texts(r), 5) for r in a.tolist()], 4) for a in m),

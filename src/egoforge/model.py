@@ -252,6 +252,20 @@ def _score_matrix(verb: Any, noun: Any, z: int | None, where: str, out: list[str
     return matrices
 
 
+def _prob_block(block: np.ndarray) -> bool:
+    """Whether ``_check_prob_rows`` accepts every row of ``block``, a 2-D
+    float64 array with at least one row and column. Its numpy row sums
+    settle every row but those within a rounding margin of the 1e-6 edge,
+    which go to ``_sums_to_one``."""
+    with np.errstate(over="ignore"):  # an overflow is a row that does not sum to 1
+        off = np.abs(block.sum(axis=1) - 1.0)
+    margin = max(1e-12, block.shape[1] * 1e-15)
+    # >= 0 also refuses a nan.
+    if not (block >= 0).all() or (off > 1e-6 + margin).any():
+        return False
+    return all(_sums_to_one(block[i].tolist()) for i in np.flatnonzero(off >= 1e-6 - margin).tolist())
+
+
 def _tags(kf: Any, where: str, out: list[str]) -> bool:
     """An object keyed by exactly the keyframe tags."""
     if not _is_object(kf):
@@ -427,8 +441,15 @@ class ScoreMatrix:
     noun: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (self.verb, self.noun))
-        verb, noun = _checked("ScoreMatrix", _score_matrix, *rows, None)
+        pair = (self.verb, self.noun)
+        plain = (type(m) is np.ndarray and m.dtype == np.float64 and m.ndim == 2 and m.size for m in pair)
+        if all(plain) and len(self.verb) == len(self.noun) and _prob_block(self.verb) and _prob_block(self.noun):
+            verb, noun = map(np.array, pair)
+            verb.setflags(write=False)
+            noun.setflags(write=False)
+        else:  # the list check, for its messages
+            rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in pair)
+            verb, noun = _checked("ScoreMatrix", _score_matrix, *rows, None)
         _set(self, "verb", verb)
         _set(self, "noun", noun)
 
@@ -1138,8 +1159,7 @@ def _plain_matrices(mats: list, z: int | None) -> list[np.ndarray] | None:
     """Probability matrices of plain float rows of one width, z rows each
     when ``z`` is set, as read-only float64 views of one block; None unless
     ``_check_prob_rows`` accepts every matrix (matrices of several widths
-    are left to it). The block's numpy row sums settle every row but those
-    within a rounding margin of the 1e-6 edge, which go to ``_sums_to_one``."""
+    are left to it), as ``_prob_block`` finds."""
     if not _only(mats, list):
         return None
     counts = list(map(len, mats))
@@ -1152,13 +1172,7 @@ def _plain_matrices(mats: list, z: int | None) -> list[np.ndarray] | None:
     if not rows[0] or len(set(map(len, rows))) > 1 or not _only(values, float):
         return None
     block = np.array(values, dtype=np.float64).reshape(len(rows), -1)
-    with np.errstate(over="ignore"):  # an overflow is a row that does not sum to 1
-        off = np.abs(block.sum(axis=1) - 1.0)
-    margin = max(1e-12, block.shape[1] * 1e-15)
-    # >= 0 also refuses a nan.
-    if not (block >= 0).all() or (off > 1e-6 + margin).any():
-        return None
-    if not all(_sums_to_one(rows[i]) for i in np.flatnonzero(off >= 1e-6 - margin).tolist()):
+    if not _prob_block(block):
         return None
     block.setflags(write=False)
     return np.split(block, np.cumsum(counts)[:-1].tolist())

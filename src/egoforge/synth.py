@@ -6,6 +6,17 @@ Stub features stand in for video backbones: deterministic pseudo-random
 vectors keyed by (video, frame span, variant), optionally biased along
 label-dependent directions so the toy heads have something to learn. The
 bias strength is the difficulty knob.
+
+Every (section, video) pair draws from its own stream, and the order of the
+draws on each stream is part of the byte contract of the files ``synth``
+writes. A run of uniform draws (a box's four, a segment's two, a hand
+trajectory's twelve) is one ``rng.random(n)`` call scaled as
+``lo + (hi - lo) * u``, the value ``rng.uniform(lo, hi)`` gives from the
+same double, and the five keyframes' jitter is one ``normal`` draw of shape
+(5, 4): fewer numpy calls, the same values. ``integers`` draws, and the STA
+time to contact, sit between draws of other kinds, so they stay scalar. The
+fhp contact times stay ``uniform`` calls: numpy refuses the reversed range
+that a video shorter than 4 s gives them, where a scaled draw would not.
 """
 
 from __future__ import annotations
@@ -261,37 +272,34 @@ class SynthDataset:
 
 
 def _segment_within(rng: np.random.Generator, duration: float, min_len: float, max_len: float) -> TemporalSegment:
-    length = float(rng.uniform(min_len, max_len))
-    start = float(rng.uniform(0.0, max(duration - length, 1e-3)))
+    u_len, u_start = rng.random(2).tolist()
+    length = min_len + (max_len - min_len) * u_len
+    start = max(duration - length, 1e-3) * u_start
     return TemporalSegment(start_s=start, end_s=min(start + length, duration))
 
 
 def _hand_trajectory(rng: np.random.Generator, w: int, h: int):
     # A smooth closed curve per hand; coordinates stay well inside the frame.
-    params = []
-    for _ in range(2):
-        cx = rng.uniform(0.3 * w, 0.7 * w)
-        cy = rng.uniform(0.3 * h, 0.7 * h)
-        ax = rng.uniform(0.05 * w, 0.15 * w)
-        ay = rng.uniform(0.05 * h, 0.15 * h)
-        freq = rng.uniform(0.2, 0.6)
-        phase = rng.uniform(0.0, 2 * np.pi)
-        params.append((cx, cy, ax, ay, freq, phase))
+    # Per hand: centre x, y, amplitude x, y, frequency and phase.
+    bounds = ((0.3 * w, 0.7 * w), (0.3 * h, 0.7 * h), (0.05 * w, 0.15 * w), (0.05 * h, 0.15 * h), (0.2, 0.6), (0.0, 2 * np.pi))
+    values = [lo + (hi - lo) * u for (lo, hi), u in zip(bounds * 2, rng.random(12).tolist())]
+    params = (values[:6], values[6:])
 
     def at(t: float) -> list[tuple[float, float]]:
         out = []
         for cx, cy, ax, ay, freq, phase in params:
-            out.append((cx + ax * np.sin(freq * t + phase), cy + ay * np.cos(freq * t + phase)))
+            out.append((cx + ax * float(np.sin(freq * t + phase)), cy + ay * float(np.cos(freq * t + phase))))
         return out
 
     return at
 
 
 def _random_box(rng: np.random.Generator, w: int, h: int) -> BoundingBox:
-    bw = float(rng.uniform(80, min(320, w - 1)))
-    bh = float(rng.uniform(80, min(320, h - 1)))
-    x1 = float(rng.uniform(0, w - bw))
-    y1 = float(rng.uniform(0, h - bh))
+    u_w, u_h, u_x, u_y = rng.random(4).tolist()
+    bw = 80.0 + (min(320, w - 1) - 80.0) * u_w
+    bh = 80.0 + (min(320, h - 1) - 80.0) * u_h
+    x1 = (w - bw) * u_x
+    y1 = (h - bh) * u_y
     return BoundingBox(x1=x1, y1=y1, x2=x1 + bw, y2=y1 + bh)
 
 
@@ -354,12 +362,15 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
             "p2": t_pre - 1.0,
             "p3": t_pre - 1.5,
         }
+        # One draw holds the five keyframes' jitter, four values each, in
+        # the order of five size-4 draws.
+        jitter = (rng.normal(0.0, 1.0, size=(5, 4)) * config.hand_noise_px).tolist()
         points = {}
-        for tag in KEYFRAME_TAGS:
+        for tag, (jlx, jly, jrx, jry) in zip(KEYFRAME_TAGS, jitter):
             (lx, ly), (rx, ry) = trajectory(times[tag])
-            jitter = rng.normal(0.0, 1.0, size=4) * config.hand_noise_px
-            left = (float(np.clip(lx + jitter[0], 0, w - 1)), float(np.clip(ly + jitter[1], 0, h - 1)))
-            right = (float(np.clip(rx + jitter[2], 0, w - 1)), float(np.clip(ry + jitter[3], 0, h - 1)))
+            # Clipped as np.clip does, max then min: -0.0 clips to 0.0.
+            left = (min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly)))
+            right = (min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry)))
             points[tag] = HandPoint(left=left, right=right)
         keyframes = HandKeyframes(points=points)
         fhp_gt[vid] = keyframes
@@ -371,14 +382,14 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         noun = int(rng.integers(config.c_n))
         chain = []
         for _ in range(num_clips):
-            chain.append(ActionLabel(verb_id=verb, noun_id=noun))
+            chain.append((verb, noun))
             if rng.random() >= 0.55:
                 verb = int(rng.integers(config.c_v))
             if rng.random() >= 0.55:
                 noun = int(rng.integers(config.c_n))
         clip_ends[vid] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
         anchor = num_clips - config.z
-        future = tuple(chain[anchor : anchor + config.z])
+        future = tuple(ActionLabel(verb_id=v, noun_id=n) for v, n in chain[anchor : anchor + config.z])
         lta_gt[(vid, anchor)] = future
         lta_targets[vid] = future
 

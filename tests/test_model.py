@@ -93,6 +93,41 @@ class TestScoreMatrix:
         b = ScoreMatrix(verb=_prob_rows(2, 3), noun=_prob_rows(2, 4))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "verb, noun",
+        [
+            (_prob_rows(4, 3), _prob_rows(4, 5)),
+            # Rows within 1e-12 of the 1e-6 edge, on either side of it.
+            (np.array([[0.5, 0.5 + (1e-6 - 1e-13)]]), np.array([[1.0]])),
+            (np.array([[0.5, 0.5 + (1e-6 + 1e-13)]]), np.array([[1.0]])),
+            (np.array([[1.5, -0.5]]), np.array([[1.0]])),
+            (np.array([[np.nan, 1.0]]), np.array([[1.0]])),
+            (np.array([[np.inf, 1.0]]), np.array([[1.0]])),
+            (np.array([[1e308, 1e308]]), np.array([[1.0]])),  # the sum overflows
+            (_prob_rows(2, 3) * 0.5, _prob_rows(2, 4)),
+            (_prob_rows(2, 3), _prob_rows(3, 4)),
+            (np.zeros((0, 3)), np.zeros((0, 4))),
+            (np.zeros((2, 0)), _prob_rows(2, 4)),
+            (_prob_rows(2, 3).astype(np.float32), _prob_rows(2, 4)),
+            (_prob_rows(1, 3)[0], _prob_rows(1, 4)),
+        ],
+    )
+    def test_arrays_are_checked_as_their_rows(self, verb, noun):
+        # Arrays take a numpy check; it must accept, refuse and word its
+        # refusals exactly as the check of the same rows as lists.
+        def build(v, n):
+            try:
+                return ScoreMatrix(verb=v, noun=n)
+            except ValueError as exc:
+                return str(exc)
+
+        got, want = build(verb, noun), build(verb.tolist(), noun.tolist())
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got == want and not got.verb.flags.writeable and not got.noun.flags.writeable
+            assert got.verb.dtype == got.noun.dtype == np.float64
+
 
 class TestForecast:
     def test_candidates_must_share_length(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egoforge.model import KEYFRAME_TAGS
 from egoforge.synth import (
@@ -61,6 +62,32 @@ class TestDeterminism:
         assert np.array_equal(f, g)
         assert not np.array_equal(f, stub_features("synth-000", (0, 30), dim=8, variant="noun"))
         assert not np.array_equal(f, stub_features("synth-000", (0, 31), dim=8, variant="verb"))
+
+
+_BOUNDS = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted).filter(lambda b: b[0] < b[1])
+
+
+class TestNumpyStreams:
+    """The generator batches draws on two numpy identities; NEP 19 does not
+    promise ``Generator`` streams stay stable across numpy versions, so an
+    upgrade that breaks either fails here by name, not only as a changed
+    synth file hash."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(_BOUNDS, min_size=1, max_size=12))
+    def test_uniform_is_lo_plus_range_times_random(self, seed, bounds):
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = batched.random(len(bounds)).tolist()
+        assert [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)] == [single.uniform(lo, hi) for lo, hi in bounds]
+        assert batched.random() == single.random()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_one_normal_block_is_five_rows(self, seed):
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        block = batched.normal(0.0, 1.0, size=(5, 4))
+        assert np.array_equal(block, np.stack([single.normal(0.0, 1.0, size=4) for _ in range(5)]))
+        assert batched.random() == single.random()
 
 
 class TestStructure:
