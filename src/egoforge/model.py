@@ -238,11 +238,15 @@ def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bo
 
 def _score_matrix(verb: Any, noun: Any, z: int | None, where: str, out: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     """Verb and noun probability rows, Z of each (as many as each other
-    when ``z`` is None), as read-only float64 matrices."""
-    verb_ok = _check_prob_rows(verb, z, f"{where}.verb", out)
-    noun_ok = _check_prob_rows(noun, z, f"{where}.noun", out)
-    if not (verb_ok and noun_ok):
-        return None
+    when ``z`` is None), as read-only float64 matrices. 2-D float64 arrays
+    that ``_prob_block`` accepts skip the list check; it gives the messages."""
+    pair = (verb, noun)
+    if not all(type(m) is np.ndarray and m.dtype == np.float64 and m.ndim == 2 and m.size and z in (None, len(m)) and _prob_block(m) for m in pair):
+        verb, noun = (m.tolist() if isinstance(m, np.ndarray) else m for m in pair)
+        verb_ok = _check_prob_rows(verb, z, f"{where}.verb", out)
+        noun_ok = _check_prob_rows(noun, z, f"{where}.noun", out)
+        if not (verb_ok and noun_ok):
+            return None
     if len(noun) != len(verb):
         out.append(f"{where}: verb has {len(verb)} rows, noun has {len(noun)}")
         return None
@@ -441,15 +445,7 @@ class ScoreMatrix:
     noun: np.ndarray
 
     def __post_init__(self) -> None:
-        pair = (self.verb, self.noun)
-        plain = (type(m) is np.ndarray and m.dtype == np.float64 and m.ndim == 2 and m.size for m in pair)
-        if all(plain) and len(self.verb) == len(self.noun) and _prob_block(self.verb) and _prob_block(self.noun):
-            verb, noun = map(np.array, pair)
-            verb.setflags(write=False)
-            noun.setflags(write=False)
-        else:  # the list check, for its messages
-            rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in pair)
-            verb, noun = _checked("ScoreMatrix", _score_matrix, *rows, None)
+        verb, noun = _checked("ScoreMatrix", _score_matrix, self.verb, self.noun, None)
         _set(self, "verb", verb)
         _set(self, "noun", noun)
 
