@@ -35,7 +35,6 @@ from .metrics import (
     sta_report,
 )
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
-from .runtime import worker_count
 from .snippets import build_snippet_schedule, prefuse_features
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
 
@@ -149,8 +148,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("vote", help="fuse per-clip forecasts into one per episode")
     p.add_argument("--pred", required=True, help="per-clip probability file")
     p.add_argument("--out", required=True)
-    p.add_argument("--rule", choices=("mean_prob", "majority"), default="mean_prob",
-                   help="either rule writes the k best sequences of the mean matrix")
     p.add_argument("--k", type=int, default=5, help="candidate sequences to keep")
 
     p = sub.add_parser("train", help="fit a toy head on a synthetic dataset")
@@ -423,7 +420,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        worker_count()
         return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

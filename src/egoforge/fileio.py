@@ -5,9 +5,10 @@ strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
 canonical, so save -> load is the identity and identical inputs produce
 byte-identical files: every JSON file has the bytes of
-``json.dumps(obj, indent=2)``, a layout that ``render`` alone knows: the
-savers fill its templates of a record with the texts of the values, and
-config and report files go whole through its ``json_text``.
+``json.dumps(obj, indent=2)``, the one encoder. Config and report files go
+whole through it; the savers of records fill ``render``'s templates, which
+hold the layout (key names and nesting) and never data, with the texts of
+the values.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
@@ -87,7 +88,7 @@ from .model import (
     _validated,
     _walk,
 )
-from .render import SLOT, json_list, json_template, json_text, json_texts, render_reports
+from .render import SLOT, json_list, json_template, json_texts, render_reports
 from .synth import SynthConfig
 
 FEATURE_MAGIC = b"EGFT"
@@ -166,7 +167,7 @@ def _record_template(schema: str) -> str:
 
 
 def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) -> None:
-    """Write ``cols`` as a ``schema`` file, the bytes ``json_text`` gives:
+    """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
     the header in the spec's order, then one record per row through the
     schema's record template."""
     spec = _RANKED[schema]
@@ -190,10 +191,23 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) ->
     _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header}}, records)
 
 
+def _header_text(value: Any) -> str:
+    """The text of a file's header value. A list of objects (``videos``,
+    ``images``) is written like the instances, one template of its keys
+    filled from the texts of each key's column."""
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        keys = list(value[0])
+        columns = [json_texts([item[key] for item in value]) for key in keys]
+        template = json_template(dict.fromkeys(keys, SLOT), 2)
+        return json_list([template % row for row in zip(*columns)], 1)
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def _write_records(path: str | Path, head: Mapping[str, Any], records: list[str]) -> None:
     """Write the file of ``head``'s keys and an ``instances`` list last,
     whose records, one level below it, have the texts ``records``."""
-    text = json_template({**head, "instances": SLOT}) % json_list(records, 1)
+    template = json_template(dict.fromkeys([*head, "instances"], SLOT))
+    text = template % (*map(_header_text, head.values()), json_list(records, 1))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -229,7 +243,7 @@ def _keyframes_text(kf: HandKeyframes) -> str:
 
 
 # The text of each nested record value; a value of any other key is a plain
-# JSON value.
+# scalar.
 _NESTED_TEXT: dict[str, Callable[[Any], str]] = {
     "keyframes": _keyframes_text,
     "sequence": lambda pairs: json_list([_PAIR % tuple(p) for p in pairs], 3),
@@ -240,7 +254,7 @@ _NESTED_TEXT: dict[str, Callable[[Any], str]] = {
 
 def _save_nested(path: str | Path, schema: str, rows: Iterable[Mapping[str, Any]], **head: Any) -> None:
     """Write ``rows`` as a ``schema`` file (fhp or lta), the bytes
-    ``json_text`` gives.
+    ``json.dumps`` gives.
 
     Each row maps some of the schema's record keys to values: keyframes as
     ``HandKeyframes``, a sequence as (verb id, noun id) pairs, candidates
@@ -249,7 +263,7 @@ def _save_nested(path: str | Path, schema: str, rows: Iterable[Mapping[str, Any]
     records = []
     for row in rows:
         template, keys = _nested_layout(schema, tuple(row))
-        records.append(template % tuple(_NESTED_TEXT.get(key, json_text)(row[key]) for key in keys))
+        records.append(template % tuple(_NESTED_TEXT.get(key, json.dumps)(row[key]) for key in keys))
     _write_records(path, {"schema": schema, **head}, records)
 
 
@@ -734,7 +748,7 @@ def save_config(path: str | Path, config: SynthConfig) -> None:
     for f in fields(config):
         value = getattr(config, f.name)
         raw[f.name] = list(value) if isinstance(value, tuple) else value
-    Path(path).write_text(json_text(raw) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
 
 
 def load_config(path: str | Path) -> SynthConfig:

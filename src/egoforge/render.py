@@ -6,20 +6,23 @@ and are scaled by 100 here; fixture tables already store percent points and
 are printed as-is. Missing cells render as "-". Plain output is deterministic
 down to the byte so it can serve as a comparison target.
 
-``json_text`` is the one JSON writer, for these reports and for every file
-``fileio`` saves. Writers that render many records of one shape take their
-layout from here too: ``json_template`` gives the text of a value with a
-``%s`` for each ``SLOT`` in it, ``json_list`` the text of a list from its
-items' texts, and ``json_texts`` the text of each item of a list.
+The one JSON encoder is the standard library's: every JSON text has the
+bytes of ``json.dumps(obj, indent=2)``. This module owns the layouts that
+writers of many records of one shape fill instead of encoding each record
+whole: ``json_template`` gives the text of a value with a ``%s`` for each
+``SLOT`` in it, ``json_list`` the text of a list from its items' texts, and
+``json_texts`` the text of each item of a list. A template holds a layout,
+never data, so no data string can turn into a slot.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .fixtures import SPLITS, FixtureTable
 from .metrics import MetricReport
@@ -31,138 +34,38 @@ _DECIMALS = {"percent": 2, "pixels": 2, "edit": 3}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-# Text of the exact scalar types; subclasses (numpy floats, IntEnum, str
-# subclasses) take the isinstance branches of _emit, as they do in json.
-_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
 class _Slot:
     """The type of ``SLOT``."""
 
 
-# A value that json_template writes as %s. Its text here is a NUL, which
-# json_text writes nowhere else: strings escape their control characters.
+# A value that json_template writes as %s.
 SLOT = _Slot()
-_SCALAR_TEXT[_Slot] = lambda _: "\0"
+_SLOT_TEXT = json.dumps("\0")
 
 
-def _key_text(key: Any) -> str:
-    # json's key coercion, in its order of checks.
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _flat_texts(values: Sequence[Any]) -> list[str] | None:
-    """The text of each item of a sequence of plain floats, plain ints or
-    plain strings; None for any other sequence."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        texts = list(map(float.__repr__, values))
-        return texts if all(map(math.isfinite, values)) else [_NON_FINITE.get(t, t) for t in texts]
-    if kind is int or kind is str:
-        return list(map(_SCALAR_TEXT[kind], values))
-    return None
-
-
-def _emit(value: Any, out: list[str], indent: str) -> None:
-    # Appends the text of one value; indent is the newline and spaces that
-    # start a line at the value's own nesting level.
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        out.append(scalar(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            scalar = _SCALAR_TEXT.get(type(item))
-            if scalar is None:
-                out.append(sep)
-                _emit(item, out, inner)
-            else:
-                out.append(sep + scalar(item))
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            head = sep + encode_basestring_ascii(key if type(key) is str else _key_text(key)) + ": "
-            scalar = _SCALAR_TEXT.get(type(item))
-            if scalar is None:
-                out.append(head)
-                _emit(item, out, inner)
-            else:
-                out.append(head + scalar(item))
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def json_text(obj: Any) -> str:
-    """The text of ``json.dumps(obj, indent=2)``, byte for byte.
-
-    The standard encoder runs its pure-Python generator chain whenever an
-    indent is set; this writes the same bytes with one list of parts. A
-    value or key of a type json cannot encode raises TypeError, as there.
-    """
-    out: list[str] = []
-    _emit(obj, out, "\n")
-    return "".join(out)
+def _slot(value: Any) -> str:
+    # json.dumps's ``default``: SLOT encodes as a NUL string, which no layout
+    # holds otherwise; anything else gets json's own TypeError.
+    return "\0" if value is SLOT else json.JSONEncoder().default(value)
 
 
 def _indent(level: int) -> str:
     # The newline and spaces that start a line ``level`` lists or objects
-    # deep in json_text.
+    # deep in json.dumps(..., indent=2).
     return "\n" + "  " * level
 
 
 def json_template(value: Any, level: int = 0) -> str:
-    """The text ``json_text`` gives ``value`` where it sits ``level`` lists
-    or objects deep, as a ``%`` template: each ``SLOT`` in ``value`` is a
-    ``%s``, and any other ``%`` is doubled."""
-    out: list[str] = []
-    _emit(value, out, _indent(level))
-    return "".join(out).replace("%", "%%").replace("\0", "%s")
+    """The text ``json.dumps(value, indent=2)`` gives ``value`` where it
+    sits ``level`` lists or objects deep, as a ``%`` template: each ``SLOT``
+    in ``value`` is a ``%s``, and any other ``%`` is doubled. ``value`` is
+    a layout, not data: a string ``"\\0"`` in it would be a slot too."""
+    text = json.dumps(value, indent=2, default=_slot)
+    return text.replace("%", "%%").replace(_SLOT_TEXT, "%s").replace("\n", _indent(level))
 
 
 def json_list(texts: Sequence[str], level: int = 0) -> str:
-    """The text ``json_text`` gives a list ``level`` lists or objects deep
+    """The text ``json.dumps`` gives a list ``level`` lists or objects deep
     whose items have the texts ``texts``, written for the level below."""
     if not texts:
         return "[]"
@@ -172,8 +75,19 @@ def json_list(texts: Sequence[str], level: int = 0) -> str:
 
 
 def json_texts(values: Sequence[Any]) -> list[str]:
-    """The ``json_text`` of each item of ``values``."""
-    return _flat_texts(values) or [json_text(v) for v in values]
+    """The ``json.dumps(v, indent=2)`` of each item ``v`` of ``values``; a
+    column of plain floats, plain ints or plain strings takes a typed fast
+    path."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        texts = list(map(float.__repr__, values))
+        return texts if all(map(math.isfinite, values)) else [_NON_FINITE.get(t, t) for t in texts]
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    return [json.dumps(v, indent=2) for v in values]
 
 
 def format_value(value: float | None, family: str) -> str:
@@ -213,7 +127,7 @@ def render_fixture(table: FixtureTable, fmt: str = "plain") -> str:
             "rows": list(table.rows),
             "cells": {split: [list(r) for r in table.cells[split]] for split in SPLITS},
         }
-        return json_text(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         # Method names contain commas, so quoting (not a custom delimiter) is
@@ -252,7 +166,7 @@ def render_reports(reports: Sequence[MetricReport], fmt: str = "plain") -> str:
                 for r in reports
             ],
         }
-        return json_text(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

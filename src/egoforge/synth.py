@@ -98,6 +98,12 @@ class SynthConfig:
         _require(self.min_video_len_s > 0, "min_video_len_s must be positive")
         _require(self.max_video_len_s >= self.min_video_len_s, "video length range reversed")
         _require(self.fps > 0, "fps must be positive")
+        # The hand generator draws a contact time in [3.5 s, length - 0.5 s]
+        # of the shortest video, whose length is a whole number of frames.
+        _require(
+            round(self.min_video_len_s * self.fps) / self.fps >= 4.0,
+            "min_video_len_s must be at least 4 s, counted in whole frames at fps",
+        )
         w, h = self.resolution
         _require(w >= 640 and h >= 480, "resolution too small for the box generator")
         _require(w <= MAX_CONFIG_VALUE and h <= MAX_CONFIG_VALUE, f"resolution sides must be at most {MAX_CONFIG_VALUE:g}")

@@ -1,10 +1,11 @@
-"""The canonical JSON writer against ``json.dumps(obj, indent=2)``.
+"""The record layouts of ``render`` against ``json.dumps(obj, indent=2)``.
 
-Every saved file and every JSON report goes through ``render.json_text``, so
-it must give the standard encoder's bytes for every tree that encoder
-accepts, and raise TypeError wherever the encoder does. The savers that
-write records from templates use ``json_template``, ``json_list`` and
-``json_texts``, which must give the same bytes at every nesting level.
+Every JSON file has the bytes of ``json.dumps(obj, indent=2)``. The savers
+that write records fill ``json_template``s with ``json_texts`` and join
+them with ``json_list``, which must give the same bytes at every nesting
+level, take every value the encoder takes and raise TypeError wherever it
+does. A template holds a layout, never data, so a data string that looks
+like a slot or a format directive is written as it is.
 """
 
 import enum
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egoforge.render import SLOT, json_list, json_template, json_text, json_texts
+from egoforge import fileio
+from egoforge.render import SLOT, json_list, json_template, json_texts
 
 
 class Color(enum.IntEnum):
@@ -38,45 +40,9 @@ SCALARS = st.one_of(
     st.text(),
     st.text().map(Name),
 )
-KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(list(Color)))
-# Values and keys json.dumps rejects without a ``default``.
-BAD_VALUES = st.one_of(
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
-    st.sets(st.integers(), max_size=2),
-    st.just(np.bool_(True)),
-    st.builds(object),
-)
-BAD_KEYS = st.one_of(st.tuples(st.integers()), st.frozensets(st.integers(), max_size=1))
-
-
-def _trees(leaves, keys):
-    return st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=4),
-            st.lists(inner, max_size=4).map(tuple),
-            st.dictionaries(keys, inner, max_size=4),
-        ),
-        max_leaves=30,
-    )
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(tree=_trees(SCALARS, KEYS))
-def test_matches_json_dumps(tree):
-    assert json_text(tree) == json.dumps(tree, indent=2)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(tree=_trees(st.one_of(SCALARS, BAD_VALUES), st.one_of(KEYS, BAD_KEYS)))
-def test_raises_type_error_where_json_dumps_does(tree):
-    try:
-        expected = json.dumps(tree, indent=2)
-    except TypeError:
-        with pytest.raises(TypeError):
-            json_text(tree)
-    else:
-        assert json_text(tree) == expected
+# The key names of a template's layout: any text but "\0", which is the
+# text of SLOT there.
+LAYOUT_KEYS = st.text().filter(lambda key: key != "\0")
 
 
 @pytest.mark.parametrize(
@@ -96,7 +62,10 @@ def test_raises_type_error_where_json_dumps_does(tree):
     ],
 )
 def test_edge_cases(tree):
-    assert json_text(tree) == json.dumps(tree, indent=2)
+    expected = json.dumps(tree, indent=2)
+    assert json_texts([tree]) == [expected]
+    assert json_texts([tree, 0]) == [expected, "0"]
+    assert json_template({"v": [tree, SLOT]}) % "0" == json.dumps({"v": [tree, 0]}, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +75,9 @@ def test_unencodable_values_raise_type_error(tree):
     with pytest.raises(TypeError):
         json.dumps(tree, indent=2)
     with pytest.raises(TypeError):
-        json_text(tree)
+        json_texts([tree])
+    with pytest.raises(TypeError):
+        json_template({"v": [tree, SLOT]})
 
 
 def _nest(value, level):
@@ -116,7 +87,7 @@ def _nest(value, level):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(record=st.dictionaries(st.text(), SCALARS, max_size=5), level=st.integers(0, 4))
+@given(record=st.dictionaries(LAYOUT_KEYS, SCALARS, max_size=5), level=st.integers(0, 4))
 def test_a_filled_template_gives_the_bytes_of_json_dumps(record, level):
     # Keys may hold "%", which the template must keep as it is.
     outer = json_template(_nest(SLOT, level))
@@ -134,3 +105,28 @@ def test_a_list_from_its_item_texts_gives_the_bytes_of_json_dumps(values, level)
 def test_a_template_doubles_every_other_percent_sign():
     template = json_template({"100%": SLOT, "%s": ["%d", SLOT]})
     assert template % ("1", "2") == json.dumps({"100%": 1, "%s": ["%d", 2]}, indent=2)
+
+
+@pytest.mark.parametrize("video_id", ["\0", "%s", "100% %d"])
+def test_header_data_round_trips(tmp_path, video_id):
+    # Header strings are data: a NUL or a format directive in one stays as
+    # it is, and a non-ASCII id is escaped as json.dumps escapes it.
+    mq = {
+        "schema": "mq/1",
+        "num_classes": 2,
+        "videos": [{"video_id": video_id, "num_frames": 30, "fps": 15.0}, {"video_id": "v", "num_frames": 7, "fps": 30.0}],
+        "instances": [{"video_id": video_id, "start_s": 0.5, "end_s": 1.25, "class_id": 1}],
+    }
+    sta = {
+        "schema": "sta/1",
+        "images": [{"keyframe_id": video_id, "width": 640, "height": 480}, {"keyframe_id": "é中\U0001f600", "width": 1920, "height": 1080}],
+        "instances": [{"keyframe_id": "é中\U0001f600", "box": [0.0, 1.5, 10.0, 20.0], "noun": 3, "verb": 0, "ttc_s": 0.75}],
+    }
+    for tree, load, save in ((mq, fileio.load_mq_gt, fileio.save_mq_gt), (sta, fileio.load_sta_gt, fileio.save_sta_gt)):
+        src, out = tmp_path / "src.json", tmp_path / "out.json"
+        src.write_text(json.dumps(tree), encoding="utf-8")
+        save(out, load(src))
+        assert out.read_text(encoding="utf-8") == json.dumps(tree, indent=2) + "\n"
+        assert json.loads(out.read_text(encoding="utf-8")) == tree
+        save(src, load(out))
+        assert src.read_bytes() == out.read_bytes()

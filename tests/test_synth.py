@@ -26,6 +26,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SynthConfig(min_video_len_s=10.0)
 
+    @pytest.mark.parametrize("min_len, fps", [(3.9, 15.0), (3.96, 15.0), (3.5, 2.0)])
+    def test_videos_too_short_for_the_hand_generator_rejected(self, min_len, fps):
+        # The shortest video, in whole frames, must be at least 4 s long.
+        with pytest.raises(ValueError, match="min_video_len_s"):
+            SynthConfig(min_video_len_s=min_len, max_video_len_s=5.0, fps=fps, z=1, clip_len_s=0.2)
+
+    @pytest.mark.parametrize("min_len, fps", [(4.0, 15.0), (3.97, 15.0), (3.93, 7.0)])
+    def test_four_second_videos_generate(self, min_len, fps):
+        config = SynthConfig(num_videos=3, min_video_len_s=min_len, max_video_len_s=min_len, fps=fps, z=1, clip_len_s=0.2)
+        assert min(m.duration_s for m in generate_synthetic(config).videos) >= 4.0
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(seed=-1)
