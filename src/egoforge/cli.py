@@ -9,6 +9,7 @@ synthetic data generation, toy training, and fixture table rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -92,6 +93,7 @@ def _emit_reports(reports: list[MetricReport], fmt: str, out: str | None) -> Non
         fileio.save_reports(out, reports)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="egoforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

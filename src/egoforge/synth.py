@@ -7,21 +7,23 @@ vectors keyed by (video, frame span, variant), optionally biased along
 label-dependent directions so the toy heads have something to learn. The
 bias strength is the difficulty knob.
 
-Every (section, video) pair draws from its own stream, and the order of the
-draws on each stream is part of the byte contract of the files ``synth``
-writes. A run of uniform draws (a box's four, a segment's two, a hand
-trajectory's twelve) is one ``rng.random(n)`` call scaled as
-``lo + (hi - lo) * u``, the value ``rng.uniform(lo, hi)`` gives from the
-same double, and the five keyframes' jitter is one ``normal`` draw of shape
-(5, 4): fewer numpy calls, the same values. ``integers`` draws, and the STA
-time to contact, sit between draws of other kinds, so they stay scalar. The
-fhp contact times stay ``uniform`` calls: numpy refuses the reversed range
-that a video shorter than 4 s gives them, where a scaled draw would not.
+Every (section, video) pair draws from its own PCG64 stream, and the order
+of the draws on each stream is part of the byte contract of the files
+``synth`` writes. The videos, mq, nlq, lta, sta and scod streams are read
+as raw 64-bit words through ``_Words``, which computes from them exactly
+what numpy's ``Generator`` gives on the same stream (``random``,
+``uniform``, ``integers``) without a numpy call per draw. The fhp stream
+keeps its ``Generator``, whose ``normal`` draw is a ziggurat: the five
+keyframes' jitter is one draw of shape (5, 4). A run of uniform draws (a
+box's four, a segment's two, a hand trajectory's twelve) is n ``random``
+values scaled as ``lo + (hi - lo) * u``, the value ``uniform(lo, hi)``
+gives from the same double.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -131,6 +133,76 @@ class SynthConfig:
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_LOW32, _LOW64 = 2**32 - 1, 2**64 - 1
+_TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+_BLOCK = 64  # words fetched per numpy call
+# random() >= 0.55 exactly when its word is at least this: random() is
+# (word >> 11) * 2**-53, and 0.55 * 2**53 is a whole number.
+_SWITCH_WORD = int(0.55 * 2**53) << 11
+
+
+class _Words:
+    """The stream ``_rng(*key)`` wraps, read as 64-bit words.
+
+    Gives, from PCG64's raw words, exactly the values ``Generator`` gives
+    from the same stream, without a numpy call per draw:
+
+    - ``random()`` is ``(word >> 11) * 2**-53``, one word per value;
+    - ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``;
+    - ``integers(lo, hi)`` is Lemire's bounded method on c = hi - lo values.
+      A one-value range draws nothing. Up to 2**32 values it takes 32-bit
+      halves: the low half of a fresh word first, the high half kept for
+      the next ``integers`` call (``random`` never uses it); a draw is
+      rejected while ``(m & 0xFFFFFFFF) < (2**32 - c) % c``. Wider ranges
+      take whole words the same way.
+    """
+
+    __slots__ = ("next_word", "_half")
+
+    def __init__(self, *key: int) -> None:
+        bits = np.random.PCG64(np.random.SeedSequence(key))
+        blocks = map(np.ndarray.tolist, map(bits.random_raw, itertools.repeat(_BLOCK)))
+        self.next_word = itertools.chain.from_iterable(blocks).__next__
+        self._half: int | None = None
+
+    def random(self, size: int | None = None) -> float | list[float]:
+        """One double, or a list of ``size`` of them."""
+        next_word = self.next_word
+        if size is None:
+            return (next_word() >> 11) * _TO_UNIT
+        return [(next_word() >> 11) * _TO_UNIT for _ in range(size)]
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.random()
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An int in [lo, hi), refusing what ``Generator.integers`` refuses."""
+        if lo < _INT64_MIN:
+            raise ValueError("low is out of bounds for int64")
+        if hi - 1 > _INT64_MAX:
+            raise ValueError("high is out of bounds for int64")
+        if lo >= hi:
+            raise ValueError("low >= high")
+        c = hi - lo
+        if c == 1:
+            return lo
+        if c > 2**32:
+            while True:
+                m = self.next_word() * c
+                if (m & _LOW64) >= (2**64 - c) % c:
+                    return lo + (m >> 64)
+        while True:
+            if self._half is None:
+                word = self.next_word()
+                x, self._half = word & _LOW32, word >> 32
+            else:
+                x, self._half = self._half, None
+            m = x * c
+            if (m & _LOW32) >= (2**32 - c) % c:
+                return lo + (m >> 32)
 
 
 def _hash_rng(*parts: object) -> np.random.Generator:
@@ -277,8 +349,8 @@ class SynthDataset:
         raise KeyError(f"no forecasting episode for {video_id!r}")
 
 
-def _segment_within(rng: np.random.Generator, duration: float, min_len: float, max_len: float) -> TemporalSegment:
-    u_len, u_start = rng.random(2).tolist()
+def _segment_within(words: _Words, duration: float, min_len: float, max_len: float) -> TemporalSegment:
+    u_len, u_start = words.random(2)
     length = min_len + (max_len - min_len) * u_len
     start = max(duration - length, 1e-3) * u_start
     return TemporalSegment(start_s=start, end_s=min(start + length, duration))
@@ -300,8 +372,8 @@ def _hand_trajectory(rng: np.random.Generator, w: int, h: int):
     return at
 
 
-def _random_box(rng: np.random.Generator, w: int, h: int) -> BoundingBox:
-    u_w, u_h, u_x, u_y = rng.random(4).tolist()
+def _random_box(words: _Words, w: int, h: int) -> BoundingBox:
+    u_w, u_h, u_x, u_y = words.random(4)
     bw = 80.0 + (min(320, w - 1) - 80.0) * u_w
     bh = 80.0 + (min(320, h - 1) - 80.0) * u_h
     x1 = (w - bw) * u_x
@@ -318,11 +390,11 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
     seed = config.seed
     fps = config.fps
     w, h = config.resolution
+    c_v, c_n = config.c_v, config.c_n
 
     videos: list[VideoMeta] = []
     for i in range(config.num_videos):
-        rng = _rng(seed, _SEC_VIDEOS, i)
-        length = float(rng.uniform(config.min_video_len_s, config.max_video_len_s))
+        length = _Words(seed, _SEC_VIDEOS, i).uniform(config.min_video_len_s, config.max_video_len_s)
         videos.append(
             VideoMeta(video_id=f"synth-{i:03d}", num_frames=int(round(length * fps)), fps=fps)
         )
@@ -343,17 +415,17 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         vid = meta.video_id
         duration = meta.duration_s
 
-        rng = _rng(seed, _SEC_MQ, i)
+        words = _Words(seed, _SEC_MQ, i)
         moments = []
-        for _ in range(int(rng.integers(2, 5))):
-            seg = _segment_within(rng, duration, 1.5, 5.0)
-            moments.append(MomentInstance(segment=seg, class_id=int(rng.integers(config.mq_num_classes))))
+        for _ in range(words.integers(2, 5)):
+            seg = _segment_within(words, duration, 1.5, 5.0)
+            moments.append(MomentInstance(segment=seg, class_id=words.integers(0, config.mq_num_classes)))
         mq_gt[vid] = tuple(moments)
 
-        rng = _rng(seed, _SEC_NLQ, i)
+        words = _Words(seed, _SEC_NLQ, i)
         queries = []
         for q in range(config.nlq_queries_per_video):
-            seg = _segment_within(rng, duration, 1.0, 4.0)
+            seg = _segment_within(words, duration, 1.0, 4.0)
             queries.append(NlqInstance(segment=seg, query_id=f"{vid}:q{q}"))
         nlq_gt[vid] = tuple(queries)
 
@@ -382,47 +454,50 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         fhp_gt[vid] = keyframes
         fhp_targets[vid] = fhp_target_vector(keyframes, config.resolution)
 
-        rng = _rng(seed, _SEC_LTA, i)
+        # The hot loop: each clip draws random() >= 0.55 per label, read
+        # as a word compare.
+        words = _Words(seed, _SEC_LTA, i)
+        next_word, integers = words.next_word, words.integers
         num_clips = int(np.floor(duration / config.clip_len_s + 1e-9))
-        verb = int(rng.integers(config.c_v))
-        noun = int(rng.integers(config.c_n))
+        verb = integers(0, c_v)
+        noun = integers(0, c_n)
         chain = []
         for _ in range(num_clips):
             chain.append((verb, noun))
-            if rng.random() >= 0.55:
-                verb = int(rng.integers(config.c_v))
-            if rng.random() >= 0.55:
-                noun = int(rng.integers(config.c_n))
+            if next_word() >= _SWITCH_WORD:
+                verb = integers(0, c_v)
+            if next_word() >= _SWITCH_WORD:
+                noun = integers(0, c_n)
         clip_ends[vid] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
         anchor = num_clips - config.z
         future = tuple(ActionLabel(verb_id=v, noun_id=n) for v, n in chain[anchor : anchor + config.z])
         lta_gt[(vid, anchor)] = future
         lta_targets[vid] = future
 
-        rng = _rng(seed, _SEC_STA, i)
+        words = _Words(seed, _SEC_STA, i)
         for kf in range(config.sta_keyframes_per_video):
             kf_id = f"{vid}:kf{kf}"
             sta_images[kf_id] = (w, h)
             items = []
-            for _ in range(int(rng.integers(1, 4))):
+            for _ in range(words.integers(1, 4)):
                 items.append(
                     StaInstance(
-                        box=_random_box(rng, w, h),
-                        noun_id=int(rng.integers(config.c_n)),
-                        verb_id=int(rng.integers(config.c_v)),
-                        ttc_s=float(rng.uniform(0.3, 2.0)),
+                        box=_random_box(words, w, h),
+                        noun_id=words.integers(0, c_n),
+                        verb_id=words.integers(0, c_v),
+                        ttc_s=words.uniform(0.3, 2.0),
                     )
                 )
             sta_gt[kf_id] = tuple(items)
 
-        rng = _rng(seed, _SEC_SCOD, i)
+        words = _Words(seed, _SEC_SCOD, i)
         for kf in range(config.sta_keyframes_per_video):
             kf_id = f"{vid}:sc{kf}"
             scod_images[kf_id] = (w, h)
             items = []
-            for _ in range(int(rng.integers(1, 4))):
+            for _ in range(words.integers(1, 4)):
                 items.append(
-                    Detection(box=_random_box(rng, w, h), class_id=int(rng.integers(config.c_n)))
+                    Detection(box=_random_box(words, w, h), class_id=words.integers(0, c_n))
                 )
             scod_gt[kf_id] = tuple(items)
 

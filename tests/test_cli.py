@@ -86,6 +86,24 @@ class TestParseThresholds:
         ]
 
 
+class TestParserCache:
+    def test_a_usage_error_leaves_the_parser_as_built(self, capsys):
+        # The parser is built once per process; a usage error part way
+        # through a subcommand must not change how later calls parse.
+        good = ["schedule", "--num-frames", "100"]
+        bad = ["eval", "mq", "--gt", "gt.json"]
+        fresh = []
+        for argv in (good, bad, good):
+            cli._build_parser.cache_clear()
+            fresh.append((cli.main(argv), capsys.readouterr()))
+        cli._build_parser.cache_clear()
+        cached = [(cli.main(argv), capsys.readouterr()) for argv in (good, bad, good)]
+        assert [rc for rc, _ in cached] == [0, 1, 0]
+        assert cached == fresh
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
 class TestSchedule:
     def test_exact_fit(self, capsys):
         assert cli.main(["schedule", "--num-frames", "48"]) == 0
@@ -713,15 +731,13 @@ class TestExitCodes:
 
 
 class TestThreadEnv:
-    def test_eval_output_is_thread_independent(self, dataset_dir, capsys, monkeypatch):
+    def test_eval_output_is_thread_independent(self, dataset_dir, capsys):
         args = ["eval", "mq", "--gt", str(dataset_dir / "gt_mq.json"), "--pred", str(dataset_dir / "pred_mq.json")]
-        monkeypatch.setenv("EGOFORGE_THREADS", "1")
         assert cli.main(args) == 0
-        single = capsys.readouterr().out
-        monkeypatch.setenv("EGOFORGE_THREADS", "8")
+        first = capsys.readouterr().out
         assert cli.main(args) == 0
-        threaded = capsys.readouterr().out
-        assert single == threaded
+        second = capsys.readouterr().out
+        assert first == second
 
     def test_the_setting_is_not_read(self, capsys, monkeypatch):
         monkeypatch.delenv("EGOFORGE_THREADS", raising=False)

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from egoforge.model import KEYFRAME_TAGS
 from egoforge.synth import (
+    _SWITCH_WORD,
     SynthConfig,
+    _Words,
     fhp_target_vector,
     generate_synthetic,
     perfect_predictions,
@@ -59,6 +63,20 @@ class TestDeterminism:
         assert a.sta_gt == b.sta_gt
         assert a.scod_gt == b.scod_gt
 
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            # One-value ranges, which draw nothing.
+            ({"c_v": 1, "c_n": 2, "mq_num_classes": 1}, "041549f957df6839"),
+            # Rejection-heavy 32-bit halves, and whole-word ranges.
+            ({"c_v": 2**31 + 1, "c_n": 2**40 + 3, "mq_num_classes": 2**32}, "dbd75a844c45a38d"),
+        ],
+    )
+    def test_edge_ranges_keep_their_output(self, overrides, digest):
+        ds = generate_synthetic(SynthConfig(seed=5, num_videos=6, **overrides))
+        text = repr((ds.videos, ds.mq_gt, ds.nlq_gt, ds.fhp_gt, ds.lta_gt, ds.sta_gt, ds.scod_gt))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_different_seeds_differ(self):
         a = generate_synthetic(small_config(seed=0))
         b = generate_synthetic(small_config(seed=1))
@@ -76,6 +94,20 @@ class TestDeterminism:
 
 
 _BOUNDS = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted).filter(lambda b: b[0] < b[1])
+
+# One value, 32-bit halves (rejection-heavy near 2**31 and 2**32), the
+# 2**32 edge, and whole 64-bit words.
+_WIDTHS = (1, 2, 3, 5, 7, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 3, 2**62 + 1, 2**63 - 1, 2**64)
+_DRAWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("random"), st.none() | st.integers(1, 12)),
+        st.tuples(st.just("uniform"), _BOUNDS),
+        st.sampled_from(_WIDTHS).flatmap(
+            lambda c: st.tuples(st.just("integers"), st.integers(-(2**63), 2**63 - c).map(lambda lo: (lo, lo + c)))
+        ),
+    ),
+    max_size=60,
+)
 
 
 class TestNumpyStreams:
@@ -99,6 +131,38 @@ class TestNumpyStreams:
         block = batched.normal(0.0, 1.0, size=(5, 4))
         assert np.array_equal(block, np.stack([single.normal(0.0, 1.0, size=4) for _ in range(5)]))
         assert batched.random() == single.random()
+
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(key=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), draws=_DRAWS)
+    def test_words_read_what_generator_draws(self, key, draws):
+        # _Words computes random, uniform and integers from PCG64's raw
+        # words; a carried high half must reach the next integers call.
+        words, rng = _Words(*key), np.random.default_rng(np.random.SeedSequence(key))
+        for kind, arg in draws:
+            if kind == "random":
+                expected = rng.random() if arg is None else rng.random(arg).tolist()
+                assert words.random(arg) == expected
+            elif kind == "uniform":
+                assert words.uniform(*arg) == rng.uniform(*arg)
+            else:
+                value = words.integers(*arg)
+                assert type(value) is int and value == rng.integers(*arg)
+        assert (words.integers(0, 7), words.random()) == (rng.integers(0, 7), rng.random())
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2**63 + 1), (-(2**63) - 1, 0), (3, 3), (4, 3)])
+    def test_words_refuse_what_generator_refuses(self, lo, hi):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.default_rng(0).integers(lo, hi)
+        with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+            _Words(0).integers(lo, hi)
+
+    def test_switch_word_is_random_at_least_055(self):
+        # The lta chain compares words to _SWITCH_WORD for random() >= 0.55;
+        # random() rises with the word, so the smallest word that passes
+        # is exact when it passes and the largest one below it fails.
+        assert _SWITCH_WORD % 2**11 == 0
+        assert (_SWITCH_WORD >> 11) * 2**-53 >= 0.55 > ((_SWITCH_WORD - 1) >> 11) * 2**-53
 
 
 class TestStructure:
