@@ -35,6 +35,7 @@ from .metrics import (
     recall_at_kx,
     sta_report,
 )
+from .model import TypedView, _answers
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
 from .snippets import build_snippet_schedule, prefuse_features
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
@@ -195,44 +196,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # Every saver takes the views' columns as they are: no typed record is
+    # built.
+    videos = {v.video_id: v for v in ds.videos}
+    nlq = ds.nlq_gt.columns  # one group per query, with its video
     fileio.save_config(out / "config.json", config)
-    fileio.save_mq_gt(
-        out / "gt_mq.json",
-        fileio.MqGt(
-            videos={v.video_id: v for v in ds.videos},
-            num_classes=config.mq_num_classes,
-            instances=dict(ds.mq_gt),
-        ),
-    )
+    fileio.save_mq_gt(out / "gt_mq.json", fileio.MqGt(videos=videos, num_classes=config.mq_num_classes, instances=ds.mq_gt))
     fileio.save_mq_pred(out / "pred_mq.json", preds["mq"])
-    queries = {q.query_id: q for items in ds.nlq_gt.values() for q in items}
-    video_of = {q.query_id: vid for vid, items in ds.nlq_gt.items() for q in items}
     fileio.save_nlq_gt(
-        out / "gt_nlq.json",
-        fileio.NlqGt(videos={v.video_id: v for v in ds.videos}, queries=queries, video_of=video_of),
+        out / "gt_nlq.json", fileio.NlqGt(videos=videos, queries=TypedView(nlq, _answers), video_of=dict(zip(nlq.groups, nlq.video)))
     )
     fileio.save_nlq_pred(out / "pred_nlq.json", preds["nlq"])
-    fileio.save_fhp_gt(
-        out / "gt_fhp.json", fileio.FhpGt(resolution=config.resolution, instances=dict(ds.fhp_gt))
-    )
+    fileio.save_fhp_gt(out / "gt_fhp.json", fileio.FhpGt(resolution=config.resolution, instances=ds.fhp_gt))
     fileio.save_fhp_pred(out / "pred_fhp.json", preds["fhp"])
-    fileio.save_lta_gt(
-        out / "gt_lta.json",
-        fileio.LtaGt(z=config.z, c_v=config.c_v, c_n=config.c_n, k=config.k, sequences=dict(ds.lta_gt)),
-    )
+    fileio.save_lta_gt(out / "gt_lta.json", fileio.LtaGt(z=config.z, c_v=config.c_v, c_n=config.c_n, k=config.k, sequences=ds.lta_gt))
     fileio.save_lta_pred(out / "pred_lta.json", preds["lta"])
-    fileio.save_sta_gt(
-        out / "gt_sta.json", fileio.StaGt(images=dict(ds.sta_images), instances=dict(ds.sta_gt))
-    )
-    fileio.save_sta_pred(
-        out / "pred_sta.json", fileio.StaGt(images=dict(ds.sta_images), instances=preds["sta"])
-    )
-    fileio.save_scod_gt(
-        out / "gt_scod.json", fileio.ScodGt(images=dict(ds.scod_images), instances=dict(ds.scod_gt))
-    )
-    fileio.save_scod_pred(
-        out / "pred_scod.json", fileio.ScodGt(images=dict(ds.scod_images), instances=preds["scod"])
-    )
+    fileio.save_sta_gt(out / "gt_sta.json", fileio.StaGt(images=ds.sta_images, instances=ds.sta_gt))
+    fileio.save_sta_pred(out / "pred_sta.json", fileio.StaGt(images=ds.sta_images, instances=preds["sta"]))
+    fileio.save_scod_gt(out / "gt_scod.json", fileio.ScodGt(images=ds.scod_images, instances=ds.scod_gt))
+    fileio.save_scod_pred(out / "pred_scod.json", fileio.ScodGt(images=ds.scod_images, instances=preds["scod"]))
     written = sorted(p.name for p in out.iterdir())
     print(f"wrote {len(written)} files to {out}: {', '.join(written)}")
     return 0

@@ -21,21 +21,19 @@ arrays) and ``model.FhpColumns`` for fhp (coordinates and visibility).
 Loaders return those arrays as they are with ``columns=True``, which is how
 ``egoforge eval`` and ``egoforge vote`` work without one object per row
 (``load_lta_clip_probs(columns=True)`` gives each clip's (verb, noun)
-arrays by episode); otherwise every loader is a typed view that builds the
-records from the arrays through ``model._validated``.
+arrays by episode); otherwise every loader builds the records from the
+arrays with ``model``'s typed-view builders.
 
-The savers of the mq, nlq, sta and scod tracks share one writer,
-``_save_ranked``: it turns typed records into columns with
-``metrics._columns`` (a loader's columns pass as they are) and writes each
-row through one record template per schema, a ``render.json_template`` of
-the keys of the schema's field spec, ``model._RANKED`` (the spec the walk
-checks files against), in file order, filled from the
-``render.json_texts`` of each column. The fhp and
-lta savers share ``_save_nested``, which writes each record's keys in the
-order of ``model._INSTANCE_KEYS`` (the keys the walk allows) through one
-template per key set, and fills templates of the keyframes, of a [verb,
-noun] pair and of a score matrix the same way. ``save_lta_gt`` and
-``save_lta_pred`` first check the keys and actions of their records with
+Every saver of records writes from columns: typed records become columns
+through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and a
+loader's columns or a ``model.TypedView``'s pass as they are. The mq, nlq,
+sta and scod savers share ``_save_ranked``, which writes each row through
+one ``render.json_template`` of the keys of the schema's field spec,
+``model._RANKED``, filled from the ``render.json_texts`` of each column.
+``_save_fhp`` and ``_save_lta`` render all of a file's coordinates, or all
+its [verb, noun] pairs, with one ``json_texts`` call and write each record's
+keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
+``save_lta_gt`` and ``save_lta_pred`` first check their typed records with
 the walk's checkers, and refuse a record its loader would refuse with a
 ValueError naming its episode.
 """
@@ -48,24 +46,21 @@ import struct
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, SchemaError
 from .heads import LinearHead
-from .metrics import MetricReport, _columns
+from .metrics import MetricReport, _columns, _fhp_columns, _lta_columns
 from .model import (
     ActionLabel,
-    BoundingBox,
     Columns,
     Detection,
     FeatureMatrix,
     FhpColumns,
     HandKeyframes,
-    HandPoint,
     KEYFRAME_TAGS,
     LtaColumns,
     LtaForecast,
@@ -74,18 +69,26 @@ from .model import (
     RankedSegment,
     ScoreMatrix,
     StaInstance,
-    TemporalSegment,
+    TypedView,
     VideoMeta,
     _INSTANCE_KEYS,
     _NO_CONFIG,
     _RANKED,
+    _answers,
+    _boxes,
     _candidates,
+    _forecasts,
+    _hand_keyframes,
     _id,
     _int,
+    _int_column,
     _lta_config,
+    _matrix,
+    _moments,
+    _ranked,
     _resolution,
     _sequence,
-    _validated,
+    _sequences,
     _walk,
 )
 from .render import SLOT, json_list, json_template, json_texts, render_reports
@@ -133,21 +136,6 @@ def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:
     for key in extras:
         warnings.warn(f"{path}: unknown key {key}", stacklevel=2)
     return header, records
-
-
-def _grouped(cols: Columns, records: list) -> dict[Any, tuple]:
-    """``records``, one per row of ``cols``, as tuples by group key."""
-    s = cols.starts.tolist()
-    return {key: tuple(records[s[g] : s[g + 1]]) for g, key in enumerate(cols.groups)}
-
-
-def _segments(cols: Columns) -> list[TemporalSegment]:
-    return [_validated(TemporalSegment, start_s=a, end_s=b) for a, b in cols.coords.tolist()]
-
-
-def _ranked(cols: Columns, labels: list) -> dict[Any, tuple[RankedSegment, ...]]:
-    rows = zip(_segments(cols), cols.score.tolist(), labels)
-    return _grouped(cols, [_validated(RankedSegment, segment=seg, score=score, label=label) for seg, score, label in rows])
 
 
 def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
@@ -230,40 +218,45 @@ _KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
 _FLAG_TEXT = {False: "false", True: "true"}
 
 
-def _keyframes_text(kf: HandKeyframes) -> str:
-    """The keyframes' text, its 20 coordinates rendered by one json_texts
-    call: per tag, left x, y and right x, y, then the two visibility flags."""
-    points = [kf[tag] for tag in KEYFRAME_TAGS]
-    coords = json_texts([c for p in points for c in (*p.left, *p.right)])
-    return _KEYFRAMES % tuple(
-        chain.from_iterable(
-            (*coords[4 * i : 4 * i + 4], _FLAG_TEXT[p.left_visible], _FLAG_TEXT[p.right_visible]) for i, p in enumerate(points)
-        )
-    )
+def _save_fhp(path: str | Path, schema: str, instances: Mapping[str, HandKeyframes], **head: Any) -> None:
+    """Write keyframes by video, typed or a view's or a loader's
+    ``FhpColumns``, as a ``schema`` file, the bytes ``json.dumps`` gives.
+    One json_texts call renders every coordinate."""
+    cols = _fhp_columns(instances)
+    coords = np.array(json_texts(cols.coords.ravel().tolist()), dtype=object).reshape(-1, 4)
+    flags = np.array([_FLAG_TEXT[v] for v in cols.visible.ravel().tolist()], dtype=object).reshape(-1, 2)
+    # Per keyframe: left x, y and right x, y, then the two visibility flags.
+    cells = np.hstack((coords, flags)).reshape(len(cols), 6 * len(KEYFRAME_TAGS)).tolist()
+    template = _nested_layout(schema, ("video_id", "keyframes"))[0]
+    records = [template % (vid, _KEYFRAMES % tuple(row)) for vid, row in zip(json_texts(list(cols.videos)), cells)]
+    _write_records(path, {"schema": schema, **head}, records)
 
 
-# The text of each nested record value; a value of any other key is a plain
-# scalar.
-_NESTED_TEXT: dict[str, Callable[[Any], str]] = {
-    "keyframes": _keyframes_text,
-    "sequence": lambda pairs: json_list([_PAIR % tuple(p) for p in pairs], 3),
-    "candidates": lambda cands: json_list([json_list([_CANDIDATE_PAIR % tuple(p) for p in seq], 4) for seq in cands], 3),
-    "score_matrix": lambda m: _MATRIX % tuple(json_list([json_list(json_texts(r), 5) for r in a.tolist()], 4) for a in m),
-}
-
-
-def _save_nested(path: str | Path, schema: str, rows: Iterable[Mapping[str, Any]], **head: Any) -> None:
-    """Write ``rows`` as a ``schema`` file (fhp or lta), the bytes
-    ``json.dumps`` gives.
-
-    Each row maps some of the schema's record keys to values: keyframes as
-    ``HandKeyframes``, a sequence as (verb id, noun id) pairs, candidates
-    as lists of them and a score matrix as its (verb, noun) arrays.
-    """
+def _save_lta(path: str | Path, schema: str, cols: LtaColumns, clips: Sequence[int] = (), **head: Any) -> None:
+    """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
+    each row's episode, its clip number from ``clips`` when given, its
+    sequences (ground truth's one ``sequence``, else ``candidates`` when it
+    has any) and its score matrix. One json_texts call renders every pair."""
+    gt = schema == "lta/1"
+    texts = json_texts(cols.pairs.ravel().tolist())
+    pairs = [(_PAIR if gt else _CANDIDATE_PAIR) % pair for pair in zip(texts[::2], texts[1::2])]
+    videos = json_texts([vid for vid, _ in cols.episodes])
+    indices = json_texts([ci for _, ci in cols.episodes])
+    rows = zip(cols.starts.tolist(), cols.counts.tolist(), cols.lengths.tolist(), cols.scores or [None] * len(videos))
     records = []
-    for row in rows:
+    for r, (start, count, length, matrix) in enumerate(rows):
+        row = {"video_id": videos[r], "clip_index": indices[r]}
+        if clips:
+            row["clip"] = str(clips[r])
+        seqs = [pairs[start + j * length : start + (j + 1) * length] for j in range(count)]
+        if gt:
+            row["sequence"] = json_list(seqs[0], 3)
+        elif seqs:
+            row["candidates"] = json_list([json_list(seq, 4) for seq in seqs], 3)
+        if matrix is not None:
+            row["score_matrix"] = _MATRIX % tuple(json_list([json_list(json_texts(line), 5) for line in a.tolist()], 4) for a in matrix)
         template, keys = _nested_layout(schema, tuple(row))
-        records.append(template % tuple(_NESTED_TEXT.get(key, json.dumps)(row[key]) for key in keys))
+        records.append(template % tuple(row[key] for key in keys))
     _write_records(path, {"schema": schema, **head}, records)
 
 
@@ -290,11 +283,7 @@ def load_mq_gt(path: str | Path, *, columns: bool = False) -> MqGt | Columns:
     ``Columns`` themselves, labelled with the class id, one group per
     listed video."""
     (videos, num_classes), cols = _load_annotations(path, "mq/1")
-    if columns:
-        return cols
-    rows = zip(_segments(cols), cols.label.tolist())
-    instances = _grouped(cols, [_validated(MomentInstance, segment=seg, class_id=cid) for seg, cid in rows])
-    return MqGt(videos=videos, num_classes=num_classes, instances=instances)
+    return cols if columns else MqGt(videos=videos, num_classes=num_classes, instances=_moments(cols))
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
@@ -309,7 +298,7 @@ def load_mq_pred(
     cols = _load_annotations(path, "mq-pred/1")[1]
     if known_videos is not None:
         require_known(cols, known_videos, "video ids in predictions")
-    return cols if columns else _ranked(cols, cols.label.tolist())
+    return cols if columns else _ranked(cols)
 
 
 def save_mq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -336,16 +325,12 @@ def load_nlq_gt(path: str | Path, *, columns: bool = False) -> NlqGt | Columns:
     videos, cols = _load_annotations(path, "nlq/1")
     if columns:
         return cols
-    rows = zip(_segments(cols), cols.groups)
-    return NlqGt(
-        videos=videos,
-        queries={qid: _validated(NlqInstance, segment=seg, query_id=qid) for seg, qid in rows},
-        video_of=dict(zip(cols.groups, cols.video)),
-    )
+    return NlqGt(videos=videos, queries=_answers(cols), video_of=dict(zip(cols.groups, cols.video)))
 
 
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
-    cols = _columns({qid: [q] for qid, q in gt.queries.items()}, 2)
+    queries = gt.queries  # a view's columns hold one group per query
+    cols = _columns(queries if isinstance(queries, TypedView) else {qid: [q] for qid, q in queries.items()}, 2)
     cols = replace(cols, video=tuple(gt.video_of[qid] for qid in cols))
     _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw(gt.videos))
 
@@ -358,7 +343,7 @@ def load_nlq_pred(
     cols = _load_annotations(path, "nlq-pred/1")[1]
     if known_queries is not None:
         require_known(cols, known_queries, "query ids in predictions")
-    return cols if columns else _ranked(cols, [cols.groups[g] for g in cols.code.tolist()])
+    return cols if columns else _ranked(cols)
 
 
 def save_nlq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -378,20 +363,6 @@ class FhpGt:
     instances: dict[str, HandKeyframes]
 
 
-def _hand_keyframes(cols: FhpColumns) -> dict[str, HandKeyframes]:
-    """The typed view of ``cols``: keyframes by video."""
-    flags = cols.visible.reshape(-1, 2).tolist()
-    points = [
-        _validated(HandPoint, left=(lx, ly), right=(rx, ry), left_visible=lv, right_visible=rv)
-        for (lx, ly, rx, ry), (lv, rv) in zip(cols.coords.reshape(-1, 4).tolist(), flags)
-    ]
-    frames = len(KEYFRAME_TAGS)
-    return {
-        vid: _validated(HandKeyframes, points=dict(zip(KEYFRAME_TAGS, points[r * frames : (r + 1) * frames])))
-        for r, vid in enumerate(cols.videos)
-    }
-
-
 def load_fhp_gt(path: str | Path, *, columns: bool = False) -> FhpGt | FhpColumns:
     """Keyframes by video in file order; with ``columns`` the
     ``FhpColumns`` themselves."""
@@ -400,8 +371,7 @@ def load_fhp_gt(path: str | Path, *, columns: bool = False) -> FhpGt | FhpColumn
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
-    rows = ({"video_id": vid, "keyframes": kf} for vid, kf in gt.instances.items())
-    _save_nested(path, "fhp/1", rows, resolution=list(gt.resolution))
+    _save_fhp(path, "fhp/1", gt.instances, resolution=list(gt.resolution))
 
 
 def load_fhp_pred(
@@ -416,7 +386,7 @@ def load_fhp_pred(
 
 
 def save_fhp_pred(path: str | Path, preds: Mapping[str, HandKeyframes]) -> None:
-    _save_nested(path, "fhp-pred/1", ({"video_id": vid, "keyframes": kf} for vid, kf in preds.items()))
+    _save_fhp(path, "fhp-pred/1", preds)
 
 
 # ---------------------------------------------------------------------------
@@ -435,47 +405,30 @@ class LtaGt:
     sequences: dict[tuple[str, int], tuple[ActionLabel, ...]]
 
 
-def _action_sequences(cols: LtaColumns) -> list[tuple[ActionLabel, ...]]:
-    """Each sequence of ``cols`` as ActionLabels. A file repeats a few
-    hundred pairs many times, so equal pairs share one (immutable) label."""
-    pairs = list(map(tuple, cols.pairs.tolist()))
-    shared = {p: _validated(ActionLabel, verb_id=p[0], noun_id=p[1]) for p in set(pairs)}
-    labels = list(map(shared.__getitem__, pairs))
-    sizes = np.repeat(cols.lengths, cols.counts)
-    return [tuple(labels[end - size : end]) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
-
-
 def load_lta_gt(path: str | Path, *, columns: bool = False) -> LtaGt | LtaColumns:
     """Sequences by episode in file order; with ``columns`` the
     ``LtaColumns`` themselves, holding the config."""
     (z, c_v, c_n, k), cols = _load_annotations(path, "lta/1")
-    if columns:
-        return cols
-    return LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=dict(zip(cols.episodes, _action_sequences(cols))))
+    return cols if columns else LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=_sequences(cols))
 
 
 def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
-    """Write ``gt``; raises ValueError, naming the episode, for a record
-    ``load_lta_gt`` would refuse."""
+    """Write ``gt``, whose sequences may be a view's columns; raises
+    ValueError, naming the episode, for a record ``load_lta_gt`` would
+    refuse."""
     config = {"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k}
     out: list[str] = []
     checked = _lta_config({"config": config}, out)
-    rows = []
-    for (vid, ci), seq in gt.sequences.items():
-        pairs = [(a.verb_id, a.noun_id) for a in seq]
+    cols = _lta_columns(gt.sequences)
+    pairs = cols.pairs.tolist()
+    for (vid, ci), start, length in zip(cols.episodes, cols.starts.tolist(), cols.lengths.tolist()):
         where = repr((vid, ci))
         _id(vid, "video_id", where, out)
         _int(ci, "clip_index", None, where, out)
-        _sequence(pairs, checked, where, out)
-        rows.append({"video_id": vid, "clip_index": ci, "sequence": pairs})
+        _sequence(pairs[start : start + length], checked, where, out)
     if out:
         raise ValueError(f"lta/1: {out[0]}")
-    _save_nested(path, "lta/1", rows, config=config)
-
-
-def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
-    # The walk checked the rows and stores them as ScoreMatrix does.
-    return _validated(ScoreMatrix, verb=scores[0], noun=scores[1])
+    _save_lta(path, "lta/1", cols, config=config)
 
 
 def load_lta_pred(path: str | Path, *, columns: bool = False) -> dict[tuple[str, int], LtaForecast] | LtaColumns:
@@ -489,19 +442,7 @@ def load_lta_pred(path: str | Path, *, columns: bool = False) -> dict[tuple[str,
         if not count:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
         seen.add(key)
-    if columns:
-        return cols
-    seqs = _action_sequences(cols)
-    ends = np.cumsum(cols.counts).tolist()
-    return {
-        key: _validated(
-            LtaForecast,
-            clip_index=key[1],
-            candidates=tuple(seqs[end - count : end]),
-            score_matrix=None if scores is None else _matrix(scores),
-        )
-        for key, end, count, scores in zip(cols.episodes, ends, cols.counts.tolist(), cols.scores)
-    }
+    return cols if columns else _forecasts(cols)
 
 
 def load_lta_clip_probs(
@@ -533,37 +474,39 @@ def save_lta_pred(
     lists, per candidate and the score matrix as two arrays, the form
     ``egoforge vote`` makes. A forecast's clip index must be its key's, the
     one the file keeps. Raises ValueError, naming the episode, for a record
-    ``load_lta_pred`` would refuse."""
-    rows = []
+    ``load_lta_pred`` would refuse. A view's columns are written as they
+    are."""
+    if isinstance(preds, TypedView):
+        _save_lta(path, "lta-pred/1", _lta_columns(preds))
+        return
+    cands, scores = [], []
     out: list[str] = []
     for (vid, ci), forecast in preds.items():
-        row: dict[str, Any] = {"video_id": vid, "clip_index": ci}
         where = repr((vid, ci))
         _id(vid, "video_id", where, out)
         _int(ci, "clip_index", None, where, out)
         if isinstance(forecast, LtaForecast):
             if forecast.clip_index != ci:
                 out.append(f"the forecast for {(vid, ci)!r} has clip_index {forecast.clip_index}")
-            row["candidates"] = [[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates]
+            cands.append([[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates])
             m = forecast.score_matrix
-            if m is not None:
-                row["score_matrix"] = (m.verb, m.noun)
+            scores.append(None if m is None else (m.verb, m.noun))
         else:
-            row["candidates"], row["score_matrix"] = forecast[0], forecast[1:]
+            cands.append(forecast[0])
+            scores.append(forecast[1:])
             _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, where, out)
-        rows.append(row)
     if out:
         raise ValueError(f"lta-pred/1: {out[0]}")
-    _save_nested(path, "lta-pred/1", rows)
+    counts, lengths = (np.array(sizes, dtype=np.intp) for sizes in ([len(c) for c in cands], [len(c[0]) for c in cands]))
+    pairs = _int_column([pair for c in cands for seq in c for pair in seq]).reshape(-1, 2)
+    _save_lta(path, "lta-pred/1", LtaColumns(tuple(preds), counts, lengths, pairs, tuple(scores)))
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
-    rows = (
-        {"video_id": vid, "clip_index": ci, "clip": slot, "score_matrix": (m.verb, m.noun)}
-        for (vid, ci), clips in probs.items()
-        for slot, m in enumerate(clips)
-    )
-    _save_nested(path, "lta-pred/1", rows)
+    rows = [(key, slot, (m.verb, m.noun)) for key, clips in probs.items() for slot, m in enumerate(clips)]
+    episodes, clips, scores = zip(*rows) if rows else ((), (), ())
+    none = np.zeros(len(rows), dtype=np.intp)
+    _save_lta(path, "lta-pred/1", LtaColumns(episodes, none, none, np.zeros((0, 2), dtype=np.int64), scores), clips)
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +540,7 @@ def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | Non
         require_known(images, known_frames, "keyframe ids in predictions")
     if columns:
         return replace(cols, sizes=tuple(images.values()))
-    boxes = [_validated(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2) for x1, y1, x2, y2 in cols.coords.tolist()]
-    nouns, scores = cols.label.tolist(), cols.score.tolist()
-    if schema.startswith("sta"):
-        rows = zip(boxes, nouns, cols.verb.tolist(), cols.ttc.tolist(), scores)
-        records = [_validated(StaInstance, box=b, noun_id=n, verb_id=v, ttc_s=t, score=s) for b, n, v, t, s in rows]
-        return StaGt(images=images, instances=_grouped(cols, records))
-    records = [_validated(Detection, box=b, class_id=n, score=s) for b, n, s in zip(boxes, nouns, scores)]
-    return ScodGt(images=images, instances=_grouped(cols, records))
+    return (StaGt if schema.startswith("sta") else ScodGt)(images=images, instances=_boxes(cols))
 
 
 def load_sta_gt(path: str | Path, *, columns: bool = False) -> StaGt | Columns:

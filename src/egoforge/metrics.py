@@ -61,6 +61,7 @@ from .model import (
     RankedSegment,
     StaInstance,
     TemporalSegment,
+    TypedView,
     _finite,
     _grouped_columns,
     _int_column,
@@ -136,7 +137,7 @@ def box_iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _columns(groups: Mapping[Hashable, Sequence[Any]], width: int) -> Columns:
-    """Groups of typed records as columns; a loader's Columns as they are.
+    """Groups of typed records as columns; a loader's or a view's as they are.
 
     Records hold a ``segment`` (width 2: ``RankedSegment``,
     ``MomentInstance``, ``NlqInstance``) or a ``box`` (width 4:
@@ -144,6 +145,7 @@ def _columns(groups: Mapping[Hashable, Sequence[Any]], width: int) -> Columns:
     ``RankedSegment.label``; the label column is None unless every label is
     an int.
     """
+    groups = groups.columns if isinstance(groups, TypedView) else groups
     if isinstance(groups, Columns):
         return groups
     keys: list[Hashable] = []
@@ -389,7 +391,8 @@ class HandDisplacement:
 
 
 def _fhp_columns(groups: Mapping[str, HandKeyframes]) -> FhpColumns:
-    """Hand keyframes by video as columns; a loader's FhpColumns as they are."""
+    """Hand keyframes by video as columns; a loader's or a view's as they are."""
+    groups = groups.columns if isinstance(groups, TypedView) else groups
     if isinstance(groups, FhpColumns):
         return groups
     points = [kf[tag] for kf in groups.values() for tag in KEYFRAME_TAGS]
@@ -487,9 +490,10 @@ def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
 
 
 def _lta_columns(groups: Mapping[Hashable, Any]) -> LtaColumns:
-    """Typed lta records as columns; a loader's LtaColumns as they are. A
+    """Typed lta records as columns; a loader's or a view's as they are. A
     value is an ``LtaForecast``, whose candidates are its row's sequences,
     or one sequence of ``ActionLabel``."""
+    groups = groups.columns if isinstance(groups, TypedView) else groups
     if isinstance(groups, LtaColumns):
         return groups
     rows = [v.candidates if isinstance(v, LtaForecast) else (v,) for v in groups.values()]

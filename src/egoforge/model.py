@@ -17,11 +17,12 @@ float64 arrays); ``FhpColumns`` for fhp
 spec per ranked schema, in ``_RANKED``, drives their walk, their allowed
 keys and the savers' key order. A file is checked a column at a time; one
 the column scan does not accept goes through the per-record loop, which
-keeps every message and its order. Loaders build typed records from the
-arrays with ``_validated``, which skips the constructor checks: the walk
-has made them, since it and the constructors check each field kind with
-one shared checker (a constructor raises its first message, located at
-the type). ``validate_dataset`` and ``unknown_keys`` are its public views.
+keeps every message and its order. The typed views of the arrays (the
+loaders', and ``TypedView``'s, built on first access) make records with
+``_validated``, which skips the constructor checks: the walk has made them,
+since it and the constructors check each field kind with one shared checker
+(a constructor raises its first message, located at the type).
+``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
 height or area is finite (``HALF_MAX``), so every IoU union is finite.
@@ -111,6 +112,13 @@ def _validated(cls: type[_T], /, **fields: Any) -> _T:
 # ---------------------------------------------------------------------------
 
 
+def _int_text(value: int) -> str:
+    """``value`` as messages print it: past 30 digits, ``1000…0 (402 digits)``."""
+    text = str(value)
+    digits = text.lstrip("-")
+    return text if len(digits) <= 30 else f"{text[: -len(digits)]}{digits[:4]}…{digits[-1]} ({len(digits)} digits)"
+
+
 def _checked(where: str, checker: Callable[..., _T], *args: Any) -> _T:
     """``checker(*args, where, out)``, for a constructor: raises ValueError
     with the first fault, located at ``where``, the type's name."""
@@ -134,7 +142,7 @@ def _int(value: Any, key: str, bound: int | None, where: str, out: list[str]) ->
     if not _is_int(value) or value < 0:
         out.append(f"{where}: {key} must be an int >= 0")
     elif bound is not None and value >= bound:
-        out.append(f"{where}: {key} {value} out of range [0, {bound})")
+        out.append(f"{where}: {key} {_int_text(value)} out of range [0, {_int_text(bound)})")
     else:
         return True
     return False
@@ -216,7 +224,7 @@ def _sums_to_one(row: Sequence[Any]) -> bool:
 def _check_prob_rows(rows: Any, z: int | None, where: str, out: list[str]) -> bool:
     """Report bad probability rows; True when ``rows`` is a Z x C matrix."""
     if not isinstance(rows, list) or not rows or (z is not None and len(rows) != z):
-        out.append(f"{where}: must be a list of {z if z is not None else 'Z'} probability rows")
+        out.append(f"{where}: must be a list of {'Z' if z is None else _int_text(z)} probability rows")
         return False
     width = None
     for r, row in enumerate(rows):
@@ -311,7 +319,7 @@ def _sequence(seq: Any, config: tuple, where: str, out: list[str]) -> bool:
         return False
     n = len(out)
     if z is not None and len(seq) != z:
-        out.append(f"{where}: sequence length {len(seq)} != {z}")
+        out.append(f"{where}: sequence length {len(seq)} != {_int_text(z)}")
     return _labels(seq, c_v, c_n, f"{where}.sequence", out) and len(out) == n
 
 
@@ -327,7 +335,7 @@ def _candidates(cands: Any, config: tuple, rows: int | None, actions: bool, wher
         return None
     n = len(out)
     if k is not None and len(cands) > k:
-        out.append(f"{where}: {len(cands)} candidates exceed k={k}")
+        out.append(f"{where}: {len(cands)} candidates exceed k={_int_text(k)}")
     length = z
     for c, seq in enumerate(cands):
         cwhere = f"{where}.candidates[{c}]"
@@ -339,11 +347,11 @@ def _candidates(cands: Any, config: tuple, rows: int | None, actions: bool, wher
         elif length is None:
             length = len(seq)
         elif len(seq) != length:
-            out.append(f"{cwhere}: candidate length {len(seq)} != {length}")
+            out.append(f"{cwhere}: candidate length {len(seq)} != {_int_text(length)}")
         if actions:
             _labels(seq, c_v, c_n, cwhere, out)
     if rows is not None and length is not None and rows != length:
-        out.append(f"{where}.score_matrix: {rows} rows, candidates have length {length}")
+        out.append(f"{where}.score_matrix: {rows} rows, candidates have length {_int_text(length)}")
     return cands if len(out) == n else None
 
 
@@ -805,6 +813,119 @@ class FhpColumns(Mapping):
         return len(self.videos)
 
 
+class TypedView(Mapping):
+    """A read-only mapping of typed records over checked ``columns``: the
+    dict ``build(columns)`` gives, built on first access. It reads,
+    compares and prints as that dict; the savers and the metrics take its
+    ``columns`` as they are. The builders below make records with
+    ``_validated`` from arrays a walk, or the generator, has checked."""
+
+    def __init__(self, columns: Any, build: Callable[[Any], dict]) -> None:
+        self.columns, self._build = columns, build
+
+    @cached_property
+    def _records(self) -> dict:
+        return self._build(self.columns)
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._records[key]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __eq__(self, other: object) -> bool:
+        return self._records == (other._records if isinstance(other, TypedView) else other)
+
+    def __repr__(self) -> str:
+        return repr(self._records)
+
+
+def _grouped(cols: Columns, records: list) -> dict[Any, tuple]:
+    """``records``, one per row of ``cols``, as tuples by group key."""
+    s = cols.starts.tolist()
+    return {key: tuple(records[s[g] : s[g + 1]]) for g, key in enumerate(cols.groups)}
+
+
+def _segments(cols: Columns) -> list[TemporalSegment]:
+    return [_validated(TemporalSegment, start_s=a, end_s=b) for a, b in cols.coords.tolist()]
+
+
+def _ranked(cols: Columns) -> dict[Any, tuple[RankedSegment, ...]]:
+    """Predictions by group, labelled with the class id (mq) or, where
+    there is no label column (nlq), their query id."""
+    labels = cols.label.tolist() if cols.label is not None else [cols.groups[g] for g in cols.code.tolist()]
+    rows = zip(_segments(cols), cols.score.tolist(), labels)
+    return _grouped(cols, [_validated(RankedSegment, segment=seg, score=score, label=label) for seg, score, label in rows])
+
+
+def _moments(cols: Columns) -> dict[str, tuple[MomentInstance, ...]]:
+    rows = zip(_segments(cols), cols.label.tolist())
+    return _grouped(cols, [_validated(MomentInstance, segment=seg, class_id=cid) for seg, cid in rows])
+
+
+def _answers(cols: Columns) -> dict[str, NlqInstance]:
+    """The answer of each query of nlq ground truth, by query id."""
+    return {qid: _validated(NlqInstance, segment=seg, query_id=qid) for seg, qid in zip(_segments(cols), cols.groups)}
+
+
+def _boxes(cols: Columns) -> dict[str, tuple]:
+    """sta records (``cols`` has a verb column) or scod detections by keyframe."""
+    boxes = [_validated(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2) for x1, y1, x2, y2 in cols.coords.tolist()]
+    nouns, scores = cols.label.tolist(), cols.score.tolist()
+    if cols.verb is None:
+        return _grouped(cols, [_validated(Detection, box=b, class_id=n, score=s) for b, n, s in zip(boxes, nouns, scores)])
+    rows = zip(boxes, nouns, cols.verb.tolist(), cols.ttc.tolist(), scores)
+    return _grouped(cols, [_validated(StaInstance, box=b, noun_id=n, verb_id=v, ttc_s=t, score=s) for b, n, v, t, s in rows])
+
+
+def _hand_keyframes(cols: FhpColumns) -> dict[str, HandKeyframes]:
+    """Keyframes by video."""
+    flags = cols.visible.reshape(-1, 2).tolist()
+    points = [
+        _validated(HandPoint, left=(lx, ly), right=(rx, ry), left_visible=lv, right_visible=rv)
+        for (lx, ly, rx, ry), (lv, rv) in zip(cols.coords.reshape(-1, 4).tolist(), flags)
+    ]
+    frames = len(KEYFRAME_TAGS)
+    return {
+        vid: _validated(HandKeyframes, points=dict(zip(KEYFRAME_TAGS, points[r * frames : (r + 1) * frames])))
+        for r, vid in enumerate(cols.videos)
+    }
+
+
+def _action_sequences(cols: LtaColumns) -> list[tuple[ActionLabel, ...]]:
+    """Each sequence of ``cols`` as ActionLabels. A file repeats a few
+    hundred pairs many times, so equal pairs share one (immutable) label."""
+    pairs = list(map(tuple, cols.pairs.tolist()))
+    shared = {p: _validated(ActionLabel, verb_id=p[0], noun_id=p[1]) for p in set(pairs)}
+    labels = list(map(shared.__getitem__, pairs))
+    sizes = np.repeat(cols.lengths, cols.counts)
+    return [tuple(labels[end - size : end]) for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+
+
+def _sequences(cols: LtaColumns) -> dict[tuple[str, int], tuple[ActionLabel, ...]]:
+    """Ground truth's one sequence by episode."""
+    return dict(zip(cols.episodes, _action_sequences(cols)))
+
+
+def _matrix(scores: tuple[np.ndarray, np.ndarray]) -> ScoreMatrix:
+    # The walk checked the rows and stores them as ScoreMatrix does.
+    return _validated(ScoreMatrix, verb=scores[0], noun=scores[1])
+
+
+def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
+    """One forecast by episode: its row's candidates and score matrix."""
+    seqs = _action_sequences(cols)
+    ends = np.cumsum(cols.counts).tolist()
+    scores = cols.scores or [None] * len(ends)
+    return {
+        key: _validated(LtaForecast, clip_index=key[1], candidates=tuple(seqs[end - count : end]), score_matrix=matrix and _matrix(matrix))
+        for key, end, count, matrix in zip(cols.episodes, ends, cols.counts.tolist(), scores)
+    }
+
+
 # ---------------------------------------------------------------------------
 # The raw annotation walk.
 #
@@ -1251,7 +1372,7 @@ def _loop_lta(raw: Mapping[str, Any], schema: str, config: tuple, out: list[str]
         if ok & _int(clip, "clip", None, where, out):
             key = (vid, ci, clip)
             if key in seen:
-                out.append(f"{where}: duplicate (video_id, clip_index, clip) {key}")
+                out.append(f"{where}: duplicate (video_id, clip_index, clip) ({vid!r}, {_int_text(ci)}, {_int_text(clip)})")
             seen.add(key)
         if pred:
             cands, matrix = _forecast(rec, where, config, out)

@@ -18,6 +18,14 @@ keyframes' jitter is one draw of shape (5, 4). A run of uniform draws (a
 box's four, a segment's two, a hand trajectory's twelve) is n ``random``
 values scaled as ``lo + (hi - lo) * u``, the value ``uniform(lo, hi)``
 gives from the same double.
+
+The draws go into plain lists, one tuple per record. Each list is checked
+once with the column checks the track's loader applies (``model._plain_*``)
+and kept as the columns the loader would give: ``model.Columns`` for mq,
+nlq, sta and scod, ``FhpColumns`` and ``LtaColumns``. ``SynthDataset``'s
+track mappings, and ``perfect_predictions``, are ``model.TypedView``s of
+those columns, which build their records only when read; the savers write
+the files straight from the columns.
 """
 
 from __future__ import annotations
@@ -25,25 +33,40 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping
+from functools import cached_property, lru_cache
+from typing import Any, Mapping
 
 import numpy as np
 
+from .metrics import _columns, _fhp_columns, _lta_columns
 from .model import (
     ActionLabel,
-    BoundingBox,
     Detection,
+    FhpColumns,
     HandKeyframes,
     HandPoint,
     KEYFRAME_TAGS,
+    LtaColumns,
     MomentInstance,
     NlqInstance,
     StaInstance,
-    TemporalSegment,
+    TypedView,
     VideoMeta,
+    _answers,
+    _boxes,
     _finite,
+    _forecasts,
+    _grouped_columns,
+    _hand_keyframes,
+    _moments,
+    _plain_boxes,
+    _plain_ids,
+    _plain_ints,
+    _plain_reals,
+    _plain_segments,
+    _ranked,
     _require,
+    _sequences,
 )
 
 STUB_VARIANTS = ("verb", "noun")
@@ -342,18 +365,23 @@ class SynthDataset:
     def video_ids(self) -> tuple[str, ...]:
         return tuple(v.video_id for v in self.videos)
 
+    @cached_property
+    def _episodes(self) -> dict[str, tuple[str, int]]:
+        """Each video's first episode, read from a view's columns."""
+        keys = self.lta_gt.columns.episodes if isinstance(self.lta_gt, TypedView) else tuple(self.lta_gt)
+        return {key[0]: key for key in reversed(keys)}
+
     def episode(self, video_id: str) -> tuple[str, int]:
-        for key in self.lta_gt:
-            if key[0] == video_id:
-                return key
-        raise KeyError(f"no forecasting episode for {video_id!r}")
+        if video_id not in self._episodes:
+            raise KeyError(f"no forecasting episode for {video_id!r}")
+        return self._episodes[video_id]
 
 
-def _segment_within(words: _Words, duration: float, min_len: float, max_len: float) -> TemporalSegment:
+def _segment_within(words: _Words, duration: float, min_len: float, max_len: float) -> tuple[float, float]:
     u_len, u_start = words.random(2)
     length = min_len + (max_len - min_len) * u_len
     start = max(duration - length, 1e-3) * u_start
-    return TemporalSegment(start_s=start, end_s=min(start + length, duration))
+    return start, min(start + length, duration)
 
 
 def _hand_trajectory(rng: np.random.Generator, w: int, h: int):
@@ -372,20 +400,36 @@ def _hand_trajectory(rng: np.random.Generator, w: int, h: int):
     return at
 
 
-def _random_box(words: _Words, w: int, h: int) -> BoundingBox:
+def _random_box(words: _Words, w: int, h: int) -> list[float]:
     u_w, u_h, u_x, u_y = words.random(4)
     bw = 80.0 + (min(320, w - 1) - 80.0) * u_w
     bh = 80.0 + (min(320, h - 1) - 80.0) * u_h
     x1 = (w - bw) * u_x
     y1 = (h - bh) * u_y
-    return BoundingBox(x1=x1, y1=y1, x2=x1 + bw, y2=y1 + bh)
+    return [x1, y1, x1 + bw, y1 + bh]
+
+
+def _column(track: str, column: Any) -> Any:
+    """``column`` as a ``model._plain_*`` check gives it; raises ValueError
+    naming ``track`` for one the check refused (None or False)."""
+    if column is None or column is False:
+        raise ValueError(f"synth {track}: a drawn value is one its loader would refuse")
+    return column
+
+
+def _answers_by_video(cols: Any) -> dict[str, tuple[NlqInstance, ...]]:
+    # The generator writes each video's queries one after another.
+    rows = itertools.groupby(zip(cols.video, _answers(cols).values()), key=lambda row: row[0])
+    return {vid: tuple(answer for _, answer in group) for vid, group in rows}
 
 
 def generate_synthetic(config: SynthConfig) -> SynthDataset:
     """Build the full synthetic dataset for one seed.
 
     Output is byte-for-byte reproducible: every stream is keyed by the seed
-    and a section tag, and containers preserve generation order.
+    and a section tag, and containers preserve generation order. Each
+    track's draws are checked a column at a time with the checks its loader
+    applies, and its mapping is a ``TypedView`` of those columns.
     """
     seed = config.seed
     fps = config.fps
@@ -398,36 +442,32 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         videos.append(
             VideoMeta(video_id=f"synth-{i:03d}", num_frames=int(round(length * fps)), fps=fps)
         )
+    video_ids = tuple(v.video_id for v in videos)
 
-    mq_gt: dict[str, tuple[MomentInstance, ...]] = {}
-    nlq_gt: dict[str, tuple[NlqInstance, ...]] = {}
-    fhp_gt: dict[str, HandKeyframes] = {}
+    # One tuple per record, in file order: the group key, then the fields.
+    mq_rows: list[tuple] = []
+    nlq_rows: list[tuple] = []
+    hands: list[float] = []  # per video, keyframe and hand: x, y
     clip_ends: dict[str, tuple[float, ...]] = {}
-    lta_gt: dict[tuple[str, int], tuple[ActionLabel, ...]] = {}
-    lta_targets: dict[str, tuple[ActionLabel, ...]] = {}
-    fhp_targets: dict[str, np.ndarray] = {}
+    anchors: list[int] = []
+    actions: list[tuple[int, int]] = []
     sta_images: dict[str, tuple[int, int]] = {}
-    sta_gt: dict[str, tuple[StaInstance, ...]] = {}
+    sta_rows: list[tuple] = []
     scod_images: dict[str, tuple[int, int]] = {}
-    scod_gt: dict[str, tuple[Detection, ...]] = {}
+    scod_rows: list[tuple] = []
 
     for i, meta in enumerate(videos):
         vid = meta.video_id
         duration = meta.duration_s
 
         words = _Words(seed, _SEC_MQ, i)
-        moments = []
         for _ in range(words.integers(2, 5)):
             seg = _segment_within(words, duration, 1.5, 5.0)
-            moments.append(MomentInstance(segment=seg, class_id=words.integers(0, config.mq_num_classes)))
-        mq_gt[vid] = tuple(moments)
+            mq_rows.append((vid, *seg, words.integers(0, config.mq_num_classes)))
 
         words = _Words(seed, _SEC_NLQ, i)
-        queries = []
         for q in range(config.nlq_queries_per_video):
-            seg = _segment_within(words, duration, 1.0, 4.0)
-            queries.append(NlqInstance(segment=seg, query_id=f"{vid}:q{q}"))
-        nlq_gt[vid] = tuple(queries)
+            nlq_rows.append((f"{vid}:q{q}", vid, *_segment_within(words, duration, 1.0, 4.0)))
 
         rng = _rng(seed, _SEC_FHP, i)
         trajectory = _hand_trajectory(rng, w, h)
@@ -443,16 +483,11 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         # One draw holds the five keyframes' jitter, four values each, in
         # the order of five size-4 draws.
         jitter = (rng.normal(0.0, 1.0, size=(5, 4)) * config.hand_noise_px).tolist()
-        points = {}
         for tag, (jlx, jly, jrx, jry) in zip(KEYFRAME_TAGS, jitter):
             (lx, ly), (rx, ry) = trajectory(times[tag])
             # Clipped as np.clip does, max then min: -0.0 clips to 0.0.
-            left = (min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly)))
-            right = (min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry)))
-            points[tag] = HandPoint(left=left, right=right)
-        keyframes = HandKeyframes(points=points)
-        fhp_gt[vid] = keyframes
-        fhp_targets[vid] = fhp_target_vector(keyframes, config.resolution)
+            hands += (min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly)))
+            hands += (min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry)))
 
         # The hot loop: each clip draws random() >= 0.55 per label, read
         # as a word compare.
@@ -470,89 +505,87 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
                 noun = integers(0, c_n)
         clip_ends[vid] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
         anchor = num_clips - config.z
-        future = tuple(ActionLabel(verb_id=v, noun_id=n) for v, n in chain[anchor : anchor + config.z])
-        lta_gt[(vid, anchor)] = future
-        lta_targets[vid] = future
+        anchors.append(anchor)
+        actions += chain[anchor : anchor + config.z]
 
         words = _Words(seed, _SEC_STA, i)
         for kf in range(config.sta_keyframes_per_video):
             kf_id = f"{vid}:kf{kf}"
             sta_images[kf_id] = (w, h)
-            items = []
             for _ in range(words.integers(1, 4)):
-                items.append(
-                    StaInstance(
-                        box=_random_box(words, w, h),
-                        noun_id=words.integers(0, c_n),
-                        verb_id=words.integers(0, c_v),
-                        ttc_s=words.uniform(0.3, 2.0),
-                    )
-                )
-            sta_gt[kf_id] = tuple(items)
+                # The box, noun, verb and TTC, drawn in that order.
+                sta_rows.append((kf_id, _random_box(words, w, h), words.integers(0, c_n), words.integers(0, c_v), words.uniform(0.3, 2.0)))
 
         words = _Words(seed, _SEC_SCOD, i)
         for kf in range(config.sta_keyframes_per_video):
             kf_id = f"{vid}:sc{kf}"
             scod_images[kf_id] = (w, h)
-            items = []
             for _ in range(words.integers(1, 4)):
-                items.append(
-                    Detection(box=_random_box(words, w, h), class_id=words.integers(0, c_n))
-                )
-            scod_gt[kf_id] = tuple(items)
+                scod_rows.append((kf_id, _random_box(words, w, h), words.integers(0, c_n)))
 
+    keys, starts, ends, classes = zip(*mq_rows)
+    _column("mq", _plain_ids(keys, video_ids))
+    coords, classes = _column("mq", _plain_segments(starts, ends)), _column("mq", _plain_ints(classes, config.mq_num_classes))
+    mq = _grouped_columns({vid: g for g, vid in enumerate(video_ids)}, keys, coords, np.ones(len(keys)), classes)
+    queries, of_video, starts, ends = zip(*nlq_rows)
+    _column("nlq", _plain_ids(queries) and len(set(queries)) == len(queries))
+    nlq = _grouped_columns({}, queries, _column("nlq", _plain_segments(starts, ends)), np.ones(len(queries)), video=of_video)
+    frames = (len(videos), len(KEYFRAME_TAGS), 2)
+    fhp = FhpColumns(video_ids, _column("fhp", _plain_reals(hands)).reshape(*frames, 2), np.ones(frames, dtype=bool))
+    verbs, nouns = zip(*actions)
+    episodes = tuple(zip(video_ids, _column("lta", _plain_ints(anchors)).tolist()))
+    pairs = np.stack((_column("lta", _plain_ints(verbs, c_v)), _column("lta", _plain_ints(nouns, c_n))), axis=1)
+    ones = np.ones(len(videos), dtype=np.intp)
+    lta = LtaColumns(episodes, ones, ones * config.z, pairs, config=(config.z, c_v, c_n, config.k))
+    keys, boxes, nouns, verbs, ttcs = zip(*sta_rows)
+    _column("sta", _plain_ids(keys, sta_images))
+    ids = _column("sta", _plain_ints(nouns, c_n)), _column("sta", _plain_ints(verbs, c_v))
+    ttc = _column("sta", _plain_reals(ttcs) if min(ttcs) > 0 else None)
+    sta = _grouped_columns({kid: g for g, kid in enumerate(sta_images)}, keys, _column("sta", _plain_boxes(boxes)), np.ones(len(keys)), *ids, ttc)
+    keys, boxes, classes = zip(*scod_rows)
+    _column("scod", _plain_ids(keys, scod_images))
+    boxes, classes = _column("scod", _plain_boxes(boxes)), _column("scod", _plain_ints(classes, c_n))
+    scod = _grouped_columns({kid: g for g, kid in enumerate(scod_images)}, keys, boxes, np.ones(len(keys)), classes)
+
+    # The fhp targets are the coordinates over the image size, keyframe-major
+    # as fhp_target_vector lays them out.
+    targets = fhp.coords.reshape(len(videos), -1) / np.array([w, h] * (2 * len(KEYFRAME_TAGS)), dtype=np.float64)
+    lta_gt = TypedView(lta, _sequences)
     latent = LatentState(
         seed=seed,
         strength=config.label_strength,
-        lta_targets=lta_targets,
-        fhp_targets=fhp_targets,
+        lta_targets=TypedView(lta_gt, lambda gt: {vid: seq for (vid, _), seq in gt.items()}),
+        fhp_targets=dict(zip(video_ids, targets)),
     )
     return SynthDataset(
         config=config,
         videos=tuple(videos),
-        mq_gt=mq_gt,
-        nlq_gt=nlq_gt,
-        fhp_gt=fhp_gt,
+        mq_gt=TypedView(mq, _moments),
+        nlq_gt=TypedView(nlq, _answers_by_video),
+        fhp_gt=TypedView(fhp, _hand_keyframes),
         clip_ends=clip_ends,
         lta_gt=lta_gt,
         sta_images=sta_images,
-        sta_gt=sta_gt,
+        sta_gt=TypedView(sta, _boxes),
         scod_images=scod_images,
-        scod_gt=scod_gt,
+        scod_gt=TypedView(scod, _boxes),
         latent=latent,
     )
 
 
-def perfect_predictions(ds: SynthDataset) -> dict[str, object]:
-    """Prediction structures that mirror the ground truth exactly.
+def perfect_predictions(ds: SynthDataset) -> dict[str, TypedView]:
+    """Prediction structures that mirror the ground truth exactly: typed
+    views over the columns of its views (or of its typed records).
 
     Useful as a sanity fixture: every evaluator must come back perfect
     (recall and AP 1, displacement and edit distance 0).
     """
-    from .model import LtaForecast, RankedSegment  # local to avoid cycle noise
-
-    mq_pred = {
-        vid: tuple(
-            RankedSegment(segment=m.segment, score=1.0, label=m.class_id) for m in items
-        )
-        for vid, items in ds.mq_gt.items()
-    }
-    nlq_pred = {
-        q.query_id: (RankedSegment(segment=q.segment, score=1.0, label=q.query_id),)
-        for items in ds.nlq_gt.values()
-        for q in items
-    }
-    fhp_pred = dict(ds.fhp_gt)
-    lta_pred = {
-        key: LtaForecast(clip_index=key[1], candidates=(seq,)) for key, seq in ds.lta_gt.items()
-    }
-    sta_pred = {kf: tuple(items) for kf, items in ds.sta_gt.items()}
-    scod_pred = {kf: tuple(items) for kf, items in ds.scod_gt.items()}
+    nlq = ds.nlq_gt.columns if isinstance(ds.nlq_gt, TypedView) else _columns({q.query_id: [q] for qs in ds.nlq_gt.values() for q in qs}, 2)
     return {
-        "mq": mq_pred,
-        "nlq": nlq_pred,
-        "fhp": fhp_pred,
-        "lta": lta_pred,
-        "sta": sta_pred,
-        "scod": scod_pred,
+        "mq": TypedView(_columns(ds.mq_gt, 2), _ranked),
+        "nlq": TypedView(nlq, _ranked),
+        "fhp": TypedView(_fhp_columns(ds.fhp_gt), _hand_keyframes),
+        "lta": TypedView(_lta_columns(ds.lta_gt), _forecasts),
+        "sta": TypedView(_columns(ds.sta_gt, 4), _boxes),
+        "scod": TypedView(_columns(ds.scod_gt, 4), _boxes),
     }

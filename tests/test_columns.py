@@ -366,8 +366,8 @@ def test_eval_builds_no_record_objects(trees, tmp_path, monkeypatch, track):
         built[cls.__name__] += 1
         return validated(cls, **fields)
 
+    # The typed views' builders live in model, next to the column types.
     monkeypatch.setattr(model, "_validated", counting)
-    monkeypatch.setattr(fileio, "_validated", counting)
     # The typed loader builds one row object and one segment or box per
     # ground-truth row, which is what the count would catch in eval.
     getattr(fileio, f"load_{track}_gt")(gt_path)
@@ -403,8 +403,7 @@ def test_forecast_commands_build_no_record_objects(tmp_path, monkeypatch, comman
         built[cls.__name__] += 1
         return validated(cls, **fields)
 
-    for module in (model, fileio):
-        monkeypatch.setattr(module, "_validated", counting)
+    monkeypatch.setattr(model, "_validated", counting)
     for name in _FORECAST_RECORDS:
         cls = getattr(model, name)
         monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: (built.update([type(self).__name__]), check(self)))

@@ -254,7 +254,7 @@ def test_fusion_commands_build_no_record_objects(tmp_path, monkeypatch):
         built[cls.__name__] += 1
         return validated(cls, **fields)
 
-    for module in (model, fileio, fusion):
+    for module in (model, fusion):
         monkeypatch.setattr(module, "_validated", counting)
     for cls in RECORDS:
 

@@ -1,14 +1,37 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egoforge.model import KEYFRAME_TAGS
+from egoforge import cli, fileio, model, synth
+from egoforge.model import (
+    KEYFRAME_TAGS,
+    ActionLabel,
+    BoundingBox,
+    Detection,
+    HandKeyframes,
+    HandPoint,
+    LtaForecast,
+    MomentInstance,
+    NlqInstance,
+    RankedSegment,
+    StaInstance,
+    TemporalSegment,
+    TypedView,
+    VideoMeta,
+)
 from egoforge.synth import (
     _SWITCH_WORD,
     SynthConfig,
     _Words,
+    _hand_trajectory,
+    _random_box,
+    _rng,
+    _segment_within,
     fhp_target_vector,
     generate_synthetic,
     perfect_predictions,
@@ -295,3 +318,194 @@ class TestPerfectPredictions:
             assert all(p.score == 1.0 for p in items)
         for key, forecast in preds["lta"].items():
             assert forecast.candidates == (ds.lta_gt[key],)
+
+
+# ---------------------------------------------------------------------------
+# Columns, typed views and the files written from them.
+# ---------------------------------------------------------------------------
+
+
+def _eager(config):
+    """The dataset's records drawn as generate_synthetic draws them, each
+    built at once through the public constructors; the typed mappings
+    that the views must equal, and the records the files were once written
+    from."""
+    seed, fps, (w, h) = config.seed, config.fps, config.resolution
+    videos = [
+        VideoMeta(f"synth-{i:03d}", int(round(_Words(seed, 1, i).uniform(config.min_video_len_s, config.max_video_len_s) * fps)), fps)
+        for i in range(config.num_videos)
+    ]
+    ds = {name: {} for name in ("mq", "nlq", "fhp", "lta", "sta", "scod", "sta_images", "scod_images")}
+    for i, meta in enumerate(videos):
+        vid, duration = meta.video_id, meta.duration_s
+        words = _Words(seed, 2, i)
+        moments = []
+        for _ in range(words.integers(2, 5)):
+            seg = TemporalSegment(*_segment_within(words, duration, 1.5, 5.0))
+            moments.append(MomentInstance(seg, words.integers(0, config.mq_num_classes)))
+        ds["mq"][vid] = tuple(moments)
+        words = _Words(seed, 3, i)
+        ds["nlq"][vid] = tuple(
+            NlqInstance(TemporalSegment(*_segment_within(words, duration, 1.0, 4.0)), f"{vid}:q{q}")
+            for q in range(config.nlq_queries_per_video)
+        )
+        rng = _rng(seed, 4, i)
+        trajectory = _hand_trajectory(rng, w, h)
+        t_contact = float(rng.uniform(3.5, duration - 0.5))
+        t_pre = t_contact - float(rng.uniform(0.3, 0.8))
+        times = (t_contact, t_pre, t_pre - 0.5, t_pre - 1.0, t_pre - 1.5)
+        jitter = (rng.normal(0.0, 1.0, size=(5, 4)) * config.hand_noise_px).tolist()
+        points = {}
+        for tag, t, (jlx, jly, jrx, jry) in zip(KEYFRAME_TAGS, times, jitter):
+            (lx, ly), (rx, ry) = trajectory(t)
+            left = (min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly)))
+            points[tag] = HandPoint(left, (min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry))))
+        ds["fhp"][vid] = HandKeyframes(points)
+        words = _Words(seed, 5, i)
+        num_clips = int(np.floor(duration / config.clip_len_s + 1e-9))
+        verb, noun, chain = words.integers(0, config.c_v), words.integers(0, config.c_n), []
+        for _ in range(num_clips):
+            chain.append(ActionLabel(verb, noun))
+            if words.random() >= 0.55:
+                verb = words.integers(0, config.c_v)
+            if words.random() >= 0.55:
+                noun = words.integers(0, config.c_n)
+        anchor = num_clips - config.z
+        ds["lta"][(vid, anchor)] = tuple(chain[anchor : anchor + config.z])
+        for track, tag, section in (("sta", "kf", 6), ("scod", "sc", 7)):
+            words = _Words(seed, section, i)
+            for kf in range(config.sta_keyframes_per_video):
+                kid = f"{vid}:{tag}{kf}"
+                ds[f"{track}_images"][kid] = (w, h)
+                items = []
+                for _ in range(words.integers(1, 4)):
+                    box = BoundingBox(*_random_box(words, w, h))
+                    if track == "sta":
+                        items.append(StaInstance(box, words.integers(0, config.c_n), words.integers(0, config.c_v), words.uniform(0.3, 2.0)))
+                    else:
+                        items.append(Detection(box, words.integers(0, config.c_n)))
+                ds[track][kid] = tuple(items)
+    return videos, ds
+
+
+def _save_eager(out, config):
+    """The 13 files, written by the savers from the eager records."""
+    videos, ds = _eager(config)
+    by_id = {v.video_id: v for v in videos}
+    queries = {q.query_id: q for qs in ds["nlq"].values() for q in qs}
+    out.mkdir()
+    fileio.save_config(out / "config.json", config)
+    fileio.save_mq_gt(out / "gt_mq.json", fileio.MqGt(by_id, config.mq_num_classes, ds["mq"]))
+    mq_pred = {vid: tuple(RankedSegment(m.segment, 1.0, m.class_id) for m in ms) for vid, ms in ds["mq"].items()}
+    fileio.save_mq_pred(out / "pred_mq.json", mq_pred)
+    video_of = {q.query_id: vid for vid, qs in ds["nlq"].items() for q in qs}
+    fileio.save_nlq_gt(out / "gt_nlq.json", fileio.NlqGt(by_id, queries, video_of))
+    fileio.save_nlq_pred(out / "pred_nlq.json", {qid: (RankedSegment(q.segment, 1.0, qid),) for qid, q in queries.items()})
+    fileio.save_fhp_gt(out / "gt_fhp.json", fileio.FhpGt(config.resolution, ds["fhp"]))
+    fileio.save_fhp_pred(out / "pred_fhp.json", ds["fhp"])
+    fileio.save_lta_gt(out / "gt_lta.json", fileio.LtaGt(config.z, config.c_v, config.c_n, config.k, ds["lta"]))
+    fileio.save_lta_pred(out / "pred_lta.json", {key: LtaForecast(key[1], (seq,)) for key, seq in ds["lta"].items()})
+    for kind in ("gt", "pred"):
+        getattr(fileio, f"save_sta_{kind}")(out / f"{kind}_sta.json", fileio.StaGt(ds["sta_images"], ds["sta"]))
+        getattr(fileio, f"save_scod_{kind}")(out / f"{kind}_scod.json", fileio.ScodGt(ds["scod_images"], ds["scod"]))
+    return videos, ds
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# One-value ranges, which draw nothing; rejection-heavy 32-bit halves and
+# whole-word ranges.
+EDGE_RANGES = [{"c_v": 1, "c_n": 2, "mq_num_classes": 1}, {"c_v": 2**31 + 1, "c_n": 2**40 + 3, "mq_num_classes": 2**32}]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("num_videos", [1, 12, 60])
+    def test_synth_writes_the_bytes_of_eager_records(self, tmp_path, seed, num_videos):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--out", str(tmp_path / "synth"), "--seed", str(seed), "--num-videos", str(num_videos)]) == 0
+        _save_eager(tmp_path / "eager", SynthConfig(seed=seed, num_videos=num_videos))
+        synth, eager = _files(tmp_path / "synth"), _files(tmp_path / "eager")
+        assert len(synth) == 13 and synth.keys() == eager.keys()
+        assert [name for name in synth if synth[name] != eager[name]] == []
+
+    @pytest.mark.parametrize("overrides", EDGE_RANGES, ids=["one-value", "wide"])
+    def test_edge_ranges_write_the_bytes_of_eager_records(self, tmp_path, monkeypatch, overrides):
+        # The synth command, run on an edge-range config.
+        monkeypatch.setattr(cli, "SynthConfig", lambda **kw: SynthConfig(**kw, **overrides))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--out", str(tmp_path / "synth"), "--seed", "5", "--num-videos", "6"]) == 0
+        _save_eager(tmp_path / "eager", SynthConfig(seed=5, num_videos=6, **overrides))
+        synth, eager = _files(tmp_path / "synth"), _files(tmp_path / "eager")
+        assert synth.keys() == eager.keys()
+        assert [name for name in synth if synth[name] != eager[name]] == []
+
+    @pytest.mark.parametrize("overrides", [{}, *EDGE_RANGES], ids=["default", "one-value", "wide"])
+    def test_views_equal_the_eager_records(self, overrides):
+        config = SynthConfig(seed=3, num_videos=5, **overrides)
+        ds = generate_synthetic(config)
+        videos, eager = _eager(config)
+        assert list(ds.videos) == videos
+        for track in ("mq", "nlq", "fhp", "lta", "sta", "scod"):
+            view = getattr(ds, f"{track}_gt")
+            assert isinstance(view, TypedView)
+            assert view == eager[track] and eager[track] == view and not view != eager[track]
+            assert repr(view) == repr(eager[track])
+        assert ds.sta_images == eager["sta_images"] and ds.scod_images == eager["scod_images"]
+        for vid in ds.video_ids:
+            assert np.array_equal(ds.latent.fhp_targets[vid], fhp_target_vector(eager["fhp"][vid], config.resolution))
+            assert ds.latent.lta_targets[vid] == eager["lta"][ds.episode(vid)]
+
+    def test_views_build_nothing_until_read(self, monkeypatch):
+        built = []
+        validated = model._validated
+        monkeypatch.setattr(model, "_validated", lambda cls, /, **fields: (built.append(cls.__name__), validated(cls, **fields))[1])
+        ds = generate_synthetic(small_config())
+        preds = perfect_predictions(ds)
+        assert built == [] and ds.episode(ds.video_ids[1])[0] == ds.video_ids[1]
+        ds.sta_gt[ds.video_ids[0] + ":kf0"]
+        assert set(built) == {"BoundingBox", "StaInstance"}
+        assert preds["lta"] == {key: LtaForecast(key[1], (seq,)) for key, seq in ds.lta_gt.items()}
+
+    def test_replace_takes_a_plain_mapping(self):
+        ds = generate_synthetic(small_config())
+        first = {kid: items[:1] for kid, items in ds.sta_gt.items()}
+        cut = dataclasses.replace(ds, sta_gt=first)
+        assert cut.sta_gt is first and cut.mq_gt is ds.mq_gt
+        assert perfect_predictions(cut)["sta"] == first
+        lta = dataclasses.replace(ds, lta_gt=dict(ds.lta_gt))
+        assert [lta.episode(vid) for vid in lta.video_ids] == [ds.episode(vid) for vid in ds.video_ids]
+
+    def test_episode_of_an_unknown_video(self):
+        ds = generate_synthetic(small_config())
+        with pytest.raises(KeyError, match="no forecasting episode for 'nope'"):
+            ds.episode("nope")
+
+    @pytest.mark.parametrize(
+        "fault, track",
+        [
+            ("box", "sta"),
+            ("segment", "mq"),
+            ("ttc", "sta"),
+            ("verb", "lta"),
+            ("class", "mq"),
+        ],
+    )
+    def test_a_draw_out_of_range_names_its_track(self, monkeypatch, fault, track):
+        # Each column check runs: a value forced out of range is refused,
+        # by the check of the first track that draws it.
+        config = small_config()
+        uniform, integers = _Words.uniform, _Words.integers
+        if fault == "box":
+            monkeypatch.setattr(synth, "_random_box", lambda words, w, h: [5.0, 5.0, 1.0, 1.0])
+        elif fault == "segment":
+            monkeypatch.setattr(synth, "_segment_within", lambda words, duration, lo, hi: (2.0, 1.0))
+        elif fault == "ttc":
+            monkeypatch.setattr(_Words, "uniform", lambda self, lo, hi: -1.0 if (lo, hi) == (0.3, 2.0) else uniform(self, lo, hi))
+        else:
+            bound = config.c_v if fault == "verb" else config.mq_num_classes
+            monkeypatch.setattr(_Words, "integers", lambda self, lo, hi: hi if (lo, hi) == (0, bound) else integers(self, lo, hi))
+        with pytest.raises(ValueError, match=f"^synth {track}: "):
+            generate_synthetic(config)
