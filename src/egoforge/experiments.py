@@ -18,24 +18,27 @@ from .heads import LinearHead, SgdConfig, classifier_probs, joint_targets, new_h
 from .metrics import ED_MODES, edit_distance_at_z
 from .model import FeatureMatrix, LtaForecast, ScoreMatrix, TemporalSegment, _require
 from .snippets import frame_span, observable_window, prefuse_features, sliding_clips
-from .synth import SynthDataset, fhp_target_vector, stub_features
+from .synth import SynthDataset, stub_features
 
 DEFAULT_ALPHAS = (2.0, 4.0, 8.0, 16.0)
 DEFAULT_CLIP_LEN_S = 2.0
 DEFAULT_CLIP_STRIDE_S = 2.0
 
 
+def fused_clip_features(ds: SynthDataset, clips: Sequence[tuple[str, TemporalSegment]]) -> np.ndarray:
+    """Verb and noun stub features per (video id, clip), channel-concatenated."""
+    dim = ds.config.feature_dim
+    spans = [(vid, frame_span(clip.start_s, clip.end_s, ds.config.fps)) for vid, clip in clips]
+    verb, noun = (
+        FeatureMatrix(dim=dim, rows=[stub_features(vid, span, dim, variant, ds.latent) for vid, span in spans], provenance=variant)
+        for variant in ("verb", "noun")
+    )
+    return prefuse_features(verb, noun).rows.astype(np.float64)
+
+
 def fused_clip_feature(ds: SynthDataset, video_id: str, clip: TemporalSegment) -> np.ndarray:
     """Verb and noun stub features for one clip, channel-concatenated."""
-    span = frame_span(clip.start_s, clip.end_s, ds.config.fps)
-    dim = ds.config.feature_dim
-    verb = FeatureMatrix(
-        dim=dim, rows=stub_features(video_id, span, dim, "verb", ds.latent)[None, :], provenance="verb"
-    )
-    noun = FeatureMatrix(
-        dim=dim, rows=stub_features(video_id, span, dim, "noun", ds.latent)[None, :], provenance="noun"
-    )
-    return prefuse_features(verb, noun).rows[0].astype(np.float64)
+    return fused_clip_features(ds, [(video_id, clip)])[0]
 
 
 def _episode_window(ds: SynthDataset, video_id: str, alpha_s: float):
@@ -51,16 +54,15 @@ def forecast_training_set(
     clip_stride_s: float = DEFAULT_CLIP_STRIDE_S,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One training example per sliding clip in each episode's window."""
-    rows: list[np.ndarray] = []
+    clips: list[tuple[str, TemporalSegment]] = []
     seqs = []
     for vid in video_ids:
         anchor, window = _episode_window(ds, vid, alpha_s)
-        truth = ds.lta_gt[(vid, anchor)]
-        for clip in sliding_clips(window, clip_len_s, clip_stride_s):
-            rows.append(fused_clip_feature(ds, vid, clip))
-            seqs.append(truth)
-    _require(len(rows) >= 1, "no training examples; check the video id list")
-    return np.stack(rows), joint_targets(seqs, ds.config.c_n)
+        in_window = sliding_clips(window, clip_len_s, clip_stride_s)
+        clips += [(vid, clip) for clip in in_window]
+        seqs += [ds.lta_gt[(vid, anchor)]] * len(in_window)
+    _require(len(clips) >= 1, "no training examples; check the video id list")
+    return fused_clip_features(ds, clips), joint_targets(seqs, ds.config.c_n)
 
 
 def train_forecaster(
@@ -168,7 +170,7 @@ def hand_feature(ds: SynthDataset, video_id: str) -> np.ndarray:
 def hand_training_set(ds: SynthDataset, video_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Features and normalized 20-coordinate targets per video."""
     rows = [hand_feature(ds, vid) for vid in video_ids]
-    targets = [fhp_target_vector(ds.fhp_gt[vid], ds.config.resolution) for vid in video_ids]
+    targets = [ds.latent.fhp_targets[vid] for vid in video_ids]
     _require(len(rows) >= 1, "no training examples; check the video id list")
     return np.stack(rows), np.stack(targets)
 

@@ -3,7 +3,9 @@
 Two head shapes cover the tracks that need one: a 20-way regressor for hand
 coordinates (5 keyframes x 2 hands x 2 coordinates) and a per-position
 joint classifier over (verb, noun) pairs for forecasting. Training is plain
-(optionally momentum) gradient descent, deterministic given its seed.
+(optionally momentum) gradient descent, deterministic given its seed. It
+updates private copies of the parameters in place, and a classifier step
+computes one exp of its logits for both the loss and the softmax.
 """
 
 from __future__ import annotations
@@ -159,6 +161,10 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     t = np.asarray(target, dtype=np.float64)
     _require(p.shape == t.shape, f"shape mismatch {p.shape} vs {t.shape}")
     _require(p.size > 0, "empty inputs")
+    return _l1_loss(p, t)
+
+
+def _l1_loss(p: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     diff = p - t
     return float(np.abs(diff).mean()), np.sign(diff) / diff.size
 
@@ -175,13 +181,22 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     _require(idx.shape == (arr.shape[0],), "targets must hold one index per row")
     _require(np.issubdtype(idx.dtype, np.integer), "targets must be integers")
     _require(bool((idx >= 0).all()) and bool((idx < arr.shape[1]).all()), "target index out of range")
+    return _cross_entropy(arr, idx)
+
+
+def _cross_entropy(arr: np.ndarray, idx: np.ndarray) -> tuple[float, np.ndarray]:
+    # One exp of the shifted logits: its row sums give both the loss's
+    # log-sum-exp and the softmax normaliser.
     m = arr.shape[0]
+    rows = np.arange(m)
     shifted = arr - arr.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float((log_z - shifted[np.arange(m), idx]).mean())
-    grad = softmax(arr, axis=1)
-    grad[np.arange(m), idx] -= 1.0
-    return loss, grad / m
+    grad = np.exp(shifted)
+    total = grad.sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - shifted[rows, idx]).mean())
+    grad /= total
+    grad[rows, idx] -= 1.0
+    grad /= m
+    return loss, grad
 
 
 @dataclass(frozen=True)
@@ -223,7 +238,7 @@ def train_head(
     stops being finite.
     """
     _require(isinstance(epochs, int) and epochs >= 0, "epochs must be an int >= 0")
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
     _require(x.ndim == 2 and x.shape[1] == head.in_dim, f"inputs must be (n, {head.in_dim})")
     n = x.shape[0]
     _require(n >= 1, "need at least one example")
@@ -246,35 +261,32 @@ def train_head(
     losses: list[float] = []
     for epoch in range(epochs):
         if batch_size is None:
-            batches = [np.arange(n)]
+            batches = [(x, t)]
         else:
             order = rng.permutation(n)
-            batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+            batches = [(x[idx], t[idx]) for idx in (order[i : i + batch_size] for i in range(0, n, batch_size))]
         epoch_loss = 0.0
-        for idx in batches:
-            xb = x[idx]
+        for xb, tb in batches:
             # Overflow on a runaway step is caught by the finiteness guards
             # below; keep numpy quiet on the way there.
             with np.errstate(over="ignore", invalid="ignore"):
+                out = xb @ weight.T + bias
                 if head.kind == "regression_20":
-                    pred = xb @ weight.T + bias
-                    loss, g = l1_loss(pred, t[idx])
-                    grad_w = g.T @ xb
-                    grad_b = g.sum(axis=0)
+                    loss, g = _l1_loss(out, tb)
                 else:
-                    joint_width = head.c_v * head.c_n
-                    logits = (xb @ weight.T + bias).reshape(len(idx) * head.z, joint_width)
-                    loss, g = cross_entropy(logits, t[idx].reshape(-1))
-                    flat = g.reshape(len(idx), head.out_dim)
-                    grad_w = flat.T @ xb
-                    grad_b = flat.sum(axis=0)
+                    loss, g = _cross_entropy(out.reshape(-1, joint_width), tb.reshape(-1))
+                    g = g.reshape(out.shape)
+                grad_w = g.T @ xb
+                grad_b = g.sum(axis=0)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch, f"loss became {loss!r}")
-            vel_w = config.momentum * vel_w - config.lr * grad_w
-            vel_b = config.momentum * vel_b - config.lr * grad_b
-            weight = weight + vel_w
-            bias = bias + vel_b
-            epoch_loss += loss * len(idx)
+            vel_w *= config.momentum
+            vel_w -= config.lr * grad_w
+            vel_b *= config.momentum
+            vel_b -= config.lr * grad_b
+            weight += vel_w
+            bias += vel_b
+            epoch_loss += loss * len(xb)
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise TrainingDiverged(epoch, "parameters became non-finite")
         losses.append(epoch_loss / n)

@@ -113,10 +113,14 @@ def _validated(cls: type[_T], /, **fields: Any) -> _T:
 
 
 def _int_text(value: int) -> str:
-    """``value`` as messages print it: past 30 digits, ``1000…0 (402 digits)``."""
-    text = str(value)
-    digits = text.lstrip("-")
-    return text if len(digits) <= 30 else f"{text[: -len(digits)]}{digits[:4]}…{digits[-1]} ({len(digits)} digits)"
+    """``value`` as messages print it: past 30 digits, ``1000…0 (402 digits)``.
+
+    Computed without ``str()``, which refuses ints past 4,300 digits: a bit
+    length b gives floor(b * log10(2)) + 1 digits or one fewer."""
+    n = abs(int(value))
+    d = int(n.bit_length() * math.log10(2)) + 1
+    d -= d > 1 and n < 10 ** (d - 1)
+    return str(value) if d <= 30 else f"{'-' * (value < 0)}{n // 10 ** (d - 4)}…{n % 10} ({d} digits)"
 
 
 def _checked(where: str, checker: Callable[..., _T], *args: Any) -> _T:

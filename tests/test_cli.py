@@ -724,6 +724,16 @@ class TestHugeIntegers:
         assert len(err) == 1 and err[0].endswith(expected) and len(err[0]) < 120 + len(str(bad))
         assert model._int_text(value) == text
 
+    def test_int_text_counts_digits_without_str(self):
+        # Powers of ten and their neighbours are where a digit count from
+        # the bit length can be one off.
+        for e in range(30, 6001, 59):
+            cases = [(10**e - 1, e, "9999", 9), (10**e, e + 1, "1000", 0), (-(7 * 10**e + 3), e + 1, "7000", 3)]
+            for value, digits, head, last in cases:
+                sign = "-" * (value < 0)
+                assert model._int_text(value) == (f"{sign}{head}…{last} ({digits} digits)" if digits > 30 else str(value))
+        assert [model._int_text(v) for v in (0, -9, 10**29, -(10**30 - 1))] == ["0", "-9", str(10**29), str(-(10**30 - 1))]
+
     def test_probability_row_reports_a_violation(self, tmp_path, capsys):
         row = {"video_id": "v", "clip_index": 0, "score_matrix": {"verb": [[self.HUGE, 0]], "noun": [[1.0]]}}
         clips = tmp_path / "clips.json"

@@ -9,7 +9,7 @@ from egoforge import fileio
 from egoforge.errors import DataError, SchemaError
 from egoforge.heads import new_head
 from egoforge.metrics import MetricReport
-from egoforge.model import FeatureMatrix, ScoreMatrix
+from egoforge.model import ActionLabel, FeatureMatrix, ScoreMatrix
 from egoforge.render import render_reports
 from egoforge.synth import SynthConfig, generate_synthetic, perfect_predictions
 
@@ -107,6 +107,14 @@ class TestStrictness:
         with pytest.raises(SchemaError) as err:
             fileio.load_fhp_pred(path)
         assert err.value.violations == ["instances[0].keyframes[c]: visible must map hands to bools"]
+
+    def test_a_saver_prints_an_int_past_str_limit_short(self, tmp_path):
+        # str() refuses ints past 4,300 digits; the message must not need it.
+        gt = fileio.LtaGt(z=10**5000, c_v=3, c_n=3, k=1, sequences={("v", 0): (ActionLabel(0, 0),)})
+        with pytest.raises(ValueError) as err:
+            fileio.save_lta_gt(tmp_path / "gt.json", gt)
+        assert str(err.value) == "lta/1: ('v', 0): sequence length 1 != 1000…0 (5001 digits)"
+        assert not (tmp_path / "gt.json").exists()
 
     def test_unknown_key_warns(self, tmp_path):
         raw = {

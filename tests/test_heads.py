@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from egoforge.errors import TrainingDiverged
 from egoforge.heads import (
+    HEAD_KINDS,
     LinearHead,
     REGRESSION_DIM,
     SgdConfig,
@@ -229,3 +232,144 @@ class TestTraining:
         assert losses[-1] < 0.1
         pred = predict_labels(trained, x0[0], mode="joint")
         assert pred == (ActionLabel(verb_id=0, noun_id=0), ActionLabel(verb_id=0, noun_id=1))
+
+
+# ---------------------------------------------------------------------------
+# Equality with the allocating training loop.
+#
+# The reference below is the loop train_head replaced, kept verbatim but
+# for its input checks: it copied each batch, computed the softmax's exp
+# apart from the loss's, and allocated new arrays for every update. The in-place loop must make the
+# same floating-point operations in the same order, so weights, biases and
+# losses are compared for exact equality. Both sides run on the same BLAS,
+# which keeps the comparison independent of the machine.
+# ---------------------------------------------------------------------------
+
+
+def _ref_softmax(logits, axis=-1):
+    arr = np.asarray(logits, dtype=np.float64)
+    shifted = arr - arr.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _ref_l1_loss(pred, target):
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    diff = p - t
+    return float(np.abs(diff).mean()), np.sign(diff) / diff.size
+
+
+def _ref_cross_entropy(logits, targets):
+    arr = np.asarray(logits, dtype=np.float64)
+    idx = np.asarray(targets)
+    m = arr.shape[0]
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    loss = float((log_z - shifted[np.arange(m), idx]).mean())
+    grad = _ref_softmax(arr, axis=1)
+    grad[np.arange(m), idx] -= 1.0
+    return loss, grad / m
+
+
+def _ref_train_head(head, inputs, targets, config, epochs, seed=0, batch_size=None):
+    x = np.asarray(inputs, dtype=np.float64)
+    n = x.shape[0]
+    t = np.asarray(targets, dtype=np.float64) if head.kind == "regression_20" else np.asarray(targets)
+    weight = head.weight.copy()
+    bias = head.bias.copy()
+    vel_w = np.zeros_like(weight)
+    vel_b = np.zeros_like(bias)
+    rng = np.random.default_rng(seed)
+    losses = []
+    for epoch in range(epochs):
+        if batch_size is None:
+            batches = [np.arange(n)]
+        else:
+            order = rng.permutation(n)
+            batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+        epoch_loss = 0.0
+        for idx in batches:
+            xb = x[idx]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if head.kind == "regression_20":
+                    pred = xb @ weight.T + bias
+                    loss, g = _ref_l1_loss(pred, t[idx])
+                    grad_w = g.T @ xb
+                    grad_b = g.sum(axis=0)
+                else:
+                    joint_width = head.c_v * head.c_n
+                    logits = (xb @ weight.T + bias).reshape(len(idx) * head.z, joint_width)
+                    loss, g = _ref_cross_entropy(logits, t[idx].reshape(-1))
+                    flat = g.reshape(len(idx), head.out_dim)
+                    grad_w = flat.T @ xb
+                    grad_b = flat.sum(axis=0)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(epoch, f"loss became {loss!r}")
+            vel_w = config.momentum * vel_w - config.lr * grad_w
+            vel_b = config.momentum * vel_b - config.lr * grad_b
+            weight = weight + vel_w
+            bias = bias + vel_b
+            epoch_loss += loss * len(idx)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise TrainingDiverged(epoch, "parameters became non-finite")
+        losses.append(epoch_loss / n)
+    return weight, bias, losses
+
+
+def _problem(kind, n, in_dim, seed, z=3, c_v=2, c_n=4):
+    """A head and (inputs, targets) whose targets the inputs partly predict."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, in_dim))
+    if kind == "regression_20":
+        head = new_head(kind, in_dim=in_dim, seed=seed)
+        t = x @ rng.standard_normal((in_dim, REGRESSION_DIM)) * 0.1
+    else:
+        head = new_head(kind, in_dim=in_dim, seed=seed, z=z, c_v=c_v, c_n=c_n)
+        t = np.argmax(x @ rng.standard_normal((in_dim, z * c_v * c_n)), axis=1) % (c_v * c_n)
+        t = (t[:, None] + np.arange(z)) % (c_v * c_n)
+    return head, x, t
+
+
+def _assert_same_training(head, x, t, config, epochs, **kwargs):
+    weight, bias, losses = _ref_train_head(head, x, t, config, epochs, **kwargs)
+    trained, got = train_head(head, x, t, config, epochs, **kwargs)
+    assert np.array_equal(trained.weight, weight) and np.array_equal(trained.bias, bias)
+    assert got == losses
+
+
+class TestInPlaceTrainingEqualsTheAllocatingLoop:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("batch_size", [None, 16, 1000], ids=["full", "16", "over-n"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_weights_biases_and_losses(self, kind, momentum, batch_size, order):
+        head, x, t = _problem(kind, n=50, in_dim=12, seed=7)
+        x, t = np.asarray(x, order=order), np.asarray(t, order=order)
+        lr = 0.05 if kind == "regression_20" else 0.5
+        _assert_same_training(head, x, t, SgdConfig(lr=lr, momentum=momentum), epochs=8, seed=3, batch_size=batch_size)
+
+    def test_forecast_fuse_shapes(self):
+        # train lta's shapes on the benchmark: 24 videos x 8 clips of 2 x 192
+        # stub features, z=20 positions of 5 x 7 (verb, noun) pairs.
+        head, x, t = _problem("classifier_C", n=192, in_dim=384, seed=11, z=20, c_v=5, c_n=7)
+        assert (x.shape, head.out_dim) == ((192, 384), 700)
+        _assert_same_training(head, x, t, SgdConfig(lr=2.0, momentum=0.9), epochs=20)
+
+    # At unit scale the loss overflows first, inside the quiet forward pass;
+    # at 1e10 the step itself overflows, and numpy warns outside it.
+    @pytest.mark.parametrize("scale", [1.0, 1e10])
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_divergence_is_raised_at_the_same_point(self, kind, scale):
+        head, x, t = _problem(kind, n=40, in_dim=6, seed=2)
+        x = x * scale
+        weight, x_before, t_before = head.weight.copy(), x.copy(), t.copy()
+        config = SgdConfig(lr=1e308, momentum=0.9)
+        raised = []
+        for train in (_ref_train_head, train_head):
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as err:
+                warnings.simplefilter("always")
+                train(head, x, t, config, 6)
+            raised.append((err.value.epoch, str(err.value), [(w.category, str(w.message)) for w in caught]))
+        assert raised[1] == raised[0]
+        assert np.array_equal(head.weight, weight) and np.array_equal(x, x_before) and np.array_equal(t, t_before)
