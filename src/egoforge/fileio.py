@@ -46,6 +46,7 @@ import struct
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -236,9 +237,12 @@ def _save_lta(path: str | Path, schema: str, cols: LtaColumns, clips: Sequence[i
     """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
     each row's episode, its clip number from ``clips`` when given, its
     sequences (ground truth's one ``sequence``, else ``candidates`` when it
-    has any) and its score matrix. One json_texts call renders every pair."""
+    has any) and its score matrix. One json_texts call renders every pair,
+    and one every score-matrix value."""
     gt = schema == "lta/1"
     texts = json_texts(cols.pairs.ravel().tolist())
+    matrices = [a for matrix in cols.scores or () if matrix is not None for a in matrix]
+    cells = iter(json_texts([v for a in matrices for v in a.ravel().tolist()]))
     pairs = [(_PAIR if gt else _CANDIDATE_PAIR) % pair for pair in zip(texts[::2], texts[1::2])]
     videos = json_texts([vid for vid, _ in cols.episodes])
     indices = json_texts([ci for _, ci in cols.episodes])
@@ -254,7 +258,7 @@ def _save_lta(path: str | Path, schema: str, cols: LtaColumns, clips: Sequence[i
         elif seqs:
             row["candidates"] = json_list([json_list(seq, 4) for seq in seqs], 3)
         if matrix is not None:
-            row["score_matrix"] = _MATRIX % tuple(json_list([json_list(json_texts(line), 5) for line in a.tolist()], 4) for a in matrix)
+            row["score_matrix"] = _MATRIX % tuple(json_list([json_list(list(islice(cells, a.shape[1])), 5) for _ in range(len(a))], 4) for a in matrix)
         template, keys = _nested_layout(schema, tuple(row))
         records.append(template % tuple(row[key] for key in keys))
     _write_records(path, {"schema": schema, **head}, records)
@@ -590,10 +594,13 @@ def save_scod_pred(path: str | Path, pred: ScodGt) -> None:
 
 
 def save_features(path: str | Path, features: FeatureMatrix) -> None:
-    """Write the flat binary layout: magic, version, dim, rows, float32 data."""
-    header = FEATURE_MAGIC + struct.pack("<IIQ", FORMAT_VERSION, features.dim, features.num_rows)
-    body = np.ascontiguousarray(features.rows, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + body)
+    """Write the flat binary layout: magic, version, dim, rows, float32 data.
+    The rows are written from their own buffer when they are C-ordered
+    ``<f4`` already, so no copy of the file is made in memory."""
+    body = np.ascontiguousarray(features.rows, dtype="<f4")
+    with open(path, "wb") as f:
+        f.write(FEATURE_MAGIC + struct.pack("<IIQ", FORMAT_VERSION, features.dim, features.num_rows))
+        f.write(body)
 
 
 def load_features(path: str | Path, provenance: str = "stub") -> FeatureMatrix:
@@ -612,7 +619,8 @@ def load_features(path: str | Path, provenance: str = "stub") -> FeatureMatrix:
     expected = 20 + rows * dim * 4
     if len(blob) != expected:
         raise DataError(f"{path}: feature file holds {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(rows, dim).copy()
+    # A view of the bytes read, read-only as FeatureMatrix keeps its rows.
+    data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(rows, dim)
     try:
         return FeatureMatrix(dim=dim, rows=data, provenance=provenance)
     except ValueError as e:

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, chain
+from operator import add
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -343,7 +346,8 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     sequence's probability is the product of its per-position verb and noun
     probabilities. Sequences come back in falling probability; ties resolve
     to lower class indices earlier. The first sequence is always the
-    per-position argmax.
+    per-position argmax. The search is best-first over a tree of rank
+    vectors (``_top_k_pairs``) and costs O(k·z²) additions.
     """
     _require(isinstance(k, int) and k >= 1, "k must be an int >= 1")
     pairs = _top_k_pairs(matrix.verb, matrix.noun, k)
@@ -352,7 +356,19 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
 
 def _top_k_pairs(verb: np.ndarray, noun: np.ndarray, k: int) -> list[list[tuple[int, int]]]:
     """``top_k_sequences`` of the matrix (verb, noun), each sequence as its
-    (verb id, noun id) pairs."""
+    (verb id, noun id) pairs.
+
+    A best-first search over a tree of rank vectors: a vector's parent
+    lowers its last nonzero rank by one, so a popped vector pushes only the
+    children that raise one position at or after its own last raised one,
+    and no vector is pushed twice. A child holds rank 0 after the position
+    it raises, so its running totals are its parent's up to there, one new
+    term, then the rank-0 column, summed left to right. A lower rank never
+    has a lower log-probability and float addition is monotone, so a
+    child's key (-total, ranks) is above its parent's and vectors pop in
+    key order. k pops push at most z children each, built in at most z
+    additions: O(k·z²) additions.
+    """
     z = verb.shape[0]
     c_n = noun.shape[1]
     with np.errstate(divide="ignore"):
@@ -367,30 +383,21 @@ def _top_k_pairs(verb: np.ndarray, noun: np.ndarray, k: int) -> list[list[tuple[
     logp = np.take_along_axis(joint, order, axis=1).tolist()
     pairs = [list(zip(verbs, nouns)) for verbs, nouns in zip((order // c_n).tolist(), (order % c_n).tolist())]
     width = order.shape[1]
-
-    def running(ranks: tuple[int, ...], sums: list[float], pos: int) -> list[float]:
-        # A candidate's running totals, summed left to right over positions;
-        # those before pos are its parent's.
-        acc = sums[pos - 1] if pos else 0.0
-        out = sums[:pos]
-        for row, r in zip(logp[pos:], ranks[pos:]):
-            acc += row[r]
-            out.append(acc)
-        return out
-
-    start = (0,) * z
-    sums = running(start, [], 0)
-    heap = [(-sums[-1], start, sums)]
-    seen = {start}
+    first = [row[0] for row in logp]
+    # A heap entry: (-total, ranks, last raised position p, the running
+    # total before p); its running totals from p on are built when popped.
+    heap = [(-reduce(add, first, 0.0), (0,) * z, 0, 0.0)]
     out: list[list[tuple[int, int]]] = []
-    while heap and len(out) < k:
-        _, ranks, sums = heapq.heappop(heap)
-        out.append([pairs[pos][r] for pos, r in enumerate(ranks)])
-        for pos in range(z):
-            if ranks[pos] + 1 < width:
-                nxt = ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    child = running(nxt, sums, pos)
-                    heapq.heappush(heap, (-child[-1], nxt, child))
+    while heap:
+        _, ranks, last, before = heapq.heappop(heap)
+        out.append([row[r] for row, r in zip(pairs, ranks)])
+        if len(out) == k:
+            break
+        # The popped vector's running total before each position from p on.
+        tail = accumulate(first[last + 1 :], initial=before + logp[last][ranks[last]])
+        for pos, acc in zip(range(last, z), chain((before,), tail)):
+            r = ranks[pos] + 1
+            if r < width:
+                child = (*ranks[:pos], r, *ranks[pos + 1 :])
+                heapq.heappush(heap, (-reduce(add, first[pos + 1 :], acc + logp[pos][r]), child, pos, acc))
     return out

@@ -162,10 +162,12 @@ def temporal_nms_case(rng):
 
 
 def _prob_rows(rng, z, c):
-    # Half the matrices come from small integer weights, so rows hold equal
-    # and zero probabilities and totals tie across positions.
-    if rng.random() < 0.5:
-        w = rng.integers(0, 4, size=(z, c)).astype(float)
+    # A third of the matrices come from small integer weights and a third
+    # from weights of 0 or 1, so rows hold equal and zero (-inf log)
+    # probabilities and totals tie across positions; the rest are tie-free.
+    kind = rng.integers(3)
+    if kind < 2:
+        w = rng.integers(0, 4 if kind == 0 else 2, size=(z, c)).astype(float)
         w[w.sum(axis=1) == 0, 0] = 1.0
     else:
         w = rng.random((z, c)) + 1e-3
@@ -180,7 +182,9 @@ def top_k_case(rng):
     while z > 1 and (c_v * c_n) ** z > 800:
         z -= 1
     matrix = ScoreMatrix(verb=_prob_rows(rng, z, c_v), noun=_prob_rows(rng, z, c_n))
-    k = int(rng.integers(1, 13))
+    # One case in four asks for every sequence or more.
+    count = (c_v * c_n) ** z
+    k = count + int(rng.integers(0, 3)) if rng.random() < 0.25 else int(rng.integers(1, 13))
     return matrix, k
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -376,6 +377,20 @@ class TestFuse:
         assert fused.num_rows == 4
         np.testing.assert_array_equal(fused.rows[:, :3], a.rows)
         np.testing.assert_array_equal(fused.rows[:, 3:], b.rows)
+
+    def test_pre_output_bytes_pinned(self, tmp_path, capsys):
+        # float32 rounding of float64 draws and the flat layout are the
+        # same on every machine, so the fused file's digest is pinned.
+        rng = np.random.default_rng(2024)
+        a = FeatureMatrix(dim=24, rows=rng.standard_normal((50, 24)), provenance="verb")
+        b = FeatureMatrix(dim=40, rows=rng.standard_normal((50, 40)), provenance="noun")
+        fileio.save_features(tmp_path / "a.bin", a)
+        fileio.save_features(tmp_path / "b.bin", b)
+        argv = ["fuse", "pre", "--features", str(tmp_path / "a.bin"), str(tmp_path / "b.bin"), "--out", str(tmp_path / "ab.bin")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256((tmp_path / "ab.bin").read_bytes()).hexdigest()
+        assert digest == "0bc2c1348384f863942b9f4c45959042105ff637e239aa6e53a120798303eb08"
 
     def test_pre_rejects_row_mismatch(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

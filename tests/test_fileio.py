@@ -234,6 +234,62 @@ class TestFeatureFiles:
         with pytest.raises(DataError):
             fileio.load_features(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b"XXXX" + b[4:], "not a feature file (bad magic)"),
+            (lambda b: b[:19], "not a feature file (bad magic)"),
+            (lambda b: b[:4], "not a feature file (bad magic)"),
+            (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], "unsupported feature file version 2"),
+            (lambda b: b[:8] + (0).to_bytes(4, "little") + b[12:], "feature dim must be >= 1"),
+            (lambda b: b[:-4], "feature file holds 76 bytes, expected 80"),
+            (lambda b: b[:20], "feature file holds 20 bytes, expected 80"),
+            (lambda b: b + b"\0", "feature file holds 81 bytes, expected 80"),
+            (lambda b: b[:12] + (6).to_bytes(8, "little") + b[20:], "feature file holds 80 bytes, expected 92"),
+            (lambda b: b[:20] + np.float32(np.inf).tobytes() + b[24:], "feature rows must be finite"),
+        ],
+    )
+    def test_load_messages(self, tmp_path, edit, message):
+        path = tmp_path / "f.egft"
+        fileio.save_features(path, self._matrix())
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(DataError) as e:
+            fileio.load_features(path)
+        assert str(e.value) == f"{path}: {message}"
+
+    def test_missing_file_message(self, tmp_path):
+        path = tmp_path / "absent.egft"
+        with pytest.raises(DataError, match=r"No such file") as e:
+            fileio.load_features(path)
+        assert str(e.value).startswith(f"{path}: ")
+
+    def test_f_ordered_float64_rows_round_trip(self, tmp_path):
+        rows = np.asfortranarray(np.random.default_rng(8).standard_normal((6, 4)))
+        matrix = FeatureMatrix(dim=4, rows=rows, provenance="noun")
+        fileio.save_features(tmp_path / "f.egft", matrix)
+        fileio.save_features(tmp_path / "c.egft", FeatureMatrix(dim=4, rows=np.ascontiguousarray(rows), provenance="noun"))
+        assert (tmp_path / "f.egft").read_bytes() == (tmp_path / "c.egft").read_bytes()
+        loaded = fileio.load_features(tmp_path / "f.egft", provenance="noun")
+        assert loaded == matrix
+        assert np.array_equal(loaded.rows, rows.astype(np.float32))
+
+    def test_zero_rows_round_trip(self, tmp_path):
+        path = tmp_path / "f.egft"
+        empty = FeatureMatrix(dim=3, rows=np.zeros((0, 3), dtype=np.float32), provenance="verb")
+        fileio.save_features(path, empty)
+        assert path.read_bytes() == b"EGFT" + (1).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(8)
+        loaded = fileio.load_features(path, provenance="verb")
+        assert loaded == empty
+        assert loaded.rows.shape == (0, 3)
+
+    def test_loaded_rows_are_read_only(self, tmp_path):
+        path = tmp_path / "f.egft"
+        fileio.save_features(path, self._matrix())
+        rows = fileio.load_features(path).rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
 
 class TestHeadFiles:
     def test_regression_round_trip(self, tmp_path):

@@ -1,10 +1,13 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egoforge.fusion import (
     VoteConfig,
+    _top_k_pairs,
     box_positional_encoding,
     mean_forecast,
     multi_clips_vote,
@@ -290,3 +293,111 @@ class TestTopKSequences:
                     p *= m.verb[pos, label.verb_id] * m.noun[pos, label.noun_id]
                 totals.append(p)
             assert all(a >= b - 1e-12 for a, b in zip(totals, totals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Equality with the lattice search.
+#
+# The reference below is the best-first search over the rank lattice that
+# the tree search replaced, kept verbatim: it pushed every neighbour that
+# raises one rank and kept a set of the vectors it had pushed. Both sum the
+# same log-probabilities in the same order, so their outputs must be equal.
+# ---------------------------------------------------------------------------
+
+
+def _ref_top_k_pairs(verb: np.ndarray, noun: np.ndarray, k: int) -> list[list[tuple[int, int]]]:
+    """``top_k_sequences`` of the matrix (verb, noun), each sequence as its
+    (verb id, noun id) pairs."""
+    z = verb.shape[0]
+    c_n = noun.shape[1]
+    with np.errstate(divide="ignore"):
+        log_v = np.log(verb)
+        log_n = np.log(noun)
+    # Rank table: each position's (verb, noun) pairs by falling joint
+    # log-probability, equal values in flat-index order. A sequence with
+    # rank r anywhere has r strictly earlier sequences (the same with a
+    # lower rank there), so the first k sequences only use ranks below k.
+    joint = (log_v[:, :, None] + log_n[:, None, :]).reshape(z, -1)
+    order = np.argsort(-joint, axis=1, kind="stable")[:, :k]
+    logp = np.take_along_axis(joint, order, axis=1).tolist()
+    pairs = [list(zip(verbs, nouns)) for verbs, nouns in zip((order // c_n).tolist(), (order % c_n).tolist())]
+    width = order.shape[1]
+
+    def running(ranks: tuple[int, ...], sums: list[float], pos: int) -> list[float]:
+        # A candidate's running totals, summed left to right over positions;
+        # those before pos are its parent's.
+        acc = sums[pos - 1] if pos else 0.0
+        out = sums[:pos]
+        for row, r in zip(logp[pos:], ranks[pos:]):
+            acc += row[r]
+            out.append(acc)
+        return out
+
+    start = (0,) * z
+    sums = running(start, [], 0)
+    heap = [(-sums[-1], start, sums)]
+    seen = {start}
+    out: list[list[tuple[int, int]]] = []
+    while heap and len(out) < k:
+        _, ranks, sums = heapq.heappop(heap)
+        out.append([pairs[pos][r] for pos, r in enumerate(ranks)])
+        for pos in range(z):
+            if ranks[pos] + 1 < width:
+                nxt = ranks[:pos] + (ranks[pos] + 1,) + ranks[pos + 1 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    child = running(nxt, sums, pos)
+                    heapq.heappush(heap, (-child[-1], nxt, child))
+    return out
+
+
+def _softmax_rows(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _forecast_episode(rng, z=20, c_v=5, c_n=7, clips=8):
+    # Per-clip rows around a hidden label sequence, the shape of the
+    # vote inputs of the benchmark's forecast workload.
+    verbs = rng.integers(c_v, size=z)
+    nouns = rng.integers(c_n, size=z)
+    out = []
+    for _ in range(clips):
+        v = rng.standard_normal((z, c_v))
+        n = rng.standard_normal((z, c_n))
+        v[np.arange(z), verbs] += 1.5
+        n[np.arange(z), nouns] += 1.5
+        out.append((_softmax_rows(v), _softmax_rows(n)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 5, 25, 100])
+def test_tree_search_equals_lattice_search_on_voted_episodes(k):
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        pairs, verb, noun = mean_forecast(_forecast_episode(rng), k)
+        assert len(pairs) == k
+        assert pairs == _ref_top_k_pairs(verb, noun, k)
+
+
+@st.composite
+def _rank_case(draw):
+    z = draw(st.integers(1, 8))
+
+    def rows(c):
+        # Small integer weights give ties and zeros (-inf logs).
+        values = st.integers(0, 3).map(float) if draw(st.booleans()) else st.floats(1e-3, 1.0)
+        w = np.array(draw(st.lists(values, min_size=z * c, max_size=z * c))).reshape(z, c)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        return w / w.sum(axis=1, keepdims=True)
+
+    verb = rows(draw(st.integers(1, 4)))
+    noun = rows(draw(st.integers(1, 5)))
+    return verb, noun, draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_case())
+def test_tree_search_equals_lattice_search_on_drawn_shapes(case):
+    verb, noun, k = case
+    assert _top_k_pairs(verb, noun, k) == _ref_top_k_pairs(verb, noun, k)

@@ -86,9 +86,15 @@ def test_temporal_nms_matches_oracle():
 
 def test_top_k_sequences_match_oracle():
     rng = np.random.default_rng(525)
+    zeros = past_end = 0
     for _ in range(500):
         matrix, k = cases.top_k_case(rng)
-        assert top_k_sequences(matrix, k) == oracle_top_k_sequences(matrix, k)
+        got = top_k_sequences(matrix, k)
+        assert got == oracle_top_k_sequences(matrix, k)
+        zeros += not (matrix.verb.all() and matrix.noun.all())
+        past_end += k > len(got)
+    # The cases reach -inf log-probabilities and k past every sequence.
+    assert zeros > 100 and past_end > 50
 
 
 def test_nms_matches_oracle_on_a_blocked_pool():
