@@ -35,7 +35,6 @@ from .metrics import (
     recall_at_kx,
     sta_report,
 )
-from .model import TypedView, _answers
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
 from .snippets import build_snippet_schedule, prefuse_features
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
@@ -199,13 +198,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     # Every saver takes the views' columns as they are: no typed record is
     # built.
     videos = {v.video_id: v for v in ds.videos}
-    nlq = ds.nlq_gt.columns  # one group per query, with its video
     fileio.save_config(out / "config.json", config)
     fileio.save_mq_gt(out / "gt_mq.json", fileio.MqGt(videos=videos, num_classes=config.mq_num_classes, instances=ds.mq_gt))
     fileio.save_mq_pred(out / "pred_mq.json", preds["mq"])
-    fileio.save_nlq_gt(
-        out / "gt_nlq.json", fileio.NlqGt(videos=videos, queries=TypedView(nlq, _answers), video_of=dict(zip(nlq.groups, nlq.video)))
-    )
+    fileio.save_nlq_gt(out / "gt_nlq.json", fileio.NlqGt.from_columns(videos, ds.nlq_gt.columns))
     fileio.save_nlq_pred(out / "pred_nlq.json", preds["nlq"])
     fileio.save_fhp_gt(out / "gt_fhp.json", fileio.FhpGt(resolution=config.resolution, instances=ds.fhp_gt))
     fileio.save_fhp_pred(out / "pred_fhp.json", preds["fhp"])
@@ -221,10 +217,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _eval_mq(args: argparse.Namespace) -> list[MetricReport]:
-    # Ground truth and predictions are scored as columns; a ground-truth
-    # file has one group per listed video.
-    gt = fileio.load_mq_gt(args.gt, columns=True)
-    preds = fileio.load_mq_pred(args.pred, known_videos=gt, columns=True)
+    # Ground truth and predictions are scored as the loaders' columns; a
+    # ground-truth file has one group per listed video.
+    gt = fileio.load_mq_gt(args.gt).instances.columns
+    preds = fileio.load_mq_pred(args.pred, known_videos=gt).columns
     gt_count = len(gt.score)
     by_label_gt, by_label_pred = gt.by_label(), preds.by_label()
 
@@ -245,8 +241,8 @@ def _eval_mq(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_nlq(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_nlq_gt(args.gt, columns=True)
-    preds = fileio.load_nlq_pred(args.pred, known_queries=gt, columns=True)
+    gt = fileio.load_nlq_gt(args.gt).queries.columns
+    preds = fileio.load_nlq_pred(args.pred, known_queries=gt).columns
     reports = []
     for k in _parse_int_list(args.recall_k):
         for t in parse_thresholds(args.recall_tiou):
@@ -262,25 +258,24 @@ def _eval_nlq(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_fhp(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_fhp_gt(args.gt, columns=True)
-    preds = fileio.load_fhp_pred(args.pred, known_videos=gt, columns=True)
+    gt = fileio.load_fhp_gt(args.gt).instances.columns
+    preds = fileio.load_fhp_pred(args.pred, known_videos=gt).columns
     return displacement_report(preds, gt)
 
 
 def _eval_lta(args: argparse.Namespace) -> list[MetricReport]:
     # Both files are scored as columns; the config is ground truth's.
-    gt = fileio.load_lta_gt(args.gt, columns=True)
-    forecasts = fileio.load_lta_pred(args.pred, columns=True)
-    k = gt.config[3]
+    gt = fileio.load_lta_gt(args.gt)
+    forecasts = fileio.load_lta_pred(args.pred).columns
     for key, count in zip(forecasts.episodes, forecasts.counts.tolist()):
-        if count > k:
-            raise DataError(f"{key}: {count} candidates exceeds the budget of {k}")
-    return edit_distance_report(forecasts, gt)
+        if count > gt.k:
+            raise DataError(f"{key}: {count} candidates exceeds the budget of {gt.k}")
+    return edit_distance_report(forecasts, gt.sequences.columns)
 
 
 def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_sta_gt(args.gt, columns=True)
-    preds = fileio.load_sta_pred(args.pred, known_frames=gt, columns=True)
+    gt = fileio.load_sta_gt(args.gt).instances.columns
+    preds = fileio.load_sta_pred(args.pred, known_frames=gt).instances.columns
     return sta_report(
         preds,
         gt,
@@ -291,8 +286,8 @@ def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_scod(args: argparse.Namespace) -> list[MetricReport]:
-    gt = fileio.load_scod_gt(args.gt, columns=True)
-    preds = fileio.load_scod_pred(args.pred, known_frames=gt, columns=True)
+    gt = fileio.load_scod_gt(args.gt).instances.columns
+    preds = fileio.load_scod_pred(args.pred, known_frames=gt).instances.columns
     grid = parse_thresholds(args.iou) if args.iou else BOX_AP_IOUS
     return [box_ap(preds, gt, grid)]
 
@@ -322,19 +317,19 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         return 0
     if args.mode == "post":
         FusionConfig(temporal_nms_tiou=args.tiou)
-        files = [fileio.load_nlq_pred(path, columns=True) for path in args.pred]
+        files = [fileio.load_nlq_pred(path).columns for path in args.pred]
         queries = sorted({qid for f in files for qid in f})
         fileio.save_nlq_pred(args.out, fuse_columns(files, queries, args.tiou))
         print(f"wrote {args.out}")
         return 0
     FusionConfig(box_nms_iou=args.nms_iou)
-    files = [fileio.load_sta_pred(path, columns=True) for path in args.pred]
+    files = [fileio.load_sta_pred(path) for path in args.pred]
     images: dict[str, tuple[int, int]] = {}
-    for cols in files:
-        for kid, wh in zip(cols.groups, cols.sizes):
+    for f in files:
+        for kid, wh in f.images.items():
             if images.setdefault(kid, wh) != wh:
                 raise DataError(f"keyframe {kid}: files disagree on image size")
-    fused = fuse_columns(files, sorted(images), args.nms_iou)
+    fused = fuse_columns([f.instances.columns for f in files], sorted(images), args.nms_iou)
     fileio.save_sta_pred(args.out, fileio.StaGt(images=images, instances=fused))
     print(f"wrote {args.out}")
     return 0
@@ -342,7 +337,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_vote(args: argparse.Namespace) -> int:
     FusionConfig(top_k=args.k)
-    clips = fileio.load_lta_clip_probs(args.pred, columns=True)
+    clips = fileio.load_lta_clip_probs(args.pred).columns
     fused = {key: mean_forecast(matrices, args.k) for key, matrices in clips.items()}
     fileio.save_lta_pred(args.out, fused)
     print(f"fused {len(fused)} episodes into {args.out}")

@@ -18,18 +18,19 @@ scod schemas (ids, scores, TTCs and coordinates, rows in the loader's group
 order), ``model.LtaColumns`` for lta ([verb, noun] pairs with per-row
 sequence counts and lengths, and score matrices as read-only float64
 arrays) and ``model.FhpColumns`` for fhp (coordinates and visibility).
-Loaders return those arrays as they are with ``columns=True``, which is how
-``egoforge eval`` and ``egoforge vote`` work without one object per row
-(``load_lta_clip_probs(columns=True)`` gives each clip's (verb, noun)
-arrays by episode); otherwise every loader builds the records from the
-arrays with ``model``'s typed-view builders.
+Every loader returns its records as a ``model.TypedView`` over those
+arrays: typed records, built on first read, and the arrays themselves as
+its ``.columns``, which is how ``egoforge eval`` and ``egoforge vote`` work
+without one object per row (``load_lta_clip_probs(p).columns`` gives each
+clip's (verb, noun) arrays by episode).
 
 Every saver of records writes from columns: typed records become columns
-through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and a
-loader's columns or a ``model.TypedView``'s pass as they are. The mq, nlq,
-sta and scod savers share ``_save_ranked``, which writes each row through
-one ``render.json_template`` of the keys of the schema's field spec,
-``model._RANKED``, filled from the ``render.json_texts`` of each column.
+through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and
+the columns of a loaded or generated ``model.TypedView`` pass as they are.
+The mq, nlq, sta and scod savers share ``_save_ranked``, which writes each
+row through one ``render.json_template`` of the keys of the schema's field
+spec, ``model._RANKED``, filled from the ``render.json_texts`` of each
+column.
 ``_save_fhp`` and ``_save_lta`` render all of a file's coordinates, or all
 its [verb, noun] pairs, with one ``json_texts`` call and write each record's
 keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
@@ -60,7 +61,6 @@ from .model import (
     Columns,
     Detection,
     FeatureMatrix,
-    FhpColumns,
     HandKeyframes,
     KEYFRAME_TAGS,
     LtaColumns,
@@ -275,34 +275,31 @@ class MqGt:
 
     videos: dict[str, VideoMeta]
     num_classes: int
-    instances: dict[str, tuple[MomentInstance, ...]]
+    instances: Mapping[str, tuple[MomentInstance, ...]]
 
 
 def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
     return [{"video_id": v.video_id, "num_frames": v.num_frames, "fps": v.fps} for v in videos.values()]
 
 
-def load_mq_gt(path: str | Path, *, columns: bool = False) -> MqGt | Columns:
-    """Moments by video in ``videos`` order; with ``columns`` the
-    ``Columns`` themselves, labelled with the class id, one group per
-    listed video."""
+def load_mq_gt(path: str | Path) -> MqGt:
+    """Moments by video in ``videos`` order, over ``Columns`` labelled with
+    the class id, one group per listed video."""
     (videos, num_classes), cols = _load_annotations(path, "mq/1")
-    return cols if columns else MqGt(videos=videos, num_classes=num_classes, instances=_moments(cols))
+    return MqGt(videos=videos, num_classes=num_classes, instances=TypedView(cols, _moments))
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
     _save_ranked(path, "mq/1", _columns(gt.instances, 2), num_classes=gt.num_classes, videos=_videos_to_raw(gt.videos))
 
 
-def load_mq_pred(
-    path: str | Path, known_videos: Iterable[str] | None = None, *, columns: bool = False
-) -> dict[str, tuple[RankedSegment, ...]] | Columns:
-    """Predictions by video, in order of first appearance; with ``columns``
-    the ``Columns`` themselves, labelled with the class id."""
+def load_mq_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> TypedView:
+    """Predictions by video, in order of first appearance, over ``Columns``
+    labelled with the class id."""
     cols = _load_annotations(path, "mq-pred/1")[1]
     if known_videos is not None:
         require_known(cols, known_videos, "video ids in predictions")
-    return cols if columns else _ranked(cols)
+    return TypedView(cols, _ranked)
 
 
 def save_mq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -319,17 +316,20 @@ class NlqGt:
     """Query answer segments; query ids are globally unique."""
 
     videos: dict[str, VideoMeta]
-    queries: dict[str, NlqInstance]
+    queries: Mapping[str, NlqInstance]
     video_of: dict[str, str]
 
+    @classmethod
+    def from_columns(cls, videos: dict[str, VideoMeta], cols: Columns) -> NlqGt:
+        """The answers over checked ``cols``, one group per query, holding
+        each query's video."""
+        return cls(videos=videos, queries=TypedView(cols, _answers), video_of=dict(zip(cols.groups, cols.video)))
 
-def load_nlq_gt(path: str | Path, *, columns: bool = False) -> NlqGt | Columns:
-    """Answers by query in file order; with ``columns`` the ``Columns``
-    themselves, one group per query, holding each query's video."""
-    videos, cols = _load_annotations(path, "nlq/1")
-    if columns:
-        return cols
-    return NlqGt(videos=videos, queries=_answers(cols), video_of=dict(zip(cols.groups, cols.video)))
+
+def load_nlq_gt(path: str | Path) -> NlqGt:
+    """Answers by query in file order, over ``Columns`` of one group per
+    query, holding each query's video."""
+    return NlqGt.from_columns(*_load_annotations(path, "nlq/1"))
 
 
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
@@ -339,15 +339,13 @@ def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
     _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw(gt.videos))
 
 
-def load_nlq_pred(
-    path: str | Path, known_queries: Iterable[str] | None = None, *, columns: bool = False
-) -> dict[str, tuple[RankedSegment, ...]] | Columns:
-    """Predictions by query, in order of first appearance; with ``columns``
-    the ``Columns`` themselves."""
+def load_nlq_pred(path: str | Path, known_queries: Iterable[str] | None = None) -> TypedView:
+    """Predictions by query, in order of first appearance, over
+    ``Columns``."""
     cols = _load_annotations(path, "nlq-pred/1")[1]
     if known_queries is not None:
         require_known(cols, known_queries, "query ids in predictions")
-    return cols if columns else _ranked(cols)
+    return TypedView(cols, _ranked)
 
 
 def save_nlq_pred(path: str | Path, preds: Mapping[str, Sequence[RankedSegment]]) -> None:
@@ -364,29 +362,25 @@ class FhpGt:
     """Hand keyframes per video, with the shared image resolution."""
 
     resolution: tuple[int, int]
-    instances: dict[str, HandKeyframes]
+    instances: Mapping[str, HandKeyframes]
 
 
-def load_fhp_gt(path: str | Path, *, columns: bool = False) -> FhpGt | FhpColumns:
-    """Keyframes by video in file order; with ``columns`` the
-    ``FhpColumns`` themselves."""
+def load_fhp_gt(path: str | Path) -> FhpGt:
+    """Keyframes by video in file order, over ``FhpColumns``."""
     resolution, cols = _load_annotations(path, "fhp/1")
-    return cols if columns else FhpGt(resolution=resolution, instances=_hand_keyframes(cols))
+    return FhpGt(resolution=resolution, instances=TypedView(cols, _hand_keyframes))
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
     _save_fhp(path, "fhp/1", gt.instances, resolution=list(gt.resolution))
 
 
-def load_fhp_pred(
-    path: str | Path, known_videos: Iterable[str] | None = None, *, columns: bool = False
-) -> dict[str, HandKeyframes] | FhpColumns:
-    """Keyframes by video in file order; with ``columns`` the
-    ``FhpColumns`` themselves."""
+def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> TypedView:
+    """Keyframes by video in file order, over ``FhpColumns``."""
     cols = _load_annotations(path, "fhp-pred/1")[1]
     if known_videos is not None:
         require_known(cols, known_videos, "video ids in predictions")
-    return cols if columns else _hand_keyframes(cols)
+    return TypedView(cols, _hand_keyframes)
 
 
 def save_fhp_pred(path: str | Path, preds: Mapping[str, HandKeyframes]) -> None:
@@ -406,14 +400,14 @@ class LtaGt:
     c_v: int
     c_n: int
     k: int
-    sequences: dict[tuple[str, int], tuple[ActionLabel, ...]]
+    sequences: Mapping[tuple[str, int], tuple[ActionLabel, ...]]
 
 
-def load_lta_gt(path: str | Path, *, columns: bool = False) -> LtaGt | LtaColumns:
-    """Sequences by episode in file order; with ``columns`` the
-    ``LtaColumns`` themselves, holding the config."""
+def load_lta_gt(path: str | Path) -> LtaGt:
+    """Sequences by episode in file order, over ``LtaColumns`` holding the
+    config."""
     (z, c_v, c_n, k), cols = _load_annotations(path, "lta/1")
-    return cols if columns else LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=_sequences(cols))
+    return LtaGt(z=z, c_v=c_v, c_n=c_n, k=k, sequences=TypedView(cols, _sequences))
 
 
 def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
@@ -435,9 +429,9 @@ def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
     _save_lta(path, "lta/1", cols, config=config)
 
 
-def load_lta_pred(path: str | Path, *, columns: bool = False) -> dict[tuple[str, int], LtaForecast] | LtaColumns:
-    """One finished forecast per episode; rows must carry candidates. With
-    ``columns`` the ``LtaColumns`` themselves."""
+def load_lta_pred(path: str | Path) -> TypedView:
+    """One finished forecast per episode, over ``LtaColumns``; rows must
+    carry candidates."""
     cols = _load_annotations(path, "lta-pred/1")[1]
     seen: set[tuple[str, int]] = set()
     for i, (key, count) in enumerate(zip(cols.episodes, cols.counts.tolist())):
@@ -446,15 +440,13 @@ def load_lta_pred(path: str | Path, *, columns: bool = False) -> dict[tuple[str,
         if not count:
             raise DataError(f"{path}: instances[{i}]: no candidates; vote first")
         seen.add(key)
-    return cols if columns else _forecasts(cols)
+    return TypedView(cols, _forecasts)
 
 
-def load_lta_clip_probs(
-    path: str | Path, *, columns: bool = False
-) -> dict[tuple[str, int], list[ScoreMatrix]] | dict[tuple[str, int], list[tuple[np.ndarray, np.ndarray]]]:
-    """Per-clip probability rows grouped by episode, for voting; the clips
-    of an episode must share their matrix shapes. With ``columns`` each
-    clip is its (verb, noun) pair of read-only float64 arrays."""
+def load_lta_clip_probs(path: str | Path) -> TypedView:
+    """Per-clip ``ScoreMatrix`` lists grouped by episode, for voting; the
+    clips of an episode must share their matrix shapes. Its columns give
+    each clip as its (verb, noun) pair of read-only float64 arrays."""
     out: dict[tuple[str, int], list] = {}
     cols = _load_annotations(path, "lta-pred/1")[1]
     for i, (key, scores) in enumerate(zip(cols.episodes, cols.scores)):
@@ -466,7 +458,7 @@ def load_lta_clip_probs(
                 if first.shape != this.shape:
                     raise DataError(f"{path}: instances[{i}]: the {name} matrix of {key} is {this.shape}, an earlier clip's is {first.shape}")
         clips.append(scores)
-    return out if columns else {key: [_matrix(scores) for scores in clips] for key, clips in out.items()}
+    return TypedView(out, lambda by_key: {key: [_matrix(scores) for scores in clips] for key, clips in by_key.items()})
 
 
 def save_lta_pred(
@@ -523,7 +515,7 @@ class StaGt:
     """Anticipation boxes grouped by keyframe."""
 
     images: dict[str, tuple[int, int]]
-    instances: dict[str, tuple[StaInstance, ...]]
+    instances: Mapping[str, tuple[StaInstance, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,32 +523,30 @@ class ScodGt:
     """Detection boxes grouped by keyframe."""
 
     images: dict[str, tuple[int, int]]
-    instances: dict[str, tuple[Detection, ...]]
+    instances: Mapping[str, tuple[Detection, ...]]
 
 
 def _images_to_raw(images: Mapping[str, tuple[int, int]]) -> list[dict]:
     return [{"keyframe_id": kid, "width": wh[0], "height": wh[1]} for kid, wh in images.items()]
 
 
-def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | None, columns: bool) -> Any:
+def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | None) -> Any:
     images, cols = _load_annotations(path, schema)
     if known_frames is not None:
         require_known(images, known_frames, "keyframe ids in predictions")
-    if columns:
-        return replace(cols, sizes=tuple(images.values()))
-    return (StaGt if schema.startswith("sta") else ScodGt)(images=images, instances=_boxes(cols))
+    return (StaGt if schema.startswith("sta") else ScodGt)(images=images, instances=TypedView(cols, _boxes))
 
 
-def load_sta_gt(path: str | Path, *, columns: bool = False) -> StaGt | Columns:
-    """Boxes by keyframe in ``images`` order; with ``columns`` the
-    ``Columns`` themselves, labelled with the noun, one group per image."""
-    return _load_boxes(path, "sta/1", None, columns)
+def load_sta_gt(path: str | Path) -> StaGt:
+    """Boxes by keyframe in ``images`` order, over ``Columns`` labelled
+    with the noun, one group per image."""
+    return _load_boxes(path, "sta/1", None)
 
 
-def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None, *, columns: bool = False) -> StaGt | Columns:
-    """Predictions by keyframe in ``images`` order; with ``columns`` the
-    ``Columns`` themselves, labelled with the noun."""
-    return _load_boxes(path, "sta-pred/1", known_frames, columns)
+def load_sta_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> StaGt:
+    """Predictions by keyframe in ``images`` order, over ``Columns``
+    labelled with the noun, one group per image."""
+    return _load_boxes(path, "sta-pred/1", known_frames)
 
 
 def save_sta_gt(path: str | Path, gt: StaGt) -> None:
@@ -567,17 +557,16 @@ def save_sta_pred(path: str | Path, pred: StaGt) -> None:
     _save_ranked(path, "sta-pred/1", _columns(pred.instances, 4), images=_images_to_raw(pred.images))
 
 
-def load_scod_gt(path: str | Path, *, columns: bool = False) -> ScodGt | Columns:
-    """Boxes by keyframe in ``images`` order; with ``columns`` the
-    ``Columns`` themselves, labelled with the class id, one group per
-    image."""
-    return _load_boxes(path, "scod/1", None, columns)
+def load_scod_gt(path: str | Path) -> ScodGt:
+    """Boxes by keyframe in ``images`` order, over ``Columns`` labelled
+    with the class id, one group per image."""
+    return _load_boxes(path, "scod/1", None)
 
 
-def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None, *, columns: bool = False) -> ScodGt | Columns:
-    """Predictions by keyframe in ``images`` order; with ``columns`` the
-    ``Columns`` themselves, labelled with the class id."""
-    return _load_boxes(path, "scod-pred/1", known_frames, columns)
+def load_scod_pred(path: str | Path, known_frames: Iterable[str] | None = None) -> ScodGt:
+    """Predictions by keyframe in ``images`` order, over ``Columns``
+    labelled with the class id, one group per image."""
+    return _load_boxes(path, "scod-pred/1", known_frames)
 
 
 def save_scod_gt(path: str | Path, gt: ScodGt) -> None:

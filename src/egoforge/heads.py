@@ -87,6 +87,7 @@ def new_head(
     """A freshly initialized head with small seeded random weights."""
     _require(kind in HEAD_KINDS, f"kind must be one of {HEAD_KINDS}")
     _require(isinstance(in_dim, int) and in_dim >= 1, "in_dim must be an int >= 1")
+    _require(isinstance(seed, int) and seed >= 0, "seed must be an int >= 0")
     if kind == "regression_20":
         out_dim = REGRESSION_DIM
     else:
@@ -238,6 +239,7 @@ def train_head(
     stops being finite.
     """
     _require(isinstance(epochs, int) and epochs >= 0, "epochs must be an int >= 0")
+    _require(isinstance(seed, int) and seed >= 0, "seed must be an int >= 0")
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     _require(x.ndim == 2 and x.shape[1] == head.in_dim, f"inputs must be (n, {head.in_dim})")
     n = x.shape[0]

@@ -17,11 +17,12 @@ float64 arrays); ``FhpColumns`` for fhp
 spec per ranked schema, in ``_RANKED``, drives their walk, their allowed
 keys and the savers' key order. A file is checked a column at a time; one
 the column scan does not accept goes through the per-record loop, which
-keeps every message and its order. The typed views of the arrays (the
-loaders', and ``TypedView``'s, built on first access) make records with
-``_validated``, which skips the constructor checks: the walk has made them,
-since it and the constructors check each field kind with one shared checker
-(a constructor raises its first message, located at the type).
+keeps every message and its order. The typed views of the arrays
+(``TypedView``, which the loaders and the generator give, builds them on
+first access) make records with ``_validated``, which skips the
+constructor checks: the walk has made them, since it and the constructors
+check each field kind with one shared checker (a constructor raises its
+first message, located at the type).
 ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
@@ -644,9 +645,7 @@ class Columns(Mapping):
     - ``score``: float64, 1.0 in ground truth;
     - ``label``: the class id (mq, scod) or noun (sta), None for nlq;
     - ``verb`` and ``ttc``: sta only;
-    - ``video``: the video of each query, nlq ground truth only;
-    - ``sizes``: each group's image (width, height), from the sta and scod
-      loaders.
+    - ``video``: the video of each query, nlq ground truth only.
 
     Id columns are int64, or object arrays of Python ints when an id does
     not fit in int64.
@@ -660,7 +659,6 @@ class Columns(Mapping):
     verb: np.ndarray | None = None
     ttc: np.ndarray | None = None
     video: tuple[str, ...] | None = None
-    sizes: tuple[tuple[int, int], ...] | None = None
 
     @cached_property
     def code(self) -> np.ndarray:

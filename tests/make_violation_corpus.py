@@ -25,7 +25,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -131,7 +131,7 @@ def fingerprint(obj: Any) -> Any:
         return ["ndarray", str(obj.dtype), list(obj.shape), obj.tolist()]
     if hasattr(obj, "__dataclass_fields__"):
         return [type(obj).__name__] + [fingerprint(getattr(obj, f)) for f in obj.__dataclass_fields__]
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):  # a dict, or a loader's typed view
         return ["dict"] + [[fingerprint(k), fingerprint(v)] for k, v in obj.items()]
     if isinstance(obj, (list, tuple)):
         return [type(obj).__name__] + [fingerprint(v) for v in obj]

@@ -658,6 +658,13 @@ class TestTrainConfigErrors:
             f"error: {config}: resolution: must be a [width, height] pair of ints >= 1"
         ]
 
+    @pytest.mark.parametrize("task", ["lta", "fhp"])
+    def test_negative_seed_names_the_option(self, dataset_dir, tmp_path, capsys, task):
+        argv = ["train", task, "--config", str(dataset_dir / "config.json"), "--out", str(tmp_path / "h.bin"), "--seed", "-1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be an int >= 0"]
+        assert not (tmp_path / "h.bin").exists()
+
 
 class TestLtaPredValidation:
     """Forecast files without a config block: every constructor invariant is

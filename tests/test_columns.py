@@ -176,7 +176,7 @@ def test_ids_beyond_int64_load_as_python_ints(trees, tmp_path):
 def test_columns_are_a_mapping_of_row_ranges(trees, tmp_path):
     path = tmp_path / "pred_mq.json"
     path.write_text(json.dumps(trees["pred_mq"]), encoding="utf-8")
-    cols = fileio.load_mq_pred(path, columns=True)
+    cols = fileio.load_mq_pred(path).columns
     typed = fileio.load_mq_pred(path)
     assert isinstance(cols, Columns)
     assert list(cols) == list(typed)
@@ -190,9 +190,10 @@ def test_ground_truth_columns_are_the_typed_records_as_columns(trees, tmp_path, 
     path = tmp_path / f"gt_{track}.json"
     path.write_text(json.dumps(trees[f"gt_{track}"]), encoding="utf-8")
     typed = getattr(fileio, f"load_{track}_gt")(path)
-    groups = {qid: [q] for qid, q in typed.queries.items()} if track == "nlq" else typed.instances
+    # A plain dict of the records, since _columns takes a view's columns as they are.
+    groups = {qid: [q] for qid, q in typed.queries.items()} if track == "nlq" else dict(typed.instances)
     expected = _picture(_columns(groups, 2 if track in ("mq", "nlq") else 4))
-    got = _picture(getattr(fileio, f"load_{track}_gt")(path, columns=True))
+    got = _picture((typed.queries if track == "nlq" else typed.instances).columns)
     assert got[0] == expected[0] and got[2] == expected[2]
     # nlq ground truth also carries each query's video, which typed groups do not.
     assert got[1] == (tuple(typed.video_of[qid] for qid in got[0]) if track == "nlq" else None)
@@ -368,9 +369,11 @@ def test_eval_builds_no_record_objects(trees, tmp_path, monkeypatch, track):
 
     # The typed views' builders live in model, next to the column types.
     monkeypatch.setattr(model, "_validated", counting)
-    # The typed loader builds one row object and one segment or box per
-    # ground-truth row, which is what the count would catch in eval.
-    getattr(fileio, f"load_{track}_gt")(gt_path)
+    # Reading the typed loader's records builds one row object and one
+    # segment or box per ground-truth row, which is what the count would
+    # catch in eval.
+    gt = getattr(fileio, f"load_{track}_gt")(gt_path)
+    dict(gt.queries if track == "nlq" else gt.instances)
     n_gt = len(trees[f"gt_{track}"]["instances"])
     row_class = {"mq": "MomentInstance", "nlq": "NlqInstance", "sta": "StaInstance", "scod": "Detection"}[track]
     assert n_gt > 0
@@ -407,9 +410,10 @@ def test_forecast_commands_build_no_record_objects(tmp_path, monkeypatch, comman
     for name in _FORECAST_RECORDS:
         cls = getattr(model, name)
         monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: (built.update([type(self).__name__]), check(self)))
-    # The typed loaders do build them, which is what the count would catch.
-    fileio.load_lta_pred(tmp_path / "pred_lta.json")
-    fileio.load_fhp_pred(tmp_path / "pred_fhp.json")
+    # Reading the typed loaders' records does build them, which is what the
+    # count would catch.
+    dict(fileio.load_lta_pred(tmp_path / "pred_lta.json"))
+    dict(fileio.load_fhp_pred(tmp_path / "pred_fhp.json"))
     assert all(built[name] for name in _FORECAST_RECORDS)
     built.clear()
     with redirect_stdout(io.StringIO()):

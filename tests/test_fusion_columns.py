@@ -221,8 +221,8 @@ def test_fuse_columns_is_the_typed_fusion_of_each_group(tmp_path, mode):
         paths = _sta_inputs(tmp_path)
         typed = [fileio.load_sta_pred(p) for p in paths]
         groups = sorted({kid for t in typed for kid in t.images})
-    loader = fileio.load_nlq_pred if mode == "post" else fileio.load_sta_pred
-    fused = fusion.fuse_columns([loader(p, columns=True) for p in paths], groups, 0.4)
+    files = [t.columns if mode == "post" else t.instances.columns for t in typed]
+    fused = fusion.fuse_columns(files, groups, 0.4)
     assert list(fused) == groups
     for key in groups:
         rows = fused[key]
@@ -236,7 +236,7 @@ def test_fuse_columns_is_the_typed_fusion_of_each_group(tmp_path, mode):
             for name, attr in (("label", "noun_id"), ("verb", "verb_id"), ("ttc", "ttc_s")):
                 assert getattr(fused, name)[rows.start : rows.stop].tolist() == [getattr(s, attr) for s in expected]
         assert scores == [s.score for s in expected]
-    assert 0 < len(fused.score) < sum(len(loader(p, columns=True).score) for p in paths)
+    assert 0 < len(fused.score) < sum(len(f.score) for f in files)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +265,11 @@ def test_fusion_commands_build_no_record_objects(tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", post_init)
     clips = _vote_input(tmp_path / "clips.json")
     nlq, sta = _post_inputs(tmp_path), _sta_inputs(tmp_path)
-    # The typed loaders build records both ways, which the count would catch.
-    fileio.load_lta_clip_probs(clips)
-    fileio.load_nlq_pred(nlq[0])
-    fileio.load_sta_pred(sta[0])
+    # Reading the typed loaders' records builds them both ways, which the
+    # count would catch.
+    dict(fileio.load_lta_clip_probs(clips))
+    dict(fileio.load_nlq_pred(nlq[0]))
+    dict(fileio.load_sta_pred(sta[0]).instances)
     assert built["ScoreMatrix"] > 0 and built["RankedSegment"] > 0 and built["StaInstance"] > 0
     ScoreMatrix(verb=[[1.0]], noun=[[1.0]])
     assert built["ScoreMatrix"] > 1

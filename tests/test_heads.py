@@ -40,6 +40,15 @@ def test_new_head_seeded():
     assert not np.array_equal(a.weight, c.weight)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+def test_bad_seed_is_refused(seed):
+    with pytest.raises(ValueError, match="^seed must be an int >= 0$"):
+        new_head("regression_20", in_dim=6, seed=seed)
+    head = new_head("regression_20", in_dim=6, seed=0)
+    with pytest.raises(ValueError, match="^seed must be an int >= 0$"):
+        train_head(head, np.zeros((2, 6)), np.zeros((2, REGRESSION_DIM)), SgdConfig(lr=0.1), epochs=1, seed=seed)
+
+
 def test_regression_head_rejects_class_counts():
     with pytest.raises(ValueError):
         LinearHead(kind="regression_20", weight=np.zeros((20, 4)), bias=np.zeros(20), z=2)

@@ -14,13 +14,14 @@ import json
 import math
 import random
 import warnings
+from collections import Counter
 from typing import Any, Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egoforge import cli, fileio
+from egoforge import cli, fileio, model
 from egoforge.errors import DataError, SchemaError
 from egoforge.model import (
     ActionLabel,
@@ -35,6 +36,7 @@ from egoforge.model import (
     ScoreMatrix,
     StaInstance,
     TemporalSegment,
+    TypedView,
     VideoMeta,
     validate_dataset,
 )
@@ -342,6 +344,46 @@ def test_forecast_and_keyframe_loaders_run_no_checked_constructor(trees, scratch
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(type(self).__name__))
     assert _load(name, trees[name], scratch)
     assert built == []
+
+
+# Every record type a loader's view builds. VideoMeta is not one: the walk
+# builds the ``videos`` header with the file.
+_RECORD_TYPES = (
+    TemporalSegment, MomentInstance, NlqInstance, RankedSegment, ActionLabel, ScoreMatrix,
+    LtaForecast, HandPoint, HandKeyframes, BoundingBox, StaInstance, Detection,
+)
+
+
+def test_every_annotation_loader_has_a_tree():
+    other = {"load_features", "load_head", "load_config", "load_reports"}
+    public = {name for name in dir(fileio) if name.startswith("load_")} - other
+    assert {loader.__name__ for loader, _ in LOADERS.values()} == public and len(public) == 13
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_build_records_on_first_read(trees, scratch, monkeypatch, name):
+    reference = LOADERS[name][1](trees[name])
+    built = Counter()
+    validated = model._validated
+
+    def counting(cls, /, **fields):
+        built[cls.__name__] += 1
+        return validated(cls, **fields)
+
+    monkeypatch.setattr(model, "_validated", counting)
+    for cls in _RECORD_TYPES:
+        monkeypatch.setattr(cls, "__post_init__", lambda self, check=cls.__post_init__: (built.update([type(self).__name__]), check(self)))
+    loaded = _load(name, trees[name], scratch)
+    assert set(built) <= {"VideoMeta"}
+    built.clear()
+    views = [loaded] if isinstance(loaded, TypedView) else [v for v in vars(loaded).values() if isinstance(v, TypedView)]
+    assert len(views) == 1
+    records = dict(views[0])
+    assert records and built and set(built) <= {cls.__name__ for cls in _RECORD_TYPES}
+    # Built once: a second read gives the same objects and builds nothing.
+    count = built.total()
+    assert all(records[key] is value for key, value in views[0].items()) and built.total() == count
+    assert repr(loaded) == repr(reference)
 
 
 _BAD_VISIBLE = (None, {}, {"left": 1}, {"middle": True}, [True], "yes", {"right": False})
