@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for bad command lines, 2 for bad data (unreadable
-files, schema violations, inconsistent inputs). Subcommands cover snippet
-scheduling, per-track evaluation, feature and result fusion, clip voting,
-synthetic data generation, toy training, and fixture table rendering.
+files, schema violations, inconsistent inputs, sizes too large to allocate).
+Subcommands cover snippet scheduling, per-track evaluation, feature and
+result fusion, clip voting, synthetic data generation, toy training, and
+fixture table rendering.
 """
 
 from __future__ import annotations
@@ -405,6 +406,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (DataError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # A size in the input too large to allocate, such as a config's
+        # feature_dim, is bad data too.
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

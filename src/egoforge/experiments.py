@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fusion import VoteConfig, multi_clips_vote, top_k_sequences
+from .fusion import multi_clips_vote, top_k_sequences
 from .heads import LinearHead, SgdConfig, classifier_probs, joint_targets, new_head, train_head
 from .metrics import ED_MODES, edit_distance_at_z
 from .model import FeatureMatrix, LtaForecast, ScoreMatrix, TemporalSegment, _require
@@ -97,12 +97,12 @@ def voted_forecast(
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     clip_stride_s: float = DEFAULT_CLIP_STRIDE_S,
     k: int | None = None,
-    vote: VoteConfig = VoteConfig(),
 ) -> LtaForecast:
-    """Forecast from every clip in the window, fused by voting."""
+    """Forecast from every clip in the window, from the mean of its clips'
+    probabilities (the voted labels are not used)."""
     anchor, window = _episode_window(ds, video_id, alpha_s)
     clips = sliding_clips(window, clip_len_s, clip_stride_s)
-    _, fused = multi_clips_vote(_clip_probs(ds, head, video_id, clips), vote)
+    _, fused = multi_clips_vote(_clip_probs(ds, head, video_id, clips))
     candidates = top_k_sequences(fused, k if k is not None else ds.config.k)
     return LtaForecast(clip_index=anchor, candidates=candidates, score_matrix=fused)
 

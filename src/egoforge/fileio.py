@@ -3,8 +3,8 @@
 Every JSON file is tagged with a top-level ``schema`` string. Loading is
 strict: missing required fields are errors (SchemaError carries the full
 violation list), unrecognized extra keys only warn. Serialization is
-canonical, so save -> load is the identity and identical inputs produce
-byte-identical files: every JSON file has the bytes of
+canonical, so for every saver save -> load is the identity, and identical
+inputs produce byte-identical files: every JSON file has the bytes of
 ``json.dumps(obj, indent=2)``, the one encoder. Config and report files go
 whole through it; the savers of records fill ``render``'s templates, which
 hold the layout (key names and nesting) and never data, with the texts of
@@ -34,9 +34,11 @@ column.
 ``_save_fhp`` and ``_save_lta`` render all of a file's coordinates, or all
 its [verb, noun] pairs, with one ``json_texts`` call and write each record's
 keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
-``save_lta_gt`` and ``save_lta_pred`` first check their typed records with
-the walk's checkers, and refuse a record its loader would refuse with a
-ValueError naming its episode.
+Every saver first checks what it would write with the walk's own checkers
+(the header-list walker and ``num_classes`` rule of ``_ranked_header``,
+``_resolution``, ``_id``, ``_int`` and the lta sequence checks) and refuses
+what its loader would refuse, before writing, with a ValueError naming the
+schema and the record's key; the checks build no record.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .model import (
     _matrix,
     _moments,
     _ranked,
+    _ranked_header,
     _resolution,
     _sequence,
     _sequences,
@@ -147,6 +150,40 @@ def require_known(ids: Iterable[str], known: Iterable[str], what: str) -> None:
         raise DataError(f"unknown {what}: {missing[:5]}" + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"))
 
 
+def _refuse(schema: str, out: list[str]) -> None:
+    """Raise the first fault a saver found in what it was asked to write."""
+    if out:
+        raise ValueError(f"{schema}: {out[0]}")
+
+
+def _episode(key: tuple[str, int], out: list[str]) -> str:
+    """Check an lta episode key as its loader does; returns its location."""
+    where = repr(key)
+    _id(key[0], "video_id", where, out)
+    _int(key[1], "clip_index", None, where, out)
+    return where
+
+
+def _check_ranked(schema: str, cols: Columns, header: Mapping[str, Any]) -> None:
+    """Refuse what the ``schema`` loader would refuse and the record types
+    cannot see: a bad header, an id that is empty or that the header does
+    not list, a class id past ``num_classes``. Each row's faults are
+    located at its group key."""
+    spec = _RANKED[schema]
+    out: list[str] = []
+    known, bound = _ranked_header(header, spec.header, out)
+    rows = [cols.groups[g] for g in cols.code.tolist()]
+    for key, kind, column in spec.fields:
+        if column in ("group", "video"):
+            for group, value in zip(rows, rows if column == "group" else cols.video):
+                if _id(value, key, repr(group), out) and kind == "listed" and value not in known:
+                    out.append(f"{group!r}: unknown {key} '{value}'")
+        elif kind == "int" and bound is not None:
+            for group, label in zip(rows, cols.label.tolist()):
+                _int(label, key, bound, repr(group), out)
+    _refuse(schema, out)
+
+
 @cache
 def _record_template(schema: str) -> str:
     """One ``schema`` record in the file's ``instances`` list as a
@@ -158,7 +195,8 @@ def _record_template(schema: str) -> str:
 def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) -> None:
     """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
     the header in the spec's order, then one record per row through the
-    schema's record template."""
+    schema's record template. Raises ValueError for a file the loader
+    would refuse."""
     spec = _RANKED[schema]
     values: dict[str, list[list[str]]] = {}  # the text columns of each file key
     for key, kind, column in spec.fields:
@@ -175,6 +213,7 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) ->
             raise ValueError(f"{schema}: a record has no valid '{key}'")
         else:
             values[key] = [json_texts(getattr(cols, column).tolist())]
+    _check_ranked(schema, cols, header)
     template = _record_template(schema)
     records = [template % row for row in zip(*(c for key in spec.keys for c in values[key]))]
     _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header}}, records)
@@ -222,8 +261,15 @@ _FLAG_TEXT = {False: "false", True: "true"}
 def _save_fhp(path: str | Path, schema: str, instances: Mapping[str, HandKeyframes], **head: Any) -> None:
     """Write keyframes by video, typed or a view's or a loader's
     ``FhpColumns``, as a ``schema`` file, the bytes ``json.dumps`` gives.
-    One json_texts call renders every coordinate."""
+    One json_texts call renders every coordinate. Raises ValueError for a
+    file the loader would refuse."""
     cols = _fhp_columns(instances)
+    out: list[str] = []
+    if "resolution" in head:
+        _resolution(head["resolution"], out)
+    for vid in cols.videos:
+        _id(vid, "video_id", repr(vid), out)
+    _refuse(schema, out)
     coords = np.array(json_texts(cols.coords.ravel().tolist()), dtype=object).reshape(-1, 4)
     flags = np.array([_FLAG_TEXT[v] for v in cols.visible.ravel().tolist()], dtype=object).reshape(-1, 2)
     # Per keyframe: left x, y and right x, y, then the two visibility flags.
@@ -335,7 +381,7 @@ def load_nlq_gt(path: str | Path) -> NlqGt:
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
     queries = gt.queries  # a view's columns hold one group per query
     cols = _columns(queries if isinstance(queries, TypedView) else {qid: [q] for qid, q in queries.items()}, 2)
-    cols = replace(cols, video=tuple(gt.video_of[qid] for qid in cols))
+    cols = replace(cols, video=tuple(gt.video_of.get(qid) for qid in cols))
     _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw(gt.videos))
 
 
@@ -419,13 +465,9 @@ def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
     checked = _lta_config({"config": config}, out)
     cols = _lta_columns(gt.sequences)
     pairs = cols.pairs.tolist()
-    for (vid, ci), start, length in zip(cols.episodes, cols.starts.tolist(), cols.lengths.tolist()):
-        where = repr((vid, ci))
-        _id(vid, "video_id", where, out)
-        _int(ci, "clip_index", None, where, out)
-        _sequence(pairs[start : start + length], checked, where, out)
-    if out:
-        raise ValueError(f"lta/1: {out[0]}")
+    for key, start, length in zip(cols.episodes, cols.starts.tolist(), cols.lengths.tolist()):
+        _sequence(pairs[start : start + length], checked, _episode(key, out), out)
+    _refuse("lta/1", out)
     _save_lta(path, "lta/1", cols, config=config)
 
 
@@ -477,13 +519,11 @@ def save_lta_pred(
         return
     cands, scores = [], []
     out: list[str] = []
-    for (vid, ci), forecast in preds.items():
-        where = repr((vid, ci))
-        _id(vid, "video_id", where, out)
-        _int(ci, "clip_index", None, where, out)
+    for key, forecast in preds.items():
+        where = _episode(key, out)
         if isinstance(forecast, LtaForecast):
-            if forecast.clip_index != ci:
-                out.append(f"the forecast for {(vid, ci)!r} has clip_index {forecast.clip_index}")
+            if forecast.clip_index != key[1]:
+                out.append(f"the forecast for {where} has clip_index {forecast.clip_index}")
             cands.append([[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates])
             m = forecast.score_matrix
             scores.append(None if m is None else (m.verb, m.noun))
@@ -491,14 +531,19 @@ def save_lta_pred(
             cands.append(forecast[0])
             scores.append(forecast[1:])
             _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, where, out)
-    if out:
-        raise ValueError(f"lta-pred/1: {out[0]}")
+    _refuse("lta-pred/1", out)
     counts, lengths = (np.array(sizes, dtype=np.intp) for sizes in ([len(c) for c in cands], [len(c[0]) for c in cands]))
     pairs = _int_column([pair for c in cands for seq in c for pair in seq]).reshape(-1, 2)
     _save_lta(path, "lta-pred/1", LtaColumns(tuple(preds), counts, lengths, pairs, tuple(scores)))
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
+    """Write each episode's clip matrices; raises ValueError, naming the
+    episode, for a key ``load_lta_clip_probs`` would refuse."""
+    out: list[str] = []
+    for key in probs:
+        _episode(key, out)
+    _refuse("lta-pred/1", out)
     rows = [(key, slot, (m.verb, m.noun)) for key, clips in probs.items() for slot, m in enumerate(clips)]
     episodes, clips, scores = zip(*rows) if rows else ((), (), ())
     none = np.zeros(len(rows), dtype=np.intp)

@@ -30,6 +30,7 @@ from .model import (
     RankedSegment,
     ScoreMatrix,
     StaInstance,
+    _grouped_columns,
     _require,
     _sums_to_one,
     _validated,
@@ -284,16 +285,10 @@ def fuse_columns(files: Sequence[Columns], groups: Sequence[Hashable], thresh: f
 
     coords, score = column("coords", order), column("score", order)
     iou_pairs = _box_iou_pairs if coords.shape[1] == 4 else _temporal_iou_pairs
+    # Kept rows come pool by pool, so regrouping them keeps their order.
     kept = order[_greedy_suppress(coords, score, starts, thresh, iou_pairs)]
-    return Columns(
-        groups=tuple(number),
-        starts=np.concatenate(([0], np.cumsum(np.bincount(code[kept], minlength=len(number))))),
-        coords=column("coords", kept),
-        score=column("score", kept),
-        label=column("label", kept),
-        verb=column("verb", kept),
-        ttc=column("ttc", kept),
-    )
+    keys = [groups[g] for g in code[kept].tolist()]
+    return _grouped_columns(number, keys, *(column(name, kept) for name in ("coords", "score", "label", "verb", "ttc")))
 
 
 def box_positional_encoding(

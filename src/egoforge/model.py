@@ -632,8 +632,26 @@ def _int_column(values: Any) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+class _Keyed(Mapping):
+    """A mapping keyed by the tuple in the field that ``_key_field`` names:
+    iteration and length are those of the tuple, and ``index`` gives each
+    key's position in it."""
+
+    _key_field: str
+
+    @cached_property
+    def index(self) -> dict[Any, int]:
+        return {key: i for i, key in enumerate(getattr(self, self._key_field))}
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(getattr(self, self._key_field))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._key_field))
+
+
 @dataclass(frozen=True, eq=False)
-class Columns(Mapping):
+class Columns(_Keyed):
     """The records of one mq, nlq, sta or scod file as struct-of-arrays.
 
     Rows are in the loader's group order: the groups in ``groups`` order,
@@ -659,26 +677,16 @@ class Columns(Mapping):
     verb: np.ndarray | None = None
     ttc: np.ndarray | None = None
     video: tuple[str, ...] | None = None
+    _key_field = "groups"
 
     @cached_property
     def code(self) -> np.ndarray:
         """Each row's group number."""
         return np.repeat(np.arange(len(self.groups)), np.diff(self.starts))
 
-    @cached_property
-    def index(self) -> dict[Any, int]:
-        """Group number by key."""
-        return {key: g for g, key in enumerate(self.groups)}
-
     def __getitem__(self, key: Any) -> range:
         g = self.index[key]
         return range(self.starts[g], self.starts[g + 1])
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.groups)
-
-    def __len__(self) -> int:
-        return len(self.groups)
 
     def by_label(self) -> Columns:
         """The same rows regrouped by (group key, label), groups in order of
@@ -735,7 +743,7 @@ class LtaRow(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class LtaColumns(Mapping):
+class LtaColumns(_Keyed):
     """The rows of one lta/1 or lta-pred/1 file as arrays, in file order.
 
     Row ``r`` holds ``counts[r]`` action sequences of ``lengths[r]``
@@ -760,11 +768,7 @@ class LtaColumns(Mapping):
     pairs: np.ndarray
     scores: tuple | None = None
     config: tuple = _NO_CONFIG
-
-    @cached_property
-    def index(self) -> dict[Any, int]:
-        """Row number by episode."""
-        return {key: r for r, key in enumerate(self.episodes)}
+    _key_field = "episodes"
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -778,15 +782,9 @@ class LtaColumns(Mapping):
         candidates = self.pairs[start : start + count * length].reshape(count, length, 2)
         return LtaRow(candidates, None if self.scores is None else self.scores[r])
 
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.episodes)
-
-    def __len__(self) -> int:
-        return len(self.episodes)
-
 
 @dataclass(frozen=True, eq=False)
-class FhpColumns(Mapping):
+class FhpColumns(_Keyed):
     """The rows of one fhp/1 or fhp-pred/1 file as arrays, in file order.
 
     - ``videos``: each row's video id;
@@ -800,19 +798,10 @@ class FhpColumns(Mapping):
     videos: tuple[str, ...]
     coords: np.ndarray
     visible: np.ndarray
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {vid: r for r, vid in enumerate(self.videos)}
+    _key_field = "videos"
 
     def __getitem__(self, key: str) -> int:
         return self.index[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.videos)
-
-    def __len__(self) -> int:
-        return len(self.videos)
 
 
 class TypedView(Mapping):
@@ -1114,29 +1103,46 @@ def _plain_boxes(col: list) -> np.ndarray | None:
     return boxes if ok.all() else None
 
 
-def _walk_videos(raw: Mapping[str, Any], out: list[str]) -> tuple[dict[str, None], dict[str, VideoMeta]]:
-    """The well-formed ids in list order, and the videos of a clean list."""
-    ids: dict[str, None] = {}
-    videos: dict[str, VideoMeta] = {}
-    listed = raw.get("videos")
+def _header_list(raw: Mapping[str, Any], name: str, key: str, fields: Callable[..., _T], out: list[str]) -> dict[str, _T]:
+    """The ``name`` list of a file's header, ``videos`` or ``images``: what
+    ``fields(entry, where, out)`` makes of each entry's other fields, by its
+    ``key`` id, for every entry whose id is well-formed and unique, in list
+    order. Every entry is checked, but only a clean list's values are used."""
+    entries: dict[str, _T] = {}
+    listed = raw.get(name)
     if not isinstance(listed, list):
-        out.append("videos: missing or not a list")
-        return ids, videos
-    for i, v in enumerate(listed):
-        where = f"videos[{i}]"
-        if not _is_object(v):
+        out.append(f"{name}: missing or not a list")
+        return entries
+    for i, entry in enumerate(listed):
+        where = f"{name}[{i}]"
+        if not _is_object(entry):
             out.append(f"{where}: not an object")
             continue
-        vid, nf = v.get("video_id"), v.get("num_frames")
-        if _id(vid, "video_id", where, out):
-            if vid in ids:
-                out.append(f"{where}: duplicate video_id '{vid}'")
-            ids[vid] = None
-        _int(nf, "num_frames", None, where, out)
-        fps = _real(v.get("fps"), "fps", True, where, out)
-        if not out:
-            videos[vid] = _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps)
-    return ids, videos
+        eid = entry.get(key)
+        valid = _id(eid, key, where, out)
+        if valid and eid in entries:
+            out.append(f"{where}: duplicate {key} '{eid}'")
+        value = fields(entry, where, out)
+        if valid:
+            entries.setdefault(eid, value)
+    return entries
+
+
+def _video_fields(video: Mapping[str, Any], where: str, out: list[str]) -> tuple[Any, float | None]:
+    nf = video.get("num_frames")
+    _int(nf, "num_frames", None, where, out)
+    return nf, _real(video.get("fps"), "fps", True, where, out)
+
+
+def _image_size(image: Mapping[str, Any], where: str, out: list[str]) -> tuple[Any, Any]:
+    size = (image.get("width"), image.get("height"))
+    for name, v in zip(("width", "height"), size):
+        if not _is_int(v) or v < 1:
+            out.append(f"{where}: {name} must be an int >= 1")
+    return size
+
+
+_HEADER_LISTS = {"videos": ("video_id", _video_fields), "images": ("keyframe_id", _image_size)}
 
 
 def _keyframes(kf: Any, where: str, out: list[str]) -> tuple[list[float], list[bool]] | None:
@@ -1414,48 +1420,18 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     )
 
 
-def _walk_images(raw: Mapping[str, Any], out: list[str]) -> dict[str, tuple[int, int]]:
-    """(width, height) by keyframe id, for every entry with a well-formed
-    unique id; the sizes are checked, but only a clean file's are used."""
-    images: dict[str, tuple[int, int]] = {}
-    listed = raw.get("images")
-    if not isinstance(listed, list):
-        out.append("images: missing or not a list")
-        return images
-    for i, im in enumerate(listed):
-        where = f"images[{i}]"
-        if not _is_object(im):
-            out.append(f"{where}: not an object")
-            continue
-        kid = im.get("keyframe_id")
-        size = (im.get("width"), im.get("height"))
-        if _id(kid, "keyframe_id", where, out):
-            if kid in images:
-                out.append(f"{where}: duplicate keyframe_id '{kid}'")
-            else:
-                images[kid] = size
-        for name, v in zip(("width", "height"), size):
-            if not _is_int(v) or v < 1:
-                out.append(f"{where}: {name} must be an int >= 1")
-    return images
-
-
-def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, Any, int | None]:
-    """The header as the loaders take it, the ids records may name (in list
-    order) and the class bound."""
-    if header == ("images",):
-        images = _walk_images(raw, out)
-        return images, images, None
-    if not header:
-        return None, None, None
-    ids, videos = _walk_videos(raw, out)
-    if "num_classes" not in header:
-        return videos, ids, None
-    num_classes = raw.get("num_classes")
-    if not _is_int(num_classes) or num_classes < 1:
-        out.append("num_classes: must be an int >= 1")
-        num_classes = None
-    return (videos, num_classes), ids, num_classes
+def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, int | None]:
+    """The header's ``videos`` or ``images`` list (its last key) by id,
+    with each entry's other fields, and the class bound; builds no record."""
+    known = bound = None
+    if header:
+        known = _header_list(raw, header[-1], *_HEADER_LISTS[header[-1]], out)
+    if "num_classes" in header:
+        bound = raw.get("num_classes")
+        if not _is_int(bound) or bound < 1:
+            out.append("num_classes: must be an int >= 1")
+            bound = None
+    return known, bound
 
 
 def _scan_ranked(raw: Mapping[str, Any], schema: str, known: Any, bound: int | None) -> dict[str, Any] | None:
@@ -1524,20 +1500,25 @@ def _loop_ranked(
 
 
 def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """The header, and Columns grouped by the spec's group field: in header
-    order when the header must list that field's ids, else in order of first
-    appearance. Ground truth scores 1.0."""
+    """The header as the loaders take it (image sizes or ``VideoMeta`` by
+    id, the latter with the class bound for mq ground truth), and Columns
+    grouped by the spec's group field: in header order when the header must
+    list that field's ids, else in order of first appearance. Ground truth
+    scores 1.0."""
     spec = _RANKED[schema]
-    header, known, bound = _ranked_header(raw, spec.header, out)
+    known, bound = _ranked_header(raw, spec.header, out)
     cols = _scan_ranked(raw, schema, known, bound) or _loop_ranked(raw, schema, known, bound, out, extras)
     if out:
-        return header, None
+        return None, None
+    header = known
+    if "videos" in spec.header:
+        header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
     kinds = {column: kind for _, kind, column in spec.fields}
     groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
     coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, 4 if kinds["coords"] == "box" else 2)
     score = cols.get("score", np.ones(len(cols["group"])))
     optional = (cols.get(name) for name in ("label", "verb", "ttc", "video"))
-    return header, _grouped_columns(groups, cols["group"], coords, score, *optional)
+    return (header, bound) if bound else header, _grouped_columns(groups, cols["group"], coords, score, *optional)
 
 
 # The nested fhp and lta records have walkers of their own; every other

@@ -19,6 +19,10 @@ _EPS = 1e-9
 
 SAMPLE_MODES = ("random", "center", "uniform")
 
+# A longer schedule is a typo: a million snippets at stride 8 cover six days
+# of 15 fps video.
+MAX_SNIPPETS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SnippetSchedule:
@@ -92,7 +96,8 @@ def build_snippet_schedule(
     Full snippets of ``snippet_len_frames`` start every ``stride_frames``.
     If they do not reach the end of the video, one partial snippet is added
     at the next stride-aligned start and marked as a padded tail (readers
-    repeat the final frame to fill it out).
+    repeat the final frame to fill it out). A schedule of more than
+    ``MAX_SNIPPETS`` snippets is refused before any is laid out.
     """
     _require(num_frames >= 0, "num_frames must be >= 0")
     _require(fps > 0, "fps must be positive")
@@ -101,15 +106,13 @@ def build_snippet_schedule(
     # A stride beyond the snippet length would leave unseen gaps and can
     # push the padded tail past the last frame.
     _require(stride_frames <= snippet_len_frames, "stride_frames must not exceed snippet_len_frames")
-    snippets: list[tuple[int, int]] = []
-    start = 0
-    while start + snippet_len_frames <= num_frames:
-        snippets.append((start, start + snippet_len_frames))
-        start += stride_frames
-    covered = snippets[-1][1] if snippets else 0
-    padded = covered < num_frames
+    full = max(0, int((num_frames - snippet_len_frames) // stride_frames) + 1)
+    padded = (full - 1) * stride_frames + snippet_len_frames < num_frames if full else num_frames > 0
+    count = full + padded
+    _require(count <= MAX_SNIPPETS, f"{num_frames} frames make {count} snippets, more than {MAX_SNIPPETS}")
+    snippets = [(start, start + snippet_len_frames) for start in range(0, full * stride_frames, stride_frames)]
     if padded:
-        snippets.append((start, num_frames))
+        snippets.append((full * stride_frames, num_frames))
     return SnippetSchedule(
         fps=fps,
         snippet_len_frames=snippet_len_frames,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egoforge import cli, experiments, fileio, model
+from egoforge import cli, experiments, fileio, model, snippets
 from egoforge.cli import parse_thresholds
 from egoforge.model import FeatureMatrix, ScoreMatrix
 from egoforge.synth import generate_synthetic, perfect_predictions
@@ -142,6 +142,14 @@ class TestSchedule:
     def test_stride_beyond_length_is_a_data_error(self, capsys):
         assert cli.main(["schedule", "--num-frames", "48", "--stride", "40"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_a_schedule_past_the_cap_exits_2_with_one_line(self, capsys):
+        # Counted before any snippet is laid out, so this returns at once.
+        cap = snippets.MAX_SNIPPETS
+        assert cli.main(["schedule", "--num-frames", str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {10**20} frames make 12499999999999999997 snippets, more than {cap}"]
 
 
 class TestSynth:
@@ -657,6 +665,19 @@ class TestTrainConfigErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {config}: resolution: must be a [width, height] pair of ints >= 1"
         ]
+
+    @pytest.mark.parametrize("task", ["lta", "fhp"])
+    def test_a_feature_dim_too_large_to_allocate_is_one_line(self, dataset_dir, tmp_path, capsys, task):
+        # 72.8 TiB of float64 features: numpy refuses it without allocating.
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw["feature_dim"] = 10**13
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        rc = cli.main(["train", task, "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+        assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("task", ["lta", "fhp"])
     def test_negative_seed_names_the_option(self, dataset_dir, tmp_path, capsys, task):

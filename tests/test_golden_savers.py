@@ -267,6 +267,47 @@ def test_lta_clip_probability_saver_gives_the_text_of_json_dumps(tmp_path):
     assert (tmp_path / "clips.json").read_text(encoding="utf-8") == _dumps(expected)
 
 
+def _refused_inputs():
+    """(saver, input, message) for inputs that each saver used to write
+    although its own loader refuses the file (or, for a query without a
+    video, failed on with a KeyError): bad headers, ids that are empty,
+    missing or not listed in the header, class ids past ``num_classes``."""
+    video = {"v": VideoMeta("v", 300, 30.0)}
+    seg = TemporalSegment(0.0, 1.0)
+    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    kf = _hands()["v"]
+    return [
+        ("mq_gt", fileio.MqGt(video, 2, {"v": (MomentInstance(seg, 5),)}), "mq/1: 'v': class_id 5 out of range [0, 2)"),
+        ("mq_gt", fileio.MqGt(video, 0, {"v": (MomentInstance(seg, 0),)}), "mq/1: num_classes: must be an int >= 1"),
+        ("mq_gt", fileio.MqGt(video, 2, {"w": (MomentInstance(seg, 0),)}), "mq/1: 'w': unknown video_id 'w'"),
+        ("nlq_gt", fileio.NlqGt(video, {"q": NlqInstance(seg, "q")}, {"q": "w"}), "nlq/1: 'q': unknown video_id 'w'"),
+        ("nlq_gt", fileio.NlqGt(video, {"q": NlqInstance(seg, "q")}, {}), "nlq/1: 'q': video_id must be a non-empty string"),
+        ("sta_gt", fileio.StaGt({"k": (0, 480)}, {"k": (StaInstance(box, 0, 0, 1.0),)}), "sta/1: images[0]: width must be an int >= 1"),
+        ("scod_gt", fileio.ScodGt({"k": (640, 0)}, {"k": (Detection(box, 0),)}), "scod/1: images[0]: height must be an int >= 1"),
+        ("sta_pred", fileio.StaGt({"k": (640, 480)}, {"x": (StaInstance(box, 0, 0, 1.0, 0.5),)}), "sta-pred/1: 'x': unknown keyframe_id 'x'"),
+        ("scod_pred", fileio.ScodGt({"k": (640, 480)}, {"x": (Detection(box, 0, 0.5),)}), "scod-pred/1: 'x': unknown keyframe_id 'x'"),
+        ("mq_pred", {"": (RankedSegment(seg, 0.5, 0),)}, "mq-pred/1: '': video_id must be a non-empty string"),
+        ("nlq_pred", {"": (RankedSegment(seg, 0.5, "q"),)}, "nlq-pred/1: '': query_id must be a non-empty string"),
+        ("fhp_pred", {"": kf}, "fhp-pred/1: '': video_id must be a non-empty string"),
+        ("fhp_gt", fileio.FhpGt((0, 0), {"v": kf}), "fhp/1: resolution: must be a [width, height] pair of ints >= 1"),
+        ("lta_clip_probs", {("", -1): [ScoreMatrix([[1.0]], [[1.0]])]}, "lta-pred/1: ('', -1): video_id must be a non-empty string"),
+    ]
+
+
+REFUSED = _refused_inputs()
+
+
+@pytest.mark.parametrize("name, value, message", REFUSED, ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(REFUSED)])
+def test_every_saver_refuses_what_its_loader_refuses(tmp_path, name, value, message):
+    # Each input passes the record constructors; only the file's own rules
+    # (the header, listed ids, the class bound) refuse it, on save as on load.
+    path = tmp_path / f"{name}.json"
+    with pytest.raises(ValueError) as refused:
+        getattr(fileio, f"save_{name}")(path, value)
+    assert str(refused.value) == message
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # No byte depends on the hash seed.
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egoforge import snippets
 from egoforge.model import FeatureMatrix, TemporalSegment
 from egoforge.snippets import (
     ObservableWindow,
@@ -54,6 +55,14 @@ class TestSnippetSchedule:
         with pytest.raises(ValueError):
             build_snippet_schedule(100, snippet_len_frames=4, stride_frames=8)
 
+    def test_a_schedule_past_the_cap_is_refused_before_it_is_laid_out(self, monkeypatch):
+        monkeypatch.setattr(snippets, "MAX_SNIPPETS", 3)
+        assert build_snippet_schedule(48).num_snippets == 3
+        with pytest.raises(ValueError, match="49 frames make 4 snippets, more than 3"):
+            build_snippet_schedule(49)
+        with pytest.raises(ValueError, match="more than 3"):
+            build_snippet_schedule(10**20)
+
     @given(
         num_frames=st.integers(min_value=1, max_value=2000),
         a=st.integers(min_value=1, max_value=64),
@@ -63,6 +72,15 @@ class TestSnippetSchedule:
     def test_every_frame_covered(self, num_frames, a, b):
         length, stride = max(a, b), min(a, b)
         s = build_snippet_schedule(num_frames, snippet_len_frames=length, stride_frames=stride)
+        # Reference layout, one snippet at a time: full snippets while they
+        # fit, then a padded tail at the next stride if frames remain.
+        expected, start = [], 0
+        while start + length <= num_frames:
+            expected.append((start, start + length))
+            start += stride
+        if (expected[-1][1] if expected else 0) < num_frames:
+            expected.append((start, num_frames))
+        assert s.snippets == tuple(expected)
         covered = set()
         for start, end in s.snippets:
             covered.update(range(start, end))
