@@ -21,9 +21,11 @@ from .errors import DataError
 from .experiments import train_forecaster, train_hand_regressor
 from .fixtures import FIXTURES, fixture
 from .fusion import FusionConfig, fuse_columns, mean_forecast
-# Not called here, since vote and fuse run on columns; perfbench/spans.py
-# looks these names up in this module to time them.
+# Not called here, since vote and fuse run on columns and fuse pre streams
+# its files; perfbench/spans.py looks these names up in this module to time
+# them.
 from .fusion import multi_clips_vote, post_fuse_segments, splice_and_nms, top_k_sequences  # noqa: F401
+from .snippets import prefuse_features  # noqa: F401
 from .metrics import (
     BOX_AP_IOUS,
     DEFAULT_MAP_TIOUS,
@@ -37,7 +39,7 @@ from .metrics import (
     sta_report,
 )
 from .render import OUTPUT_FORMATS, render_fixture, render_reports
-from .snippets import build_snippet_schedule, prefuse_features
+from .snippets import build_snippet_schedule
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
 
 
@@ -176,11 +178,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = build_snippet_schedule(
         args.num_frames, fps=args.fps, snippet_len_frames=args.snippet_len, stride_frames=args.stride
     )
-    for i, (start, end) in enumerate(schedule.snippets):
-        padded = schedule.padded_tail and i == schedule.num_snippets - 1
-        suffix = " (padded)" if padded else ""
-        print(f"snippet {i}: frames [{start}, {end}){suffix}")
-    print(f"{schedule.num_snippets} snippets, stride {args.stride}, length {args.snippet_len}")
+    lines = [f"snippet {i}: frames [{start}, {end})\n" for i, (start, end) in enumerate(schedule.snippets)]
+    if schedule.padded_tail:
+        lines[-1] = lines[-1][:-1] + " (padded)\n"
+    lines.append(f"{schedule.num_snippets} snippets, stride {args.stride}, length {args.snippet_len}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -311,9 +313,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
     if args.mode == "pre":
-        a = fileio.load_features(args.features[0])
-        b = fileio.load_features(args.features[1])
-        fileio.save_features(args.out, prefuse_features(a, b))
+        fileio.fuse_feature_files(*args.features, args.out)
         print(f"wrote {args.out}")
         return 0
     if args.mode == "post":

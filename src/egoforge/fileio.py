@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -324,7 +325,16 @@ class MqGt:
     instances: Mapping[str, tuple[MomentInstance, ...]]
 
 
-def _videos_to_raw(videos: Mapping[str, VideoMeta]) -> list[dict]:
+def _keyed_by_id(schema: str, records: Mapping[str, Any], field: str) -> None:
+    """Refuse a key of ``records`` that is not the ``field`` of its record:
+    the file keeps one of the two, and would load back keyed by it."""
+    for key, record in records.items():
+        if getattr(record, field) != key:
+            raise ValueError(f"{schema}: key {key!r} holds {field} {getattr(record, field)!r}")
+
+
+def _videos_to_raw(schema: str, videos: Mapping[str, VideoMeta]) -> list[dict]:
+    _keyed_by_id(schema, videos, "video_id")
     return [{"video_id": v.video_id, "num_frames": v.num_frames, "fps": v.fps} for v in videos.values()]
 
 
@@ -336,7 +346,7 @@ def load_mq_gt(path: str | Path) -> MqGt:
 
 
 def save_mq_gt(path: str | Path, gt: MqGt) -> None:
-    _save_ranked(path, "mq/1", _columns(gt.instances, 2), num_classes=gt.num_classes, videos=_videos_to_raw(gt.videos))
+    _save_ranked(path, "mq/1", _columns(gt.instances, 2), num_classes=gt.num_classes, videos=_videos_to_raw("mq/1", gt.videos))
 
 
 def load_mq_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> TypedView:
@@ -380,9 +390,11 @@ def load_nlq_gt(path: str | Path) -> NlqGt:
 
 def save_nlq_gt(path: str | Path, gt: NlqGt) -> None:
     queries = gt.queries  # a view's columns hold one group per query
+    if not isinstance(queries, TypedView):
+        _keyed_by_id("nlq/1", queries, "query_id")
     cols = _columns(queries if isinstance(queries, TypedView) else {qid: [q] for qid, q in queries.items()}, 2)
     cols = replace(cols, video=tuple(gt.video_of.get(qid) for qid in cols))
-    _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw(gt.videos))
+    _save_ranked(path, "nlq/1", cols, videos=_videos_to_raw("nlq/1", gt.videos))
 
 
 def load_nlq_pred(path: str | Path, known_queries: Iterable[str] | None = None) -> TypedView:
@@ -624,16 +636,55 @@ def save_scod_pred(path: str | Path, pred: ScodGt) -> None:
 
 # ---------------------------------------------------------------------------
 # Binary formats.
+#
+# A feature file is a 20-byte header (the magic, then little-endian uint32
+# version and dim and uint64 row count) and its rows as little-endian
+# float32. ``_feature_framing`` holds the header rules for every reader;
+# ``_feature_head`` packs a header and refuses a width that it cannot hold.
+# ``fuse_feature_files`` streams two files into their fused file in blocks of
+# about ``FEATURE_BLOCK_BYTES``, so its memory is a few blocks, not the files.
 # ---------------------------------------------------------------------------
+
+FEATURE_BLOCK_BYTES = 1 << 20
+_HEADER_BYTES = 20
+_CHANGED = "feature file changed while being fused"
+
+
+def _feature_head(dim: int, rows: int) -> bytes:
+    """The header of a file of ``rows`` rows of ``dim`` values; raises
+    ValueError for a width past its uint32. (No row count passes its
+    uint64: a matrix has fewer than 2**63 rows, and a fused file has its
+    inputs' row count.)"""
+    if dim > 0xFFFFFFFF:
+        raise ValueError(f"a feature file holds at most {0xFFFFFFFF} values per row, got {dim}")
+    return FEATURE_MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, rows)
+
+
+def _feature_framing(path: str | Path, head: bytes, size: int) -> tuple[int, int]:
+    """Check the framing of the feature file ``path`` of ``size`` bytes
+    that starts with ``head``; returns its (dim, rows)."""
+    if len(head) < _HEADER_BYTES or head[:4] != FEATURE_MAGIC:
+        raise DataError(f"{path}: not a feature file (bad magic)")
+    version, dim, rows = struct.unpack("<IIQ", head[4:_HEADER_BYTES])
+    if version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported feature file version {version}")
+    if dim < 1:
+        raise DataError(f"{path}: feature dim must be >= 1")
+    expected = _HEADER_BYTES + rows * dim * 4
+    if size != expected:
+        raise DataError(f"{path}: feature file holds {size} bytes, expected {expected}")
+    return dim, rows
 
 
 def save_features(path: str | Path, features: FeatureMatrix) -> None:
     """Write the flat binary layout: magic, version, dim, rows, float32 data.
     The rows are written from their own buffer when they are C-ordered
-    ``<f4`` already, so no copy of the file is made in memory."""
+    ``<f4`` already, so no copy of the file is made in memory. Raises
+    ValueError, before opening ``path``, for a width the header cannot hold."""
+    head = _feature_head(features.dim, features.num_rows)
     body = np.ascontiguousarray(features.rows, dtype="<f4")
     with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC + struct.pack("<IIQ", FORMAT_VERSION, features.dim, features.num_rows))
+        f.write(head)
         f.write(body)
 
 
@@ -643,22 +694,107 @@ def load_features(path: str | Path, provenance: str = "stub") -> FeatureMatrix:
         blob = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
-    if len(blob) < 20 or blob[:4] != FEATURE_MAGIC:
-        raise DataError(f"{path}: not a feature file (bad magic)")
-    version, dim, rows = struct.unpack("<IIQ", blob[4:20])
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported feature file version {version}")
-    if dim < 1:
-        raise DataError(f"{path}: feature dim must be >= 1")
-    expected = 20 + rows * dim * 4
-    if len(blob) != expected:
-        raise DataError(f"{path}: feature file holds {len(blob)} bytes, expected {expected}")
+    dim, rows = _feature_framing(path, blob[:_HEADER_BYTES], len(blob))
     # A view of the bytes read, read-only as FeatureMatrix keeps its rows.
-    data = np.frombuffer(blob, dtype="<f4", offset=20).reshape(rows, dim)
+    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER_BYTES).reshape(rows, dim)
     try:
         return FeatureMatrix(dim=dim, rows=data, provenance=provenance)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from e
+
+
+def _open_features(path: str | Path) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+def _row_blocks(f: BinaryIO, path: str | Path, dim: int, rows: int, block: int, not_finite: str) -> Iterator[np.ndarray]:
+    """The ``rows`` rows of ``dim`` values that ``f`` holds from where it
+    stands, ``block`` rows at a time, each read into the same buffer. A
+    short read, or a value that is not finite, raises DataError naming
+    ``path`` (the latter with the text ``not_finite``)."""
+    buf = np.empty((min(block, rows), dim), dtype="<f4")
+    for start in range(0, rows, block):
+        part = buf[: rows - start]
+        if f.readinto(part) != part.nbytes:
+            raise DataError(f"{path}: {_CHANGED}")
+        if not np.isfinite(part).all():
+            raise DataError(f"{path}: {not_finite}")
+        yield part
+
+
+def _block_rows(dim: int) -> int:
+    return max(1, FEATURE_BLOCK_BYTES // (4 * dim))
+
+
+def _check_feature_file(path: str | Path) -> tuple[bytes, int, int]:
+    """Check a feature file as ``load_features`` does, its framing, then
+    its rows a block at a time; returns its header, dim and rows."""
+    with _open_features(path) as f:
+        head = f.read(_HEADER_BYTES)
+        try:  # a pipe cannot be read twice
+            size = f.seek(0, os.SEEK_END)
+        except OSError as e:
+            raise DataError(f"{path}: {e}") from e
+        dim, rows = _feature_framing(path, head, size)
+        f.seek(_HEADER_BYTES)
+        for _ in _row_blocks(f, path, dim, rows, _block_rows(dim), "feature rows must be finite"):
+            pass
+    return head, dim, rows
+
+
+def _same_file(a: str | Path, b: str | Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing: the open that follows says so
+        return False
+
+
+def fuse_feature_files(first: str | Path, second: str | Path, out: str | Path) -> None:
+    """Write to ``out`` the rows of ``first`` and ``second`` side by side,
+    the bytes of ``save_features(out, prefuse_features(load_features(first),
+    load_features(second)))``, holding a few blocks of rows in memory.
+
+    A first pass checks ``first`` and then ``second`` as ``load_features``
+    does, then that they have as many rows, and raises the messages it
+    would. A second pass writes ``out`` from both, a block at a time. An
+    input that changes between the passes raises DataError naming it, and
+    no output is left. Raises ValueError, before anything is opened, for an
+    ``out`` that is one of the inputs, and before ``out`` is opened for a
+    fused width the header cannot hold.
+    """
+    paths = (first, second)
+    for path in paths:
+        if _same_file(out, path):
+            raise ValueError(f"{out}: is the input {path}; the fused file must go elsewhere")
+    (head_a, dim_a, rows), (head_b, dim_b, rows_b) = (_check_feature_file(path) for path in paths)
+    if rows != rows_b:
+        raise ValueError(f"row count mismatch: {rows} != {rows_b}")
+    head = _feature_head(dim_a + dim_b, rows)
+    block = _block_rows(dim_a + dim_b)
+    with _open_features(first) as a, _open_features(second) as b, open(out, "wb") as f:
+        try:
+            for src, path, expected in ((a, first, head_a), (b, second, head_b)):
+                if src.read(_HEADER_BYTES) != expected:
+                    raise DataError(f"{path}: {_CHANGED}")
+            f.write(head)
+            fused = np.empty((min(block, rows), dim_a + dim_b), dtype="<f4")
+            blocks_a = _row_blocks(a, first, dim_a, rows, block, _CHANGED)
+            for part_a, part_b in zip(blocks_a, _row_blocks(b, second, dim_b, rows, block, _CHANGED)):
+                n = len(part_a)
+                fused[:n, :dim_a] = part_a
+                fused[:n, dim_a:] = part_b
+                f.write(fused[:n])
+            for src, path in ((a, first), (b, second)):
+                if src.read(1):
+                    raise DataError(f"{path}: {_CHANGED}")
+        except BaseException:
+            f.close()
+            if os.path.isfile(out):  # not a device such as /dev/stdout
+                os.unlink(out)
+            raise
 
 
 _HEAD_KIND_CODES = {"regression_20": 0, "classifier_C": 1}

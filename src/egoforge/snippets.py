@@ -8,11 +8,12 @@ seconds, deterministic given its arguments.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureMatrix, TemporalSegment, _require
+from .model import FeatureMatrix, TemporalSegment, _require, _validated
 
 # Tolerance for comparisons on second-valued boundaries.
 _EPS = 1e-9
@@ -97,8 +98,12 @@ def build_snippet_schedule(
     If they do not reach the end of the video, one partial snippet is added
     at the next stride-aligned start and marked as a padded tail (readers
     repeat the final frame to fill it out). A schedule of more than
-    ``MAX_SNIPPETS`` snippets is refused before any is laid out.
+    ``MAX_SNIPPETS`` snippets is refused before any is laid out. The frame
+    counts must be ints (``operator.index`` refuses others with TypeError),
+    so the layout holds the schedule's invariants by construction and is
+    not checked again.
     """
+    num_frames, snippet_len_frames, stride_frames = map(operator.index, (num_frames, snippet_len_frames, stride_frames))
     _require(num_frames >= 0, "num_frames must be >= 0")
     _require(fps > 0, "fps must be positive")
     _require(snippet_len_frames >= 1, "snippet_len_frames must be >= 1")
@@ -106,15 +111,16 @@ def build_snippet_schedule(
     # A stride beyond the snippet length would leave unseen gaps and can
     # push the padded tail past the last frame.
     _require(stride_frames <= snippet_len_frames, "stride_frames must not exceed snippet_len_frames")
-    full = max(0, int((num_frames - snippet_len_frames) // stride_frames) + 1)
+    full = max(0, (num_frames - snippet_len_frames) // stride_frames + 1)
     padded = (full - 1) * stride_frames + snippet_len_frames < num_frames if full else num_frames > 0
     count = full + padded
     _require(count <= MAX_SNIPPETS, f"{num_frames} frames make {count} snippets, more than {MAX_SNIPPETS}")
     snippets = [(start, start + snippet_len_frames) for start in range(0, full * stride_frames, stride_frames)]
     if padded:
         snippets.append((full * stride_frames, num_frames))
-    return SnippetSchedule(
-        fps=fps,
+    return _validated(
+        SnippetSchedule,
+        fps=float(fps),
         snippet_len_frames=snippet_len_frames,
         stride_frames=stride_frames,
         snippets=tuple(snippets),

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,66 @@ class TestFuse:
         )
         assert rc == 2
         assert "mismatch" in capsys.readouterr().err
+
+    def test_pre_refuses_a_width_past_the_header(self, tmp_path, capsys):
+        # Two valid files whose fused width does not fit the header's uint32.
+        for name in ("a.bin", "b.bin"):
+            (tmp_path / name).write_bytes(b"EGFT" + (1).to_bytes(4, "little") + (2**32 - 1).to_bytes(4, "little") + bytes(8))
+        argv = ["fuse", "pre", "--features", str(tmp_path / "a.bin"), str(tmp_path / "b.bin"), "--out", str(tmp_path / "ab.bin")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: a feature file holds at most {2**32 - 1} values per row, got {2**33 - 2}"]
+        assert not (tmp_path / "ab.bin").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda b: b[:-4],
+            lambda b: b + bytes(4),
+            lambda b: b[:-4] + np.float32(np.nan).tobytes(),
+            lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:],
+        ],
+        ids=["truncated", "extended", "not-finite", "header"],
+    )
+    @pytest.mark.parametrize("changed", [0, 1])
+    def test_pre_an_input_changed_between_passes_leaves_no_output(self, tmp_path, capsys, monkeypatch, change, changed):
+        rng = np.random.default_rng(3)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, dim in zip(paths, (3, 5)):
+            fileio.save_features(path, FeatureMatrix(dim=dim, rows=rng.normal(size=(4, dim)), provenance="verb"))
+        check = fileio._check_feature_file
+
+        def check_then_change(path):
+            checked = check(path)
+            if path == str(paths[1]):  # both inputs have passed the checks
+                paths[changed].write_bytes(change(paths[changed].read_bytes()))
+            return checked
+
+        monkeypatch.setattr(fileio, "_check_feature_file", check_then_change)
+        (tmp_path / "ab.bin").write_bytes(b"an earlier output")
+        argv = ["fuse", "pre", "--features", *map(str, paths), "--out", str(tmp_path / "ab.bin")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {paths[changed]}: feature file changed while being fused"]
+        assert not (tmp_path / "ab.bin").exists()
+
+    def test_pre_holds_blocks_not_files(self, tmp_path, capsys):
+        # Two 8 MiB inputs: fusing them whole held both and the fused copy,
+        # about 33 MiB; in blocks it holds a few MiB.
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for path, dim in zip(paths, (32, 40)):
+            fileio.save_features(path, FeatureMatrix(dim=dim, rows=rng.standard_normal((2**16, dim), dtype=np.float32), provenance="verb"))
+        assert all(path.stat().st_size >= 8 * 2**20 for path in paths)
+        argv = ["fuse", "pre", "--features", *map(str, paths), "--out", str(tmp_path / "ab.bin")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 8 * 2**20
+        assert (tmp_path / "ab.bin").stat().st_size == 20 + sum(path.stat().st_size - 20 for path in paths)
 
     def test_post_merges_and_still_scores(self, dataset_dir, tmp_path, capsys):
         merged = tmp_path / "merged_nlq.json"

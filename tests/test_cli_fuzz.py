@@ -1,5 +1,5 @@
 """A fuzzer for ``egoforge eval`` on every track (mq, nlq, fhp, lta, sta,
-scod), and for ``vote``, ``fuse post`` and ``fuse sta``.
+scod), and for ``vote`` and ``fuse post``, ``sta`` and ``pre``.
 
 It edits synth ground truth and predictions, and per-clip probability
 files, with the mutations of ``test_columns`` (edge values, wrong types,
@@ -7,11 +7,19 @@ dropped and extra keys, shuffled records, anywhere in the tree, headers
 included) and runs the CLI on them. Every run must exit 0 or 2: on 2 with
 exactly one ``error:`` line on stderr, on 0 with nothing on stderr and no
 warning other than an unknown key. A traceback fails the test.
+
+``fuse pre`` gets feature files that are truncated, extended and
+bit-flipped, and an ``--out`` that may be an input under its own path, a
+hard link or a symlink. It must end as loading both files whole, fusing
+them and saving the result ends: the same bytes, or the same one-line
+error, the first file's fault before the second's; an aliased ``--out`` is
+refused and the input keeps its bytes.
 """
 
 import copy
 import io
 import json
+import os
 import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,7 +29,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egoforge import cli, fileio
-from egoforge.model import ScoreMatrix
+from egoforge.errors import DataError
+from egoforge.model import FeatureMatrix, ScoreMatrix
+from egoforge.snippets import prefuse_features
 from test_columns import _edits, _get, _paths, _set
 
 TRACKS = ("mq", "nlq", "fhp", "lta", "sta", "scod")
@@ -113,3 +123,100 @@ def test_fusion_exits_0_or_2_with_one_line(fusion_trees, scratch, command, data)
         paths[-1].write_text(json.dumps(tree), encoding="utf-8")
     args = ["vote"] if command == "vote" else ["fuse", command]
     _exits_0_or_2([*args, "--pred", *map(str, paths), "--out", str(scratch / "fused.json")])
+
+
+def _feature_bytes(path, dim, rows, seed):
+    rows = np.random.default_rng(seed).standard_normal((rows, dim))
+    fileio.save_features(path, FeatureMatrix(dim=dim, rows=rows, provenance="verb"))
+    return path.read_bytes()
+
+
+def _edit_features(blob, data):
+    """``blob`` truncated, extended, with one bit flipped or with a value
+    that is not finite, once or twice."""
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "not finite"]), label="kind")
+        if kind == "truncate":
+            blob = blob[: len(blob) - data.draw(st.integers(1, max(1, len(blob))), label="cut")]
+        elif kind == "extend":
+            blob += data.draw(st.binary(min_size=1, max_size=12), label="tail")
+        elif kind == "flip" and blob:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob = blob[: bit // 8] + bytes([blob[bit // 8] ^ 1 << bit % 8]) + blob[bit // 8 + 1 :]
+        elif kind == "not finite" and len(blob) >= 24:
+            at = 20 + 4 * data.draw(st.integers(0, (len(blob) - 24) // 4), label="value")
+            blob = blob[:at] + np.float32(data.draw(st.sampled_from([np.inf, -np.inf, np.nan]), label="value")).tobytes() + blob[at + 4 :]
+    return blob
+
+
+def _fused_whole(first, second, out):
+    """What loading both files whole, fusing and saving gives: None, with
+    ``out`` written, or the error line."""
+    try:
+        fileio.save_features(out, prefuse_features(fileio.load_features(first), fileio.load_features(second)))
+    except (DataError, ValueError) as e:
+        return f"error: {e}"
+    return None
+
+
+def _feature_inputs(scratch, data):
+    """Two feature files, each edited or not, of drawn widths and row
+    counts (mostly equal); returns their paths and bytes."""
+    rows = data.draw(st.sampled_from([0, 1, 5]), label="rows")
+    sizes = [(data.draw(st.sampled_from([1, 2, 7]), label="dim"), rows) for _ in range(2)]
+    if data.draw(st.integers(0, 3), label="other rows") == 0:
+        sizes[1] = (sizes[1][0], data.draw(st.sampled_from([0, 1, 5]), label="rows b"))
+    paths = [scratch / "pre_a.bin", scratch / "pre_b.bin"]
+    blobs = [_feature_bytes(path, dim, n, seed) for seed, (path, (dim, n)) in enumerate(zip(paths, sizes))]
+    for i, path in enumerate(paths):
+        if data.draw(st.booleans(), label=f"edit {i}"):
+            blobs[i] = _edit_features(blobs[i], data)
+        path.write_bytes(blobs[i])
+    return paths, blobs
+
+
+def _fuse_pre(paths, out):
+    out_text, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out_text), redirect_stderr(err):
+        code = cli.main(["fuse", "pre", "--features", *map(str, paths), "--out", str(out)])
+    return code, err.getvalue().splitlines(), out_text.getvalue()
+
+
+def _unlink(*paths):
+    for path in paths:
+        if path.is_symlink() or path.exists():
+            path.unlink()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuse_pre_ends_as_fusing_whole_files(scratch, data):
+    paths, blobs = _feature_inputs(scratch, data)
+    out, reference = scratch / "pre_out.bin", scratch / "pre_reference.bin"
+    _unlink(out, reference)
+    expected = _fused_whole(*paths, reference)
+    code, err, printed = _fuse_pre(paths, out)
+    assert [path.read_bytes() for path in paths] == blobs
+    if expected is None:
+        assert (code, err, printed) == (0, [], f"wrote {out}\n")
+        assert out.read_bytes() == reference.read_bytes()
+    else:
+        assert (code, err, printed) == (2, [expected], "")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("alias", ["path", "hard link", "symlink"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuse_pre_refuses_an_out_that_is_an_input(scratch, alias, data):
+    paths, blobs = _feature_inputs(scratch, data)
+    target = paths[data.draw(st.integers(0, 1), label="aliased")]
+    out = scratch / "pre_alias.bin"
+    _unlink(out)
+    if alias == "path":
+        out = target
+    else:
+        (os.link if alias == "hard link" else os.symlink)(target, out)
+    code, err, printed = _fuse_pre(paths, out)
+    assert (code, err, printed) == (2, [f"error: {out}: is the input {target}; the fused file must go elsewhere"], "")
+    assert [path.read_bytes() for path in paths] == blobs

@@ -282,6 +282,14 @@ class TestFeatureFiles:
         assert loaded == empty
         assert loaded.rows.shape == (0, 3)
 
+    def test_a_width_past_the_header_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "f.egft"
+        wide = FeatureMatrix(dim=2**32, rows=np.zeros((0, 2**32), dtype=np.float32), provenance="verb")
+        with pytest.raises(ValueError) as e:
+            fileio.save_features(path, wide)
+        assert str(e.value) == f"a feature file holds at most {2**32 - 1} values per row, got {2**32}"
+        assert not path.exists()
+
     def test_loaded_rows_are_read_only(self, tmp_path):
         path = tmp_path / "f.egft"
         fileio.save_features(path, self._matrix())

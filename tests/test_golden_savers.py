@@ -271,7 +271,9 @@ def _refused_inputs():
     """(saver, input, message) for inputs that each saver used to write
     although its own loader refuses the file (or, for a query without a
     video, failed on with a KeyError): bad headers, ids that are empty,
-    missing or not listed in the header, class ids past ``num_classes``."""
+    missing or not listed in the header, class ids past ``num_classes``;
+    and keys that are not the ids inside their records, which the file
+    would not keep."""
     video = {"v": VideoMeta("v", 300, 30.0)}
     seg = TemporalSegment(0.0, 1.0)
     box = BoundingBox(0.0, 0.0, 1.0, 1.0)
@@ -291,6 +293,9 @@ def _refused_inputs():
         ("fhp_pred", {"": kf}, "fhp-pred/1: '': video_id must be a non-empty string"),
         ("fhp_gt", fileio.FhpGt((0, 0), {"v": kf}), "fhp/1: resolution: must be a [width, height] pair of ints >= 1"),
         ("lta_clip_probs", {("", -1): [ScoreMatrix([[1.0]], [[1.0]])]}, "lta-pred/1: ('', -1): video_id must be a non-empty string"),
+        ("mq_gt", fileio.MqGt({"a": VideoMeta("b", 300, 30.0)}, 2, {}), "mq/1: key 'a' holds video_id 'b'"),
+        ("nlq_gt", fileio.NlqGt({"a": VideoMeta("b", 300, 30.0)}, {}, {}), "nlq/1: key 'a' holds video_id 'b'"),
+        ("nlq_gt", fileio.NlqGt(video, {"q": NlqInstance(seg, "r")}, {"q": "v"}), "nlq/1: key 'q' holds query_id 'r'"),
     ]
 
 

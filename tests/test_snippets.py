@@ -7,6 +7,7 @@ from egoforge import snippets
 from egoforge.model import FeatureMatrix, TemporalSegment
 from egoforge.snippets import (
     ObservableWindow,
+    SnippetSchedule,
     build_snippet_schedule,
     frame_span,
     observable_window,
@@ -93,6 +94,33 @@ class TestSnippetSchedule:
             assert end - start == length
         if not s.padded_tail:
             assert s.snippets[-1][1] - s.snippets[-1][0] == length
+        # The layout is built without the constructor's checks; they pass.
+        assert SnippetSchedule(s.fps, s.snippet_len_frames, s.stride_frames, s.snippets, s.padded_tail) == s
+
+    def test_frame_counts_must_be_ints(self):
+        assert build_snippet_schedule(np.int64(50), fps=15) == build_snippet_schedule(50)
+        assert type(build_snippet_schedule(50, fps=15).fps) is float
+        for kwargs in ({"num_frames": 48.0}, {"num_frames": 48, "snippet_len_frames": 32.0}, {"num_frames": 48, "stride_frames": 8.0}):
+            with pytest.raises(TypeError):
+                build_snippet_schedule(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0.0, 32, 8, (), False), "fps must be positive"),
+            ((15.0, 0, 8, (), False), "snippet_len_frames must be >= 1"),
+            ((15.0, 32, 0, (), False), "stride_frames must be >= 1"),
+            ((15.0, 32, 8, ((4, 4),), True), "snippet 0 has an empty or negative frame range"),
+            ((15.0, 32, 8, ((0, 32), (9, 41)), False), "snippet 1 start is not one stride after snippet 0"),
+            ((15.0, 32, 8, ((0, 20), (8, 40)), False), "snippet 0 is partial but not last"),
+            ((15.0, 32, 8, ((0, 32),), True), "padded_tail must be set exactly when the last snippet is partial"),
+            ((15.0, 32, 8, ((0, 20),), False), "padded_tail must be set exactly when the last snippet is partial"),
+            ((15.0, 32, 8, (), True), "an empty schedule cannot have a padded tail"),
+        ],
+    )
+    def test_the_constructor_checks_its_layout(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SnippetSchedule(*fields)
 
 
 class TestObservableWindow:
