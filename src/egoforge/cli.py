@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import fileio
-from .errors import DataError
+from .errors import DataError, TrainingDiverged
 from .experiments import train_forecaster, train_hand_regressor
 from .fixtures import FIXTURES, fixture
 from .fusion import FusionConfig, fuse_columns, mean_forecast
@@ -155,17 +155,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=5, help="candidate sequences to keep")
 
-    p = sub.add_parser("train", help="fit a toy head on a synthetic dataset")
+    # An option left out is left out of the trainer's call: the trainers
+    # hold the defaults.
+    p = sub.add_parser("train", help="fit a toy head on a synthetic dataset", argument_default=argparse.SUPPRESS)
     p.add_argument("task", choices=("lta", "fhp"))
     p.add_argument("--config", required=True, help="synthetic dataset config file")
     p.add_argument("--out", required=True, help="head file to write")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=16.0, help="observable window seconds (lta)")
-    p.add_argument("--clip-len", type=float, default=2.0)
-    p.add_argument("--clip-stride", type=float, default=2.0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--momentum", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha", type=float, dest="alpha_s", help="observable window seconds (lta)")
+    p.add_argument("--clip-len", type=float, dest="clip_len_s", help="clip seconds (lta)")
+    p.add_argument("--clip-stride", type=float, dest="clip_stride_s", help="clip stride seconds (lta)")
 
     p = sub.add_parser("report", help="render a stored results table")
     p.add_argument("--table", default=None, help="table name; omit to list tables")
@@ -348,27 +350,12 @@ def _cmd_vote(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     config = fileio.load_config(args.config)
     ds = generate_synthetic(config)
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "task", "config", "out")}
     if args.task == "lta":
-        head, losses = train_forecaster(
-            ds,
-            ds.video_ids,
-            epochs=args.epochs if args.epochs is not None else 80,
-            lr=args.lr if args.lr is not None else 2.0,
-            momentum=args.momentum,
-            seed=args.seed,
-            alpha_s=args.alpha,
-            clip_len_s=args.clip_len,
-            clip_stride_s=args.clip_stride,
-        )
-    else:
-        head, losses = train_hand_regressor(
-            ds,
-            ds.video_ids,
-            epochs=args.epochs if args.epochs is not None else 200,
-            lr=args.lr if args.lr is not None else 0.05,
-            momentum=args.momentum,
-            seed=args.seed,
-        )
+        head, losses = train_forecaster(ds, ds.video_ids, **given)
+    else:  # the clip window options are the forecaster's alone
+        window = ("alpha_s", "clip_len_s", "clip_stride_s")
+        head, losses = train_hand_regressor(ds, ds.video_ids, **{k: v for k, v in given.items() if k not in window})
     for i, loss in enumerate(losses):
         print(f"epoch {i}: loss {loss:.6f}")
     fileio.save_head(args.out, head)
@@ -404,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, ValueError, OSError) as e:
+    except (DataError, ValueError, OSError, TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

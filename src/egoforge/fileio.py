@@ -35,10 +35,11 @@ column.
 its [verb, noun] pairs, with one ``json_texts`` call and write each record's
 keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
 Every saver first checks what it would write with the walk's own checkers
-(the header-list walker and ``num_classes`` rule of ``_ranked_header``,
-``_resolution``, ``_id``, ``_int`` and the lta sequence checks) and refuses
-what its loader would refuse, before writing, with a ValueError naming the
-schema and the record's key; the checks build no record.
+(the ``videos`` or ``images`` field spec and ``num_classes`` rule of
+``_ranked_header``, ``_resolution``, ``_id``, ``_int`` and the lta sequence
+checks) and refuses what its loader would refuse, before writing, with a
+ValueError naming the schema and the record's key; the checks build no
+record.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def _read_json(path: str | Path) -> Any:
         # JSONDecodeError, or a plain ValueError for an integer literal
         # longer than Python's int_max_str_digits.
         raise DataError(f"{path}: not valid JSON ({e})") from e
+    except RecursionError as e:
+        raise DataError(f"{path}: JSON nested too deeply to read") from e
 
 
 def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:

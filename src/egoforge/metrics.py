@@ -407,7 +407,8 @@ def _hand_displacements(pred: np.ndarray, gt: np.ndarray, visible: np.ndarray) -
     # Per instance and hand, the (mean, contact) distances of the (n, 5, 2,
     # 2) coordinates, over the keyframes where ground truth shows the hand:
     # math.hypot per point, each mean a sum in keyframe order.
-    diff = (pred - gt).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # an infinite distance; displacement_report refuses it
+        diff = (pred - gt).reshape(-1, 2)
     dist = np.array(list(map(math.hypot, diff[:, 0].tolist(), diff[:, 1].tolist())))
     by_hand = dist.reshape(visible.shape).transpose(0, 2, 1).tolist()
     out = []
@@ -455,10 +456,13 @@ def displacement_report(
             vals = [d[h][a] for d in per_instance if d[h][a] is not None]
             if not vals:
                 continue
+            value = sum(vals) / len(vals)
+            if not math.isfinite(value):
+                raise DataError(f"{tag}-{kind}.Disp: the displacements overflow the float range")
             reports.append(
                 MetricReport(
                     name=f"{tag}-{kind}.Disp",
-                    value=sum(vals) / len(vals),
+                    value=value,
                     count=len(vals),
                     family="pixels",
                 )

@@ -931,26 +931,28 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 #
 # Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
 # _RANKED, which drives the column scan, the per-record loop and the allowed
-# keys here, and the savers' key order in fileio. Every file is first
-# checked a column at a time (_scan_ranked, _scan_lta and _scan_fhp, with
-# _scan and the _plain_* checks): plain dicts that hold exactly the record's
-# keys, exact types (plain floats for reals, plain ints for ids) over
-# flattened lists, set membership for ids and vectorised range and order
-# checks. The score matrices of a file are checked as one float64 block of
-# verb rows and one of noun rows (_plain_matrices), whose numpy row sums
-# settle every row but those near the 1e-6 edge, which go to _sums_to_one. A scan accepts only files in which the per-record loop
-# would find nothing, and gives the same arrays. Any other file (a
-# violation, an unknown key, an int-valued real, a bool, an id beyond
-# int64) goes through the per-record loop (_loop_ranked, _loop_lta,
-# _loop_fhp), which writes every message in its order and, on a valid file,
-# fills the same arrays.
+# keys here, and the savers' key order in fileio; the header lists of
+# objects (videos, images) have one each in _HEADERS, walked the same way by
+# _ranked_header. Every file is first checked a column at a time
+# (_scan_ranked, _scan_lta and _scan_fhp, with _scan and the _plain_*
+# checks): plain dicts that hold exactly the record's keys, exact types
+# (plain floats for reals, plain ints for ids) over flattened lists, set
+# membership for ids and vectorised range and order checks. The score
+# matrices of a file are checked as one float64 block of verb rows and one
+# of noun rows (_plain_matrices), whose numpy row sums settle every row but
+# those near the 1e-6 edge, which go to _sums_to_one. A scan accepts only
+# files in which the per-record loop would find nothing, and gives the same
+# arrays. Any other file (a violation, an unknown key, an int-valued real, a
+# bool, an id beyond int64) goes through the per-record loop (_loop_ranked,
+# _loop_lta, _loop_fhp), which writes every message in its order and, on a
+# valid file, fills the same arrays.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Ranked:
     """The layout of one ranked schema: mq, nlq, sta or scod, ground truth
-    or predictions.
+    or predictions; or of the entries of a header list.
 
     ``header`` holds the top-level keys besides ``schema`` and ``instances``
     in file order: ``videos`` (with ``num_classes`` for mq ground truth),
@@ -961,11 +963,13 @@ class _Ranked:
       ``unique``: one no other record has;
     - ``segment``: the ``start_s``, ``end_s`` pair; ``box``: [x1, y1, x2, y2];
     - ``int``: >= 0, and below the header's ``num_classes`` where it has one;
+      ``size``: an int >= 1;
     - ``real``: finite; ``positive``: finite and > 0.
 
     The column is the ``Columns`` field the values fill, or ``group`` for
-    the field that groups the rows. ``order`` gives the record keys in file
-    order where that is not the check order.
+    the field that groups the rows (a header list's id); a header list's
+    other columns are named by their keys. ``order`` gives the record keys
+    in file order where that is not the check order.
     """
 
     header: tuple[str, ...]
@@ -998,6 +1002,13 @@ _RANKED: dict[str, _Ranked] = {
     "scod-pred/1": _Ranked(("images",), _SCOD + (_SCORE,)),
 }
 
+# The header lists of objects: one entry per video or keyframe. Not a
+# schema, so they stay out of _TOP_KEYS and _INSTANCE_KEYS.
+_HEADERS: dict[str, _Ranked] = {
+    "videos": _Ranked((), (("video_id", "unique", "group"), ("num_frames", "int", "num_frames"), ("fps", "positive", "fps"))),
+    "images": _Ranked((), (("keyframe_id", "unique", "group"), ("width", "size", "width"), ("height", "size", "height"))),
+}
+
 # Allowed top-level and per-record keys; any other key is reported as
 # unknown, which loaders turn into warnings. The record keys are in the
 # order the savers write them.
@@ -1018,20 +1029,22 @@ _INSTANCE_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _records(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
-    """Each object in ``instances`` with its location; notes unknown keys."""
-    inst = raw.get("instances")
-    if not isinstance(inst, list):
-        out.append("instances: missing or not a list")
+def _records(raw: Mapping[str, Any], name: str, keys: tuple[str, ...], out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
+    """Each object in the ``name`` list with its location; notes keys not
+    in ``keys``."""
+    listed = raw.get(name)
+    if not isinstance(listed, list):
+        out.append(f"{name}: missing or not a list")
         return
-    allowed = set(_INSTANCE_KEYS[schema])
-    for i, rec in enumerate(inst):
+    allowed = set(keys)
+    for i, rec in enumerate(listed):
+        where = f"{name}[{i}]"
         if not _is_object(rec):
-            out.append(f"instances[{i}]: not an object")
+            out.append(f"{where}: not an object")
             continue
         if not rec.keys() <= allowed:
-            extras.extend(f"instances[{i}]: '{k}'" for k in rec if k not in allowed)
-        yield f"instances[{i}]", rec
+            extras.extend(f"{where}: '{k}'" for k in rec if k not in allowed)
+        yield where, rec
 
 
 def _scan(raw: Mapping[str, Any], names: tuple[str, ...]) -> list[list] | None:
@@ -1084,8 +1097,9 @@ def _plain_segments(starts: list, ends: list) -> np.ndarray | None:
     start, end = _plain_reals(starts), _plain_reals(ends)
     if start is None or end is None:
         return None
-    if not ((start >= 0) & (start <= end) & (end - start <= HALF_MAX)).all():
-        return None
+    with np.errstate(over="ignore"):  # an overflow is the violation checked for
+        if not ((start >= 0) & (start <= end) & (end - start <= HALF_MAX)).all():
+            return None
     return np.stack((start, end), axis=1)
 
 
@@ -1101,48 +1115,6 @@ def _plain_boxes(col: list) -> np.ndarray | None:
         width, height = boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1]
         ok = (width >= 0) & (height >= 0) & (width <= HALF_MAX) & (height <= HALF_MAX) & (width * height <= HALF_MAX)
     return boxes if ok.all() else None
-
-
-def _header_list(raw: Mapping[str, Any], name: str, key: str, fields: Callable[..., _T], out: list[str]) -> dict[str, _T]:
-    """The ``name`` list of a file's header, ``videos`` or ``images``: what
-    ``fields(entry, where, out)`` makes of each entry's other fields, by its
-    ``key`` id, for every entry whose id is well-formed and unique, in list
-    order. Every entry is checked, but only a clean list's values are used."""
-    entries: dict[str, _T] = {}
-    listed = raw.get(name)
-    if not isinstance(listed, list):
-        out.append(f"{name}: missing or not a list")
-        return entries
-    for i, entry in enumerate(listed):
-        where = f"{name}[{i}]"
-        if not _is_object(entry):
-            out.append(f"{where}: not an object")
-            continue
-        eid = entry.get(key)
-        valid = _id(eid, key, where, out)
-        if valid and eid in entries:
-            out.append(f"{where}: duplicate {key} '{eid}'")
-        value = fields(entry, where, out)
-        if valid:
-            entries.setdefault(eid, value)
-    return entries
-
-
-def _video_fields(video: Mapping[str, Any], where: str, out: list[str]) -> tuple[Any, float | None]:
-    nf = video.get("num_frames")
-    _int(nf, "num_frames", None, where, out)
-    return nf, _real(video.get("fps"), "fps", True, where, out)
-
-
-def _image_size(image: Mapping[str, Any], where: str, out: list[str]) -> tuple[Any, Any]:
-    size = (image.get("width"), image.get("height"))
-    for name, v in zip(("width", "height"), size):
-        if not _is_int(v) or v < 1:
-            out.append(f"{where}: {name} must be an int >= 1")
-    return size
-
-
-_HEADER_LISTS = {"videos": ("video_id", _video_fields), "images": ("keyframe_id", _image_size)}
 
 
 def _keyframes(kf: Any, where: str, out: list[str]) -> tuple[list[float], list[bool]] | None:
@@ -1216,7 +1188,7 @@ def _loop_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
     videos: list[str] = []
     coords: list[float] = []
     flags: list[bool] = []
-    for where, rec in _records(raw, schema, out, extras):
+    for where, rec in _records(raw, "instances", _INSTANCE_KEYS[schema], out, extras):
         vid = rec.get("video_id")
         if _id(vid, "video_id", where, out):
             if vid in seen:
@@ -1372,7 +1344,7 @@ def _loop_lta(raw: Mapping[str, Any], schema: str, config: tuple, out: list[str]
     lengths: list[int] = []
     seqs: list[list] = []
     scores: list = []
-    for where, rec in _records(raw, schema, out, extras):
+    for where, rec in _records(raw, "instances", _INSTANCE_KEYS[schema], out, extras):
         vid, ci = rec.get("video_id"), rec.get("clip_index")
         clip = rec.get("clip", 0) if pred else 0
         # & runs every check, so each field is reported.
@@ -1421,11 +1393,18 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
 
 
 def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, int | None]:
-    """The header's ``videos`` or ``images`` list (its last key) by id,
-    with each entry's other fields, and the class bound; builds no record."""
+    """The header's ``videos`` or ``images`` list (its last key), walked by
+    its ``_HEADERS`` spec: each entry's other fields by its id, for every
+    entry whose id is a string, in list order; and the class bound. Builds
+    no record."""
     known = bound = None
     if header:
-        known = _header_list(raw, header[-1], *_HEADER_LISTS[header[-1]], out)
+        name, spec = header[-1], _HEADERS[header[-1]]
+        # Unknown keys in an entry are not reported.
+        cols = _scan_ranked(raw, name, spec, None, None) or _loop_ranked(raw, name, spec, None, None, out, [])
+        ids, *fields = (col.tolist() if isinstance(col, np.ndarray) else col for col in cols.values())
+        # A duplicate keeps its first place; only a clean list's values are used.
+        known = {eid: value for eid, value in zip(ids, zip(*fields)) if isinstance(eid, str)}
     if "num_classes" in header:
         bound = raw.get("num_classes")
         if not _is_int(bound) or bound < 1:
@@ -1434,11 +1413,10 @@ def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[st
     return known, bound
 
 
-def _scan_ranked(raw: Mapping[str, Any], schema: str, known: Any, bound: int | None) -> dict[str, Any] | None:
-    """The spec's columns of a file in which the loop would find nothing;
-    None for any other file."""
-    spec = _RANKED[schema]
-    found = _scan(raw, spec.keys)
+def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
+    """The spec's columns of the ``name`` list of a file in which the loop
+    would find nothing; None for any other file."""
+    found = _scan({"instances": raw.get(name)}, spec.keys)
     if found is None:
         return None
     col = dict(zip(spec.keys, found))
@@ -1448,34 +1426,30 @@ def _scan_ranked(raw: Mapping[str, Any], schema: str, known: Any, bound: int | N
             value = _plain_segments(col["start_s"], col["end_s"])
         elif kind == "box":
             value = _plain_boxes(col[key])
-        elif kind == "int":
+        elif kind in ("int", "size"):
             value = _plain_ints(col[key], bound)
         elif kind in ("real", "positive"):
             value = _plain_reals(col[key])
-            if kind == "positive" and value is not None and not (value > 0).all():
-                value = None
         else:
             ids = col[key]
             unique = kind != "unique" or len(set(ids)) == len(ids)
             value = ids if unique and _plain_ids(ids, known if kind == "listed" else None) else None
-        if value is None:
+        if value is None or (kind in ("positive", "size") and not (value > 0).all()):
             return None
         columns[column] = value
     return columns
 
 
 def _loop_ranked(
-    raw: Mapping[str, Any], schema: str, known: Any, bound: int | None, out: list[str], extras: list[str]
+    raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None, out: list[str], extras: list[str]
 ) -> dict[str, list]:
-    """The spec's columns, each record's fields checked in the spec's order;
-    a record with a violation adds no row."""
-    fields = _RANKED[schema].fields
-    columns: dict[str, list] = {column: [] for _, _, column in fields}
+    """The spec's columns of the ``name`` list, each entry's fields checked
+    in the spec's order. Every entry adds its row, faults and all: a walk
+    uses the columns only of a list without violations."""
+    columns: dict[str, list] = {column: [] for _, _, column in spec.fields}
     seen: set[str] = set()
-    for where, rec in _records(raw, schema, out, extras):
-        n = len(out)
-        row = []
-        for key, kind, _ in fields:
+    for where, rec in _records(raw, name, spec.keys, out, extras):
+        for key, kind, column in spec.fields:
             value = rec.get(key)
             if kind == "segment":
                 value = _segment(rec.get("start_s"), rec.get("end_s"), where, out)
@@ -1483,6 +1457,9 @@ def _loop_ranked(
                 value = _box(value, where, out)
             elif kind == "int":
                 _int(value, key, bound, where, out)
+            elif kind == "size":
+                if not _is_int(value) or value < 1:
+                    out.append(f"{where}: {key} must be an int >= 1")
             elif kind in ("real", "positive"):
                 value = _real(value, key, kind == "positive", where, out)
             elif _id(value, key, where, out):
@@ -1492,10 +1469,7 @@ def _loop_ranked(
                     if value in seen:
                         out.append(f"{where}: duplicate {key} '{value}'")
                     seen.add(value)
-            row.append(value)
-        if len(out) == n:
-            for (_, _, column), value in zip(fields, row):
-                columns[column].append(value)
+            columns[column].append(value)
     return columns
 
 
@@ -1507,7 +1481,7 @@ def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: li
     scores 1.0."""
     spec = _RANKED[schema]
     known, bound = _ranked_header(raw, spec.header, out)
-    cols = _scan_ranked(raw, schema, known, bound) or _loop_ranked(raw, schema, known, bound, out, extras)
+    cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
     if out:
         return None, None
     header = known

@@ -701,6 +701,27 @@ class TestTrain:
         head = fileio.load_head(head_file)
         assert head.kind == "classifier_C"
 
+    @pytest.mark.parametrize(
+        "argv, train, options",
+        [
+            (["fhp"], experiments.train_hand_regressor, {}),
+            # The clip window options are the forecaster's; fhp ignores them.
+            (["fhp", "--alpha", "3", "--clip-len", "1"], experiments.train_hand_regressor, {}),
+            (["lta", "--epochs", "2"], experiments.train_forecaster, {"epochs": 2}),
+            (["lta", "--epochs", "2", "--alpha", "8", "--lr", "1.5", "--seed", "4"], experiments.train_forecaster, {"epochs": 2, "alpha_s": 8.0, "lr": 1.5, "seed": 4}),
+        ],
+    )
+    def test_options_left_out_take_the_trainers_defaults(self, dataset_dir, tmp_path, capsys, argv, train, options):
+        config = fileio.load_config(dataset_dir / "config.json")
+        ds = generate_synthetic(config)
+        head, losses = train(ds, ds.video_ids, **options)
+        fileio.save_head(tmp_path / "expected.bin", head)
+        out = tmp_path / "h.bin"
+        assert cli.main(["train", *argv, "--config", str(dataset_dir / "config.json"), "--out", str(out)]) == 0
+        lines = [f"epoch {i}: loss {loss:.6f}" for i, loss in enumerate(losses)] + [f"wrote {out}"]
+        assert capsys.readouterr().out.splitlines() == lines
+        assert out.read_bytes() == (tmp_path / "expected.bin").read_bytes()
+
 
 class TestTrainConfigErrors:
     @pytest.mark.parametrize("key, value", [("resolution", 5), ("num_videos", 2.5), ("resolution", [1920])])
@@ -738,6 +759,14 @@ class TestTrainConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+        assert not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize("task, detail", [("lta", "loss became nan"), ("fhp", "loss became inf")])
+    def test_a_diverging_run_is_one_line(self, dataset_dir, tmp_path, capsys, task, detail):
+        argv = ["train", task, "--config", str(dataset_dir / "config.json"), "--out", str(tmp_path / "h.bin"), "--lr", "1e308", "--epochs", "30"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: diverged at epoch ") and err[0].endswith(detail)
         assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("task", ["lta", "fhp"])
@@ -929,6 +958,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: not valid JSON (")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "mq", "--gt", "DEEP", "--pred", "DS/pred_mq.json"],
+            ["eval", "fhp", "--gt", "DS/gt_fhp.json", "--pred", "DEEP"],
+            ["eval", "lta", "--gt", "DEEP", "--pred", "DS/pred_lta.json"],
+            ["vote", "--pred", "DEEP", "--out", "OUT"],
+            ["fuse", "post", "--pred", "DS/pred_nlq.json", "DEEP", "--out", "OUT"],
+            ["fuse", "sta", "--pred", "DEEP", "--out", "OUT"],
+            ["train", "lta", "--config", "DEEP", "--out", "OUT"],
+        ],
+    )
+    def test_json_nested_too_deeply_names_the_file(self, tmp_path, dataset_dir, capsys, argv):
+        # json.loads raises RecursionError at this depth on every Python from 3.10 on.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        paths = {"DEEP": str(deep), "OUT": str(tmp_path / "out")}
+        argv = [paths.get(arg, arg.replace("DS/", f"{dataset_dir}/")) for arg in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {deep}: JSON nested too deeply to read"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestThreadEnv:
     def test_eval_output_is_thread_independent(self, dataset_dir, capsys):
@@ -1006,6 +1057,27 @@ class TestOverflowingGeometry:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {tmp_path / 'gt.json'}: instances[0]: segment too long (its doubled length overflows)"
         ]
+
+    def test_segment_past_the_float_range_is_one_line(self, dataset_dir, tmp_path, capsys):
+        # Its length overflows in the column scan, which must not warn.
+        pred = json.loads((dataset_dir / "pred_mq.json").read_text(encoding="utf-8"))
+        pred["instances"][0].update(start_s=-1e308, end_s=1e308)
+        (tmp_path / "pred.json").write_text(json.dumps(pred), encoding="utf-8")
+        assert cli.main(["eval", "mq", "--gt", str(dataset_dir / "gt_mq.json"), "--pred", str(tmp_path / "pred.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'pred.json'}: instances[0]: segment start is negative"]
+
+    def test_displacements_past_the_float_range_name_the_report(self, dataset_dir, tmp_path, capsys):
+        # Valid coordinates whose differences overflow to an infinite distance.
+        for kind, x in (("gt", -1e308), ("pred", 1e308)):
+            tree = json.loads((dataset_dir / f"{kind}_fhp.json").read_text(encoding="utf-8"))
+            for inst in tree["instances"]:
+                for point in inst["keyframes"].values():
+                    point["left"][0] = x
+            (tmp_path / f"{kind}.json").write_text(json.dumps(tree), encoding="utf-8")
+        assert cli.main(["eval", "fhp", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: L-M.Disp: the displacements overflow the float range"]
 
 
 class TestTrainConfigOverflow:

@@ -4,9 +4,10 @@ scod), and for ``vote`` and ``fuse post``, ``sta`` and ``pre``.
 It edits synth ground truth and predictions, and per-clip probability
 files, with the mutations of ``test_columns`` (edge values, wrong types,
 dropped and extra keys, shuffled records, anywhere in the tree, headers
-included) and runs the CLI on them. Every run must exit 0 or 2: on 2 with
-exactly one ``error:`` line on stderr, on 0 with nothing on stderr and no
-warning other than an unknown key. A traceback fails the test.
+included) and a value nested deeper than ``json.loads`` reads, and runs the
+CLI on them. Every run must exit 0 or 2: on 2 with exactly one ``error:``
+line on stderr, on 0 with nothing on stderr, and either way with no warning
+other than an unknown key. A traceback fails the test.
 
 ``fuse pre`` gets feature files that are truncated, extended and
 bit-flipped, and an ``--out`` that may be an input under its own path, a
@@ -54,13 +55,22 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# Stands for a value nested 100,000 lists deep, which ``json.loads`` refuses
+# with a RecursionError on every Python from 3.10 on.
+_NEST = "<nested 100,000 deep>"
+
+
 def _mutate(tree, data, rng):
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         if data.draw(st.booleans(), label="shuffle"):
             rng.shuffle(tree["instances"])
         path = data.draw(st.sampled_from(list(_paths(tree))), label="path")
-        value = data.draw(st.sampled_from(_edits(tree, path, _get(tree, path), rng)), label="value")
+        value = data.draw(st.sampled_from(_edits(tree, path, _get(tree, path), rng) + [_NEST]), label="value")
         _set(tree, path, copy.deepcopy(value))
+
+
+def _write(path, tree):
+    path.write_text(json.dumps(tree).replace(json.dumps(_NEST), "[" * 100_000 + "]" * 100_000), encoding="utf-8")
 
 
 @pytest.mark.parametrize("track", TRACKS)
@@ -75,7 +85,7 @@ def test_eval_exits_0_or_2_with_one_line(trees, scratch, track, data):
         if kind in mutated:
             _mutate(tree, data, rng)
         paths[kind] = scratch / f"{kind}.json"
-        paths[kind].write_text(json.dumps(tree), encoding="utf-8")
+        _write(paths[kind], tree)
     _exits_0_or_2(["eval", track, "--gt", str(paths["gt"]), "--pred", str(paths["pred"])])
 
 
@@ -91,7 +101,7 @@ def _exits_0_or_2(argv):
     else:
         assert err.getvalue() == ""
         assert out.getvalue()
-        assert all("unknown key" in str(w.message) for w in caught), [str(w.message) for w in caught]
+    assert all("unknown key" in str(w.message) for w in caught), [str(w.message) for w in caught]
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +130,7 @@ def test_fusion_exits_0_or_2_with_one_line(fusion_trees, scratch, command, data)
         if i == 0 or data.draw(st.booleans(), label="both"):
             _mutate(tree, data, rng)
         paths.append(scratch / f"{command}_{i}.json")
-        paths[-1].write_text(json.dumps(tree), encoding="utf-8")
+        _write(paths[-1], tree)
     args = ["vote"] if command == "vote" else ["fuse", command]
     _exits_0_or_2([*args, "--pred", *map(str, paths), "--out", str(scratch / "fused.json")])
 
