@@ -1432,8 +1432,9 @@ def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, b
             value = _plain_reals(col[key])
         else:
             ids = col[key]
-            unique = kind != "unique" or len(set(ids)) == len(ids)
-            value = ids if unique and _plain_ids(ids, known if kind == "listed" else None) else None
+            # The types first: a list or object id cannot go in a set.
+            plain = _plain_ids(ids, known if kind == "listed" else None)
+            value = ids if plain and (kind != "unique" or len(set(ids)) == len(ids)) else None
         if value is None or (kind in ("positive", "size") and not (value > 0).all()):
             return None
         columns[column] = value

@@ -9,7 +9,8 @@ The corpus holds one small valid tree per loader (the trees of
 edits to them: every mutation of ``test_validated_loading._mutations`` on
 the first record of every list, plus huge ints, negative zero, extra keys
 and random combinations of up to three edits anywhere in the tree, and
-last the first record's segment or box at the overflow bound. For each
+then the first record's segment or box at the overflow bound, and last
+each string of the first records as a list and as an object. For each
 edited tree it freezes what ``validate_dataset`` and ``unknown_keys`` return
 and what the loader does: the error it raises, the warnings it gives, and a
 fingerprint of the records it builds. ``test_violation_corpus.py`` replays
@@ -103,10 +104,13 @@ def _halves(width: int, shift: int) -> list[float]:
 
 
 def corpus_mutations(value: Any) -> list[Any]:
-    """The guard tests' mutations, plus a huge int, -0.0 and an extra key."""
+    """The guard tests' mutations, plus a huge int, -0.0 and an extra key;
+    a string's list and object come in ``container_id_edits`` instead."""
     if value == HUGE:  # an earlier edit; float(value) would overflow
         return [0, -1, None]
     out = _mutations(value)
+    if isinstance(value, str):
+        out = [v for v in out if not isinstance(v, (list, dict))]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out += [HUGE, -0.0]
     if isinstance(value, dict):
@@ -224,14 +228,21 @@ def overflow_edits(base: Any) -> list[list[list[Any]]]:
     return []
 
 
+def container_id_edits(base: Any) -> list[list[list[Any]]]:
+    """Each string of the first records replaced by a list and an object,
+    which a set of ids cannot hold."""
+    return [[[list(path), bad]] for path in first_record_paths(base) if isinstance(_get(base, path), str) for bad in ([], {})]
+
+
 def main() -> int:
     rng = random.Random(SEED)
     bases = base_trees()
     cases, seen = [], set()
-    # The overflow cases were added after the first corpus, so they come
-    # last and leave the earlier cases as they were.
+    # The overflow cases, then the list and object ids, were added after the
+    # first corpus, so they come last and leave the earlier cases as they were.
     runs = [(name, edit_lists(bases[name], rng)) for name in sorted(bases)]
     runs += [(name, overflow_edits(bases[name])) for name in sorted(bases)]
+    runs += [(name, container_id_edits(bases[name])) for name in sorted(bases)]
     with tempfile.TemporaryDirectory() as tmp:
         for name, edit_list in runs:
             for edits in edit_list:

@@ -980,6 +980,33 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"error: {deep}: JSON nested too deeply to read"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", [[], {}], ids=["list", "object"])
+    @pytest.mark.parametrize(
+        "argv, edited, where, key",
+        [
+            (["eval", "mq", "--gt", "EDITED", "--pred", "DS/pred_mq.json"], "gt_mq", "videos", "video_id"),
+            (["eval", "nlq", "--gt", "EDITED", "--pred", "DS/pred_nlq.json"], "gt_nlq", "videos", "video_id"),
+            (["eval", "nlq", "--gt", "EDITED", "--pred", "DS/pred_nlq.json"], "gt_nlq", "instances", "query_id"),
+            (["eval", "nlq", "--gt", "DS/gt_nlq.json", "--pred", "EDITED"], "pred_nlq", "instances", "query_id"),
+            (["eval", "sta", "--gt", "EDITED", "--pred", "DS/pred_sta.json"], "gt_sta", "images", "keyframe_id"),
+            (["eval", "scod", "--gt", "DS/gt_scod.json", "--pred", "EDITED"], "pred_scod", "images", "keyframe_id"),
+            (["fuse", "sta", "--pred", "EDITED", "--out", "OUT"], "pred_sta", "images", "keyframe_id"),
+        ],
+    )
+    def test_id_of_list_or_object_is_one_line(self, tmp_path, dataset_dir, capsys, argv, edited, where, key, bad):
+        # A list or object cannot go in a set: the column scan must check the
+        # ids' types before it counts them.
+        tree = json.loads((dataset_dir / f"{edited}.json").read_text(encoding="utf-8"))
+        tree[where][0][key] = bad
+        path = tmp_path / f"{edited}.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        paths = {"EDITED": str(path), "OUT": str(tmp_path / "out")}
+        assert cli.main([paths.get(arg, arg.replace("DS/", f"{dataset_dir}/")) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert f"{where}[0]: {key} must be a non-empty string" in err[0]
+        assert not (tmp_path / "out").exists()
+
 
 class TestThreadEnv:
     def test_eval_output_is_thread_independent(self, dataset_dir, capsys):

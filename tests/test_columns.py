@@ -106,8 +106,10 @@ def _edits(tree, path, value, rng):
     if isinstance(value, float):
         return list(_EDGE_REALS) + [value + rng.random(), -value]
     if isinstance(value, str):
-        ids = sorted({rec.get(path[-1]) for rec in tree["instances"] if isinstance(rec, dict)} - {value, None}, key=str)
-        return ids + ["", "new-id", 7]
+        # An earlier edit may have left a list or object, which a set cannot hold.
+        found = (rec.get(path[-1]) for rec in tree["instances"] if isinstance(rec, dict))
+        ids = sorted({v for v in found if not isinstance(v, (list, dict))} - {value, None}, key=str)
+        return ids + ["", "new-id", 7, [], {}]
     if isinstance(value, list):
         out = [value[::-1], value[:-1], value + value[-1:], value[1:] + value[:1]]
         if len(value) == 4:  # a box; its area or width overflows when doubled

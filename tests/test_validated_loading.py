@@ -399,7 +399,7 @@ def _mutations(value: Any) -> list[Any]:
         whole = [int(value)] if math.isfinite(value) else []
         return whole + [-value, math.nan, math.inf, -math.inf, True, None, str(value)]
     if isinstance(value, str):
-        return ["", 0, None]
+        return ["", 0, None, [], {}]
     if isinstance(value, list):
         half = len(value) // 2
         return [value[:-1], value + value[-1:], value[half:] + value[:half], value[::-1], [], {}]
