@@ -35,11 +35,11 @@ column.
 its [verb, noun] pairs, with one ``json_texts`` call and write each record's
 keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
 Every saver first checks what it would write with the walk's own checkers
-(the ``videos`` or ``images`` field spec and ``num_classes`` rule of
-``_ranked_header``, ``_resolution``, ``_id``, ``_int`` and the lta sequence
-checks) and refuses what its loader would refuse, before writing, with a
-ValueError naming the schema and the record's key; the checks build no
-record.
+(the ``videos`` or ``images`` field spec and the ``num_classes`` and
+``resolution`` rules of ``_ranked_header``, the latter as ``_resolution``;
+``_id``, ``_int`` and the lta sequence checks) and refuses what its loader
+would refuse, before writing, with a ValueError naming the schema and the
+record's key; the checks build no record.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ from .model import (
     _answers,
     _boxes,
     _candidates,
+    _finite_rows,
     _forecasts,
     _hand_keyframes,
     _id,
@@ -713,18 +714,21 @@ def _open_features(path: str | Path) -> BinaryIO:
         raise DataError(f"{path}: {e}") from e
 
 
-def _row_blocks(f: BinaryIO, path: str | Path, dim: int, rows: int, block: int, not_finite: str) -> Iterator[np.ndarray]:
+def _row_blocks(f: BinaryIO, path: str | Path, dim: int, rows: int, block: int, not_finite: str | None = None) -> Iterator[np.ndarray]:
     """The ``rows`` rows of ``dim`` values that ``f`` holds from where it
     stands, ``block`` rows at a time, each read into the same buffer. A
     short read, or a value that is not finite, raises DataError naming
-    ``path`` (the latter with the text ``not_finite``)."""
+    ``path`` (the latter with the text ``not_finite`` when given, else that
+    of ``FeatureMatrix``'s rule)."""
     buf = np.empty((min(block, rows), dim), dtype="<f4")
     for start in range(0, rows, block):
         part = buf[: rows - start]
         if f.readinto(part) != part.nbytes:
             raise DataError(f"{path}: {_CHANGED}")
-        if not np.isfinite(part).all():
-            raise DataError(f"{path}: {not_finite}")
+        try:
+            _finite_rows(part)
+        except ValueError as e:
+            raise DataError(f"{path}: {not_finite or e}") from e
         yield part
 
 
@@ -743,7 +747,7 @@ def _check_feature_file(path: str | Path) -> tuple[bytes, int, int]:
             raise DataError(f"{path}: {e}") from e
         dim, rows = _feature_framing(path, head, size)
         f.seek(_HEADER_BYTES)
-        for _ in _row_blocks(f, path, dim, rows, _block_rows(dim), "feature rows must be finite"):
+        for _ in _row_blocks(f, path, dim, rows, _block_rows(dim)):
             pass
     return head, dim, rows
 

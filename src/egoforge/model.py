@@ -12,12 +12,13 @@ it notes keys the schema does not know. The records come back as arrays:
 in the loader's group order, int ids, float64 scores and TTCs, (n, 2)
 segments or (n, 4) boxes; ``LtaColumns`` for lta (int64 [verb, noun] pairs
 with per-row sequence counts and lengths, score matrices as read-only
-float64 arrays); ``FhpColumns`` for fhp
-((n, 5, 2, 2) float64 coordinates, (n, 5, 2) bool visibility). One field
-spec per ranked schema, in ``_RANKED``, drives their walk, their allowed
-keys and the savers' key order. A file is checked a column at a time; one
-the column scan does not accept goes through the per-record loop, which
-keeps every message and its order. The typed views of the arrays
+float64 arrays); ``FhpColumns`` for fhp ((n, 5, 2, 2) float64
+coordinates, (n, 5, 2) bool visibility). One field spec per ranked and fhp
+schema, in ``_SPECS``, drives their walk and their allowed keys; the ranked
+ones, in ``_RANKED``, also give the savers' key order. lta alone has a
+walker of its own. A file is checked a column at a time; one the column
+scan does not accept goes through the per-record loop, which keeps every
+message and its order. The typed views of the arrays
 (``TypedView``, which the loaders and the generator give, builds them on
 first access) make records with ``_validated``, which skips the
 constructor checks: the walk has made them, since it and the constructors
@@ -584,6 +585,11 @@ class Detection:
         _set(self, "score", _checked("Detection", _real, self.score, "score", False))
 
 
+def _finite_rows(rows: np.ndarray) -> None:
+    """The feature-row rule; ``fileio`` checks a file's rows by it too."""
+    _require(bool(np.isfinite(rows).all()), "feature rows must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """A stack of fixed-width float32 feature rows with provenance."""
@@ -600,7 +606,7 @@ class FeatureMatrix:
             rows = rows.reshape(0, self.dim)
         _require(rows.ndim == 2, "rows must be a 2-D array")
         _require(rows.shape[1] == self.dim, f"rows have width {rows.shape[1]}, expected {self.dim}")
-        _require(bool(np.isfinite(rows).all()), "feature rows must be finite")
+        _finite_rows(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -931,45 +937,49 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 #
 # Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
 # _RANKED, which drives the column scan, the per-record loop and the allowed
-# keys here, and the savers' key order in fileio; the header lists of
-# objects (videos, images) have one each in _HEADERS, walked the same way by
-# _ranked_header. Every file is first checked a column at a time
-# (_scan_ranked, _scan_lta and _scan_fhp, with _scan and the _plain_*
-# checks): plain dicts that hold exactly the record's keys, exact types
-# (plain floats for reals, plain ints for ids) over flattened lists, set
-# membership for ids and vectorised range and order checks. The score
-# matrices of a file are checked as one float64 block of verb rows and one
-# of noun rows (_plain_matrices), whose numpy row sums settle every row but
-# those near the 1e-6 edge, which go to _sums_to_one. A scan accepts only
-# files in which the per-record loop would find nothing, and gives the same
-# arrays. Any other file (a violation, an unknown key, an int-valued real, a
+# keys here, and the savers' key order in fileio. The fhp schemas have one
+# each beside them in _SPECS, and the header lists of objects (videos,
+# images) one each in _HEADERS, walked the same way. lta alone, with its
+# optional keys and cross-field forecast rules, has a walker of its own.
+# Every file is first checked a column at a time (_scan_ranked and
+# _scan_lta, with _scan and the _plain_* checks): plain dicts that hold
+# exactly the record's keys, exact types (plain floats for reals, plain ints
+# for ids) over flattened lists, set membership for ids and vectorised
+# range and order checks. The score matrices of a file are checked as one
+# float64 block of verb rows and one of noun rows (_plain_matrices), whose
+# numpy row sums settle every row but those near the 1e-6 edge, which go to
+# _sums_to_one. A scan accepts only files in which the per-record loop would
+# find nothing, and gives the same arrays. Any other file (a violation, an unknown key, an int-valued real, a
 # bool, an id beyond int64) goes through the per-record loop (_loop_ranked,
-# _loop_lta, _loop_fhp), which writes every message in its order and, on a
-# valid file, fills the same arrays.
+# _loop_lta), which writes every message in its order and, on a valid file,
+# fills the same arrays.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Ranked:
     """The layout of one ranked schema: mq, nlq, sta or scod, ground truth
-    or predictions; or of the entries of a header list.
+    or predictions; of one fhp schema; or of the entries of a header list.
 
     ``header`` holds the top-level keys besides ``schema`` and ``instances``
     in file order: ``videos`` (with ``num_classes`` for mq ground truth),
-    ``images``, or none. ``fields`` holds each record field as (key, kind,
-    column), in the order the per-record loop checks it. The kinds:
+    ``images``, ``resolution`` (fhp ground truth), or none. ``fields``
+    holds each record field as (key, kind, column), in the order the
+    per-record loop checks it. The kinds:
 
     - ``id``: a non-empty string; ``listed``: one the header lists;
       ``unique``: one no other record has;
     - ``segment``: the ``start_s``, ``end_s`` pair; ``box``: [x1, y1, x2, y2];
     - ``int``: >= 0, and below the header's ``num_classes`` where it has one;
       ``size``: an int >= 1;
-    - ``real``: finite; ``positive``: finite and > 0.
+    - ``real``: finite; ``positive``: finite and > 0;
+    - ``keyframes``: the hands at the five keyframe tags (``_keyframes``).
 
-    The column is the ``Columns`` field the values fill, or ``group`` for
-    the field that groups the rows (a header list's id); a header list's
-    other columns are named by their keys. ``order`` gives the record keys
-    in file order where that is not the check order.
+    The column is the ``Columns`` or ``FhpColumns`` field the values fill
+    (``keyframes`` fills ``coords`` and ``visible``), or ``group`` for the
+    field that groups the rows (a header list's id); a header list's other
+    columns are named by their keys. ``order`` gives the record keys in
+    file order where that is not the check order.
     """
 
     header: tuple[str, ...]
@@ -1002,6 +1012,10 @@ _RANKED: dict[str, _Ranked] = {
     "scod-pred/1": _Ranked(("images",), _SCOD + (_SCORE,)),
 }
 
+# The fhp schemas, walked like the ranked ones but saved by fileio._save_fhp.
+_FHP = (("video_id", "unique", "videos"), ("keyframes", "keyframes", "keyframes"))
+_SPECS: dict[str, _Ranked] = {**_RANKED, "fhp/1": _Ranked(("resolution",), _FHP), "fhp-pred/1": _Ranked((), _FHP)}
+
 # The header lists of objects: one entry per video or keyframe. Not a
 # schema, so they stay out of _TOP_KEYS and _INSTANCE_KEYS.
 _HEADERS: dict[str, _Ranked] = {
@@ -1013,19 +1027,15 @@ _HEADERS: dict[str, _Ranked] = {
 # unknown, which loaders turn into warnings. The record keys are in the
 # order the savers write them.
 _TOP_KEYS: dict[str, set[str]] = {
-    "fhp/1": {"schema", "resolution", "instances"},
-    "fhp-pred/1": {"schema", "instances"},
     "lta/1": {"schema", "config", "instances"},
     "lta-pred/1": {"schema", "config", "instances"},
-    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()},
+    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _SPECS.items()},
 }
 
 _INSTANCE_KEYS: dict[str, tuple[str, ...]] = {
-    "fhp/1": ("video_id", "keyframes"),
-    "fhp-pred/1": ("video_id", "keyframes"),
     "lta/1": ("video_id", "clip_index", "sequence"),
     "lta-pred/1": ("video_id", "clip_index", "clip", "candidates", "score_matrix"),
-    **{schema: spec.keys for schema, spec in _RANKED.items()},
+    **{schema: spec.keys for schema, spec in _SPECS.items()},
 }
 
 
@@ -1151,19 +1161,15 @@ def _resolution(res: Any, out: list[str]) -> tuple[int, int] | None:
     return (res[0], res[1])
 
 
-def _scan_fhp(raw: Mapping[str, Any], schema: str) -> tuple[list, np.ndarray, list] | None:
-    """The video ids, coordinates and visibility of a file in which the loop
-    would find nothing; None for any other file."""
-    found = _scan(raw, _INSTANCE_KEYS[schema])
-    if found is None:
-        return None
-    videos, kfs = found
-    if not (_plain_ids(videos) and len(set(videos)) == len(videos) and _only(kfs, dict)):
+def _plain_keyframes(col: list) -> tuple[np.ndarray, list[bool]] | None:
+    """Valid keyframes: every record's coordinates as one flat array and its
+    visibility flags, each in the order ``_keyframes`` gives them."""
+    if not _only(col, dict):
         return None
     try:
-        points = list(chain.from_iterable(map(itemgetter(*KEYFRAME_TAGS), kfs)))
+        points = list(chain.from_iterable(map(itemgetter(*KEYFRAME_TAGS), col)))
         # Each point holds the hands and at most a visibility map besides.
-        if not (set(map(len, kfs)) <= {len(KEYFRAME_TAGS)} and _only(points, dict)):
+        if not (set(map(len, col)) <= {len(KEYFRAME_TAGS)} and _only(points, dict)):
             return None
         hands = list(chain.from_iterable(map(itemgetter(*HANDS), points)))
     except KeyError:
@@ -1176,44 +1182,7 @@ def _scan_fhp(raw: Mapping[str, Any], schema: str) -> tuple[list, np.ndarray, li
     if not (_only(list(chain.from_iterable(map(dict.values, marks))), bool) and _only(hands, list)):
         return None
     coords = _plain_reals(list(chain.from_iterable(hands))) if set(map(len, hands)) <= {2} else None
-    if coords is None:
-        return None
-    return videos, coords, [mark.get(hand, True) for mark in marks for hand in HANDS]
-
-
-def _loop_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[list, list, list]:
-    """The video ids, coordinates and visibility flags, each record checked
-    in turn."""
-    seen: set[str] = set()
-    videos: list[str] = []
-    coords: list[float] = []
-    flags: list[bool] = []
-    for where, rec in _records(raw, "instances", _INSTANCE_KEYS[schema], out, extras):
-        vid = rec.get("video_id")
-        if _id(vid, "video_id", where, out):
-            if vid in seen:
-                out.append(f"{where}: duplicate video_id '{vid}'")
-            seen.add(vid)
-        keyframes = _keyframes(rec.get("keyframes"), where, out)
-        if not out:
-            videos.append(vid)
-            coords += keyframes[0]
-            flags += keyframes[1]
-    return videos, coords, flags
-
-
-def _walk_fhp(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, FhpColumns | None]:
-    """Header resolution for ground truth; the records as ``FhpColumns``."""
-    resolution = None if schema == "fhp-pred/1" else _resolution(raw.get("resolution"), out)
-    videos, coords, visible = _scan_fhp(raw, schema) or _loop_fhp(raw, schema, out, extras)
-    if out:
-        return resolution, None
-    frames = len(KEYFRAME_TAGS)
-    return resolution, FhpColumns(
-        videos=tuple(videos),
-        coords=np.asarray(coords, dtype=np.float64).reshape(-1, frames, 2, 2),
-        visible=np.asarray(visible, dtype=bool).reshape(-1, frames, 2),
-    )
+    return None if coords is None else (coords, [mark.get(hand, True) for mark in marks for hand in HANDS])
 
 
 def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
@@ -1393,12 +1362,15 @@ def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[
 
 
 def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, int | None]:
-    """The header's ``videos`` or ``images`` list (its last key), walked by
-    its ``_HEADERS`` spec: each entry's other fields by its id, for every
-    entry whose id is a string, in list order; and the class bound. Builds
-    no record."""
+    """The header's ``resolution`` as a (width, height) pair, or its
+    ``videos`` or ``images`` list (its last key), walked by its
+    ``_HEADERS`` spec: each entry's other fields by its id, for every entry
+    whose id is a string, in list order; and the class bound. Builds no
+    record."""
     known = bound = None
-    if header:
+    if "resolution" in header:
+        known = _resolution(raw.get("resolution"), out)
+    elif header:
         name, spec = header[-1], _HEADERS[header[-1]]
         # Unknown keys in an entry are not reported.
         cols = _scan_ranked(raw, name, spec, None, None) or _loop_ranked(raw, name, spec, None, None, out, [])
@@ -1426,6 +1398,8 @@ def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, b
             value = _plain_segments(col["start_s"], col["end_s"])
         elif kind == "box":
             value = _plain_boxes(col[key])
+        elif kind == "keyframes":
+            value = _plain_keyframes(col[key])
         elif kind in ("int", "size"):
             value = _plain_ints(col[key], bound)
         elif kind in ("real", "positive"):
@@ -1456,6 +1430,8 @@ def _loop_ranked(
                 value = _segment(rec.get("start_s"), rec.get("end_s"), where, out)
             elif kind == "box":
                 value = _box(value, where, out)
+            elif kind == "keyframes":
+                value = _keyframes(value, where, out)
             elif kind == "int":
                 _int(value, key, bound, where, out)
             elif kind == "size":
@@ -1474,17 +1450,23 @@ def _loop_ranked(
     return columns
 
 
-def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """The header as the loaders take it (image sizes or ``VideoMeta`` by
-    id, the latter with the class bound for mq ground truth), and Columns
-    grouped by the spec's group field: in header order when the header must
-    list that field's ids, else in order of first appearance. Ground truth
-    scores 1.0."""
-    spec = _RANKED[schema]
+def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | FhpColumns | None]:
+    """The header as the loaders take it (the resolution, or image sizes or
+    ``VideoMeta`` by id, the latter with the class bound for mq ground
+    truth), and the records: an fhp file's as ``FhpColumns`` in file order,
+    any other's as Columns grouped by the spec's group field, in header
+    order when the header must list that field's ids, else in order of
+    first appearance. Ground truth scores 1.0."""
+    spec = _SPECS[schema]
     known, bound = _ranked_header(raw, spec.header, out)
     cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
     if out:
         return None, None
+    if "keyframes" in cols:  # the scan gives one pair for all records, the loop one each
+        kf, frames = cols["keyframes"], len(KEYFRAME_TAGS)
+        coords, visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
+        visible = np.asarray(visible, dtype=bool).reshape(-1, frames, 2)
+        return known, FhpColumns(tuple(cols["videos"]), np.asarray(coords, dtype=np.float64).reshape(-1, frames, 2, 2), visible)
     header = known
     if "videos" in spec.header:
         header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
@@ -1496,19 +1478,14 @@ def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: li
     return (header, bound) if bound else header, _grouped_columns(groups, cols["group"], coords, score, *optional)
 
 
-# The nested fhp and lta records have walkers of their own; every other
-# schema has a _RANKED spec.
-_WALKERS = {"fhp": _walk_fhp, "lta": _walk_lta}
-
-
 def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
     Returns the violations, the unknown keys, the file-level part and the
     records: Columns for the mq, nlq, sta and scod schemas, LtaColumns for
     lta and FhpColumns for fhp, None when there are violations. The
-    file-level part is complete only when there are none. The input is
-    never mutated.
+    file-level part is complete only when there are none, and may be None
+    when there are. The input is never mutated.
     """
     if not _is_object(raw):
         return ["top level: not an object"], [], None, None
@@ -1519,8 +1496,7 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
         return [f"schema: unknown schema '{schema}'"], [], None, None
     out: list[str] = []
     extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
-    walker = _WALKERS.get(schema.split("/")[0].removesuffix("-pred"), _walk_ranked)
-    header, records = walker(raw, schema, out, extras)
+    header, records = (_walk_lta if schema.startswith("lta") else _walk_ranked)(raw, schema, out, extras)
     return out, extras, header, records
 
 

@@ -138,10 +138,6 @@ class SynthConfig:
             _require(getattr(self, name) >= 1, f"{name} must be >= 1")
         _require(self.c_v * self.c_n >= 2, "need at least two (verb, noun) combinations")
         _require(self.clip_len_s > 0, "clip_len_s must be positive")
-        _require(
-            self.max_video_len_s <= MAX_CONFIG_VALUE * self.clip_len_s,
-            f"videos may hold at most {MAX_CONFIG_VALUE:g} clips of clip_len_s",
-        )
         _require(self.hand_noise_px >= 0, "hand_noise_px must be >= 0")
         _require(self.label_strength >= 0, "label_strength must be >= 0")
         _require(self.feature_dim >= 8, "feature_dim must be >= 8")
@@ -151,6 +147,15 @@ class SynthConfig:
         _require(
             self.min_video_len_s >= (self.z + 18) * self.clip_len_s,
             "videos too short for forecasting episodes",
+        )
+        # The generator's loops: per video, its clips, its queries, and its
+        # sta and scod keyframes. Each factor is bounded before the product,
+        # so no huge int meets a float.
+        per_video = (self.max_video_len_s / self.clip_len_s, self.nlq_queries_per_video, 2 * self.sta_keyframes_per_video)
+        _require(
+            max(self.num_videos, *per_video) <= MAX_CONFIG_VALUE and self.num_videos * sum(per_video) <= MAX_CONFIG_VALUE,
+            f"num_videos x (max_video_len_s / clip_len_s + nlq_queries_per_video + 2 x sta_keyframes_per_video)"
+            f" must be at most {MAX_CONFIG_VALUE:g}",
         )
 
 

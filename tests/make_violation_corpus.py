@@ -9,8 +9,9 @@ The corpus holds one small valid tree per loader (the trees of
 edits to them: every mutation of ``test_validated_loading._mutations`` on
 the first record of every list, plus huge ints, negative zero, extra keys
 and random combinations of up to three edits anywhere in the tree, and
-then the first record's segment or box at the overflow bound, and last
-each string of the first records as a list and as an object. For each
+then the first record's segment or box at the overflow bound, each string
+of the first records as a list and as an object, and last each header key
+that another schema allows, added where the tree lacks it. For each
 edited tree it freezes what ``validate_dataset`` and ``unknown_keys`` return
 and what the loader does: the error it raises, the warnings it gives, and a
 fingerprint of the records it builds. ``test_violation_corpus.py`` replays
@@ -234,15 +235,29 @@ def container_id_edits(base: Any) -> list[list[list[Any]]]:
     return [[[list(path), bad]] for path in first_record_paths(base) if isinstance(_get(base, path), str) for bad in ([], {})]
 
 
+# The top-level keys besides schema and instances that some schema allows.
+HEADER_KEYS = ("resolution", "videos", "images", "num_classes", "config")
+
+
+def header_key_edits(bases: Mapping[str, Any], base: Any) -> list[list[list[Any]]]:
+    """Each header key that ``base`` lacks, added with the value of the
+    first base tree that has it, valid there: it pins the keys each schema
+    allows at the top level."""
+    values = {key: next(bases[name][key] for name in sorted(bases) if key in bases[name]) for key in HEADER_KEYS}
+    return [[[[key], value]] for key, value in values.items() if key not in base]
+
+
 def main() -> int:
     rng = random.Random(SEED)
     bases = base_trees()
     cases, seen = [], set()
-    # The overflow cases, then the list and object ids, were added after the
-    # first corpus, so they come last and leave the earlier cases as they were.
+    # The overflow cases, then the list and object ids, then the header keys
+    # were added after the first corpus, so they come last and leave the
+    # earlier cases as they were.
     runs = [(name, edit_lists(bases[name], rng)) for name in sorted(bases)]
     runs += [(name, overflow_edits(bases[name])) for name in sorted(bases)]
     runs += [(name, container_id_edits(bases[name])) for name in sorted(bases)]
+    runs += [(name, header_key_edits(bases, bases[name])) for name in sorted(bases)]
     with tempfile.TemporaryDirectory() as tmp:
         for name, edit_list in runs:
             for edits in edit_list:

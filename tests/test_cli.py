@@ -1121,6 +1121,30 @@ class TestTrainConfigOverflow:
             f"error: {config}: max_video_len_s must be a finite real of magnitude at most 1e+06"
         ]
 
+    @pytest.mark.parametrize("command", ["lta", "fhp"])
+    def test_a_count_past_the_loop_budget_is_one_line_and_draws_nothing(self, dataset_dir, tmp_path, capsys, monkeypatch, command):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw["num_videos"] = 10**30
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.setattr(cli, "generate_synthetic", lambda config: pytest.fail("drew a dataset"))
+        rc = cli.main(["train", command, "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: num_videos x (max_video_len_s / clip_len_s + nlq_queries_per_video + 2 x sta_keyframes_per_video)"
+            " must be at most 1e+06"
+        ]
+        assert not (tmp_path / "h.bin").exists()
+
+    def test_synth_past_the_loop_budget_is_one_line_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic", lambda config: pytest.fail("drew a dataset"))
+        assert cli.main(["synth", "--out", str(tmp_path / "ds"), "--num-videos", "1000000000000"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: num_videos x (max_video_len_s / clip_len_s + nlq_queries_per_video + 2 x sta_keyframes_per_video)"
+            " must be at most 1e+06"
+        ]
+        assert not (tmp_path / "ds").exists()
+
     def test_videos_too_short_for_the_generator_name_the_file_and_field(self, dataset_dir, tmp_path, capsys):
         raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
         raw.update(min_video_len_s=3.9, max_video_len_s=5.0, z=1, clip_len_s=0.2)

@@ -73,6 +73,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an int"):
             SynthConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_videos": 10**12},
+            {"num_videos": 10**401},
+            {"nlq_queries_per_video": 10**30},
+            {"sta_keyframes_per_video": 500_000},
+            # More than 1e+06 clips in one video, the rule the budget holds.
+            {"max_video_len_s": 1e6, "clip_len_s": 0.5},
+            {"clip_len_s": 5e-324},
+            # Just past the budget: 15,152 videos of 60 clips, 2 queries and
+            # 2 + 2 keyframes.
+            {"num_videos": 15_152},
+        ],
+    )
+    def test_loops_past_the_budget_rejected(self, overrides):
+        with pytest.raises(ValueError) as e:
+            SynthConfig(**overrides)
+        assert str(e.value) == (
+            "num_videos x (max_video_len_s / clip_len_s + nlq_queries_per_video + 2 x sta_keyframes_per_video) must be at most 1e+06"
+        )
+
+    def test_loops_at_the_budget_accepted(self):
+        # 15,151 x 66 loops is 999,966; c_n and feature_dim size no loop.
+        SynthConfig(num_videos=15_151, c_n=2**40 + 3, feature_dim=10**13)
+
 
 class TestDeterminism:
     def test_two_runs_identical(self):
