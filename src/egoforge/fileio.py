@@ -13,11 +13,11 @@ the values.
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
 violations as one ``SchemaError`` or warns about its unknown keys. The walk
-gives the records as arrays: ``model.Columns`` for the mq, nlq, sta and
-scod schemas (ids, scores, TTCs and coordinates, rows in the loader's group
-order), ``model.LtaColumns`` for lta ([verb, noun] pairs with per-row
-sequence counts and lengths, and score matrices as read-only float64
-arrays) and ``model.FhpColumns`` for fhp (coordinates and visibility).
+gives the records as arrays: ``model.Columns`` for the ten spec schemas,
+mq, nlq, sta, scod and fhp (ids, scores, TTCs, coordinates and hand
+visibility, rows in the loader's group order), and ``model.LtaColumns``
+for lta ([verb, noun] pairs with per-row sequence counts and lengths, and
+score matrices as read-only float64 arrays).
 Every loader returns its records as a ``model.TypedView`` over those
 arrays: typed records, built on first read, and the arrays themselves as
 its ``.columns``, which is how ``egoforge eval`` and ``egoforge vote`` work
@@ -27,13 +27,14 @@ clip's (verb, noun) arrays by episode).
 Every saver of records writes from columns: typed records become columns
 through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and
 the columns of a loaded or generated ``model.TypedView`` pass as they are.
-The mq, nlq, sta and scod savers share ``_save_ranked``, which writes each
-row through one ``render.json_template`` of the keys of the schema's field
-spec, ``model._RANKED``, filled from the ``render.json_texts`` of each
-column.
-``_save_fhp`` and ``_save_lta`` render all of a file's coordinates, or all
-its [verb, noun] pairs, with one ``json_texts`` call and write each record's
-keys in the order of ``model._INSTANCE_KEYS`` (the keys the walk allows).
+The savers of the ten spec schemas share ``_save_ranked``, which writes
+each row through one ``render.json_template`` of the keys of the schema's
+field spec, ``model._RANKED``, filled from the ``render.json_texts`` of
+each column (an fhp row's keyframes through one more template,
+``_KEYFRAMES``). lta alone has a writer of its own: ``_save_lta`` renders
+all of a file's [verb, noun] pairs with one ``json_texts`` call and writes
+each record's keys in the order of ``model._INSTANCE_KEYS`` (the keys the
+walk allows).
 Every saver first checks what it would write with the walk's own checkers
 (the ``videos`` or ``images`` field spec and the ``num_classes`` and
 ``resolution`` rules of ``_ranked_header``, the latter as ``_resolution``;
@@ -189,6 +190,13 @@ def _check_ranked(schema: str, cols: Columns, header: Mapping[str, Any]) -> None
     _refuse(schema, out)
 
 
+# The five keyframes of an fhp record as a json_template, and the texts of
+# the visibility flags.
+_POINT = {"left": [SLOT, SLOT], "right": [SLOT, SLOT], "visible": {"left": SLOT, "right": SLOT}}
+_KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
+_FLAG_TEXT = {False: "false", True: "true"}
+
+
 @cache
 def _record_template(schema: str) -> str:
     """One ``schema`` record in the file's ``instances`` list as a
@@ -214,6 +222,12 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) ->
             values["start_s"], values["end_s"] = ([json_texts(c)] for c in cols.coords.T.tolist())
         elif kind == "box":
             values[key] = [json_texts(c) for c in cols.coords.T.tolist()]
+        elif kind == "keyframes":  # one json_texts call renders every coordinate
+            coords = np.array(json_texts(cols.coords.ravel().tolist()), dtype=object).reshape(-1, 4)
+            flags = np.array([_FLAG_TEXT[v] for v in cols.visible.ravel().tolist()], dtype=object).reshape(-1, 2)
+            # Per keyframe: left x, y and right x, y, then the two visibility flags.
+            cells = np.hstack((coords, flags)).reshape(len(cols.coords), 6 * len(KEYFRAME_TAGS)).tolist()
+            values[key] = [[_KEYFRAMES % tuple(row) for row in cells]]
         elif getattr(cols, column) is None:  # a label that is not an int, or a record without the field
             raise ValueError(f"{schema}: a record has no valid '{key}'")
         else:
@@ -252,36 +266,10 @@ def _nested_layout(schema: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, 
     return json_template(dict.fromkeys(ordered, SLOT), 2), ordered
 
 
-# A [verb id, noun id] pair in a sequence and in a candidate, a score
-# matrix and the five keyframes, as json_templates.
+# A [verb id, noun id] pair in a sequence and in a candidate, and a score
+# matrix, as json_templates.
 _PAIR, _CANDIDATE_PAIR = json_template([SLOT, SLOT], 4), json_template([SLOT, SLOT], 5)
 _MATRIX = json_template({"verb": SLOT, "noun": SLOT}, 3)
-_POINT = {"left": [SLOT, SLOT], "right": [SLOT, SLOT], "visible": {"left": SLOT, "right": SLOT}}
-_KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
-
-
-_FLAG_TEXT = {False: "false", True: "true"}
-
-
-def _save_fhp(path: str | Path, schema: str, instances: Mapping[str, HandKeyframes], **head: Any) -> None:
-    """Write keyframes by video, typed or a view's or a loader's
-    ``FhpColumns``, as a ``schema`` file, the bytes ``json.dumps`` gives.
-    One json_texts call renders every coordinate. Raises ValueError for a
-    file the loader would refuse."""
-    cols = _fhp_columns(instances)
-    out: list[str] = []
-    if "resolution" in head:
-        _resolution(head["resolution"], out)
-    for vid in cols.videos:
-        _id(vid, "video_id", repr(vid), out)
-    _refuse(schema, out)
-    coords = np.array(json_texts(cols.coords.ravel().tolist()), dtype=object).reshape(-1, 4)
-    flags = np.array([_FLAG_TEXT[v] for v in cols.visible.ravel().tolist()], dtype=object).reshape(-1, 2)
-    # Per keyframe: left x, y and right x, y, then the two visibility flags.
-    cells = np.hstack((coords, flags)).reshape(len(cols), 6 * len(KEYFRAME_TAGS)).tolist()
-    template = _nested_layout(schema, ("video_id", "keyframes"))[0]
-    records = [template % (vid, _KEYFRAMES % tuple(row)) for vid, row in zip(json_texts(list(cols.videos)), cells)]
-    _write_records(path, {"schema": schema, **head}, records)
 
 
 def _save_lta(path: str | Path, schema: str, cols: LtaColumns, clips: Sequence[int] = (), **head: Any) -> None:
@@ -428,17 +416,19 @@ class FhpGt:
 
 
 def load_fhp_gt(path: str | Path) -> FhpGt:
-    """Keyframes by video in file order, over ``FhpColumns``."""
+    """Keyframes by video in file order, over ``Columns`` of one row per
+    video."""
     resolution, cols = _load_annotations(path, "fhp/1")
     return FhpGt(resolution=resolution, instances=TypedView(cols, _hand_keyframes))
 
 
 def save_fhp_gt(path: str | Path, gt: FhpGt) -> None:
-    _save_fhp(path, "fhp/1", gt.instances, resolution=list(gt.resolution))
+    _save_ranked(path, "fhp/1", _fhp_columns(gt.instances), resolution=gt.resolution)
 
 
 def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -> TypedView:
-    """Keyframes by video in file order, over ``FhpColumns``."""
+    """Keyframes by video in file order, over ``Columns`` of one row per
+    video."""
     cols = _load_annotations(path, "fhp-pred/1")[1]
     if known_videos is not None:
         require_known(cols, known_videos, "video ids in predictions")
@@ -446,7 +436,7 @@ def load_fhp_pred(path: str | Path, known_videos: Iterable[str] | None = None) -
 
 
 def save_fhp_pred(path: str | Path, preds: Mapping[str, HandKeyframes]) -> None:
-    _save_fhp(path, "fhp-pred/1", preds)
+    _save_ranked(path, "fhp-pred/1", _fhp_columns(preds))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +578,10 @@ class ScodGt:
 
 
 def _images_to_raw(images: Mapping[str, tuple[int, int]]) -> list[dict]:
-    return [{"keyframe_id": kid, "width": wh[0], "height": wh[1]} for kid, wh in images.items()]
+    """The ``images`` list; a size that is not a pair has no width or
+    height, which the list's field spec refuses."""
+    sizes = {kid: wh if isinstance(wh, (tuple, list)) and len(wh) == 2 else (None, None) for kid, wh in images.items()}
+    return [{"keyframe_id": kid, "width": w, "height": h} for kid, (w, h) in sizes.items()]
 
 
 def _load_boxes(path: str | Path, schema: str, known_frames: Iterable[str] | None) -> Any:

@@ -31,6 +31,7 @@ from .model import (
     ScoreMatrix,
     StaInstance,
     _grouped_columns,
+    _int_text,
     _require,
     _sums_to_one,
     _validated,
@@ -38,6 +39,7 @@ from .model import (
 from .metrics import _box_iou_pairs, _temporal_iou_pairs
 
 VOTE_RULES = ("mean_prob", "majority")
+MAX_TOP_K = 1000  # the best-first search takes time linear in k
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ class FusionConfig:
     def __post_init__(self) -> None:
         _require(0 < self.box_nms_iou <= 1, f"box_nms_iou must be in (0, 1], got {self.box_nms_iou!r}")
         _require(0 < self.temporal_nms_tiou <= 1, f"temporal_nms_tiou must be in (0, 1], got {self.temporal_nms_tiou!r}")
-        _require(isinstance(self.top_k, int) and self.top_k >= 1, f"top_k must be an int >= 1, got {self.top_k!r}")
+        if not (isinstance(self.top_k, int) and self.top_k >= 1):  # repr only on failure: a huge int has none
+            raise ValueError(f"top_k must be an int >= 1, got {self.top_k!r}")
+        _require(self.top_k <= MAX_TOP_K, f"top_k must be at most {MAX_TOP_K}, got {_int_text(self.top_k)}")
 
 
 def _canonical_mean(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -344,7 +348,7 @@ def top_k_sequences(matrix: ScoreMatrix, k: int) -> tuple[tuple[ActionLabel, ...
     per-position argmax. The search is best-first over a tree of rank
     vectors (``_top_k_pairs``) and costs O(k·z²) additions.
     """
-    _require(isinstance(k, int) and k >= 1, "k must be an int >= 1")
+    _require(isinstance(k, int) and 1 <= k <= MAX_TOP_K, f"k must be an int in [1, {MAX_TOP_K}]")
     pairs = _top_k_pairs(matrix.verb, matrix.noun, k)
     return tuple(tuple(_validated(ActionLabel, verb_id=v, noun_id=n) for v, n in seq) for seq in pairs)
 

@@ -16,11 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TrainingDiverged
-from .model import ActionLabel, ScoreMatrix, _require
+from .model import ActionLabel, ScoreMatrix, _int_text, _require
 
 HEAD_KINDS = ("regression_20", "classifier_C")
 
 REGRESSION_DIM = 20
+MAX_EPOCHS = 10_000  # each takes milliseconds; a larger count is a typo
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +240,7 @@ def train_head(
     stops being finite.
     """
     _require(isinstance(epochs, int) and epochs >= 0, "epochs must be an int >= 0")
+    _require(epochs <= MAX_EPOCHS, f"epochs must be at most {MAX_EPOCHS}, got {_int_text(epochs)}")
     _require(isinstance(seed, int) and seed >= 0, "seed must be an int >= 0")
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     _require(x.ndim == 2 and x.shape[1] == head.in_dim, f"inputs must be (n, {head.in_dim})")

@@ -8,13 +8,13 @@ matched at most once, and
 a prediction takes the highest-overlap unmatched item. Average precision
 uses all-point interpolation (the running precision envelope).
 
-The AP and recall metrics work on ``model.Columns``: the ranked records as
-arrays, rows in the loader's group order. Every public AP and recall
-function takes a loader's columns or a mapping of group key -> typed
-records, which ``_columns`` turns into columns at entry (rows in the
-mapping's order), so there is one kernel. Edit distance and displacement
-work the same way on ``model.LtaColumns`` and ``model.FhpColumns``, which
-``_lta_columns`` and ``_fhp_columns`` make of typed records.
+The AP, recall and displacement metrics work on ``model.Columns``: the
+records as arrays, rows in the loader's group order. Every public AP,
+recall and displacement function takes a loader's columns or a mapping of
+group key -> typed records, which ``_columns`` (or, for hand keyframes,
+``_fhp_columns``) turns into columns at entry (rows in the mapping's
+order), so there is one kernel. Edit distance works the same way on
+``model.LtaColumns``, which ``_lta_columns`` makes of typed records.
 
 Ties follow that grouped order. Equal scores rank in group order (first
 appearance for mq and nlq predictions, the ``images`` list for sta and
@@ -53,7 +53,6 @@ from .model import (
     BoundingBox,
     Columns,
     Detection,
-    FhpColumns,
     HandKeyframes,
     LtaColumns,
     LtaForecast,
@@ -390,17 +389,17 @@ class HandDisplacement:
     contact_px: float | None
 
 
-def _fhp_columns(groups: Mapping[str, HandKeyframes]) -> FhpColumns:
-    """Hand keyframes by video as columns; a loader's or a view's as they are."""
+def _fhp_columns(groups: Mapping[str, HandKeyframes]) -> Columns:
+    """Hand keyframes by video as columns of one row per video; a loader's
+    or a view's as they are."""
     groups = groups.columns if isinstance(groups, TypedView) else groups
-    if isinstance(groups, FhpColumns):
+    if isinstance(groups, Columns):
         return groups
     points = [kf[tag] for kf in groups.values() for tag in KEYFRAME_TAGS]
-    return FhpColumns(
-        videos=tuple(groups),
-        coords=np.array([(*p.left, *p.right) for p in points], dtype=np.float64).reshape(-1, len(KEYFRAME_TAGS), 2, 2),
-        visible=np.array([(p.left_visible, p.right_visible) for p in points], dtype=bool).reshape(-1, len(KEYFRAME_TAGS), 2),
-    )
+    frames = (len(groups), len(KEYFRAME_TAGS), 2)
+    coords = np.array([(*p.left, *p.right) for p in points], dtype=np.float64).reshape(*frames, 2)
+    visible = np.array([(p.left_visible, p.right_visible) for p in points], dtype=bool).reshape(frames)
+    return _grouped_columns({}, list(groups), coords, np.ones(len(groups)), visible=visible)
 
 
 def _hand_displacements(pred: np.ndarray, gt: np.ndarray, visible: np.ndarray) -> list[list[tuple[float | None, float | None]]]:
@@ -440,7 +439,7 @@ def displacement_report(
 
     Returns up to four reports (left/right, mean/contact); a hand with no
     visible ground truth anywhere is omitted rather than reported as zero.
-    Takes typed keyframes or a loader's ``FhpColumns``.
+    Takes typed keyframes or a loader's ``Columns``.
     """
     preds, gts = _fhp_columns(preds), _fhp_columns(gts)
     if not gts:

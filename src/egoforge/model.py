@@ -8,19 +8,18 @@ the loaders in ``fileio`` call it once per file. It reads each field of each
 record once: it checks the field, reporting violations as strings instead of
 raising so that a loader can surface every problem in a file at once, and
 it notes keys the schema does not know. The records come back as arrays:
-``Columns`` for the ranked schemas (mq, nlq, sta, scod), with group codes
-in the loader's group order, int ids, float64 scores and TTCs, (n, 2)
-segments or (n, 4) boxes; ``LtaColumns`` for lta (int64 [verb, noun] pairs
-with per-row sequence counts and lengths, score matrices as read-only
-float64 arrays); ``FhpColumns`` for fhp ((n, 5, 2, 2) float64
-coordinates, (n, 5, 2) bool visibility). One field spec per ranked and fhp
-schema, in ``_SPECS``, drives their walk and their allowed keys; the ranked
-ones, in ``_RANKED``, also give the savers' key order. lta alone has a
-walker of its own. A file is checked a column at a time; one the column
-scan does not accept goes through the per-record loop, which keeps every
-message and its order. The typed views of the arrays
-(``TypedView``, which the loaders and the generator give, builds them on
-first access) make records with ``_validated``, which skips the
+``Columns`` for the ten spec schemas (mq, nlq, sta, scod and fhp, ground
+truth and predictions), with group codes in the loader's group order, int
+ids, float64 scores and TTCs, (n, 2) segments, (n, 4) boxes or (n, 5, 2,
+2) keyframes with their (n, 5, 2) bool visibility; ``LtaColumns`` for lta
+(int64 [verb, noun] pairs with per-row sequence counts and lengths, score
+matrices as read-only float64 arrays). One field spec per spec schema, in
+``_RANKED``, drives its walk and its allowed keys, and gives the savers'
+records. lta alone has a walker of its own. A file is checked a column at
+a time; one the column scan does not accept goes through the per-record
+loop, which keeps every message and its order. The typed views of the
+arrays (``TypedView``, which the loaders and the generator give, builds
+them on first access) make records with ``_validated``, which skips the
 constructor checks: the walk has made them, since it and the constructors
 check each field kind with one shared checker (a constructor raises its
 first message, located at the type).
@@ -658,18 +657,22 @@ class _Keyed(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class Columns(_Keyed):
-    """The records of one mq, nlq, sta or scod file as struct-of-arrays.
+    """The records of one mq, nlq, sta, scod or fhp file as struct-of-arrays.
 
     Rows are in the loader's group order: the groups in ``groups`` order,
     and each group's rows in file order. Group ``g`` holds rows
     ``starts[g]`` to ``starts[g + 1]``. As a mapping, each group key gives
     its range of rows, so ``len`` of a value is the group's size.
 
-    - ``coords``: float64 (n, 2) segments or (n, 4) boxes;
-    - ``score``: float64, 1.0 in ground truth;
+    - ``coords``: float64 (n, 2) segments, (n, 4) boxes or (n, 5, 2, 2)
+      keyframes (in ``KEYFRAME_TAGS`` order, the hands in ``HANDS``
+      order, then (x, y));
+    - ``score``: float64, 1.0 in ground truth and in fhp;
     - ``label``: the class id (mq, scod) or noun (sta), None for nlq;
     - ``verb`` and ``ttc``: sta only;
-    - ``video``: the video of each query, nlq ground truth only.
+    - ``video``: the video of each query, nlq ground truth only;
+    - ``visible``: bool (n, 5, 2), keyframes and hands in ``coords``
+      order, fhp only.
 
     Id columns are int64, or object arrays of Python ints when an id does
     not fit in int64.
@@ -683,6 +686,7 @@ class Columns(_Keyed):
     verb: np.ndarray | None = None
     ttc: np.ndarray | None = None
     video: tuple[str, ...] | None = None
+    visible: np.ndarray | None = None
     _key_field = "groups"
 
     @cached_property
@@ -710,6 +714,7 @@ def _grouped_columns(
     verb: Any = None,
     ttc: Any = None,
     video: Sequence[str] | None = None,
+    visible: np.ndarray | None = None,
 ) -> Columns:
     """Columns from rows in file order, ``keys`` holding each row's group.
 
@@ -735,6 +740,7 @@ def _grouped_columns(
         verb=take(verb, _int_column),
         ttc=take(ttc, lambda v: np.asarray(v, dtype=np.float64)),
         video=None if video is None else tuple(video[i] for i in order.tolist()),
+        visible=take(visible, np.asarray),
     )
 
 
@@ -787,27 +793,6 @@ class LtaColumns(_Keyed):
         count, length, start = int(self.counts[r]), int(self.lengths[r]), int(self.starts[r])
         candidates = self.pairs[start : start + count * length].reshape(count, length, 2)
         return LtaRow(candidates, None if self.scores is None else self.scores[r])
-
-
-@dataclass(frozen=True, eq=False)
-class FhpColumns(_Keyed):
-    """The rows of one fhp/1 or fhp-pred/1 file as arrays, in file order.
-
-    - ``videos``: each row's video id;
-    - ``coords``: float64 (n, 5, 2, 2), the keyframes in ``KEYFRAME_TAGS``
-      order, the hands in ``HANDS`` order, then (x, y);
-    - ``visible``: bool (n, 5, 2), keyframes and hands in the same order.
-
-    As a mapping, each video id gives its row number.
-    """
-
-    videos: tuple[str, ...]
-    coords: np.ndarray
-    visible: np.ndarray
-    _key_field = "videos"
-
-    def __getitem__(self, key: str) -> int:
-        return self.index[key]
 
 
 class TypedView(Mapping):
@@ -878,7 +863,7 @@ def _boxes(cols: Columns) -> dict[str, tuple]:
     return _grouped(cols, [_validated(StaInstance, box=b, noun_id=n, verb_id=v, ttc_s=t, score=s) for b, n, v, t, s in rows])
 
 
-def _hand_keyframes(cols: FhpColumns) -> dict[str, HandKeyframes]:
+def _hand_keyframes(cols: Columns) -> dict[str, HandKeyframes]:
     """Keyframes by video."""
     flags = cols.visible.reshape(-1, 2).tolist()
     points = [
@@ -888,7 +873,7 @@ def _hand_keyframes(cols: FhpColumns) -> dict[str, HandKeyframes]:
     frames = len(KEYFRAME_TAGS)
     return {
         vid: _validated(HandKeyframes, points=dict(zip(KEYFRAME_TAGS, points[r * frames : (r + 1) * frames])))
-        for r, vid in enumerate(cols.videos)
+        for r, vid in enumerate(cols.groups)
     }
 
 
@@ -930,16 +915,16 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 # field of every record once. It checks the field, reporting every violation
 # in the file instead of failing at the first, and it notes keys the schema
 # does not know. For a clean file it returns the records as arrays: Columns
-# for the mq, nlq, sta and scod schemas, LtaColumns for lta and FhpColumns
-# for fhp. Each field goes through the checker of its kind that the
-# constructors call too; the walk adds the cross-field rules (vocabulary
-# ranges, duplicate keys) that single values cannot see.
+# for the mq, nlq, sta, scod and fhp schemas and LtaColumns for lta. Each
+# field goes through the checker of its kind that the constructors call
+# too; the walk adds the cross-field rules (vocabulary ranges, duplicate
+# keys) that single values cannot see.
 #
-# Each ranked schema (mq, nlq, sta, scod) has one _Ranked field spec in
-# _RANKED, which drives the column scan, the per-record loop and the allowed
-# keys here, and the savers' key order in fileio. The fhp schemas have one
-# each beside them in _SPECS, and the header lists of objects (videos,
-# images) one each in _HEADERS, walked the same way. lta alone, with its
+# Each of the ten spec schemas (mq, nlq, sta, scod and fhp, ground truth
+# and predictions) has one _Ranked field spec in _RANKED, which drives the
+# column scan, the per-record loop and the allowed keys here, and the
+# savers' records in fileio. The header lists of objects (videos, images)
+# have one each in _HEADERS, walked the same way. lta alone, with its
 # optional keys and cross-field forecast rules, has a walker of its own.
 # Every file is first checked a column at a time (_scan_ranked and
 # _scan_lta, with _scan and the _plain_* checks): plain dicts that hold
@@ -958,8 +943,8 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 
 @dataclass(frozen=True)
 class _Ranked:
-    """The layout of one ranked schema: mq, nlq, sta or scod, ground truth
-    or predictions; of one fhp schema; or of the entries of a header list.
+    """The layout of one spec schema: mq, nlq, sta, scod or fhp, ground
+    truth or predictions; or of the entries of a header list.
 
     ``header`` holds the top-level keys besides ``schema`` and ``instances``
     in file order: ``videos`` (with ``num_classes`` for mq ground truth),
@@ -975,8 +960,8 @@ class _Ranked:
     - ``real``: finite; ``positive``: finite and > 0;
     - ``keyframes``: the hands at the five keyframe tags (``_keyframes``).
 
-    The column is the ``Columns`` or ``FhpColumns`` field the values fill
-    (``keyframes`` fills ``coords`` and ``visible``), or ``group`` for the
+    The column is the ``Columns`` field the values fill (``keyframes``
+    fills ``coords`` and ``visible``), or ``group`` for the
     field that groups the rows (a header list's id); a header list's other
     columns are named by their keys. ``order`` gives the record keys in
     file order where that is not the check order.
@@ -999,6 +984,7 @@ _SCORE = ("score", "real", "score")
 _SCOD = (("keyframe_id", "listed", "group"), ("box", "box", "coords"), ("noun", "int", "label"))
 _STA = _SCOD + (("verb", "int", "verb"), ("ttc_s", "positive", "ttc"))
 
+_FHP = (("video_id", "unique", "group"), ("keyframes", "keyframes", "coords"))
 _RANKED: dict[str, _Ranked] = {
     "mq/1": _Ranked(("num_classes", "videos"), (("video_id", "listed", "group"), _SEGMENT, _CLASS)),
     "mq-pred/1": _Ranked((), (("video_id", "id", "group"), _SEGMENT, _CLASS, _SCORE)),
@@ -1010,11 +996,9 @@ _RANKED: dict[str, _Ranked] = {
     "sta-pred/1": _Ranked(("images",), _STA + (_SCORE,)),
     "scod/1": _Ranked(("images",), _SCOD),
     "scod-pred/1": _Ranked(("images",), _SCOD + (_SCORE,)),
+    "fhp/1": _Ranked(("resolution",), _FHP),
+    "fhp-pred/1": _Ranked((), _FHP),
 }
-
-# The fhp schemas, walked like the ranked ones but saved by fileio._save_fhp.
-_FHP = (("video_id", "unique", "videos"), ("keyframes", "keyframes", "keyframes"))
-_SPECS: dict[str, _Ranked] = {**_RANKED, "fhp/1": _Ranked(("resolution",), _FHP), "fhp-pred/1": _Ranked((), _FHP)}
 
 # The header lists of objects: one entry per video or keyframe. Not a
 # schema, so they stay out of _TOP_KEYS and _INSTANCE_KEYS.
@@ -1029,13 +1013,13 @@ _HEADERS: dict[str, _Ranked] = {
 _TOP_KEYS: dict[str, set[str]] = {
     "lta/1": {"schema", "config", "instances"},
     "lta-pred/1": {"schema", "config", "instances"},
-    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _SPECS.items()},
+    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()},
 }
 
 _INSTANCE_KEYS: dict[str, tuple[str, ...]] = {
     "lta/1": ("video_id", "clip_index", "sequence"),
     "lta-pred/1": ("video_id", "clip_index", "clip", "candidates", "score_matrix"),
-    **{schema: spec.keys for schema, spec in _SPECS.items()},
+    **{schema: spec.keys for schema, spec in _RANKED.items()},
 }
 
 
@@ -1155,7 +1139,7 @@ def _keyframes(kf: Any, where: str, out: list[str]) -> tuple[list[float], list[b
 
 
 def _resolution(res: Any, out: list[str]) -> tuple[int, int] | None:
-    if not (isinstance(res, list) and len(res) == 2 and all(_is_int(v) and v > 0 for v in res)):
+    if not (isinstance(res, (list, tuple)) and len(res) == 2 and all(_is_int(v) and v > 0 for v in res)):
         out.append("resolution: must be a [width, height] pair of ints >= 1")
         return None
     return (res[0], res[1])
@@ -1450,31 +1434,30 @@ def _loop_ranked(
     return columns
 
 
-def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | FhpColumns | None]:
+def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
     """The header as the loaders take it (the resolution, or image sizes or
     ``VideoMeta`` by id, the latter with the class bound for mq ground
-    truth), and the records: an fhp file's as ``FhpColumns`` in file order,
-    any other's as Columns grouped by the spec's group field, in header
-    order when the header must list that field's ids, else in order of
-    first appearance. Ground truth scores 1.0."""
-    spec = _SPECS[schema]
+    truth), and the records as Columns grouped by the spec's group field,
+    in header order when the header must list that field's ids, else in
+    order of first appearance. Ground truth and fhp score 1.0."""
+    spec = _RANKED[schema]
     known, bound = _ranked_header(raw, spec.header, out)
     cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
     if out:
         return None, None
-    if "keyframes" in cols:  # the scan gives one pair for all records, the loop one each
-        kf, frames = cols["keyframes"], len(KEYFRAME_TAGS)
-        coords, visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
-        visible = np.asarray(visible, dtype=bool).reshape(-1, frames, 2)
-        return known, FhpColumns(tuple(cols["videos"]), np.asarray(coords, dtype=np.float64).reshape(-1, frames, 2, 2), visible)
     header = known
     if "videos" in spec.header:
         header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
     kinds = {column: kind for _, kind, column in spec.fields}
+    shape = {"segment": (2,), "box": (4,), "keyframes": (len(KEYFRAME_TAGS), 2, 2)}[kinds["coords"]]
+    if kinds["coords"] == "keyframes":  # the scan gives one pair for all records, the loop one each
+        kf = cols["coords"]
+        cols["coords"], visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
+        cols["visible"] = np.asarray(visible, dtype=bool).reshape(-1, *shape[:2])
     groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
-    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, 4 if kinds["coords"] == "box" else 2)
+    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, *shape)
     score = cols.get("score", np.ones(len(cols["group"])))
-    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video"))
+    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video", "visible"))
     return (header, bound) if bound else header, _grouped_columns(groups, cols["group"], coords, score, *optional)
 
 
@@ -1482,8 +1465,8 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
     Returns the violations, the unknown keys, the file-level part and the
-    records: Columns for the mq, nlq, sta and scod schemas, LtaColumns for
-    lta and FhpColumns for fhp, None when there are violations. The
+    records: Columns for the mq, nlq, sta, scod and fhp schemas, LtaColumns
+    for lta, None when there are violations. The
     file-level part is complete only when there are none, and may be None
     when there are. The input is never mutated.
     """

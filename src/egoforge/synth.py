@@ -22,7 +22,7 @@ gives from the same double.
 The draws go into plain lists, one tuple per record. Each list is checked
 once with the column checks the track's loader applies (``model._plain_*``)
 and kept as the columns the loader would give: ``model.Columns`` for mq,
-nlq, sta and scod, ``FhpColumns`` and ``LtaColumns``. ``SynthDataset``'s
+nlq, fhp, sta and scod, and ``LtaColumns`` for lta. ``SynthDataset``'s
 track mappings, and ``perfect_predictions``, are ``model.TypedView``s of
 those columns, which build their records only when read; the savers write
 the files straight from the columns.
@@ -42,7 +42,6 @@ from .metrics import _columns, _fhp_columns, _lta_columns
 from .model import (
     ActionLabel,
     Detection,
-    FhpColumns,
     HandKeyframes,
     HandPoint,
     KEYFRAME_TAGS,
@@ -536,7 +535,7 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
     _column("nlq", _plain_ids(queries) and len(set(queries)) == len(queries))
     nlq = _grouped_columns({}, queries, _column("nlq", _plain_segments(starts, ends)), np.ones(len(queries)), video=of_video)
     frames = (len(videos), len(KEYFRAME_TAGS), 2)
-    fhp = FhpColumns(video_ids, _column("fhp", _plain_reals(hands)).reshape(*frames, 2), np.ones(frames, dtype=bool))
+    fhp = _grouped_columns({}, video_ids, _column("fhp", _plain_reals(hands)).reshape(*frames, 2), np.ones(len(videos)), visible=np.ones(frames, dtype=bool))
     verbs, nouns = zip(*actions)
     episodes = tuple(zip(video_ids, _column("lta", _plain_ints(anchors)).tolist()))
     pairs = np.stack((_column("lta", _plain_ints(verbs, c_v)), _column("lta", _plain_ints(nouns, c_n))), axis=1)

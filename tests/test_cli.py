@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from egoforge import cli, experiments, fileio, model, snippets
+from egoforge import cli, experiments, fileio, fusion, heads, model, snippets
 from egoforge.cli import parse_thresholds
 from egoforge.model import FeatureMatrix, ScoreMatrix
 from egoforge.synth import generate_synthetic, perfect_predictions
@@ -642,6 +642,24 @@ class TestFusionOptions:
         tree = {"schema": "lta-pred/1", "instances": []}
         self._refused(tmp_path, capsys, tree, ["vote", "--k", "0"], "top_k must be an int >= 1, got 0")
 
+    def test_k_past_the_cap(self, tmp_path, capsys):
+        # The search is linear in k: a count past the cap is refused before --pred is read.
+        out = tmp_path / "out.json"
+        assert cli.main(["vote", "--k", "100000000", "--pred", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: top_k must be at most {fusion.MAX_TOP_K}, got 100000000"]
+        assert not out.exists()
+
+    def test_k_at_the_cap_votes(self, tmp_path, capsys):
+        clips = tmp_path / "clips.json"
+        rows = {"verb": [[0.5, 0.5]] * 3, "noun": [[0.25] * 4] * 3}
+        instances = [{"video_id": "v", "clip_index": 0, "clip": c, "score_matrix": rows} for c in range(2)]
+        clips.write_text(json.dumps({"schema": "lta-pred/1", "instances": instances}), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert cli.main(["vote", "--k", str(fusion.MAX_TOP_K), "--pred", str(clips), "--out", str(out)]) == 0
+        capsys.readouterr()
+        # 8**3 = 512 sequences exist, fewer than the cap, and all are kept.
+        assert len(fileio.load_lta_pred(out).columns[("v", 0)].candidates) == 512
+
     @pytest.mark.parametrize(
         "argv, tree",
         [
@@ -767,6 +785,13 @@ class TestTrainConfigErrors:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: diverged at epoch ") and err[0].endswith(detail)
+        assert not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize("task", ["lta", "fhp"])
+    def test_epochs_past_the_cap_is_one_line(self, dataset_dir, tmp_path, capsys, task):
+        argv = ["train", task, "--config", str(dataset_dir / "config.json"), "--out", str(tmp_path / "h.bin"), "--epochs", "1000000000"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: epochs must be at most {heads.MAX_EPOCHS}, got 1000000000"]
         assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("task", ["lta", "fhp"])

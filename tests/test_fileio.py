@@ -328,6 +328,35 @@ class TestHeadFiles:
         with pytest.raises(DataError, match="bytes"):
             fileio.load_head(path)
 
+    @pytest.mark.parametrize(
+        "head",
+        [new_head("regression_20", in_dim=2, seed=1), new_head("classifier_C", in_dim=2, seed=1, z=2, c_v=2, c_n=2)],
+        ids=["regression_20", "classifier_C"],
+    )
+    def test_every_truncation_and_bit_flip_is_a_data_error_or_its_own_head(self, tmp_path, head):
+        # 4,581 cases of the regression head's 509 bytes, 1,989 of the
+        # classifier's 221: a truncation or a flipped header bit raises
+        # DataError, and a flipped parameter bit loads the flipped value or,
+        # where it is not finite, raises DataError. No other exception.
+        path = tmp_path / "h.eghd"
+        fileio.save_head(path, head)
+        blob = path.read_bytes()
+        header = len(blob) - 8 * (head.weight.size + head.bias.size)
+        cases = [(blob[:n], False) for n in range(len(blob))]
+        cases += [(blob[:i] + bytes([blob[i] ^ 1 << bit]) + blob[i + 1 :], i >= header) for i in range(len(blob)) for bit in range(8)]
+        loaded = 0
+        for case, parameter in cases:
+            path.write_bytes(case)
+            try:
+                got = fileio.load_head(path)
+            except DataError:
+                assert not parameter or not np.isfinite(np.frombuffer(case, dtype="<f8", offset=header)).all()
+                continue
+            assert parameter
+            assert np.concatenate((got.weight.ravel(), got.bias)).tobytes() == case[header:]
+            loaded += 1
+        assert loaded > 0
+
 
 class TestReportFiles:
     def test_round_trip(self, tmp_path):

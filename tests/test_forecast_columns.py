@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egoforge import cli, fileio, model
-from egoforge.model import FhpColumns, LtaColumns, _walk
+from egoforge.model import Columns, LtaColumns, _walk
 from test_columns import _edits, _get, _paths, _scan_accepts, _set
 
 FORECAST_FILES = ("gt_lta", "pred_lta", "gt_fhp", "pred_fhp")
@@ -72,8 +72,8 @@ def _picture(cols):
     def bytes_of(a):
         return (str(a.dtype), a.shape, a.tolist() if a.dtype == object else a.tobytes())
 
-    if isinstance(cols, FhpColumns):
-        return cols.videos, bytes_of(cols.coords), bytes_of(cols.visible)
+    if isinstance(cols, Columns):
+        return cols.groups, bytes_of(cols.starts), bytes_of(cols.coords), bytes_of(cols.score), bytes_of(cols.visible)
     assert isinstance(cols, LtaColumns)
     scores = None if cols.scores is None else [s and tuple(map(bytes_of, s)) for s in cols.scores]
     return cols.episodes, cols.config, bytes_of(cols.counts), bytes_of(cols.lengths), bytes_of(cols.pairs), scores

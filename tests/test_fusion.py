@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egoforge.fusion import (
+    MAX_TOP_K,
+    FusionConfig,
     VoteConfig,
     _top_k_pairs,
     box_positional_encoding,
@@ -280,6 +282,17 @@ class TestTopKSequences:
         m = matrix([[0.6, 0.4]], [[1.0]])
         seqs = top_k_sequences(m, k=10)
         assert len(seqs) == 2
+
+    def test_k_past_the_cap_is_refused(self):
+        m = matrix([[0.6, 0.4]], [[1.0]])
+        assert len(top_k_sequences(m, k=MAX_TOP_K)) == 2
+        with pytest.raises(ValueError, match=r"k must be an int in \[1, 1000\]"):
+            top_k_sequences(m, k=MAX_TOP_K + 1)
+        with pytest.raises(ValueError, match="top_k must be at most 1000, got 1001"):
+            FusionConfig(top_k=MAX_TOP_K + 1)
+        # A count too long for str() is still named.
+        with pytest.raises(ValueError, match=r"got 1000…0 \(5001 digits\)"):
+            FusionConfig(top_k=10**5000)
 
     def test_probabilities_nonincreasing_random(self):
         rng = np.random.default_rng(5)

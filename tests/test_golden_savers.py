@@ -270,7 +270,8 @@ def test_lta_clip_probability_saver_gives_the_text_of_json_dumps(tmp_path):
 def _refused_inputs():
     """(saver, input, message) for inputs that each saver used to write
     although its own loader refuses the file (or, for a query without a
-    video, failed on with a KeyError): bad headers, ids that are empty,
+    video, failed on with a KeyError, and for a resolution or image size
+    that is not a pair, with a TypeError): bad headers, ids that are empty,
     missing or not listed in the header, class ids past ``num_classes``;
     and keys that are not the ids inside their records, which the file
     would not keep."""
@@ -292,6 +293,12 @@ def _refused_inputs():
         ("nlq_pred", {"": (RankedSegment(seg, 0.5, "q"),)}, "nlq-pred/1: '': query_id must be a non-empty string"),
         ("fhp_pred", {"": kf}, "fhp-pred/1: '': video_id must be a non-empty string"),
         ("fhp_gt", fileio.FhpGt((0, 0), {"v": kf}), "fhp/1: resolution: must be a [width, height] pair of ints >= 1"),
+        ("fhp_gt", fileio.FhpGt(None, {"v": kf}), "fhp/1: resolution: must be a [width, height] pair of ints >= 1"),
+        ("fhp_gt", fileio.FhpGt(5, {"v": kf}), "fhp/1: resolution: must be a [width, height] pair of ints >= 1"),
+        ("sta_gt", fileio.StaGt({"k": None}, {"k": (StaInstance(box, 0, 0, 1.0),)}), "sta/1: images[0]: width must be an int >= 1"),
+        ("sta_pred", fileio.StaGt({"k": None}, {"k": (StaInstance(box, 0, 0, 1.0, 0.5),)}), "sta-pred/1: images[0]: width must be an int >= 1"),
+        ("scod_gt", fileio.ScodGt({"k": None}, {"k": (Detection(box, 0),)}), "scod/1: images[0]: width must be an int >= 1"),
+        ("scod_pred", fileio.ScodGt({"k": None}, {"k": (Detection(box, 0, 0.5),)}), "scod-pred/1: images[0]: width must be an int >= 1"),
         ("lta_clip_probs", {("", -1): [ScoreMatrix([[1.0]], [[1.0]])]}, "lta-pred/1: ('', -1): video_id must be a non-empty string"),
         ("mq_gt", fileio.MqGt({"a": VideoMeta("b", 300, 30.0)}, 2, {}), "mq/1: key 'a' holds video_id 'b'"),
         ("nlq_gt", fileio.NlqGt({"a": VideoMeta("b", 300, 30.0)}, {}, {}), "nlq/1: key 'a' holds video_id 'b'"),

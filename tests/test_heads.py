@@ -6,6 +6,7 @@ import pytest
 from egoforge.errors import TrainingDiverged
 from egoforge.heads import (
     HEAD_KINDS,
+    MAX_EPOCHS,
     LinearHead,
     REGRESSION_DIM,
     SgdConfig,
@@ -220,6 +221,14 @@ class TestTraining:
             outs.append((trained, tuple(losses)))
         assert np.array_equal(outs[0][0].weight, outs[1][0].weight)
         assert outs[0][1] == outs[1][1]
+
+    @pytest.mark.parametrize("epochs, text", [(MAX_EPOCHS + 1, "10001"), (10**5000, "1000…0 (5001 digits)")], ids=["one-past", "past-str"])
+    def test_epochs_past_the_cap_are_refused(self, epochs, text):
+        x, y = self._toy_regression()
+        head = new_head("regression_20", in_dim=4, seed=0)
+        with pytest.raises(ValueError) as refused:
+            train_head(head, x, y, SgdConfig(lr=0.1), epochs=epochs)
+        assert str(refused.value) == f"epochs must be at most {MAX_EPOCHS}, got {text}"
 
     def test_divergence_detected(self):
         # The sign gradient of the L1 loss is bounded, so the step has to
