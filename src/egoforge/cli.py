@@ -90,6 +90,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _recall_grid(args: argparse.Namespace) -> list[tuple[int, float]]:
+    """The (k, tIoU) pair of each recall report, refused past ``MAX_THRESHOLDS``."""
+    ks, tious = _parse_int_list(args.recall_k), parse_thresholds(args.recall_tiou)
+    if len(ks) * len(tious) > MAX_THRESHOLDS:
+        raise ValueError(f"{len(ks)} recall k values by {len(tious)} tIoU thresholds make more than {MAX_THRESHOLDS} reports")
+    return [(k, t) for k in ks for t in tious]
+
+
 def _emit_reports(reports: list[MetricReport], fmt: str, out: str | None) -> None:
     sys.stdout.write(render_reports(reports, fmt))
     if out:
@@ -222,44 +230,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _eval_mq(args: argparse.Namespace) -> list[MetricReport]:
+    # Both grids are parsed before any file is read.
+    recall = _recall_grid(args)
+    grid = parse_thresholds(args.tiou) if args.tiou else DEFAULT_MAP_TIOUS
     # Ground truth and predictions are scored as the loaders' columns; a
     # ground-truth file has one group per listed video.
     gt = fileio.load_mq_gt(args.gt).instances.columns
     preds = fileio.load_mq_pred(args.pred, known_videos=gt).columns
-    gt_count = len(gt.score)
     by_label_gt, by_label_pred = gt.by_label(), preds.by_label()
-
-    reports = []
-    for kx in _parse_int_list(args.recall_k):
-        for t in parse_thresholds(args.recall_tiou):
-            reports.append(
-                MetricReport(
-                    name=f"Recall@{kx}x tIoU={t:g}",
-                    value=recall_at_kx(by_label_pred, by_label_gt, kx, t),
-                    count=gt_count,
-                    family="percent",
-                )
-            )
-    grid = parse_thresholds(args.tiou) if args.tiou else DEFAULT_MAP_TIOUS
-    reports.append(average_map(preds, gt, grid))
-    return reports
+    reports = [
+        MetricReport(f"Recall@{kx}x tIoU={t:g}", recall_at_kx(by_label_pred, by_label_gt, kx, t), count=len(gt.score))
+        for kx, t in recall
+    ]
+    return [*reports, average_map(preds, gt, grid)]
 
 
 def _eval_nlq(args: argparse.Namespace) -> list[MetricReport]:
+    recall = _recall_grid(args)
     gt = fileio.load_nlq_gt(args.gt).queries.columns
     preds = fileio.load_nlq_pred(args.pred, known_queries=gt).columns
-    reports = []
-    for k in _parse_int_list(args.recall_k):
-        for t in parse_thresholds(args.recall_tiou):
-            reports.append(
-                MetricReport(
-                    name=f"R{k}@{t:g}",
-                    value=recall_at_k(preds, gt, k, t),
-                    count=len(gt),
-                    family="percent",
-                )
-            )
-    return reports
+    return [MetricReport(f"R{k}@{t:g}", recall_at_k(preds, gt, k, t), count=len(gt)) for k, t in recall]
 
 
 def _eval_fhp(args: argparse.Namespace) -> list[MetricReport]:

@@ -16,7 +16,7 @@ import numpy as np
 from .fusion import multi_clips_vote, top_k_sequences
 from .heads import LinearHead, SgdConfig, classifier_probs, joint_targets, new_head, train_head
 from .metrics import ED_MODES, edit_distance_at_z
-from .model import FeatureMatrix, LtaForecast, ScoreMatrix, TemporalSegment, _require
+from .model import FeatureMatrix, LtaForecast, TemporalSegment, _require
 from .snippets import frame_span, observable_window, prefuse_features, sliding_clips
 from .synth import SynthDataset, stub_features
 
@@ -34,11 +34,6 @@ def fused_clip_features(ds: SynthDataset, clips: Sequence[tuple[str, TemporalSeg
         for variant in ("verb", "noun")
     )
     return prefuse_features(verb, noun).rows.astype(np.float64)
-
-
-def fused_clip_feature(ds: SynthDataset, video_id: str, clip: TemporalSegment) -> np.ndarray:
-    """Verb and noun stub features for one clip, channel-concatenated."""
-    return fused_clip_features(ds, [(video_id, clip)])[0]
 
 
 def _episode_window(ds: SynthDataset, video_id: str, alpha_s: float):
@@ -85,10 +80,6 @@ def train_forecaster(
     return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs, seed=seed)
 
 
-def _clip_probs(ds: SynthDataset, head: LinearHead, video_id: str, clips: Sequence[TemporalSegment]) -> list[ScoreMatrix]:
-    return [classifier_probs(head, fused_clip_feature(ds, video_id, c)) for c in clips]
-
-
 def voted_forecast(
     ds: SynthDataset,
     head: LinearHead,
@@ -101,8 +92,8 @@ def voted_forecast(
     """Forecast from every clip in the window, from the mean of its clips'
     probabilities (the voted labels are not used)."""
     anchor, window = _episode_window(ds, video_id, alpha_s)
-    clips = sliding_clips(window, clip_len_s, clip_stride_s)
-    _, fused = multi_clips_vote(_clip_probs(ds, head, video_id, clips))
+    features = fused_clip_features(ds, [(video_id, clip) for clip in sliding_clips(window, clip_len_s, clip_stride_s)])
+    _, fused = multi_clips_vote([classifier_probs(head, x) for x in features])
     candidates = top_k_sequences(fused, k if k is not None else ds.config.k)
     return LtaForecast(clip_index=anchor, candidates=candidates, score_matrix=fused)
 
@@ -119,7 +110,7 @@ def center_clip_forecast(
     anchor, window = _episode_window(ds, video_id, alpha_s)
     mid = (window.start_s + window.end_s) / 2.0
     clip = TemporalSegment(start_s=mid - clip_len_s / 2.0, end_s=mid + clip_len_s / 2.0)
-    probs = classifier_probs(head, fused_clip_feature(ds, video_id, clip))
+    probs = classifier_probs(head, fused_clip_features(ds, [(video_id, clip)])[0])
     candidates = top_k_sequences(probs, k if k is not None else ds.config.k)
     return LtaForecast(clip_index=anchor, candidates=candidates, score_matrix=probs)
 
@@ -160,19 +151,12 @@ def window_trend(
 # ---------------------------------------------------------------------------
 
 
-def hand_feature(ds: SynthDataset, video_id: str) -> np.ndarray:
-    """Whole-video fused stub feature used by the hand regressor."""
-    meta = next(v for v in ds.videos if v.video_id == video_id)
-    clip = TemporalSegment(start_s=0.0, end_s=meta.num_frames / meta.fps)
-    return fused_clip_feature(ds, video_id, clip)
-
-
 def hand_training_set(ds: SynthDataset, video_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Features and normalized 20-coordinate targets per video."""
-    rows = [hand_feature(ds, vid) for vid in video_ids]
-    targets = [ds.latent.fhp_targets[vid] for vid in video_ids]
-    _require(len(rows) >= 1, "no training examples; check the video id list")
-    return np.stack(rows), np.stack(targets)
+    """Whole-video features and normalized 20-coordinate targets per video."""
+    _require(len(video_ids) >= 1, "no training examples; check the video id list")
+    meta = {v.video_id: v for v in ds.videos}
+    clips = [(vid, TemporalSegment(start_s=0.0, end_s=meta[vid].num_frames / meta[vid].fps)) for vid in video_ids]
+    return fused_clip_features(ds, clips), np.stack([ds.latent.fhp_targets[vid] for vid in video_ids])
 
 
 def train_hand_regressor(

@@ -79,7 +79,7 @@ ED_MODES = ("verb", "noun", "action")
 REPORT_FAMILIES = ("percent", "pixels", "edit")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MetricReport:
     """One evaluated metric with its per-key breakdown."""
 
@@ -98,17 +98,6 @@ class MetricReport:
         _require(all(isinstance(k, str) and _finite(v) for k, v in items.items()), "breakdown must map strings to finite reals")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "breakdown", items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetricReport):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.value == other.value
-            and dict(self.breakdown) == dict(other.breakdown)
-            and self.count == other.count
-            and self.family == other.family
-        )
 
 
 def temporal_iou(a: TemporalSegment, b: TemporalSegment) -> float:

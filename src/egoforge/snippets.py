@@ -23,6 +23,9 @@ SAMPLE_MODES = ("random", "center", "uniform")
 # A longer schedule is a typo: a million snippets at stride 8 cover six days
 # of 15 fps video.
 MAX_SNIPPETS = 1_000_000
+# The recipes cut 8 clips from a window; a stride that fits more than this
+# many is a typo (1e-6 s over a 16 s window would loop 16 million times).
+MAX_CLIPS = 1_000
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,20 @@ def sliding_clips(
 
     Clips start at the window start and step by the stride while they fit.
     If they stop short of the window end, one extra clip is right-aligned to
-    the end so the whole window is covered.
+    the end so the whole window is covered. A stride at which more than
+    ``MAX_CLIPS`` clips fit is refused before any is laid out.
     """
     _require(clip_len_s > 0, "clip_len_s must be positive")
     _require(clip_stride_s > 0, "clip_stride_s must be positive")
     if clip_len_s > window.length_s + _EPS:
         raise ValueError(f"clip_len_s {clip_len_s} exceeds window length {window.length_s}")
+    # One clip fits, then one per whole stride after it (the quotient is inf
+    # for a small enough stride).
+    if (window.length_s + _EPS - clip_len_s) / clip_stride_s >= MAX_CLIPS:
+        raise ValueError(
+            f"{clip_len_s:g} s clips at a {clip_stride_s:g} s stride over a {window.length_s:g} s window"
+            f" make more than {MAX_CLIPS} clips"
+        )
     clips: list[TemporalSegment] = []
     k = 0
     while window.start_s + k * clip_stride_s + clip_len_s <= window.end_s + _EPS:

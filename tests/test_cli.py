@@ -245,6 +245,27 @@ class TestEval:
         for name in ("R5@0.3", "R5@0.5", "R1@0.3", "R1@0.5"):
             assert f"{name}: 100.00" in out
 
+    @pytest.mark.parametrize("track", ["mq", "nlq"])
+    def test_a_recall_grid_past_the_cap_is_refused_before_any_file(self, tmp_path, capsys, track):
+        # 200 k values by 101 thresholds; the files do not exist, so reading
+        # one would give another line.
+        ks = ",".join(["1"] * 200)
+        argv = ["eval", track, "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+        assert cli.main([*argv, "--recall-k", ks, "--recall-tiou", "0:1:0.01", "--out", str(tmp_path / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "r.json").exists()
+        assert captured.err.splitlines() == [f"error: 200 recall k values by 101 tIoU thresholds make more than {cli.MAX_THRESHOLDS} reports"]
+
+    @pytest.mark.parametrize("track", ["mq", "nlq"])
+    def test_a_recall_grid_at_the_cap_is_scored(self, dataset_dir, capsys, monkeypatch, track):
+        monkeypatch.setattr(cli, "MAX_THRESHOLDS", 4)
+        argv = ["eval", track, "--gt", str(dataset_dir / f"gt_{track}.json"), "--pred", str(dataset_dir / f"pred_{track}.json")]
+        assert cli.main([*argv, "--recall-k", "1,2", "--recall-tiou", "0.3,0.5"]) == 0
+        recall = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("R")]
+        assert recall == [f"Recall@{k}x tIoU={t}" if track == "mq" else f"R{k}@{t}" for k in (1, 2) for t in ("0.3", "0.5")]
+        assert cli.main([*argv, "--recall-k", "1,2,3", "--recall-tiou", "0.3,0.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: 3 recall k values by 2 tIoU thresholds make more than 4 reports"]
+
     def test_fhp_perfect(self, dataset_dir, capsys):
         rc = cli.main(
             ["eval", "fhp", "--gt", str(dataset_dir / "gt_fhp.json"), "--pred", str(dataset_dir / "pred_fhp.json")]
@@ -792,6 +813,26 @@ class TestTrainConfigErrors:
         argv = ["train", task, "--config", str(dataset_dir / "config.json"), "--out", str(tmp_path / "h.bin"), "--epochs", "1000000000"]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: epochs must be at most {heads.MAX_EPOCHS}, got 1000000000"]
+        assert not (tmp_path / "h.bin").exists()
+
+    @pytest.mark.parametrize("lengths", [["--clip-stride", "1e-6"], ["--clip-len", "1e-6", "--clip-stride", "1e-6"]])
+    def test_a_clip_stride_past_the_cap_is_one_line(self, dataset_dir, tmp_path, capsys, monkeypatch, lengths):
+        # 16 million clips per window: refused before any is laid out. A run
+        # that laid them out would fail on the 1,001st, not hang.
+        made = []
+
+        def counted(**span):
+            made.append(span)
+            assert len(made) <= 1_001, "laid out clips past the cap"
+            return model.TemporalSegment(**span)
+
+        monkeypatch.setattr(snippets, "TemporalSegment", counted)
+        argv = ["train", "lta", "--config", str(dataset_dir / "config.json"), "--out", str(tmp_path / "h.bin"), "--epochs", "1"]
+        assert cli.main([*argv, *lengths]) == 2
+        captured = capsys.readouterr()
+        clip = "1e-06" if lengths[0] == "--clip-len" else "2"
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {clip} s clips at a 1e-06 s stride over a 16 s window make more than {snippets.MAX_CLIPS} clips"]
         assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("task", ["lta", "fhp"])

@@ -1,5 +1,6 @@
 """A fuzzer for ``egoforge eval`` on every track (mq, nlq, fhp, lta, sta,
-scod), and for ``vote`` and ``fuse post``, ``sta`` and ``pre``.
+scod), for ``vote`` and ``fuse post``, ``sta`` and ``pre``, and for the
+options of ``train lta|fhp`` and ``schedule``.
 
 It edits synth ground truth and predictions, and per-clip probability
 files, with the mutations of ``test_columns`` (edge values, wrong types,
@@ -15,6 +16,11 @@ hard link or a symlink. It must end as loading both files whole, fusing
 them and saving the result ends: the same bytes, or the same one-line
 error, the first file's fault before the second's; an aliased ``--out`` is
 refused and the input keeps its bytes.
+
+``train`` and ``schedule`` get each option left out or set to an edge value
+of its type: ints far past every cap, and every float, nan, infinities and
+subnormals included. Epoch and frame counts that would be accepted stay
+small, so the runs take milliseconds; the same exit and stderr rules hold.
 """
 
 import copy
@@ -33,6 +39,7 @@ from egoforge import cli, fileio
 from egoforge.errors import DataError
 from egoforge.model import FeatureMatrix, ScoreMatrix
 from egoforge.snippets import prefuse_features
+from egoforge.synth import SynthConfig
 from test_columns import _edits, _get, _paths, _set
 
 TRACKS = ("mq", "nlq", "fhp", "lta", "sta", "scod")
@@ -105,6 +112,7 @@ def _exits_0_or_2(argv):
         assert err.getvalue() == ""
         assert out.getvalue()
     assert all("unknown key" in str(w.message) for w in caught), [str(w.message) for w in caught]
+    return code == 0
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +241,43 @@ def test_fuse_pre_refuses_an_out_that_is_an_input(scratch, alias, data):
     code, err, printed = _fuse_pre(paths, out)
     assert (code, err, printed) == (2, [f"error: {out}: is the input {target}; the fused file must go elsewhere"], "")
     assert [path.read_bytes() for path in paths] == blobs
+
+
+# Small counts, and counts past every cap, negative ones included.
+_INTS = st.one_of(st.integers(-2, 4), st.sampled_from([10_001, 2**63, -(2**63), 10**30]))
+
+
+def _options(data, spec):
+    """``--name=value`` for each option in ``spec`` the draw keeps (a
+    separate ``-1e+16`` would read as an option)."""
+    return [f"{name}={data.draw(values, label=name)!r}" for name, values in spec.items() if data.draw(st.booleans(), label=f"{name} given")]
+
+
+@pytest.fixture(scope="module")
+def train_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("train") / "config.json"
+    fileio.save_config(path, SynthConfig(seed=5, num_videos=2, feature_dim=8))
+    return path
+
+
+@pytest.mark.parametrize("task", ["lta", "fhp"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_train_exits_0_or_2_with_one_line(train_config, scratch, task, data):
+    # An accepted epoch count stays at most 4; the window options are lta's
+    # alone, and fhp leaves them out of its call.
+    spec = {"--epochs": _INTS, "--seed": _INTS}
+    spec.update(dict.fromkeys(["--lr", "--momentum", "--alpha", "--clip-len", "--clip-stride"], st.floats()))
+    out = scratch / "train.head"
+    argv = ["train", task, "--config", str(train_config), "--out", str(out), *_options(data, spec)]
+    _unlink(out)
+    assert _exits_0_or_2(argv) == out.exists()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_schedule_exits_0_or_2_with_one_line(data):
+    # An accepted schedule has at most a few thousand snippets.
+    frames = st.one_of(st.integers(-2, 3_000), st.sampled_from([10**7, 10**20, -(10**20)]))
+    spec = {"--fps": st.floats(), "--snippet-len": _INTS, "--stride": _INTS}
+    _exits_0_or_2(["schedule", f"--num-frames={data.draw(frames, label='frames')}", *_options(data, spec)])

@@ -208,6 +208,35 @@ class TestSlidingClips:
         with pytest.raises(ValueError):
             sliding_clips(w, clip_len_s=2.0, clip_stride_s=2.0)
 
+    def test_a_stride_past_the_cap_is_refused_before_any_clip(self, monkeypatch):
+        # 1e-6 s steps over a 16 s window fit 16 million clips. Each clip laid
+        # out is counted, so a loop that ran would fail here, not hang.
+        made = []
+
+        def counted(**span):
+            made.append(span)
+            if len(made) > 1_001:
+                raise AssertionError("laid out clips past the cap")
+            return TemporalSegment(**span)
+
+        monkeypatch.setattr(snippets, "TemporalSegment", counted)
+        w = ObservableWindow(start_s=0.0, end_s=16.0, alpha_s=16.0)
+        for clip_len in (2.0, 1e-6):
+            with pytest.raises(ValueError, match="s clips at a 1e-06 s stride over a 16 s window make more than 1000 clips"):
+                sliding_clips(w, clip_len_s=clip_len, clip_stride_s=1e-6)
+        with pytest.raises(ValueError, match="more than 1000 clips"):
+            sliding_clips(w, clip_len_s=2.0, clip_stride_s=5e-324)
+        assert made == []
+
+    def test_the_cap_counts_the_clips_that_fit_at_the_stride(self, monkeypatch):
+        # Three clips fit in 3 s and in 3.5 s (whose end gets a right-aligned
+        # fourth); four fit in 4 s.
+        monkeypatch.setattr(snippets, "MAX_CLIPS", 3)
+        assert len(sliding_clips(ObservableWindow(start_s=0.0, end_s=3.0, alpha_s=4.0), 1.0, 1.0)) == 3
+        assert len(sliding_clips(ObservableWindow(start_s=0.0, end_s=3.5, alpha_s=4.0), 1.0, 1.0)) == 4
+        with pytest.raises(ValueError, match="1 s clips at a 1 s stride over a 4 s window make more than 3 clips"):
+            sliding_clips(ObservableWindow(start_s=0.0, end_s=4.0, alpha_s=4.0), 1.0, 1.0)
+
     @given(
         end=st.floats(min_value=1.0, max_value=100.0),
         alpha=st.floats(min_value=0.5, max_value=32.0),
