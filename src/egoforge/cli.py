@@ -43,7 +43,7 @@ from .snippets import build_snippet_schedule
 from .synth import SynthConfig, generate_synthetic, perfect_predictions
 
 
-MAX_THRESHOLDS = 10_000  # a longer start:stop:step range is a typo
+MAX_THRESHOLDS = 10_000  # a longer threshold list or start:stop:step range is a typo
 
 
 class UsageError(Exception):
@@ -80,6 +80,8 @@ def parse_thresholds(text: str) -> tuple[float, ...]:
     values = tuple(round(float(p), 10) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError(f"no thresholds in {text!r}")
+    if len(values) > MAX_THRESHOLDS:
+        raise ValueError(f"threshold list holds {len(values)} values, more than {MAX_THRESHOLDS}")
     return values
 
 
@@ -281,9 +283,9 @@ def _eval_sta(args: argparse.Namespace) -> list[MetricReport]:
 
 
 def _eval_scod(args: argparse.Namespace) -> list[MetricReport]:
+    grid = parse_thresholds(args.iou) if args.iou else BOX_AP_IOUS
     gt = fileio.load_scod_gt(args.gt).instances.columns
     preds = fileio.load_scod_pred(args.pred, known_frames=gt).instances.columns
-    grid = parse_thresholds(args.iou) if args.iou else BOX_AP_IOUS
     return [box_ap(preds, gt, grid)]
 
 

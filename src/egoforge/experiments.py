@@ -87,32 +87,22 @@ def voted_forecast(
     alpha_s: float,
     clip_len_s: float = DEFAULT_CLIP_LEN_S,
     clip_stride_s: float = DEFAULT_CLIP_STRIDE_S,
-    k: int | None = None,
 ) -> LtaForecast:
     """Forecast from every clip in the window, from the mean of its clips'
     probabilities (the voted labels are not used)."""
     anchor, window = _episode_window(ds, video_id, alpha_s)
     features = fused_clip_features(ds, [(video_id, clip) for clip in sliding_clips(window, clip_len_s, clip_stride_s)])
     _, fused = multi_clips_vote([classifier_probs(head, x) for x in features])
-    candidates = top_k_sequences(fused, k if k is not None else ds.config.k)
-    return LtaForecast(clip_index=anchor, candidates=candidates, score_matrix=fused)
+    return LtaForecast(clip_index=anchor, candidates=top_k_sequences(fused, ds.config.k), score_matrix=fused)
 
 
-def center_clip_forecast(
-    ds: SynthDataset,
-    head: LinearHead,
-    video_id: str,
-    alpha_s: float,
-    clip_len_s: float = DEFAULT_CLIP_LEN_S,
-    k: int | None = None,
-) -> LtaForecast:
+def center_clip_forecast(ds: SynthDataset, head: LinearHead, video_id: str, alpha_s: float) -> LtaForecast:
     """Forecast from the single clip centered in the window."""
     anchor, window = _episode_window(ds, video_id, alpha_s)
     mid = (window.start_s + window.end_s) / 2.0
-    clip = TemporalSegment(start_s=mid - clip_len_s / 2.0, end_s=mid + clip_len_s / 2.0)
+    clip = TemporalSegment(start_s=mid - DEFAULT_CLIP_LEN_S / 2.0, end_s=mid + DEFAULT_CLIP_LEN_S / 2.0)
     probs = classifier_probs(head, fused_clip_features(ds, [(video_id, clip)])[0])
-    candidates = top_k_sequences(probs, k if k is not None else ds.config.k)
-    return LtaForecast(clip_index=anchor, candidates=candidates, score_matrix=probs)
+    return LtaForecast(clip_index=anchor, candidates=top_k_sequences(probs, ds.config.k), score_matrix=probs)
 
 
 @dataclass(frozen=True)
@@ -124,26 +114,19 @@ class TrendResult:
     center: Mapping[float, Mapping[str, float]]
 
 
-def window_trend(
-    ds: SynthDataset,
-    head: LinearHead,
-    video_ids: Sequence[str],
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-    clip_len_s: float = DEFAULT_CLIP_LEN_S,
-    clip_stride_s: float = DEFAULT_CLIP_STRIDE_S,
-    k: int | None = None,
-) -> TrendResult:
-    """Evaluate edit distance as the observable window widens."""
+def window_trend(ds: SynthDataset, head: LinearHead, video_ids: Sequence[str]) -> TrendResult:
+    """Evaluate edit distance as the observable window widens through
+    ``DEFAULT_ALPHAS``."""
     _require(len(video_ids) >= 1, "need at least one evaluation video")
     voted: dict[float, dict[str, float]] = {}
     center: dict[float, dict[str, float]] = {}
     gts = {ds.episode(vid): ds.lta_gt[ds.episode(vid)] for vid in video_ids}
-    for alpha in alphas:
-        vf = {ds.episode(vid): voted_forecast(ds, head, vid, alpha, clip_len_s, clip_stride_s, k) for vid in video_ids}
-        cf = {ds.episode(vid): center_clip_forecast(ds, head, vid, alpha, clip_len_s, k) for vid in video_ids}
-        voted[float(alpha)] = {m: edit_distance_at_z(vf, gts, m) for m in ED_MODES}
-        center[float(alpha)] = {m: edit_distance_at_z(cf, gts, m) for m in ED_MODES}
-    return TrendResult(alphas=tuple(float(a) for a in alphas), voted=voted, center=center)
+    for alpha in DEFAULT_ALPHAS:
+        vf = {ds.episode(vid): voted_forecast(ds, head, vid, alpha) for vid in video_ids}
+        cf = {ds.episode(vid): center_clip_forecast(ds, head, vid, alpha) for vid in video_ids}
+        voted[alpha] = {m: edit_distance_at_z(vf, gts, m) for m in ED_MODES}
+        center[alpha] = {m: edit_distance_at_z(cf, gts, m) for m in ED_MODES}
+    return TrendResult(alphas=DEFAULT_ALPHAS, voted=voted, center=center)
 
 
 # ---------------------------------------------------------------------------

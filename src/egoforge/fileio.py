@@ -898,15 +898,6 @@ def load_reports(path: str | Path) -> list[MetricReport]:
     if not isinstance(raw, Mapping) or raw.get("schema") != REPORT_SCHEMA:
         raise DataError(f"{path}: expected schema '{REPORT_SCHEMA}'")
     try:
-        return [
-            MetricReport(
-                name=rec["name"],
-                value=rec["value"],
-                breakdown=rec["breakdown"],
-                count=rec["count"],
-                family=rec["family"],
-            )
-            for rec in raw["reports"]
-        ]
+        return [MetricReport(**{f.name: rec[f.name] for f in fields(MetricReport)}) for rec in raw["reports"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"{path}: malformed report file ({e})") from e

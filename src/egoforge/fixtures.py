@@ -39,6 +39,8 @@ class FixtureTable:
                     len(values) == len(self.metrics),
                     f"{split}/{row}: expected {len(self.metrics)} cells",
                 )
+        # In SPLITS order whatever the given order, as the JSON lists them.
+        object.__setattr__(self, "cells", {split: self.cells[split] for split in SPLITS})
 
     def cell(self, split: str, row: str, metric: str) -> float | None:
         _require(split in SPLITS, f"unknown split '{split}'")
@@ -242,5 +244,5 @@ FIXTURES: dict[str, FixtureTable] = {
 def fixture(name: str) -> FixtureTable:
     if name not in FIXTURES:
         known = ", ".join(sorted(FIXTURES))
-        raise ValueError(f"unknown fixture '{name}' (known: {known})")
+        raise ValueError(f"unknown fixture {name!r} (known: {known})")
     return FIXTURES[name]

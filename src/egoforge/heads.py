@@ -10,13 +10,13 @@ computes one exp of its logits for both the loss and the softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import TrainingDiverged
-from .model import ActionLabel, ScoreMatrix, _int_text, _require
+from .model import ActionLabel, ScoreMatrix, _ArrayRecord, _int_text, _require
 
 HEAD_KINDS = ("regression_20", "classifier_C")
 
@@ -25,7 +25,7 @@ MAX_EPOCHS = 10_000  # each takes milliseconds; a larger count is a typo
 
 
 @dataclass(frozen=True, eq=False)
-class LinearHead:
+class LinearHead(_ArrayRecord):
     """An affine map with the metadata needed to interpret its outputs."""
 
     kind: str
@@ -65,16 +65,6 @@ class LinearHead:
     @property
     def out_dim(self) -> int:
         return int(self.weight.shape[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearHead):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and (self.z, self.c_v, self.c_n) == (other.z, other.c_v, other.c_n)
-            and np.array_equal(self.weight, other.weight)
-            and np.array_equal(self.bias, other.bias)
-        )
 
 
 def new_head(
@@ -216,9 +206,10 @@ class SgdConfig:
 def joint_targets(sequences: Sequence[Sequence[ActionLabel]], c_n: int) -> np.ndarray:
     """Encode label sequences as per-position joint class ids (v * c_n + n)."""
     _require(isinstance(c_n, int) and c_n >= 1, "c_n must be an int >= 1")
-    out = np.array(
-        [[a.verb_id * c_n + a.noun_id for a in seq] for seq in sequences], dtype=np.int64
-    )
+    try:
+        out = np.array([[a.verb_id * c_n + a.noun_id for a in seq] for seq in sequences], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("joint class ids (verb * c_n + noun) must fit in int64") from None
     _require(out.ndim == 2, "sequences must share one length")
     return out
 
@@ -294,10 +285,7 @@ def train_head(
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise TrainingDiverged(epoch, "parameters became non-finite")
         losses.append(epoch_loss / n)
-    trained = LinearHead(
-        kind=head.kind, weight=weight, bias=bias, z=head.z, c_v=head.c_v, c_n=head.c_n
-    )
-    return trained, losses
+    return replace(head, weight=weight, bias=bias), losses
 
 
 def finite_difference_grad(

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -449,8 +449,19 @@ class ActionLabel:
         _checked("ActionLabel", _int, self.noun_id, "noun_id", None)
 
 
+class _ArrayRecord:
+    """Equality over every dataclass field, arrays compared by value; like
+    any class that defines ``__eq__`` alone, unhashable."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True, eq=False)
-class ScoreMatrix:
+class ScoreMatrix(_ArrayRecord):
     """Per-position class probabilities: verb is (Z, C_v), noun is (Z, C_n),
     given as arrays or lists of rows and stored as read-only float64 arrays."""
 
@@ -465,11 +476,6 @@ class ScoreMatrix:
     @property
     def z(self) -> int:
         return self.verb.shape[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreMatrix):
-            return NotImplemented
-        return np.array_equal(self.verb, other.verb) and np.array_equal(self.noun, other.noun)
 
 
 @dataclass(frozen=True)
@@ -590,7 +596,7 @@ def _finite_rows(rows: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureMatrix:
+class FeatureMatrix(_ArrayRecord):
     """A stack of fixed-width float32 feature rows with provenance."""
 
     dim: int
@@ -612,15 +618,6 @@ class FeatureMatrix:
     @property
     def num_rows(self) -> int:
         return int(self.rows.shape[0])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.provenance == other.provenance
-            and np.array_equal(self.rows, other.rows)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
@@ -120,14 +121,7 @@ def render_fixture(table: FixtureTable, fmt: str = "plain") -> str:
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"unknown format '{fmt}'")
     if fmt == "json":
-        payload = {
-            "name": table.name,
-            "family": table.family,
-            "metrics": list(table.metrics),
-            "rows": list(table.rows),
-            "cells": {split: [list(r) for r in table.cells[split]] for split in SPLITS},
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(table), indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         # Method names contain commas, so quoting (not a custom delimiter) is

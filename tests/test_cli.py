@@ -99,6 +99,23 @@ class TestParseThresholds:
         with pytest.raises(ValueError, match="more than"):
             parse_thresholds("0:1:1e-12")
 
+    def test_a_list_at_the_cap_is_kept(self):
+        assert parse_thresholds(",".join(["0.5"] * cli.MAX_THRESHOLDS)) == (0.5,) * cli.MAX_THRESHOLDS
+
+    def test_a_list_past_the_cap_is_refused_with_its_count(self):
+        with pytest.raises(ValueError) as info:
+            parse_thresholds(",".join(["0.5"] * (cli.MAX_THRESHOLDS + 1)))
+        assert str(info.value) == f"threshold list holds {cli.MAX_THRESHOLDS + 1} values, more than {cli.MAX_THRESHOLDS}"
+
+    @pytest.mark.parametrize("track, option", [("scod", "--iou"), ("mq", "--tiou")])
+    def test_a_list_past_the_cap_exits_2_before_any_file(self, tmp_path, capsys, track, option):
+        # The files do not exist, so reading one would give another line.
+        argv = ["eval", track, "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+        assert cli.main([*argv, option, ",".join(["0.5"] * 10_001)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: threshold list holds 10001 values, more than 10000"]
+
     def test_infinite_range_exits_2_with_one_line(self, dataset_dir, capsys):
         gt, pred = dataset_dir / "gt_mq.json", dataset_dir / "pred_mq.json"
         rc = cli.main(["eval", "mq", "--gt", str(gt), "--pred", str(pred), "--tiou", "0:inf:0.1"])
@@ -265,6 +282,11 @@ class TestEval:
         assert recall == [f"Recall@{k}x tIoU={t}" if track == "mq" else f"R{k}@{t}" for k in (1, 2) for t in ("0.3", "0.5")]
         assert cli.main([*argv, "--recall-k", "1,2,3", "--recall-tiou", "0.3,0.5"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: 3 recall k values by 2 tIoU thresholds make more than 4 reports"]
+
+    def test_a_recall_k_list_without_values_is_one_line(self, dataset_dir, capsys):
+        argv = ["eval", "nlq", "--gt", str(dataset_dir / "gt_nlq.json"), "--pred", str(dataset_dir / "pred_nlq.json")]
+        assert cli.main([*argv, "--recall-k", ","]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: no values in ','"]
 
     def test_fhp_perfect(self, dataset_dir, capsys):
         rc = cli.main(
@@ -517,6 +539,19 @@ class TestFuse:
         rc = cli.main(["eval", "sta", "--gt", str(dataset_dir / "gt_sta.json"), "--pred", str(fused)])
         assert rc == 0
         assert "Overall: 100.00" in capsys.readouterr().out
+
+    def test_sta_files_that_disagree_on_an_image_size_are_refused(self, dataset_dir, tmp_path, capsys):
+        pred = dataset_dir / "pred_sta.json"
+        tree = json.loads(pred.read_text(encoding="utf-8"))
+        tree["images"][0]["width"] += 1
+        other = tmp_path / "other_sta.json"
+        other.write_text(json.dumps(tree), encoding="utf-8")
+        fused = tmp_path / "fused_sta.json"
+        assert cli.main(["fuse", "sta", "--pred", str(pred), str(other), "--out", str(fused)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: keyframe {tree['images'][0]['keyframe_id']}: files disagree on image size"]
+        assert not fused.exists()
 
     @pytest.mark.parametrize("mode", ["post", "sta"])
     def test_integer_valued_reals_fuse_to_the_same_bytes(self, tmp_path, capsys, mode):
@@ -787,6 +822,33 @@ class TestTrainConfigErrors:
             f"error: {config}: resolution: must be a [width, height] pair of ints >= 1"
         ]
 
+    def _train(self, dataset_dir, tmp_path, edit):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        edit(raw)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        return cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"]), config
+
+    def test_a_file_of_another_schema_is_one_line(self, dataset_dir, tmp_path, capsys):
+        rc, config = self._train(dataset_dir, tmp_path, lambda raw: raw.update(schema="lta/1"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: expected schema 'synth-config/1'"]
+        assert not (tmp_path / "h.bin").exists()
+
+    def test_a_missing_key_is_one_line(self, dataset_dir, tmp_path, capsys):
+        rc, config = self._train(dataset_dir, tmp_path, lambda raw: raw.pop("fps"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: missing key 'fps'"]
+        assert not (tmp_path / "h.bin").exists()
+
+    def test_an_unknown_key_warns_and_trains(self, dataset_dir, tmp_path, capsys):
+        with pytest.warns(UserWarning) as caught:
+            rc, config = self._train(dataset_dir, tmp_path, lambda raw: raw.update(extra=1))
+        assert rc == 0
+        assert [str(w.message) for w in caught] == [f"{config}: unknown key top level: 'extra'"]
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "h.bin").exists()
+
     @pytest.mark.parametrize("task", ["lta", "fhp"])
     def test_a_feature_dim_too_large_to_allocate_is_one_line(self, dataset_dir, tmp_path, capsys, task):
         # 72.8 TiB of float64 features: numpy refuses it without allocating.
@@ -875,6 +937,28 @@ class TestLtaPredValidation:
         rc = cli.main(["eval", "lta", "--gt", str(dataset_dir / "gt_lta.json"), "--pred", str(pred)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {pred}: {location}: {message}"]
+
+    def _edited(self, dataset_dir, tmp_path, edit):
+        tree = json.loads((dataset_dir / "pred_lta.json").read_text(encoding="utf-8"))
+        edit(tree["instances"])
+        pred = tmp_path / "pred_lta.json"
+        pred.write_text(json.dumps(tree), encoding="utf-8")
+        rc = cli.main(["eval", "lta", "--gt", str(dataset_dir / "gt_lta.json"), "--pred", str(pred)])
+        return rc, pred, tree["instances"][0]
+
+    def test_several_rows_for_one_episode_are_refused(self, dataset_dir, tmp_path, capsys):
+        rc, pred, row = self._edited(dataset_dir, tmp_path, lambda rows: rows.append({**rows[0], "clip": 1}))
+        assert rc == 2
+        last = len(json.loads(pred.read_text(encoding="utf-8"))["instances"]) - 1
+        key = (row["video_id"], row["clip_index"])
+        assert capsys.readouterr().err.splitlines() == [f"error: {pred}: instances[{last}]: several rows for {key}; vote first"]
+
+    def test_candidates_past_the_ground_truth_budget_are_refused(self, dataset_dir, tmp_path, capsys):
+        # The file has no config block, so only ground truth's k of 5 bounds it.
+        rc, _, row = self._edited(dataset_dir, tmp_path, lambda rows: rows[0].update(candidates=rows[0]["candidates"] * 6))
+        assert rc == 2
+        key = (row["video_id"], row["clip_index"])
+        assert capsys.readouterr().err.splitlines() == [f"error: {key}: 6 candidates exceeds the budget of 5"]
 
 
 class TestHugeIntegers:
@@ -1186,6 +1270,17 @@ class TestTrainConfigOverflow:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {config}: max_video_len_s must be a finite real of magnitude at most 1e+06"
         ]
+
+    @pytest.mark.parametrize("key, value", [("c_v", 2**63), ("c_n", 2**63), ("c_v", 2**62)])
+    def test_joint_class_ids_past_int64_are_one_line(self, dataset_dir, tmp_path, capsys, key, value):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        rc = cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: joint class ids (verb * c_n + noun) must fit in int64"]
+        assert not (tmp_path / "h.bin").exists()
 
     @pytest.mark.parametrize("command", ["lta", "fhp"])
     def test_a_count_past_the_loop_budget_is_one_line_and_draws_nothing(self, dataset_dir, tmp_path, capsys, monkeypatch, command):

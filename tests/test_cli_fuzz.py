@@ -1,6 +1,7 @@
 """A fuzzer for ``egoforge eval`` on every track (mq, nlq, fhp, lta, sta,
-scod), for ``vote`` and ``fuse post``, ``sta`` and ``pre``, and for the
-options of ``train lta|fhp`` and ``schedule``.
+scod), for ``vote`` and ``fuse post``, ``sta`` and ``pre``, for the options
+of ``train lta|fhp``, ``schedule``, ``synth`` and ``report``, and for the
+config files ``train`` reads.
 
 It edits synth ground truth and predictions, and per-clip probability
 files, with the mutations of ``test_columns`` (edge values, wrong types,
@@ -17,15 +18,21 @@ them and saving the result ends: the same bytes, or the same one-line
 error, the first file's fault before the second's; an aliased ``--out`` is
 refused and the input keeps its bytes.
 
-``train`` and ``schedule`` get each option left out or set to an edge value
-of its type: ints far past every cap, and every float, nan, infinities and
-subnormals included. Epoch and frame counts that would be accepted stay
-small, so the runs take milliseconds; the same exit and stderr rules hold.
+``train``, ``schedule`` and ``synth`` get each option left out or set to an
+edge value of its type: ints far past every cap, and every float, nan,
+infinities and subnormals included. Epoch, frame and video counts that
+would be accepted stay small, so the runs take milliseconds; the same exit
+and stderr rules hold. ``report`` gets any table name and each format.
+``train``'s config file gets one to three of its keys set to a value of a
+fixed set (every JSON type, edge ints past int64, non-finite and huge
+reals, but no mid-sized count that would allocate for minutes), a key
+dropped or an unknown key added.
 """
 
 import copy
 import io
 import json
+import math
 import os
 import random
 import warnings
@@ -37,7 +44,9 @@ from hypothesis import given, settings, strategies as st
 
 from egoforge import cli, fileio
 from egoforge.errors import DataError
+from egoforge.fixtures import FIXTURES
 from egoforge.model import FeatureMatrix, ScoreMatrix
+from egoforge.render import OUTPUT_FORMATS
 from egoforge.snippets import prefuse_features
 from egoforge.synth import SynthConfig
 from test_columns import _edits, _get, _paths, _set
@@ -247,10 +256,11 @@ def test_fuse_pre_refuses_an_out_that_is_an_input(scratch, alias, data):
 _INTS = st.one_of(st.integers(-2, 4), st.sampled_from([10_001, 2**63, -(2**63), 10**30]))
 
 
-def _options(data, spec):
-    """``--name=value`` for each option in ``spec`` the draw keeps (a
-    separate ``-1e+16`` would read as an option)."""
-    return [f"{name}={data.draw(values, label=name)!r}" for name, values in spec.items() if data.draw(st.booleans(), label=f"{name} given")]
+def _options(data, spec, text=repr):
+    """``--name=value`` for each option in ``spec`` the draw keeps, the
+    value written by ``text`` (a separate ``-1e+16`` would read as an
+    option)."""
+    return [f"{name}={text(data.draw(values, label=name))}" for name, values in spec.items() if data.draw(st.booleans(), label=f"{name} given")]
 
 
 @pytest.fixture(scope="module")
@@ -281,3 +291,43 @@ def test_schedule_exits_0_or_2_with_one_line(data):
     frames = st.one_of(st.integers(-2, 3_000), st.sampled_from([10**7, 10**20, -(10**20)]))
     spec = {"--fps": st.floats(), "--snippet-len": _INTS, "--stride": _INTS}
     _exits_0_or_2(["schedule", f"--num-frames={data.draw(frames, label='frames')}", *_options(data, spec)])
+
+
+# Every JSON type; ints past int64 and past every cap; reals tiny, huge and
+# not finite. The only counts are tiny, so an accepted config trains fast.
+_CONFIG_VALUES = [None, True, False, -1, 0, 1, 2, 3, 2**63, -(2**63), 10**30, 0.5, -0.5, 1e308, math.nan, math.inf, -math.inf, "", "x", [], [1920, 1080], [1, 2, 3], {}, {"a": 1}]
+
+
+@pytest.mark.parametrize("task", ["lta", "fhp"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_train_config_exits_0_or_2_with_one_line(train_config, scratch, task, data):
+    raw = json.loads(train_config.read_text(encoding="utf-8"))
+    edit = data.draw(st.sampled_from(["replace", "drop", "add"]), label="edit")
+    if edit == "replace":
+        for key in data.draw(st.lists(st.sampled_from(sorted(raw)), min_size=1, max_size=3, unique=True), label="keys"):
+            raw[key] = data.draw(st.sampled_from(_CONFIG_VALUES), label=key)
+    elif edit == "drop":
+        del raw[data.draw(st.sampled_from(sorted(raw)), label="dropped")]
+    else:
+        raw["extra"] = data.draw(st.sampled_from(_CONFIG_VALUES), label="extra")
+    config, out = scratch / "edited_config.json", scratch / "train.head"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    _unlink(out)
+    assert _exits_0_or_2(["train", task, "--config", str(config), "--out", str(out), "--epochs", "1"]) == out.exists()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_synth_exits_0_or_2_with_one_line(scratch, data):
+    # An accepted dataset has at most 3 videos.
+    videos = st.one_of(st.integers(-2, 3), st.sampled_from([10**7, 2**63, -(2**63), 10**30]))
+    spec = {"--seed": _INTS, "--label-strength": st.floats(), "--feature-dim": _INTS}
+    _exits_0_or_2(["synth", "--out", str(scratch / "synth"), f"--num-videos={data.draw(videos, label='videos')}", *_options(data, spec)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_report_exits_0_or_2_with_one_line(data):
+    spec = {"--table": st.one_of(st.sampled_from(sorted(FIXTURES)), st.text()), "--format": st.sampled_from(OUTPUT_FORMATS)}
+    _exits_0_or_2(["report", *_options(data, spec, text=str)])

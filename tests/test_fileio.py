@@ -369,6 +369,13 @@ class TestReportFiles:
         assert fileio.load_reports(path) == reports
         assert path.read_text(encoding="utf-8") == render_reports(reports, "json")
 
+    def test_the_first_missing_key_in_field_order_is_named(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"schema": "report/1", "reports": [{"name": "mAP", "family": "percent", "breakdown": {}}]}))
+        with pytest.raises(DataError) as info:
+            fileio.load_reports(path)
+        assert str(info.value) == f"{path}: malformed report file ('value')"
+
     def test_wrong_schema(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps({"schema": "mq/1"}))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -97,6 +98,24 @@ class TestRenderFixture:
         assert rows[1][1] == "I3D (224,16,30)"
         assert rows[1][2] == "54.11"
         assert len(rows) == 1 + 2 * 5
+
+    def test_json_is_the_tables_fields_in_order(self):
+        for name, t in FIXTURES.items():
+            payload = {
+                "name": t.name,
+                "family": t.family,
+                "metrics": list(t.metrics),
+                "rows": list(t.rows),
+                "cells": {split: [list(r) for r in t.cells[split]] for split in SPLITS},
+            }
+            assert render_fixture(t, fmt="json") == json.dumps(payload, indent=2) + "\n", name
+
+    def test_cells_are_kept_in_split_order(self):
+        table = fixture("hands-results")
+        swapped = replace(table, cells=dict(reversed(table.cells.items())))
+        assert list(swapped.cells) == list(SPLITS)
+        assert swapped == table
+        assert render_fixture(swapped, fmt="json") == render_fixture(table, fmt="json")
 
     def test_json_round_trips(self):
         payload = json.loads(render_fixture(fixture("short-term"), fmt="json"))

@@ -186,6 +186,13 @@ def test_joint_targets_flattens_pairs():
     assert t.tolist() == [[6, 3]]
 
 
+def test_joint_targets_past_int64_are_refused():
+    # The largest id int64 holds is kept; one more is refused.
+    assert joint_targets([[ActionLabel(verb_id=2**62 - 1, noun_id=1)]], c_n=2).tolist() == [[2**63 - 1]]
+    with pytest.raises(ValueError, match=r"^joint class ids \(verb \* c_n \+ noun\) must fit in int64$"):
+        joint_targets([[ActionLabel(verb_id=2**62, noun_id=0)]], c_n=2)
+
+
 class TestTraining:
     def _toy_regression(self):
         rng = np.random.default_rng(0)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from egoforge.heads import LinearHead
 from egoforge.model import (
     ActionLabel,
     BoundingBox,
@@ -209,6 +212,41 @@ class TestFeatureMatrix:
     def test_unknown_provenance(self):
         with pytest.raises(ValueError):
             FeatureMatrix(dim=3, rows=np.zeros((1, 3), dtype=np.float32), provenance="mystery")
+
+
+def _array_records():
+    """Each array record, with edits that each give a record differing from
+    it in one field or more, arrays included."""
+    score = ScoreMatrix(verb=_prob_rows(2, 3), noun=_prob_rows(2, 4))
+    features = FeatureMatrix(dim=3, rows=np.zeros((2, 3)), provenance="verb")
+    head = LinearHead(kind="classifier_C", weight=np.zeros((6, 2)), bias=np.zeros(6), z=1, c_v=2, c_n=3)
+    regression = {"kind": "regression_20", "weight": np.zeros((20, 2)), "bias": np.zeros(20), "z": None, "c_v": None, "c_n": None}
+    return [
+        (score, [{"verb": _prob_rows(2, 3, seed=1)}, {"noun": _prob_rows(2, 4, seed=1)}, {"verb": _prob_rows(3, 3), "noun": _prob_rows(3, 4)}]),
+        (features, [{"rows": np.ones((2, 3))}, {"provenance": "noun"}, {"dim": 2, "rows": np.zeros((2, 2))}, {"rows": np.zeros((3, 3))}]),
+        (head, [{"weight": np.ones((6, 2))}, {"bias": np.ones(6)}, {"c_v": 3, "c_n": 2}, {"z": 2, "c_v": 1}, regression]),
+    ]
+
+
+class TestArrayRecordEquality:
+    @pytest.mark.parametrize("record, edits", _array_records(), ids=["ScoreMatrix", "FeatureMatrix", "LinearHead"])
+    def test_every_field_is_compared(self, record, edits):
+        copy = replace(record)
+        assert copy == record and record == copy and not copy != record
+        for edit in edits:
+            other = replace(record, **edit)
+            assert other != record and record != other and not other == record, edit
+
+    @pytest.mark.parametrize("record, others", [(r, [e for e, _ in _array_records() if type(e) is not type(r)]) for r, _ in _array_records()])
+    def test_other_types_are_not_implemented(self, record, others):
+        for other in [*others, 1, None, "verb"]:
+            assert record.__eq__(other) is NotImplemented
+            assert not record == other and record != other
+
+    @pytest.mark.parametrize("record", [r for r, _ in _array_records()])
+    def test_unhashable(self, record):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 class TestRankedSegment:
