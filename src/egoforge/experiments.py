@@ -77,7 +77,7 @@ def train_forecaster(
     head = new_head(
         "classifier_C", in_dim=2 * cfg.feature_dim, seed=seed, z=cfg.z, c_v=cfg.c_v, c_n=cfg.c_n
     )
-    return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs, seed=seed)
+    return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs)
 
 
 def voted_forecast(
@@ -153,4 +153,4 @@ def train_hand_regressor(
     """Fit the 20-way coordinate regressor with L1 loss."""
     inputs, targets = hand_training_set(ds, video_ids)
     head = new_head("regression_20", in_dim=2 * ds.config.feature_dim, seed=seed)
-    return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs, seed=seed)
+    return train_head(head, inputs, targets, SgdConfig(lr=lr, momentum=momentum), epochs=epochs)

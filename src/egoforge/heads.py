@@ -2,10 +2,10 @@
 
 Two head shapes cover the tracks that need one: a 20-way regressor for hand
 coordinates (5 keyframes x 2 hands x 2 coordinates) and a per-position
-joint classifier over (verb, noun) pairs for forecasting. Training is plain
-(optionally momentum) gradient descent, deterministic given its seed. It
-updates private copies of the parameters in place, and a classifier step
-computes one exp of its logits for both the loss and the softmax.
+joint classifier over (verb, noun) pairs for forecasting. Training is
+full-batch momentum gradient descent with no randomness, in the primal or
+the dual (Gram) form by the inputs' shape. It updates private copies of the
+parameters, and a classifier step takes one exp for loss and softmax.
 """
 
 from __future__ import annotations
@@ -220,19 +220,16 @@ def train_head(
     targets: np.ndarray,
     config: SgdConfig,
     epochs: int,
-    seed: int = 0,
-    batch_size: int | None = None,
 ) -> tuple[LinearHead, list[float]]:
-    """Gradient-descent training; returns the new head and per-epoch losses.
+    """Full-batch gradient descent; returns the new head and per-epoch losses.
 
-    Full-batch by default (and then fully deterministic with no randomness
-    at all); with batch_size set, batches are drawn in a seeded shuffled
-    order each epoch. Raises TrainingDiverged if the loss or any parameter
-    stops being finite.
+    Each step adds g.T @ x, so the weight stays w0 + coef.T @ x: below
+    n = 2 * in_dim rows the loop trains coef (n, out) on the fixed x @ x.T,
+    one (n, n) product per epoch for two (n, in_dim) ones, and forms the
+    weight once. Raises TrainingDiverged if the loss or a parameter is not finite.
     """
     _require(isinstance(epochs, int) and epochs >= 0, "epochs must be an int >= 0")
     _require(epochs <= MAX_EPOCHS, f"epochs must be at most {MAX_EPOCHS}, got {_int_text(epochs)}")
-    _require(isinstance(seed, int) and seed >= 0, "seed must be an int >= 0")
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     _require(x.ndim == 2 and x.shape[1] == head.in_dim, f"inputs must be (n, {head.in_dim})")
     n = x.shape[0]
@@ -246,46 +243,49 @@ def train_head(
         _require(np.issubdtype(t.dtype, np.integer), "classifier targets must be integers")
         joint_width = head.c_v * head.c_n
         _require(bool((t >= 0).all()) and bool((t < joint_width).all()), "joint class id out of range")
-    if batch_size is not None:
-        _require(isinstance(batch_size, int) and batch_size >= 1, "batch_size must be an int >= 1")
-    weight = head.weight.copy()
+    # param is the weight or, in the dual form, coef. Overflow on a runaway
+    # step is caught by the finiteness guards; numpy keeps quiet until then.
+    dual = epochs > 0 and n < 2 * head.in_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, base = (x @ x.T, x @ head.weight.T) if dual else (None, None)
+    param = np.zeros((n, head.out_dim)) if dual else head.weight.copy()
     bias = head.bias.copy()
-    vel_w = np.zeros_like(weight)
-    vel_b = np.zeros_like(bias)
-    rng = np.random.default_rng(seed)
+    vel, vel_b, out = np.zeros_like(param), np.zeros_like(bias), np.empty((n, head.out_dim))
     losses: list[float] = []
     for epoch in range(epochs):
-        if batch_size is None:
-            batches = [(x, t)]
-        else:
-            order = rng.permutation(n)
-            batches = [(x[idx], t[idx]) for idx in (order[i : i + batch_size] for i in range(0, n, batch_size))]
-        epoch_loss = 0.0
-        for xb, tb in batches:
-            # Overflow on a runaway step is caught by the finiteness guards
-            # below; keep numpy quiet on the way there.
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = xb @ weight.T + bias
-                if head.kind == "regression_20":
-                    loss, g = _l1_loss(out, tb)
-                else:
-                    loss, g = _cross_entropy(out.reshape(-1, joint_width), tb.reshape(-1))
-                    g = g.reshape(out.shape)
-                grad_w = g.T @ xb
-                grad_b = g.sum(axis=0)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, f"loss became {loss!r}")
-            vel_w *= config.momentum
-            vel_w -= config.lr * grad_w
-            vel_b *= config.momentum
-            vel_b -= config.lr * grad_b
-            weight += vel_w
-            bias += vel_b
-            epoch_loss += loss * len(xb)
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if dual:
+                np.matmul(gram, param, out=out)
+                out += base
+            else:
+                np.matmul(x, param.T, out=out)
+            out += bias
+            if head.kind == "regression_20":
+                loss, g = _l1_loss(out, t)
+            else:
+                loss, g = _cross_entropy(out.reshape(-1, joint_width), t.reshape(-1))
+                g = g.reshape(out.shape)
+            grad = g if dual else g.T @ x
+            grad_b = g.sum(axis=0)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(epoch, f"loss became {loss!r}")
+        vel *= config.momentum
+        grad *= config.lr
+        vel -= grad
+        vel_b *= config.momentum
+        vel_b -= config.lr * grad_b
+        param += vel
+        bias += vel_b
+        if not (np.isfinite(param).all() and np.isfinite(bias).all()):
             raise TrainingDiverged(epoch, "parameters became non-finite")
-        losses.append(epoch_loss / n)
-    return replace(head, weight=weight, bias=bias), losses
+        losses.append(loss)
+    if dual:
+        with np.errstate(over="ignore", invalid="ignore"):
+            param = param.T @ x
+            param += head.weight
+        if not np.isfinite(param).all():
+            raise TrainingDiverged(epochs - 1, "parameters became non-finite")
+    return replace(head, weight=param, bias=bias), losses
 
 
 def finite_difference_grad(

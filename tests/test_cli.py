@@ -2,10 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -325,6 +327,17 @@ class TestEval:
         assert "AP50: 100.00" in out
         assert "AP75: 100.00" in out
 
+    @pytest.mark.parametrize("track, measure", [("mq", "recall"), ("lta", "edit distance"), ("sta", "AP"), ("scod", "AP")])
+    def test_ground_truth_without_instances_is_one_line(self, dataset_dir, tmp_path, capsys, track, measure):
+        gt = json.loads((dataset_dir / f"gt_{track}.json").read_text(encoding="utf-8"))
+        gt["instances"] = []
+        path = tmp_path / f"gt_{track}.json"
+        path.write_text(json.dumps(gt), encoding="utf-8")
+        assert cli.main(["eval", track, "--gt", str(path), "--pred", str(dataset_dir / f"pred_{track}.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {measure} is undefined with no ground-truth instances"]
+
     def test_report_file_round_trips(self, dataset_dir, tmp_path, capsys):
         out_file = tmp_path / "mq_report.json"
         rc = cli.main(
@@ -429,6 +442,28 @@ class TestFuse:
         assert fused.num_rows == 4
         np.testing.assert_array_equal(fused.rows[:, :3], a.rows)
         np.testing.assert_array_equal(fused.rows[:, 3:], b.rows)
+
+    def test_pre_with_a_directory_for_features_is_one_line(self, tmp_path, capsys):
+        fileio.save_features(tmp_path / "b.bin", FeatureMatrix(dim=2, rows=np.ones((3, 2)), provenance="noun"))
+        argv = ["fuse", "pre", "--features", str(tmp_path), str(tmp_path / "b.bin"), "--out", str(tmp_path / "ab.bin")]
+        assert cli.main(argv) == 2
+        refused = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+        assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: {refused}"]
+        assert not (tmp_path / "ab.bin").exists()
+
+    def test_pre_from_a_pipe_is_one_line(self, tmp_path, capsys):
+        # A pipe can be read only once, so the framing check's seek to its
+        # end is refused.
+        read, write = os.pipe()
+        try:
+            os.write(write, fileio.FEATURE_MAGIC + bytes(60))
+            os.close(write)
+            pipe = f"/dev/fd/{read}"
+            assert cli.main(["fuse", "pre", "--features", pipe, pipe, "--out", str(tmp_path / "ab.bin")]) == 2
+        finally:
+            os.close(read)
+        assert capsys.readouterr().err.splitlines() == [f"error: {pipe}: File or stream is not seekable."]
+        assert not (tmp_path / "ab.bin").exists()
 
     def test_pre_output_bytes_pinned(self, tmp_path, capsys):
         # float32 rounding of float64 draws and the flat layout are the

@@ -263,6 +263,11 @@ class TestFeatureFiles:
             fileio.load_features(path)
         assert str(e.value).startswith(f"{path}: ")
 
+    def test_a_directory_is_a_data_error_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match=r"Is a directory") as e:
+            fileio.load_features(tmp_path)
+        assert str(e.value).startswith(f"{tmp_path}: ")
+
     def test_f_ordered_float64_rows_round_trip(self, tmp_path):
         rows = np.asfortranarray(np.random.default_rng(8).standard_normal((6, 4)))
         matrix = FeatureMatrix(dim=4, rows=rows, provenance="noun")
@@ -313,6 +318,11 @@ class TestHeadFiles:
         loaded = fileio.load_head(path)
         assert loaded == head
         assert (loaded.z, loaded.c_v, loaded.c_n) == (2, 3, 4)
+
+    def test_a_directory_is_a_data_error_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match=r"Is a directory") as e:
+            fileio.load_head(tmp_path)
+        assert str(e.value).startswith(f"{tmp_path}: ")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "h.eghd"

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from egoforge.errors import TrainingDiverged
 from egoforge.heads import (
@@ -45,9 +46,6 @@ def test_new_head_seeded():
 def test_bad_seed_is_refused(seed):
     with pytest.raises(ValueError, match="^seed must be an int >= 0$"):
         new_head("regression_20", in_dim=6, seed=seed)
-    head = new_head("regression_20", in_dim=6, seed=0)
-    with pytest.raises(ValueError, match="^seed must be an int >= 0$"):
-        train_head(head, np.zeros((2, 6)), np.zeros((2, REGRESSION_DIM)), SgdConfig(lr=0.1), epochs=1, seed=seed)
 
 
 def test_regression_head_rejects_class_counts():
@@ -217,18 +215,6 @@ class TestTraining:
         assert np.array_equal(heads[0].weight, heads[1].weight)
         assert np.array_equal(heads[0].bias, heads[1].bias)
 
-    def test_minibatch_training_seeded(self):
-        x, y = self._toy_regression()
-        outs = []
-        for _ in range(2):
-            head = new_head("regression_20", in_dim=4, seed=0)
-            trained, losses = train_head(
-                head, x, y, SgdConfig(lr=0.05, momentum=0.9), epochs=5, seed=11, batch_size=16
-            )
-            outs.append((trained, tuple(losses)))
-        assert np.array_equal(outs[0][0].weight, outs[1][0].weight)
-        assert outs[0][1] == outs[1][1]
-
     @pytest.mark.parametrize("epochs, text", [(MAX_EPOCHS + 1, "10001"), (10**5000, "1000…0 (5001 digits)")], ids=["one-past", "past-str"])
     def test_epochs_past_the_cap_are_refused(self, epochs, text):
         x, y = self._toy_regression()
@@ -260,14 +246,17 @@ class TestTraining:
 
 
 # ---------------------------------------------------------------------------
-# Equality with the allocating training loop.
+# Equality with the allocating training loops.
 #
-# The reference below is the loop train_head replaced, kept verbatim but
-# for its input checks: it copied each batch, computed the softmax's exp
-# apart from the loss's, and allocated new arrays for every update. The in-place loop must make the
-# same floating-point operations in the same order, so weights, biases and
+# _ref_train_head is the loop train_head replaced, kept verbatim but for its
+# input checks and the minibatches it no longer takes: it computed the
+# softmax's exp apart from the loss's, and allocated new arrays for every
+# update. _ref_train_dual is the same loop on the coefficients of the dual
+# form. Each form of the in-place loop must make the same floating-point
+# operations in the same order as its reference, so weights, biases and
 # losses are compared for exact equality. Both sides run on the same BLAS,
-# which keeps the comparison independent of the machine.
+# which keeps the comparison independent of the machine. The two forms
+# agree with each other to rounding only.
 # ---------------------------------------------------------------------------
 
 
@@ -297,48 +286,69 @@ def _ref_cross_entropy(logits, targets):
     return loss, grad / m
 
 
-def _ref_train_head(head, inputs, targets, config, epochs, seed=0, batch_size=None):
+def _ref_loss(head, out, t):
+    """Loss and output gradient of one full batch of outputs (n, out_dim)."""
+    if head.kind == "regression_20":
+        return _ref_l1_loss(out, t)
+    loss, g = _ref_cross_entropy(out.reshape(-1, head.c_v * head.c_n), t.reshape(-1))
+    return loss, g.reshape(out.shape)
+
+
+def _ref_train_head(head, inputs, targets, config, epochs):
     x = np.asarray(inputs, dtype=np.float64)
-    n = x.shape[0]
     t = np.asarray(targets, dtype=np.float64) if head.kind == "regression_20" else np.asarray(targets)
     weight = head.weight.copy()
     bias = head.bias.copy()
     vel_w = np.zeros_like(weight)
     vel_b = np.zeros_like(bias)
-    rng = np.random.default_rng(seed)
     losses = []
     for epoch in range(epochs):
-        if batch_size is None:
-            batches = [np.arange(n)]
-        else:
-            order = rng.permutation(n)
-            batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
-        epoch_loss = 0.0
-        for idx in batches:
-            xb = x[idx]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if head.kind == "regression_20":
-                    pred = xb @ weight.T + bias
-                    loss, g = _ref_l1_loss(pred, t[idx])
-                    grad_w = g.T @ xb
-                    grad_b = g.sum(axis=0)
-                else:
-                    joint_width = head.c_v * head.c_n
-                    logits = (xb @ weight.T + bias).reshape(len(idx) * head.z, joint_width)
-                    loss, g = _ref_cross_entropy(logits, t[idx].reshape(-1))
-                    flat = g.reshape(len(idx), head.out_dim)
-                    grad_w = flat.T @ xb
-                    grad_b = flat.sum(axis=0)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, f"loss became {loss!r}")
-            vel_w = config.momentum * vel_w - config.lr * grad_w
-            vel_b = config.momentum * vel_b - config.lr * grad_b
-            weight = weight + vel_w
-            bias = bias + vel_b
-            epoch_loss += loss * len(idx)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, g = _ref_loss(head, x @ weight.T + bias, t)
+            grad_w = g.T @ x
+            grad_b = g.sum(axis=0)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(epoch, f"loss became {loss!r}")
+        vel_w = config.momentum * vel_w - config.lr * grad_w
+        vel_b = config.momentum * vel_b - config.lr * grad_b
+        weight = weight + vel_w
+        bias = bias + vel_b
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise TrainingDiverged(epoch, "parameters became non-finite")
-        losses.append(epoch_loss / n)
+        losses.append(loss)
+    return weight, bias, losses
+
+
+def _ref_train_dual(head, inputs, targets, config, epochs):
+    # weight = weight0 + coef.T @ x throughout, so x @ weight.T is
+    # gram @ coef + x @ weight0.T, and g.T @ x updates coef by g itself.
+    x = np.asarray(inputs, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64) if head.kind == "regression_20" else np.asarray(targets)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+        base = x @ head.weight.T
+    coef = np.zeros((x.shape[0], head.out_dim))
+    bias = head.bias.copy()
+    vel_c = np.zeros_like(coef)
+    vel_b = np.zeros_like(bias)
+    losses = []
+    for epoch in range(epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, g = _ref_loss(head, gram @ coef + base + bias, t)
+            grad_b = g.sum(axis=0)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(epoch, f"loss became {loss!r}")
+        vel_c = config.momentum * vel_c - config.lr * g
+        vel_b = config.momentum * vel_b - config.lr * grad_b
+        coef = coef + vel_c
+        bias = bias + vel_b
+        if not (np.isfinite(coef).all() and np.isfinite(bias).all()):
+            raise TrainingDiverged(epoch, "parameters became non-finite")
+        losses.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = head.weight + coef.T @ x
+    if not np.isfinite(weight).all():
+        raise TrainingDiverged(epochs - 1, "parameters became non-finite")
     return weight, bias, losses
 
 
@@ -356,30 +366,71 @@ def _problem(kind, n, in_dim, seed, z=3, c_v=2, c_n=4):
     return head, x, t
 
 
-def _assert_same_training(head, x, t, config, epochs, **kwargs):
-    weight, bias, losses = _ref_train_head(head, x, t, config, epochs, **kwargs)
-    trained, got = train_head(head, x, t, config, epochs, **kwargs)
+def _assert_same_training(head, x, t, config, epochs, reference=_ref_train_head):
+    weight, bias, losses = reference(head, x, t, config, epochs)
+    trained, got = train_head(head, x, t, config, epochs)
     assert np.array_equal(trained.weight, weight) and np.array_equal(trained.bias, bias)
     assert got == losses
 
 
+def _assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * np.max(np.abs(want), initial=0.0)
+
+
 class TestInPlaceTrainingEqualsTheAllocatingLoop:
+    # n = 50 >= 2 * 12: the primal form.
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("batch_size", [None, 16, 1000], ids=["full", "16", "over-n"])
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("kind", HEAD_KINDS)
-    def test_weights_biases_and_losses(self, kind, momentum, batch_size, order):
+    def test_weights_biases_and_losses(self, kind, momentum, order):
         head, x, t = _problem(kind, n=50, in_dim=12, seed=7)
         x, t = np.asarray(x, order=order), np.asarray(t, order=order)
         lr = 0.05 if kind == "regression_20" else 0.5
-        _assert_same_training(head, x, t, SgdConfig(lr=lr, momentum=momentum), epochs=8, seed=3, batch_size=batch_size)
+        _assert_same_training(head, x, t, SgdConfig(lr=lr, momentum=momentum), epochs=8)
 
     def test_forecast_fuse_shapes(self):
         # train lta's shapes on the benchmark: 24 videos x 8 clips of 2 x 192
-        # stub features, z=20 positions of 5 x 7 (verb, noun) pairs.
+        # stub features, z=20 positions of 5 x 7 (verb, noun) pairs. With
+        # 192 rows under twice the width of 384, it trains in the dual form.
         head, x, t = _problem("classifier_C", n=192, in_dim=384, seed=11, z=20, c_v=5, c_n=7)
         assert (x.shape, head.out_dim) == ((192, 384), 700)
-        _assert_same_training(head, x, t, SgdConfig(lr=2.0, momentum=0.9), epochs=20)
+        _assert_same_training(head, x, t, SgdConfig(lr=2.0, momentum=0.9), epochs=20, reference=_ref_train_dual)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_the_forms_switch_at_twice_the_width(self, kind):
+        # 23 rows of width 12 train in the dual form, 24 in the primal one.
+        for n, reference in ((23, _ref_train_dual), (24, _ref_train_head)):
+            head, x, t = _problem(kind, n=n, in_dim=12, seed=5)
+            _assert_same_training(head, x, t, SgdConfig(lr=0.1, momentum=0.9), epochs=6, reference=reference)
+
+    @pytest.mark.parametrize("n", [5, 50], ids=["dual-shape", "primal-shape"])
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_zero_epochs_return_the_head_bit_for_bit(self, kind, n):
+        head, x, t = _problem(kind, n=n, in_dim=12, seed=4)
+        x[0, 0] = np.nan  # no epoch runs, so nothing reads it
+        trained, losses = train_head(head, x, t, SgdConfig(lr=0.1, momentum=0.9), 0)
+        assert losses == [] and trained.weight.tobytes() + trained.bias.tobytes() == head.weight.tobytes() + head.bias.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(HEAD_KINDS),
+        in_dim=st.integers(1, 40),
+        rows=st.floats(0.0, 1.0, exclude_max=True),
+        momentum=st.sampled_from([0.0, 0.9]),
+        epochs=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_dual_form_agrees_with_the_primal_loop(self, kind, in_dim, rows, momentum, epochs, seed):
+        n = 1 + int(rows * (2 * in_dim - 1))  # 1 <= n < 2 * in_dim
+        head, x, t = _problem(kind, n=n, in_dim=in_dim, seed=seed)
+        config = SgdConfig(lr=0.05 if kind == "regression_20" else 0.5, momentum=momentum)
+        weight, bias, losses = _ref_train_head(head, x, t, config, epochs)
+        trained, got = train_head(head, x, t, config, epochs)
+        _assert_close(trained.weight, weight)
+        _assert_close(trained.bias, bias)
+        _assert_close(got, losses)
 
     # At unit scale the loss overflows first, inside the quiet forward pass;
     # at 1e10 the step itself overflows, and numpy warns outside it.
@@ -398,3 +449,31 @@ class TestInPlaceTrainingEqualsTheAllocatingLoop:
             raised.append((err.value.epoch, str(err.value), [(w.category, str(w.message)) for w in caught]))
         assert raised[1] == raised[0]
         assert np.array_equal(head.weight, weight) and np.array_equal(x, x_before) and np.array_equal(t, t_before)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_the_dual_form_diverges_as_the_primal_loop_does(self, kind):
+        head, x, t = _problem(kind, n=10, in_dim=8, seed=2)
+        config = SgdConfig(lr=1e308, momentum=0.9)
+        raised = []
+        for train in (_ref_train_head, _ref_train_dual, train_head):
+            with pytest.raises(TrainingDiverged) as err:
+                train(head, x, t, config, 6)
+            raised.append(str(err.value))
+        assert raised == [raised[0]] * 3
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_a_weight_that_overflows_only_when_formed_is_divergence(self, kind):
+        # At x ~ 1e150 the Gram matrix, the logits and one step's coef and
+        # bias are finite, but coef.T @ x passes the float range. The primal
+        # loop finds the same overflow in its weight step, where numpy warns;
+        # the dual form forms the weight quietly and raises.
+        head, x, t = _problem(kind, n=10, in_dim=8, seed=2)
+        x = x * 1e150
+        config = SgdConfig(lr=1e160)
+        raised = []
+        for train in (_ref_train_head, _ref_train_dual, train_head):
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as err:
+                warnings.simplefilter("always")
+                train(head, x, t, config, 1)
+            raised.append((str(err.value), len(caught) > 0))
+        assert raised == [("diverged at epoch 0: parameters became non-finite", warned) for warned in (True, False, False)]
