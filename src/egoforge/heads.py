@@ -3,13 +3,15 @@
 Two head shapes cover the tracks that need one: a 20-way regressor for hand
 coordinates (5 keyframes x 2 hands x 2 coordinates) and a per-position
 joint classifier over (verb, noun) pairs for forecasting. Training is
-full-batch momentum gradient descent with no randomness, in the primal or
-the dual (Gram) form by the inputs' shape. It updates private copies of the
-parameters, and a classifier step takes one exp for loss and softmax.
+full-batch momentum gradient descent with no randomness, in the primal
+form or, where it takes fewer multiply-adds, the dual (Gram) form. It updates
+private copies of the parameters, and a classifier step takes one exp for
+loss and softmax.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -223,10 +225,10 @@ def train_head(
 ) -> tuple[LinearHead, list[float]]:
     """Full-batch gradient descent; returns the new head and per-epoch losses.
 
-    Each step adds g.T @ x, so the weight stays w0 + coef.T @ x: below
-    n = 2 * in_dim rows the loop trains coef (n, out) on the fixed x @ x.T,
-    one (n, n) product per epoch for two (n, in_dim) ones, and forms the
-    weight once. Raises TrainingDiverged if the loss or a parameter is not finite.
+    The weight stays w0 + coef.T @ x, so where it takes fewer multiply-adds the
+    loop trains coef (n, out) on x @ x.T and forms the weight once. A dual run
+    that meets a non-finite value is rerun in the primal form, whose warnings
+    and TrainingDiverged (a loss or parameter not finite) train_head keeps.
     """
     _require(isinstance(epochs, int) and epochs >= 0, "epochs must be an int >= 0")
     _require(epochs <= MAX_EPOCHS, f"epochs must be at most {MAX_EPOCHS}, got {_int_text(epochs)}")
@@ -241,16 +243,28 @@ def train_head(
         t = np.asarray(targets)
         _require(t.shape == (n, head.z), "targets must be (n, z) joint class ids")
         _require(np.issubdtype(t.dtype, np.integer), "classifier targets must be integers")
-        joint_width = head.c_v * head.c_n
-        _require(bool((t >= 0).all()) and bool((t < joint_width).all()), "joint class id out of range")
+        _require(bool((t >= 0).all()) and bool((t < head.c_v * head.c_n).all()), "joint class id out of range")
+    if _dual_is_cheaper(n, head.in_dim, head.out_dim, epochs):
+        with suppress(TrainingDiverged), np.errstate(all="ignore"):
+            return _descend(head, x, t, config, epochs, dual=True)
+    return _descend(head, x, t, config, epochs, dual=False)
+
+
+def _dual_is_cheaper(n: int, in_dim: int, out_dim: int, epochs: int) -> bool:
+    # Multiply-adds over n: two (n, in_dim) products per epoch in the primal
+    # form; one (n, n) per epoch plus x @ x.T, x @ w0.T, coef.T @ x in the dual.
+    return n * in_dim + epochs * n * out_dim + 2 * in_dim * out_dim < 2 * epochs * in_dim * out_dim
+
+
+def _descend(
+    head: LinearHead, x: np.ndarray, t: np.ndarray, config: SgdConfig, epochs: int, dual: bool
+) -> tuple[LinearHead, list[float]]:
     # param is the weight or, in the dual form, coef. Overflow on a runaway
     # step is caught by the finiteness guards; numpy keeps quiet until then.
-    dual = epochs > 0 and n < 2 * head.in_dim
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram, base = (x @ x.T, x @ head.weight.T) if dual else (None, None)
-    param = np.zeros((n, head.out_dim)) if dual else head.weight.copy()
+    gram, base = (x @ x.T, x @ head.weight.T) if dual else (None, None)
+    param = np.zeros((len(x), head.out_dim)) if dual else head.weight.copy()
     bias = head.bias.copy()
-    vel, vel_b, out = np.zeros_like(param), np.zeros_like(bias), np.empty((n, head.out_dim))
+    vel, vel_b, out = np.zeros_like(param), np.zeros_like(bias), np.empty((len(x), head.out_dim))
     losses: list[float] = []
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +277,7 @@ def train_head(
             if head.kind == "regression_20":
                 loss, g = _l1_loss(out, t)
             else:
-                loss, g = _cross_entropy(out.reshape(-1, joint_width), t.reshape(-1))
+                loss, g = _cross_entropy(out.reshape(-1, head.c_v * head.c_n), t.reshape(-1))
                 g = g.reshape(out.shape)
             grad = g if dual else g.T @ x
             grad_b = g.sum(axis=0)
@@ -280,9 +294,8 @@ def train_head(
             raise TrainingDiverged(epoch, "parameters became non-finite")
         losses.append(loss)
     if dual:
-        with np.errstate(over="ignore", invalid="ignore"):
-            param = param.T @ x
-            param += head.weight
+        param = param.T @ x
+        param += head.weight
         if not np.isfinite(param).all():
             raise TrainingDiverged(epochs - 1, "parameters became non-finite")
     return replace(head, weight=param, bias=bias), losses

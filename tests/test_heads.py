@@ -22,6 +22,7 @@ from egoforge.heads import (
     softmax,
     train_head,
 )
+from egoforge.heads import _descend, _dual_is_cheaper
 from egoforge.model import ActionLabel
 
 
@@ -399,13 +400,35 @@ class TestInPlaceTrainingEqualsTheAllocatingLoop:
         _assert_same_training(head, x, t, SgdConfig(lr=2.0, momentum=0.9), epochs=20, reference=_ref_train_dual)
 
     @pytest.mark.parametrize("kind", HEAD_KINDS)
-    def test_the_forms_switch_at_twice_the_width(self, kind):
-        # 23 rows of width 12 train in the dual form, 24 in the primal one.
-        for n, reference in ((23, _ref_train_dual), (24, _ref_train_head)):
+    def test_the_forms_switch_where_the_dual_one_is_cheaper(self, kind):
+        # Width 12, 6 epochs, 20 or 24 outputs: 18 rows train in the dual
+        # form, 19 in the primal one.
+        for n, reference in ((18, _ref_train_dual), (19, _ref_train_head)):
             head, x, t = _problem(kind, n=n, in_dim=12, seed=5)
             _assert_same_training(head, x, t, SgdConfig(lr=0.1, momentum=0.9), epochs=6, reference=reference)
 
-    @pytest.mark.parametrize("n", [5, 50], ids=["dual-shape", "primal-shape"])
+    @pytest.mark.parametrize(
+        "shape, dual",
+        [
+            ((192, 384, 700, 20), True),  # forecast-fuse's train lta
+            ((24, 384, 20, 200), True),  # forecast-fuse's train fhp
+            ((700, 384, 20, 20), False),  # fhp over 700 videos: the Gram work outweighs the epochs
+            ((710, 384, 700, 20), True),  # lta over 710 clips: 0.86 of the primal time, measured
+            ((816, 384, 700, 20), False),  # 1.17 of the primal time, measured
+            ((5, 384, 700, 0), False),  # no epoch to amortize x @ x.T
+            ((2, 1, 20, MAX_EPOCHS), False),  # n >= 2 * in_dim
+        ],
+    )
+    def test_the_dual_form_is_chosen_by_its_multiply_adds(self, shape, dual):
+        assert _dual_is_cheaper(*shape) is dual
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 10**4), in_dim=st.integers(1, 10**4), out_dim=st.integers(1, 10**4), epochs=st.integers(0, MAX_EPOCHS))
+    def test_the_dual_form_needs_fewer_rows_than_twice_the_width(self, n, in_dim, out_dim, epochs):
+        # epochs * n * n * out_dim alone must stay under the primal's count.
+        assert not _dual_is_cheaper(n, in_dim, out_dim, epochs) or n < 2 * in_dim
+
+    @pytest.mark.parametrize("n", [5, 50], ids=["few-rows", "many-rows"])
     @pytest.mark.parametrize("kind", HEAD_KINDS)
     def test_zero_epochs_return_the_head_bit_for_bit(self, kind, n):
         head, x, t = _problem(kind, n=n, in_dim=12, seed=4)
@@ -427,7 +450,7 @@ class TestInPlaceTrainingEqualsTheAllocatingLoop:
         head, x, t = _problem(kind, n=n, in_dim=in_dim, seed=seed)
         config = SgdConfig(lr=0.05 if kind == "regression_20" else 0.5, momentum=momentum)
         weight, bias, losses = _ref_train_head(head, x, t, config, epochs)
-        trained, got = train_head(head, x, t, config, epochs)
+        trained, got = _descend(head, x, t, config, epochs, dual=True)
         _assert_close(trained.weight, weight)
         _assert_close(trained.bias, bias)
         _assert_close(got, losses)
@@ -450,30 +473,43 @@ class TestInPlaceTrainingEqualsTheAllocatingLoop:
         assert raised[1] == raised[0]
         assert np.array_equal(head.weight, weight) and np.array_equal(x, x_before) and np.array_equal(t, t_before)
 
+    # A dual run that diverges is rerun in the primal form, so train_head
+    # raises at the primal loop's epoch, with its text and numpy's warnings.
+    @pytest.mark.parametrize(
+        "scale, lr, epochs",
+        [(1.0, 1e308, 6), (1e150, 1e160, 6), (1e150, 1e160, 1)],
+        ids=["lr-1e308", "coef-then-loss", "weight-formed"],
+    )
     @pytest.mark.parametrize("kind", HEAD_KINDS)
-    def test_the_dual_form_diverges_as_the_primal_loop_does(self, kind):
+    def test_the_dual_form_diverges_as_the_primal_loop_does(self, kind, scale, lr, epochs):
+        # At x ~ 1e150 one step's coef and bias are finite but the weight
+        # w0 + coef.T @ x is not: the primal loop breaks in its first step,
+        # the dual form in the next epoch's loss or, after one epoch, when it
+        # forms the weight. Either way it raises TrainingDiverged.
         head, x, t = _problem(kind, n=10, in_dim=8, seed=2)
-        config = SgdConfig(lr=1e308, momentum=0.9)
+        x = x * scale
+        config = SgdConfig(lr=lr, momentum=0.9)
+        with pytest.raises(TrainingDiverged):
+            with np.errstate(all="ignore"):
+                _descend(head, x, t, config, epochs, dual=True)
         raised = []
-        for train in (_ref_train_head, _ref_train_dual, train_head):
-            with pytest.raises(TrainingDiverged) as err:
-                train(head, x, t, config, 6)
-            raised.append(str(err.value))
-        assert raised == [raised[0]] * 3
-
-    @pytest.mark.parametrize("kind", HEAD_KINDS)
-    def test_a_weight_that_overflows_only_when_formed_is_divergence(self, kind):
-        # At x ~ 1e150 the Gram matrix, the logits and one step's coef and
-        # bias are finite, but coef.T @ x passes the float range. The primal
-        # loop finds the same overflow in its weight step, where numpy warns;
-        # the dual form forms the weight quietly and raises.
-        head, x, t = _problem(kind, n=10, in_dim=8, seed=2)
-        x = x * 1e150
-        config = SgdConfig(lr=1e160)
-        raised = []
-        for train in (_ref_train_head, _ref_train_dual, train_head):
+        for train in (_ref_train_head, train_head):
             with warnings.catch_warnings(record=True) as caught, pytest.raises(TrainingDiverged) as err:
                 warnings.simplefilter("always")
-                train(head, x, t, config, 1)
-            raised.append((str(err.value), len(caught) > 0))
-        assert raised == [("diverged at epoch 0: parameters became non-finite", warned) for warned in (True, False, False)]
+                train(head, x, t, config, epochs)
+            raised.append((err.value.epoch, str(err.value), [(w.category, str(w.message)) for w in caught]))
+        assert raised[1] == raised[0]
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_a_gram_matrix_past_the_float_range_trains_in_the_primal_form(self, kind):
+        # At x ~ 1e155, x @ x.T overflows, but the primal logits |x| * |w0|
+        # and its steps at lr 1e-156 stay finite, so the head trains.
+        head, x, t = _problem(kind, n=10, in_dim=8, seed=2)
+        x = x * 1e155
+        config = SgdConfig(lr=1e-156, momentum=0.9)
+        assert _dual_is_cheaper(10, 8, head.out_dim, 6)
+        with pytest.raises(TrainingDiverged, match="^diverged at epoch 0: loss became nan$"):
+            _ref_train_dual(head, x, t, config, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_same_training(head, x, t, config, epochs=6)
