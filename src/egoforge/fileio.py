@@ -13,11 +13,11 @@ the values.
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
 violations as one ``SchemaError`` or warns about its unknown keys. The walk
-gives the records as arrays: ``model.Columns`` for the ten spec schemas,
-mq, nlq, sta, scod and fhp (ids, scores, TTCs, coordinates and hand
-visibility, rows in the loader's group order), and ``model.LtaColumns``
-for lta ([verb, noun] pairs with per-row sequence counts and lengths, and
-score matrices as read-only float64 arrays).
+gives the records as arrays: ``model.Columns`` for mq, nlq, sta, scod and
+fhp (ids, scores, TTCs, coordinates and hand visibility, rows in the
+loader's group order), and ``model.LtaColumns`` for lta ([verb, noun] pairs
+with per-row sequence counts and lengths, and score matrices as read-only
+float64 arrays).
 Every loader returns its records as a ``model.TypedView`` over those
 arrays: typed records, built on first read, and the arrays themselves as
 its ``.columns``, which is how ``egoforge eval`` and ``egoforge vote`` work
@@ -27,20 +27,18 @@ clip's (verb, noun) arrays by episode).
 Every saver of records writes from columns: typed records become columns
 through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and
 the columns of a loaded or generated ``model.TypedView`` pass as they are.
-The savers of the ten spec schemas share ``_save_ranked``, which writes
-each row through one ``render.json_template`` of the keys of the schema's
-field spec, ``model._RANKED``, filled from the ``render.json_texts`` of
-each column (an fhp row's keyframes through one more template,
-``_KEYFRAMES``). lta alone has a writer of its own: ``_save_lta`` renders
-all of a file's [verb, noun] pairs with one ``json_texts`` call and writes
-each record's keys in the order of ``model._INSTANCE_KEYS`` (the keys the
-walk allows).
+All twelve savers share ``_save_ranked``, which writes each row through
+one ``render.json_template`` of the keys of the schema's field spec,
+``model._RANKED``, filled from the ``render.json_texts`` of each column (an
+fhp row's keyframes through one more template, ``_KEYFRAMES``; all of an
+lta file's ids, and all of its scores, in one call each). A key that
+records may leave out is one slot, for the key and its value or nothing.
 Every saver first checks what it would write with the walk's own checkers
-(the ``videos`` or ``images`` field spec and the ``num_classes`` and
-``resolution`` rules of ``_ranked_header``, the latter as ``_resolution``;
-``_id``, ``_int`` and the lta sequence checks) and refuses what its loader
-would refuse, before writing, with a ValueError naming the schema and the
-record's key; the checks build no record.
+(the ``videos`` or ``images`` field spec and the ``num_classes``,
+``resolution`` and ``config`` rules of ``_ranked_header``, the resolution's
+also as ``_resolution``; ``_id``, ``_int`` and ``_sequence``) and refuses
+what its loader would refuse, before writing, with a ValueError naming the
+schema and the record's key; the checks build no record.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ from .model import (
     StaInstance,
     TypedView,
     VideoMeta,
-    _INSTANCE_KEYS,
     _NO_CONFIG,
     _RANKED,
     _answers,
@@ -89,7 +86,6 @@ from .model import (
     _id,
     _int,
     _int_column,
-    _lta_config,
     _matrix,
     _moments,
     _ranked,
@@ -162,30 +158,31 @@ def _refuse(schema: str, out: list[str]) -> None:
         raise ValueError(f"{schema}: {out[0]}")
 
 
-def _episode(key: tuple[str, int], out: list[str]) -> str:
-    """Check an lta episode key as its loader does; returns its location."""
-    where = repr(key)
-    _id(key[0], "video_id", where, out)
-    _int(key[1], "clip_index", None, where, out)
-    return where
-
-
-def _check_ranked(schema: str, cols: Columns, header: Mapping[str, Any]) -> None:
+def _check_ranked(schema: str, cols: Columns | LtaColumns, header: Mapping[str, Any]) -> None:
     """Refuse what the ``schema`` loader would refuse and the record types
     cannot see: a bad header, an id that is empty or that the header does
-    not list, a class id past ``num_classes``. Each row's faults are
-    located at its group key."""
+    not list, a class id past ``num_classes``, a bad episode key, a
+    sequence outside the config. Each row's faults are located at its key."""
     spec = _RANKED[schema]
     out: list[str] = []
-    known, bound = _ranked_header(header, spec.header, out)
-    rows = [cols.groups[g] for g in cols.code.tolist()]
+    known, bound = _ranked_header(header, spec, out)
     for key, kind, column in spec.fields:
-        if column in ("group", "video"):
+        if kind == "episode":
+            for episode in cols.episodes:
+                where = repr(episode)
+                _id(episode[0], "video_id", where, out)
+                _int(episode[1], "clip_index", None, where, out)
+        elif kind == "sequence":
+            pairs = cols.pairs.tolist()
+            for episode, start, length in zip(cols.episodes, cols.starts.tolist(), cols.lengths.tolist()):
+                _sequence(pairs[start : start + length], known, repr(episode), out)
+        elif column in ("group", "video"):
+            rows = [cols.groups[g] for g in cols.code.tolist()]
             for group, value in zip(rows, rows if column == "group" else cols.video):
                 if _id(value, key, repr(group), out) and kind == "listed" and value not in known:
                     out.append(f"{group!r}: unknown {key} '{value}'")
         elif kind == "int" and bound is not None:
-            for group, label in zip(rows, cols.label.tolist()):
+            for group, label in zip([cols.groups[g] for g in cols.code.tolist()], cols.label.tolist()):
                 _int(label, key, bound, repr(group), out)
     _refuse(schema, out)
 
@@ -195,31 +192,72 @@ def _check_ranked(schema: str, cols: Columns, header: Mapping[str, Any]) -> None
 _POINT = {"left": [SLOT, SLOT], "right": [SLOT, SLOT], "visible": {"left": SLOT, "right": SLOT}}
 _KEYFRAMES = json_template(dict.fromkeys(KEYFRAME_TAGS, _POINT), 3)
 _FLAG_TEXT = {False: "false", True: "true"}
+# A score matrix as a json_template.
+_MATRIX = json_template({"verb": SLOT, "noun": SLOT}, 3)
+
+
+def _member(key: str) -> str:
+    """A record's key after its first, with a slot for its value, as ``json.dumps`` writes it."""
+    return f",\n      {json.dumps(key)}: %s"
 
 
 @cache
 def _record_template(schema: str) -> str:
     """One ``schema`` record in the file's ``instances`` list as a
-    ``json_template``: the spec's keys in file order, a box as four values."""
-    boxes = {key for key, kind, _ in _RANKED[schema].fields if kind == "box"}
-    return json_template({key: [SLOT] * 4 if key in boxes else SLOT for key in _RANKED[schema].keys}, 2)
+    ``json_template``: the spec's keys in file order, a box as four values;
+    a key that records may leave out is one slot for its ``_member`` text."""
+    spec = _RANKED[schema]
+    boxes = {key for key, kind, _ in spec.fields if kind == "box"}
+    template = json_template({key: [SLOT] * 4 if key in boxes else SLOT for key in spec.keys}, 2)
+    for key in spec.optional:
+        template = template.replace(_member(key), "%s")
+    return template
 
 
-def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) -> None:
+def _sequence_texts(cols: LtaColumns, level: int) -> list[list[str]]:
+    """Each row's action sequences as texts ``level`` lists or objects
+    deep; one json_texts call renders every id."""
+    ids = json_texts(cols.pairs.ravel().tolist())
+    pair = json_template([SLOT, SLOT], level + 1)
+    pairs = [pair % two for two in zip(ids[::2], ids[1::2])]
+    rows = zip(cols.starts.tolist(), cols.counts.tolist(), cols.lengths.tolist())
+    return [[json_list(pairs[start + j * n : start + (j + 1) * n], level) for j in range(count)] for start, count, n in rows]
+
+
+def _matrix_texts(scores: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> list[str | None]:
+    """The text of each score matrix, None for a row without one; one
+    json_texts call renders every value."""
+    cells = iter(json_texts([v for matrix in scores if matrix is not None for a in matrix for v in a.ravel().tolist()]))
+    return [
+        matrix and _MATRIX % tuple(json_list([json_list(list(islice(cells, a.shape[1])), 5) for _ in range(len(a))], 4) for a in matrix)
+        for matrix in scores
+    ]
+
+
+def _save_ranked(path: str | Path, schema: str, cols: Columns | LtaColumns, **header: Any) -> None:
     """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
     the header in the spec's order, then one record per row through the
     schema's record template. Raises ValueError for a file the loader
     would refuse."""
     spec = _RANKED[schema]
-    values: dict[str, list[list[str]]] = {}  # the text columns of each file key
+    values: dict[str, list[list]] = {}  # the text columns of each file key; None where a row leaves it out
     for key, kind, column in spec.fields:
-        if column == "group":
+        if kind == "episode":
+            clips = [None] * len(cols.episodes) if cols.clips is None else json_texts(list(cols.clips))
+            texts = json_texts([vid for vid, _ in cols.episodes]), json_texts([ci for _, ci in cols.episodes]), clips
+            values.update(zip(key, ([t] for t in texts)))
+        elif kind == "sequence":
+            values[key] = [[seqs[0] for seqs in _sequence_texts(cols, 3)]]
+        elif kind == "forecast":
+            values["candidates"] = [[json_list(seqs, 3) if seqs else None for seqs in _sequence_texts(cols, 4)]]
+            values["score_matrix"] = [_matrix_texts(cols.scores or [None] * len(cols.episodes))]
+        elif column == "group":
             group_text = json_texts(list(cols.groups))
             values[key] = [[group_text[g] for g in cols.code.tolist()]]
         elif column == "video":
             values[key] = [json_texts(list(cols.video))]
         elif kind == "segment":
-            values["start_s"], values["end_s"] = ([json_texts(c)] for c in cols.coords.T.tolist())
+            values.update(zip(key, ([json_texts(c)] for c in cols.coords.T.tolist())))
         elif kind == "box":
             values[key] = [json_texts(c) for c in cols.coords.T.tolist()]
         elif kind == "keyframes":  # one json_texts call renders every coordinate
@@ -232,10 +270,14 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns, **header: Any) ->
             raise ValueError(f"{schema}: a record has no valid '{key}'")
         else:
             values[key] = [json_texts(getattr(cols, column).tolist())]
+    for key in spec.optional:
+        if key in values:
+            member = _member(key)
+            values[key] = [["" if text is None else member % text for text in values[key][0]]]
     _check_ranked(schema, cols, header)
     template = _record_template(schema)
     records = [template % row for row in zip(*(c for key in spec.keys for c in values[key]))]
-    _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header}}, records)
+    _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header if key in header}}, records)
 
 
 def _header_text(value: Any) -> str:
@@ -256,51 +298,6 @@ def _write_records(path: str | Path, head: Mapping[str, Any], records: list[str]
     template = json_template(dict.fromkeys([*head, "instances"], SLOT))
     text = template % (*map(_header_text, head.values()), json_list(records, 1))
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-@cache
-def _nested_layout(schema: str, keys: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-    """The ``json_template`` of a ``schema`` record of ``keys``, and those
-    keys in the order of ``_INSTANCE_KEYS``, the keys the walk allows."""
-    ordered = tuple(key for key in _INSTANCE_KEYS[schema] if key in keys)
-    return json_template(dict.fromkeys(ordered, SLOT), 2), ordered
-
-
-# A [verb id, noun id] pair in a sequence and in a candidate, and a score
-# matrix, as json_templates.
-_PAIR, _CANDIDATE_PAIR = json_template([SLOT, SLOT], 4), json_template([SLOT, SLOT], 5)
-_MATRIX = json_template({"verb": SLOT, "noun": SLOT}, 3)
-
-
-def _save_lta(path: str | Path, schema: str, cols: LtaColumns, clips: Sequence[int] = (), **head: Any) -> None:
-    """Write ``cols`` as a ``schema`` file, the bytes ``json.dumps`` gives:
-    each row's episode, its clip number from ``clips`` when given, its
-    sequences (ground truth's one ``sequence``, else ``candidates`` when it
-    has any) and its score matrix. One json_texts call renders every pair,
-    and one every score-matrix value."""
-    gt = schema == "lta/1"
-    texts = json_texts(cols.pairs.ravel().tolist())
-    matrices = [a for matrix in cols.scores or () if matrix is not None for a in matrix]
-    cells = iter(json_texts([v for a in matrices for v in a.ravel().tolist()]))
-    pairs = [(_PAIR if gt else _CANDIDATE_PAIR) % pair for pair in zip(texts[::2], texts[1::2])]
-    videos = json_texts([vid for vid, _ in cols.episodes])
-    indices = json_texts([ci for _, ci in cols.episodes])
-    rows = zip(cols.starts.tolist(), cols.counts.tolist(), cols.lengths.tolist(), cols.scores or [None] * len(videos))
-    records = []
-    for r, (start, count, length, matrix) in enumerate(rows):
-        row = {"video_id": videos[r], "clip_index": indices[r]}
-        if clips:
-            row["clip"] = str(clips[r])
-        seqs = [pairs[start + j * length : start + (j + 1) * length] for j in range(count)]
-        if gt:
-            row["sequence"] = json_list(seqs[0], 3)
-        elif seqs:
-            row["candidates"] = json_list([json_list(seq, 4) for seq in seqs], 3)
-        if matrix is not None:
-            row["score_matrix"] = _MATRIX % tuple(json_list([json_list(list(islice(cells, a.shape[1])), 5) for _ in range(len(a))], 4) for a in matrix)
-        template, keys = _nested_layout(schema, tuple(row))
-        records.append(template % tuple(row[key] for key in keys))
-    _write_records(path, {"schema": schema, **head}, records)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +464,7 @@ def save_lta_gt(path: str | Path, gt: LtaGt) -> None:
     ValueError, naming the episode, for a record ``load_lta_gt`` would
     refuse."""
     config = {"z": gt.z, "c_v": gt.c_v, "c_n": gt.c_n, "k": gt.k}
-    out: list[str] = []
-    checked = _lta_config({"config": config}, out)
-    cols = _lta_columns(gt.sequences)
-    pairs = cols.pairs.tolist()
-    for key, start, length in zip(cols.episodes, cols.starts.tolist(), cols.lengths.tolist()):
-        _sequence(pairs[start : start + length], checked, _episode(key, out), out)
-    _refuse("lta/1", out)
-    _save_lta(path, "lta/1", cols, config=config)
+    _save_ranked(path, "lta/1", _lta_columns(gt.sequences), config=config)
 
 
 def load_lta_pred(path: str | Path) -> TypedView:
@@ -521,39 +511,34 @@ def save_lta_pred(
     ``load_lta_pred`` would refuse. A view's columns are written as they
     are."""
     if isinstance(preds, TypedView):
-        _save_lta(path, "lta-pred/1", _lta_columns(preds))
+        _save_ranked(path, "lta-pred/1", _lta_columns(preds))
         return
     cands, scores = [], []
     out: list[str] = []
     for key, forecast in preds.items():
-        where = _episode(key, out)
         if isinstance(forecast, LtaForecast):
             if forecast.clip_index != key[1]:
-                out.append(f"the forecast for {where} has clip_index {forecast.clip_index}")
+                out.append(f"the forecast for {key!r} has clip_index {forecast.clip_index}")
             cands.append([[(a.verb_id, a.noun_id) for a in seq] for seq in forecast.candidates])
             m = forecast.score_matrix
             scores.append(None if m is None else (m.verb, m.noun))
         else:
             cands.append(forecast[0])
             scores.append(forecast[1:])
-            _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, where, out)
+            _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, repr(key), out)
     _refuse("lta-pred/1", out)
     counts, lengths = (np.array(sizes, dtype=np.intp) for sizes in ([len(c) for c in cands], [len(c[0]) for c in cands]))
     pairs = _int_column([pair for c in cands for seq in c for pair in seq]).reshape(-1, 2)
-    _save_lta(path, "lta-pred/1", LtaColumns(tuple(preds), counts, lengths, pairs, tuple(scores)))
+    _save_ranked(path, "lta-pred/1", LtaColumns(tuple(preds), counts, lengths, pairs, tuple(scores)))
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
     """Write each episode's clip matrices; raises ValueError, naming the
-    episode, for a key ``load_lta_clip_probs`` would refuse."""
-    out: list[str] = []
-    for key in probs:
-        _episode(key, out)
-    _refuse("lta-pred/1", out)
+    episode, for a clip ``load_lta_clip_probs`` would refuse."""
     rows = [(key, slot, (m.verb, m.noun)) for key, clips in probs.items() for slot, m in enumerate(clips)]
     episodes, clips, scores = zip(*rows) if rows else ((), (), ())
     none = np.zeros(len(rows), dtype=np.intp)
-    _save_lta(path, "lta-pred/1", LtaColumns(episodes, none, none, np.zeros((0, 2), dtype=np.int64), scores), clips)
+    _save_ranked(path, "lta-pred/1", LtaColumns(episodes, none, none, np.zeros((0, 2), dtype=np.int64), scores, clips=clips))
 
 
 # ---------------------------------------------------------------------------

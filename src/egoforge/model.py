@@ -8,21 +8,20 @@ the loaders in ``fileio`` call it once per file. It reads each field of each
 record once: it checks the field, reporting violations as strings instead of
 raising so that a loader can surface every problem in a file at once, and
 it notes keys the schema does not know. The records come back as arrays:
-``Columns`` for the ten spec schemas (mq, nlq, sta, scod and fhp, ground
-truth and predictions), with group codes in the loader's group order, int
-ids, float64 scores and TTCs, (n, 2) segments, (n, 4) boxes or (n, 5, 2,
-2) keyframes with their (n, 5, 2) bool visibility; ``LtaColumns`` for lta
-(int64 [verb, noun] pairs with per-row sequence counts and lengths, score
-matrices as read-only float64 arrays). One field spec per spec schema, in
-``_RANKED``, drives its walk and its allowed keys, and gives the savers'
-records. lta alone has a walker of its own. A file is checked a column at
-a time; one the column scan does not accept goes through the per-record
-loop, which keeps every message and its order. The typed views of the
-arrays (``TypedView``, which the loaders and the generator give, builds
-them on first access) make records with ``_validated``, which skips the
-constructor checks: the walk has made them, since it and the constructors
-check each field kind with one shared checker (a constructor raises its
-first message, located at the type).
+``Columns`` for mq, nlq, sta, scod and fhp, ground truth and predictions,
+with group codes in the loader's group order, int ids, float64 scores and
+TTCs, (n, 2) segments, (n, 4) boxes or (n, 5, 2, 2) keyframes with their
+(n, 5, 2) bool visibility; ``LtaColumns`` for lta (int64 [verb, noun] pairs
+with per-row sequence counts and lengths, score matrices as read-only
+float64 arrays). One field spec per schema, in ``_RANKED``, drives its walk
+and its allowed keys, and gives the savers' records. A file is checked a
+column at a time; one the column scan does not accept goes through the
+per-record loop, which keeps every message and its order. The typed views
+of the arrays (``TypedView``, which the loaders and the generator give,
+builds them on first access) make records with ``_validated``, which skips
+the constructor checks: the walk has made them, since it and the
+constructors check each field kind with one shared checker (a constructor
+raises its first message, located at the type).
 ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
@@ -764,7 +763,8 @@ class LtaColumns(_Keyed):
     - ``episodes``: each row's (video id, clip index);
     - ``scores``: each prediction row's score matrix, a (verb, noun) pair
       of read-only float64 arrays, or None; None in ground truth;
-    - ``config``: the file's (z, c_v, c_n, k), None where it sets none.
+    - ``config``: the file's (z, c_v, c_n, k), None where it sets none;
+    - ``clips``: each row's clip number, written when given (vote's input).
 
     As a mapping, which needs one row per episode (ground truth, and the
     predictions ``fileio.load_lta_pred`` accepts), each episode gives its
@@ -777,6 +777,7 @@ class LtaColumns(_Keyed):
     pairs: np.ndarray
     scores: tuple | None = None
     config: tuple = _NO_CONFIG
+    clips: Sequence[int] | None = None
     _key_field = "episodes"
 
     @cached_property
@@ -917,37 +918,38 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 # too; the walk adds the cross-field rules (vocabulary ranges, duplicate
 # keys) that single values cannot see.
 #
-# Each of the ten spec schemas (mq, nlq, sta, scod and fhp, ground truth
+# Each of the twelve schemas (mq, nlq, sta, scod, fhp and lta, ground truth
 # and predictions) has one _Ranked field spec in _RANKED, which drives the
 # column scan, the per-record loop and the allowed keys here, and the
 # savers' records in fileio. The header lists of objects (videos, images)
-# have one each in _HEADERS, walked the same way. lta alone, with its
-# optional keys and cross-field forecast rules, has a walker of its own.
-# Every file is first checked a column at a time (_scan_ranked and
-# _scan_lta, with _scan and the _plain_* checks): plain dicts that hold
-# exactly the record's keys, exact types (plain floats for reals, plain ints
-# for ids) over flattened lists, set membership for ids and vectorised
-# range and order checks. The score matrices of a file are checked as one
-# float64 block of verb rows and one of noun rows (_plain_matrices), whose
-# numpy row sums settle every row but those near the 1e-6 edge, which go to
-# _sums_to_one. A scan accepts only files in which the per-record loop would
-# find nothing, and gives the same arrays. Any other file (a violation, an unknown key, an int-valued real, a
-# bool, an id beyond int64) goes through the per-record loop (_loop_ranked,
-# _loop_lta), which writes every message in its order and, on a valid file,
-# fills the same arrays.
+# have one each in _HEADERS, walked the same way. Every file is first
+# checked a column at a time (_scan_ranked, with _scan and the _plain_*
+# checks): plain dicts that hold exactly the record's keys (those a record
+# may omit as the first record has them), exact types (plain floats for
+# reals, plain ints for ids) over flattened lists, set membership for ids
+# and vectorised range and order checks. The score matrices of a file are
+# checked as one float64 block of verb rows and one of noun rows
+# (_plain_matrices), whose numpy row sums settle every row but those near
+# the 1e-6 edge, which go to _sums_to_one. A scan accepts only files in
+# which the per-record loop would find nothing, and gives the same arrays.
+# Any other file (a violation, an unknown key, an int-valued real, a bool,
+# an id beyond int64) goes through the per-record loop (_loop_ranked), which
+# writes every message in its order and, on a valid file, fills the same
+# arrays.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Ranked:
-    """The layout of one spec schema: mq, nlq, sta, scod or fhp, ground
-    truth or predictions; or of the entries of a header list.
+    """The layout of one schema, ground truth or predictions; or of the
+    entries of a header list.
 
     ``header`` holds the top-level keys besides ``schema`` and ``instances``
     in file order: ``videos`` (with ``num_classes`` for mq ground truth),
-    ``images``, ``resolution`` (fhp ground truth), or none. ``fields``
-    holds each record field as (key, kind, column), in the order the
-    per-record loop checks it. The kinds:
+    ``images``, ``resolution`` (fhp ground truth), ``config`` (lta), or
+    none. ``fields`` holds each record field as (key, kind, column), in the
+    order the per-record loop checks it; a kind that reads several keys
+    holds them as a tuple. The kinds:
 
     - ``id``: a non-empty string; ``listed``: one the header lists;
       ``unique``: one no other record has;
@@ -955,33 +957,43 @@ class _Ranked:
     - ``int``: >= 0, and below the header's ``num_classes`` where it has one;
       ``size``: an int >= 1;
     - ``real``: finite; ``positive``: finite and > 0;
-    - ``keyframes``: the hands at the five keyframe tags (``_keyframes``).
+    - ``keyframes``: the hands at the five keyframe tags (``_keyframes``);
+    - ``episode``: a ``video_id`` and an int ``clip_index``, with a
+      ``clip`` number (0 where a record has none) when it is one of the
+      keys, unique together;
+    - ``sequence``: one action sequence within the header's ``config``
+      (``_sequence``); ``forecast``: ``candidates`` and ``score_matrix``
+      (``_forecast``), either of which a record may leave out.
 
     The column is the ``Columns`` field the values fill (``keyframes``
-    fills ``coords`` and ``visible``), or ``group`` for the
-    field that groups the rows (a header list's id); a header list's other
-    columns are named by their keys. ``order`` gives the record keys in
-    file order where that is not the check order.
+    fills ``coords`` and ``visible``), or ``group`` for the field that
+    groups the rows (a header list's id, an episode); the two action kinds
+    fill ``pairs``, ``LtaColumns``'s counts, lengths and pairs, and a
+    forecast its scores too. A header list's other columns are named by
+    their keys. ``order`` gives the record keys in file order where that is
+    not the check order, and ``optional`` the header and record keys a file
+    may leave out.
     """
 
     header: tuple[str, ...]
-    fields: tuple[tuple[str, str, str], ...]
+    fields: tuple[tuple[Any, str, str], ...]
     order: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
 
     @property
     def keys(self) -> tuple[str, ...]:
-        """The record keys in file order."""
-        pairs = (("start_s", "end_s") if kind == "segment" else (key,) for key, kind, _ in self.fields)
-        return self.order or tuple(chain.from_iterable(pairs))
+        """The record keys in file order, the order the savers write them."""
+        return self.order or tuple(chain.from_iterable(key if type(key) is tuple else (key,) for key, _, _ in self.fields))
 
 
-_SEGMENT = ("segment", "segment", "coords")
+_SEGMENT = (("start_s", "end_s"), "segment", "coords")
 _CLASS = ("class_id", "int", "label")
 _SCORE = ("score", "real", "score")
 _SCOD = (("keyframe_id", "listed", "group"), ("box", "box", "coords"), ("noun", "int", "label"))
 _STA = _SCOD + (("verb", "int", "verb"), ("ttc_s", "positive", "ttc"))
-
 _FHP = (("video_id", "unique", "group"), ("keyframes", "keyframes", "coords"))
+_EPISODE = ("video_id", "clip_index")
+_FORECAST = ("candidates", "score_matrix")
 _RANKED: dict[str, _Ranked] = {
     "mq/1": _Ranked(("num_classes", "videos"), (("video_id", "listed", "group"), _SEGMENT, _CLASS)),
     "mq-pred/1": _Ranked((), (("video_id", "id", "group"), _SEGMENT, _CLASS, _SCORE)),
@@ -995,29 +1007,23 @@ _RANKED: dict[str, _Ranked] = {
     "scod-pred/1": _Ranked(("images",), _SCOD + (_SCORE,)),
     "fhp/1": _Ranked(("resolution",), _FHP),
     "fhp-pred/1": _Ranked((), _FHP),
+    "lta/1": _Ranked(("config",), ((_EPISODE, "episode", "group"), ("sequence", "sequence", "pairs"))),
+    # Predictions may leave out the config; their lengths are then checked
+    # against ground truth at evaluation time.
+    "lta-pred/1": _Ranked(("config",), ((_EPISODE + ("clip",), "episode", "group"), (_FORECAST, "forecast", "pairs")),
+                          optional=("config", "clip", *_FORECAST)),
 }
 
 # The header lists of objects: one entry per video or keyframe. Not a
-# schema, so they stay out of _TOP_KEYS and _INSTANCE_KEYS.
+# schema, so they stay out of _TOP_KEYS.
 _HEADERS: dict[str, _Ranked] = {
     "videos": _Ranked((), (("video_id", "unique", "group"), ("num_frames", "int", "num_frames"), ("fps", "positive", "fps"))),
     "images": _Ranked((), (("keyframe_id", "unique", "group"), ("width", "size", "width"), ("height", "size", "height"))),
 }
 
-# Allowed top-level and per-record keys; any other key is reported as
-# unknown, which loaders turn into warnings. The record keys are in the
-# order the savers write them.
-_TOP_KEYS: dict[str, set[str]] = {
-    "lta/1": {"schema", "config", "instances"},
-    "lta-pred/1": {"schema", "config", "instances"},
-    **{schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()},
-}
-
-_INSTANCE_KEYS: dict[str, tuple[str, ...]] = {
-    "lta/1": ("video_id", "clip_index", "sequence"),
-    "lta-pred/1": ("video_id", "clip_index", "clip", "candidates", "score_matrix"),
-    **{schema: spec.keys for schema, spec in _RANKED.items()},
-}
+# Allowed top-level keys; any other key, or a record key not in its spec's
+# keys, is reported as unknown, which loaders turn into warnings.
+_TOP_KEYS: dict[str, set[str]] = {schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()}
 
 
 def _records(raw: Mapping[str, Any], name: str, keys: tuple[str, ...], out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
@@ -1166,11 +1172,10 @@ def _plain_keyframes(col: list) -> tuple[np.ndarray, list[bool]] | None:
     return None if coords is None else (coords, [mark.get(hand, True) for mark in marks for hand in HANDS])
 
 
-def _lta_config(raw: Mapping[str, Any], out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
-    cfg = raw.get("config")
+def _lta_config(cfg: Any, out: list[str]) -> tuple[int | None, int | None, int | None, int | None]:
     if not _is_object(cfg):
         out.append("config: missing or not an object")
-        return (None, None, None, None)
+        return _NO_CONFIG
     vals = {name: cfg.get(name) for name in ("z", "c_v", "c_n", "k")}
     for name, v in vals.items():
         if not _is_int(v) or v < 1:
@@ -1225,34 +1230,19 @@ def _plain_matrices(mats: list, z: int | None) -> list[np.ndarray] | None:
     return np.split(block, np.cumsum(counts)[:-1].tolist())
 
 
-def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | None:
-    """The columns of an lta file in which the loop would find nothing, as
-    (episodes, counts, lengths, pairs, scores); None for any other file."""
+def _plain_forecasts(cands: list | None, mats: list | None, config: tuple) -> tuple | None:
+    """Valid rows of candidates (action sequences of one length per row)
+    and score matrices, either list None where a file has none, as (counts,
+    lengths, pairs, scores); a ground-truth sequence is its row's one."""
     z, c_v, c_n, k = config
-    inst = raw.get("instances")
-    first = inst[0] if type(inst) is list and inst and type(inst[0]) is dict else {}
-    # Every row must hold the first row's keys, the episode's among them.
-    names = tuple(key for key in _INSTANCE_KEYS[schema] if key in first)
-    if names[:2] != ("video_id", "clip_index") or not {"sequence", "candidates", "score_matrix"} & set(names):
+    if cands is None and mats is None:
         return None
-    found = _scan(raw, names)
-    if found is None:
-        return None
-    col = dict(zip(names, found))
-    videos, clip_index = col["video_id"], col["clip_index"]
-    clips = col.get("clip", [0] * len(videos))
-    if not _plain_ids(videos) or _plain_ints(clip_index) is None or _plain_ints(clips) is None:
-        return None
-    episodes = list(zip(videos, clip_index))
-    if len(set(zip(videos, clip_index, clips))) != len(episodes):
-        return None
-    # A ground-truth sequence is its row's one candidate.
-    cands = [[seq] for seq in col["sequence"]] if "sequence" in col else col.get("candidates", [[]] * len(videos))
+    given, cands = cands is not None, [[]] * len(mats) if cands is None else cands
     if not _only(cands, list):
         return None
     counts = list(map(len, cands))
     seqs = list(chain.from_iterable(cands))
-    if ("candidates" in col and 0 in counts) or (k is not None and counts and max(counts) > k) or not _only(seqs, list):
+    if (given and 0 in counts) or (k is not None and counts and max(counts) > k) or not _only(seqs, list):
         return None
     # One length per row, z or its first sequence's, never 0; every row has
     # sequences unless the rows hold only scores.
@@ -1268,9 +1258,8 @@ def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | Non
     verb_ids, noun_ids = (_plain_ints(list(map(itemgetter(i), flat)), bound) for i, bound in ((0, c_v), (1, c_n)))
     if verb_ids is None or noun_ids is None:
         return None
-    scores: list = [None] * len(episodes)
-    if "score_matrix" in col:
-        mats = col["score_matrix"]
+    scores: list = [None] * len(cands)
+    if mats is not None:
         if not (_only(mats, dict) and set(map(len, mats)) <= {2}):
             return None
         try:
@@ -1282,79 +1271,26 @@ def _scan_lta(raw: Mapping[str, Any], schema: str, config: tuple) -> tuple | Non
         if verb is None or noun is None or rows != list(map(len, nouns)) or (seqs and rows != lengths.tolist()):
             return None
         scores = list(zip(verb, noun))
-    return episodes, counts, lengths, np.stack((verb_ids, noun_ids), axis=1), scores
+    return counts, lengths, np.stack((verb_ids, noun_ids), axis=1), scores
 
 
-def _loop_lta(raw: Mapping[str, Any], schema: str, config: tuple, out: list[str], extras: list[str]) -> tuple:
-    """The columns of ``_scan_lta``, each record checked in turn."""
-    pred = schema == "lta-pred/1"
-    seen: set[tuple[str, int, int]] = set()
-    episodes: list[tuple[str, int]] = []
-    counts: list[int] = []
-    lengths: list[int] = []
-    seqs: list[list] = []
-    scores: list = []
-    for where, rec in _records(raw, "instances", _INSTANCE_KEYS[schema], out, extras):
-        vid, ci = rec.get("video_id"), rec.get("clip_index")
-        clip = rec.get("clip", 0) if pred else 0
-        # & runs every check, so each field is reported.
-        ok = _id(vid, "video_id", where, out) & _int(ci, "clip_index", None, where, out)
-        if ok & _int(clip, "clip", None, where, out):
-            key = (vid, ci, clip)
-            if key in seen:
-                out.append(f"{where}: duplicate (video_id, clip_index, clip) ({vid!r}, {_int_text(ci)}, {_int_text(clip)})")
-            seen.add(key)
-        if pred:
-            cands, matrix = _forecast(rec, where, config, out)
-        else:
-            seq = rec.get("sequence")
-            cands, matrix = [seq] if _sequence(seq, config, where, out) else None, None
-        if not out:
-            episodes.append((vid, ci))
-            counts.append(len(cands or ()))
-            lengths.append(len(cands[0]) if cands else 0)
-            seqs += cands or ()
-            scores.append(matrix)
-    pairs = _int_column(list(chain.from_iterable(seqs))).reshape(-1, 2)
-    return episodes, counts, np.array(lengths, dtype=np.intp), pairs, scores
-
-
-def _walk_lta(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, LtaColumns | None]:
-    """Header config (z, c_v, c_n, k); the records as ``LtaColumns``."""
-    pred = schema == "lta-pred/1"
-    if pred and raw.get("config") is None:
-        # Prediction files may omit the config block; lengths are checked
-        # against ground truth at evaluation time instead.
-        config = _NO_CONFIG
-    else:
-        config = _lta_config(raw, out)
-    found = _scan_lta(raw, schema, config) or _loop_lta(raw, schema, config, out, extras)
-    if out:
-        return config, None
-    episodes, counts, lengths, pairs, scores = found
-    return config, LtaColumns(
-        episodes=tuple(episodes),
-        counts=np.array(counts, dtype=np.intp),
-        lengths=lengths,
-        pairs=pairs,
-        scores=tuple(scores) if pred else None,
-        config=config,
-    )
-
-
-def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[str]) -> tuple[Any, int | None]:
-    """The header's ``resolution`` as a (width, height) pair, or its
-    ``videos`` or ``images`` list (its last key), walked by its
-    ``_HEADERS`` spec: each entry's other fields by its id, for every entry
-    whose id is a string, in list order; and the class bound. Builds no
-    record."""
+def _ranked_header(raw: Mapping[str, Any], spec: _Ranked, out: list[str]) -> tuple[Any, int | None]:
+    """The header's ``resolution`` as a (width, height) pair, its
+    ``config`` as (z, c_v, c_n, k), or its ``videos`` or ``images`` list
+    (its last key), walked by its ``_HEADERS`` spec: each entry's other
+    fields by its id, for every entry whose id is a string, in list order;
+    and the class bound. Builds no record."""
     known = bound = None
+    header = spec.header
     if "resolution" in header:
         known = _resolution(raw.get("resolution"), out)
+    elif "config" in header:
+        cfg = raw.get("config")
+        known = _NO_CONFIG if cfg is None and "config" in spec.optional else _lta_config(cfg, out)
     elif header:
-        name, spec = header[-1], _HEADERS[header[-1]]
+        name = header[-1]
         # Unknown keys in an entry are not reported.
-        cols = _scan_ranked(raw, name, spec, None, None) or _loop_ranked(raw, name, spec, None, None, out, [])
+        cols = _scan_ranked(raw, name, _HEADERS[name], None, None) or _loop_ranked(raw, name, _HEADERS[name], None, None, out, [])
         ids, *fields = (col.tolist() if isinstance(col, np.ndarray) else col for col in cols.values())
         # A duplicate keeps its first place; only a clean list's values are used.
         known = {eid: value for eid, value in zip(ids, zip(*fields)) if isinstance(eid, str)}
@@ -1369,14 +1305,18 @@ def _ranked_header(raw: Mapping[str, Any], header: tuple[str, ...], out: list[st
 def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
     """The spec's columns of the ``name`` list of a file in which the loop
     would find nothing; None for any other file."""
-    found = _scan({"instances": raw.get(name)}, spec.keys)
+    listed = raw.get(name)
+    first = listed[0] if type(listed) is list and listed and type(listed[0]) is dict else {}
+    # Every record holds the keys a record may omit that the first holds.
+    names = tuple(key for key in spec.keys if key in first or key not in spec.optional)
+    found = _scan({"instances": listed}, names)
     if found is None:
         return None
-    col = dict(zip(spec.keys, found))
+    col = dict(zip(names, found))
     columns = {}
     for key, kind, column in spec.fields:
         if kind == "segment":
-            value = _plain_segments(col["start_s"], col["end_s"])
+            value = _plain_segments(*map(col.get, key))
         elif kind == "box":
             value = _plain_boxes(col[key])
         elif kind == "keyframes":
@@ -1385,6 +1325,14 @@ def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, b
             value = _plain_ints(col[key], bound)
         elif kind in ("real", "positive"):
             value = _plain_reals(col[key])
+        elif kind == "episode":  # a file without clip numbers has them all 0
+            videos, indices, clips = col["video_id"], col["clip_index"], col.get("clip", [0] * len(col["video_id"]))
+            plain = _plain_ids(videos) and _plain_ints(indices) is not None and _plain_ints(clips) is not None
+            value = list(zip(videos, indices)) if plain and len(set(zip(videos, indices, clips))) == len(videos) else None
+        elif kind == "sequence":
+            value = _plain_forecasts([[seq] for seq in col[key]], None, known)
+        elif kind == "forecast":
+            value = _plain_forecasts(*map(col.get, key), known)
         else:
             ids = col[key]
             # The types first: a list or object id cannot go in a set.
@@ -1403,12 +1351,12 @@ def _loop_ranked(
     in the spec's order. Every entry adds its row, faults and all: a walk
     uses the columns only of a list without violations."""
     columns: dict[str, list] = {column: [] for _, _, column in spec.fields}
-    seen: set[str] = set()
+    seen: set = set()
     for where, rec in _records(raw, name, spec.keys, out, extras):
         for key, kind, column in spec.fields:
             value = rec.get(key)
             if kind == "segment":
-                value = _segment(rec.get("start_s"), rec.get("end_s"), where, out)
+                value = _segment(*map(rec.get, key), where, out)
             elif kind == "box":
                 value = _box(value, where, out)
             elif kind == "keyframes":
@@ -1420,6 +1368,18 @@ def _loop_ranked(
                     out.append(f"{where}: {key} must be an int >= 1")
             elif kind in ("real", "positive"):
                 value = _real(value, key, kind == "positive", where, out)
+            elif kind == "episode":
+                value = vid, ci = rec.get("video_id"), rec.get("clip_index")
+                clip = rec.get("clip", 0) if "clip" in key else 0
+                # & runs every check, so each field is reported.
+                if _id(vid, "video_id", where, out) & _int(ci, "clip_index", None, where, out) & _int(clip, "clip", None, where, out):
+                    if (vid, ci, clip) in seen:
+                        out.append(f"{where}: duplicate (video_id, clip_index, clip) ({vid!r}, {_int_text(ci)}, {_int_text(clip)})")
+                    seen.add((vid, ci, clip))
+            elif kind == "sequence":
+                value = ([value] if _sequence(value, known, where, out) else None), None
+            elif kind == "forecast":
+                value = _forecast(rec, where, known, out)
             elif _id(value, key, where, out):
                 if kind == "listed" and value not in known:
                     out.append(f"{where}: unknown {key} '{value}'")
@@ -1431,41 +1391,18 @@ def _loop_ranked(
     return columns
 
 
-def _walk_ranked(raw: Mapping[str, Any], schema: str, out: list[str], extras: list[str]) -> tuple[Any, Columns | None]:
-    """The header as the loaders take it (the resolution, or image sizes or
-    ``VideoMeta`` by id, the latter with the class bound for mq ground
-    truth), and the records as Columns grouped by the spec's group field,
-    in header order when the header must list that field's ids, else in
-    order of first appearance. Ground truth and fhp score 1.0."""
-    spec = _RANKED[schema]
-    known, bound = _ranked_header(raw, spec.header, out)
-    cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
-    if out:
-        return None, None
-    header = known
-    if "videos" in spec.header:
-        header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
-    kinds = {column: kind for _, kind, column in spec.fields}
-    shape = {"segment": (2,), "box": (4,), "keyframes": (len(KEYFRAME_TAGS), 2, 2)}[kinds["coords"]]
-    if kinds["coords"] == "keyframes":  # the scan gives one pair for all records, the loop one each
-        kf = cols["coords"]
-        cols["coords"], visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
-        cols["visible"] = np.asarray(visible, dtype=bool).reshape(-1, *shape[:2])
-    groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
-    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, *shape)
-    score = cols.get("score", np.ones(len(cols["group"])))
-    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video", "visible"))
-    return (header, bound) if bound else header, _grouped_columns(groups, cols["group"], coords, score, *optional)
-
-
 def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
     Returns the violations, the unknown keys, the file-level part and the
-    records: Columns for the mq, nlq, sta, scod and fhp schemas, LtaColumns
-    for lta, None when there are violations. The
-    file-level part is complete only when there are none, and may be None
-    when there are. The input is never mutated.
+    records, the last two None when there are violations. The file-level
+    part is the header as the loaders take it: the resolution, the config,
+    or image sizes or ``VideoMeta`` by id, the latter with the class bound
+    for mq ground truth. The records are ``LtaColumns`` of one row per
+    episode in file order, or ``Columns`` grouped by the spec's group
+    field, in header order when the header must list that field's ids, else
+    in order of first appearance; ground truth and fhp score 1.0. The input
+    is never mutated.
     """
     if not _is_object(raw):
         return ["top level: not an object"], [], None, None
@@ -1476,8 +1413,36 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
         return [f"schema: unknown schema '{schema}'"], [], None, None
     out: list[str] = []
     extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
-    header, records = (_walk_lta if schema.startswith("lta") else _walk_ranked)(raw, schema, out, extras)
-    return out, extras, header, records
+    spec = _RANKED[schema]
+    known, bound = _ranked_header(raw, spec, out)
+    cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
+    if out:
+        return out, extras, None, None
+    kinds = {column: kind for _, kind, column in spec.fields}
+    if kinds["group"] == "episode":
+        actions = cols["pairs"]
+        if type(actions) is list:  # the scan gives the arrays, the loop each row's (sequences, scores)
+            seqs = [row or [] for row, _ in actions]
+            lengths = np.array([len(row[0]) if row else 0 for row in seqs], dtype=np.intp)
+            pairs = _int_column([pair for row in seqs for seq in row for pair in seq]).reshape(-1, 2)
+            actions = list(map(len, seqs)), lengths, pairs, [scores for _, scores in actions]
+        counts, lengths, pairs, scores = actions
+        scores = tuple(scores) if kinds["pairs"] == "forecast" else None
+        return out, extras, known, LtaColumns(tuple(cols["group"]), np.array(counts, dtype=np.intp), lengths, pairs, scores, known)
+    header = known
+    if "videos" in spec.header:
+        header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
+    shape = {"segment": (2,), "box": (4,), "keyframes": (len(KEYFRAME_TAGS), 2, 2)}[kinds["coords"]]
+    if kinds["coords"] == "keyframes":  # the scan gives one pair for all records, the loop one each
+        kf = cols["coords"]
+        cols["coords"], visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
+        cols["visible"] = np.asarray(visible, dtype=bool).reshape(-1, *shape[:2])
+    groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
+    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, *shape)
+    score = cols.get("score", np.ones(len(cols["group"])))
+    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video", "visible"))
+    header = (header, bound) if bound else header
+    return out, extras, header, _grouped_columns(groups, cols["group"], coords, score, *optional)
 
 
 def validate_dataset(raw: Any) -> list[str]:

@@ -156,6 +156,12 @@ class SynthConfig:
             f"num_videos x (max_video_len_s / clip_len_s + nlq_queries_per_video + 2 x sta_keyframes_per_video)"
             f" must be at most {MAX_CONFIG_VALUE:g}",
         )
+        # The generator draws class ids below each count as int64, and the
+        # recipes hold fused feature rows of 2 x feature_dim float64 values,
+        # which numpy can size only below 2**63 bytes.
+        for name in ("mq_num_classes", "c_v", "c_n"):
+            _require(getattr(self, name) <= 2**63, f"{name} must be at most 2**63, so its ids are int64")
+        _require(self.feature_dim <= 2**59, "feature_dim must be at most 2**59, so a fused feature row has fewer than 2**63 bytes")
 
 
 def _rng(*key: int) -> np.random.Generator:

@@ -1317,6 +1317,43 @@ class TestTrainConfigOverflow:
         assert capsys.readouterr().err.splitlines() == ["error: joint class ids (verb * c_n + noun) must fit in int64"]
         assert not (tmp_path / "h.bin").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("feature_dim", 2**63, "feature_dim must be at most 2**59, so a fused feature row has fewer than 2**63 bytes"),
+            ("feature_dim", 2**60, "feature_dim must be at most 2**59, so a fused feature row has fewer than 2**63 bytes"),
+            ("c_v", 10**30, "c_v must be at most 2**63, so its ids are int64"),
+            ("c_n", 2**63 + 1, "c_n must be at most 2**63, so its ids are int64"),
+            ("mq_num_classes", 10**30, "mq_num_classes must be at most 2**63, so its ids are int64"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["lta", "fhp"])
+    def test_a_count_past_its_cap_is_one_line_naming_the_key(self, dataset_dir, tmp_path, capsys, monkeypatch, command, key, value, message):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.setattr(cli, "generate_synthetic", lambda config: pytest.fail("drew a dataset"))
+        rc = cli.main(["train", command, "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: {message}"]
+        assert not (tmp_path / "h.bin").exists()
+
+    def test_a_feature_dim_at_its_cap_trains_out_of_memory_in_our_words(self, dataset_dir, tmp_path, capsys):
+        raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))
+        raw["feature_dim"] = 2**59
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["train", "lta", "--config", str(config), "--out", str(tmp_path / "h.bin"), "--epochs", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+
+    def test_synth_with_a_feature_dim_past_its_cap_is_one_line_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic", lambda config: pytest.fail("drew a dataset"))
+        assert cli.main(["synth", "--out", str(tmp_path / "ds"), "--feature-dim", str(2**63)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: feature_dim must be at most 2**59, so a fused feature row has fewer than 2**63 bytes"]
+        assert not (tmp_path / "ds").exists()
+
     @pytest.mark.parametrize("command", ["lta", "fhp"])
     def test_a_count_past_the_loop_budget_is_one_line_and_draws_nothing(self, dataset_dir, tmp_path, capsys, monkeypatch, command):
         raw = json.loads((dataset_dir / "config.json").read_text(encoding="utf-8"))

@@ -267,6 +267,38 @@ def test_lta_clip_probability_saver_gives_the_text_of_json_dumps(tmp_path):
     assert (tmp_path / "clips.json").read_text(encoding="utf-8") == _dumps(expected)
 
 
+def test_lta_prediction_saver_gives_the_text_of_json_dumps(tmp_path):
+    # Forecasts with and without a score matrix in one file, typed and in
+    # the (candidates, verb, noun) form vote writes, pairs as tuples and as
+    # lists.
+    big = 2**63
+    a = ScoreMatrix(verb=[[5e-324, 1.0], [-0.0, 1.0]], noun=[[0.1, 0.2, 0.7], [1.0, 0.0, 0.0]])
+    b = ScoreMatrix(verb=[[0.5, 0.5]], noun=[[1.0]])
+    preds = {
+        ("vidé", big): LtaForecast(big, ((ActionLabel(big, 0), ActionLabel(3, big + 7)), (ActionLabel(0, 1), ActionLabel(2, 2))), a),
+        ("v", 0): LtaForecast(0, ((ActionLabel(1, 1),),)),
+        ("鍵", 5): ([[(4, big + 1)], [[0, 0]]], b.verb, b.noun),
+        ("видео", 2): ([[[7, 8], (9, 10)]], a.verb, a.noun),
+    }
+    instances = []
+    for (vid, ci), forecast in preds.items():
+        if isinstance(forecast, LtaForecast):
+            candidates = [[[x.verb_id, x.noun_id] for x in seq] for seq in forecast.candidates]
+            matrix = forecast.score_matrix
+            scores = None if matrix is None else (matrix.verb, matrix.noun)
+        else:
+            candidates = [[list(pair) for pair in seq] for seq in forecast[0]]
+            scores = forecast[1:]
+        record = {"video_id": vid, "clip_index": ci, "candidates": candidates}
+        if scores is not None:
+            record["score_matrix"] = {"verb": scores[0].tolist(), "noun": scores[1].tolist()}
+        instances.append(record)
+    fileio.save_lta_pred(tmp_path / "pred.json", preds)
+    assert (tmp_path / "pred.json").read_text(encoding="utf-8") == _dumps({"schema": "lta-pred/1", "instances": instances})
+    fileio.save_lta_pred(tmp_path / "empty.json", {})
+    assert (tmp_path / "empty.json").read_text(encoding="utf-8") == _dumps({"schema": "lta-pred/1", "instances": []})
+
+
 def _refused_inputs():
     """(saver, input, message) for inputs that each saver used to write
     although its own loader refuses the file (or, for a query without a

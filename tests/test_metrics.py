@@ -309,6 +309,11 @@ class TestDisplacement:
         with pytest.raises(DataError):
             displacement_report({}, gts)
 
+    def test_no_ground_truth_is_refused(self):
+        with pytest.raises(ValueError) as refused:
+            displacement_report({}, {})
+        assert str(refused.value) == "displacement is undefined with no ground-truth instances"
+
 
 def sta(bx, noun, verb, ttc, score=1.0):
     return StaInstance(box=bx, noun_id=noun, verb_id=verb, ttc_s=ttc, score=score)

@@ -398,6 +398,13 @@ class TestProbabilityRows:
         expected = [] if ok and abs(sum(row) - 1.0) <= 1e-6 else [self.SUM] if ok else [self.BAD]
         assert self._violations(row) == expected
 
+    @pytest.mark.parametrize("matrix", [{"verb": [[1.0]], "nouns": [[1.0]]}, {"verbs": [[1.0]], "noun": [[1.0]]}])
+    def test_a_matrix_of_two_other_keys_is_one_violation(self, matrix):
+        # Two keys, as the column scan's length check wants, but not these two.
+        rec = {"video_id": "v", "clip_index": 0, "score_matrix": matrix}
+        violations = validate_dataset({"schema": "lta-pred/1", "instances": [rec]})
+        assert violations == ["instances[0]: score_matrix must have exactly 'verb' and 'noun' rows"]
+
 
 class TestOverflowingGeometry:
     def test_segment_whose_doubled_length_overflows(self):
