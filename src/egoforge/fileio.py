@@ -25,8 +25,9 @@ without one object per row (``load_lta_clip_probs(p).columns`` gives each
 clip's (verb, noun) arrays by episode).
 
 Every saver of records writes from columns: typed records become columns
-through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns``, and
-the columns of a loaded or generated ``model.TypedView`` pass as they are.
+through ``metrics._columns``, ``_fhp_columns`` and ``_lta_columns`` (lta
+rows through ``LtaColumns.of_rows``), and the columns of a loaded or
+generated ``model.TypedView`` pass as they are.
 All twelve savers share ``_save_ranked``, which writes each row through
 one ``render.json_template`` of the keys of the schema's field spec,
 ``model._RANKED``, filled from the ``render.json_texts`` of each column (an
@@ -38,7 +39,8 @@ Every saver first checks what it would write with the walk's own checkers
 ``resolution`` and ``config`` rules of ``_ranked_header``, the resolution's
 also as ``_resolution``; ``_id``, ``_int`` and ``_sequence``) and refuses
 what its loader would refuse, before writing, with a ValueError naming the
-schema and the record's key; the checks build no record.
+schema and the record's key (an lta key that is not a (video_id,
+clip_index) pair before anything unpacks it); the checks build no record.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from .model import (
     _hand_keyframes,
     _id,
     _int,
-    _int_column,
     _matrix,
     _moments,
     _ranked,
@@ -156,6 +157,12 @@ def _refuse(schema: str, out: list[str]) -> None:
     """Raise the first fault a saver found in what it was asked to write."""
     if out:
         raise ValueError(f"{schema}: {out[0]}")
+
+
+def _refuse_episodes(schema: str, keys: Iterable[Any]) -> None:
+    """Refuse an lta key that is not a (video_id, clip_index) pair, before anything unpacks it."""
+    bad = [key for key in keys if not (isinstance(key, tuple) and len(key) == 2)]
+    _refuse(schema, [f"{key!r}: an episode key must be a (video_id, clip_index) pair" for key in bad])
 
 
 def _check_ranked(schema: str, cols: Columns | LtaColumns, header: Mapping[str, Any]) -> None:
@@ -243,6 +250,7 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns | LtaColumns, **he
     values: dict[str, list[list]] = {}  # the text columns of each file key; None where a row leaves it out
     for key, kind, column in spec.fields:
         if kind == "episode":
+            _refuse_episodes(schema, cols.episodes)
             clips = [None] * len(cols.episodes) if cols.clips is None else json_texts(list(cols.clips))
             texts = json_texts([vid for vid, _ in cols.episodes]), json_texts([ci for _, ci in cols.episodes]), clips
             values.update(zip(key, ([t] for t in texts)))
@@ -513,6 +521,7 @@ def save_lta_pred(
     if isinstance(preds, TypedView):
         _save_ranked(path, "lta-pred/1", _lta_columns(preds))
         return
+    _refuse_episodes("lta-pred/1", preds)
     cands, scores = [], []
     out: list[str] = []
     for key, forecast in preds.items():
@@ -527,9 +536,7 @@ def save_lta_pred(
             scores.append(forecast[1:])
             _candidates(forecast[0], _NO_CONFIG, len(forecast[1]), True, repr(key), out)
     _refuse("lta-pred/1", out)
-    counts, lengths = (np.array(sizes, dtype=np.intp) for sizes in ([len(c) for c in cands], [len(c[0]) for c in cands]))
-    pairs = _int_column([pair for c in cands for seq in c for pair in seq]).reshape(-1, 2)
-    _save_ranked(path, "lta-pred/1", LtaColumns(tuple(preds), counts, lengths, pairs, tuple(scores)))
+    _save_ranked(path, "lta-pred/1", LtaColumns.of_rows(preds, cands, scores))
 
 
 def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequence[ScoreMatrix]]) -> None:
@@ -537,8 +544,7 @@ def save_lta_clip_probs(path: str | Path, probs: Mapping[tuple[str, int], Sequen
     episode, for a clip ``load_lta_clip_probs`` would refuse."""
     rows = [(key, slot, (m.verb, m.noun)) for key, clips in probs.items() for slot, m in enumerate(clips)]
     episodes, clips, scores = zip(*rows) if rows else ((), (), ())
-    none = np.zeros(len(rows), dtype=np.intp)
-    _save_ranked(path, "lta-pred/1", LtaColumns(episodes, none, none, np.zeros((0, 2), dtype=np.int64), scores, clips=clips))
+    _save_ranked(path, "lta-pred/1", LtaColumns.of_rows(episodes, [()] * len(rows), scores, clips=clips))
 
 
 # ---------------------------------------------------------------------------

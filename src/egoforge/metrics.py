@@ -63,7 +63,6 @@ from .model import (
     TypedView,
     _finite,
     _grouped_columns,
-    _int_column,
     _is_int,
     _require,
 )
@@ -489,12 +488,7 @@ def _lta_columns(groups: Mapping[Hashable, Any]) -> LtaColumns:
     if isinstance(groups, LtaColumns):
         return groups
     rows = [v.candidates if isinstance(v, LtaForecast) else (v,) for v in groups.values()]
-    return LtaColumns(
-        episodes=tuple(groups),
-        counts=np.array(list(map(len, rows)), dtype=np.intp),
-        lengths=np.array([len(row[0]) for row in rows], dtype=np.intp),
-        pairs=_int_column([(a.verb_id, a.noun_id) for row in rows for seq in row for a in seq]).reshape(-1, 2),
-    )
+    return LtaColumns.of_rows(groups, [[[(a.verb_id, a.noun_id) for a in seq] for seq in row] for row in rows])
 
 
 def _mode_codes(preds: np.ndarray, gts: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ TTCs, (n, 2) segments, (n, 4) boxes or (n, 5, 2, 2) keyframes with their
 with per-row sequence counts and lengths, score matrices as read-only
 float64 arrays). One field spec per schema, in ``_RANKED``, drives its walk
 and its allowed keys, and gives the savers' records. A file is checked a
-column at a time; one the column scan does not accept goes through the
-per-record loop, which keeps every message and its order. The typed views
+column at a time (``_scan_columns``, which the generator runs too); one the
+scan does not accept goes through the per-record loop, which keeps every
+message and its order. The typed views
 of the arrays (``TypedView``, which the loaders and the generator give,
 builds them on first access) make records with ``_validated``, which skips
 the constructor checks: the walk has made them, since it and the
@@ -780,6 +781,16 @@ class LtaColumns(_Keyed):
     clips: Sequence[int] | None = None
     _key_field = "episodes"
 
+    @classmethod
+    def of_rows(
+        cls, episodes: Sequence, rows: Sequence, scores: Sequence | None = None, config: tuple = _NO_CONFIG, clips: Sequence[int] | None = None
+    ) -> LtaColumns:
+        """The columns of ``rows``: each row's action sequences, of one length, of [verb, noun] pairs."""
+        counts = np.array(list(map(len, rows)), dtype=np.intp)
+        lengths = np.array([len(row[0]) if row else 0 for row in rows], dtype=np.intp)
+        pairs = _int_column([pair for row in rows for seq in row for pair in seq]).reshape(-1, 2)
+        return cls(tuple(episodes), counts, lengths, pairs, None if scores is None else tuple(scores), config, clips)
+
     @cached_property
     def starts(self) -> np.ndarray:
         """The first row of ``pairs`` of each row."""
@@ -923,19 +934,20 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 # column scan, the per-record loop and the allowed keys here, and the
 # savers' records in fileio. The header lists of objects (videos, images)
 # have one each in _HEADERS, walked the same way. Every file is first
-# checked a column at a time (_scan_ranked, with _scan and the _plain_*
-# checks): plain dicts that hold exactly the record's keys (those a record
-# may omit as the first record has them), exact types (plain floats for
-# reals, plain ints for ids) over flattened lists, set membership for ids
-# and vectorised range and order checks. The score matrices of a file are
-# checked as one float64 block of verb rows and one of noun rows
-# (_plain_matrices), whose numpy row sums settle every row but those near
-# the 1e-6 edge, which go to _sums_to_one. A scan accepts only files in
-# which the per-record loop would find nothing, and gives the same arrays.
-# Any other file (a violation, an unknown key, an int-valued real, a bool,
-# an id beyond int64) goes through the per-record loop (_loop_ranked), which
-# writes every message in its order and, on a valid file, fills the same
-# arrays.
+# checked a column at a time: _scan_ranked takes each key's values out of
+# plain dicts that hold exactly the record's keys (those a record may omit
+# as the first record has them), and _scan_columns checks them with the
+# _plain_* checks: exact types (plain floats for reals, plain ints for
+# ids) over flattened lists, set membership for ids and vectorised range
+# and order checks. The score matrices of a file are checked as one
+# float64 block of verb rows and one of noun rows (_plain_matrices), whose
+# numpy row sums settle every row but those near the 1e-6 edge, which go
+# to _sums_to_one. A scan accepts only files in which the per-record loop
+# would find nothing, and gives the same arrays. Any other file (a
+# violation, an unknown key, an int-valued real, a bool, an id beyond
+# int64) goes through the per-record loop (_loop_ranked), which writes
+# every message in its order and, on a valid file, fills the same arrays;
+# _built makes the records of either's, and of the generator's draws.
 # ---------------------------------------------------------------------------
 
 
@@ -1310,9 +1322,12 @@ def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, b
     # Every record holds the keys a record may omit that the first holds.
     names = tuple(key for key in spec.keys if key in first or key not in spec.optional)
     found = _scan({"instances": listed}, names)
-    if found is None:
-        return None
-    col = dict(zip(names, found))
+    return None if found is None else _scan_columns(dict(zip(names, found)), spec, known, bound)
+
+
+def _scan_columns(col: Mapping[str, Sequence[Any]], spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
+    """The spec's columns of ``col``, each record key's values in file
+    order, when the loop would find nothing in them; None otherwise."""
     columns = {}
     for key, kind, column in spec.fields:
         if kind == "segment":
@@ -1391,6 +1406,30 @@ def _loop_ranked(
     return columns
 
 
+def _built(spec: _Ranked, cols: dict[str, Any], known: Any) -> Columns | LtaColumns:
+    """The records of a clean list's columns, the scan's or the loop's:
+    ``LtaColumns`` of one row per episode in file order, or ``Columns`` by
+    the group field, in ``known`` order when the header lists its ids, else
+    in order of first appearance; ground truth and fhp score 1.0."""
+    kinds = {column: kind for _, kind, column in spec.fields}
+    if kinds["group"] == "episode":
+        actions, forecast = cols["pairs"], kinds["pairs"] == "forecast"
+        if type(actions) is list:  # the loop gives each row's (sequences, scores), the scan the arrays
+            return LtaColumns.of_rows(cols["group"], [row or () for row, _ in actions], [s for _, s in actions] if forecast else None, known)
+        counts, lengths, pairs, scores = actions
+        return LtaColumns(tuple(cols["group"]), np.array(counts, dtype=np.intp), lengths, pairs, tuple(scores) if forecast else None, known)
+    shape = {"segment": (2,), "box": (4,), "keyframes": (len(KEYFRAME_TAGS), 2, 2)}[kinds["coords"]]
+    if kinds["coords"] == "keyframes":  # the scan gives one pair for all records, the loop one each
+        kf = cols["coords"]
+        cols["coords"], visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
+        cols["visible"] = np.asarray(visible, dtype=bool).reshape(-1, *shape[:2])
+    groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
+    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, *shape)
+    score = cols.get("score", np.ones(len(cols["group"])))
+    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video", "visible"))
+    return _grouped_columns(groups, cols["group"], coords, score, *optional)
+
+
 def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     """Check, scan and build a parsed annotation tree in one pass.
 
@@ -1398,11 +1437,8 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     records, the last two None when there are violations. The file-level
     part is the header as the loaders take it: the resolution, the config,
     or image sizes or ``VideoMeta`` by id, the latter with the class bound
-    for mq ground truth. The records are ``LtaColumns`` of one row per
-    episode in file order, or ``Columns`` grouped by the spec's group
-    field, in header order when the header must list that field's ids, else
-    in order of first appearance; ground truth and fhp score 1.0. The input
-    is never mutated.
+    for mq ground truth. The records are as ``_built`` gives them. The
+    input is never mutated.
     """
     if not _is_object(raw):
         return ["top level: not an object"], [], None, None
@@ -1418,31 +1454,10 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
     if out:
         return out, extras, None, None
-    kinds = {column: kind for _, kind, column in spec.fields}
-    if kinds["group"] == "episode":
-        actions = cols["pairs"]
-        if type(actions) is list:  # the scan gives the arrays, the loop each row's (sequences, scores)
-            seqs = [row or [] for row, _ in actions]
-            lengths = np.array([len(row[0]) if row else 0 for row in seqs], dtype=np.intp)
-            pairs = _int_column([pair for row in seqs for seq in row for pair in seq]).reshape(-1, 2)
-            actions = list(map(len, seqs)), lengths, pairs, [scores for _, scores in actions]
-        counts, lengths, pairs, scores = actions
-        scores = tuple(scores) if kinds["pairs"] == "forecast" else None
-        return out, extras, known, LtaColumns(tuple(cols["group"]), np.array(counts, dtype=np.intp), lengths, pairs, scores, known)
     header = known
     if "videos" in spec.header:
         header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
-    shape = {"segment": (2,), "box": (4,), "keyframes": (len(KEYFRAME_TAGS), 2, 2)}[kinds["coords"]]
-    if kinds["coords"] == "keyframes":  # the scan gives one pair for all records, the loop one each
-        kf = cols["coords"]
-        cols["coords"], visible = kf if type(kf) is tuple else ([c for c, _ in kf], [v for _, v in kf])
-        cols["visible"] = np.asarray(visible, dtype=bool).reshape(-1, *shape[:2])
-    groups = {key: g for g, key in enumerate(known)} if kinds["group"] == "listed" else {}
-    coords = np.asarray(cols["coords"], dtype=np.float64).reshape(-1, *shape)
-    score = cols.get("score", np.ones(len(cols["group"])))
-    optional = (cols.get(name) for name in ("label", "verb", "ttc", "video", "visible"))
-    header = (header, bound) if bound else header
-    return out, extras, header, _grouped_columns(groups, cols["group"], coords, score, *optional)
+    return out, extras, (header, bound) if bound else header, _built(spec, cols, known)
 
 
 def validate_dataset(raw: Any) -> list[str]:

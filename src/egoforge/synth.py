@@ -19,13 +19,13 @@ box's four, a segment's two, a hand trajectory's twelve) is n ``random``
 values scaled as ``lo + (hi - lo) * u``, the value ``uniform(lo, hi)``
 gives from the same double.
 
-The draws go into plain lists, one tuple per record. Each list is checked
-once with the column checks the track's loader applies (``model._plain_*``)
-and kept as the columns the loader would give: ``model.Columns`` for mq,
-nlq, fhp, sta and scod, and ``LtaColumns`` for lta. ``SynthDataset``'s
-track mappings, and ``perfect_predictions``, are ``model.TypedView``s of
-those columns, which build their records only when read; the savers write
-the files straight from the columns.
+The draws go into plain lists, one tuple per record of the values its file
+holds, in its field spec's key order (``model._RANKED``). Each list goes
+once through the loader's column check and builder (``model._scan_columns``
+and ``_built``): the generator refuses what the loaders refuse and keeps
+the columns they give. ``SynthDataset``'s track mappings, and
+``perfect_predictions``, are ``model.TypedView``s of those columns, which
+build their records only when read; the savers write them as they are.
 """
 
 from __future__ import annotations
@@ -45,26 +45,22 @@ from .model import (
     HandKeyframes,
     HandPoint,
     KEYFRAME_TAGS,
-    LtaColumns,
     MomentInstance,
     NlqInstance,
     StaInstance,
     TypedView,
     VideoMeta,
+    _RANKED,
     _answers,
     _boxes,
+    _built,
     _finite,
     _forecasts,
-    _grouped_columns,
     _hand_keyframes,
     _moments,
-    _plain_boxes,
-    _plain_ids,
-    _plain_ints,
-    _plain_reals,
-    _plain_segments,
     _ranked,
     _require,
+    _scan_columns,
     _sequences,
 )
 
@@ -419,12 +415,14 @@ def _random_box(words: _Words, w: int, h: int) -> list[float]:
     return [x1, y1, x1 + bw, y1 + bh]
 
 
-def _column(track: str, column: Any) -> Any:
-    """``column`` as a ``model._plain_*`` check gives it; raises ValueError
-    naming ``track`` for one the check refused (None or False)."""
-    if column is None or column is False:
+def _track_columns(track: str, rows: list[tuple], known: Any, bound: int | None = None) -> Any:
+    """The columns the ``track`` ground-truth loader gives for ``rows``, under
+    the header's ``known`` and ``bound``; refuses what the loader refuses."""
+    spec = _RANKED[f"{track}/1"]
+    cols = _scan_columns(dict(zip(spec.keys, zip(*rows))), spec, known, bound)
+    if cols is None:
         raise ValueError(f"synth {track}: a drawn value is one its loader would refuse")
-    return column
+    return _built(spec, cols, known)
 
 
 def _answers_by_video(cols: Any) -> dict[str, tuple[NlqInstance, ...]]:
@@ -438,8 +436,8 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
 
     Output is byte-for-byte reproducible: every stream is keyed by the seed
     and a section tag, and containers preserve generation order. Each
-    track's draws are checked a column at a time with the checks its loader
-    applies, and its mapping is a ``TypedView`` of those columns.
+    track's draws are checked and built by its loader's column scan, and
+    its mapping is a ``TypedView`` of those columns.
     """
     seed = config.seed
     fps = config.fps
@@ -454,13 +452,12 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         )
     video_ids = tuple(v.video_id for v in videos)
 
-    # One tuple per record, in file order: the group key, then the fields.
+    # One tuple per record, in file order, holding its keys' values.
     mq_rows: list[tuple] = []
     nlq_rows: list[tuple] = []
-    hands: list[float] = []  # per video, keyframe and hand: x, y
+    fhp_rows: list[tuple] = []
     clip_ends: dict[str, tuple[float, ...]] = {}
-    anchors: list[int] = []
-    actions: list[tuple[int, int]] = []
+    lta_rows: list[tuple] = []
     sta_images: dict[str, tuple[int, int]] = {}
     sta_rows: list[tuple] = []
     scod_images: dict[str, tuple[int, int]] = {}
@@ -477,27 +474,23 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
 
         words = _Words(seed, _SEC_NLQ, i)
         for q in range(config.nlq_queries_per_video):
-            nlq_rows.append((f"{vid}:q{q}", vid, *_segment_within(words, duration, 1.0, 4.0)))
+            nlq_rows.append((vid, *_segment_within(words, duration, 1.0, 4.0), f"{vid}:q{q}"))
 
         rng = _rng(seed, _SEC_FHP, i)
         trajectory = _hand_trajectory(rng, w, h)
         t_contact = float(rng.uniform(3.5, duration - 0.5))
         t_pre = t_contact - float(rng.uniform(0.3, 0.8))
-        times = {
-            "c": t_contact,
-            "p": t_pre,
-            "p1": t_pre - 0.5,
-            "p2": t_pre - 1.0,
-            "p3": t_pre - 1.5,
-        }
+        times = (t_contact, t_pre, t_pre - 0.5, t_pre - 1.0, t_pre - 1.5)  # in KEYFRAME_TAGS order
         # One draw holds the five keyframes' jitter, four values each, in
         # the order of five size-4 draws.
         jitter = (rng.normal(0.0, 1.0, size=(5, 4)) * config.hand_noise_px).tolist()
-        for tag, (jlx, jly, jrx, jry) in zip(KEYFRAME_TAGS, jitter):
-            (lx, ly), (rx, ry) = trajectory(times[tag])
+        keyframes = {}
+        for tag, t, (jlx, jly, jrx, jry) in zip(KEYFRAME_TAGS, times, jitter):
+            (lx, ly), (rx, ry) = trajectory(t)
             # Clipped as np.clip does, max then min: -0.0 clips to 0.0.
-            hands += (min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly)))
-            hands += (min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry)))
+            left = [min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly))]
+            keyframes[tag] = {"left": left, "right": [min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry))]}
+        fhp_rows.append((vid, keyframes))
 
         # The hot loop: each clip draws random() >= 0.55 per label, read
         # as a word compare.
@@ -508,15 +501,14 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
         noun = integers(0, c_n)
         chain = []
         for _ in range(num_clips):
-            chain.append((verb, noun))
+            chain.append([verb, noun])
             if next_word() >= _SWITCH_WORD:
                 verb = integers(0, c_v)
             if next_word() >= _SWITCH_WORD:
                 noun = integers(0, c_n)
         clip_ends[vid] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
         anchor = num_clips - config.z
-        anchors.append(anchor)
-        actions += chain[anchor : anchor + config.z]
+        lta_rows.append((vid, anchor, chain[anchor : anchor + config.z]))
 
         words = _Words(seed, _SEC_STA, i)
         for kf in range(config.sta_keyframes_per_video):
@@ -533,29 +525,12 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
             for _ in range(words.integers(1, 4)):
                 scod_rows.append((kf_id, _random_box(words, w, h), words.integers(0, c_n)))
 
-    keys, starts, ends, classes = zip(*mq_rows)
-    _column("mq", _plain_ids(keys, video_ids))
-    coords, classes = _column("mq", _plain_segments(starts, ends)), _column("mq", _plain_ints(classes, config.mq_num_classes))
-    mq = _grouped_columns({vid: g for g, vid in enumerate(video_ids)}, keys, coords, np.ones(len(keys)), classes)
-    queries, of_video, starts, ends = zip(*nlq_rows)
-    _column("nlq", _plain_ids(queries) and len(set(queries)) == len(queries))
-    nlq = _grouped_columns({}, queries, _column("nlq", _plain_segments(starts, ends)), np.ones(len(queries)), video=of_video)
-    frames = (len(videos), len(KEYFRAME_TAGS), 2)
-    fhp = _grouped_columns({}, video_ids, _column("fhp", _plain_reals(hands)).reshape(*frames, 2), np.ones(len(videos)), visible=np.ones(frames, dtype=bool))
-    verbs, nouns = zip(*actions)
-    episodes = tuple(zip(video_ids, _column("lta", _plain_ints(anchors)).tolist()))
-    pairs = np.stack((_column("lta", _plain_ints(verbs, c_v)), _column("lta", _plain_ints(nouns, c_n))), axis=1)
-    ones = np.ones(len(videos), dtype=np.intp)
-    lta = LtaColumns(episodes, ones, ones * config.z, pairs, config=(config.z, c_v, c_n, config.k))
-    keys, boxes, nouns, verbs, ttcs = zip(*sta_rows)
-    _column("sta", _plain_ids(keys, sta_images))
-    ids = _column("sta", _plain_ints(nouns, c_n)), _column("sta", _plain_ints(verbs, c_v))
-    ttc = _column("sta", _plain_reals(ttcs) if min(ttcs) > 0 else None)
-    sta = _grouped_columns({kid: g for g, kid in enumerate(sta_images)}, keys, _column("sta", _plain_boxes(boxes)), np.ones(len(keys)), *ids, ttc)
-    keys, boxes, classes = zip(*scod_rows)
-    _column("scod", _plain_ids(keys, scod_images))
-    boxes, classes = _column("scod", _plain_boxes(boxes)), _column("scod", _plain_ints(classes, c_n))
-    scod = _grouped_columns({kid: g for g, kid in enumerate(scod_images)}, keys, boxes, np.ones(len(keys)), classes)
+    mq = _track_columns("mq", mq_rows, video_ids, config.mq_num_classes)
+    nlq = _track_columns("nlq", nlq_rows, video_ids)
+    fhp = _track_columns("fhp", fhp_rows, config.resolution)
+    lta = _track_columns("lta", lta_rows, (config.z, c_v, c_n, config.k))
+    sta = _track_columns("sta", sta_rows, sta_images)
+    scod = _track_columns("scod", scod_rows, scod_images)
 
     # The fhp targets are the coordinates over the image size, keyframe-major
     # as fhp_target_vector lays them out.

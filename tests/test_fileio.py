@@ -9,7 +9,7 @@ from egoforge import fileio
 from egoforge.errors import DataError, SchemaError
 from egoforge.heads import new_head
 from egoforge.metrics import MetricReport
-from egoforge.model import ActionLabel, FeatureMatrix, ScoreMatrix
+from egoforge.model import ActionLabel, FeatureMatrix, LtaForecast, ScoreMatrix
 from egoforge.render import render_reports
 from egoforge.synth import SynthConfig, generate_synthetic, perfect_predictions
 
@@ -469,3 +469,32 @@ def test_loads_leave_the_garbage_collector_as_they_found_it(dataset_dir, tmp_pat
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _malformed_key_calls():
+    """The seven lta saver calls with an episode key that is not a
+    (video_id, clip_index) pair: each refused key, its saver and its schema."""
+    m = ScoreMatrix(verb=np.array([[1.0]]), noun=np.array([[1.0]]))
+    forecast = LtaForecast(clip_index=0, candidates=((ActionLabel(0, 0),),), score_matrix=m)
+
+    def gt(key):
+        return fileio.LtaGt(z=1, c_v=1, c_n=1, k=1, sequences={key: (ActionLabel(0, 0),)})
+
+    return [
+        ("v", lambda path, key: fileio.save_lta_pred(path, {key: forecast}), "lta-pred/1"),
+        (("v",), lambda path, key: fileio.save_lta_pred(path, {key: forecast}), "lta-pred/1"),
+        ("v", lambda path, key: fileio.save_lta_pred(path, {key: ([[(0, 0)]], m.verb, m.noun)}), "lta-pred/1"),
+        (("v",), lambda path, key: fileio.save_lta_gt(path, gt(key)), "lta/1"),
+        (5, lambda path, key: fileio.save_lta_gt(path, gt(key)), "lta/1"),
+        (5, lambda path, key: fileio.save_lta_clip_probs(path, {key: [m]}), "lta-pred/1"),
+        (("v", 0, 1), lambda path, key: fileio.save_lta_clip_probs(path, {key: [m]}), "lta-pred/1"),
+    ]
+
+
+@pytest.mark.parametrize("key, save, schema", _malformed_key_calls(), ids=["pred-str", "pred-1", "pred-pairs-str", "gt-1", "gt-int", "clips-int", "clips-3"])
+def test_lta_savers_refuse_a_malformed_episode_key_in_one_line(tmp_path, key, save, schema):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError) as caught:
+        save(path, key)
+    assert str(caught.value) == f"{schema}: {key!r}: an episode key must be a (video_id, clip_index) pair"
+    assert not path.exists()
