@@ -12,7 +12,16 @@ the values.
 
 Loaders make one walk over each parsed file, ``model._walk``, which checks
 every record and notes its unknown keys; a loader raises the file's
-violations as one ``SchemaError`` or warns about its unknown keys. The walk
+violations as one ``SchemaError`` or warns about its unknown keys. A loader
+reads its file a slice at a time, so that its memory is bounded by a slice
+and the columns, not by the file's text and its parsed tree: the top-level
+keys before ``instances`` one value at a time, then the records in slices
+of about ``SLICE_CHARS`` characters, each ending at a record's "}", parsed
+by ``json.loads`` and checked by the column scan, whose columns
+``model._walk_sliced`` joins and checks for ids that two slices share. Any
+other file (one the scan refuses, a key after ``instances`` or given twice,
+text that is not JSON, a pipe) is read whole and walked by ``_walk``, so
+every message and warning is the walk's. The walk
 gives the records as arrays: ``model.Columns`` for mq, nlq, sta, scod and
 fhp (ids, scores, TTCs, coordinates and hand visibility, rows in the
 loader's group order), and ``model.LtaColumns`` for lta ([verb, noun] pairs
@@ -41,6 +50,10 @@ also as ``_resolution``; ``_id``, ``_int`` and ``_sequence``) and refuses
 what its loader would refuse, before writing, with a ValueError naming the
 schema and the record's key (an lta key that is not a (video_id,
 clip_index) pair before anything unpacks it); the checks build no record.
+A refused file is neither created nor truncated. ``_write_records`` then
+writes the header's text, the records ``WRITE_RECORDS`` at a time as the
+template fills them, and the closing text, through one handle, so no text
+of the whole file is held in memory.
 """
 
 from __future__ import annotations
@@ -48,13 +61,14 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import struct
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -95,6 +109,7 @@ from .model import (
     _sequence,
     _sequences,
     _walk,
+    _walk_sliced,
 )
 from .render import SLOT, json_list, json_template, json_texts, render_reports
 from .synth import SynthConfig
@@ -104,9 +119,17 @@ HEAD_MAGIC = b"EGHD"
 FORMAT_VERSION = 1
 
 
-def _read_json(path: str | Path) -> Any:
+def _opened(path: str | Path) -> TextIO:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).open(encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"{path}: {e}") from e
+
+
+def _parsed(path: str | Path, f: TextIO) -> Any:
+    """The JSON value of the text of ``f`` from where it stands."""
+    try:
+        text = f.read()
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
     try:
@@ -119,6 +142,142 @@ def _read_json(path: str | Path) -> Any:
         raise DataError(f"{path}: JSON nested too deeply to read") from e
 
 
+def _read_json(path: str | Path) -> Any:
+    with _opened(path) as f:
+        return _parsed(path, f)
+
+
+# The instances of an annotation file are read in slices of about this many
+# characters.
+SLICE_CHARS = 1 << 18
+_SPACE = " \t\n\r"  # JSON's whitespace
+_WS = re.compile(r"[ \t\n\r]*")
+# A "}" that may end a record of a list and the "{" that would begin the next.
+_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+_scan_once = json.JSONDecoder().scan_once
+
+
+class _Whole(Exception):
+    """The text is not one the sliced load reads: the file is read whole."""
+
+
+class _Text:
+    """The unread text of a file, ``text[at:]``, read in blocks as a parse
+    needs them."""
+
+    def __init__(self, f: TextIO) -> None:
+        self.f, self.text, self.at = f, "", 0
+
+    def more(self) -> bool:
+        """Read as much again as is unread, at least a slice; False at the
+        end of the file."""
+        try:
+            block = self.f.read(max(SLICE_CHARS, len(self.text) - self.at))
+        except (OSError, ValueError) as e:  # a read error, or bytes that are not UTF-8
+            raise _Whole from e
+        self.text, self.at = self.text[self.at :] + block, 0
+        return bool(block)
+
+    def take(self, parse: Callable[[str, int], tuple[Any, int]]) -> Any:
+        """The value ``parse(text, at)`` gives, with ``at`` moved past it; a
+        parse that fails is tried again on more text."""
+        while True:
+            try:
+                value, self.at = parse(self.text, self.at)
+                return value
+            except (ValueError, StopIteration, RecursionError) as e:
+                if not self.more():
+                    raise _Whole from e
+
+
+def _past(char: str, text: str, at: int) -> tuple[None, int]:
+    """The place past ``char`` after the whitespace at ``at``."""
+    at = _WS.match(text, at).end()
+    if text[at : at + 1] != char:
+        raise ValueError(f"expected {char!r}")
+    return None, at + 1
+
+
+def _head_member(text: str, at: int) -> tuple[tuple[str, Any], int]:
+    """The top-level key at ``at`` and its value, then the place past the
+    "," after it; the value of ``instances`` is left unread, the place is
+    past its "[". A value is taken only with the "," after it, so a number
+    cut at the end of the text is not."""
+    key, at = _scan_once(text, _WS.match(text, at).end())
+    if type(key) is not str:
+        raise ValueError("expected a key")
+    at = _past(":", text, at)[1]
+    if key == "instances":
+        return (key, None), _past("[", text, at)[1]
+    value, at = _scan_once(text, _WS.match(text, at).end())
+    return (key, value), _past(",", text, at)[1]
+
+
+def _header(text: _Text) -> dict[str, Any]:
+    """The top-level keys before ``instances`` and their values, with
+    ``text`` past the "[" of ``instances``; raises _Whole for a file that
+    does not begin so or holds a key twice."""
+    text.take(partial(_past, "{"))
+    head: dict[str, Any] = {}
+    while True:
+        key, value = text.take(_head_member)
+        if key == "instances":
+            return head
+        if key in head:
+            raise _Whole
+        head[key] = value
+
+
+def _slices(text: _Text) -> Iterator[list]:
+    """The records of the ``instances`` list whose "[" ``text`` is past, a
+    slice of about SLICE_CHARS characters at a time, each ending at a "}"
+    before ", {"; the last slice holds the rest, which must close the list
+    and the file, else _Whole is raised. A "}" where json.loads cannot
+    read the slice (it was in a string, or the text is not JSON) is passed
+    over for the first past twice the slice's length."""
+    size = SLICE_CHARS
+    while True:
+        start = text.at
+        cut = _CUT.search(text.text, start + size)
+        if cut is None:
+            if text.more():
+                continue
+            break
+        try:
+            records = json.loads("[" + text.text[start : cut.start() + 1] + "]")
+        except (ValueError, RecursionError):
+            size = 2 * (cut.start() + 1 - start)
+            continue
+        text.at, size = cut.end() - 1, SLICE_CHARS
+        yield records
+    rest = text.text[text.at :].rstrip(_SPACE)
+    rest = rest[:-1].rstrip(_SPACE) if rest.endswith("}") else ""
+    if not rest.endswith("]"):
+        raise _Whole
+    try:
+        yield json.loads("[" + rest[:-1] + "]")
+    except (ValueError, RecursionError) as e:
+        raise _Whole from e
+
+
+def _sliced(f: TextIO, expect_schema: str) -> tuple[list[str], list[str], Any, Any] | None:
+    """``model._walk_sliced`` of the ``expect_schema`` file ``f``, read a
+    slice at a time; None, with ``f`` back at its start, for a file it
+    refuses, one whose text it does not read (see ``_header`` and
+    ``_slices``) and one that cannot seek."""
+    if not f.seekable():
+        return None
+    text = _Text(f)
+    try:
+        head = _header(text)
+        walked = _walk_sliced(head, _slices(text)) if head.get("schema") == expect_schema else None
+    except _Whole:
+        walked = None
+    if walked is None:
+        f.seek(0)
+    return walked
+
+
 def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:
     """The file-level part and the records of one file, as ``model._walk``
     gives them."""
@@ -129,15 +288,19 @@ def _load_annotations(path: str | Path, expect_schema: str) -> tuple[Any, Any]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        raw = _read_json(path)
-        if not isinstance(raw, Mapping) or raw.get("schema") != expect_schema:
-            got = raw.get("schema") if isinstance(raw, Mapping) else None
-            raise DataError(f"{path}: expected schema '{expect_schema}', got {got!r}")
-        violations, extras, header, records = _walk(raw)
-        del raw
+        with _opened(path) as f:
+            walked = _sliced(f, expect_schema)
+            if walked is None:
+                raw = _parsed(path, f)
+                if not isinstance(raw, Mapping) or raw.get("schema") != expect_schema:
+                    got = raw.get("schema") if isinstance(raw, Mapping) else None
+                    raise DataError(f"{path}: expected schema '{expect_schema}', got {got!r}")
+                walked = _walk(raw)
+                del raw
     finally:
         if collecting:
             gc.enable()
+    violations, extras, header, records = walked
     if violations:
         raise SchemaError(str(path), violations)
     for key in extras:
@@ -284,7 +447,7 @@ def _save_ranked(path: str | Path, schema: str, cols: Columns | LtaColumns, **he
             values[key] = [["" if text is None else member % text for text in values[key][0]]]
     _check_ranked(schema, cols, header)
     template = _record_template(schema)
-    records = [template % row for row in zip(*(c for key in spec.keys for c in values[key]))]
+    records = (template % row for row in zip(*(c for key in spec.keys for c in values[key])))
     _write_records(path, {"schema": schema, **{key: header[key] for key in spec.header if key in header}}, records)
 
 
@@ -300,12 +463,29 @@ def _header_text(value: Any) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _write_records(path: str | Path, head: Mapping[str, Any], records: list[str]) -> None:
+# Records are written this many at a time.
+WRITE_RECORDS = 256
+
+
+def _write_records(path: str | Path, head: Mapping[str, Any], records: Iterable[str]) -> None:
     """Write the file of ``head``'s keys and an ``instances`` list last,
-    whose records, one level below it, have the texts ``records``."""
-    template = json_template(dict.fromkeys([*head, "instances"], SLOT))
-    text = template % (*map(_header_text, head.values()), json_list(records, 1))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    whose records, one level below it, have the texts ``records``, taken
+    and written WRITE_RECORDS at a time. The header's text is made before
+    ``path`` is opened."""
+    before, _, after = json_template(dict.fromkeys([*head, "instances"], SLOT)).rpartition("%s")
+    before %= tuple(map(_header_text, head.values()))
+    # The list's text is its opening, the records with a separator between
+    # them, then its closing; "[]" when it is empty.
+    opening, closing = json_list(["%s"], 1).split("%s")
+    between = "," + opening[1:]
+    records = iter(records)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(before)
+        lead = opening
+        while block := list(islice(records, WRITE_RECORDS)):
+            f.write(lead + between.join(block))
+            lead = between
+        f.write(("[]" if lead == opening else closing) + after + "\n")
 
 
 # ---------------------------------------------------------------------------

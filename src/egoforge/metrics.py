@@ -462,14 +462,23 @@ def _edit_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # and b (M, n), one DP row per position of a for all M pairs at once.
     # With t[j] = min(prev[j] + 1, prev[j - 1] + cost), the row is
     # cur[j] = min(t[j], cur[j - 1] + 1), so cur[j] - j is a running minimum
-    # of t[k] - k.
+    # of t[k] - k. Every step writes into the same three arrays: fresh
+    # (M, n) temporaries each step would be new pages for the allocator to
+    # map and fault in, once a step's arrays outgrow its mmap threshold.
     j = np.arange(b.shape[1] + 1)
-    prev = np.broadcast_to(j, (len(a), len(j)))
-    t = np.empty(prev.shape, dtype=np.int64)
+    prev = np.empty((len(a), len(j)), dtype=np.int64)
+    prev[:] = j
+    t = np.empty_like(prev)
+    diag = np.empty_like(b, dtype=np.int64)
     for i in range(a.shape[1]):
         t[:, 0] = i + 1
-        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (a[:, i : i + 1] != b), out=t[:, 1:])
-        prev = np.minimum.accumulate(t - j, axis=1) + j
+        np.not_equal(a[:, i : i + 1], b, out=diag)
+        np.add(diag, prev[:, :-1], out=diag)
+        np.add(prev[:, 1:], 1, out=t[:, 1:])
+        np.minimum(t[:, 1:], diag, out=t[:, 1:])
+        np.subtract(t, j, out=t)
+        np.minimum.accumulate(t, axis=1, out=prev)
+        np.add(prev, j, out=prev)
     return prev[:, -1]
 
 

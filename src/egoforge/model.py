@@ -17,7 +17,9 @@ float64 arrays). One field spec per schema, in ``_RANKED``, drives its walk
 and its allowed keys, and gives the savers' records. A file is checked a
 column at a time (``_scan_columns``, which the generator runs too); one the
 scan does not accept goes through the per-record loop, which keeps every
-message and its order. The typed views
+message and its order. ``_walk_sliced`` gives what ``_walk`` gives for a
+file read in slices of records that the scan takes one by one, joining
+their columns; any other file it leaves to ``_walk``. The typed views
 of the arrays (``TypedView``, which the loaders and the generator give,
 builds them on first access) make records with ``_validated``, which skips
 the constructor checks: the walk has made them, since it and the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -1314,13 +1316,24 @@ def _ranked_header(raw: Mapping[str, Any], spec: _Ranked, out: list[str]) -> tup
     return known, bound
 
 
+def _names(spec: _Ranked, listed: Any) -> tuple[str, ...]:
+    """The record keys a scan reads: every record holds the keys a record
+    may omit that the first record of ``listed`` holds."""
+    first = listed[0] if type(listed) is list and listed and type(listed[0]) is dict else {}
+    return tuple(key for key in spec.keys if key in first or key not in spec.optional)
+
+
+def _episodes(col: Mapping[str, Sequence[Any]]) -> list[tuple]:
+    """Each record's (video_id, clip_index, clip); a file without clip
+    numbers has them all 0."""
+    return list(zip(col["video_id"], col["clip_index"], col.get("clip", [0] * len(col["video_id"]))))
+
+
 def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
     """The spec's columns of the ``name`` list of a file in which the loop
     would find nothing; None for any other file."""
     listed = raw.get(name)
-    first = listed[0] if type(listed) is list and listed and type(listed[0]) is dict else {}
-    # Every record holds the keys a record may omit that the first holds.
-    names = tuple(key for key in spec.keys if key in first or key not in spec.optional)
+    names = _names(spec, listed)
     found = _scan({"instances": listed}, names)
     return None if found is None else _scan_columns(dict(zip(names, found)), spec, known, bound)
 
@@ -1340,10 +1353,10 @@ def _scan_columns(col: Mapping[str, Sequence[Any]], spec: _Ranked, known: Any, b
             value = _plain_ints(col[key], bound)
         elif kind in ("real", "positive"):
             value = _plain_reals(col[key])
-        elif kind == "episode":  # a file without clip numbers has them all 0
-            videos, indices, clips = col["video_id"], col["clip_index"], col.get("clip", [0] * len(col["video_id"]))
-            plain = _plain_ids(videos) and _plain_ints(indices) is not None and _plain_ints(clips) is not None
-            value = list(zip(videos, indices)) if plain and len(set(zip(videos, indices, clips))) == len(videos) else None
+        elif kind == "episode":
+            videos, indices = col["video_id"], col["clip_index"]
+            plain = _plain_ids(videos) and _plain_ints(indices) is not None and _plain_ints(col.get("clip", [])) is not None
+            value = list(zip(videos, indices)) if plain and len(set(_episodes(col))) == len(videos) else None
         elif kind == "sequence":
             value = _plain_forecasts([[seq] for seq in col[key]], None, known)
         elif kind == "forecast":
@@ -1454,10 +1467,63 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
     cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
     if out:
         return out, extras, None, None
+    return out, extras, *_result(spec, known, bound, cols)
+
+
+def _result(spec: _Ranked, known: Any, bound: int | None, cols: dict[str, Any]) -> tuple[Any, Any]:
+    """The file-level part and the records of a clean file."""
     header = known
     if "videos" in spec.header:
         header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
-    return out, extras, (header, bound) if bound else header, _built(spec, cols, known)
+    return (header, bound) if bound else header, _built(spec, cols, known)
+
+
+def _joined(parts: list) -> Any:
+    """One column of several slices' scans, joined: arrays end to end,
+    lists one after another, and a tuple of columns column by column."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    if type(first) is list:
+        return list(chain.from_iterable(parts))
+    return tuple(map(_joined, map(list, zip(*parts))))
+
+
+def _walk_sliced(head: Mapping[str, Any], slices: Iterable[list]) -> tuple[list[str], list[str], Any, Any] | None:
+    """What ``_walk`` gives a file of the header ``head`` whose
+    ``instances`` are the records of ``slices`` one after another, for a
+    file the column scan takes whole: ``head`` holds only its schema's
+    header keys and passes ``_ranked_header``, the scan takes every slice
+    with the record keys of the file's first record, and no two records
+    share a ``unique`` id or an episode. None for any other file, which
+    ``_walk`` must read whole for its messages. ``head["schema"]`` is one of
+    ``_RANKED``."""
+    schema = head["schema"]
+    if not head.keys() < _TOP_KEYS[schema]:
+        return None
+    spec = _RANKED[schema]
+    out: list[str] = []
+    known, bound = _ranked_header(head, spec, out)
+    if out:
+        return None
+    parts: list[dict[str, Any]] = []
+    keys: list = []  # what no two records may share, over every slice
+    names = None
+    for records in slices:
+        names = names or _names(spec, records)
+        found = _scan({"instances": records}, names)
+        col = dict(zip(names, found or ()))
+        cols = None if found is None else _scan_columns(col, spec, known, bound)
+        if cols is None:
+            return None
+        parts.append(cols)
+        for key, kind, _ in spec.fields:
+            keys += col[key] if kind == "unique" else _episodes(col) if kind == "episode" else []
+    if len(set(keys)) < len(keys):
+        return None
+    return [], [], *_result(spec, known, bound, {column: _joined([p[column] for p in parts]) for column in parts[0]})
 
 
 def validate_dataset(raw: Any) -> list[str]:

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -350,6 +351,51 @@ def test_every_saver_refuses_what_its_loader_refuses(tmp_path, name, value, mess
         getattr(fileio, f"save_{name}")(path, value)
     assert str(refused.value) == message
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name, value, message", REFUSED, ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(REFUSED)])
+def test_a_refused_save_leaves_the_file_there_as_it_was(tmp_path, name, value, message):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        getattr(fileio, f"save_{name}")(path, value)
+    assert path.read_bytes() == b"kept"
+
+
+# ---------------------------------------------------------------------------
+# Records are written a block at a time.
+# ---------------------------------------------------------------------------
+
+
+def _saver_inputs(directory):
+    """(saver, input) pairs: the edge values, the files synth writes loaded
+    back, and per-clip probabilities, each of several records."""
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(directory), "--seed", "7", "--num-videos", "4"]) == 0
+    pairs = list(_edge_inputs().items())
+    for name in SYNTH_SEED_7:
+        if name != "config.json":
+            kind, track = name.removesuffix(".json").split("_")
+            pairs.append((f"{track}_{kind}", getattr(fileio, f"load_{track}_{kind}")(directory / name)))
+    a = ScoreMatrix(verb=[[5e-324, 1.0], [-0.0, 1.0]], noun=[[0.1, 0.2, 0.7], [1.0, 0.0, 0.0]])
+    pairs.append(("lta_clip_probs", {("vidé", 2**63): [a, a], ("v", 0): [a], ("鍵", 1): []}))
+    return pairs
+
+
+def test_every_saver_writes_the_same_bytes_a_record_at_a_time(tmp_path, monkeypatch):
+    pairs = _saver_inputs(tmp_path / "synth")
+    assert {name for name, _ in pairs} == {name.removeprefix("save_") for name in dir(fileio) if name.startswith("save_")} - {
+        "config", "features", "head", "reports"
+    }
+    for i, (name, value) in enumerate(pairs):
+        save = getattr(fileio, f"save_{name}")
+        save(tmp_path / f"{i}.json", value)
+        monkeypatch.setattr(fileio, "WRITE_RECORDS", 1)
+        save(tmp_path / f"{i}-one.json", value)
+        monkeypatch.undo()
+        text = (tmp_path / f"{i}.json").read_text(encoding="utf-8")
+        assert len(json.loads(text)["instances"]) > 1, name
+        assert (tmp_path / f"{i}-one.json").read_text(encoding="utf-8") == text == _dumps(json.loads(text)), name
 
 
 # ---------------------------------------------------------------------------
