@@ -16,9 +16,9 @@ import numpy as np
 from .fusion import multi_clips_vote, top_k_sequences
 from .heads import LinearHead, SgdConfig, classifier_probs, joint_targets, new_head, train_head
 from .metrics import ED_MODES, edit_distance_at_z
-from .model import FeatureMatrix, LtaForecast, TemporalSegment, _require
-from .snippets import frame_span, observable_window, prefuse_features, sliding_clips
-from .synth import SynthDataset, stub_features
+from .model import LtaForecast, TemporalSegment, _require
+from .snippets import frame_span, observable_window, sliding_clips
+from .synth import STUB_VARIANTS, SynthDataset, stub_feature_rows
 
 DEFAULT_ALPHAS = (2.0, 4.0, 8.0, 16.0)
 DEFAULT_CLIP_LEN_S = 2.0
@@ -26,14 +26,13 @@ DEFAULT_CLIP_STRIDE_S = 2.0
 
 
 def fused_clip_features(ds: SynthDataset, clips: Sequence[tuple[str, TemporalSegment]]) -> np.ndarray:
-    """Verb and noun stub features per (video id, clip), channel-concatenated."""
+    """Verb and noun stub features per (video id, clip), channel-concatenated:
+    one ``stub_feature_rows`` call draws each clip's verb row then its noun
+    row, so the (clips, 2 * dim) reshape puts them side by side."""
     dim = ds.config.feature_dim
     spans = [(vid, frame_span(clip.start_s, clip.end_s, ds.config.fps)) for vid, clip in clips]
-    verb, noun = (
-        FeatureMatrix(dim=dim, rows=[stub_features(vid, span, dim, variant, ds.latent) for vid, span in spans], provenance=variant)
-        for variant in ("verb", "noun")
-    )
-    return prefuse_features(verb, noun).rows.astype(np.float64)
+    rows = stub_feature_rows([(vid, span, variant) for vid, span in spans for variant in STUB_VARIANTS], dim, ds.latent)
+    return rows.reshape(len(spans), 2 * dim).astype(np.float64)
 
 
 def _episode_window(ds: SynthDataset, video_id: str, alpha_s: float):

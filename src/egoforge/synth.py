@@ -9,15 +9,21 @@ bias strength is the difficulty knob.
 
 Every (section, video) pair draws from its own PCG64 stream, and the order
 of the draws on each stream is part of the byte contract of the files
-``synth`` writes. The videos, mq, nlq, lta, sta and scod streams are read
-as raw 64-bit words through ``_Words``, which computes from them exactly
-what numpy's ``Generator`` gives on the same stream (``random``,
-``uniform``, ``integers``) without a numpy call per draw. The fhp stream
-keeps its ``Generator``, whose ``normal`` draw is a ziggurat: the five
-keyframes' jitter is one draw of shape (5, 4). A run of uniform draws (a
-box's four, a segment's two, a hand trajectory's twelve) is n ``random``
-values scaled as ``lo + (hi - lo) * u``, the value ``uniform(lo, hi)``
-gives from the same double.
+``synth`` writes. Each stream is numpy's ``PCG64(SeedSequence(key))``, but
+no stream builds that seeding chain: ``_pcg64_states`` computes the PCG64
+states of a whole batch of keys in one pass (SeedSequence's entropy mix
+in uint32 numpy arithmetic, then PCG's seeding step), and the streams of
+one call share one ``PCG64``, each putting it at its own state before it
+draws. ``generate_synthetic`` seeds each section's streams in one batch,
+and ``stub_feature_rows`` its stub rows. The videos, mq, nlq, lta, sta
+and scod streams are read as raw 64-bit words through ``_Words``, which
+computes from them exactly what numpy's ``Generator`` gives on the same
+stream (``random``, ``uniform``, ``integers``) without a numpy call per
+draw. The fhp streams share one ``Generator``, whose ``normal`` draw is a
+ziggurat: the five keyframes' jitter is one draw of shape (5, 4). A run of
+uniform draws (a box's four, a segment's two, a hand trajectory's twelve)
+is n ``random`` values scaled as ``lo + (hi - lo) * u``, the value
+``uniform(lo, hi)`` gives from the same double.
 
 The draws go into plain lists, one tuple per record of the values its file
 holds, in its field spec's key order (``model._RANKED``). Each list goes
@@ -34,7 +40,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +63,7 @@ from .model import (
     _finite,
     _forecasts,
     _hand_keyframes,
+    _is_int,
     _moments,
     _ranked,
     _require,
@@ -160,24 +167,154 @@ class SynthConfig:
         _require(self.feature_dim <= 2**59, "feature_dim must be at most 2**59, so a fused feature row has fewer than 2**63 bytes")
 
 
-def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_LOW32, _LOW64 = 2**32 - 1, 2**64 - 1
+_LOW32, _LOW64, _LOW128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _TO_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 _BLOCK = 64  # words fetched per numpy call
 # random() >= 0.55 exactly when its word is at least this: random() is
 # (word >> 11) * 2**-53, and 0.55 * 2**53 is a whole number.
 _SWITCH_WORD = int(0.55 * 2**53) << 11
 
+# SeedSequence's hash constants (numpy's bit_generator.pyx), its pool of
+# four words, and PCG's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _key_words(key: tuple[int, ...]) -> list[int]:
+    """The uint32 words ``SeedSequence(key)`` reads: each int's, low word
+    first, and 0 as one word; zeros pad them to ``_POOL`` words, since
+    SeedSequence hashes 0 into the pool words it has no entropy for."""
+    words = []
+    for n in key:
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _LOW32)
+        n >>= 32
+        while n:
+            words.append(n & _LOW32)
+            n >>= 32
+    return words + [0] * (_POOL - len(words))
+
+
+def _mixed_seeds(words: list[Any]) -> list[Any]:
+    """SeedSequence's entropy mix and ``generate_state(8, np.uint32)`` over
+    the ``words`` of a key, at least ``_POOL`` of them. Gives the eight
+    state words.
+
+    A word is a column: one Python int for one key, or a uint32 array with
+    one value per key, since the hash constants run through the same values
+    for every key. Masking keeps Python ints to the 32 bits the C code
+    keeps; uint32 arrays wrap as it does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: Any) -> Any:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _LOW32
+        value = value * hash_const & _LOW32
+        return value ^ value >> 16
+
+    def mix(x: Any, y: Any) -> Any:
+        result = (x * _MIX_L - y * _MIX_R) & _LOW32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _LOW32
+        value = value * hash_const & _LOW32
+        state.append(value ^ value >> 16)
+    return state
+
+
+# Below this many keys of one word count, the mix runs on Python ints key
+# by key: about 15 us a key, against about 150 us of numpy calls a batch on
+# 2 vCPU. Small batches are common: experiments.window_trend seeds a few
+# stub rows per clip window, and single keys seed the hand basis.
+_NUMPY_MIX_KEYS = 16
+
+
+def _pcg64_states(keys: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """The ``(state, inc)`` that ``np.random.PCG64(np.random.SeedSequence(key))``
+    holds, for every key of non-negative ints, in order.
+
+    SeedSequence's mix runs for all keys of one word count at once, into
+    one uint32 array of eight state words per key. Those make four uint64s,
+    low word first; PCG64 reads the first two as the high and low halves of
+    a 128-bit seed, the last two as those of seq. PCG's seeding step runs
+    per key on Python ints as each pair is taken: inc = 2 * seq + 1,
+    state = inc, then state = (state + seed) * multiplier + inc, all modulo
+    2**128.
+    """
+    words = [_key_words(key) for key in keys]
+    groups: dict[int, list[int]] = {}
+    for j, row in enumerate(words):
+        groups.setdefault(len(row), []).append(j)
+    mixed = np.empty((len(keys), 2 * _POOL), dtype="<u4")
+    for rows in groups.values():
+        if len(rows) < _NUMPY_MIX_KEYS:
+            for j in rows:
+                mixed[j] = _mixed_seeds(words[j])
+        else:
+            mixed[rows] = np.stack(_mixed_seeds(list(np.array([words[j] for j in rows], dtype=np.uint32).T)), axis=1)
+    del words, groups  # only the compact array outlives the mix
+    for row in mixed.view("<u8"):
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _LOW128
+        yield (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _LOW128, inc
+
+
+def _seat(bits: np.random.PCG64, state: tuple[int, int]) -> None:
+    """Put ``bits`` at ``state``, as freshly seeded: no buffered half word."""
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]}, "has_uint32": 0, "uinteger": 0}
+
+
+def _bits() -> np.random.PCG64:
+    """A bit generator for one call's streams; each seats it before it draws."""
+    return np.random.PCG64(0)
+
+
+def _rng(*key: int) -> np.random.Generator:
+    """``np.random.default_rng(np.random.SeedSequence(key))``, seeded by
+    ``_pcg64_states``."""
+    bits = _bits()
+    _seat(bits, next(_pcg64_states([key])))
+    return np.random.Generator(bits)
+
+
+def _blocks(bits: np.random.PCG64, state: tuple[int, int]) -> Iterator[list[int]]:
+    """The words of the stream at ``state``, ``_BLOCK`` at a time, drawn on
+    ``bits``. Each block first seats ``bits`` at the stream's place (past the
+    words already read), so streams sharing ``bits`` may interleave."""
+    for read in itertools.count(0, _BLOCK):
+        _seat(bits, state)
+        if read:
+            bits.advance(read)
+        yield bits.random_raw(_BLOCK).tolist()
+
 
 class _Words:
     """The stream ``_rng(*key)`` wraps, read as 64-bit words.
 
-    Gives, from PCG64's raw words, exactly the values ``Generator`` gives
-    from the same stream, without a numpy call per draw:
+    ``_Words(*key)`` seeds its own bit generator; ``_streams`` gives one
+    per key of a batch, seeded in one pass on one shared bit generator.
+    Two numpy identities hold the stream to numpy's: ``_pcg64_states``
+    gives the state SeedSequence's mix gives, and the words below give
+    exactly the values ``Generator`` gives from the same stream, without a
+    numpy call per draw:
 
     - ``random()`` is ``(word >> 11) * 2**-53``, one word per value;
     - ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``;
@@ -192,9 +329,10 @@ class _Words:
     __slots__ = ("next_word", "_half")
 
     def __init__(self, *key: int) -> None:
-        bits = np.random.PCG64(np.random.SeedSequence(key))
-        blocks = map(np.ndarray.tolist, map(bits.random_raw, itertools.repeat(_BLOCK)))
-        self.next_word = itertools.chain.from_iterable(blocks).__next__
+        self._start(_bits(), next(_pcg64_states([key])))
+
+    def _start(self, bits: np.random.PCG64, state: tuple[int, int]) -> None:
+        self.next_word = itertools.chain.from_iterable(_blocks(bits, state)).__next__
         self._half: int | None = None
 
     def random(self, size: int | None = None) -> float | list[float]:
@@ -234,23 +372,50 @@ class _Words:
                 return lo + (m >> 32)
 
 
-def _hash_rng(*parts: object) -> np.random.Generator:
-    text = "\x1f".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+def _streams(bits: np.random.PCG64, keys: list[tuple[int, ...]]) -> Iterator[_Words]:
+    """``_Words(*key)`` for every key, seeded in one pass and drawing on ``bits``."""
+    for state in _pcg64_states(keys):
+        words = _Words.__new__(_Words)
+        words._start(bits, state)
+        yield words
 
 
-@lru_cache(maxsize=None)
-def _class_direction(seed: int, kind: str, variant: str, position: int, cls: int, dim: int) -> np.ndarray:
-    vec = _hash_rng("dir", seed, kind, variant, position, cls, dim).standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    vec.setflags(write=False)
-    return vec
+def _hash_rngs(keys: list[tuple[object, ...]]) -> Iterator[np.random.Generator]:
+    """For every key, a generator at the start of the stream
+    ``np.random.default_rng(n)``, n the 128-bit blake2b hash of the key's
+    parts. All keys are seeded in one pass and share one generator, seated
+    at each key's stream as it is given: draw from it before the next."""
+    hashes = []
+    for parts in keys:
+        text = "\x1f".join(map(str, parts))
+        hashes.append((int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest(), "little"),))
+    bits = _bits()
+    rng = np.random.Generator(bits)
+    for state in _pcg64_states(hashes):
+        _seat(bits, state)
+        yield rng
+
+
+# The unit direction of each ("dir", seed, kind, variant, position, class,
+# dim) key drawn so far.
+_CLASS_DIRECTIONS: dict[tuple, np.ndarray] = {}
+
+
+def _class_directions(keys: list[tuple]) -> list[np.ndarray]:
+    """The unit direction of every key; those not drawn before are seeded
+    in one pass and kept."""
+    new = [key for key in dict.fromkeys(keys) if key not in _CLASS_DIRECTIONS]
+    for key, rng in zip(new, _hash_rngs(new)):
+        vec = rng.standard_normal(key[-1])
+        vec /= np.linalg.norm(vec)
+        vec.setflags(write=False)
+        _CLASS_DIRECTIONS[key] = vec
+    return [_CLASS_DIRECTIONS[key] for key in keys]
 
 
 @lru_cache(maxsize=None)
 def _fhp_basis(seed: int, variant: str, dim: int) -> np.ndarray:
-    rows = _hash_rng("fhp-basis", seed, variant, dim).standard_normal((20, dim))
+    rows = next(_hash_rngs([("fhp-basis", seed, variant, dim)])).standard_normal((20, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     rows.setflags(write=False)
     return rows
@@ -305,24 +470,34 @@ class LatentState:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def direction(self, video_id: str, variant: str, dim: int) -> np.ndarray:
-        _require(variant in STUB_VARIANTS, f"variant must be one of {STUB_VARIANTS}")
-        key = (video_id, variant, dim)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        vec = np.zeros(dim, dtype=np.float64)
-        seq = self.lta_targets.get(video_id)
-        if seq is not None:
-            for pos, label in enumerate(seq):
-                cls = label.verb_id if variant == "verb" else label.noun_id
-                vec += _class_direction(self.seed, "lta", variant, pos, cls, dim)
-        target = self.fhp_targets.get(video_id)
-        if target is not None:
-            vec += target @ _fhp_basis(self.seed, variant, dim)
-        vec = vec * self.strength
-        vec.setflags(write=False)
-        self._cache[key] = vec
-        return vec
+        return self.directions([(video_id, variant)], dim)[0]
+
+    def directions(self, rows: Sequence[tuple[str, str]], dim: int) -> list[np.ndarray]:
+        """``direction(video_id, variant, dim)`` for every ``(video_id,
+        variant)`` row; the class directions not drawn before are seeded in
+        one pass."""
+        todo = [key for key in dict.fromkeys((video_id, variant, dim) for video_id, variant in rows) if key not in self._cache]
+        classes = []
+        for video_id, variant, _ in todo:
+            _require(variant in STUB_VARIANTS, f"variant must be one of {STUB_VARIANTS}")
+            seq = self.lta_targets.get(video_id, ())
+            classes.append([label.verb_id if variant == "verb" else label.noun_id for label in seq])
+        units = iter(
+            _class_directions(
+                [("dir", self.seed, "lta", variant, pos, cls, dim) for (_, variant, _), ids in zip(todo, classes) for pos, cls in enumerate(ids)]
+            )
+        )
+        for (video_id, variant, _), ids in zip(todo, classes):
+            vec = np.zeros(dim, dtype=np.float64)
+            for unit in itertools.islice(units, len(ids)):
+                vec += unit
+            target = self.fhp_targets.get(video_id)
+            if target is not None:
+                vec += target @ _fhp_basis(self.seed, variant, dim)
+            vec = vec * self.strength
+            vec.setflags(write=False)
+            self._cache[(video_id, variant, dim)] = vec
+        return [self._cache[(video_id, variant, dim)] for video_id, variant in rows]
 
 
 def stub_features(
@@ -339,15 +514,36 @@ def stub_features(
     the video's label-dependent direction is mixed in, making the features
     learnable; without one they are pure noise.
     """
-    _require(isinstance(video_id, str) and video_id != "", "video_id must be a non-empty string")
-    start, end = snippet
-    _require(isinstance(start, int) and isinstance(end, int) and 0 <= start < end, "snippet must be an int frame range")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be an int >= 1")
-    _require(variant in STUB_VARIANTS, f"variant must be one of {STUB_VARIANTS}")
-    base = _hash_rng("stub", video_id, start, end, variant, dim).standard_normal(dim)
-    if latent is not None:
-        base = base + latent.direction(video_id, variant, dim)
-    return base.astype(np.float32)
+    return stub_feature_rows([(video_id, snippet, variant)], dim, latent)[0]
+
+
+def stub_feature_rows(
+    rows: Sequence[tuple[str, tuple[int, int], str]],
+    dim: int,
+    latent: LatentState | None = None,
+) -> np.ndarray:
+    """``stub_features(video_id, snippet, dim, variant, latent)`` for every
+    ``(video_id, snippet, variant)`` row, as one float32 (rows, dim) array;
+    the rows' streams are seeded in one pass."""
+    _require(_is_int(dim) and dim >= 1, "dim must be an int >= 1")
+    keys = []
+    for video_id, snippet, variant in rows:
+        _require(isinstance(video_id, str) and video_id != "", "video_id must be a non-empty string")
+        start, end = snippet
+        _require(_is_int(start) and _is_int(end) and 0 <= start < end, "snippet must be an int frame range")
+        _require(variant in STUB_VARIANTS, f"variant must be one of {STUB_VARIANTS}")
+        keys.append(("stub", video_id, start, end, variant, dim))
+    # One row's float64 draw first: a width past memory is a MemoryError.
+    base = np.empty(dim)
+    out = np.empty((len(rows), dim), dtype=np.float32)
+    directions = itertools.repeat(None) if latent is None else latent.directions([(video_id, variant) for video_id, _, variant in rows], dim)
+    for row, rng, direction in zip(out, _hash_rngs(keys), directions):
+        rng.standard_normal(out=base)
+        if direction is None:
+            row[:] = base
+        else:
+            np.add(base, direction, out=row, casting="same_kind")  # summed in float64, then rounded
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,42 +639,37 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
     fps = config.fps
     w, h = config.resolution
     c_v, c_n = config.c_v, config.c_n
+    # Each section's streams are seeded in one pass and draw on one bit
+    # generator; a section's records are drawn video by video.
+    bits = _bits()
 
-    videos: list[VideoMeta] = []
-    for i in range(config.num_videos):
-        length = _Words(seed, _SEC_VIDEOS, i).uniform(config.min_video_len_s, config.max_video_len_s)
-        videos.append(
-            VideoMeta(video_id=f"synth-{i:03d}", num_frames=int(round(length * fps)), fps=fps)
-        )
+    def keys(section: int) -> list[tuple[int, int, int]]:
+        return [(seed, section, i) for i in range(config.num_videos)]
+
+    videos = [
+        VideoMeta(video_id=f"synth-{i:03d}", num_frames=int(round(words.uniform(config.min_video_len_s, config.max_video_len_s) * fps)), fps=fps)
+        for i, words in enumerate(_streams(bits, keys(_SEC_VIDEOS)))
+    ]
     video_ids = tuple(v.video_id for v in videos)
 
     # One tuple per record, in file order, holding its keys' values.
     mq_rows: list[tuple] = []
-    nlq_rows: list[tuple] = []
-    fhp_rows: list[tuple] = []
-    clip_ends: dict[str, tuple[float, ...]] = {}
-    lta_rows: list[tuple] = []
-    sta_images: dict[str, tuple[int, int]] = {}
-    sta_rows: list[tuple] = []
-    scod_images: dict[str, tuple[int, int]] = {}
-    scod_rows: list[tuple] = []
-
-    for i, meta in enumerate(videos):
-        vid = meta.video_id
-        duration = meta.duration_s
-
-        words = _Words(seed, _SEC_MQ, i)
+    for meta, words in zip(videos, _streams(bits, keys(_SEC_MQ))):
         for _ in range(words.integers(2, 5)):
-            seg = _segment_within(words, duration, 1.5, 5.0)
-            mq_rows.append((vid, *seg, words.integers(0, config.mq_num_classes)))
+            seg = _segment_within(words, meta.duration_s, 1.5, 5.0)
+            mq_rows.append((meta.video_id, *seg, words.integers(0, config.mq_num_classes)))
 
-        words = _Words(seed, _SEC_NLQ, i)
+    nlq_rows: list[tuple] = []
+    for meta, words in zip(videos, _streams(bits, keys(_SEC_NLQ))):
         for q in range(config.nlq_queries_per_video):
-            nlq_rows.append((vid, *_segment_within(words, duration, 1.0, 4.0), f"{vid}:q{q}"))
+            nlq_rows.append((meta.video_id, *_segment_within(words, meta.duration_s, 1.0, 4.0), f"{meta.video_id}:q{q}"))
 
-        rng = _rng(seed, _SEC_FHP, i)
+    fhp_rows: list[tuple] = []
+    rng = np.random.Generator(bits)
+    for meta, state in zip(videos, _pcg64_states(keys(_SEC_FHP))):
+        _seat(bits, state)
         trajectory = _hand_trajectory(rng, w, h)
-        t_contact = float(rng.uniform(3.5, duration - 0.5))
+        t_contact = float(rng.uniform(3.5, meta.duration_s - 0.5))
         t_pre = t_contact - float(rng.uniform(0.3, 0.8))
         times = (t_contact, t_pre, t_pre - 0.5, t_pre - 1.0, t_pre - 1.5)  # in KEYFRAME_TAGS order
         # One draw holds the five keyframes' jitter, four values each, in
@@ -490,13 +681,15 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
             # Clipped as np.clip does, max then min: -0.0 clips to 0.0.
             left = [min(w - 1.0, max(0.0, lx + jlx)), min(h - 1.0, max(0.0, ly + jly))]
             keyframes[tag] = {"left": left, "right": [min(w - 1.0, max(0.0, rx + jrx)), min(h - 1.0, max(0.0, ry + jry))]}
-        fhp_rows.append((vid, keyframes))
+        fhp_rows.append((meta.video_id, keyframes))
 
+    clip_ends: dict[str, tuple[float, ...]] = {}
+    lta_rows: list[tuple] = []
+    for meta, words in zip(videos, _streams(bits, keys(_SEC_LTA))):
         # The hot loop: each clip draws random() >= 0.55 per label, read
         # as a word compare.
-        words = _Words(seed, _SEC_LTA, i)
         next_word, integers = words.next_word, words.integers
-        num_clips = int(np.floor(duration / config.clip_len_s + 1e-9))
+        num_clips = int(np.floor(meta.duration_s / config.clip_len_s + 1e-9))
         verb = integers(0, c_v)
         noun = integers(0, c_n)
         chain = []
@@ -506,21 +699,25 @@ def generate_synthetic(config: SynthConfig) -> SynthDataset:
                 verb = integers(0, c_v)
             if next_word() >= _SWITCH_WORD:
                 noun = integers(0, c_n)
-        clip_ends[vid] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
+        clip_ends[meta.video_id] = tuple((j + 1) * config.clip_len_s for j in range(num_clips))
         anchor = num_clips - config.z
-        lta_rows.append((vid, anchor, chain[anchor : anchor + config.z]))
+        lta_rows.append((meta.video_id, anchor, chain[anchor : anchor + config.z]))
 
-        words = _Words(seed, _SEC_STA, i)
+    sta_images: dict[str, tuple[int, int]] = {}
+    sta_rows: list[tuple] = []
+    for meta, words in zip(videos, _streams(bits, keys(_SEC_STA))):
         for kf in range(config.sta_keyframes_per_video):
-            kf_id = f"{vid}:kf{kf}"
+            kf_id = f"{meta.video_id}:kf{kf}"
             sta_images[kf_id] = (w, h)
             for _ in range(words.integers(1, 4)):
                 # The box, noun, verb and TTC, drawn in that order.
                 sta_rows.append((kf_id, _random_box(words, w, h), words.integers(0, c_n), words.integers(0, c_v), words.uniform(0.3, 2.0)))
 
-        words = _Words(seed, _SEC_SCOD, i)
+    scod_images: dict[str, tuple[int, int]] = {}
+    scod_rows: list[tuple] = []
+    for meta, words in zip(videos, _streams(bits, keys(_SEC_SCOD))):
         for kf in range(config.sta_keyframes_per_video):
-            kf_id = f"{vid}:sc{kf}"
+            kf_id = f"{meta.video_id}:sc{kf}"
             scod_images[kf_id] = (w, h)
             for _ in range(words.integers(1, 4)):
                 scod_rows.append((kf_id, _random_box(words, w, h), words.integers(0, c_n)))

@@ -2,12 +2,17 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egoforge import cli, fileio, model, synth
+from egoforge import cli, experiments, fileio, model, snippets, synth
 from egoforge.model import (
     KEYFRAME_TAGS,
     ActionLabel,
@@ -159,11 +164,24 @@ _DRAWS = st.lists(
 )
 
 
+# Key ints of one 32-bit word, of several, and past 2**128; and blake2b's
+# 128-bit ints, some with zero high words.
+_KEY = st.lists(st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(0, 2**130 - 1)), min_size=1, max_size=6).map(tuple)
+_HASH_INT = st.tuples(st.integers(0, 2**128 - 1), st.sampled_from((0, 32, 64, 96))).map(lambda t: (t[0] >> t[1],))
+
+
+def _numpy_state(key):
+    state = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
+    return state["state"], state["inc"]
+
+
 class TestNumpyStreams:
     """The generator batches draws on two numpy identities; NEP 19 does not
     promise ``Generator`` streams stay stable across numpy versions, so an
     upgrade that breaks either fails here by name, not only as a changed
-    synth file hash."""
+    synth file hash. A third identity seeds the streams: egoforge's copy of
+    SeedSequence's entropy mix and PCG64's seeding step gives the state
+    ``PCG64(SeedSequence(key))`` holds, for a whole batch of keys at once."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**64 - 1), bounds=st.lists(_BOUNDS, min_size=1, max_size=12))
@@ -212,6 +230,57 @@ class TestNumpyStreams:
         # is exact when it passes and the largest one below it fails.
         assert _SWITCH_WORD % 2**11 == 0
         assert (_SWITCH_WORD >> 11) * 2**-53 >= 0.55 > ((_SWITCH_WORD - 1) >> 11) * 2**-53
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(keys=st.lists(_KEY, min_size=1, max_size=24), hashed=st.lists(_HASH_INT, max_size=8))
+    def test_batch_states_are_numpys(self, keys, hashed):
+        # The first key is repeated until its word count's group is mixed
+        # in numpy; smaller groups are mixed on Python ints.
+        batch = keys + hashed + [keys[0]] * synth._NUMPY_MIX_KEYS
+        assert list(synth._pcg64_states(batch)) == [_numpy_state(key) for key in batch]
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 1, 2**70 + 3])
+    def test_section_batches_are_numpys(self, seed):
+        keys = [(seed, section, i) for section in range(1, 8) for i in range(60)]
+        assert list(synth._pcg64_states(keys)) == [_numpy_state(key) for key in keys]
+
+    def test_hash_int_batches_are_numpys(self):
+        # 128-bit blake2b ints, some with zero high words: fewer words, and
+        # the same state as zeros in their place.
+        digests = [hashlib.blake2b(f"stub\x1fsynth-{i:03d}".encode(), digest_size=16).digest() for i in range(501)]
+        keys = [(int.from_bytes(d, "little") >> shift,) for d in digests for shift in (0, 32, 64, 96)]
+        assert list(synth._pcg64_states(keys)) == [_numpy_state(key) for key in keys]
+
+    def test_negative_key_refused_as_seedsequence_refuses(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence((1, -1))
+        with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+            list(synth._pcg64_states([(3,), (1, -1)]))
+
+    def test_streams_of_one_batch_interleave(self):
+        # Each later block reseats the shared bit generator and advances it
+        # past the words its stream has read.
+        keys = [(11, 5, 0), (11, 5, 1), (2**70, 1, 2, 3, 4)]
+        streams = list(synth._streams(synth._bits(), keys))
+        got = [[] for _ in keys]
+        for size in itertools.islice(itertools.cycle((1, 63, 2, 64, 65, 7)), 14):
+            for words, out in zip(streams, got):
+                out.extend(words.next_word() for _ in range(size))
+        assert len(got[0]) > 4 * synth._BLOCK
+        assert got == [np.random.PCG64(np.random.SeedSequence(key)).random_raw(len(out)).tolist() for key, out in zip(keys, got)]
+
+    def test_no_bit_generator_at_module_level(self):
+        generate_synthetic(small_config())
+        stub_features("synth-000", (0, 30), 8, "verb")
+        kinds = (np.random.BitGenerator, np.random.Generator)
+        assert [name for name, value in vars(synth).items() if isinstance(value, kinds)] == []
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(synth.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, egoforge.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestStructure:
@@ -313,6 +382,89 @@ class TestLatent:
         d = ds.latent.direction(ds.video_ids[0], "verb", 16)
         with pytest.raises(ValueError):
             d[0] = 1.0
+
+
+def _hashed_normal(parts, shape):
+    """numpy's own draw for the stream a stub key names: default_rng of the
+    key's 128-bit blake2b hash."""
+    text = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    return np.random.default_rng(int.from_bytes(hashlib.blake2b(text, digest_size=16).digest(), "little")).standard_normal(shape)
+
+
+_STUB_SETS = {dim: generate_synthetic(SynthConfig(seed=3, num_videos=3, feature_dim=dim)) for dim in (8, 13)}
+_SPAN = st.tuples(st.integers(0, 10**6), st.integers(1, 400)).map(lambda t: (t[0], t[0] + t[1]))
+_STUB_ROW = st.tuples(st.sampled_from(("synth-000", "synth-002", "other")), _SPAN, st.sampled_from(synth.STUB_VARIANTS))
+
+
+class TestStubFeatures:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rows=st.lists(_STUB_ROW, max_size=20), dim=st.sampled_from((1, 8, 13, 40)), with_latent=st.booleans())
+    def test_rows_are_numpys_hashed_draws(self, rows, dim, with_latent):
+        latent = _STUB_SETS[13 if dim == 40 else 8].latent if with_latent else None
+        expected = []
+        for vid, (start, end), variant in rows:
+            base = _hashed_normal(("stub", vid, start, end, variant, dim), dim)
+            if latent is not None:
+                base = base + latent.direction(vid, variant, dim)
+            expected.append(base.astype(np.float32))
+        got = synth.stub_feature_rows(rows, dim, latent)
+        assert got.dtype == np.float32 and got.shape == (len(rows), dim)
+        assert np.array_equal(got, np.array(expected, dtype=np.float32).reshape(len(rows), dim))
+        for (vid, span, variant), row in zip(rows, expected):
+            assert np.array_equal(stub_features(vid, span, dim, variant, latent), row)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.sampled_from(sorted(_STUB_SETS)),
+        clips=st.lists(
+            st.tuples(st.sampled_from(("synth-000", "synth-001", "synth-002")), st.floats(0.0, 40.0), st.floats(0.5, 4.0)), min_size=1, max_size=12
+        ),
+    )
+    def test_fused_clip_features_are_numpys_hashed_draws(self, dim, clips):
+        ds = _STUB_SETS[dim]
+        clips = [(vid, TemporalSegment(start, start + length)) for vid, start, length in clips]
+        expected = []
+        for vid, clip in clips:
+            span = snippets.frame_span(clip.start_s, clip.end_s, ds.config.fps)
+            pair = [
+                (_hashed_normal(("stub", vid, *span, variant, dim), dim) + ds.latent.direction(vid, variant, dim)).astype(np.float32)
+                for variant in synth.STUB_VARIANTS
+            ]
+            expected.append(np.concatenate(pair))
+        assert np.array_equal(experiments.fused_clip_features(ds, clips), np.array(expected, dtype=np.float64))
+
+    @pytest.mark.parametrize("video", ["synth-000", "synth-001", "other"])
+    @pytest.mark.parametrize("variant", synth.STUB_VARIANTS)
+    def test_direction_is_its_class_directions_and_hand_basis(self, video, variant):
+        ds, dim = _STUB_SETS[8], 8
+        latent = ds.latent
+        expected = np.zeros(dim)
+        for pos, label in enumerate(latent.lta_targets.get(video, ())):
+            unit = _hashed_normal(("dir", latent.seed, "lta", variant, pos, label.verb_id if variant == "verb" else label.noun_id, dim), dim)
+            expected += unit / np.linalg.norm(unit)
+        if video in latent.fhp_targets:
+            basis = _hashed_normal(("fhp-basis", latent.seed, variant, dim), (20, dim))
+            expected += latent.fhp_targets[video] @ (basis / np.linalg.norm(basis, axis=1, keepdims=True))
+        assert np.array_equal(latent.direction(video, variant, dim), expected * latent.strength)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (("v", (False, True), 1, "verb"), "snippet"),
+            (("v", (0, True), 1, "verb"), "snippet"),
+            (("v", (0, 1), True, "verb"), "dim"),
+            (("v", (0, 1), 0, "verb"), "dim"),
+            (("v", (1, 1), 4, "verb"), "snippet"),
+            (("", (0, 1), 4, "verb"), "video_id"),
+            (("v", (0, 1), 4, "hand"), "variant"),
+        ],
+    )
+    def test_bad_arguments_refused_by_name(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            stub_features(*args)
+        video, span, dim, variant = args
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            synth.stub_feature_rows([("synth-000", (0, 4), "verb"), (video, span, variant)], dim)
 
 
 class TestHandVector:
