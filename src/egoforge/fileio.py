@@ -10,18 +10,21 @@ whole through it; the savers of records fill ``render``'s templates, which
 hold the layout (key names and nesting) and never data, with the texts of
 the values.
 
-Loaders make one walk over each parsed file, ``model._walk``, which checks
+Loaders make one walk over each file, ``model._walk_sliced``, which checks
 every record and notes its unknown keys; a loader raises the file's
 violations as one ``SchemaError`` or warns about its unknown keys. A loader
 reads its file a slice at a time, so that its memory is bounded by a slice
 and the columns, not by the file's text and its parsed tree: the top-level
 keys before ``instances`` one value at a time, then the records in slices
 of about ``SLICE_CHARS`` characters, each ending at a record's "}", parsed
-by ``json.loads`` and checked by the column scan, whose columns
-``model._walk_sliced`` joins and checks for ids that two slices share. Any
-other file (one the scan refuses, a key after ``instances`` or given twice,
-text that is not JSON, a pipe) is read whole and walked by ``_walk``, so
-every message and warning is the walk's. The walk
+by ``json.loads`` and checked by the column scan or, where the scan does
+not take a slice, by the per-record loop, with one set of ids across the
+slices; the walk joins the scan's columns. A file is read whole, parsed
+and walked by ``model._walk``, only when the slices cannot read its text
+(a syntax error, a key given twice or after ``instances``, bytes that are
+not UTF-8, a read error, a pipe), when it declares another schema, or when
+it has no violations but the scan refused one of its several slices; every
+message and warning is the whole-file walk's either way. The walk
 gives the records as arrays: ``model.Columns`` for mq, nlq, sta, scod and
 fhp (ids, scores, TTCs, coordinates and hand visibility, rows in the
 loader's group order), and ``model.LtaColumns`` for lta ([verb, noun] pairs
@@ -262,9 +265,10 @@ def _slices(text: _Text) -> Iterator[list]:
 
 def _sliced(f: TextIO, expect_schema: str) -> tuple[list[str], list[str], Any, Any] | None:
     """``model._walk_sliced`` of the ``expect_schema`` file ``f``, read a
-    slice at a time; None, with ``f`` back at its start, for a file it
-    refuses, one whose text it does not read (see ``_header`` and
-    ``_slices``) and one that cannot seek."""
+    slice at a time; None, with ``f`` back at its start, for a file of
+    another schema, one the walk refuses (one without violations whose
+    scan refused one of several slices), one whose text it does not read
+    (see ``_header`` and ``_slices``) and one that cannot seek."""
     if not f.seekable():
         return None
     text = _Text(f)

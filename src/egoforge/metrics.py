@@ -244,9 +244,7 @@ def recall_at_kx(
 
 
 def _ap_from_tp(tp: np.ndarray, npos: int) -> float:
-    # All-point interpolated AP from per-rank hit flags.
-    if npos == 0:
-        raise ValueError("AP is undefined with no positives")
+    # All-point interpolated AP from per-rank hit flags; npos >= 1.
     if tp.size == 0:
         return 0.0
     tp_cum = np.cumsum(tp)

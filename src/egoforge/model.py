@@ -3,28 +3,31 @@
 Every type validates its invariants at construction time and is immutable
 afterwards, so downstream code never re-checks shapes or ranges.
 
-``_walk`` is the entry point for *parsed but untyped* annotation trees, and
-the loaders in ``fileio`` call it once per file. It reads each field of each
-record once: it checks the field, reporting violations as strings instead of
-raising so that a loader can surface every problem in a file at once, and
-it notes keys the schema does not know. The records come back as arrays:
-``Columns`` for mq, nlq, sta, scod and fhp, ground truth and predictions,
-with group codes in the loader's group order, int ids, float64 scores and
-TTCs, (n, 2) segments, (n, 4) boxes or (n, 5, 2, 2) keyframes with their
-(n, 5, 2) bool visibility; ``LtaColumns`` for lta (int64 [verb, noun] pairs
-with per-row sequence counts and lengths, score matrices as read-only
-float64 arrays). One field spec per schema, in ``_RANKED``, drives its walk
-and its allowed keys, and gives the savers' records. A file is checked a
-column at a time (``_scan_columns``, which the generator runs too); one the
-scan does not accept goes through the per-record loop, which keeps every
-message and its order. ``_walk_sliced`` gives what ``_walk`` gives for a
-file read in slices of records that the scan takes one by one, joining
-their columns; any other file it leaves to ``_walk``. The typed views
-of the arrays (``TypedView``, which the loaders and the generator give,
-builds them on first access) make records with ``_validated``, which skips
-the constructor checks: the walk has made them, since it and the
-constructors check each field kind with one shared checker (a constructor
-raises its first message, located at the type).
+``_walk_sliced`` is the one walk of annotation files: the loaders in
+``fileio`` give it a file's top-level keys and its records in slices, and
+``_walk`` gives it a parsed tree's records as one slice, after checking the
+top level. It reads each field of each record once: it checks the field,
+reporting violations as strings instead of raising so that a loader can
+surface every problem in a file at once, and it notes keys the schema does
+not know. The records come back as arrays: ``Columns`` for mq, nlq, sta,
+scod and fhp, ground truth and predictions, with group codes in the
+loader's group order, int ids, float64 scores and TTCs, (n, 2) segments,
+(n, 4) boxes or (n, 5, 2, 2) keyframes with their (n, 5, 2) bool
+visibility; ``LtaColumns`` for lta (int64 [verb, noun] pairs with per-row
+sequence counts and lengths, score matrices as read-only float64 arrays).
+One field spec per schema, in ``_RANKED``, drives its walk and its allowed
+keys, and gives the savers' records. Each slice is checked a column at a
+time (``_scan_columns``, which the generator runs too); one the scan does
+not accept goes through the per-record loop, which keeps every message and
+its order, with one set of ids across slices, so every message is the one
+a walk of the whole list gives. The walk joins the scan's columns; only a
+file without violations whose scan refused one of several slices it
+leaves to ``_walk`` whole. The typed views of the arrays (``TypedView``,
+which the loaders and the generator give, builds them on first access)
+make records with ``_validated``, which skips the constructor checks: the
+walk has made them, since it and the constructors check each field kind
+with one shared checker (a constructor raises its first message, located
+at the type).
 ``validate_dataset`` and ``unknown_keys`` are its public views.
 
 Segments and boxes must stay small enough that twice a length, width,
@@ -922,8 +925,9 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 # ---------------------------------------------------------------------------
 # The raw annotation walk.
 #
-# Loaders parse JSON and hand the untyped tree to _walk, which reads every
-# field of every record once. It checks the field, reporting every violation
+# Loaders hand the untyped records of a file, parsed a slice at a time, to
+# _walk_sliced, and a parsed tree goes to _walk; the walk reads every field
+# of every record once. It checks the field, reporting every violation
 # in the file instead of failing at the first, and it notes keys the schema
 # does not know. For a clean file it returns the records as arrays: Columns
 # for the mq, nlq, sta, scod and fhp schemas and LtaColumns for lta. Each
@@ -935,21 +939,23 @@ def _forecasts(cols: LtaColumns) -> dict[tuple[str, int], LtaForecast]:
 # and predictions) has one _Ranked field spec in _RANKED, which drives the
 # column scan, the per-record loop and the allowed keys here, and the
 # savers' records in fileio. The header lists of objects (videos, images)
-# have one each in _HEADERS, walked the same way. Every file is first
-# checked a column at a time: _scan_ranked takes each key's values out of
-# plain dicts that hold exactly the record's keys (those a record may omit
-# as the first record has them), and _scan_columns checks them with the
-# _plain_* checks: exact types (plain floats for reals, plain ints for
-# ids) over flattened lists, set membership for ids and vectorised range
-# and order checks. The score matrices of a file are checked as one
-# float64 block of verb rows and one of noun rows (_plain_matrices), whose
-# numpy row sums settle every row but those near the 1e-6 edge, which go
-# to _sums_to_one. A scan accepts only files in which the per-record loop
-# would find nothing, and gives the same arrays. Any other file (a
+# have one each in _HEADERS, walked the same way, by _walk_list. Every
+# slice of a list is first checked a column at a time: _scan takes each
+# key's values out of plain dicts that hold exactly the record's keys (those
+# a record may omit as the list's first record has them), and _scan_columns
+# checks them with the _plain_* checks: exact types (plain floats for reals,
+# plain ints for ids) over flattened lists, set membership for ids and
+# vectorised range and order checks. The score matrices of a slice are
+# checked as one float64 block of verb rows and one of noun rows
+# (_plain_matrices), whose numpy row sums settle every row but those near
+# the 1e-6 edge, which go to _sums_to_one. A scan accepts only slices in
+# which the per-record loop
+# would find nothing, and gives the same arrays. Any other slice (a
 # violation, an unknown key, an int-valued real, a bool, an id beyond
-# int64) goes through the per-record loop (_loop_ranked), which writes
-# every message in its order and, on a valid file, fills the same arrays;
-# _built makes the records of either's, and of the generator's draws.
+# int64, an id an earlier slice holds) goes through the per-record loop
+# (_loop_ranked), which writes every message in its order and, on a valid
+# list, fills the same arrays; _built makes the records of either's, and of
+# the generator's draws.
 # ---------------------------------------------------------------------------
 
 
@@ -1040,15 +1046,14 @@ _HEADERS: dict[str, _Ranked] = {
 _TOP_KEYS: dict[str, set[str]] = {schema: {"schema", *spec.header, "instances"} for schema, spec in _RANKED.items()}
 
 
-def _records(raw: Mapping[str, Any], name: str, keys: tuple[str, ...], out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
-    """Each object in the ``name`` list with its location; notes keys not
-    in ``keys``."""
-    listed = raw.get(name)
+def _records(listed: Any, name: str, start: int, keys: tuple[str, ...], out: list[str], extras: list[str]) -> Iterator[tuple[str, Any]]:
+    """Each object of ``listed``, the ``name`` list's records from index
+    ``start`` on, with its location; notes keys not in ``keys``."""
     if not isinstance(listed, list):
         out.append(f"{name}: missing or not a list")
         return
     allowed = set(keys)
-    for i, rec in enumerate(listed):
+    for i, rec in enumerate(listed, start):
         where = f"{name}[{i}]"
         if not _is_object(rec):
             out.append(f"{where}: not an object")
@@ -1058,14 +1063,13 @@ def _records(raw: Mapping[str, Any], name: str, keys: tuple[str, ...], out: list
         yield where, rec
 
 
-def _scan(raw: Mapping[str, Any], names: tuple[str, ...]) -> list[list] | None:
-    """The ``names`` columns of ``instances`` when it is a list of plain
-    dicts that each hold exactly those keys; None otherwise."""
-    inst = raw.get("instances")
-    if type(inst) is not list or not set(map(type, inst)) <= {dict} or not set(map(len, inst)) <= {len(names)}:
+def _scan(listed: Any, names: tuple[str, ...]) -> list[list] | None:
+    """The ``names`` columns of ``listed`` when it is a list of plain dicts
+    that each hold exactly those keys; None otherwise."""
+    if type(listed) is not list or not set(map(type, listed)) <= {dict} or not set(map(len, listed)) <= {len(names)}:
         return None
     try:
-        return [list(map(itemgetter(name), inst)) for name in names]
+        return [list(map(itemgetter(name), listed)) for name in names]
     except KeyError:
         return None
 
@@ -1304,7 +1308,7 @@ def _ranked_header(raw: Mapping[str, Any], spec: _Ranked, out: list[str]) -> tup
     elif header:
         name = header[-1]
         # Unknown keys in an entry are not reported.
-        cols = _scan_ranked(raw, name, _HEADERS[name], None, None) or _loop_ranked(raw, name, _HEADERS[name], None, None, out, [])
+        (cols,), _ = _walk_list(name, [raw.get(name)], _HEADERS[name], None, None, out, [])
         ids, *fields = (col.tolist() if isinstance(col, np.ndarray) else col for col in cols.values())
         # A duplicate keeps its first place; only a clean list's values are used.
         known = {eid: value for eid, value in zip(ids, zip(*fields)) if isinstance(eid, str)}
@@ -1327,15 +1331,6 @@ def _episodes(col: Mapping[str, Sequence[Any]]) -> list[tuple]:
     """Each record's (video_id, clip_index, clip); a file without clip
     numbers has them all 0."""
     return list(zip(col["video_id"], col["clip_index"], col.get("clip", [0] * len(col["video_id"]))))
-
-
-def _scan_ranked(raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
-    """The spec's columns of the ``name`` list of a file in which the loop
-    would find nothing; None for any other file."""
-    listed = raw.get(name)
-    names = _names(spec, listed)
-    found = _scan({"instances": listed}, names)
-    return None if found is None else _scan_columns(dict(zip(names, found)), spec, known, bound)
 
 
 def _scan_columns(col: Mapping[str, Sequence[Any]], spec: _Ranked, known: Any, bound: int | None) -> dict[str, Any] | None:
@@ -1373,14 +1368,15 @@ def _scan_columns(col: Mapping[str, Sequence[Any]], spec: _Ranked, known: Any, b
 
 
 def _loop_ranked(
-    raw: Mapping[str, Any], name: str, spec: _Ranked, known: Any, bound: int | None, out: list[str], extras: list[str]
+    listed: Any, name: str, start: int, spec: _Ranked, known: Any, bound: int | None, seen: set, out: list[str], extras: list[str]
 ) -> dict[str, list]:
-    """The spec's columns of the ``name`` list, each entry's fields checked
-    in the spec's order. Every entry adds its row, faults and all: a walk
-    uses the columns only of a list without violations."""
+    """The spec's columns of ``listed``, the ``name`` list's records from
+    index ``start`` on, each entry's fields checked in the spec's order
+    against the ids and episodes in ``seen``, which it adds to. Every entry
+    adds its row, faults and all: a walk uses the columns only of a list
+    without violations."""
     columns: dict[str, list] = {column: [] for _, _, column in spec.fields}
-    seen: set = set()
-    for where, rec in _records(raw, name, spec.keys, out, extras):
+    for where, rec in _records(listed, name, start, spec.keys, out, extras):
         for key, kind, column in spec.fields:
             value = rec.get(key)
             if kind == "segment":
@@ -1444,7 +1440,9 @@ def _built(spec: _Ranked, cols: dict[str, Any], known: Any) -> Columns | LtaColu
 
 
 def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
-    """Check, scan and build a parsed annotation tree in one pass.
+    """Check, scan and build a parsed annotation tree in one pass: its top
+    level here, the rest as ``_walk_sliced`` of its ``instances`` as one
+    slice.
 
     Returns the violations, the unknown keys, the file-level part and the
     records, the last two None when there are violations. The file-level
@@ -1460,22 +1458,7 @@ def _walk(raw: Any) -> tuple[list[str], list[str], Any, Any]:
         return ["schema: missing or not a string"], [], None, None
     if schema not in _TOP_KEYS:
         return [f"schema: unknown schema '{schema}'"], [], None, None
-    out: list[str] = []
-    extras = [f"top level: '{k}'" for k in raw if k not in _TOP_KEYS[schema]]
-    spec = _RANKED[schema]
-    known, bound = _ranked_header(raw, spec, out)
-    cols = _scan_ranked(raw, "instances", spec, known, bound) or _loop_ranked(raw, "instances", spec, known, bound, out, extras)
-    if out:
-        return out, extras, None, None
-    return out, extras, *_result(spec, known, bound, cols)
-
-
-def _result(spec: _Ranked, known: Any, bound: int | None, cols: dict[str, Any]) -> tuple[Any, Any]:
-    """The file-level part and the records of a clean file."""
-    header = known
-    if "videos" in spec.header:
-        header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
-    return (header, bound) if bound else header, _built(spec, cols, known)
+    return _walk_sliced(raw, [raw.get("instances")])  # type: ignore[return-value]  # one slice is never refused
 
 
 def _joined(parts: list) -> Any:
@@ -1491,39 +1474,57 @@ def _joined(parts: list) -> Any:
     return tuple(map(_joined, map(list, zip(*parts))))
 
 
-def _walk_sliced(head: Mapping[str, Any], slices: Iterable[list]) -> tuple[list[str], list[str], Any, Any] | None:
-    """What ``_walk`` gives a file of the header ``head`` whose
-    ``instances`` are the records of ``slices`` one after another, for a
-    file the column scan takes whole: ``head`` holds only its schema's
-    header keys and passes ``_ranked_header``, the scan takes every slice
-    with the record keys of the file's first record, and no two records
-    share a ``unique`` id or an episode. None for any other file, which
-    ``_walk`` must read whole for its messages. ``head["schema"]`` is one of
-    ``_RANKED``."""
-    schema = head["schema"]
-    if not head.keys() < _TOP_KEYS[schema]:
-        return None
-    spec = _RANKED[schema]
-    out: list[str] = []
-    known, bound = _ranked_header(head, spec, out)
-    if out:
-        return None
+def _walk_list(
+    name: str, slices: Iterable[Any], spec: _Ranked, known: Any, bound: int | None, out: list[str], extras: list[str]
+) -> tuple[list[dict[str, Any]], bool]:
+    """The spec's columns of each slice of the ``name`` list, and whether
+    the scan took every slice. A slice goes through the column scan, with
+    the record keys of the list's first record, when the scan takes it and
+    none of its ids or episodes is one an earlier slice holds; else through
+    the per-record loop, located from the slice's first index. One set of
+    ids and episodes spans the slices, so every message and warning is the
+    one the loop over the whole list gives."""
     parts: list[dict[str, Any]] = []
-    keys: list = []  # what no two records may share, over every slice
-    names = None
-    for records in slices:
-        names = names or _names(spec, records)
-        found = _scan({"instances": records}, names)
+    seen: set = set()
+    start, names, scanned = 0, None, True
+    for listed in slices:
+        names = names or _names(spec, listed)
+        found = _scan(listed, names)
         col = dict(zip(names, found or ()))
         cols = None if found is None else _scan_columns(col, spec, known, bound)
-        if cols is None:
-            return None
-        parts.append(cols)
-        for key, kind, _ in spec.fields:
+        keys: list = []  # what no two records may share
+        for key, kind, _ in spec.fields if cols is not None else ():
             keys += col[key] if kind == "unique" else _episodes(col) if kind == "episode" else []
-    if len(set(keys)) < len(keys):
+        if cols is None or not seen.isdisjoint(keys):
+            cols, scanned = _loop_ranked(listed, name, start, spec, known, bound, seen, out, extras), False
+        seen.update(keys)
+        parts.append(cols)
+        start += len(listed) if type(listed) is list else 0
+    return parts, scanned
+
+
+def _walk_sliced(head: Mapping[str, Any], slices: Iterable[Any]) -> tuple[list[str], list[str], Any, Any] | None:
+    """What ``_walk`` gives a file of the top-level keys ``head`` whose
+    ``instances`` are the records of ``slices`` one after another, as
+    ``_walk_list`` walks them; ``head["schema"]`` is one of ``_RANKED``.
+    None only for a file without violations whose scan refused one of
+    several slices, since the loop's columns do not join the scan's:
+    ``_walk`` must read it whole."""
+    schema = head["schema"]
+    spec = _RANKED[schema]
+    out: list[str] = []
+    extras = [f"top level: '{k}'" for k in head if k not in _TOP_KEYS[schema]]
+    known, bound = _ranked_header(head, spec, out)
+    parts, scanned = _walk_list("instances", slices, spec, known, bound, out, extras)
+    if out:
+        return out, extras, None, None
+    if not scanned and len(parts) > 1:
         return None
-    return [], [], *_result(spec, known, bound, {column: _joined([p[column] for p in parts]) for column in parts[0]})
+    header = known
+    if "videos" in spec.header:
+        header = {vid: _validated(VideoMeta, video_id=vid, num_frames=nf, fps=fps) for vid, (nf, fps) in known.items()}
+    records = _built(spec, {column: _joined([p[column] for p in parts]) for column in parts[0]}, known)
+    return out, extras, (header, bound) if bound else header, records
 
 
 def validate_dataset(raw: Any) -> list[str]:

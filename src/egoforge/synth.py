@@ -287,14 +287,6 @@ def _bits() -> np.random.PCG64:
     return np.random.PCG64(0)
 
 
-def _rng(*key: int) -> np.random.Generator:
-    """``np.random.default_rng(np.random.SeedSequence(key))``, seeded by
-    ``_pcg64_states``."""
-    bits = _bits()
-    _seat(bits, next(_pcg64_states([key])))
-    return np.random.Generator(bits)
-
-
 def _blocks(bits: np.random.PCG64, state: tuple[int, int]) -> Iterator[list[int]]:
     """The words of the stream at ``state``, ``_BLOCK`` at a time, drawn on
     ``bits``. Each block first seats ``bits`` at the stream's place (past the
@@ -307,7 +299,8 @@ def _blocks(bits: np.random.PCG64, state: tuple[int, int]) -> Iterator[list[int]
 
 
 class _Words:
-    """The stream ``_rng(*key)`` wraps, read as 64-bit words.
+    """The stream ``np.random.default_rng(np.random.SeedSequence(key))``
+    wraps, read as 64-bit words.
 
     ``_Words(*key)`` seeds its own bit generator; ``_streams`` gives one
     per key of a batch, seeded in one pass on one shared bit generator.

@@ -1278,6 +1278,16 @@ class TestOverflowingGeometry:
         assert cli.main(["eval", "mq", "--gt", str(dataset_dir / "gt_mq.json"), "--pred", str(tmp_path / "pred.json")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path / 'pred.json'}: instances[0]: segment start is negative"]
 
+    def test_a_hand_never_visible_is_not_reported(self, dataset_dir, tmp_path, capsys):
+        tree = json.loads((dataset_dir / "gt_fhp.json").read_text(encoding="utf-8"))
+        for inst in tree["instances"]:
+            for point in inst["keyframes"].values():
+                point["visible"] = {"left": False}
+        (tmp_path / "gt.json").write_text(json.dumps(tree), encoding="utf-8")
+        assert cli.main(["eval", "fhp", "--gt", str(tmp_path / "gt.json"), "--pred", str(dataset_dir / "pred_fhp.json")]) == 0
+        n = len(tree["instances"])
+        assert capsys.readouterr().out.splitlines() == [f"R-M.Disp: 0.00 (n={n})", f"R-C.Disp: 0.00 (n={n})"]
+
     def test_displacements_past_the_float_range_name_the_report(self, dataset_dir, tmp_path, capsys):
         # Valid coordinates whose differences overflow to an infinite distance.
         for kind, x in (("gt", -1e308), ("pred", 1e308)):

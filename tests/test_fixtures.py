@@ -159,6 +159,11 @@ class TestRenderReports:
         assert rows[1] == ["mAP", "overall", "23.29", "100"]
         assert rows[2] == ["mAP", "mAP@0.10", "30.00", ""]
 
+    def test_an_unknown_format_is_refused(self):
+        with pytest.raises(ValueError) as refused:
+            render_reports(self._reports(), "xml")
+        assert str(refused.value) == "unknown format 'xml'"
+
     def test_json_keeps_raw_fractions(self):
         payload = json.loads(render_reports(self._reports(), fmt="json"))
         assert payload["schema"] == "report/1"

@@ -1,10 +1,13 @@
-"""Every top-level import in the package's modules is used.
+"""Every top-level import in the package's modules is used, and so is
+every private top-level function and class.
 
-A stdlib ``ast`` check, since no linter is part of the test run: a name a
+Stdlib ``ast`` checks, since no linter is part of the test run: a name a
 module imports at top level must appear in its code as a name, unless the
 line that imports it carries ``# noqa: F401`` (a name other code looks up
 in the module). ``__init__.py`` is skipped: its imports are the public
-re-exports.
+re-exports. A function or class whose name begins with one underscore must
+be named (read as a name or an attribute, or imported) by some code of the
+package, tests aside.
 """
 
 import ast
@@ -40,3 +43,39 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_unused_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unnamed_private(sources: dict[str, str]) -> list[str]:
+    """The private top-level functions and classes of ``sources`` (module
+    name -> source) that none of them names."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in named
+    ]
+
+
+def test_the_check_sees_an_unnamed_private_definition():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _lost():\n    pass\n\n\nclass _Kept:\n    pass\n\n\nclass _Read:\n    pass\n",
+        "b": "from a import _Kept\n\n\nclass _Spare:\n    pass\n\n\nprint(_used(), a._Read)\n",
+    }
+    assert _unnamed_private(sources) == ["a: _lost", "b: _Spare"]
+
+
+def test_no_unnamed_private_definition():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unnamed_private(sources) == []

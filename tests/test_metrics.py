@@ -304,6 +304,12 @@ class TestDisplacement:
         assert by_name["L-M.Disp"].count == 2
         assert by_name["L-M.Disp"].family == "pixels"
 
+    def test_a_hand_never_visible_is_not_reported(self):
+        hidden = tuple((tag, "left") for tag in KEYFRAME_TAGS)
+        gts = {"v1": keyframes(invisible=hidden), "v2": keyframes(invisible=hidden)}
+        reports = displacement_report({"v1": keyframes(offsets=(3.0, 4.0)), "v2": keyframes()}, gts)
+        assert [(r.name, r.value, r.count) for r in reports] == [("R-M.Disp", 2.5, 2), ("R-C.Disp", 2.5, 2)]
+
     def test_missing_prediction_is_data_error(self):
         gts = {"v1": keyframes()}
         with pytest.raises(DataError):

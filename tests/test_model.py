@@ -200,6 +200,10 @@ class TestFeatureMatrix:
         assert f.num_rows == 2
         assert not f.rows.flags.writeable
 
+    def test_no_rows_take_the_width(self):
+        f = FeatureMatrix(dim=3, rows=[], provenance="stub")
+        assert f.rows.shape == (0, 3) and f.rows.dtype == np.float32
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             FeatureMatrix(dim=4, rows=np.zeros((2, 3), dtype=np.float32), provenance="stub")
@@ -337,6 +341,15 @@ class TestRawValidation:
     def test_unknown_schema_tag(self):
         violations = validate_dataset({"schema": "bogus/9"})
         assert violations
+
+    def test_a_top_level_that_is_not_an_object(self):
+        assert validate_dataset([]) == ["top level: not an object"]
+        assert unknown_keys([]) == []
+
+    @pytest.mark.parametrize("raw", [{"instances": []}, {"schema": 1, "instances": []}])
+    def test_a_schema_that_is_not_a_string(self, raw):
+        assert validate_dataset(raw) == ["schema: missing or not a string"]
+        assert unknown_keys(raw) == []
 
 
 class TestProbabilityRows:

@@ -2,13 +2,16 @@
 
 ``fileio._load_annotations`` reads an annotation file's header value by
 value and its ``instances`` in slices of about ``fileio.SLICE_CHARS``
-characters, each checked by the column scan; every other file (a syntax
-error, a key after ``instances``, a duplicate key, a slice the scan
-refuses, an id two slices share, a pipe) is read whole by ``model._walk``.
-Most of these tests run the loaders at a slice size of one character, so
-that every record is a slice of its own; each requires the columns, the
-messages and the warnings of ``_walk(json.loads(text))``, and names the
-path each file took.
+characters, each checked by the column scan or, where the scan refuses it,
+by the per-record loop, so that a fault, an unknown key or an id two slices
+share is told slice by slice. A file is read whole by ``model._walk`` only
+when the slices cannot read its text (a syntax error, a key given twice or
+after ``instances``, bytes that are not UTF-8, a read error, a pipe), when
+it declares another schema, or when it has no violations but the scan
+refused one of its several slices. Most of these tests run the loaders at
+a slice size of one character, so that every record is a slice of its
+own; each requires the columns, the messages and the warnings of
+``_walk(json.loads(text))``, and names the path each file took.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ import io
 import json
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -65,7 +69,8 @@ def test_the_violation_corpus_is_unchanged_with_one_record_a_slice(tmp_path, one
             for order in (tree, _instances_last(tree)):
                 got = observe(name, order, tmp_path)
                 assert got == {key: case[key] for key in got}, f"{name}: edits {case['edits']}"
-    # Both paths ran: the valid trees sliced, the faulty ones whole.
+    # Both paths ran: the stored trees, whose keys are sorted so that
+    # ``instances`` comes first, whole.
     assert set(one_char) == {True, False}
 
 
@@ -211,20 +216,59 @@ def test_an_id_two_slices_share(tmp_path, one_char, name, keys):
     text = _with(name, *[(["instances", 1, key], first[key]) for key in keys])
     violations = _whole(text, schema)
     assert len(violations) == 1 and "duplicate" in violations[0]
-    _check(tmp_path / "f.json", text, schema, one_char, False)
+    _check(tmp_path / "f.json", text, schema, one_char, True)
 
 
 @pytest.mark.parametrize(
-    "name, edits",
+    "name, edits, sliced",
     [
-        ("gt_mq", [(["num_classes"], 0)]),  # a header _ranked_header refuses
-        ("gt_mq", [(["extra_top"], 1)]),  # an unknown top-level key
-        ("gt_sta", [(["instances", 1, "extra"], 1)]),  # a slice the scan refuses
-        ("pred_mq", [(["instances", 1, "score"], 1)]),  # an int-valued real, which the loop takes
+        pytest.param("gt_mq", [(["num_classes"], 0)], True, id="gt_mq-edits0"),  # a header _ranked_header refuses
+        pytest.param("gt_mq", [(["extra_top"], 1)], True, id="gt_mq-edits1"),  # an unknown top-level key
+        # A clean file, a slice of which the scan refuses: the loop's columns
+        # do not join the scan's.
+        pytest.param("gt_sta", [(["instances", 1, "extra"], 1)], False, id="gt_sta-edits2"),
+        pytest.param("pred_mq", [(["instances", 1, "score"], 1)], False, id="pred_mq-edits3"),  # an int-valued real
     ],
 )
-def test_files_the_scan_refuses(tmp_path, one_char, name, edits):
-    _check(tmp_path / "f.json", _with(name, *edits), BASES[name]["schema"], one_char, False)
+def test_files_the_scan_refuses(tmp_path, one_char, name, edits, sliced):
+    _check(tmp_path / "f.json", _with(name, *edits), BASES[name]["schema"], one_char, sliced)
+
+
+def test_a_fault_in_a_file_of_several_slices_is_never_read_whole(tmp_path, monkeypatch):
+    # At the default slice size: the faulty file gives the whole-file walk's
+    # violations without being parsed whole, at about the clean file's peak.
+    images = [{"keyframe_id": f"k{i}", "width": 640, "height": 480} for i in range(300)]
+    records = [
+        {"keyframe_id": f"k{i % 300}", "box": [1.0, 2.0, 30.5 + i % 50, 40.25], "noun": i % 9, "verb": i % 4, "ttc_s": 0.5 + i % 7, "score": 1 / (1 + i)}
+        for i in range(6000)
+    ]
+    tree = {"schema": "sta-pred/1", "images": images, "instances": records}
+    clean, faulty = tmp_path / "clean.json", tmp_path / "faulty.json"
+    clean.write_text(json.dumps(tree, indent=2), encoding="utf-8")
+    records[len(records) // 2]["score"] = "high"
+    faulty.write_text(json.dumps(tree, indent=2), encoding="utf-8")
+    assert faulty.stat().st_size > 3 * fileio.SLICE_CHARS
+    violations = _walk(tree)[0]
+    assert len(violations) == 1
+    parsed, refused = [], []
+    whole = fileio._parsed
+    monkeypatch.setattr(fileio, "_parsed", lambda path, f: parsed.append(path) or whole(path, f))
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            fileio.load_sta_pred(path)
+        except SchemaError as e:
+            refused.append(e.violations)
+        finally:
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return top
+
+    clean_peak, faulty_peak = peak(clean), peak(faulty)
+    assert refused == [violations]
+    assert parsed == []
+    assert faulty_peak <= 1.1 * clean_peak
 
 
 def test_a_file_of_another_schema(tmp_path, one_char):

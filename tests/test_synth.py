@@ -35,7 +35,6 @@ from egoforge.synth import (
     _Words,
     _hand_trajectory,
     _random_box,
-    _rng,
     _segment_within,
     fhp_target_vector,
     generate_synthetic,
@@ -527,7 +526,7 @@ def _eager(config):
             NlqInstance(TemporalSegment(*_segment_within(words, duration, 1.0, 4.0)), f"{vid}:q{q}")
             for q in range(config.nlq_queries_per_video)
         )
-        rng = _rng(seed, 4, i)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 4, i)))
         trajectory = _hand_trajectory(rng, w, h)
         t_contact = float(rng.uniform(3.5, duration - 0.5))
         t_pre = t_contact - float(rng.uniform(0.3, 0.8))
