@@ -8,8 +8,9 @@ to permutations of its inputs.
 
 Suppression takes its IoU from the ``metrics`` pair kernels
 (``_box_iou_pairs``, ``_temporal_iou_pairs``), so box and temporal IoU are
-defined in one place: each greedy pass computes the IoU of a block of rows
-against the whole pool in one vectorized call, under a fixed pair cap.
+defined in one place: each step of the greedy pass takes the next-ranked
+row of every pool, and computes the IoU of those still alive against their
+pools' later rows in one vectorized call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .model import (
     _sums_to_one,
     _validated,
 )
-from .metrics import _box_iou_pairs, _temporal_iou_pairs
+from .metrics import _box_iou_pairs, _pairs, _temporal_iou_pairs
 
 VOTE_RULES = ("mean_prob", "majority")
 MAX_TOP_K = 1000  # the best-first search takes time linear in k
@@ -148,16 +149,6 @@ def multi_view_average(view_preds: Sequence[np.ndarray]) -> np.ndarray:
     return _canonical_mean(views)
 
 
-# Most IoU pairs one suppression block computes at once, so a large pool
-# never holds its whole n x n IoU matrix. Each pair's temporaries take about
-# 150 bytes, and rows a block's earlier heads suppress are still paired: at
-# 1 << 16 a block peaked at 9-11 MB (tracemalloc) and was slower, on one
-# pool of 5,000 boxes (1,159 against 626 ms) and on 300 pools of 60 (94
-# against 49 ms), than at 1 << 14, which peaks at 2.5-4.3 MB (Intel Xeon,
-# one thread).
-_PAIR_CAP = 1 << 14
-
-
 def _greedy_suppress(
     rows: np.ndarray,
     scores: np.ndarray,
@@ -171,40 +162,24 @@ def _greedy_suppress(
 
     In each pool the highest score left is kept (ties keep the earlier row)
     and suppresses every row of its pool strictly above the threshold. Rows
-    are taken in (pool, falling score, row) order, in blocks whose IoU
-    against their pools makes at most _PAIR_CAP pairs, skipping rows already
-    suppressed when the block starts; each block's IoU is one vectorized
-    call.
+    are ranked in (pool, falling score, row) order, and step r takes the
+    r-th row of every pool at once: each one still alive is kept, and one
+    vectorized IoU call against its pool's later rows suppresses theirs.
     """
     sizes = np.diff(starts)
-    code = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((-scores, code))
-    first, width = starts[code[order]], sizes[code[order]]
-    ends = np.cumsum(width)
-    order_list = order.tolist()
-    suppressed = bytearray(len(rows))
-    kept: list[int] = []
-    start = 0
-    while start < len(order_list):
-        limit = (ends[start - 1] if start else 0) + _PAIR_CAP
-        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-        at = [k for k in range(start, stop) if not suppressed[order_list[k]]]
-        start = stop
-        if not at:
-            continue
-        heads, count = order[at], width[at]
-        offset = np.cumsum(count) - count
-        other = np.repeat(first[at] - offset, count) + np.arange(offset[-1] + count[-1])
-        hits = np.flatnonzero(iou_pairs(rows[np.repeat(heads, count)], rows[other]) > thresh)
-        partners = other[hits].tolist()
-        lo = 0
-        for i, hi in zip(heads.tolist(), np.searchsorted(hits, offset + count).tolist()):
-            if not suppressed[i]:
-                kept.append(i)
-                for j in partners[lo:hi]:
-                    suppressed[j] = 1
-            lo = hi
-    return np.array(kept, dtype=np.intp)
+    order = np.lexsort((-scores, np.repeat(np.arange(len(sizes)), sizes)))
+    ranked = rows[order]
+    # Pools largest first, so the reach[r] pools with an r-th row are a prefix.
+    pools = np.argsort(-sizes, kind="stable")
+    first, size = starts[pools], sizes[pools]
+    reach = np.searchsorted(-size, -np.arange(size.max(initial=0)), side="left")
+    alive = np.ones(len(rows), dtype=bool)
+    for r, k in enumerate(reach.tolist()):
+        live = alive[first[:k] + r]
+        head, count = first[:k][live] + r, size[:k][live] - r - 1
+        i, later = _pairs(head + 1, count)
+        alive[later[iou_pairs(ranked[head[i]], ranked[later]) > thresh]] = False
+    return order[np.flatnonzero(alive)]
 
 
 def nms(

@@ -32,8 +32,11 @@ the scalar IoU's operations, so it agrees bit for bit. Each cut of the grid
 (an IoU threshold, or an anticipation criterion) keeps its eligible pairs,
 sorts them by rank, then IoU descending, then ground-truth position, and one
 pass takes each rank's first pair whose ground truth is still unused: the
-greedy rule above. Edit distance runs one integer DP row at a time over all
-candidates of all instances with the same length.
+greedy rule above. Edit distance scores all candidates of all instances
+with the same length at once, with Myers' bit-vector algorithm in Hyyrö's
+edit-distance form: one uint64 lane per (candidate, truth) pair and one pass
+of word operations per candidate position. Truth longer than 64 actions
+takes an integer DP, one row per candidate position.
 """
 
 from __future__ import annotations
@@ -457,7 +460,10 @@ def displacement_report(
 
 def _edit_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Unit-cost edit distance of each row pair of the integer arrays a (M, m)
-    # and b (M, n), one DP row per position of a for all M pairs at once.
+    # and b (M, n): the bit-vector kernel when 1 <= n <= 64 and m >= 1, else
+    # one DP row per position of a for all M pairs at once.
+    if 1 <= b.shape[1] <= 64 and a.shape[1]:
+        return _bit_parallel_distances(a, b)
     # With t[j] = min(prev[j] + 1, prev[j - 1] + cost), the row is
     # cur[j] = min(t[j], cur[j - 1] + 1), so cur[j] - j is a running minimum
     # of t[k] - k. Every step writes into the same three arrays: fresh
@@ -478,6 +484,37 @@ def _edit_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.minimum.accumulate(t, axis=1, out=prev)
         np.add(prev, j, out=prev)
     return prev[:, -1]
+
+
+def _bit_parallel_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Myers' bit-vector algorithm in Hyyrö's edit-distance form: bit j of a
+    # pair's uint64 lane is row j + 1 of its DP column over b, Pv and Mv mark
+    # where that column rises or falls by one going down, and one step per
+    # position of a moves every lane a column to the right. score follows
+    # the column's last row, bit n - 1. Carries and shifts only move bits
+    # up, so the bits above n - 1 never reach it and are never masked.
+    n = b.shape[1]
+    # At step i, e has bit j set in each lane where a[:, i] == b[:, j]. Made
+    # one position a step, the compare holds (M, n) booleans, not (m, M, n):
+    # 1.8 against 12.4 MB (tracemalloc) at 20,000 lanes of 20, no slower.
+    e8 = np.zeros((len(a), 8), dtype=np.uint8)
+    e = e8.view("<u8")[:, 0]
+    pv = np.full(len(a), ~np.uint64(0))
+    mv = np.zeros(len(a), dtype=np.uint64)
+    score = np.full(len(a), n, dtype=np.uint64)
+    top, one = np.uint64(n - 1), np.uint64(1)
+    for i in range(a.shape[1]):
+        e8[:, : (n + 7) // 8] = np.packbits(a[:, i, None] == b, axis=1, bitorder="little")
+        xv = e | mv
+        xh = (((e & pv) + pv) ^ pv) | e
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        score += (ph >> top) & one
+        score -= (mh >> top) & one
+        ph = (ph << one) | one
+        pv = (mh << one) | ~(xv | ph)
+        mv = ph & xv
+    return score.view(np.int64)
 
 
 def levenshtein(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
@@ -520,8 +557,8 @@ def _edit_distance_means(
     forecasts: Mapping[Hashable, LtaForecast], gts: Mapping[Hashable, Sequence[ActionLabel]], modes: Sequence[str]
 ) -> list[float]:
     # The mean normalized best-candidate edit distance in each mode: one
-    # projection of both files' pairs per mode, one batched DP per mode and
-    # sequence length, and a Python sum in ground-truth order.
+    # projection of both files' pairs per mode, one _edit_distances call per
+    # mode and sequence length, and a Python sum in ground-truth order.
     preds, gts = _lta_columns(forecasts), _lta_columns(gts)
     if not gts:
         raise ValueError("edit distance is undefined with no ground-truth instances")
@@ -544,7 +581,7 @@ def _edit_distance_means(
         p, g = _mode_codes(preds.pairs, gts.pairs, mode)
         best = np.empty(len(z), dtype=np.int64)
         for size in sorted(set(z.tolist())):
-            # Instances of one length share one DP over all their
+            # Instances of one length share one kernel call over all their
             # candidates, each against its instance's truth.
             sel = np.flatnonzero(z == size)
             a = p[_pairs(preds.starts[row[sel]], count[sel] * size)[1]].reshape(-1, size)

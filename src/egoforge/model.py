@@ -1483,11 +1483,16 @@ def _walk_list(
     none of its ids or episodes is one an earlier slice holds; else through
     the per-record loop, located from the slice's first index. One set of
     ids and episodes spans the slices, so every message and warning is the
-    one the loop over the whole list gives."""
+    one the loop over the whole list gives. Once ``out`` holds a violation,
+    each slice's columns are dropped before the next slice is walked: of a
+    faulty list only ``_ranked_header`` reads columns, and its list is one
+    slice."""
     parts: list[dict[str, Any]] = []
     seen: set = set()
     start, names, scanned = 0, None, True
     for listed in slices:
+        if out:
+            parts.clear()
         names = names or _names(spec, listed)
         found = _scan(listed, names)
         col = dict(zip(names, found or ()))

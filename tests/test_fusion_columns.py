@@ -2,7 +2,7 @@
 
 The golden hashes pin the bytes each command writes on seeded inputs that
 hold tied scores, groups present in only some files, integer-valued reals
-and one pool larger than a suppression block. The equivalence tests hold
+and one pool of hundreds of rows. The equivalence tests hold
 the column suppression kernel equal to the brute-force oracles and to the
 typed public functions, and the guard checks that the three commands build
 no per-row record objects.
@@ -21,8 +21,8 @@ from egoforge import cli, fileio, fusion, model, oracles
 from egoforge.metrics import _box_iou_pairs, _temporal_iou_pairs
 from egoforge.model import BoundingBox, RankedSegment, ScoreMatrix, StaInstance, TemporalSegment
 
-# Rows of one group in each of the three files: the pool of 390 takes
-# several blocks of fusion._PAIR_CAP pairs.
+# Rows of one group in each of the three files: the pool of 390 runs for
+# hundreds of suppression steps after the other pools have run out.
 BIG = 130
 
 
@@ -169,10 +169,10 @@ def test_fuse_keeps_its_bytes(tmp_path, mode, thresh):
 # ---------------------------------------------------------------------------
 
 
-def _pools(rng, width, big):
-    """Coordinate rows, scores and pool starts: whole-numbered coordinates and
-    scores from five values, so equal boxes, segments and scores are common."""
-    sizes = [int(rng.integers(0, 30)) for _ in range(int(rng.integers(1, 6)))] + ([300] if big else [])
+def _pools(rng, width, sizes):
+    """Coordinate rows, scores and pool starts of pools of ``sizes`` rows:
+    whole-numbered coordinates and scores from five values, so equal boxes,
+    segments and scores are common."""
     n = sum(sizes)
     lo = rng.integers(0, 30, size=(n, width // 2)).astype(float)
     rows = np.concatenate([lo, lo + rng.integers(0, 12, size=(n, width // 2))], axis=1)
@@ -186,15 +186,21 @@ def _typed(rows, scores):
     return [RankedSegment(TemporalSegment(a, b), s, 0) for (a, b), s in zip(rows.tolist(), scores.tolist())]
 
 
-@pytest.mark.parametrize("cap", [fusion._PAIR_CAP, 64, 5])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        pytest.param([7, 0, 29, 1, 12, 3], id="unequal"),  # pools drop out of the steps one by one
+        pytest.param([300], id="one-big"),
+        pytest.param([25, 0, 300, 1, 4], id="big-among-small"),  # one pool runs on alone
+    ],
+)
 @pytest.mark.parametrize("width", [2, 4])
 @pytest.mark.parametrize("seed", range(6))
-def test_kernel_keeps_what_the_oracle_and_the_typed_functions_keep(monkeypatch, cap, width, seed):
-    # Small pair caps put several pools in one block and one pool across
-    # several blocks; the default cap does so for the 300-row pool.
-    monkeypatch.setattr(fusion, "_PAIR_CAP", cap)
+def test_kernel_keeps_what_the_oracle_and_the_typed_functions_keep(sizes, width, seed):
+    # The kernel takes the r-th row of every pool in one step, largest pool
+    # first; each pool must keep what greedy suppression of it alone keeps.
     rng = np.random.default_rng(seed)
-    rows, scores, starts = _pools(rng, width, big=seed % 2 == 0)
+    rows, scores, starts = _pools(rng, width, sizes)
     iou = _box_iou_pairs if width == 4 else _temporal_iou_pairs
     for thresh in (0.3, 0.5, 1.0):
         kept = fusion._greedy_suppress(rows, scores, starts, thresh, iou).tolist()

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cases
 from egoforge.metrics import (
     _box_iou_pairs,
+    _edit_distances,
     _temporal_iou_pairs,
     average_map,
     box_ap,
@@ -131,6 +134,53 @@ class TestBatchedEditDistance:
         for _ in range(300):
             a, b = cases.sequence_pair(rng)
             assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+def _plain_distance(a, b):
+    # The textbook DP, one Python list per row.
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a):
+        cur = [i + 1]
+        for j, y in enumerate(b):
+            cur.append(min(prev[j + 1] + 1, cur[j] + 1, prev[j] + (x != y)))
+        prev = cur
+    return prev[-1]
+
+
+@st.composite
+def _code_rows(draw):
+    """Candidate rows (M, m) and truth rows (M, n) of int64 codes: drawn
+    from 1 to 6 codes, all one code, or no code shared by any two places."""
+    lanes, m, n = draw(st.integers(0, 40)), draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(["drawn", "all-equal", "all-different"]))
+    if kind == "all-equal":
+        return np.zeros((lanes, m), dtype=np.int64), np.zeros((lanes, n), dtype=np.int64)
+    if kind == "all-different":
+        codes = np.arange(lanes * (m + n), dtype=np.int64).reshape(lanes, m + n)
+        return codes[:, :m], codes[:, m:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = draw(st.integers(1, 6))
+    return rng.integers(0, codes, (lanes, m)), rng.integers(0, codes, (lanes, n))
+
+
+class TestBitParallelEditDistance:
+    # _edit_distances runs the bit-vector kernel for truth of 1 to 64 codes
+    # and the DP past that; both must give the textbook distance.
+    @given(_code_rows())
+    @example((np.zeros((3, 5), dtype=np.int64), np.ones((3, 64), dtype=np.int64)))
+    @example((np.zeros((3, 5), dtype=np.int64), np.ones((3, 65), dtype=np.int64)))
+    @example((np.arange(70, dtype=np.int64).reshape(1, 70), np.arange(64, dtype=np.int64).reshape(1, 64)))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_equals_the_textbook_dp(self, rows):
+        a, b = rows
+        got = _edit_distances(a, b)
+        assert got.dtype == np.int64 and got.shape == (len(a),)
+        assert got.tolist() == [_plain_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    @given(st.lists(st.integers(0, 5), max_size=130), st.lists(st.integers(0, 5), max_size=130))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_levenshtein_up_to_130_matches_oracle(self, a, b):
+        assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
 class TestStaReport:

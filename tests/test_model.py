@@ -22,6 +22,7 @@ from egoforge.model import (
     TemporalSegment,
     VideoMeta,
     _finite,
+    _plain_matrices,
     unknown_keys,
     validate_dataset,
 )
@@ -417,6 +418,9 @@ class TestProbabilityRows:
         rec = {"video_id": "v", "clip_index": 0, "score_matrix": matrix}
         violations = validate_dataset({"schema": "lta-pred/1", "instances": [rec]})
         assert violations == ["instances[0]: score_matrix must have exactly 'verb' and 'noun' rows"]
+
+    def test_no_matrices_are_no_blocks(self):
+        assert _plain_matrices([], None) == []
 
 
 class TestOverflowingGeometry:

@@ -8,7 +8,6 @@ shows up here on small, tie-heavy random cases.
 import numpy as np
 
 import cases
-from egoforge import fusion
 from egoforge.fusion import nms, temporal_nms, top_k_sequences
 from egoforge.metrics import (
     average_map,
@@ -98,9 +97,9 @@ def test_top_k_sequences_match_oracle():
 
 
 def test_nms_matches_oracle_on_a_blocked_pool():
-    # Thousands of boxes: the IoU rows are computed in many blocks.
+    # Thousands of boxes in one pool: one suppression step for each box
+    # still alive, each against hundreds to thousands of later boxes.
     n = 2000
-    assert n * n > 50 * fusion._PAIR_CAP
     rng = np.random.default_rng(535)
     boxes, scores = cases.box_pool(rng, n)
     for thresh in (0.3, 0.5):

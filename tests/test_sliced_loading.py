@@ -16,12 +16,15 @@ own; each requires the columns, the messages and the warnings of
 
 import dataclasses
 import errno
+import importlib.util
 import io
 import json
 import os
+import re
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ import pytest
 from egoforge import fileio
 from egoforge.errors import DataError, SchemaError
 from egoforge.model import _walk
+from egoforge.synth import SynthConfig, generate_synthetic
 
 from make_violation_corpus import observe, replay
 from test_violation_corpus import _CORPUS
@@ -269,6 +273,44 @@ def test_a_fault_in_a_file_of_several_slices_is_never_read_whole(tmp_path, monke
     assert refused == [violations]
     assert parsed == []
     assert faulty_peak <= 1.1 * clean_peak
+
+
+def _traced_load(load, path):
+    """The tracemalloc peak of ``load(path)``, and the violations it refused
+    the file with (None when it took it)."""
+    tracemalloc.start()
+    try:
+        load(path)
+        violations = None
+    except SchemaError as e:
+        violations = e.violations
+    finally:
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return top, violations
+
+
+def test_a_file_faulty_in_every_record_peaks_below_the_clean_file(tmp_path):
+    # The benchmark's sta predictions for 300 videos, then every score a
+    # string: each slice holds violations, and no slice's columns are kept
+    # past the next, so the peak is below the clean file's, which keeps
+    # every slice's until they are joined.
+    spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    ds = generate_synthetic(SynthConfig(seed=12, num_videos=300))
+    clean, faulty = tmp_path / "clean.json", tmp_path / "faulty.json"
+    fileio.save_sta_pred(clean, fileio.StaGt(images=ds.sta_images, instances=gen.noisy_sta(ds, gen.NOISE)))
+    text, count = re.subn(r'"score": [^,\n}]+', '"score": "high"', clean.read_text(encoding="utf-8"))
+    faulty.write_text(text, encoding="utf-8")
+    assert len(text) > 10 * fileio.SLICE_CHARS
+    violations = _walk(json.loads(text))[0]
+    assert len(violations) == count
+    clean_peak, taken = _traced_load(fileio.load_sta_pred, clean)
+    faulty_peak, refused = _traced_load(fileio.load_sta_pred, faulty)
+    assert taken is None
+    assert refused == violations
+    assert faulty_peak <= clean_peak
 
 
 def test_a_file_of_another_schema(tmp_path, one_char):

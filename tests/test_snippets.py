@@ -191,6 +191,12 @@ class TestSampleFrames:
         with pytest.raises(ValueError):
             sample_frames(self._window(), 4, fps=15.0, seed=0, mode="stripes")
 
+    def test_a_window_between_two_frames(self):
+        # Frames at 15 fps fall at 0 and 1/15 s, neither in [0.01, 0.02).
+        w = ObservableWindow(start_s=0.01, end_s=0.02, alpha_s=0.01)
+        with pytest.raises(ValueError, match="window contains no frames at this fps"):
+            sample_frames(w, 1, fps=15.0, seed=0)
+
 
 class TestSlidingClips:
     def test_exact_fit(self):
